@@ -12,7 +12,18 @@ Two independent oracles live here:
 
 Moment-power estimates sit on top: s_r = state((x*x)^r)^(1/2r) together
 with the consecutive-moment ratio (state((x*x)^r)/state((x*x)^{r-1}))^(1/2);
-both are lower bounds of the norm and nondecreasing in r.
+both are lower bounds of the norm and nondecreasing in r.  The moments
+q_r = state((x*x)^r) come from one of three methods:
+
+* "free-cumulant": self-adjoint sums of single letters, by additivity of
+  free cumulants (exact in rational mode);
+* "fock-vector": every other float element, as q_r = ||v_r||^2 with
+  v_r = x v_{r-1} (odd r) or x* v_{r-1} (even r) and v_0 = Omega, by
+  sparse letter operators on the truncated space of depth r_max * l for
+  words of length <= l.  v_r has length <= r l, so no letter ever meets
+  the cut and the truncation costs nothing beyond rounding;
+* "word-expansion": every other exact element, by multiplying words out
+  and pairing them exactly; it is also the oracle of the vector path.
 """
 
 from __future__ import annotations
@@ -301,15 +312,28 @@ def represent(fock: TruncatedFock, x: FreeElement) -> np.ndarray:
 def norm_lower_bound(fock: TruncatedFock, x: FreeElement) -> float:
     """Largest singular value of the compressed action: a certified lower
     bound of the reduced free-product norm of x."""
-    matrix = _represent_sparse(fock, x)
-    n = matrix.shape[0]
-    if n <= 400:
-        dense = np.asarray(matrix.todense())
-        return float(np.linalg.norm(dense, 2))
-    v0 = np.ones(n) / math.sqrt(n)
-    vals = spla.svds(
-        matrix, k=1, v0=v0, return_singular_vectors=False, maxiter=5000
-    )
+    return _spectral_norm(_represent_sparse(fock, x))
+
+
+def _spectral_norm(matrix) -> float:
+    """Largest singular value of a sparse matrix: dense up to 400 rows or
+    columns, ARPACK above.  When ARPACK does not converge the dense norm is
+    taken up to dimension _DENSE_CAP; beyond it FockError is raised."""
+    n = min(matrix.shape)
+    if n == 0:
+        return 0.0
+    if n <= 2 or max(matrix.shape) <= 400:
+        return float(np.linalg.norm(matrix.toarray(), 2))
+    v0 = np.ones(n, dtype=complex) / math.sqrt(n)
+    try:
+        vals = spla.svds(matrix, k=1, v0=v0, return_singular_vectors=False, maxiter=5000)
+    except spla.ArpackNoConvergence as exc:
+        if max(matrix.shape) > _DENSE_CAP:
+            raise FockError(
+                f"ARPACK did not converge on a {matrix.shape[0]} x {matrix.shape[1]} "
+                f"matrix, too large for the dense fallback (cap {_DENSE_CAP})"
+            ) from exc
+        return float(np.linalg.norm(matrix.toarray(), 2))
     return float(vals[0])
 
 
@@ -480,9 +504,18 @@ def moment_norm_estimate(x: FreeElement, r_max: int, term_cap: int = _TERM_CAP) 
     For each r <= r_max the report carries q_r = state((x*x)^r), the power
     root q_r^(1/2r) and the consecutive ratio (q_r/q_{r-1})^(1/2); both are
     certified lower bounds of the reduced norm and nondecreasing in r, and
-    the best column is their max.  Sums of single letters (one per factor)
-    go through exact free-cumulant arithmetic; everything else multiplies
-    words out, subject to a term cap.
+    the best column is their max.  ``method`` names how the moments were
+    found:
+
+    * "free-cumulant": self-adjoint sums of single letters (and exact x
+      whose x*x is one), by exact free-cumulant arithmetic;
+    * "fock-vector": other float elements, as squared norms of x and x*
+      applied alternately to the vacuum in the truncated space of depth
+      r_max * l (l the longest word); no intermediate tensor reaches the
+      cut, so the values are the untruncated ones up to rounding.  A space
+      above the dimension cap raises ResourceCapError;
+    * "word-expansion": other exact elements, by multiplying words out
+      (exact, subject to ``term_cap``).
     """
     if r_max < 1:
         raise ValueError("r_max must be >= 1")
@@ -499,20 +532,28 @@ def moment_norm_estimate(x: FreeElement, r_max: int, term_cap: int = _TERM_CAP) 
 
 
 def _even_moments(x: FreeElement, r_max: int, term_cap: int):
-    """[q_0..q_{r_max}] with q_r = free_state((x*x)^r)."""
+    """([q_0..q_{r_max}], method) with q_r = free_state((x*x)^r)."""
     sa = x == x.adjoint()
     if sa and x.max_word_length() <= 1:
         m = _single_letter_moments(x, 2 * r_max)
         return [m[2 * r] for r in range(r_max + 1)], "free-cumulant"
+    if not x.is_exact():
+        return _vector_moments(x, r_max), "fock-vector"
     h = normalize(x.adjoint() * x)
     if h.max_word_length() <= 1:
         m = _single_letter_moments(h, r_max)
         return m, "free-cumulant"
+    return _word_moments(h, r_max, term_cap), "word-expansion"
+
+
+def _word_moments(h: FreeElement, r_max: int, term_cap: int):
+    """[q_0..q_{r_max}] from the normalized h = x*x by multiplying words out;
+    exact in rational mode."""
     from .freeword import l2_inner_free
 
     # q_{2s} = <h^s, h^s> and q_{2s+1} = <h^{s+1}, h^s> (h self-adjoint), so
     # only powers up to ceil(r_max/2) are ever multiplied out.
-    powers = {0: FreeElement.one(x.ambient), 1: h}
+    powers = {0: FreeElement.one(h.ambient), 1: h}
 
     def power(s):
         if s not in powers:
@@ -533,7 +574,45 @@ def _even_moments(x: FreeElement, r_max: int, term_cap: int):
             q.append(l2_inner_free(hs, hs))
         else:
             q.append(l2_inner_free(power(s + 1), power(s)))
-    return q, "word-expansion"
+    return q
+
+
+def _vector_moments(x: FreeElement, r_max: int):
+    """[q_0..q_{r_max}] as floats with q_r = ||v_r||^2, where v_0 = Omega and
+    v_r = x v_{r-1} for odd r, x* v_{r-1} for even r, in the truncated space
+    of depth r_max * l: v_{r-1} has length <= (r-1) l and one more word adds
+    at most l letters, so no letter ever meets the cut."""
+    fock = shared_fock(x.ambient.factors, r_max * x.max_word_length())
+    letters = {letter for word in x.terms for letter in word}
+    forward = {l: fock.letter_operator(l.factor, l.payload) for l in letters}
+    backward = {l: op.conj().T for l, op in forward.items()}
+    # words in the order their letters act: the last letter of x's words
+    # acts first; x* acts with the adjoint letters, first letter first
+    x_terms = [(word[::-1], to_complex(c)) for word, c in x.terms.items()]
+    adj_terms = [(word, to_complex(c).conjugate()) for word, c in x.terms.items()]
+    v = np.zeros(fock.dimension, dtype=complex)
+    v[fock.index[()]] = 1.0
+    q = [1.0]
+    for r in range(1, r_max + 1):
+        if r % 2:
+            v = _apply_words(x_terms, forward, v)
+        else:
+            v = _apply_words(adj_terms, backward, v)
+        q.append(float(np.vdot(v, v).real))
+    return q
+
+
+def _apply_words(terms, ops, v):
+    """sum_w c_w M_w v for words w listed in acting order; words sharing
+    their first acting letters share those products."""
+    done = {(): v}
+    out = np.zeros_like(v)
+    for seq, c in terms:
+        for k in range(1, len(seq) + 1):
+            if seq[:k] not in done:
+                done[seq[:k]] = ops[seq[k - 1]] @ done[seq[: k - 1]]
+        out += c * done[seq]
+    return out
 
 
 def _single_letter_moments(x: FreeElement, n: int):

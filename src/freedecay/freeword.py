@@ -216,6 +216,24 @@ class FreeElement:
     def word(cls, ambient, letters, coeff=1) -> "FreeElement":
         return cls(ambient, {tuple(letters): as_scalar(coeff)})
 
+    @classmethod
+    def combination(cls, ambient, pairs) -> "FreeElement":
+        """sum of e * c over (e, c) pairs in one term dict: the same
+        coefficients, bit for bit, as the left-to-right sum of the products,
+        without copying the dict at every addition."""
+        out: dict = {}
+        for e, c in pairs:
+            s = as_scalar(c)
+            for w, v in e.terms.items():
+                term = v * s
+                acc = out.get(w)
+                acc = term if acc is None else acc + term
+                if scalar_is_zero(acc):
+                    out.pop(w, None)
+                else:
+                    out[w] = acc
+        return cls(ambient, out, _validated=True)
+
     # -- algebra ------------------------------------------------------------
     def _check(self, other):
         if self.ambient != other.ambient:

@@ -16,12 +16,12 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from .algebra import AlgebraError, dn_norm, onb_complement
 from .fock import (
     TruncatedFock,
     _represent_sparse,
+    _spectral_norm,
     moment_norm_estimate,
     norm_lower_bound,
     shared_fock,
@@ -247,21 +247,10 @@ def tr_bracket(x: HomogeneousWordElement, r: int, fock: TruncatedFock | None = N
             if grid[ri][ci] is None:
                 grid[ri][ci] = empty
     assembled = sp.bmat(grid, format="csr")
-    lower = _sparse_spectral_norm(assembled)
+    lower = _spectral_norm(assembled)
 
     single = len(factors_used) <= 1
     return TrBounds(lower=lower, upper=upper, weak_cs=weak_cs, single_factor=single)
-
-
-def _sparse_spectral_norm(matrix) -> float:
-    n = min(matrix.shape)
-    if n == 0:
-        return 0.0
-    if n <= 2 or max(matrix.shape) <= 400:
-        return float(np.linalg.norm(np.asarray(matrix.todense()), 2))
-    v0 = np.ones(n, dtype=complex) / math.sqrt(n)
-    vals = spla.svds(matrix, k=1, v0=v0, return_singular_vectors=False, maxiter=5000)
-    return float(vals[0])
 
 
 # ---------------------------------------------------------------------------
@@ -269,13 +258,23 @@ def _sparse_spectral_norm(matrix) -> float:
 # ---------------------------------------------------------------------------
 
 
-def kh_bracket(x: HomogeneousWordElement, fock: TruncatedFock | None = None):
-    """(lower, upper) for kh(x) = max over cuts of the unfolding norms."""
+def _unfoldings(x: HomogeneousWordElement, fock: TruncatedFock | None):
+    """(s_values, t_bounds): sr_norm at every cut 0..l and tr_bracket at
+    every middle position 1..l."""
     s_values = [sr_norm(x, r) for r in range(0, x.length + 1)]
     t_bounds = [tr_bracket(x, r, fock=fock) for r in range(1, x.length + 1)]
+    return s_values, t_bounds
+
+
+def _kh_range(s_values, t_bounds):
     lower = max(s_values + [t.lower for t in t_bounds])
     upper = max(s_values + [t.upper for t in t_bounds])
     return lower, upper
+
+
+def kh_bracket(x: HomogeneousWordElement, fock: TruncatedFock | None = None):
+    """(lower, upper) for kh(x) = max over cuts of the unfolding norms."""
+    return _kh_range(*_unfoldings(x, fock))
 
 
 @dataclass
@@ -315,12 +314,12 @@ def rx_check(
     lb_fock = norm_lower_bound(fock, elem)
     lb_moment = moment_norm_estimate(elem, moment_rmax).max
     norm_lb = max(lb_fock, lb_moment)
-    kh_lo, kh_up = kh_bracket(x, fock=tr_fock)
+    s_values, t_bounds = _unfoldings(x, tr_fock)
+    kh_lo, kh_up = _kh_range(s_values, t_bounds)
     bound = 2 * (ell + 1) * kh_up
     l2 = x.l2_norm()
-    sr_ok = all(sr_norm(x, r) <= l2 * (1 + 1e-10) + 1e-12 for r in range(ell + 1))
+    sr_ok = all(s <= l2 * (1 + 1e-10) + 1e-12 for s in s_values)
     hs_ok = all(sr_hs_norm(x, r) == l2 for r in range(ell + 1))
-    t_bounds = [tr_bracket(x, r, fock=tr_fock) for r in range(1, ell + 1)]
     weak_ok = all(t.upper <= t.weak_cs + 1e-9 for t in t_bounds)
     return RxReport(
         length=ell,

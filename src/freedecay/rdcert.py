@@ -276,30 +276,32 @@ class FreeProductFiltration(Filtration):
         lower = self._probe_lower(n)
         return RdConstant(lower, upper, "bracket")
 
-    def _probe_lower(self, n: int) -> float:
-        from .fock import fock_dimension, norm_lower_bound, shared_fock
-
+    def _probes(self, n: int):
+        """The flat combination of the level basis and two seeded random
+        unit combinations."""
         basis = self.level_onb(n)
         rng = np.random.default_rng(self.probe_seed + n)
-        probes = []
-        flat = sum(
-            (b * (1.0 / math.sqrt(len(basis))) for b in basis[1:]),
-            basis[0] * (1.0 / math.sqrt(len(basis))),
-        )
-        probes.append(flat)
+        flat = 1.0 / math.sqrt(len(basis))
+        probes = [FreeElement.combination(self.ambient, ((b, flat) for b in basis))]
         for _ in range(2):
             coeffs = rng.standard_normal(len(basis)) + 1j * rng.standard_normal(len(basis))
             coeffs /= np.linalg.norm(coeffs)
             probes.append(
-                sum((b * complex(c) for b, c in zip(basis[1:], coeffs[1:])),
-                    basis[0] * complex(coeffs[0]))
+                FreeElement.combination(
+                    self.ambient, ((b, complex(c)) for b, c in zip(basis, coeffs))
+                )
             )
+        return probes
+
+    def _probe_lower(self, n: int) -> float:
+        from .fock import fock_dimension, norm_lower_bound, shared_fock
+
         depth = max(4, n + 1)
         while depth > 1 and fock_dimension(self.ambient.factors, depth + n) > 200_000:
             depth -= 1
         fock = shared_fock(self.ambient.factors, depth)
         best = 0.0
-        for probe in probes:
+        for probe in self._probes(n):
             best = max(best, norm_lower_bound(fock, probe))
         return best
 

@@ -142,6 +142,17 @@ def test_free_moments_and_norm_estimate(tmp_path):
     assert "best_lower_bound=" in text
 
 
+def test_norm_estimate_moment_depth_above_cap_exit_2(tmp_path, capsys):
+    factors = _m2_factors(tmp_path)
+    unit = [[["0", "1"], ["0", "0"]]]  # a non-self-adjoint matrix unit
+    elem = {"terms": [{"coeff": [1.0, 0.0], "word": [{"factor": 0, "elem": unit}]}]}
+    epath = _write(tmp_path, "elem.json", elem)
+    code = run(["norm-estimate", "--factors", factors, "--element", epath,
+                "--moment-rmax", "11", "--out", str(tmp_path / "norm.csv")])
+    assert code == 2
+    assert "exceeds the cap" in capsys.readouterr().err
+
+
 def test_kh_norm_csv_schema_and_determinism(tmp_path):
     out1, out2 = tmp_path / "kh1.csv", tmp_path / "kh2.csv"
     argv = ["kh-norm", "--length", "1", "--trials", "3", "--seed", "11"]

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from conftest import (
     c3_weighted,
@@ -12,10 +13,15 @@ from conftest import (
     random_word_element,
     two_factor,
 )
+from freedecay import fock
 from freedecay.algebra import MatrixBlockAlgebra
 from freedecay.fock import (
+    FockError,
     ResourceCapError,
     _basis_order_is_prefix,
+    _spectral_norm,
+    _vector_moments,
+    _word_moments,
     build_fock,
     default_depth,
     fock_dimension,
@@ -26,7 +32,8 @@ from freedecay.fock import (
     represent,
     vacuum_expectation,
 )
-from freedecay.freeword import FreeElement, Letter, free_state
+from freedecay.freeword import FreeElement, Letter, free_state, normalize
+from freedecay.khintchine import HomogeneousWordElement
 from freedecay.scalars import QC
 
 
@@ -161,6 +168,18 @@ def test_norm_lower_bound_monotone_in_depth():
         assert b >= a - 1e-9
 
 
+def test_spectral_norm_falls_back_to_dense_without_arpack_convergence(monkeypatch):
+    def no_convergence(*args, **kwargs):
+        raise sp.linalg.ArpackNoConvergence("no convergence", np.array([]), np.array([]))
+
+    monkeypatch.setattr(fock.spla, "svds", no_convergence)
+    rng = np.random.default_rng(9)
+    dense = rng.standard_normal((500, 500)) + 1j * rng.standard_normal((500, 500))
+    assert _spectral_norm(sp.csr_matrix(dense)) == pytest.approx(np.linalg.norm(dense, 2))
+    with pytest.raises(FockError):
+        _spectral_norm(sp.identity(fock._DENSE_CAP + 1, dtype=complex, format="csr"))
+
+
 # ---------------------------------------------------------------------------
 # free cumulants
 # ---------------------------------------------------------------------------
@@ -224,6 +243,36 @@ def test_moment_estimates_nondecreasing_and_bounded():
     from freedecay.freeword import l2_norm_free
 
     assert est.max >= l2_norm_free(x) - 1e-9
+
+
+@pytest.mark.parametrize("length, r_max", [(1, 3), (2, 2)])
+def test_vector_moments_match_word_expansion(length, r_max):
+    amb = two_factor(m2_tr(), m2_tr())
+    rng = np.random.default_rng(10 + length)
+    for _ in range(3):
+        x = HomogeneousWordElement.random(amb, length, rng).to_free_element()
+        got = _vector_moments(x, r_max)
+        want = _word_moments(normalize(x.adjoint() * x), r_max, fock._TERM_CAP)
+        for a, b in zip(got, want):
+            assert a == pytest.approx(complex(b).real, rel=1e-12, abs=0)
+        assert moment_norm_estimate(x, r_max).method == "fock-vector"
+
+
+def test_exact_moments_stay_word_expansion():
+    amb = two_factor(m2_tr(), m2_tr())
+    rng = np.random.default_rng(12)
+    x = random_word_element(amb, 2, rng, n_terms=2)
+    est = moment_norm_estimate(x, 2)
+    assert est.method == "word-expansion"
+    assert all(isinstance(row[1], QC) for row in est.rows)
+
+
+def test_vector_moments_depth_above_cap_raises():
+    amb = two_factor(m2_tr(), m2_tr())
+    x = HomogeneousWordElement.random(amb, 1, np.random.default_rng(13)).to_free_element()
+    # depth 11 over (M2, tr) * (M2, tr) has 1 + 6 (3^11 - 1) / 2 > 200 000 tensors
+    with pytest.raises(ResourceCapError):
+        moment_norm_estimate(x, 11)
 
 
 def test_kesten_sum_of_haar_type_unitaries():

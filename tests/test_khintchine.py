@@ -172,6 +172,21 @@ def test_rx_check_single_unitary_like_letter():
     assert report.bound == pytest.approx(4 * report.kh_upper)
 
 
+def test_rx_check_builds_each_bracket_once(monkeypatch):
+    import freedecay.khintchine as kh
+
+    calls = []
+
+    def counted(x, r, fock=None):
+        calls.append(r)
+        return tr_bracket(x, r, fock=fock)
+
+    monkeypatch.setattr(kh, "tr_bracket", counted)
+    x = HomogeneousWordElement.random(_ambient(), 2, np.random.default_rng(14))
+    assert rx_check(x).ok
+    assert calls == [1, 2]
+
+
 def test_rx_check_random_sweep():
     rng = np.random.default_rng(7)
     amb = _ambient()

@@ -131,6 +131,25 @@ def test_free_filtration_bracket_orders():
         assert c.method == "bracket"
 
 
+def test_free_filtration_probes_match_summed_probes():
+    c3 = MatrixBlockAlgebra.from_weights([Fraction(1, 3)] * 3)
+    filt = free_filtration(
+        [ConstantFiltration(_c2()), ConstantFiltration(c3)], probe_seed=4
+    )
+    n = 3
+    basis = filt.level_onb(n)
+    rng = np.random.default_rng(filt.probe_seed + n)
+    flat = 1.0 / math.sqrt(len(basis))
+    want = [sum((b * flat for b in basis[1:]), basis[0] * flat)]
+    for _ in range(2):
+        coeffs = rng.standard_normal(len(basis)) + 1j * rng.standard_normal(len(basis))
+        coeffs /= np.linalg.norm(coeffs)
+        want.append(sum((b * complex(c) for b, c in zip(basis[1:], coeffs[1:])),
+                        basis[0] * complex(coeffs[0])))
+    got = filt._probes(n)
+    assert [list(p.terms.items()) for p in got] == [list(p.terms.items()) for p in want]
+
+
 def test_free_filtration_exponent_finite():
     filt = free_filtration(
         [ConstantFiltration(_c2()), ConstantFiltration(_c2())], probe_seed=2
