@@ -16,7 +16,6 @@ import os
 import sys
 import tempfile
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
@@ -58,31 +57,6 @@ from .scalars import QC, to_complex
 
 USAGE_ERROR = 2
 CHECK_FAILED = 1
-
-
-@dataclass
-class RunConfig:
-    """Parsed invocation: subcommand, shared knobs, per-command options.
-
-    The seed always lands in the output metadata; option keys are exactly
-    the ones the subcommand grammar declares (argparse rejects the rest).
-    Command handlers read options attribute-style.
-    """
-
-    subcommand: str
-    seed: int = 0
-    threads: int = 1
-    out: str | None = None
-    as_json: bool = False
-    options: dict = field(default_factory=dict)
-
-    def __getattr__(self, name):
-        if name == "options":
-            raise AttributeError(name)
-        try:
-            return self.options[name]
-        except KeyError:
-            raise AttributeError(name) from None
 
 
 class CliError(Exception):
@@ -206,7 +180,7 @@ def _cmd_rd_certify(args) -> int:
         filt = free_filtration(
             [ConstantFiltration(a) for a in space["free_product"]], probe_seed=args.seed
         )
-    report = rd_report(filt, args.max_n, threads=args.threads)
+    report = rd_report(filt, args.max_n)
     meta = {"seed": args.seed, "version": __version__, "recipe": report.recipe,
             "alpha_hat": repr(report.alpha_hat)}
     if args.as_json:
@@ -509,6 +483,16 @@ def _cmd_orthogonality_check(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="freedecay",
@@ -519,7 +503,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     def common(p):
         p.add_argument("--seed", type=int, default=0, help="RNG seed recorded in outputs")
-        p.add_argument("--threads", type=int, default=1, help="parallel trials (default 1)")
+        p.add_argument("--threads", type=_positive_int, default=1,
+                       help="threads for kh-norm trials (default 1)")
         p.add_argument("--out", default=None, help="output path (default: stdout)")
         p.add_argument("--json", dest="as_json", action="store_true", help="JSON output")
 
@@ -600,20 +585,6 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _to_config(args) -> tuple[RunConfig, object]:
-    ns = dict(vars(args))
-    func = ns.pop("func")
-    cfg = RunConfig(
-        subcommand=ns.pop("subcommand"),
-        seed=ns.pop("seed", 0),
-        threads=ns.pop("threads", 1),
-        out=ns.pop("out", None),
-        as_json=ns.pop("as_json", False),
-        options=ns,
-    )
-    return cfg, func
-
-
 def run(argv) -> int:
     """Execute one invocation; returns the exit code."""
     parser = _build_parser()
@@ -622,9 +593,8 @@ def run(argv) -> int:
     except SystemExit as exc:
         return USAGE_ERROR if exc.code not in (0,) else 0
     reset_cache_probe()
-    cfg, func = _to_config(args)
     try:
-        return func(cfg)
+        return args.func(args)
     except CliError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return exc.code

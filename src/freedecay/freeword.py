@@ -2,10 +2,11 @@
 
 Elements are finite linear combinations of words whose letters carry a
 factor index and a concrete matrix payload.  Words are kept *merged*
-(no two adjacent letters from the same factor, no scalar letters); the
-centered alternating normal form and the free-product state come out of a
-memoized centering recursion.  Everything is exact whenever payloads and
-coefficients are rational.
+(no two adjacent letters from the same factor, no scalar letters).  One
+memoized centering recursion, ``_decompose_word``, writes a word as a scalar
+plus alternating centered words: ``normalize`` collects every coefficient,
+and the free-product state is the empty-word coefficient alone.  Everything
+is exact whenever payloads and coefficients are rational.
 """
 
 from __future__ import annotations
@@ -459,54 +460,25 @@ def is_normalized_word(word) -> bool:
 
 
 def free_state(x: FreeElement):
-    """The free-product state: 1 on the empty word, 0 on every nonempty
-    alternating centered word, extended by the centering recursion."""
+    """The free-product state: the empty-word coefficient of the centered
+    alternating normal form, so 1 on the empty word and 0 on every nonempty
+    alternating centered word.
+
+    One memo serves every term of x; with FREEDECAY_CACHE_DIR set, each
+    nonempty input word is looked up and stored once.
+    """
     memo: dict = {}
     acc = QC(0)
     for word, coeff in x.terms.items():
         if not word:
             acc = acc + coeff
             continue
-        val = _state_of_word(x.ambient, word, memo)
-        if val is not None:
-            acc = acc + coeff * val
+        val = _persistent_cache_get(x.ambient, word)
+        if val is None:
+            val = _decompose_word(x.ambient, word, memo).get((), QC(0))
+            _persistent_cache_put(x.ambient, word, val)
+        acc = acc + coeff * val
     return acc
-
-
-def _state_of_word(ambient, word, memo):
-    """Scalar part of a merged word under the free-product state."""
-    if not word:
-        return QC(1)
-    if word in memo:
-        return memo[word]
-    cached = _persistent_cache_get(ambient, word)
-    if cached is not None:
-        memo[word] = cached
-        return cached
-    split_at = None
-    for i, letter in enumerate(word):
-        s = state(letter.payload)
-        if not scalar_is_zero(s, _FLOAT_TOL if not is_exact(s) else 0.0):
-            split_at = (i, s)
-            break
-    if split_at is None:
-        val = QC(0)  # alternating centered, positive length
-    else:
-        i, s = split_at
-        letter = word[i]
-        val = QC(0)
-        centered_payload = center(letter.payload)
-        if _scalar_part(centered_payload) is None:
-            branch = word[:i] + (Letter(letter.factor, centered_payload),) + word[i + 1 :]
-            sub = _state_of_word(ambient, branch, memo)
-            val = val + sub
-        c2, reduced = _merge_word(ambient, word[:i] + word[i + 1 :])
-        factor = s * c2
-        if not scalar_is_zero(factor):
-            val = val + factor * _state_of_word(ambient, reduced, memo)
-    memo[word] = val
-    _persistent_cache_put(ambient, word, val)
-    return val
 
 
 # ---------------------------------------------------------------------------
@@ -552,7 +524,7 @@ def _cache_key(ambient, word):
 
 def _persistent_cache_get(ambient, word):
     d = _cache_dir()
-    if d is None or not word:
+    if d is None:
         return None
     key = _cache_key(ambient, word)
     if key in _cache_state["mem"]:
@@ -573,7 +545,7 @@ def _persistent_cache_get(ambient, word):
 
 def _persistent_cache_put(ambient, word, value):
     d = _cache_dir()
-    if d is None or not word:
+    if d is None:
         return
     import os
     import tempfile

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import json
 import math
-import threading
 from fractions import Fraction
 from math import comb
 
@@ -74,7 +73,6 @@ class CompactMeasure:
         self.atomless = bool(atomless)
         self.name = name
         self._moment_cache: dict[int, object] = {}
-        self._lock = threading.Lock()
         m0 = self.moment(0)
         if not (m0 == 1 or abs(float(m0) - 1.0) < 1e-12):
             raise MeasureError(f"m_0 = {m0}, expected a probability measure")
@@ -82,10 +80,9 @@ class CompactMeasure:
     def moment(self, k: int):
         if k < 0:
             raise MeasureError("moment index must be nonnegative")
-        with self._lock:
-            if k not in self._moment_cache:
-                self._moment_cache[k] = self._moment_fn(k)
-            return self._moment_cache[k]
+        if k not in self._moment_cache:
+            self._moment_cache[k] = self._moment_fn(k)
+        return self._moment_cache[k]
 
     # -- builtins ---------------------------------------------------------
     @classmethod
@@ -225,14 +222,13 @@ class OrthoPolySequence:
 
     ``beta[0]`` holds m_0 = 1 so that the orthonormal normalizers are
     ||pi_k||_2^2 = beta_0 ... beta_k.  Coefficients are exact Fractions when
-    the moments are; extension is lazy and lock-protected.
+    the moments are; extension is lazy.
     """
 
     def __init__(self, measure: CompactMeasure):
         self.measure = measure
         self._alpha: list = []
         self._beta: list = []
-        self._lock = threading.Lock()
 
     @property
     def degree(self) -> int:
@@ -247,10 +243,9 @@ class OrthoPolySequence:
 
     def extend(self, n: int) -> None:
         """Ensure recurrence coefficients alpha_0..alpha_{n-1} exist."""
-        with self._lock:
-            if len(self._alpha) >= n:
-                return
-            self._alpha, self._beta = _chebyshev_algorithm(self.measure, n)
+        if len(self._alpha) >= n:
+            return
+        self._alpha, self._beta = _chebyshev_algorithm(self.measure, n)
 
     def alpha(self, k: int):
         self.extend(k + 1)

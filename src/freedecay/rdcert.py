@@ -19,6 +19,7 @@ from .algebra import (
     AlgebraElement,
     AlgebraError,
     MatrixBlockAlgebra,
+    _mat_to_numpy,
     dn_norm,
     gram_schmidt,
     l2_inner,
@@ -365,15 +366,9 @@ def _normalize_rows(rows):
     return out
 
 
-def rd_report(filtration: Filtration, max_n: int, threads: int = 1) -> RDReport:
+def rd_report(filtration: Filtration, max_n: int) -> RDReport:
     levels = range(max_n + 1)
-    if threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            constants = list(pool.map(filtration.rd_constant, levels))
-    else:
-        constants = [filtration.rd_constant(n) for n in levels]
+    constants = [filtration.rd_constant(n) for n in levels]
     rows = [
         (n, c.lower, c.upper, filtration.level_dim(n)) for n, c in zip(levels, constants)
     ]
@@ -405,7 +400,7 @@ def tensor_embed(a1: MatrixBlockAlgebra, a2: MatrixBlockAlgebra):
     densities = []
     for d1 in a1.densities:
         for d2 in a2.densities:
-            densities.append(np.kron(_to_np(d1), _to_np(d2)))
+            densities.append(np.kron(_mat_to_numpy(d1), _mat_to_numpy(d2)))
     tensor = MatrixBlockAlgebra([[[complex(v) for v in row] for row in d] for d in densities])
 
     def embed(x: AlgebraElement, y: AlgebraElement) -> AlgebraElement:
@@ -416,10 +411,6 @@ def tensor_embed(a1: MatrixBlockAlgebra, a2: MatrixBlockAlgebra):
         return tensor.element([[[complex(v) for v in row] for row in b] for b in blocks])
 
     return tensor, embed
-
-
-def _to_np(mat):
-    return np.array([[to_complex(v) for v in row] for row in mat], dtype=complex)
 
 
 def derived_filtration(mode: str, *, first: Filtration = None, second: Filtration = None,
@@ -526,7 +517,7 @@ def _derived_corner(f: Filtration, p: AlgebraElement, max_n: int):
     isometries = []
     new_densities = []
     keep = []
-    for b, (pb, db) in enumerate(zip(p.to_numpy(), (_to_np(d) for d in algebra.densities))):
+    for b, (pb, db) in enumerate(zip(p.to_numpy(), (_mat_to_numpy(d) for d in algebra.densities))):
         evals, evecs = np.linalg.eigh(0.5 * (pb + pb.conj().T))
         cols = evecs[:, evals > 0.5]
         if cols.shape[1] == 0:
@@ -667,7 +658,7 @@ def _diagonal_weights(algebra: MatrixBlockAlgebra):
     return weights
 
 
-def _phase_vector_with_zero_mean(weights, rng):
+def _phase_vector_with_zero_mean(weights):
     """Unit phases z_k with sum w_k z_k = 0, exact when possible.
 
     Tries an exact half-weight split (+1/-1), then uniform roots of unity,
@@ -762,49 +753,41 @@ def _zero_for(v):
     return QC(0) if isinstance(v, QC) else 0j
 
 
-def _cyclic_permutation(algebra, block: int):
-    """Unitary with a zero-diagonal cyclic shift in one block, a balanced
-    +-1 pattern elsewhere when possible, identity otherwise."""
+def _cyclic_shift(algebra):
+    """The unitary with a zero-diagonal cyclic shift in every block (all
+    blocks of size >= 2): its state vanishes against a diagonal density."""
     blocks = []
-    for b, n in enumerate(algebra.block_dims):
-        if b == block:
-            rows = [[QC(1) if i == (j + 1) % n else QC(0) for j in range(n)] for i in range(n)]
-        else:
-            rows = [[QC(1) if i == j else QC(0) for j in range(n)] for i in range(n)]
+    for n in algebra.block_dims:
+        rows = [[QC(1) if i == (j + 1) % n else QC(0) for j in range(n)] for i in range(n)]
         blocks.append(rows)
     return algebra.element(blocks)
 
 
-def _state_zero_unitary(algebra: MatrixBlockAlgebra, rng):
+def _state_zero_unitary(algebra: MatrixBlockAlgebra):
     """A unitary with state zero, or None."""
     weights = _diagonal_weights(algebra)
     if weights is not None and all(n >= 2 for n in algebra.block_dims):
-        # zero-diagonal permutations per block: every contribution vanishes
-        blocks = []
-        for n in algebra.block_dims:
-            rows = [[QC(1) if i == (j + 1) % n else QC(0) for j in range(n)] for i in range(n)]
-            blocks.append(rows)
-        return algebra.element(blocks)
+        return _cyclic_shift(algebra)
     if weights is not None:
         flat = [w for ws in weights for w in ws]
-        phases = _phase_vector_with_zero_mean(flat, rng)
+        phases = _phase_vector_with_zero_mean(flat)
         if phases is not None:
             return _diag_element(algebra, phases)
         return None
     # non-diagonal density: diagonalize first (float)
-    return _state_zero_unitary_float(algebra, rng)
+    return _state_zero_unitary_float(algebra)
 
 
-def _state_zero_unitary_float(algebra, rng):
+def _state_zero_unitary_float(algebra):
     blocks = []
     diag_weights = []
     basis_changes = []
     for d in algebra.densities:
-        dn = _to_np(d)
+        dn = _mat_to_numpy(d)
         evals, evecs = np.linalg.eigh(0.5 * (dn + dn.conj().T))
         diag_weights.extend(evals.tolist())
         basis_changes.append(evecs)
-    phases = _phase_vector_with_zero_mean(diag_weights, rng)
+    phases = _phase_vector_with_zero_mean(diag_weights)
     if phases is None:
         return None
     at = 0
@@ -820,18 +803,13 @@ def _centralizer_pair(algebra: MatrixBlockAlgebra, rng, trials: int):
     weights = _diagonal_weights(algebra)
     if weights is not None and all(n >= 2 for n in algebra.block_dims):
         flat = [w for ws in weights for w in ws]
-        phases = _phase_vector_with_zero_mean(flat, rng)
+        phases = _phase_vector_with_zero_mean(flat)
         if phases is None:
             return None
         v = _diag_element(algebra, phases)
-        # zero-diagonal permutations: tau(w) = 0 and tau(v* w) = 0 since the
-        # product keeps a zero diagonal against any diagonal density
-        blocks = []
-        for n in algebra.block_dims:
-            rows = [[QC(1) if i == (j + 1) % n else QC(0) for j in range(n)] for i in range(n)]
-            blocks.append(rows)
-        w = algebra.element(blocks)
-        return v, w
+        # tau(w) = 0 and tau(v* w) = 0 since the product keeps a zero
+        # diagonal against any diagonal density
+        return v, _cyclic_shift(algebra)
     if weights is not None and algebra.is_abelian():
         flat = [w for ws in weights for w in ws]
         m = len(flat)
@@ -850,7 +828,7 @@ def _centralizer_pair(algebra: MatrixBlockAlgebra, rng, trials: int):
             )
             return v, w
         return _abelian_pair_search(algebra, flat, rng, trials)
-    return _random_pair_search(algebra, rng, trials)
+    return _random_pair_search(algebra, trials)
 
 
 def _abelian_pair_search(algebra, weights, rng, trials):
@@ -927,13 +905,13 @@ def _newton_phases(fw, rng, trials, constraints, jacobian, unknowns, to_phases):
     return None
 
 
-def _random_pair_search(algebra, rng, trials):
+def _random_pair_search(algebra, trials):
     for _ in range(trials):
-        v = _state_zero_unitary_float(algebra, rng)
+        v = _state_zero_unitary_float(algebra)
         if v is None:
             return None
         # random unitary conjugation of a second state-zero candidate
-        w = _state_zero_unitary_float(algebra, rng)
+        w = _state_zero_unitary_float(algebra)
         if w is None:
             return None
         res = verify_avitzour_triple(algebra.identity(), v, w)
@@ -950,7 +928,7 @@ def find_avitzour_triple(f1: Filtration, f2: Filtration, seed: int = 0,
     a1 = f1.algebra if isinstance(f1, Filtration) else f1
     a2 = f2.algebra if isinstance(f2, Filtration) else f2
     rng = np.random.default_rng(seed)
-    u = _state_zero_unitary(a1, rng)
+    u = _state_zero_unitary(a1)
     if u is None:
         return None
     pair = _centralizer_pair(a2, rng, trials)

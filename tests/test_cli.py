@@ -172,6 +172,12 @@ def test_kh_norm_threads_match_serial(tmp_path):
     assert out1.read_bytes() == out2.read_bytes()
 
 
+def test_kh_norm_threads_below_one_is_usage_error(capsys):
+    for bad in ("0", "-3"):
+        assert run(["kh-norm", "--length", "1", "--trials", "1", "--threads", bad]) == 2
+        assert "--threads" in capsys.readouterr().err
+
+
 def test_avitzour_find_m2(tmp_path):
     m2 = {"blocks": [{"dim": 2, "density": [["1/2", "0"], ["0", "1/2"]]}]}
     a = _write(tmp_path, "a.json", m2)

@@ -175,6 +175,52 @@ def MatrixBlockAlgebra_from_uniform(n):
     return MatrixBlockAlgebra.from_weights([Fraction(1, n)] * n)
 
 
+@pytest.fixture
+def cache_dir(tmp_path, monkeypatch):
+    from freedecay.freeword import reset_cache_probe
+
+    monkeypatch.setenv("FREEDECAY_CACHE_DIR", str(tmp_path / "cache"))
+    reset_cache_probe()
+    yield tmp_path / "cache"
+    reset_cache_probe()  # the next access re-reads the restored environment
+
+
+def _as_float(x):
+    """The same element with complex payload entries and coefficients."""
+    terms = {}
+    for word, c in x.terms.items():
+        letters = tuple(
+            Letter(l.factor, l.payload.owner.element(
+                [[[complex(v) for v in row] for row in b] for b in l.payload.blocks]))
+            for l in word
+        )
+        terms[letters] = complex(c)
+    return FreeElement(x.ambient, terms)
+
+
+@pytest.mark.parametrize("kind", ["exact", "float"])
+def test_free_state_disk_cache_hit_skips_the_recursion(cache_dir, monkeypatch, kind):
+    import freedecay.freeword as fw
+
+    amb = _ambient_m2_c3()
+    x = random_word_element(amb, 4, np.random.default_rng(30), n_terms=4)
+    if kind == "float":
+        x = _as_float(x)
+    cold = free_state(x)
+    assert isinstance(cold, QC if kind == "exact" else complex)
+    # one entry per nonempty input word, none for the recursion's subwords
+    n_words = sum(1 for w in x.terms if w)
+    assert len(list(cache_dir.glob("*/*.json"))) == n_words
+    fw.reset_cache_probe()  # drop the in-memory copy: the warm call reads disk
+
+    def no_recursion(*args):
+        raise AssertionError("a cache hit must not recurse")
+
+    monkeypatch.setattr(fw, "_decompose_word", no_recursion)
+    warm = free_state(x)
+    assert type(warm) is type(cold) and warm == cold
+
+
 # ---------------------------------------------------------------------------
 # algebra operations
 # ---------------------------------------------------------------------------
