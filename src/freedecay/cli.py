@@ -31,6 +31,7 @@ from .freeword import (
     conjugation_word_shape,
     free_state,
     l2_inner_free,
+    random_alternating_word,
     reset_cache_probe,
     three_factor_ambient,
 )
@@ -53,7 +54,7 @@ from .rdcert import (
     rd_report,
     verify_avitzour_triple,
 )
-from .scalars import QC, to_complex
+from .scalars import to_complex
 
 USAGE_ERROR = 2
 CHECK_FAILED = 1
@@ -360,45 +361,16 @@ def _cmd_avitzour_check(args) -> int:
     rng = np.random.default_rng(args.seed)
     rows = []
     failures = []
-    from .algebra import center as center_op
-
-    def random_centered(algebra):
-        while True:
-            blocks = []
-            for n in algebra.block_dims:
-                blocks.append(
-                    [
-                        [QC(Fraction(int(rng.integers(-3, 4))), Fraction(int(rng.integers(-3, 4))))
-                         for _ in range(n)]
-                        for _ in range(n)
-                    ]
-                )
-            x = center_op(AlgebraElement(algebra, blocks))
-            if any(bool(val) for blk in x.blocks for row in blk for val in row):
-                return x
-
-    def random_word(ambient, length):
-        from .freeword import Letter
-
-        letters = []
-        prev = -1
-        for _ in range(length):
-            choices = [j for j in range(len(ambient.factors)) if j != prev]
-            j = int(choices[rng.integers(0, len(choices))])
-            letters.append(Letter(j, random_centered(ambient.factors[j])))
-            prev = j
-        return FreeElement.word(ambient, letters)
-
     for trial in range(args.trials):
         ell = int(rng.integers(1, args.lmax + 1))
-        word3 = random_word(amb3, ell)
+        word3 = random_alternating_word(amb3, ell, rng)
         n_tr = ell // 2 + 1
         n_iso = ell + 1
         img = avitzour_phi(n_tr, u, v, w, word3)
         trace_ok = free_state(img) == free_state(word3)
         img_iso = avitzour_phi(n_iso, u, v, w, word3)
         iso_ok = l2_inner_free(img_iso, img_iso) == l2_inner_free(word3, word3)
-        word2 = random_word(amb2, ell)
+        word2 = random_alternating_word(amb2, ell, rng)
         shape_ok = all(
             avitzour_shape_check(ell // 2 + 1, u, v, w, word2, mode).ok
             for mode in ("i", "ii", "iii")

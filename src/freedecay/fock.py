@@ -6,9 +6,11 @@ Two independent oracles live here:
   the free-product left action to tensor words symbolically and reads off
   the vacuum coefficient -- exact in rational mode;
 * a numeric compressed left representation (:func:`represent`,
-  :func:`norm_lower_bound`) built from sparse letter operators on an
-  orthonormal tensor basis, whose spectral data give certified lower bounds
-  for the reduced norm.
+  :func:`norm_lower_bound`) on an orthonormal tensor basis, whose spectral
+  data give certified lower bounds for the reduced norm.  A space caches
+  one sparse letter operator per vector of each factor's complement basis
+  (:meth:`TruncatedFock.onb_operators`); the operator of any other letter
+  is built when asked for and not kept.
 
 Moment-power estimates sit on top: s_r = state((x*x)^r)^(1/2r) together
 with the consecutive-moment ratio (state((x*x)^r)/state((x*x)^{r-1}))^(1/2);
@@ -101,7 +103,9 @@ class TruncatedFock:
 
     Basis tensors are tuples of (factor, onb_index) pairs with alternating
     factors; slot vectors run over an orthonormal basis of each factor's
-    complement of C1.  The empty tuple is the vacuum.
+    complement of C1.  The empty tuple is the vacuum.  The space caches the
+    letter operators of those basis vectors, at most dim(A_j) - 1 per
+    factor, and no others.
     """
 
     def __init__(self, factors, depth: int, cap: int = _DIMENSION_CAP):
@@ -117,8 +121,8 @@ class TruncatedFock:
         self.onb = [onb_complement(f) for f in self.factors]
         self.basis = list(_enumerate_basis(self.factors, depth, self.onb))
         self.index = {t: i for i, t in enumerate(self.basis)}
-        self._letter_ops: dict = {}
-        self._action_mats: dict = {}
+        self._onb_position = [{xi: i for i, xi in enumerate(b)} for b in self.onb]
+        self._onb_ops: dict = {}
         self._extended: dict = {}
         self._lock = threading.Lock()
 
@@ -132,76 +136,74 @@ class TruncatedFock:
     def __repr__(self):
         return f"TruncatedFock(m={len(self.factors)}, depth={self.depth}, dim={self.dimension})"
 
-    # -- letter action on C (+) H_j as a (1+d) x (1+d) complex matrix -------
-    def _action_matrix(self, factor: int, payload: AlgebraElement):
-        key = (factor, payload)
-        mat = self._action_mats.get(key)
-        if mat is not None:
-            return mat
-        basis_j = self.onb[factor]
-        d = len(basis_j)
-        owner = self.factors[factor]
-        cols = [owner.identity()] + basis_j
-        mat = np.zeros((d + 1, d + 1), dtype=complex)
-        for c, vec in enumerate(cols):
-            prod = payload * vec
-            mat[0, c] = to_complex(state(prod))
-            prod_c = center(prod)
-            for r, xi in enumerate(basis_j):
-                mat[r + 1, c] = to_complex(l2_inner(prod_c, xi))
-        self._action_mats[key] = mat
-        return mat
+    def onb_operators(self, factor: int):
+        """Sparse matrices L_i = P lambda(iota_factor(xi_i)) P on this basis,
+        one per vector xi_i of the factor's complement basis.
+
+        All operators of a factor are built in one pass over the basis and
+        cached on the space; the fill is idempotent, so the lock only guards
+        the dictionary."""
+        ops = self._onb_ops.get(factor)
+        if ops is None:
+            ops = self._build_letter_operators(factor, self.onb[factor])
+            with self._lock:
+                ops = self._onb_ops.setdefault(factor, ops)
+        return ops
 
     def letter_operator(self, factor: int, payload: AlgebraElement):
         """Sparse matrix of P lambda(iota_factor(payload)) P on this basis.
 
-        Cached per payload; cache fills are idempotent, so the lock only
-        guards the dictionaries."""
-        key = (factor, payload)
-        op = self._letter_ops.get(key)
-        if op is not None:
-            return op
+        A vector xi_i of the factor's complement basis gets its cached
+        operator L_i; any other payload gets a fresh operator by the same
+        construction, which is not cached."""
         if payload.owner != self.factors[factor]:
             raise AlgebraError("payload does not belong to the requested factor")
-        act = self._action_matrix(factor, payload)
-        rows, cols, vals = [], [], []
+        i = self._onb_position[factor].get(payload)
+        if i is not None:
+            return self.onb_operators(factor)[i]
+        return self._build_letter_operators(factor, [payload])[0]
+
+    def _build_letter_operators(self, factor: int, payloads):
+        """The operators of the letters iota_factor(a), a in payloads, in one
+        pass over the basis."""
+        basis_j = self.onb[factor]
+        d = len(basis_j)
+        # act[r, c]: component r (0: the scalar part, k + 1: xi_k) of a times
+        # the vector c (0: the unit, k + 1: xi_k), one matrix per payload a
+        inputs = [self.factors[factor].identity()] + basis_j
+        acts = []
+        for a in payloads:
+            act = np.zeros((d + 1, d + 1), dtype=complex)
+            for c, vec in enumerate(inputs):
+                prod = a * vec
+                act[0, c] = to_complex(state(prod))
+                prod_c = center(prod)
+                for r, xi in enumerate(basis_j):
+                    act[r + 1, c] = to_complex(l2_inner(prod_c, xi))
+            acts.append(act)
+        # entries (row, col, comp, src): entry (row, col) of the operator of a
+        # is act[comp, src]
+        entries = []
         for col, tensor in enumerate(self.basis):
             if tensor and tensor[0][0] == factor:
                 # multiply into the leading slot, then split
-                i1 = tensor[0][1]
-                rest = tensor[1:]
-                v = act[0, i1 + 1]
-                if v != 0:
-                    rows.append(self.index[rest])
-                    cols.append(col)
-                    vals.append(v)
-                for k in range(len(self.onb[factor])):
-                    v = act[k + 1, i1 + 1]
-                    if v != 0:
-                        new = ((factor, k),) + rest
-                        rows.append(self.index[new])
-                        cols.append(col)
-                        vals.append(v)
+                src, rest = tensor[0][1] + 1, tensor[1:]
+                targets = [self.index[rest]]
+                targets += [self.index[((factor, k),) + rest] for k in range(d)]
             else:
                 # scalar part keeps the tensor, centered part prepends
-                v = act[0, 0]
-                if v != 0:
-                    rows.append(col)
-                    cols.append(col)
-                    vals.append(v)
+                src, targets = 0, [col]
                 if len(tensor) < self.depth:
-                    for k in range(len(self.onb[factor])):
-                        v = act[k + 1, 0]
-                        if v != 0:
-                            new = ((factor, k),) + tensor
-                            rows.append(self.index[new])
-                            cols.append(col)
-                            vals.append(v)
-        n = self.dimension
-        op = sp.csr_matrix((vals, (rows, cols)), shape=(n, n), dtype=complex)
-        with self._lock:
-            self._letter_ops[key] = op
-        return op
+                    targets += [self.index[((factor, k),) + tensor] for k in range(d)]
+            entries += [(row, col, comp, src) for comp, row in enumerate(targets)]
+        rows, cols, comps, srcs = np.array(entries).T
+        shape = (self.dimension, self.dimension)
+        ops = []
+        for act in acts:
+            vals = act[comps, srcs]
+            keep = vals != 0
+            ops.append(sp.csr_matrix((vals[keep], (rows[keep], cols[keep])), shape=shape))
+        return ops
 
 
 def _enumerate_basis(factors, depth, onb):
@@ -233,8 +235,8 @@ _shared_focks_lock = threading.Lock()
 
 
 def shared_fock(factors, depth: int) -> TruncatedFock:
-    """Process-wide cache of truncated spaces; letter operators accumulate on
-    the shared object, which makes repeated norm queries cheap."""
+    """Process-wide cache of truncated spaces, so that repeated norm queries
+    share the basis and the cached basis-vector operators of one space."""
     key = (tuple(f._key() for f in factors), depth)
     with _shared_focks_lock:
         fock = _shared_focks.get(key)
@@ -256,8 +258,10 @@ def default_depth(x: FreeElement) -> int:
 def _represent_sparse(fock: TruncatedFock, x: FreeElement):
     """P_L lambda(x) P_L as a sparse matrix, exact compression.
 
-    Letter products run at an extended depth L + max word length so that no
-    intermediate truncation corrupts the depth-L block.
+    A word of k letters is applied on the space of depth L + k - 1: its
+    last k - 1 letters act first and never meet that cut, and whatever the
+    first letter pushes past depth L falls outside the depth-L block anyway.
+    Elements of single letters therefore act on the depth-L space itself.
     """
     if x.ambient != fock.ambient():
         raise AlgebraError("element ambient does not match the Fock factors")
@@ -265,11 +269,13 @@ def _represent_sparse(fock: TruncatedFock, x: FreeElement):
     if k == 0:
         c = to_complex(x.terms.get((), QC(0)))
         return sp.identity(fock.dimension, dtype=complex, format="csr") * c
-    with fock._lock:
-        big = fock._extended.get(k)
-        if big is None:
-            big = TruncatedFock(fock.factors, fock.depth + k, cap=_DIMENSION_CAP * 4)
-            fock._extended[k] = big
+    big = fock
+    if k > 1:
+        with fock._lock:
+            big = fock._extended.get(k - 1)
+            if big is None:
+                big = TruncatedFock(fock.factors, fock.depth + k - 1, cap=_DIMENSION_CAP * 4)
+                fock._extended[k - 1] = big
     n_small = fock.dimension
     n_big = big.dimension
     # basis order puts all length <= depth tensors first in the big space, in

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from fractions import Fraction
 
 from .algebra import AlgebraElement, AlgebraError, MatrixBlockAlgebra, center, l2_inner, op_norm, state
 from .scalars import QC, as_scalar, conj, is_exact, scalar_is_zero, to_complex
@@ -30,6 +31,9 @@ __all__ = [
     "avitzour_shape_check",
     "AvitzourConditionError",
     "ShapeReport",
+    "random_rational_element",
+    "random_centered_rational",
+    "random_alternating_word",
 ]
 
 _FLOAT_TOL = 1e-12
@@ -141,27 +145,8 @@ def _merge_word(ambient: FreeProductAmbient, letters):
             break
         if current is not None:
             stack.append(current)
-    # scalar drops can leave same-factor neighbors separated during the scan;
-    # run a fixpoint pass to be safe.
-    changed = True
-    while changed:
-        changed = False
-        out: list[Letter] = []
-        for letter in stack:
-            if out and out[-1].factor == letter.factor:
-                merged = Letter(letter.factor, out[-1].payload * letter.payload)
-                out.pop()
-                s = _scalar_part(merged.payload)
-                if s is not None:
-                    coeff = coeff * s
-                    if scalar_is_zero(coeff):
-                        return QC(0), ()
-                else:
-                    out.append(merged)
-                changed = True
-            else:
-                out.append(letter)
-        stack = out
+    # a letter is pushed only onto a top of another factor, so the stack
+    # alternates and one scan leaves no same-factor neighbours
     return coeff, tuple(stack)
 
 
@@ -878,3 +863,44 @@ def avitzour_shape_check(n: int, u, v, w, a: FreeElement, mode: str) -> ShapeRep
                 return ShapeReport(mode, n, ell, False, checked, word,
                                    "trailing letter orthogonal to w*")
     return ShapeReport(mode, n, ell, True, checked, None, None)
+
+
+# ---------------------------------------------------------------------------
+# random words
+# ---------------------------------------------------------------------------
+
+
+def random_rational_element(algebra: MatrixBlockAlgebra, rng) -> AlgebraElement:
+    """Element with Gaussian-integer entries in [-3, 3] + [-3, 3] i, drawn
+    entry by entry, real part first, from the numpy Generator ``rng``."""
+
+    def entry():
+        return QC(Fraction(int(rng.integers(-3, 4))), Fraction(int(rng.integers(-3, 4))))
+
+    return AlgebraElement(
+        algebra, [[[entry() for _ in range(n)] for _ in range(n)] for n in algebra.block_dims]
+    )
+
+
+def random_centered_rational(algebra: MatrixBlockAlgebra, rng) -> AlgebraElement:
+    """The centered part of a random rational element, redrawn while it is 0."""
+    for _ in range(100):
+        x = center(random_rational_element(algebra, rng))
+        if any(v != QC(0) for b in x.blocks for row in b for v in row):
+            return x
+    raise AlgebraError("could not draw a nonzero centered element")
+
+
+def random_alternating_word(ambient: FreeProductAmbient, length: int, rng,
+                            centered: bool = True) -> FreeElement:
+    """Random word with alternating factor pattern and rational payloads:
+    each letter draws its factor (uniform among those other than the previous
+    letter's), then its payload."""
+    draw = random_centered_rational if centered else random_rational_element
+    letters = []
+    for _ in range(length):
+        prev = letters[-1].factor if letters else None
+        choices = [j for j in range(len(ambient.factors)) if j != prev]
+        j = int(choices[rng.integers(0, len(choices))])
+        letters.append(Letter(j, draw(ambient.factors[j], rng)))
+    return FreeElement.word(ambient, letters)

@@ -20,7 +20,6 @@ import scipy.sparse as sp
 from .algebra import AlgebraError, dn_norm, onb_complement
 from .fock import (
     TruncatedFock,
-    _represent_sparse,
     _spectral_norm,
     moment_norm_estimate,
     norm_lower_bound,
@@ -170,10 +169,13 @@ class TrBounds:
 
 
 def _tr_blocks(x: HomogeneousWordElement, r: int):
-    """Group the tensor at middle position r: {(I, J): {j: AlgebraElement}}."""
+    """Group the tensor at middle position r: ({(I, J): {j: AlgebraElement}},
+    {(I, J): [(j, i, c)]}), each cell's middle letter per factor and its
+    terms c xi_{j,i}."""
     if not 1 <= r <= x.length:
         raise IndexError(f"middle position r={r} outside 1..{x.length}")
     blocks: dict = {}
+    terms: dict = {}
     for (pattern, idx), c in x.coeffs.items():
         pre = (pattern[: r - 1], idx[: r - 1])
         suf = (pattern[r:], idx[r:])
@@ -181,7 +183,8 @@ def _tr_blocks(x: HomogeneousWordElement, r: int):
         cell = blocks.setdefault((pre, suf), {})
         letter = x.onb[j][i] * c
         cell[j] = letter if j not in cell else cell[j] + letter
-    return blocks
+        terms.setdefault((pre, suf), []).append((j, i, c))
+    return blocks, terms
 
 
 def tr_bracket(x: HomogeneousWordElement, r: int, fock: TruncatedFock | None = None) -> TrBounds:
@@ -190,10 +193,16 @@ def tr_bracket(x: HomogeneousWordElement, r: int, fock: TruncatedFock | None = N
     upper: sum over factors of the exact block-matrix norm of the factor
     part (exact when all middle letters come from one factor);
     lower: the same block operator realized through the compressed left
-    representation; weak_cs: the sqrt(m) * Hilbert-Schmidt style bound that
-    the upper must respect.
+    representation, each cell sum c L_{j,i} over the cached basis-vector
+    operators of ``fock`` (a single letter's operator on the depth-L space
+    is already its compression); weak_cs: the sqrt(m) * Hilbert-Schmidt
+    style bound that the upper must respect.
     """
-    blocks = _tr_blocks(x, r)
+    if fock is None:
+        fock = shared_fock(x.ambient.factors, 4)
+    elif fock.ambient() != x.ambient:
+        raise AlgebraError("element ambient does not match the Fock factors")
+    blocks, terms = _tr_blocks(x, r)
     m = len(x.ambient.factors)
     rows: dict = {}
     cols: dict = {}
@@ -229,25 +238,10 @@ def tr_bracket(x: HomogeneousWordElement, r: int, fock: TruncatedFock | None = N
         per_entry_sq.append(entry * entry)
     weak_cs = math.sqrt(m) * math.sqrt(math.fsum(per_entry_sq))
 
-    if fock is None:
-        fock = shared_fock(x.ambient.factors, 4)
-    cells = {}
-    for (pre, suf), cell in blocks.items():
-        elem = FreeElement(x.ambient)
-        for j, payload in cell.items():
-            elem = elem + FreeElement.letter(x.ambient, j, payload)
-        cells[(rows[pre], cols[suf])] = _represent_sparse(fock, elem)
     grid = [[None] * len(cols) for _ in range(len(rows))]
-    dim = fock.dimension
-    empty = sp.csr_matrix((dim, dim), dtype=complex)
-    for (ri, ci), matrix in cells.items():
-        grid[ri][ci] = matrix
-    for ri in range(len(rows)):
-        for ci in range(len(cols)):
-            if grid[ri][ci] is None:
-                grid[ri][ci] = empty
-    assembled = sp.bmat(grid, format="csr")
-    lower = _spectral_norm(assembled)
+    for (pre, suf), cell_terms in terms.items():
+        grid[rows[pre]][cols[suf]] = sum(c * fock.onb_operators(j)[i] for j, i, c in cell_terms)
+    lower = _spectral_norm(sp.bmat(grid, format="csr"))
 
     single = len(factors_used) <= 1
     return TrBounds(lower=lower, upper=upper, weak_cs=weak_cs, single_factor=single)

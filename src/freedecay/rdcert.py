@@ -778,24 +778,30 @@ def _state_zero_unitary(algebra: MatrixBlockAlgebra):
     return _state_zero_unitary_float(algebra)
 
 
-def _state_zero_unitary_float(algebra):
-    blocks = []
-    diag_weights = []
-    basis_changes = []
+def _eigenbases(algebra):
+    """The eigenvalues of all density blocks in one list, and the unitary U
+    of eigenvectors of each block."""
+    weights, bases = [], []
     for d in algebra.densities:
         dn = _mat_to_numpy(d)
         evals, evecs = np.linalg.eigh(0.5 * (dn + dn.conj().T))
-        diag_weights.extend(evals.tolist())
-        basis_changes.append(evecs)
-    phases = _phase_vector_with_zero_mean(diag_weights)
+        weights.extend(evals.tolist())
+        bases.append(evecs)
+    return weights, bases
+
+
+def _conjugated(algebra, bases, mats):
+    """The float element with blocks U m U*."""
+    blocks = [u @ m @ u.conj().T for u, m in zip(bases, mats)]
+    return algebra.element([[[complex(v) for v in row] for row in b] for b in blocks])
+
+
+def _state_zero_unitary_float(algebra):
+    weights, bases = _eigenbases(algebra)
+    phases = _phase_vector_with_zero_mean(weights)
     if phases is None:
         return None
-    at = 0
-    for (n, u) in zip(algebra.block_dims, basis_changes):
-        z = np.diag([to_complex(p) for p in phases[at : at + n]])
-        blocks.append(u @ z @ u.conj().T)
-        at += n
-    return algebra.element([[[complex(v) for v in row] for row in b] for b in blocks])
+    return _conjugated(algebra, bases, _diag_element(algebra, phases).to_numpy())
 
 
 def _centralizer_pair(algebra: MatrixBlockAlgebra, rng, trials: int):
@@ -828,7 +834,15 @@ def _centralizer_pair(algebra: MatrixBlockAlgebra, rng, trials: int):
             )
             return v, w
         return _abelian_pair_search(algebra, flat, rng, trials)
-    return _random_pair_search(algebra, trials)
+    if weights is None and all(n >= 2 for n in algebra.block_dims):
+        # the diagonal construction in the eigenbasis U of each density
+        # block: v = U diag(z) U* commutes with the density, and w = U S U*
+        # and v* w = U diag(z)* S U* have zero diagonal against its
+        # eigenvalues
+        v = _state_zero_unitary_float(algebra)
+        shift = _cyclic_shift(algebra).to_numpy()
+        return None if v is None else (v, _conjugated(algebra, _eigenbases(algebra)[1], shift))
+    return None
 
 
 def _abelian_pair_search(algebra, weights, rng, trials):
@@ -902,21 +916,6 @@ def _newton_phases(fw, rng, trials, constraints, jacobian, unknowns, to_phases):
         z = to_phases(ang)
         if np.all(np.abs(np.array(constraints(z))) < 1e-12):
             return z
-    return None
-
-
-def _random_pair_search(algebra, trials):
-    for _ in range(trials):
-        v = _state_zero_unitary_float(algebra)
-        if v is None:
-            return None
-        # random unitary conjugation of a second state-zero candidate
-        w = _state_zero_unitary_float(algebra)
-        if w is None:
-            return None
-        res = verify_avitzour_triple(algebra.identity(), v, w)
-        if res["tau(v*w)"] < 1e-10 and res["v centralizer"] < 1e-10:
-            return v, w
     return None
 
 

@@ -2,8 +2,14 @@
 
 from fractions import Fraction
 
-from freedecay.algebra import AlgebraElement, MatrixBlockAlgebra, center
-from freedecay.freeword import FreeElement, FreeProductAmbient, Letter
+from freedecay.algebra import AlgebraElement, MatrixBlockAlgebra
+from freedecay.freeword import (  # noqa: F401  (re-exported to the test modules)
+    FreeElement,
+    FreeProductAmbient,
+    random_alternating_word,
+    random_centered_rational,
+    random_rational_element,
+)
 from freedecay.scalars import QC
 
 
@@ -15,51 +21,6 @@ def c3_weighted():
     return MatrixBlockAlgebra.from_weights(
         [Fraction(3, 5), Fraction(1, 5), Fraction(1, 5)]
     )
-
-
-def random_rational_element(algebra, rng, span=3):
-    blocks = []
-    for n in algebra.block_dims:
-        blocks.append(
-            [
-                [
-                    QC(
-                        Fraction(int(rng.integers(-span, span + 1))),
-                        Fraction(int(rng.integers(-span, span + 1))),
-                    )
-                    for _ in range(n)
-                ]
-                for _ in range(n)
-            ]
-        )
-    return AlgebraElement(algebra, blocks)
-
-
-def random_centered_rational(algebra, rng, span=3):
-    for _ in range(100):
-        x = center(random_rational_element(algebra, rng, span))
-        if any(v != QC(0) for b in x.blocks for row in b for v in row):
-            return x
-    raise RuntimeError("could not draw a nonzero centered element")
-
-
-def random_alternating_word(ambient, length, rng, centered=True):
-    """Random word with alternating factor pattern and rational payloads."""
-    m = len(ambient.factors)
-    letters = []
-    prev = -1
-    for _ in range(length):
-        choices = [j for j in range(m) if j != prev]
-        j = int(choices[rng.integers(0, len(choices))])
-        alg = ambient.factors[j]
-        payload = (
-            random_centered_rational(alg, rng)
-            if centered
-            else random_rational_element(alg, rng)
-        )
-        letters.append(Letter(j, payload))
-        prev = j
-    return FreeElement.word(ambient, letters)
 
 
 def random_word_element(ambient, max_length, rng, n_terms=1, centered=False):

@@ -189,6 +189,19 @@ def test_avitzour_find_m2(tmp_path):
     assert max(float(v) for v in data["residuals"].values()) == 0.0
 
 
+def test_avitzour_find_non_diagonal_density(tmp_path):
+    m2 = {"blocks": [{"dim": 2, "density": [["1/2", "0"], ["0", "1/2"]]}]}
+    m3 = {"blocks": [{"dim": 3, "density": [["1/3", "1/6", "0"], ["1/6", "1/3", "0"],
+                                            ["0", "0", "1/3"]]}]}
+    a = _write(tmp_path, "a.json", m2)
+    b = _write(tmp_path, "b.json", m3)
+    out = tmp_path / "triple.json"
+    assert run(["avitzour-find", "--a", a, "--b", b, "--out", str(out)]) == 0
+    data = json.loads(out.read_text())
+    assert data["found"] is True
+    assert max(float(v) for v in data["residuals"].values()) <= 1e-9
+
+
 def test_avitzour_find_none(tmp_path):
     a = _write(tmp_path, "a.json", {"blocks": [{"dim": 2, "density": [["1/2", "0"], ["0", "1/2"]]}]})
     b = _write(tmp_path, "b.json", {"atoms": ["1"]})

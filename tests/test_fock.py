@@ -10,6 +10,8 @@ import scipy.sparse as sp
 from conftest import (
     c3_weighted,
     m2_tr,
+    random_alternating_word,
+    random_rational_element,
     random_word_element,
     two_factor,
 )
@@ -90,7 +92,6 @@ def test_letter_on_vacuum_definition():
     f = build_fock([m2_tr(), m2_tr()], 2)
     amb = f.ambient()
     rng = np.random.default_rng(0)
-    from conftest import random_rational_element
     from freedecay.algebra import center, l2_inner, state
 
     a = random_rational_element(amb.factors[0], rng)
@@ -101,6 +102,56 @@ def test_letter_on_vacuum_definition():
     for k, xi in enumerate(f.onb[0]):
         idx = f.index[((0, k),)]
         assert col[idx] == pytest.approx(complex(l2_inner(c, xi)))
+
+
+def _tensor_word(f, tensor):
+    """The word of a basis tensor: it maps the vacuum to that tensor."""
+    return FreeElement.word(f.ambient(), [Letter(j, f.onb[j][i]) for j, i in tensor])
+
+
+def _oracle_matrix(f, x):
+    """Entry (s, t) = free_state(W_s* x W_t) = <lambda(x) e_t, e_s>."""
+    words = [_tensor_word(f, t) for t in f.basis]
+    return np.array(
+        [[complex(free_state(ws.adjoint() * x * wt)) for wt in words] for ws in words]
+    )
+
+
+def test_letter_operators_match_the_free_state_oracle():
+    f = build_fock([m2_tr(), c3_weighted()], 2)
+    amb = f.ambient()
+    rng = np.random.default_rng(20)
+    exact = random_rational_element(amb.factors[0], rng)
+    flt = amb.factors[1].element(
+        [[[complex(rng.standard_normal(), rng.standard_normal())]] for _ in range(3)]
+    )
+    letters = [(j, xi) for j in (0, 1) for xi in f.onb[j]] + [(0, exact), (1, flt)]
+    for j, a in letters:
+        got = f.letter_operator(j, a).toarray()
+        want = _oracle_matrix(f, FreeElement.letter(amb, j, a))
+        assert np.abs(got - want).max() < 1e-12, (j, a)
+
+
+@pytest.mark.parametrize("length", [2, 3])
+def test_represent_words_match_the_free_state_oracle(length):
+    # words act on the space of depth L + length - 1; without that extension
+    # the length-3 word loses what its last letter pushes past L and its
+    # first letter brings back
+    f = build_fock([m2_tr(), c3_weighted()], 2)
+    x = random_alternating_word(f.ambient(), length, np.random.default_rng(21), centered=False)
+    assert x.max_word_length() == length
+    assert np.abs(represent(f, x) - _oracle_matrix(f, x)).max() < 1e-12
+
+
+def test_only_basis_vector_operators_are_cached():
+    f = build_fock([m2_tr(), c3_weighted()], 2)
+    amb = f.ambient()
+    a = random_rational_element(amb.factors[0], np.random.default_rng(22))
+    f.letter_operator(0, a)
+    assert f._onb_ops == {}
+    xi = f.onb[1][1]
+    assert f.letter_operator(1, xi) is f.onb_operators(1)[1]
+    assert list(f._onb_ops) == [1] and len(f._onb_ops[1]) == 2
 
 
 def test_vacuum_pairing_matches_free_state_exactly():

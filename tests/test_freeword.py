@@ -15,7 +15,7 @@ from conftest import (
     random_word_element,
     two_factor,
 )
-from freedecay.algebra import AlgebraError, center, state
+from freedecay.algebra import AlgebraElement, AlgebraError, center, state
 from freedecay.freeword import (
     AvitzourConditionError,
     FreeElement,
@@ -48,11 +48,14 @@ def test_same_factor_letters_merge_and_center():
     rng = np.random.default_rng(0)
     a = random_rational_element(amb.factors[0], rng)
     b = random_rational_element(amb.factors[0], rng)
-    x = FreeElement.letter(amb, 0, a) * FreeElement.letter(amb, 0, b)
-    nf = normalize(x)
+    u = AlgebraElement(amb.factors[1], [[[QC(1)]], [[QC(0, 1)]], [[QC(-1)]]])
     ab = a * b
     want = FreeElement.scalar(amb, state(ab)) + FreeElement.letter(amb, 0, center(ab))
-    assert nf == normalize(want)
+    # a b, and the cascade a u u* b: u u* = 1 drops, then a and b meet
+    for middle in ((), (Letter(1, u), Letter(1, u.adjoint()))):
+        x = FreeElement.word(amb, (Letter(0, a),) + middle + (Letter(0, b),))
+        assert x.terms == {(Letter(0, ab),): QC(1)}
+        assert normalize(x) == normalize(want)
 
 
 def test_alternating_centered_word_is_fixed_by_normalize():

@@ -187,6 +187,41 @@ def test_rx_check_builds_each_bracket_once(monkeypatch):
     assert calls == [1, 2]
 
 
+def test_rx_check_caches_only_basis_vector_operators(monkeypatch):
+    import freedecay.fock as fk
+
+    monkeypatch.setattr(fk, "_shared_focks", {})
+    amb = _ambient()
+    rng = np.random.default_rng(15)
+    for ell in (1, 2):
+        assert rx_check(HomogeneousWordElement.random(amb, ell, rng)).ok
+    spaces = list(fk._shared_focks.values())
+    spaces += [big for f in spaces for big in f._extended.values()]
+    assert len(spaces[0]._onb_ops) == 2
+    for f in spaces:
+        for j, ops in f._onb_ops.items():
+            assert len(ops) == f.factors[j].dim - 1
+
+
+def test_rx_check_length_one_builds_no_extended_space(monkeypatch):
+    import freedecay.fock as fk
+
+    monkeypatch.setattr(fk, "_shared_focks", {})
+    assert rx_check(HomogeneousWordElement.random(_ambient(), 1, np.random.default_rng(16))).ok
+    assert fk._shared_focks
+    assert all(not f._extended for f in fk._shared_focks.values())
+
+
+def test_tr_bracket_rejects_a_fock_of_other_factors():
+    from freedecay.algebra import AlgebraError, MatrixBlockAlgebra
+    from freedecay.fock import build_fock
+
+    x = _single_word(_ambient(), (0, 1), (0, 2))
+    other = build_fock((m2_tr(), MatrixBlockAlgebra.matrix_with_trace(3)), 2)
+    with pytest.raises(AlgebraError):
+        tr_bracket(x, 1, fock=other)
+
+
 def test_rx_check_random_sweep():
     rng = np.random.default_rng(7)
     amb = _ambient()
