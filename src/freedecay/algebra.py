@@ -5,6 +5,15 @@ faithful state given by one positive-definite density matrix per block; the
 density traces sum to 1.  Elements are block tuples of matrices.  Entries are
 kept as exact rational-complex scalars (:class:`freedecay.scalars.QC`)
 whenever the inputs were rational; operator norms always run in doubles.
+
+Elements are immutable, so each caches its state the first time it is asked
+for.  Most densities are diagonal (every builtin, every ``from_weights`` and
+``matrix_with_trace`` algebra); the algebra records per block whether its
+density is, and on those blocks ``state``, ``l2_inner`` and ``center`` read and
+write only the diagonal of the block.  The values are those of the full
+trace products, bit for bit: the same products are added in the same order,
+and only terms that are exact zeros, or float zeros that cannot move a sum,
+are left out.
 """
 
 from __future__ import annotations
@@ -15,7 +24,9 @@ from fractions import Fraction
 
 import numpy as np
 
-from .scalars import QC, as_scalar, conj, exact_sqrt, is_exact, scalar_is_zero, to_complex
+from .scalars import (
+    QC, QC_ONE, QC_ZERO, as_scalar, conj, exact_sqrt, is_exact, scalar_is_zero, to_complex,
+)
 
 __all__ = [
     "AlgebraError",
@@ -94,6 +105,35 @@ def _mat_trace_product(a, b):
     return acc
 
 
+def _kind(a):
+    """The type shared by every entry of a matrix (QC or complex), else None."""
+    kind = type(a[0][0])
+    return kind if all(type(v) is kind for row in a for v in row) else None
+
+
+def _exact_diagonal(d):
+    """The diagonal of d when every off-diagonal entry is an exact zero, else None."""
+    n = len(d)
+    if any(type(d[i][j]) is not QC or d[i][j] for i in range(n) for j in range(n) if i != j):
+        return None
+    return tuple(d[i][i] for i in range(n))
+
+
+def _block_trace(d, diag, b):
+    """trace(d @ b), bit for bit as ``_mat_trace_product``.
+
+    With a diagonal density (``diag`` its diagonal) and a block whose entries
+    are all exact or all float, the terms off the diagonal are exact zeros,
+    or float zeros added to a sum that already is a float (the first term is
+    diagonal), so only the diagonal terms are added, in the same order."""
+    if diag is None or _kind(b) is None:
+        return _mat_trace_product(d, b)
+    acc = QC_ZERO
+    for i, di in enumerate(diag):
+        acc = acc + di * b[i][i]
+    return acc
+
+
 def _mat_to_numpy(a):
     return np.array([[to_complex(v) for v in row] for row in a], dtype=complex)
 
@@ -113,7 +153,7 @@ class MatrixBlockAlgebra:
         the block weights and must sum to 1.
     """
 
-    __slots__ = ("block_dims", "densities", "_hash", "_chols")
+    __slots__ = ("block_dims", "densities", "_diagonals", "_hash", "_chols")
 
     def __init__(self, densities):
         dens = tuple(_as_matrix(d) for d in densities)
@@ -121,6 +161,8 @@ class MatrixBlockAlgebra:
             raise AlgebraError("algebra needs at least one block")
         self.block_dims = tuple(len(d) for d in dens)
         self.densities = dens
+        # per block: the density's diagonal when it is exactly diagonal, else None
+        self._diagonals = tuple(_exact_diagonal(d) for d in dens)
         self._hash = None
         self._chols = None
         self._validate()
@@ -334,7 +376,7 @@ def _matrix_from_json(rows):
 class AlgebraElement:
     """Element of a MatrixBlockAlgebra: one matrix per block, immutable."""
 
-    __slots__ = ("owner", "blocks", "_hash")
+    __slots__ = ("owner", "blocks", "_hash", "_state")
 
     def __init__(self, owner: MatrixBlockAlgebra, blocks):
         object.__setattr__(self, "owner", owner)
@@ -348,6 +390,19 @@ class AlgebraElement:
         )
         object.__setattr__(self, "blocks", blocks)
         object.__setattr__(self, "_hash", None)
+        object.__setattr__(self, "_state", None)
+
+    @classmethod
+    def _of(cls, owner: MatrixBlockAlgebra, blocks) -> "AlgebraElement":
+        """Element from blocks that arithmetic on elements of ``owner`` built:
+        a tuple of square tuples of QC/complex entries of the right sizes.
+        Skips the checks and coercions of the public constructor."""
+        x = object.__new__(cls)
+        object.__setattr__(x, "owner", owner)
+        object.__setattr__(x, "blocks", blocks)
+        object.__setattr__(x, "_hash", None)
+        object.__setattr__(x, "_state", None)
+        return x
 
     def __setattr__(self, name, value):
         raise AttributeError("AlgebraElement is immutable")
@@ -361,31 +416,31 @@ class AlgebraElement:
         if not isinstance(other, AlgebraElement):
             return NotImplemented
         self._check_owner(other)
-        return AlgebraElement(
-            self.owner, [_mat_add(a, b) for a, b in zip(self.blocks, other.blocks)]
+        return AlgebraElement._of(
+            self.owner, tuple(_mat_add(a, b) for a, b in zip(self.blocks, other.blocks))
         )
 
     def __sub__(self, other):
         return self.__add__(-other)
 
     def __neg__(self):
-        return AlgebraElement(self.owner, [_mat_scale(QC(-1), b) for b in self.blocks])
+        return AlgebraElement._of(self.owner, tuple(_mat_scale(QC(-1), b) for b in self.blocks))
 
     def __mul__(self, other):
         if isinstance(other, AlgebraElement):
             self._check_owner(other)
-            return AlgebraElement(
-                self.owner, [_mat_mul(a, b) for a, b in zip(self.blocks, other.blocks)]
+            return AlgebraElement._of(
+                self.owner, tuple(_mat_mul(a, b) for a, b in zip(self.blocks, other.blocks))
             )
         s = as_scalar(other)
-        return AlgebraElement(self.owner, [_mat_scale(s, b) for b in self.blocks])
+        return AlgebraElement._of(self.owner, tuple(_mat_scale(s, b) for b in self.blocks))
 
     def __rmul__(self, other):
         s = as_scalar(other)
-        return AlgebraElement(self.owner, [_mat_scale(s, b) for b in self.blocks])
+        return AlgebraElement._of(self.owner, tuple(_mat_scale(s, b) for b in self.blocks))
 
     def adjoint(self) -> "AlgebraElement":
-        return AlgebraElement(self.owner, [_mat_adjoint(b) for b in self.blocks])
+        return AlgebraElement._of(self.owner, tuple(_mat_adjoint(b) for b in self.blocks))
 
     def is_exact(self) -> bool:
         return all(is_exact(v) for b in self.blocks for row in b for v in row)
@@ -430,18 +485,46 @@ class AlgebraElement:
 
 
 def state(x: AlgebraElement):
-    """rho(x) = sum_b trace(density_b . block_b)."""
-    acc = QC(0)
-    for d, b in zip(x.owner.densities, x.blocks):
-        acc = acc + _mat_trace_product(d, b)
+    """rho(x) = sum_b trace(density_b . block_b).
+
+    Cached on the (immutable) element the first time it is computed (threads
+    racing on one element store equal values).  On a
+    block with a diagonal density only the diagonal of the block is read,
+    sum_i d_ii x_ii, with the bits of the full trace product (see the module
+    docstring)."""
+    acc = x._state
+    if acc is None:
+        owner = x.owner
+        acc = QC_ZERO
+        for d, diag, b in zip(owner.densities, owner._diagonals, x.blocks):
+            acc = acc + _block_trace(d, diag, b)
+        object.__setattr__(x, "_state", acc)
     return acc
 
 
 def l2_inner(x: AlgebraElement, y: AlgebraElement):
-    """GNS inner product <x, y> = rho(y* x)."""
-    if x.owner != y.owner:
+    """GNS inner product <x, y> = rho(y* x).
+
+    On a block with a diagonal density only the diagonal of y* x is formed,
+    sum_i d_ii sum_k conj(y_ki) x_ki, each entry by the operations of the
+    full product, so the bits are those of ``state(y.adjoint() * x)``."""
+    owner = x.owner
+    if owner != y.owner:
         raise AlgebraError("elements belong to different algebras")
-    return state(y.adjoint() * x)
+    acc = QC_ZERO
+    for d, diag, bx, by in zip(owner.densities, owner._diagonals, x.blocks, y.blocks):
+        kx, ky = _kind(bx), _kind(by)
+        # the diagonal alone decides the trace when every entry of y* x is
+        # exact (both blocks exact) or float (one block float throughout)
+        if diag is not None and (kx is complex or ky is complex or kx is ky is QC):
+            n = len(bx)
+            t = QC_ZERO
+            for i, di in enumerate(diag):
+                t = t + di * sum((conj(by[k][i]) * bx[k][i] for k in range(n)), QC_ZERO)
+        else:
+            t = _block_trace(d, diag, _mat_mul(_mat_adjoint(by), bx))
+        acc = acc + t
+    return acc
 
 
 def l2_norm(x: AlgebraElement) -> float:
@@ -489,8 +572,25 @@ def _power_iteration_top(h, rel_tol: float = 1e-12, max_iter: int = 10_000) -> f
 
 
 def center(x: AlgebraElement) -> AlgebraElement:
-    """x - rho(x) 1; has state zero."""
-    return x - x.owner.scalar(state(x))
+    """x - rho(x) 1; has state zero.
+
+    Subtracts s = rho(x) on the diagonal entries directly; no scalar element
+    is built.  Each entry gets the operation x - s 1 would apply to it:
+    x_ij + (-1 * (s * 1)) on the diagonal and x_ij + (-1 * (s * 0)) off it.
+    The state is exact only when every entry of x is; then these operands
+    are -s and an exact zero, and the entries off the diagonal stay as they
+    are.  A float s keeps both products, signed zeros included."""
+    s = state(x)
+    if type(s) is QC:
+        on, off = -s, None
+    else:
+        on, off = QC(-1) * (s * QC_ONE), QC(-1) * (s * QC_ZERO)
+    blocks = tuple(
+        tuple(tuple(v + on if i == j else v if off is None else v + off for j, v in enumerate(row))
+              for i, row in enumerate(b))
+        for b in x.blocks
+    )
+    return AlgebraElement._of(x.owner, blocks)
 
 
 def gram_schmidt(vectors, inner=l2_inner, residual_tol: float = _GS_RESIDUAL_TOL):

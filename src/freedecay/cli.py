@@ -12,6 +12,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import os
 import sys
 import tempfile
@@ -54,7 +55,7 @@ from .rdcert import (
     rd_report,
     verify_avitzour_triple,
 )
-from .scalars import to_complex
+from .scalars import is_exact, to_complex
 
 USAGE_ERROR = 2
 CHECK_FAILED = 1
@@ -341,6 +342,20 @@ def _cmd_avitzour_find(args) -> int:
     return 0
 
 
+# A float triple (a uniform C5 has only float unitaries of state zero) gives
+# the two sides of each avitzour-check identity through different sequences
+# of float operations, so they agree up to rounding only.  Both sides are
+# compared relative to ||x||_2^2 for the isometry, and to ||x||_2, which
+# bounds |free_state(x)|, for the trace; exact sides must agree exactly.
+_FLOAT_IDENTITY_RTOL = 1e-9
+
+
+def _identity_holds(a, b, scale: float) -> bool:
+    if is_exact(a) and is_exact(b):
+        return a == b
+    return abs(to_complex(a) - to_complex(b)) <= _FLOAT_IDENTITY_RTOL * scale
+
+
 def _cmd_avitzour_check(args) -> int:
     if args.factors:
         ambient2 = _load_factors(args.factors)
@@ -367,9 +382,11 @@ def _cmd_avitzour_check(args) -> int:
         n_tr = ell // 2 + 1
         n_iso = ell + 1
         img = avitzour_phi(n_tr, u, v, w, word3)
-        trace_ok = free_state(img) == free_state(word3)
+        norm2 = l2_inner_free(word3, word3)
+        scale = abs(to_complex(norm2))
+        trace_ok = _identity_holds(free_state(img), free_state(word3), math.sqrt(scale))
         img_iso = avitzour_phi(n_iso, u, v, w, word3)
-        iso_ok = l2_inner_free(img_iso, img_iso) == l2_inner_free(word3, word3)
+        iso_ok = _identity_holds(l2_inner_free(img_iso, img_iso), norm2, scale)
         word2 = random_alternating_word(amb2, ell, rng)
         shape_ok = all(
             avitzour_shape_check(ell // 2 + 1, u, v, w, word2, mode).ok

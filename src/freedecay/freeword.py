@@ -112,11 +112,18 @@ class Letter:
 
 
 def _scalar_part(x: AlgebraElement):
-    """If x == c*1 return c, else None."""
+    """If x == c*1 return c, else None.
+
+    Read off the blocks: every diagonal entry must equal c = x[0][0][0] and
+    every off-diagonal entry must be zero; the first entry that is not
+    decides.  No scalar element is built."""
     c = x.blocks[0][0][0]
-    if x == x.owner.scalar(c):
-        return c
-    return None
+    for b in x.blocks:
+        for i, row in enumerate(b):
+            for j, v in enumerate(row):
+                if v != c if i == j else v:
+                    return None
+    return c
 
 
 def _merge_word(ambient: FreeProductAmbient, letters):

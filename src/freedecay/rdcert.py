@@ -439,20 +439,12 @@ class _LevelFiltration(FiniteDimFiltration):
     """Finite-dim filtration with explicit per-level orthonormal bases."""
 
     def __init__(self, algebra, onbs, recipe):
-        self.algebra = algebra
+        super().__init__(algebra, onbs, validate=False)
         self._levels = onbs
         self.recipe = recipe
-        self._onb_cache = {}
-        self.spans = [list(b) for b in onbs]
-
-    def max_level(self):
-        return len(self._levels) - 1
 
     def level_onb(self, n: int):
         return list(self._levels[min(n, len(self._levels) - 1)])
-
-    def complement_onb(self, n: int):
-        return self.level_onb(n)[1:]
 
 
 def _derived_direct_sum(f1: Filtration, f2: Filtration, weight, max_n: int):

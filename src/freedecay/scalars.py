@@ -4,6 +4,14 @@ States and inner products stay exact whenever every input was built from
 rational data; operator norms always go through floating point.  The two
 scalar worlds are :class:`QC` (a complex number with `Fraction` parts) and
 the builtin ``complex``.  Mixing them silently degrades to ``complex``.
+
+``QC(re, im)`` accepts any rational input and wraps each part in a
+``Fraction``.  The arithmetic itself builds its results with the private
+``_qc``, which takes parts that are already Fractions (sums, products,
+negations) and stores them as they are, so no part is wrapped twice.
+Addition and multiplication skip the Fraction operations that an exact zero
+part makes trivial (x + 0, and the products of a real factor's zero
+imaginary part); the values are the same.
 """
 
 from __future__ import annotations
@@ -28,7 +36,9 @@ class QC:
     def __add__(self, other):
         q = _lift(other)
         if q is not None:
-            return QC(self.re + q.re, self.im + q.im)
+            a, b, c, d = self.re, self.im, q.re, q.im
+            # a zero part is the sum: x + 0 needs no addition
+            return _qc(a + c if a and c else a or c, b + d if b and d else b or d)
         if isinstance(other, (float, complex)):
             return complex(self) + other
         return NotImplemented
@@ -36,12 +46,12 @@ class QC:
     __radd__ = __add__
 
     def __neg__(self):
-        return QC(-self.re, -self.im)
+        return _qc(-self.re, -self.im)
 
     def __sub__(self, other):
         q = _lift(other)
         if q is not None:
-            return QC(self.re - q.re, self.im - q.im)
+            return _qc(self.re - q.re, self.im - q.im)
         if isinstance(other, (float, complex)):
             return complex(self) - other
         return NotImplemented
@@ -52,10 +62,13 @@ class QC:
     def __mul__(self, other):
         q = _lift(other)
         if q is not None:
-            return QC(
-                self.re * q.re - self.im * q.im,
-                self.re * q.im + self.im * q.re,
-            )
+            a, b, c, d = self.re, self.im, q.re, q.im
+            # a real factor (b or d zero) needs two products, or one
+            if not b:
+                return _qc(a * c, a * d if d else b)
+            if not d:
+                return _qc(a * c, b * c)
+            return _qc(a * c - b * d, a * d + b * c)
         if isinstance(other, (float, complex)):
             return complex(self) * other
         return NotImplemented
@@ -68,7 +81,7 @@ class QC:
             d = q.re * q.re + q.im * q.im
             if d == 0:
                 raise ZeroDivisionError("division by zero QC")
-            return QC(
+            return _qc(
                 (self.re * q.re + self.im * q.im) / d,
                 (self.im * q.re - self.re * q.im) / d,
             )
@@ -99,7 +112,7 @@ class QC:
 
     # -- structure ----------------------------------------------------
     def conjugate(self):
-        return QC(self.re, -self.im)
+        return _qc(self.re, -self.im)
 
     def abs2(self) -> Fraction:
         """|z|^2 as an exact Fraction."""
@@ -136,6 +149,19 @@ class QC:
         if self.im == 0:
             return f"QC({self.re})"
         return f"QC({self.re}, {self.im})"
+
+
+_new_object = object.__new__
+_set_re = QC.re.__set__
+_set_im = QC.im.__set__
+
+
+def _qc(re: Fraction, im: Fraction) -> QC:
+    """QC from two parts that are already Fractions, stored without a re-wrap."""
+    z = _new_object(QC)
+    _set_re(z, re)
+    _set_im(z, im)
+    return z
 
 
 def _lift(value):

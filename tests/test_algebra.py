@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from freedecay import algebra as _algebra_module
 from freedecay.algebra import (
     AlgebraElement,
     AlgebraError,
@@ -320,3 +321,179 @@ def test_dn_norm_dominates_sampled_sup_matrix_block():
     vecs = [alg.identity()] + onb_complement(alg)
     sampled = _sampled_sup_ratio(vecs, n_samples=400, seed=2)
     assert dn_norm(vecs) >= sampled - 1e-9
+
+
+# ---------------------------------------------------------------------------
+# fast paths against the reference formulas, bit for bit
+# ---------------------------------------------------------------------------
+
+
+def _m2_with_state():
+    return MatrixBlockAlgebra.matrix_with_state([Fraction(2, 3), Fraction(1, 3)])
+
+
+def _m3_with_state():
+    return MatrixBlockAlgebra.matrix_with_state([Fraction(1, 2), Fraction(1, 3), Fraction(1, 6)])
+
+
+def _m2_float_state():
+    return MatrixBlockAlgebra.matrix_with_state([0.75, 0.25])
+
+
+def _m2_plus_c():
+    third = Fraction(1, 3)
+    return MatrixBlockAlgebra([[[third, 0], [0, third]], [[third]]])
+
+
+def _m2_plus_non_diagonal_m2():
+    q, e = Fraction(1, 4), Fraction(1, 8)
+    return MatrixBlockAlgebra([[[q, 0], [0, q]], [[q, e], [e, q]]])
+
+
+def _m3_non_diagonal():
+    a, b = Fraction(1, 3), Fraction(1, 6)
+    return MatrixBlockAlgebra([[[a, b, 0], [b, a, 0], [0, 0, a]]])
+
+
+_ALGEBRAS = [m2_tr, c3_weighted, _m2_with_state, _m3_with_state, _m2_float_state,
+             _m2_plus_c, _m2_plus_non_diagonal_m2, _m3_non_diagonal]
+
+_exact_entry = st.builds(QC, rational, rational)
+_float_entry = st.builds(
+    complex,
+    st.floats(-4, 4, allow_nan=False, allow_infinity=False),
+    st.floats(-4, 4, allow_nan=False, allow_infinity=False),
+)
+
+
+@st.composite
+def _elements(draw, algebra):
+    """Elements whose entries are all exact, all float, mixed entry by entry,
+    or mixed column by column (each column all exact or all float)."""
+    kind = draw(st.sampled_from(["exact", "float", "mixed", "columns"]))
+    kinds = {"exact": [_exact_entry], "float": [_float_entry],
+             "mixed": [st.one_of(_exact_entry, _float_entry)]}.get(kind)
+    blocks = []
+    for n in algebra.block_dims:
+        cols = kinds * n if kinds else [draw(st.sampled_from([_exact_entry, _float_entry]))
+                                       for _ in range(n)]
+        blocks.append([[draw(cols[j]) for j in range(n)] for _ in range(n)])
+    return AlgebraElement(algebra, blocks)
+
+
+def _bits(v):
+    """Type and repr: equal bits, signed zeros included."""
+    return type(v), repr(v)
+
+
+def _reference_state(x):
+    acc = QC(0)
+    for d, b in zip(x.owner.densities, x.blocks):
+        acc = acc + _algebra_module._mat_trace_product(d, b)
+    return acc
+
+
+def _element_bits(x):
+    return [[[_bits(v) for v in row] for row in b] for b in x.blocks]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(_ALGEBRAS).flatmap(lambda make: _elements(make())))
+def test_state_matches_the_full_trace_product(x):
+    assert _bits(state(x)) == _bits(_reference_state(x))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(_ALGEBRAS).flatmap(lambda make: _elements(make())))
+def test_center_matches_subtracting_the_scalar_element(x):
+    want = x - x.owner.scalar(_reference_state(x))
+    assert _element_bits(center(x)) == _element_bits(want)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(_ALGEBRAS).flatmap(
+    lambda make: st.tuples(_elements(make()), _elements(make()))
+))
+def test_l2_inner_matches_the_state_of_the_product(pair):
+    x, y = pair
+    assert _bits(l2_inner(x, y)) == _bits(_reference_state(y.adjoint() * x))
+
+
+def test_l2_inner_on_blocks_mixed_by_columns():
+    # y* x has exact entries in rows and columns 0, 1 and float ones in row
+    # and column 2: the full trace turns float at term (0, 2), before the
+    # exact diagonal term (1, 1) is added
+    alg = _m3_with_state()
+    x = AlgebraElement(alg, [[[QC(Fraction(1, 7)), QC(2), QC(0)],
+                              [QC(1), QC(Fraction(3, 5)), QC(1)],
+                              [QC(0), QC(1), QC(1)]]])
+    y = AlgebraElement(alg, [[[QC(1), QC(0), 0.1 + 0j], [QC(Fraction(1, 3)), QC(1), 0.2 + 0j],
+                              [QC(0), QC(1), 0.3 + 0j]]])
+    assert _bits(l2_inner(x, y)) == _bits(_reference_state(y.adjoint() * x))
+
+
+def test_center_keeps_the_signed_zeros_off_the_diagonal():
+    # a float state s subtracts -1 * (s * 0) = (-0+0j) off the diagonal
+    alg = m2_tr()
+    for first in (QC(1), 1 + 0j):
+        x = AlgebraElement(alg, [[[first, complex(-0.0, -0.0)], [complex(0.0, -0.0), 3 + 0j]]])
+        want = x - alg.scalar(_reference_state(x))
+        got = center(x)
+        assert _element_bits(got) == _element_bits(want)
+        assert [repr(got.blocks[0][0][1]), repr(got.blocks[0][1][0])] == ["(-0+0j)", "0j"]
+
+
+def test_diagonal_densities_are_recorded_per_block():
+    assert m2_tr()._diagonals == ((QC(Fraction(1, 2)), QC(Fraction(1, 2))),)
+    assert len(c3_weighted()._diagonals) == 3
+    assert all(d is not None for d in c3_weighted()._diagonals)
+    assert _m2_float_state()._diagonals == ((0.75 + 0j, 0.25 + 0j),)
+    first, second = _m2_plus_non_diagonal_m2()._diagonals
+    assert first is not None and second is None
+    assert _m3_non_diagonal()._diagonals == (None,)
+
+
+def test_non_diagonal_density_takes_the_full_trace_product(monkeypatch):
+    alg = _m3_non_diagonal()
+    x = AlgebraElement(alg, [[[1, 2, 0], [3, 4, 0], [0, 0, 5]]])
+    calls = []
+    full = _algebra_module._mat_trace_product
+
+    def counting(a, b):
+        calls.append(a)
+        return full(a, b)
+
+    monkeypatch.setattr(_algebra_module, "_mat_trace_product", counting)
+    # sum_ik D_ik x_ki = 1/3 + 3/6 + 2/6 + 4/3 + 5/3
+    assert state(x) == QC(Fraction(25, 6))
+    assert calls == [alg.densities[0]]
+    y = AlgebraElement(alg, [[[0, 1, 0], [0, 0, 0], [2, 0, 1]]])
+    assert l2_inner(x, y) == _reference_state(y.adjoint() * x)
+    assert len(calls) == 3
+    assert state(center(x)) == QC(0)
+
+
+def test_state_is_cached_on_the_element():
+    rng = np.random.default_rng(5)
+    for make in _ALGEBRAS:
+        alg = make()
+        x = random_rational_element(alg, rng) * (0.5 + 0.25j)
+        s = state(x)
+        assert x._state is s
+        assert state(x) is s
+        fresh = AlgebraElement(alg, x.blocks)
+        assert fresh._state is None
+        assert _bits(state(fresh)) == _bits(s) == _bits(_reference_state(x))
+
+
+_parts = st.one_of(st.just(Fraction(0)), rational)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_parts, _parts, _parts, _parts)
+def test_qc_sum_and_product_match_the_textbook_formulas(a, b, c, d):
+    # the zero-part shortcuts must give the values of the full formulas
+    x, y = QC(a, b), QC(c, d)
+    for got, re, im in ((x + y, a + c, b + d), (x * y, a * c - b * d, a * d + b * c)):
+        assert (got.re, got.im) == (re, im)
+        assert type(got.re) is Fraction and type(got.im) is Fraction

@@ -2,8 +2,10 @@
 
 import json
 import os
+from fractions import Fraction
 
-from freedecay.cli import run
+from freedecay.cli import _FLOAT_IDENTITY_RTOL, _identity_holds, run
+from freedecay.scalars import QC
 
 
 def _write(tmp_path, name, payload):
@@ -219,6 +221,30 @@ def test_avitzour_check_small(tmp_path):
     lines = out.read_text().splitlines()
     assert lines[0].startswith("trial,ell,trace_ok")
     assert "failures=0" in out.read_text()
+
+
+def test_avitzour_check_passes_on_a_float_triple(tmp_path):
+    # uniform C5 has only float unitaries of state zero (fifth roots of
+    # unity), so the two sides of each identity differ by rounding
+    m2 = {"blocks": [{"dim": 2, "density": [["1/2", "0"], ["0", "1/2"]]}]}
+    c5 = {"atoms": ["1/5"] * 5}
+    factors = _write(tmp_path, "m2c5.json", {"factors": [m2, c5]})
+    out = tmp_path / "av.csv"
+    code = run(["avitzour-check", "--factors", factors, "--seed", "6", "--trials", "30",
+                "--lmax", "4", "--out", str(out)])
+    assert code == 0
+    rows = [l.split(",") for l in out.read_text().splitlines()[1:] if not l.startswith("#")]
+    assert len(rows) == 30
+    assert all(r[2:5] == ["1", "1", "1"] and r[6] == "1" for r in rows)
+    assert "failures=0" in out.read_text()
+
+
+def test_identity_check_is_exact_on_exact_sides():
+    exact = QC(Fraction(4352, 5))
+    assert _identity_holds(exact, QC(Fraction(4352, 5)), 870.4)
+    assert not _identity_holds(exact, exact + QC(Fraction(1, 10**30)), 870.4)
+    assert _identity_holds(870.4000000000017 + 0j, exact, 870.4)
+    assert not _identity_holds(870.4 * (1 + 10 * _FLOAT_IDENTITY_RTOL) + 0j, exact, 870.4)
 
 
 def test_orthogonality_check_demo(tmp_path):

@@ -4,6 +4,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import (
     c3_weighted,
@@ -15,7 +17,7 @@ from conftest import (
     random_word_element,
     two_factor,
 )
-from freedecay.algebra import AlgebraElement, AlgebraError, center, state
+from freedecay.algebra import AlgebraElement, AlgebraError, MatrixBlockAlgebra, center, state
 from freedecay.freeword import (
     AvitzourConditionError,
     FreeElement,
@@ -24,6 +26,7 @@ from freedecay.freeword import (
     avitzour_phi,
     avitzour_shape_check,
     check_avitzour_conditions,
+    _scalar_part,
     conjugation_word_shape,
     free_state,
     l2_inner_free,
@@ -493,3 +496,61 @@ def test_shape_check_all_modes_random():
         for mode in ("i", "ii", "iii"):
             report = avitzour_shape_check(n, u, v, w, a, mode)
             assert report.ok, (mode, report.reason)
+
+
+# ---------------------------------------------------------------------------
+# _scalar_part against comparing with the scalar element
+# ---------------------------------------------------------------------------
+
+
+def _reference_scalar_part(x):
+    c = x.blocks[0][0][0]
+    return c if x == x.owner.scalar(c) else None
+
+
+_SCALAR_ALGEBRAS = [
+    m2_tr,
+    c3_weighted,
+    lambda: MatrixBlockAlgebra.matrix_with_state([0.75, 0.25]),
+    lambda: MatrixBlockAlgebra([[[Fraction(1, 3), 0], [0, Fraction(1, 3)]], [[Fraction(1, 3)]]]),
+]
+_small = st.fractions(min_value=-2, max_value=2, max_denominator=3)
+_entries = st.one_of(
+    st.builds(QC, _small, _small),
+    st.builds(complex, st.sampled_from([0.0, -0.0, 1.0, -2.5, 1e-300, 5e-324]),
+              st.sampled_from([0.0, -0.0, 0.5, 1e-300])),
+)
+
+
+@st.composite
+def _near_scalar_elements(draw):
+    """c*1 (zeros off the diagonal possibly float, possibly signed), then at
+    most two entries replaced by a random or a tiny value."""
+    algebra = draw(st.sampled_from(_SCALAR_ALGEBRAS))()
+    c = draw(_entries)
+    zero = draw(st.sampled_from([QC(0), 0j, complex(-0.0, 0.0), complex(0.0, -0.0)]))
+    blocks = [[[c if i == j else zero for j in range(n)] for i in range(n)]
+              for n in algebra.block_dims]
+    for _ in range(draw(st.integers(0, 2))):
+        b = draw(st.integers(0, len(blocks) - 1))
+        n = len(blocks[b])
+        i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+        blocks[b][i][j] = draw(_entries)
+    return AlgebraElement(algebra, blocks)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_near_scalar_elements())
+def test_scalar_part_matches_comparing_with_the_scalar_element(x):
+    got, want = _scalar_part(x), _reference_scalar_part(x)
+    assert (type(got), repr(got)) == (type(want), repr(want))
+
+
+def test_scalar_part_rejects_a_tiny_off_diagonal_float():
+    alg = m2_tr()
+    for tiny in (1e-300, 5e-324, complex(0.0, -1e-300)):
+        x = AlgebraElement(alg, [[[1.5, tiny], [0.0, 1.5]]])
+        assert _scalar_part(x) is None
+        assert _reference_scalar_part(x) is None
+    x = AlgebraElement(alg, [[[1.5, -0.0], [complex(0.0, -0.0), 1.5]]])
+    assert _scalar_part(x) == _reference_scalar_part(x) == 1.5
