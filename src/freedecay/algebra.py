@@ -18,8 +18,8 @@ are left out.
 
 from __future__ import annotations
 
-import json
 import math
+import reprlib
 from fractions import Fraction
 
 import numpy as np
@@ -317,14 +317,14 @@ class MatrixBlockAlgebra:
 
     @classmethod
     def from_json(cls, data) -> "MatrixBlockAlgebra":
-        if isinstance(data, str):
-            data = json.loads(data)
+        json_shape(data, dict, "algebra JSON")
         if "atoms" in data:
-            return cls.from_weights([_scalar_from_json(w) for w in data["atoms"]])
+            return cls.from_weights([_scalar_from_json(w) for w in json_shape(data["atoms"], list, "'atoms'")])
         if "blocks" not in data:
             raise AlgebraError("algebra JSON needs 'blocks' or 'atoms'")
         dens = []
-        for blk in data["blocks"]:
+        for blk in json_shape(data["blocks"], list, "'blocks'"):
+            json_shape(blk, dict, "a block", ("density",))
             d = _matrix_from_json(blk["density"])
             if "dim" in blk and blk["dim"] != len(d):
                 raise AlgebraError("declared block dim does not match density shape")
@@ -347,7 +347,7 @@ def _scalar_to_json(s):
 
 def _scalar_from_json(v):
     if isinstance(v, (int, str)):
-        return QC(Fraction(v))
+        return QC(json_number(v))
     if isinstance(v, float):
         return complex(v)
     if isinstance(v, (list, tuple)) and len(v) == 2:
@@ -355,9 +355,9 @@ def _scalar_from_json(v):
         if isinstance(re, str) or isinstance(im, str) or (
             isinstance(re, int) and isinstance(im, int)
         ):
-            return QC(Fraction(re), Fraction(im))
-        return complex(float(re), float(im))
-    raise AlgebraError(f"bad scalar in JSON: {v!r}")
+            return QC(json_number(re), json_number(im))
+        return complex(json_number(re, float), json_number(im, float))
+    raise AlgebraError(f"bad scalar in JSON: {reprlib.repr(v)}")
 
 
 def _matrix_to_json(m):
@@ -365,7 +365,30 @@ def _matrix_to_json(m):
 
 
 def _matrix_from_json(rows):
+    rows = [json_shape(row, list, "a matrix row") for row in json_shape(rows, list, "a matrix")]
     return _as_matrix([[_scalar_from_json(v) for v in row] for row in rows])
+
+
+def json_shape(value, kind, what: str, keys=(), error=AlgebraError):
+    """``value`` if it is a JSON ``kind`` (dict or list) holding ``keys``,
+    else ``error`` with a one-line message."""
+    if not isinstance(value, kind) or not all(k in value for k in keys):
+        need = "a JSON object" if kind is dict else "a JSON list"
+        if keys:
+            need += " with " + ", ".join(keys)
+        raise error(f"{what} must be {need}, got {reprlib.repr(value)}")
+    return value
+
+
+def json_number(v, kind=Fraction, error=AlgebraError):
+    """kind(v), kind Fraction or float, for an int, a float or a string such
+    as "3/5"; any other value, "1/0" and values out of range raise ``error``."""
+    try:
+        if isinstance(v, (int, float, str)):
+            return kind(v)
+    except (ValueError, ZeroDivisionError, OverflowError):
+        pass
+    raise error(f"bad number in JSON: {reprlib.repr(v)}")
 
 
 # ---------------------------------------------------------------------------
@@ -474,9 +497,7 @@ class AlgebraElement:
 
     @classmethod
     def from_json(cls, owner: MatrixBlockAlgebra, data) -> "AlgebraElement":
-        if isinstance(data, str):
-            data = json.loads(data)
-        return cls(owner, [_matrix_from_json(b) for b in data])
+        return cls(owner, [_matrix_from_json(b) for b in json_shape(data, list, "an element")])
 
 
 # ---------------------------------------------------------------------------

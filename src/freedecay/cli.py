@@ -22,7 +22,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import __version__
-from .algebra import AlgebraElement, AlgebraError, MatrixBlockAlgebra
+from .algebra import AlgebraElement, AlgebraError, MatrixBlockAlgebra, json_shape
 from .freeword import (
     AvitzourConditionError,
     FreeElement,
@@ -39,6 +39,7 @@ from .freeword import (
 from .fock import (
     FockError,
     build_fock,
+    default_depth,
     fock_dimension,
     moment_norm_estimate,
     norm_lower_bound,
@@ -136,26 +137,20 @@ def _load_space(args) -> dict:
     if getattr(args, "builtin", None):
         return {"measure": CompactMeasure.builtin(args.builtin)}
     if getattr(args, "space", None):
-        data = _load_json_file(args.space)
+        data = json_shape(_load_json_file(args.space), dict, args.space)
         _reject_unknown_keys(data, {"measure", "algebra", "free_product"}, args.space)
         if "measure" in data:
             return {"measure": CompactMeasure.from_json(data["measure"])}
         if "algebra" in data:
             return {"algebra": MatrixBlockAlgebra.from_json(data["algebra"])}
         if "free_product" in data:
-            return {
-                "free_product": [
-                    MatrixBlockAlgebra.from_json(f) for f in data["free_product"]
-                ]
-            }
+            factors = json_shape(data["free_product"], list, "'free_product'")
+            return {"free_product": [MatrixBlockAlgebra.from_json(f) for f in factors]}
     raise CliError("provide --builtin NAME or --space FILE")
 
 
 def _load_factors(path: str):
-    data = _load_json_file(path)
-    if isinstance(data, dict) and "factors" in data:
-        return FreeProductAmbient.from_json(data)
-    raise CliError(f"{path} must contain {{'factors': [algebra, ...]}}")
+    return FreeProductAmbient.from_json(_load_json_file(path))
 
 
 # ---------------------------------------------------------------------------
@@ -243,7 +238,7 @@ def _cmd_free_moments(args) -> int:
 def _cmd_norm_estimate(args) -> int:
     ambient = _load_factors(args.factors)
     x = FreeElement.from_json(ambient, _load_json_file(args.element))
-    depth = args.depth if args.depth is not None else max(4, 2 * x.max_word_length())
+    depth = args.depth if args.depth is not None else default_depth(x)
     fock = build_fock(ambient.factors, depth)
     lb_fock = norm_lower_bound(fock, x)
     est = moment_norm_estimate(x, args.moment_rmax)
@@ -421,12 +416,13 @@ def _cmd_avitzour_check(args) -> int:
 
 def _cmd_orthogonality_check(args) -> int:
     if args.config:
-        cfg = _load_json_file(args.config)
+        cfg = json_shape(_load_json_file(args.config), dict, args.config, ("algebra", "u", "v_span"))
         _reject_unknown_keys(cfg, {"algebra", "u", "v_span", "fhat_span"}, args.config)
         algebra = MatrixBlockAlgebra.from_json(cfg["algebra"])
         u = AlgebraElement.from_json(algebra, cfg["u"])
-        v_span = [AlgebraElement.from_json(algebra, e) for e in cfg["v_span"]]
-        fhat = [AlgebraElement.from_json(algebra, e) for e in cfg.get("fhat_span", cfg["v_span"])]
+        v_span = [AlgebraElement.from_json(algebra, e) for e in json_shape(cfg["v_span"], list, "'v_span'")]
+        fhat_span = json_shape(cfg.get("fhat_span", cfg["v_span"]), list, "'fhat_span'")
+        fhat = [AlgebraElement.from_json(algebra, e) for e in fhat_span]
         reports = [("config", orthogonality_hypotheses(v_span, u, fhat))]
     else:
         # demo: shifts of growing order on a discretized circle

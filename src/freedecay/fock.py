@@ -7,7 +7,8 @@ Two independent oracles live here:
   the vacuum coefficient -- exact in rational mode;
 * a numeric compressed left representation (:func:`represent`,
   :func:`norm_lower_bound`) on an orthonormal tensor basis, whose spectral
-  data give certified lower bounds for the reduced norm.  A space caches
+  data give certified lower bounds for the reduced norm.  Words act on
+  the depth-L space itself (:func:`_represent_sparse`).  A space caches
   one sparse letter operator per vector of each factor's complement basis
   (:meth:`TruncatedFock.onb_operators`); the operator of any other letter
   is built when asked for and not kept.
@@ -47,7 +48,7 @@ from .algebra import (
     onb_complement,
     state,
 )
-from .freeword import FreeElement, FreeProductAmbient, Letter, normalize
+from .freeword import FreeElement, FreeProductAmbient, Letter, is_normalized_word, normalize
 from .scalars import QC, is_exact, scalar_is_zero, to_complex
 
 __all__ = [
@@ -85,16 +86,19 @@ class ResourceCapError(FockError):
 
 
 def fock_dimension(factors, depth: int) -> int:
-    """1 + sum over alternating patterns of products of complement dims."""
-    dims = [f.dim - 1 for f in factors]
+    """Number of basis tensors of length <= depth over the factors."""
+    return alternating_dimension([f.dim - 1 for f in factors], depth)
+
+
+def alternating_dimension(dims, depth: int) -> int:
+    """1 + sum over alternating patterns of length <= depth of products of
+    the slot dimensions ``dims`` (one per factor)."""
     m = len(dims)
     total = 1
     level = {j: dims[j] for j in range(m)}
     for _ in range(depth):
         total += sum(level.values())
-        level = {
-            j: dims[j] * sum(v for k, v in level.items() if k != j) for j in range(m)
-        }
+        level = {j: dims[j] * sum(v for k, v in level.items() if k != j) for j in range(m)}
     return total
 
 
@@ -105,26 +109,25 @@ class TruncatedFock:
     factors; slot vectors run over an orthonormal basis of each factor's
     complement of C1.  The empty tuple is the vacuum.  The space caches the
     letter operators of those basis vectors, at most dim(A_j) - 1 per
-    factor, and no others.
+    factor, and no others.  Words of any length act on this one space, of
+    at most ``_DIMENSION_CAP`` tensors.
     """
 
-    def __init__(self, factors, depth: int, cap: int = _DIMENSION_CAP):
+    def __init__(self, factors, depth: int):
         if depth < 0:
             raise FockError("depth must be >= 0")
         self.factors = tuple(factors)
         self.depth = depth
         dim = fock_dimension(self.factors, depth)
-        if dim > cap:
+        if dim > _DIMENSION_CAP:
             raise ResourceCapError(
-                f"truncated Fock dimension {dim} exceeds the cap {cap}"
+                f"truncated Fock dimension {dim} exceeds the cap {_DIMENSION_CAP}"
             )
         self.onb = [onb_complement(f) for f in self.factors]
         self.basis = list(_enumerate_basis(self.factors, depth, self.onb))
         self.index = {t: i for i, t in enumerate(self.basis)}
         self._onb_position = [{xi: i for i, xi in enumerate(b)} for b in self.onb]
         self._onb_ops: dict = {}
-        self._extended: dict = {}
-        self._lock = threading.Lock()
 
     @property
     def dimension(self) -> int:
@@ -141,13 +144,11 @@ class TruncatedFock:
         one per vector xi_i of the factor's complement basis.
 
         All operators of a factor are built in one pass over the basis and
-        cached on the space; the fill is idempotent, so the lock only guards
-        the dictionary."""
+        cached on the space; the fill is idempotent, and setdefault keeps
+        the first list when threads race."""
         ops = self._onb_ops.get(factor)
         if ops is None:
-            ops = self._build_letter_operators(factor, self.onb[factor])
-            with self._lock:
-                ops = self._onb_ops.setdefault(factor, ops)
+            ops = self._onb_ops.setdefault(factor, self._build_letter_operators(factor, self.onb[factor]))
         return ops
 
     def letter_operator(self, factor: int, payload: AlgebraElement):
@@ -226,8 +227,9 @@ def _enumerate_basis(factors, depth, onb):
         frontier = new
 
 
-def build_fock(factors, depth: int, cap: int = _DIMENSION_CAP) -> TruncatedFock:
-    return TruncatedFock(factors, depth, cap=cap)
+def build_fock(factors, depth: int) -> TruncatedFock:
+    """A fresh space; :func:`shared_fock` gives the process-wide cached one."""
+    return TruncatedFock(factors, depth)
 
 
 _shared_focks: dict = {}
@@ -258,51 +260,47 @@ def default_depth(x: FreeElement) -> int:
 def _represent_sparse(fock: TruncatedFock, x: FreeElement):
     """P_L lambda(x) P_L as a sparse matrix, exact compression.
 
-    A word of k letters is applied on the space of depth L + k - 1: its
-    last k - 1 letters act first and never meet that cut, and whatever the
-    first letter pushes past depth L falls outside the depth-L block anyway.
-    Elements of single letters therefore act on the depth-L space itself.
+    Each word acts on the depth-L space itself, as the product of its
+    compressed letters P_L lambda(xi) P_L, right to left.  For centred
+    letters this is exact.  A centred letter prepends to a tensor led by
+    another factor; a tensor led by its own factor it splits into a part
+    one shorter and a same-length part led by that factor.  So a component
+    that grew or kept its length is led by the factor of the letter just
+    applied, and the next letter of the alternating word must grow it: a
+    component longer than L never comes back, and
+    P_L lambda(w) P_L = prod_i P_L lambda(xi_i) P_L.
+
+    A scalar part keeps a tensor and its leading factor, so uncentred
+    letters can grow, keep and shrink a component back into the block
+    (random uncentred length-3 words over (M2, tr) * (C3; 3/5, 1/5, 1/5) at
+    depth 2 come out 2.9 to 4.5 off in some entry).  When a word of x has
+    an uncentred letter, normalize(x) is represented instead: lambda is a
+    homomorphism, and merged terms alternate.  Centred is the ``normalize``
+    rule: state exactly 0, or |state| <= ``freeword._FLOAT_TOL`` for a float
+    letter.  Level-basis probes, ``HomogeneousWordElement`` words and
+    ``normalize`` output are centred, and their letters' states are cached.
     """
     if x.ambient != fock.ambient():
         raise AlgebraError("element ambient does not match the Fock factors")
-    k = x.max_word_length()
-    if k == 0:
-        c = to_complex(x.terms.get((), QC(0)))
-        return sp.identity(fock.dimension, dtype=complex, format="csr") * c
-    big = fock
-    if k > 1:
-        with fock._lock:
-            big = fock._extended.get(k - 1)
-            if big is None:
-                big = TruncatedFock(fock.factors, fock.depth + k - 1, cap=_DIMENSION_CAP * 4)
-                fock._extended[k - 1] = big
-    n_small = fock.dimension
-    n_big = big.dimension
-    # basis order puts all length <= depth tensors first in the big space, in
-    # the same order as the small space, so corner extraction is exact.
-    selector = sp.eye(n_big, n_small, dtype=complex, format="csr")
+    if not all(is_normalized_word(word) for word in x.terms):
+        x = normalize(x)
+    n = fock.dimension
     rows_acc, cols_acc, data_acc = [], [], []
     for word, coeff in x.terms.items():
-        c = to_complex(coeff)
-        if not word:
-            idx = np.arange(n_small)
-            rows_acc.append(idx)
-            cols_acc.append(idx)
-            data_acc.append(np.full(n_small, c))
-            continue
-        cols = selector
+        block = sp.identity(n, dtype=complex, format="csr")
         for letter in reversed(word):
-            cols = big.letter_operator(letter.factor, letter.payload) @ cols
-        block = cols[:n_small, :].tocoo()
+            block = fock.letter_operator(letter.factor, letter.payload) @ block
+        block = block.tocoo()
         rows_acc.append(block.row)
         cols_acc.append(block.col)
-        data_acc.append(c * block.data)
-    total = sp.csr_matrix(
+        data_acc.append(to_complex(coeff) * block.data)
+    if not data_acc:
+        return sp.csr_matrix((n, n), dtype=complex)
+    return sp.csr_matrix(
         (np.concatenate(data_acc), (np.concatenate(rows_acc), np.concatenate(cols_acc))),
-        shape=(n_small, n_small),
+        shape=(n, n),
         dtype=complex,
     )
-    return total
 
 
 def represent(fock: TruncatedFock, x: FreeElement) -> np.ndarray:
@@ -341,10 +339,6 @@ def _spectral_norm(matrix) -> float:
             ) from exc
         return float(np.linalg.norm(matrix.toarray(), 2))
     return float(vals[0])
-
-
-def _basis_order_is_prefix(small: TruncatedFock, big: TruncatedFock) -> bool:
-    return big.basis[: small.dimension] == small.basis
 
 
 # ---------------------------------------------------------------------------

@@ -12,10 +12,12 @@ is exact whenever payloads and coefficients are rational.
 from __future__ import annotations
 
 import json
+import reprlib
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .algebra import AlgebraElement, AlgebraError, MatrixBlockAlgebra, center, l2_inner, op_norm, state
+from .algebra import json_number, json_shape
 from .scalars import QC, as_scalar, conj, is_exact, scalar_is_zero, to_complex
 
 __all__ = [
@@ -79,9 +81,9 @@ class FreeProductAmbient:
 
     @classmethod
     def from_json(cls, data):
-        if isinstance(data, str):
-            data = json.loads(data)
-        return cls([MatrixBlockAlgebra.from_json(f) for f in data["factors"]])
+        factors = json_shape(json_shape(data, dict, "free product JSON", ("factors",))["factors"],
+                             list, "'factors'")
+        return cls([MatrixBlockAlgebra.from_json(f) for f in factors])
 
 
 class Letter:
@@ -295,9 +297,6 @@ class FreeElement:
     def max_word_length(self) -> int:
         return max((len(w) for w in self.terms), default=0)
 
-    def is_zero(self, tol: float = 0.0) -> bool:
-        return all(scalar_is_zero(c, tol) for c in self.terms.values())
-
     def is_exact(self) -> bool:
         return all(is_exact(c) for c in self.terms.values()) and all(
             l.payload.is_exact() for w in self.terms for l in w
@@ -332,20 +331,21 @@ class FreeElement:
 
     @classmethod
     def from_json(cls, ambient: FreeProductAmbient, data) -> "FreeElement":
-        if isinstance(data, str):
-            data = json.loads(data)
         terms: dict = {}
-        for item in data["terms"]:
-            word = tuple(
-                Letter(
-                    int(l["factor"]),
-                    AlgebraElement.from_json(ambient.factors[int(l["factor"])], l["elem"]),
-                )
-                for l in item["word"]
-            )
+        for item in json_shape(json_shape(data, dict, "element JSON", ("terms",))["terms"],
+                               list, "'terms'"):
+            json_shape(item, dict, "a term", ("coeff", "word"))
+            word = tuple(_letter_from_json(ambient, l) for l in json_shape(item["word"], list, "'word'"))
             c = _coeff_from_json(item["coeff"])
             terms[word] = terms.get(word, QC(0)) + c
         return cls(ambient, terms)
+
+
+def _letter_from_json(ambient: FreeProductAmbient, data) -> Letter:
+    j = json_shape(data, dict, "a letter", ("factor", "elem"))["factor"]
+    if type(j) is not int or not 0 <= j < len(ambient.factors):
+        raise AlgebraError(f"factor index {reprlib.repr(j)} is not in 0..{len(ambient.factors) - 1}")
+    return Letter(j, AlgebraElement.from_json(ambient.factors[j], data["elem"]))
 
 
 def _coeff_to_json(c):
@@ -356,12 +356,12 @@ def _coeff_to_json(c):
 
 
 def _coeff_from_json(v):
-    from fractions import Fraction
-
+    if not isinstance(v, list) or len(v) != 2:
+        raise AlgebraError(f"a coefficient must be a pair [re, im], got {reprlib.repr(v)}")
     re, im = v
     if isinstance(re, str):
-        return QC(Fraction(re), Fraction(im))
-    return complex(float(re), float(im))
+        return QC(json_number(re), json_number(im))
+    return complex(json_number(re, float), json_number(im, float))
 
 
 def _word_sort_key(item):

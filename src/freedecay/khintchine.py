@@ -21,6 +21,7 @@ from .algebra import AlgebraError, dn_norm, onb_complement
 from .fock import (
     TruncatedFock,
     _spectral_norm,
+    default_depth,
     moment_norm_estimate,
     norm_lower_bound,
     shared_fock,
@@ -194,8 +195,8 @@ def tr_bracket(x: HomogeneousWordElement, r: int, fock: TruncatedFock | None = N
     part (exact when all middle letters come from one factor);
     lower: the same block operator realized through the compressed left
     representation, each cell sum c L_{j,i} over the cached basis-vector
-    operators of ``fock`` (a single letter's operator on the depth-L space
-    is already its compression); weak_cs: the sqrt(m) * Hilbert-Schmidt
+    operators L_{j,i} = P_L lambda(xi_i) P_L of ``fock``, the compressions
+    ``_represent_sparse`` uses; weak_cs: the sqrt(m) * Hilbert-Schmidt
     style bound that the upper must respect.
     """
     if fock is None:
@@ -289,11 +290,7 @@ class RxReport:
         return self.margin >= -1e-9 and self.sr_ok and self.hs_identity_ok and self.weak_cs_ok
 
 
-def rx_check(
-    x: HomogeneousWordElement,
-    fock_depth: int | None = None,
-    moment_rmax: int = 2,
-) -> RxReport:
+def rx_check(x: HomogeneousWordElement, moment_rmax: int = 2) -> RxReport:
     """Check the upper Khintchine inequality on a homogeneous element.
 
     Asserts max(norm lower bounds) <= 2 (l+1) kh_upper, that every prefix
@@ -302,8 +299,7 @@ def rx_check(
     """
     ell = x.length
     elem = x.to_free_element()
-    depth = fock_depth if fock_depth is not None else max(4, 2 * ell)
-    fock = shared_fock(x.ambient.factors, depth)
+    fock = shared_fock(x.ambient.factors, default_depth(elem))
     tr_fock = shared_fock(x.ambient.factors, 4)
     lb_fock = norm_lower_bound(fock, elem)
     lb_moment = moment_norm_estimate(elem, moment_rmax).max
@@ -348,7 +344,7 @@ class LayerReport:
         return self.margin >= -1e-9
 
 
-def layer_bound_check(x: HomogeneousWordElement, fock_depth: int | None = None) -> LayerReport:
+def layer_bound_check(x: HomogeneousWordElement) -> LayerReport:
     """Layer estimate: lower bounds of ||x|| against
     2 sqrt(m) (l+1) (max_j C_j) ||x||_2 with C_j certified on the factor
     complements by dn_norm."""
@@ -356,8 +352,7 @@ def layer_bound_check(x: HomogeneousWordElement, fock_depth: int | None = None) 
     ell = x.length
     constants = [dn_norm(onb) for onb in x.onb]
     elem = x.to_free_element()
-    depth = fock_depth if fock_depth is not None else max(4, 2 * ell)
-    fock = shared_fock(x.ambient.factors, depth)
+    fock = shared_fock(x.ambient.factors, default_depth(elem))
     norm_lb = max(norm_lower_bound(fock, elem), moment_norm_estimate(elem, 2).max)
     l2 = x.l2_norm()
     bound = 2 * math.sqrt(m) * (ell + 1) * max(constants) * l2

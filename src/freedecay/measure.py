@@ -9,14 +9,13 @@ out of a Chebyshev-Lobatto grid with golden-section refinement.
 
 from __future__ import annotations
 
-import json
 import math
 from fractions import Fraction
 from math import comb
 
 import numpy as np
 
-from .algebra import MatrixBlockAlgebra
+from .algebra import MatrixBlockAlgebra, json_number, json_shape
 from .scalars import exact_sqrt
 
 __all__ = [
@@ -138,6 +137,8 @@ class CompactMeasure:
             ws = [Fraction(1, n)] * n
         else:
             ws = [Fraction(w) if not isinstance(w, float) else w for w in weights]
+            if len(ws) != n:
+                raise MeasureError(f"{n} atoms but {len(ws)} weights")
         total = sum(ws)
         if not (total == 1 or abs(float(total) - 1.0) < 1e-12):
             raise MeasureError("atom weights must sum to 1")
@@ -180,24 +181,22 @@ class CompactMeasure:
 
     @classmethod
     def from_json(cls, data) -> "CompactMeasure":
-        if isinstance(data, str):
-            data = json.loads(data)
+        json_shape(data, dict, "measure JSON", error=MeasureError)
         if "builtin" in data:
-            return cls.builtin(data["builtin"])
+            return cls.builtin(str(data["builtin"]))
         if "atoms" in data:
-            pts = [Fraction(p) if isinstance(p, (int, str)) else float(p) for p in data["atoms"]]
+            pts = [_number_from_json(p) for p in json_shape(data["atoms"], list, "'atoms'", error=MeasureError)]
             ws = data.get("weights")
             if ws is not None:
-                ws = [Fraction(w) if isinstance(w, (int, str)) else float(w) for w in ws]
+                ws = [_number_from_json(w) for w in json_shape(ws, list, "'weights'", error=MeasureError)]
             return cls.uniform_atoms(pts, ws)
         if "moments" not in data or "support" not in data:
             raise MeasureError("measure JSON needs 'builtin' or 'support'+'moments'")
-        moments = [
-            Fraction(v) if isinstance(v, (int, str)) else float(v) for v in data["moments"]
-        ]
-        a, b = data["support"]
-        a = Fraction(a) if isinstance(a, (int, str)) else float(a)
-        b = Fraction(b) if isinstance(b, (int, str)) else float(b)
+        moments = [_number_from_json(v) for v in json_shape(data["moments"], list, "'moments'", error=MeasureError)]
+        support = json_shape(data["support"], list, "'support'", error=MeasureError)
+        if len(support) != 2:
+            raise MeasureError(f"'support' must be a pair [a, b], got {support!r}")
+        a, b = (_number_from_json(v) for v in support)
 
         def m(k):
             if k >= len(moments):
@@ -210,6 +209,11 @@ class CompactMeasure:
 
     def __repr__(self):
         return f"CompactMeasure({self.name}, support={self.support})"
+
+
+def _number_from_json(v):
+    """A float stays a float; an int or a string such as "1/3" is exact."""
+    return v if isinstance(v, float) else json_number(v, Fraction, MeasureError)
 
 
 # ---------------------------------------------------------------------------

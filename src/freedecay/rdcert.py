@@ -246,16 +246,9 @@ class FreeProductFiltration(Filtration):
         return out
 
     def level_dim(self, n: int) -> int:
-        dims = [len(f.complement_onb(n)) for f in self.factors]
-        total = 1
-        level = dict(enumerate(dims))
-        for _ in range(n):
-            total += sum(level.values())
-            level = {
-                j: dims[j] * sum(v for k, v in level.items() if k != j)
-                for j in range(len(dims))
-            }
-        return total
+        from .fock import alternating_dimension
+
+        return alternating_dimension([len(f.complement_onb(n)) for f in self.factors], n)
 
     def rd_constant(self, n: int) -> RdConstant:
         """Bracket: certified analytic upper endpoint vs realized lower bounds.
@@ -295,10 +288,10 @@ class FreeProductFiltration(Filtration):
         return probes
 
     def _probe_lower(self, n: int) -> float:
-        from .fock import fock_dimension, norm_lower_bound, shared_fock
+        from .fock import _DIMENSION_CAP, fock_dimension, norm_lower_bound, shared_fock
 
         depth = max(4, n + 1)
-        while depth > 1 and fock_dimension(self.ambient.factors, depth + n) > 200_000:
+        while depth > 1 and fock_dimension(self.ambient.factors, depth) > _DIMENSION_CAP:
             depth -= 1
         fock = shared_fock(self.ambient.factors, depth)
         best = 0.0

@@ -114,10 +114,6 @@ class QC:
     def conjugate(self):
         return _qc(self.re, -self.im)
 
-    def abs2(self) -> Fraction:
-        """|z|^2 as an exact Fraction."""
-        return self.re * self.re + self.im * self.im
-
     def __abs__(self) -> float:
         return abs(complex(self))
 

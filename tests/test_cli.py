@@ -1,8 +1,14 @@
 """CLI behavior: grammar, outputs, determinism, exit codes."""
 
+import copy
 import json
 import os
+import tempfile
 from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from freedecay.cli import _FLOAT_IDENTITY_RTOL, _identity_holds, run
 from freedecay.scalars import QC
@@ -92,6 +98,113 @@ def test_rd_certify_malformed_json(tmp_path, capsys):
     err = capsys.readouterr().err
     assert code == 2
     assert "line" in err and "column" in err
+
+
+_M2 = {"blocks": [{"dim": 2, "density": [["1/2", "0"], ["0", "1/2"]]}]}
+_FLIP = [[["0", "1"], ["1", "0"]]]
+
+# (subcommand, file option, malformed document): each exits 2 with one error
+# line, never with a traceback
+_MALFORMED = [
+    pytest.param("fock-dim", "--factors",
+                 {"factors": [{"atoms": ["1/2", "1/2"]}, {"blocks": [{"dim": 2}]}]},
+                 id="block-without-density"),
+    pytest.param("fock-dim", "--factors", {"factors": [{"atoms": ["1/0"]}]}, id="atom-1/0"),
+    pytest.param("free-moments", "--element",
+                 {"terms": [{"coeff": ["1", "0"], "word": [{"factor": 5, "elem": _FLIP}]}]},
+                 id="factor-out-of-range"),
+    pytest.param("free-moments", "--element",
+                 {"terms": [{"coeff": ["1", "0"], "word": [{"elem": _FLIP}]}]},
+                 id="letter-without-factor"),
+    pytest.param("free-moments", "--element",
+                 {"terms": [{"word": [{"factor": 0, "elem": _FLIP}]}]}, id="term-without-coeff"),
+    pytest.param("free-moments", "--element", {"terms": 3}, id="terms-not-a-list"),
+    pytest.param("free-moments", "--element",
+                 {"terms": [{"coeff": ["1", "0"], "word": [{"factor": 0, "elem": 7}]}]},
+                 id="elem-not-a-list"),
+    pytest.param("rd-certify", "--space", {"measure": 5}, id="measure-not-an-object"),
+    pytest.param("rd-certify", "--space", {"algebra": {"blocks": 3}}, id="blocks-not-a-list"),
+    pytest.param("orthogonality-check", "--config",
+                 {"algebra": {"atoms": ["1/2", "1/2"]}, "u": [[["1"]], [["-1"]]]},
+                 id="config-without-v_span"),
+]
+
+
+@pytest.mark.parametrize("command, option, document", _MALFORMED)
+def test_malformed_json_structure_is_usage_error(tmp_path, capsys, command, option, document):
+    path = _write(tmp_path, "bad.json", document)
+    argv = [command, option, path]
+    if command == "free-moments":
+        argv += ["--factors", _m2_factors(tmp_path)]
+    if command == "rd-certify":
+        argv += ["--max-n", "3"]
+    assert run(argv) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: "), err
+
+
+# valid inputs whose mutations the fuzz test below feeds to the CLI
+_FUZZ_DOCUMENTS = {
+    "factors": {"factors": [{"atoms": ["1/2", "1/2"]}, _M2]},
+    "element": {"terms": [
+        {"coeff": ["1", "0"], "word": [{"factor": 1, "elem": _FLIP},
+                                       {"factor": 0, "elem": [[["1"]], [["-1"]]]}]},
+        {"coeff": [0.5, 0.25], "word": []},
+    ]},
+    "space": {"measure": {"atoms": ["-1", 0, "1"], "weights": ["1/4", "1/2", 0.25]}},
+}
+
+
+def _json_paths(node, path=()):
+    yield path
+    children = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+    for key, child in children:
+        yield from _json_paths(child, path + (key,))
+
+
+def _mutated(document, path, replacement):
+    """A copy of ``document`` with the value at ``path`` dropped (replacement
+    "drop") or replaced."""
+    if not path:
+        return {} if replacement == "drop" else replacement
+    out = copy.deepcopy(document)
+    parent = out
+    for key in path[:-1]:
+        parent = parent[key]
+    if replacement == "drop":
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = replacement
+    return out
+
+
+@st.composite
+def _mutations(draw):
+    name = draw(st.sampled_from(sorted(_FUZZ_DOCUMENTS)))
+    document = _FUZZ_DOCUMENTS[name]
+    path = draw(st.sampled_from(list(_json_paths(document))))
+    # 5 is an out-of-range factor index, -1 a negative one
+    replacement = draw(st.sampled_from(["drop", None, 7, 5, -1, [], [1, 2], "1/0", {}]))
+    return name, _mutated(document, path, replacement)
+
+
+@settings(max_examples=80, deadline=None)
+@given(_mutations())
+def test_mutated_json_exits_0_or_2(mutation):
+    name, document = mutation
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = {}
+        for key, valid in _FUZZ_DOCUMENTS.items():
+            paths[key] = os.path.join(tmp, f"{key}.json")
+            with open(paths[key], "w") as fh:
+                json.dump(document if key == name else valid, fh)
+        out = os.path.join(tmp, "out.csv")
+        if name == "space":
+            argv = ["rd-certify", "--space", paths["space"], "--max-n", "3"]
+        else:
+            argv = ["free-moments", "--factors", paths["factors"],
+                    "--element", paths["element"], "--rmax", "2"]
+        assert run(argv + ["--out", out]) in (0, 2)
 
 
 def test_rd_certify_deterministic(tmp_path):

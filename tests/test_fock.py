@@ -20,7 +20,6 @@ from freedecay.algebra import MatrixBlockAlgebra
 from freedecay.fock import (
     FockError,
     ResourceCapError,
-    _basis_order_is_prefix,
     _spectral_norm,
     _vector_moments,
     _word_moments,
@@ -67,12 +66,6 @@ def test_depth_zero():
 def test_dimension_cap():
     with pytest.raises(ResourceCapError):
         build_fock([MatrixBlockAlgebra.from_weights([Fraction(1, 24)] * 24)] * 2, 5)
-
-
-def test_extended_basis_is_prefix_ordered():
-    small = build_fock([m2_tr(), m2_tr()], 2)
-    big = build_fock([m2_tr(), m2_tr()], 4)
-    assert _basis_order_is_prefix(small, big)
 
 
 # ---------------------------------------------------------------------------
@@ -132,15 +125,34 @@ def test_letter_operators_match_the_free_state_oracle():
         assert np.abs(got - want).max() < 1e-12, (j, a)
 
 
-@pytest.mark.parametrize("length", [2, 3])
+@pytest.mark.parametrize("length", [2, 3, 4])
 def test_represent_words_match_the_free_state_oracle(length):
-    # words act on the space of depth L + length - 1; without that extension
-    # the length-3 word loses what its last letter pushes past L and its
-    # first letter brings back
+    # every word acts on the depth-L space itself: centred words as they are,
+    # uncentred ones after normalize (unnormalized, the uncentred length-3
+    # word is off by more than 1)
     f = build_fock([m2_tr(), c3_weighted()], 2)
-    x = random_alternating_word(f.ambient(), length, np.random.default_rng(21), centered=False)
-    assert x.max_word_length() == length
-    assert np.abs(represent(f, x) - _oracle_matrix(f, x)).max() < 1e-12
+    rng = np.random.default_rng(21)
+    for centered in (True, False):
+        x = random_alternating_word(f.ambient(), length, rng, centered=centered)
+        assert x.max_word_length() == length
+        assert np.abs(represent(f, x) - _oracle_matrix(f, x)).max() < 1e-12, centered
+
+
+def test_centred_words_are_represented_without_normalize(monkeypatch):
+    def refuse(x):
+        raise AssertionError("normalize called on a centred element")
+
+    monkeypatch.setattr(fock, "normalize", refuse)
+    f = build_fock([m2_tr(), c3_weighted()], 2)
+    amb = f.ambient()
+    rng = np.random.default_rng(23)
+    probes = [
+        random_alternating_word(amb, 3, rng, centered=True),
+        HomogeneousWordElement.random(amb, 2, rng).to_free_element(),
+        FreeElement.word(amb, [Letter(1, f.onb[1][1]), Letter(0, f.onb[0][2])]),
+    ]
+    for x in probes:
+        assert np.abs(represent(f, x) - _oracle_matrix(f, x)).max() < 1e-12
 
 
 def test_only_basis_vector_operators_are_cached():

@@ -195,21 +195,32 @@ def test_rx_check_caches_only_basis_vector_operators(monkeypatch):
     rng = np.random.default_rng(15)
     for ell in (1, 2):
         assert rx_check(HomogeneousWordElement.random(amb, ell, rng)).ok
-    spaces = list(fk._shared_focks.values())
-    spaces += [big for f in spaces for big in f._extended.values()]
-    assert len(spaces[0]._onb_ops) == 2
-    for f in spaces:
+    spaces = {f.depth: f for f in fk._shared_focks.values()}
+    # depth 4 serves both norm bounds and the brackets; depth 2 holds the
+    # moment vectors of the length-1 sample (r_max * l = 2)
+    assert sorted(spaces) == [2, 4]
+    assert len(spaces[4]._onb_ops) == 2
+    for f in spaces.values():
         for j, ops in f._onb_ops.items():
             assert len(ops) == f.factors[j].dim - 1
 
 
-def test_rx_check_length_one_builds_no_extended_space(monkeypatch):
+def test_rx_check_builds_no_space_beyond_its_depth(monkeypatch):
     import freedecay.fock as fk
 
+    built = []
+
+    class Recording(fk.TruncatedFock):
+        def __init__(self, factors, depth):
+            built.append(depth)
+            super().__init__(factors, depth)
+
     monkeypatch.setattr(fk, "_shared_focks", {})
-    assert rx_check(HomogeneousWordElement.random(_ambient(), 1, np.random.default_rng(16))).ok
-    assert fk._shared_focks
-    assert all(not f._extended for f in fk._shared_focks.values())
+    monkeypatch.setattr(fk, "TruncatedFock", Recording)
+    rng = np.random.default_rng(16)
+    for ell in (1, 2):
+        assert rx_check(HomogeneousWordElement.random(_ambient(), ell, rng)).ok
+    assert built == [4, 2]
 
 
 def test_tr_bracket_rejects_a_fock_of_other_factors():

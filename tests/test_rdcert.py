@@ -150,6 +150,13 @@ def test_free_filtration_probes_match_summed_probes():
     assert [list(p.terms.items()) for p in got] == [list(p.terms.items()) for p in want]
 
 
+def test_free_filtration_lower_endpoint_keeps_its_depth():
+    # level 5 of (M2, tr) * (M2, tr) must probe on the depth-6 space (dim
+    # 2,185): on the depth-5 space its lower endpoint falls below level 4's
+    filt = free_filtration([ConstantFiltration(m2_tr()), ConstantFiltration(m2_tr())])
+    assert filt.rd_constant(5).lower >= filt.rd_constant(4).lower
+
+
 def test_free_filtration_exponent_finite():
     filt = free_filtration(
         [ConstantFiltration(_c2()), ConstantFiltration(_c2())], probe_seed=2
