@@ -279,17 +279,44 @@ def _represent_sparse(fock: TruncatedFock, x: FreeElement):
     rule: state exactly 0, or |state| <= ``freeword._FLOAT_TOL`` for a float
     letter.  Level-basis probes, ``HomogeneousWordElement`` words and
     ``normalize`` output are centred, and their letters' states are cached.
+
+    Words that share a suffix share its product.  The block of a word is
+    the right-nested product L(xi_1) @ (L(xi_2) @ (... @ (L(xi_k) @ I))),
+    so the block of ``word[i:]`` is an intermediate of every word ending
+    in it.  Each word starts from its longest suffix whose block is
+    stored (the empty suffix stores I) and multiplies on the left from
+    there: the same products in the same association as rebuilding it
+    letter by letter, so every block keeps its bits.  A block is stored
+    only while a word still to come ends in its suffix.  The blocks are
+    summed in ``x.terms`` order, which fixes the summation order of
+    duplicate entries.  The level basis of ``rdcert`` holds every
+    alternating word up to its length, so there each word costs one
+    product.
     """
     if x.ambient != fock.ambient():
         raise AlgebraError("element ambient does not match the Fock factors")
     if not all(is_normalized_word(word) for word in x.terms):
         x = normalize(x)
     n = fock.dimension
+    # uses[s]: words still to come that end in the proper suffix s
+    uses: dict = {}
+    for word in x.terms:
+        for i in range(1, len(word)):
+            uses[word[i:]] = uses.get(word[i:], 0) + 1
+    products = {(): sp.identity(n, dtype=complex, format="csr")}
     rows_acc, cols_acc, data_acc = [], [], []
     for word, coeff in x.terms.items():
-        block = sp.identity(n, dtype=complex, format="csr")
-        for letter in reversed(word):
+        start = next(i for i in range(len(word) + 1) if word[i:] in products)
+        block = products[word[start:]]
+        for i in range(start - 1, -1, -1):
+            letter = word[i]
             block = fock.letter_operator(letter.factor, letter.payload) @ block
+            if uses.get(word[i:]):
+                products[word[i:]] = block
+        for i in range(1, len(word)):
+            uses[word[i:]] -= 1
+            if not uses[word[i:]]:
+                products.pop(word[i:], None)
         block = block.tocoo()
         rows_acc.append(block.row)
         cols_acc.append(block.col)

@@ -11,13 +11,14 @@ is exact whenever payloads and coefficients are rational.
 
 from __future__ import annotations
 
+import functools
 import json
 import reprlib
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .algebra import AlgebraElement, AlgebraError, MatrixBlockAlgebra, center, l2_inner, op_norm, state
-from .algebra import json_number, json_shape
+from .algebra import _scalar_from_json, json_shape
 from .scalars import QC, as_scalar, conj, is_exact, scalar_is_zero, to_complex
 
 __all__ = [
@@ -358,10 +359,7 @@ def _coeff_to_json(c):
 def _coeff_from_json(v):
     if not isinstance(v, list) or len(v) != 2:
         raise AlgebraError(f"a coefficient must be a pair [re, im], got {reprlib.repr(v)}")
-    re, im = v
-    if isinstance(re, str):
-        return QC(json_number(re), json_number(im))
-    return complex(json_number(re, float), json_number(im, float))
+    return _scalar_from_json(v)
 
 
 def _word_sort_key(item):
@@ -727,7 +725,18 @@ def conjugation_word_shape(v: AlgebraElement, x: FreeElement):
 
 def check_avitzour_conditions(u: AlgebraElement, v: AlgebraElement, w: AlgebraElement):
     """Unitarity and moment conditions for the conjugation construction:
-    rho(u) = tau(v) = tau(w) = tau(v*w) = 0 with v in the centralizer."""
+    rho(u) = tau(v) = tau(w) = tau(v*w) = 0 with v in the centralizer.
+
+    A triple that passes is remembered, so the maps and shape checks of one
+    trial verify it once; a triple that fails raises on every call.
+    Elements are immutable and hashable, but an exact element equals the
+    float one with the same values, so exactness is part of the key: a
+    float triple passes within ``_FLOAT_TOL`` where its exact twin fails."""
+    _check_avitzour_triple(u, v, w, (u.is_exact(), v.is_exact(), w.is_exact()))
+
+
+@functools.lru_cache(maxsize=32)
+def _check_avitzour_triple(u, v, w, _exactness):
     _require_unitary(u, "u")
     _require_unitary(v, "v")
     _require_unitary(w, "w")

@@ -233,6 +233,8 @@ class OrthoPolySequence:
         self.measure = measure
         self._alpha: list = []
         self._beta: list = []
+        # (float(alpha_k), sqrt(float(beta_k))), converted once per extend
+        self._floats: list = []
 
     @property
     def degree(self) -> int:
@@ -250,6 +252,7 @@ class OrthoPolySequence:
         if len(self._alpha) >= n:
             return
         self._alpha, self._beta = _chebyshev_algorithm(self.measure, n)
+        self._floats = [(float(a), math.sqrt(float(b))) for a, b in zip(self._alpha, self._beta)]
 
     def alpha(self, k: int):
         self.extend(k + 1)
@@ -299,26 +302,30 @@ class OrthoPolySequence:
         return acc
 
     def orthonormal_values(self, n: int, ts):
-        """Values [p_0(t), ..., p_n(t)] on a float grid, stable recurrence."""
+        """Values [p_0(t), ..., p_n(t)] on a float grid, stable recurrence.
+
+        A single point (the golden-section pass of :func:`sup_norm` asks
+        for one at a time) runs the recurrence in Python floats, which do
+        the same IEEE double operations as float64 arrays, so its column
+        has the same bits as the matching column of a grid."""
         self.extend(n + 1)
         ts = np.asarray(ts, dtype=float)
-        vals = np.empty((n + 1, ts.shape[0]) if ts.ndim else (n + 1,), dtype=float)
-        sb = [math.sqrt(float(self._beta[k])) for k in range(n + 1)]
-        p_prev = np.zeros_like(ts)
-        p_cur = np.ones_like(ts)  # p_0 = 1 (beta_0 = 1)
-        vals[0] = p_cur
+        single = ts.shape == (1,)
+        t = float(ts[0]) if single else ts
+        p_prev, p_cur = None, 1.0 if single else np.ones_like(ts)  # p_0 = 1 (beta_0 = 1)
+        vals = [p_cur]
         for k in range(n):
-            a = float(self._alpha[k])
-            p_next = ((ts - a) * p_cur - (sb[k] * p_prev if k > 0 else 0.0)) / sb[k + 1]
+            a, sb = self._floats[k]
+            p_next = ((t - a) * p_cur - (sb * p_prev if k > 0 else 0.0)) / self._floats[k + 1][1]
             p_prev, p_cur = p_cur, p_next
-            vals[k + 1] = p_cur
-        return vals
+            vals.append(p_cur)
+        return np.array(vals).reshape((n + 1,) + ts.shape)
 
     def jacobi_matrix(self, n: int):
         """Symmetric Jacobi matrix of order n (float)."""
         self.extend(n)
-        diag = np.array([float(a) for a in self._alpha[:n]])
-        off = np.array([math.sqrt(float(b)) for b in self._beta[1:n]])
+        diag = np.array([a for a, _ in self._floats[:n]])
+        off = np.array([sb for _, sb in self._floats[1:n]])
         return diag, off
 
 

@@ -257,6 +257,21 @@ def test_free_moments_and_norm_estimate(tmp_path):
     assert "best_lower_bound=" in text
 
 
+@pytest.mark.parametrize("coeff", [[1, 0], ["1", "0"]], ids=["int-pair", "string-pair"])
+def test_int_pair_coefficient_is_exact(tmp_path, coeff):
+    # x = iota_0(e_12): q_2 = tau((x*x)^2) = 1/2, exact by free cumulants
+    factors = _m2_factors(tmp_path)
+    unit = [[["0", "1"], ["0", "0"]]]
+    epath = _write(tmp_path, "elem.json",
+                   {"terms": [{"coeff": coeff, "word": [{"factor": 0, "elem": unit}]}]})
+    out = tmp_path / "moments.csv"
+    assert run(["free-moments", "--factors", factors, "--element", epath, "--rmax", "2",
+                "--out", str(out)]) == 0
+    lines = out.read_text().splitlines()
+    assert lines[2].startswith("2,0.5,")
+    assert "# method=free-cumulant" in lines
+
+
 def test_norm_estimate_moment_depth_above_cap_exit_2(tmp_path, capsys):
     factors = _m2_factors(tmp_path)
     unit = [[["0", "1"], ["0", "0"]]]  # a non-self-adjoint matrix unit

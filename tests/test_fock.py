@@ -1,5 +1,7 @@
 """Tests for the truncated Fock oracle and moment estimators."""
 
+import itertools
+import json
 import math
 from fractions import Fraction
 
@@ -17,6 +19,7 @@ from conftest import (
 )
 from freedecay import fock
 from freedecay.algebra import MatrixBlockAlgebra
+from freedecay.cli import run
 from freedecay.fock import (
     FockError,
     ResourceCapError,
@@ -33,9 +36,10 @@ from freedecay.fock import (
     represent,
     vacuum_expectation,
 )
-from freedecay.freeword import FreeElement, Letter, free_state, normalize
+from freedecay.freeword import FreeElement, Letter, free_state, is_normalized_word, normalize
 from freedecay.khintchine import HomogeneousWordElement
-from freedecay.scalars import QC
+from freedecay.rdcert import ConstantFiltration, free_filtration
+from freedecay.scalars import QC, to_complex
 
 
 def c2_half():
@@ -153,6 +157,83 @@ def test_centred_words_are_represented_without_normalize(monkeypatch):
     ]
     for x in probes:
         assert np.abs(represent(f, x) - _oracle_matrix(f, x)).max() < 1e-12
+
+
+def _represent_word_by_word(f, x):
+    """Reference compression: every word rebuilt letter by letter from a
+    fresh identity, with no shared suffix products."""
+    if not all(is_normalized_word(word) for word in x.terms):
+        x = normalize(x)
+    n = f.dimension
+    rows, cols, data = [], [], []
+    for word, coeff in x.terms.items():
+        block = sp.identity(n, dtype=complex, format="csr")
+        for letter in reversed(word):
+            block = f.letter_operator(letter.factor, letter.payload) @ block
+        block = block.tocoo()
+        rows.append(block.row)
+        cols.append(block.col)
+        data.append(to_complex(coeff) * block.data)
+    if not data:
+        return sp.csr_matrix((n, n), dtype=complex)
+    return sp.csr_matrix(
+        (np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))),
+        shape=(n, n),
+        dtype=complex,
+    )
+
+
+def _float_centred(algebra, rng):
+    a, b, c = rng.standard_normal(3) + 1j * rng.standard_normal(3)
+    return algebra.element([[[a, b], [c, -a]]])
+
+
+def _assert_same_bits(f, x):
+    got = fock._represent_sparse(f, x).toarray()
+    assert np.array_equal(got, _represent_word_by_word(f, x).toarray())
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+def test_shared_suffix_compression_keeps_the_bits_of_level_probes(n):
+    c3 = MatrixBlockAlgebra.from_weights([Fraction(1, 3)] * 3)
+    filt = free_filtration([ConstantFiltration(c2_half()), ConstantFiltration(c3)], probe_seed=5)
+    f = build_fock(filt.ambient.factors, max(4, n + 1))
+    for probe in filt._probes(n):
+        _assert_same_bits(f, probe)
+
+
+def test_shared_suffix_compression_keeps_the_bits_of_float_and_uncentred_elements():
+    rng = np.random.default_rng(31)
+    amb = two_factor(m2_tr(), m2_tr())
+    f = build_fock(amb.factors, 3)
+    # every alternating word of length <= 3 over two float letters per
+    # factor, in shuffled order: long words come before their suffixes too
+    pool = [[Letter(j, _float_centred(amb.factors[j], rng)) for _ in range(2)] for j in (0, 1)]
+    words = [()]
+    for length in (1, 2, 3):
+        for start in (0, 1):
+            pattern = [(start + i) % 2 for i in range(length)]
+            words += itertools.product(*(pool[j] for j in pattern))
+    order = rng.permutation(len(words))
+    coeffs = rng.standard_normal(len(words)) + 1j * rng.standard_normal(len(words))
+    x = FreeElement(amb, {tuple(words[i]): complex(c) for i, c in zip(order, coeffs)})
+    assert len(x.terms) == 29
+    _assert_same_bits(f, x)
+    uncentred = random_alternating_word(amb, 3, rng, centered=False)
+    uncentred = uncentred + random_alternating_word(amb, 2, rng, centered=False)
+    assert not all(is_normalized_word(word) for word in uncentred.terms)
+    _assert_same_bits(f, uncentred)
+
+
+def test_shared_suffix_compression_keeps_the_certify_csv(tmp_path, monkeypatch):
+    space = tmp_path / "c2c3.json"
+    space.write_text(json.dumps({"free_product": [{"atoms": ["1/2", "1/2"]},
+                                                  {"atoms": ["1/3", "1/3", "1/3"]}]}))
+    argv = ["rd-certify", "--space", str(space), "--max-n", "6", "--seed", "1", "--out"]
+    assert run(argv + [str(tmp_path / "shared.csv")]) == 0
+    monkeypatch.setattr(fock, "_represent_sparse", _represent_word_by_word)
+    assert run(argv + [str(tmp_path / "word-by-word.csv")]) == 0
+    assert (tmp_path / "shared.csv").read_bytes() == (tmp_path / "word-by-word.csv").read_bytes()
 
 
 def test_only_basis_vector_operators_are_cached():

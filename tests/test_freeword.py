@@ -413,6 +413,29 @@ def test_avitzour_condition_error_names_failing_moment():
     assert "tau(w)" in str(exc.value)
 
 
+def test_failing_avitzour_triple_raises_on_every_call():
+    alg, u, _, w, _ = _m2_pair_setup()
+    v = alg.element([[[0, 2], [2, 0]]])  # tau(v) = 0, but v*v = 4
+    for _ in range(2):
+        with pytest.raises(AvitzourConditionError) as exc:
+            check_avitzour_conditions(u, v, w)
+        assert "v*v - 1" in str(exc.value)
+
+
+def test_exact_triple_is_not_passed_by_its_float_twin():
+    # an exact triple equals, and hashes like, the float triple with the
+    # same values; the float one passes within tolerance, the exact one
+    # must still fail
+    alg, u, _, w, _ = _m2_pair_setup()
+    eps = 2.0 ** -45
+    v_float = alg.element([[[complex(1 + eps), 0], [0, complex(-1)]]])
+    v_exact = alg.element([[[Fraction(1 + eps), 0], [0, -1]]])
+    assert v_float == v_exact and hash(v_float) == hash(v_exact)
+    check_avitzour_conditions(u, v_float, w)
+    with pytest.raises(AvitzourConditionError):
+        check_avitzour_conditions(u, v_exact, w)
+
+
 def test_avitzour_phi_is_unital():
     alg, u, v, w, amb3 = _m2_pair_setup()
     assert avitzour_phi(2, u, v, w, FreeElement.one(amb3)) == FreeElement.one(

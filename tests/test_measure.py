@@ -13,6 +13,7 @@ from freedecay.measure import (
     AtomicMeasureError,
     CompactMeasure,
     MeasureError,
+    OrthoPolySequence,
     christoffel_sup,
     gauss_discretize,
     ortho_polys,
@@ -257,3 +258,51 @@ def test_christoffel_lebesgue_is_nplus1():
     seq = ortho_polys(CompactMeasure.lebesgue(), 12)
     for n in (0, 4, 9):
         assert float(christoffel_sup(seq, n)) == pytest.approx(n + 1, abs=1e-9)
+
+
+# ---------------------------------------------------------------------------
+# single-point recurrence
+# ---------------------------------------------------------------------------
+
+
+def _float_semicircle():
+    """Semicircle moments as floats: a custom measure without exact
+    coefficients, whose float recurrence holds through degree 30."""
+    return CompactMeasure(
+        (-2, 2), lambda k: 0.0 if k % 2 else float(math.comb(k, k // 2) // (k // 2 + 1))
+    )
+
+
+@pytest.mark.parametrize(
+    "measure, degrees",
+    [
+        (CompactMeasure.semicircle(), (1, 5, 17, 39)),
+        (CompactMeasure.lebesgue(), (1, 5, 17, 39)),
+        (CompactMeasure.cosine(), (1, 5, 17, 39)),
+        (_float_semicircle(), (1, 5, 17, 29)),
+    ],
+    ids=["semicircle", "lebesgue", "cosine", "float-moments"],
+)
+def test_single_point_values_match_the_grid_column(measure, degrees):
+    a, b = (float(e) for e in measure.support)
+    rng = np.random.default_rng(7)
+    ts = np.concatenate([np.linspace(a, b, 41), rng.uniform(a, b, 10)])
+    seq = OrthoPolySequence(measure)
+    for n in degrees:
+        grid = seq.orthonormal_values(n, ts)
+        for i, t in enumerate(ts):
+            assert np.array_equal(seq.orthonormal_values(n, [t])[:, 0], grid[:, i]), (n, t)
+    assert seq.exact == (measure.name != "custom")
+
+
+def test_extend_refreshes_the_float_coefficients():
+    seq = OrthoPolySequence(CompactMeasure.semicircle())
+    seq.extend(4)
+    low = seq.orthonormal_values(3, [0.5])
+    high = seq.orthonormal_values(20, [0.5])
+    assert seq.degree == 21
+    assert seq._floats == [
+        (float(seq.alpha(k)), math.sqrt(float(seq.beta(k)))) for k in range(seq.degree)
+    ]
+    assert np.array_equal(high[:4], low)
+    assert np.array_equal(high[:, 0], seq.orthonormal_values(20, np.array([0.5, 1.0]))[:, 0])
