@@ -25,7 +25,7 @@ from fractions import Fraction
 import numpy as np
 
 from .scalars import (
-    QC, QC_ONE, QC_ZERO, as_scalar, conj, exact_sqrt, is_exact, scalar_is_zero, to_complex,
+    QC, QC_ONE, QC_ZERO, as_scalar, conj, exact_sqrt, is_exact, negligible, to_complex,
 )
 
 __all__ = [
@@ -40,12 +40,15 @@ __all__ = [
     "onb_complement",
     "dn_norm",
     "gram_schmidt",
+    "negligible_element",
 ]
 
 # Block dimension above which op_norm switches from a full eigendecomposition
 # of x*x to power iteration.
 _EIG_DIM_LIMIT = 512
-_GS_RESIDUAL_TOL = 1e-12
+# power iteration: stop at a relative change of _POWER_STOP, or after _POWER_STEPS
+_POWER_STOP = 1e-12
+_POWER_STEPS = 10_000
 
 
 class AlgebraError(Exception):
@@ -173,8 +176,7 @@ class MatrixBlockAlgebra:
             n = len(d)
             for i in range(n):
                 for j in range(n):
-                    diff = d[i][j] - conj(d[j][i])
-                    if not scalar_is_zero(diff, tol=1e-12):
+                    if not negligible(d[i][j] - conj(d[j][i])):
                         raise AlgebraError(f"density of block {b} is not Hermitian")
                 total = total + d[i][i]
             try:
@@ -183,10 +185,7 @@ class MatrixBlockAlgebra:
                 raise AlgebraError(
                     f"density of block {b} is not positive definite (state not faithful)"
                 ) from None
-        if isinstance(total, QC):
-            if total != QC(1):
-                raise AlgebraError(f"density traces sum to {total}, expected 1")
-        elif abs(total - 1.0) > 1e-12:
+        if not negligible(total - 1):
             raise AlgebraError(f"density traces sum to {total}, expected 1")
 
     # -- constructors ---------------------------------------------------
@@ -268,21 +267,12 @@ class MatrixBlockAlgebra:
     def is_abelian(self) -> bool:
         return all(n == 1 for n in self.block_dims)
 
-    def is_tracial(self, tol: float = 1e-12) -> bool:
+    def is_tracial(self) -> bool:
         """Whether the state is a trace (density a multiple of 1 per block)."""
-        for d in self.densities:
-            n = len(d)
-            w = d[0][0]
-            for i in range(n):
-                for j in range(n):
-                    want = w if i == j else QC(0)
-                    diff = d[i][j] - want
-                    if isinstance(diff, QC):
-                        if diff != QC(0):
-                            return False
-                    elif abs(diff) > tol:
-                        return False
-        return True
+        return all(
+            negligible(d[i][j] - d[0][0] if i == j else d[i][j])
+            for d in self.densities for i in range(len(d)) for j in range(len(d))
+        )
 
     # -- identity / hashing -----------------------------------------------
     def _key(self):
@@ -549,10 +539,7 @@ def l2_inner(x: AlgebraElement, y: AlgebraElement):
 
 
 def l2_norm(x: AlgebraElement) -> float:
-    v = l2_inner(x, x)
-    if isinstance(v, QC):
-        return math.sqrt(float(v.re))
-    return math.sqrt(max(v.real, 0.0))
+    return math.sqrt(max(complex(l2_inner(x, x)).real, 0.0))
 
 
 def op_norm(x: AlgebraElement) -> float:
@@ -573,23 +560,31 @@ def op_norm(x: AlgebraElement) -> float:
     return best
 
 
-def _power_iteration_top(h, rel_tol: float = 1e-12, max_iter: int = 10_000) -> float:
+def _power_iteration_top(h) -> float:
     n = h.shape[0]
     rng = np.random.default_rng(0)
     v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
     v /= np.linalg.norm(v)
     lam = 0.0
-    for _ in range(max_iter):
+    for _ in range(_POWER_STEPS):
         w = h @ v
         nw = np.linalg.norm(w)
         if nw == 0.0:
             return 0.0
         v = w / nw
         new = float(np.real(np.vdot(v, h @ v)))
-        if abs(new - lam) <= rel_tol * max(abs(new), 1.0):
+        if abs(new - lam) <= _POWER_STOP * max(abs(new), 1.0):
             return max(new, 0.0)
         lam = new
     return max(lam, 0.0)
+
+
+def negligible_element(x: AlgebraElement) -> bool:
+    """Whether x counts as zero: every entry exactly 0 when x is exact (no
+    exact residual is rounded away), else a negligible operator norm."""
+    if x.is_exact():
+        return not any(v for b in x.blocks for row in b for v in row)
+    return negligible(op_norm(x))
 
 
 def center(x: AlgebraElement) -> AlgebraElement:
@@ -614,8 +609,9 @@ def center(x: AlgebraElement) -> AlgebraElement:
     return AlgebraElement._of(x.owner, blocks)
 
 
-def gram_schmidt(vectors, inner=l2_inner, residual_tol: float = _GS_RESIDUAL_TOL):
-    """Orthonormalize under ``inner``; residuals below ``residual_tol`` drop.
+def gram_schmidt(vectors, inner=l2_inner):
+    """Orthonormalize under ``inner``; a vector whose residual norm is
+    negligible drops.
 
     Normalization constants stay exact when the squared norm is a perfect
     rational square, otherwise the vector degrades to floats.
@@ -627,10 +623,8 @@ def gram_schmidt(vectors, inner=l2_inner, residual_tol: float = _GS_RESIDUAL_TOL
             w = w - b * inner(w, b)
         nn = inner(w, w)
         if isinstance(nn, QC):
-            n2 = nn.re
-            if n2 < 0:
-                n2 = Fraction(0)
-            if float(n2) ** 0.5 < residual_tol:
+            n2 = max(nn.re, Fraction(0))
+            if negligible(n2):
                 continue
             root = exact_sqrt(n2)
             if root is not None:
@@ -638,10 +632,10 @@ def gram_schmidt(vectors, inner=l2_inner, residual_tol: float = _GS_RESIDUAL_TOL
             else:
                 basis.append(w * (1.0 / math.sqrt(float(n2))))
         else:
-            n2 = max(nn.real, 0.0)
-            if math.sqrt(n2) < residual_tol:
+            norm = math.sqrt(max(nn.real, 0.0))
+            if negligible(norm):
                 continue
-            basis.append(w * (1.0 / math.sqrt(n2)))
+            basis.append(w * (1.0 / norm))
     return basis
 
 

@@ -32,6 +32,7 @@ from .freeword import (
     conjugation_word_shape,
     free_state,
     l2_inner_free,
+    l2_norm_free,
     random_alternating_word,
     reset_cache_probe,
     three_factor_ambient,
@@ -56,7 +57,7 @@ from .rdcert import (
     rd_report,
     verify_avitzour_triple,
 )
-from .scalars import is_exact, to_complex
+from .scalars import agree, to_complex
 
 USAGE_ERROR = 2
 CHECK_FAILED = 1
@@ -232,7 +233,8 @@ def _cmd_free_moments(args) -> int:
     _atomic_write(
         args.out, _csv_text(["r", "moment_2r", "power_root", "ratio", "best"], rows, meta)
     )
-    return 0 if drift < 1e-10 else CHECK_FAILED
+    # |free_state(x)| <= ||x||_2 bounds both sides
+    return 0 if agree(sym, vac, l2_norm_free(x)) else CHECK_FAILED
 
 
 def _cmd_norm_estimate(args) -> int:
@@ -337,20 +339,6 @@ def _cmd_avitzour_find(args) -> int:
     return 0
 
 
-# A float triple (a uniform C5 has only float unitaries of state zero) gives
-# the two sides of each avitzour-check identity through different sequences
-# of float operations, so they agree up to rounding only.  Both sides are
-# compared relative to ||x||_2^2 for the isometry, and to ||x||_2, which
-# bounds |free_state(x)|, for the trace; exact sides must agree exactly.
-_FLOAT_IDENTITY_RTOL = 1e-9
-
-
-def _identity_holds(a, b, scale: float) -> bool:
-    if is_exact(a) and is_exact(b):
-        return a == b
-    return abs(to_complex(a) - to_complex(b)) <= _FLOAT_IDENTITY_RTOL * scale
-
-
 def _cmd_avitzour_check(args) -> int:
     if args.factors:
         ambient2 = _load_factors(args.factors)
@@ -379,9 +367,11 @@ def _cmd_avitzour_check(args) -> int:
         img = avitzour_phi(n_tr, u, v, w, word3)
         norm2 = l2_inner_free(word3, word3)
         scale = abs(to_complex(norm2))
-        trace_ok = _identity_holds(free_state(img), free_state(word3), math.sqrt(scale))
+        # a float triple gives each side through other float operations; the
+        # scales are ||x||_2, which bounds |free_state(x)|, and ||x||_2^2
+        trace_ok = agree(free_state(img), free_state(word3), math.sqrt(scale))
         img_iso = avitzour_phi(n_iso, u, v, w, word3)
-        iso_ok = _identity_holds(l2_inner_free(img_iso, img_iso), norm2, scale)
+        iso_ok = agree(l2_inner_free(img_iso, img_iso), norm2, scale)
         word2 = random_alternating_word(amb2, ell, rng)
         shape_ok = all(
             avitzour_shape_check(ell // 2 + 1, u, v, w, word2, mode).ok

@@ -49,7 +49,7 @@ from .algebra import (
     state,
 )
 from .freeword import FreeElement, FreeProductAmbient, Letter, is_normalized_word, normalize
-from .scalars import QC, is_exact, scalar_is_zero, to_complex
+from .scalars import QC, is_exact, to_complex
 
 __all__ = [
     "FockError",
@@ -69,7 +69,9 @@ __all__ = [
 
 _DIMENSION_CAP = 200_000
 _DENSE_CAP = 4_000
-_TERM_CAP = 400_000
+# word products per exact moment power: about 0.3-0.45 ms each over
+# (M2, tr) * (M2, tr), so a run at the cap takes seconds
+_TERM_CAP = 20_000
 
 
 class FockError(Exception):
@@ -276,8 +278,7 @@ def _represent_sparse(fock: TruncatedFock, x: FreeElement):
     depth 2 come out 2.9 to 4.5 off in some entry).  When a word of x has
     an uncentred letter, normalize(x) is represented instead: lambda is a
     homomorphism, and merged terms alternate.  Centred is the ``normalize``
-    rule: state exactly 0, or |state| <= ``freeword._FLOAT_TOL`` for a float
-    letter.  Level-basis probes, ``HomogeneousWordElement`` words and
+    rule: a negligible state (``scalars.negligible``).  Level-basis probes, ``HomogeneousWordElement`` words and
     ``normalize`` output are centred, and their letters' states are cached.
 
     Words that share a suffix share its product.  The block of a word is
@@ -395,11 +396,11 @@ def _vacuum_of_word(ambient, word):
         new: dict = {}
 
         def _add(tensor, coeff):
-            if scalar_is_zero(coeff):
+            if not coeff:
                 return
             acc = new.get(tensor)
             acc = coeff if acc is None else acc + coeff
-            if scalar_is_zero(acc):
+            if not acc:
                 new.pop(tensor, None)
             else:
                 new[tensor] = acc
@@ -424,9 +425,8 @@ def _vacuum_of_word(ambient, word):
 
 
 def _is_zero_element(x: AlgebraElement) -> bool:
-    if x.is_exact():
-        return all(v == QC(0) for b in x.blocks for row in b for v in row)
-    return all(abs(to_complex(v)) <= 1e-300 for b in x.blocks for row in b for v in row)
+    """Structural zero: every entry exactly 0."""
+    return not any(v for b in x.blocks for row in b for v in row)
 
 
 # ---------------------------------------------------------------------------
@@ -489,14 +489,6 @@ def free_cumulants_to_moments(kappa, n: int):
     return m
 
 
-def _as_real_float(v) -> float:
-    if isinstance(v, QC):
-        return float(v.re)
-    if isinstance(v, (int, Fraction, float)):
-        return float(v)
-    return complex(v).real
-
-
 def _zero_like(v):
     return Fraction(0) if isinstance(v, (int, Fraction)) else 0.0
 
@@ -525,7 +517,7 @@ class MomentEstimates:
         return self.rows[r - 1][4]
 
 
-def moment_norm_estimate(x: FreeElement, r_max: int, term_cap: int = _TERM_CAP) -> MomentEstimates:
+def moment_norm_estimate(x: FreeElement, r_max: int) -> MomentEstimates:
     """Lower bounds of ||x|| from moments of x*x.
 
     For each r <= r_max the report carries q_r = state((x*x)^r), the power
@@ -542,15 +534,16 @@ def moment_norm_estimate(x: FreeElement, r_max: int, term_cap: int = _TERM_CAP) 
       cut, so the values are the untruncated ones up to rounding.  A space
       above the dimension cap raises ResourceCapError;
     * "word-expansion": other exact elements, by multiplying words out
-      (exact, subject to ``term_cap``).
+      (exact); a power of x*x that would take more than ``_TERM_CAP`` word
+      products raises ResourceCapError.
     """
     if r_max < 1:
         raise ValueError("r_max must be >= 1")
-    q, method = _even_moments(x, r_max, term_cap)
+    q, method = _even_moments(x, r_max)
     rows = []
     prev = 1.0
     for r in range(1, r_max + 1):
-        qr = _as_real_float(q[r])
+        qr = complex(q[r]).real
         root = qr ** (1.0 / (2 * r)) if qr > 0 else 0.0
         ratio = math.sqrt(qr / prev) if prev > 0 else 0.0
         rows.append((r, q[r], root, ratio, max(root, ratio)))
@@ -558,7 +551,7 @@ def moment_norm_estimate(x: FreeElement, r_max: int, term_cap: int = _TERM_CAP) 
     return MomentEstimates(rows, method)
 
 
-def _even_moments(x: FreeElement, r_max: int, term_cap: int):
+def _even_moments(x: FreeElement, r_max: int):
     """([q_0..q_{r_max}], method) with q_r = free_state((x*x)^r)."""
     sa = x == x.adjoint()
     if sa and x.max_word_length() <= 1:
@@ -570,10 +563,10 @@ def _even_moments(x: FreeElement, r_max: int, term_cap: int):
     if h.max_word_length() <= 1:
         m = _single_letter_moments(h, r_max)
         return m, "free-cumulant"
-    return _word_moments(h, r_max, term_cap), "word-expansion"
+    return _word_moments(h, r_max), "word-expansion"
 
 
-def _word_moments(h: FreeElement, r_max: int, term_cap: int):
+def _word_moments(h: FreeElement, r_max: int):
     """[q_0..q_{r_max}] from the normalized h = x*x by multiplying words out;
     exact in rational mode."""
     from .freeword import l2_inner_free
@@ -585,9 +578,9 @@ def _word_moments(h: FreeElement, r_max: int, term_cap: int):
     def power(s):
         if s not in powers:
             prev = power(s - 1)
-            if len(prev.terms) * len(h.terms) > term_cap:
+            if len(prev.terms) * len(h.terms) > _TERM_CAP:
                 raise ResourceCapError(
-                    f"moment expansion would exceed {term_cap} word products; "
+                    f"moment expansion would exceed {_TERM_CAP} word products; "
                     "lower r_max"
                 )
             powers[s] = normalize(prev * h)

@@ -17,9 +17,11 @@ import reprlib
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .algebra import AlgebraElement, AlgebraError, MatrixBlockAlgebra, center, l2_inner, op_norm, state
+from .algebra import (
+    AlgebraElement, AlgebraError, MatrixBlockAlgebra, center, l2_inner, negligible_element, op_norm, state,
+)
 from .algebra import _scalar_from_json, json_shape
-from .scalars import QC, as_scalar, conj, is_exact, scalar_is_zero, to_complex
+from .scalars import QC, as_scalar, conj, is_exact, negligible, to_complex
 
 __all__ = [
     "FreeProductAmbient",
@@ -38,8 +40,6 @@ __all__ = [
     "random_centered_rational",
     "random_alternating_word",
 ]
-
-_FLOAT_TOL = 1e-12
 
 
 class AvitzourConditionError(ValueError):
@@ -144,7 +144,7 @@ def _merge_word(ambient: FreeProductAmbient, letters):
             s = _scalar_part(current.payload)
             if s is not None:
                 coeff = coeff * s
-                if scalar_is_zero(coeff):
+                if not coeff:
                     return QC(0), ()
                 current = None
                 break
@@ -171,7 +171,7 @@ class FreeElement:
         if terms:
             for word, coeff in terms.items():
                 coeff = as_scalar(coeff)
-                if scalar_is_zero(coeff):
+                if not coeff:
                     continue
                 if not _validated:
                     for letter in word:
@@ -182,11 +182,11 @@ class FreeElement:
                             )
                     c2, word = _merge_word(ambient, word)
                     coeff = coeff * c2
-                    if scalar_is_zero(coeff):
+                    if not coeff:
                         continue
                 prev = clean.get(word)
                 coeff = coeff if prev is None else prev + coeff
-                if scalar_is_zero(coeff):
+                if not coeff:
                     clean.pop(word, None)
                 else:
                     clean[word] = coeff
@@ -224,7 +224,7 @@ class FreeElement:
                 term = v * s
                 acc = out.get(w)
                 acc = term if acc is None else acc + term
-                if scalar_is_zero(acc):
+                if not acc:
                     out.pop(w, None)
                 else:
                     out[w] = acc
@@ -243,7 +243,7 @@ class FreeElement:
         for w, c in other.terms.items():
             acc = out.get(w)
             acc = c if acc is None else acc + c
-            if scalar_is_zero(acc):
+            if not acc:
                 out.pop(w, None)
             else:
                 out[w] = acc
@@ -271,11 +271,11 @@ class FreeElement:
             for w2, c2 in other.terms.items():
                 c3, word = _merge_word(self.ambient, w1 + w2)
                 coeff = c1 * c2 * c3
-                if scalar_is_zero(coeff):
+                if not coeff:
                     continue
                 acc = out.get(word)
                 acc = coeff if acc is None else acc + coeff
-                if scalar_is_zero(acc):
+                if not acc:
                     out.pop(word, None)
                 else:
                     out[word] = acc
@@ -392,7 +392,7 @@ def _decompose_word(ambient, word, memo):
     split_at = None
     for i, letter in enumerate(word):
         s = state(letter.payload)
-        if not scalar_is_zero(s, _FLOAT_TOL if not is_exact(s) else 0.0):
+        if not negligible(s):
             split_at = (i, s)
             break
     if split_at is None:
@@ -413,13 +413,13 @@ def _decompose_word(ambient, word, memo):
     # branch 2: scalar part times the word with the letter removed
     c2, reduced = _merge_word(ambient, word[:i] + word[i + 1 :])
     factor = s * c2
-    if not scalar_is_zero(factor):
+    if factor:
         for w, c in _decompose_word(ambient, reduced, memo).items():
             acc = result.get(w)
             add = factor * c
             acc = add if acc is None else acc + add
             result[w] = acc
-    result = {w: c for w, c in result.items() if not scalar_is_zero(c)}
+    result = {w: c for w, c in result.items() if c}
     memo[word] = result
     return result
 
@@ -433,7 +433,7 @@ def normalize(x: FreeElement) -> FreeElement:
             acc = out.get(w)
             add = coeff * c
             acc = add if acc is None else acc + add
-            if scalar_is_zero(acc):
+            if not acc:
                 out.pop(w, None)
             else:
                 out[w] = acc
@@ -442,11 +442,7 @@ def normalize(x: FreeElement) -> FreeElement:
 
 def is_normalized_word(word) -> bool:
     """Alternating (guaranteed by merging) with every letter centered."""
-    for letter in word:
-        s = state(letter.payload)
-        if not scalar_is_zero(s, _FLOAT_TOL if not is_exact(s) else 0.0):
-            return False
-    return True
+    return all(negligible(state(letter.payload)) for letter in word)
 
 
 def free_state(x: FreeElement):
@@ -567,7 +563,7 @@ def _pair_normalized_words(w1, w2):
         if l1.factor != l2.factor:
             return QC(0)
         acc = acc * l2_inner(l1.payload, l2.payload)
-        if scalar_is_zero(acc):
+        if not acc:
             return QC(0)
     return acc
 
@@ -593,7 +589,7 @@ def l2_inner_free(x: FreeElement, y: FreeElement):
             for w1, c1 in terms_x:
                 for w2, c2 in terms_y:
                     p = _pair_normalized_words(w1, w2)
-                    if not scalar_is_zero(p):
+                    if p:
                         acc = acc + c1 * conj(c2) * p
         return acc
     import numpy as np
@@ -632,10 +628,7 @@ def _bucket_by_pattern(x: FreeElement):
 def l2_norm_free(x: FreeElement) -> float:
     import math
 
-    v = l2_inner_free(x, x)
-    if isinstance(v, QC):
-        return math.sqrt(max(float(v.re), 0.0))
-    return math.sqrt(max(v.real, 0.0))
+    return math.sqrt(max(complex(l2_inner_free(x, x)).real, 0.0))
 
 
 # ---------------------------------------------------------------------------
@@ -645,16 +638,13 @@ def l2_norm_free(x: FreeElement) -> float:
 
 def _require_unitary(p: AlgebraElement, name: str):
     diff = p.adjoint() * p - p.owner.identity()
-    if p.is_exact():
-        if any(v != QC(0) for b in diff.blocks for row in b for v in row):
-            raise AvitzourConditionError(f"{name}*{name} - 1", "nonzero")
-    elif op_norm(diff) > _FLOAT_TOL:
-        raise AvitzourConditionError(f"{name}*{name} - 1", op_norm(diff))
+    if not negligible_element(diff):
+        raise AvitzourConditionError(f"{name}*{name} - 1", "nonzero" if p.is_exact() else op_norm(diff))
 
 
 def _require_state_zero(p: AlgebraElement, name: str):
     s = state(p)
-    if not scalar_is_zero(s, 0.0 if is_exact(s) else _FLOAT_TOL):
+    if not negligible(s):
         raise AvitzourConditionError(name, s)
 
 
@@ -665,7 +655,7 @@ def _require_centralizer(v: AlgebraElement, name: str = "v"):
         return
     for y in owner.basis():
         diff = state(v * y) - state(y * v)
-        if not scalar_is_zero(diff, 0.0 if is_exact(diff) else _FLOAT_TOL):
+        if not negligible(diff):
             raise AvitzourConditionError(f"{name} in centralizer", diff)
 
 
@@ -700,11 +690,11 @@ def phi_conjugation(v: AlgebraElement, x: FreeElement) -> FreeElement:
                 letters.append(Letter(1, v))
         c2, merged = _merge_word(target, letters)
         c = coeff * c2
-        if scalar_is_zero(c):
+        if not c:
             continue
         acc = out.get(merged)
         acc = c if acc is None else acc + c
-        if scalar_is_zero(acc):
+        if not acc:
             out.pop(merged, None)
         else:
             out[merged] = acc
@@ -731,7 +721,8 @@ def check_avitzour_conditions(u: AlgebraElement, v: AlgebraElement, w: AlgebraEl
     trial verify it once; a triple that fails raises on every call.
     Elements are immutable and hashable, but an exact element equals the
     float one with the same values, so exactness is part of the key: a
-    float triple passes within ``_FLOAT_TOL`` where its exact twin fails."""
+    float triple's residuals are negligible within ``FLOAT_ZERO`` where its
+    exact twin's are not 0."""
     _check_avitzour_triple(u, v, w, (u.is_exact(), v.is_exact(), w.is_exact()))
 
 
@@ -866,7 +857,7 @@ def avitzour_shape_check(n: int, u, v, w, a: FreeElement, mode: str) -> ShapeRep
                 return ShapeReport(mode, n, ell, False, checked, word,
                                    "leading letter not in the second factor")
             overlap = l2_inner(first.payload, w)
-            if scalar_is_zero(overlap, _FLOAT_TOL):
+            if negligible(overlap):
                 return ShapeReport(mode, n, ell, False, checked, word,
                                    "leading letter orthogonal to w")
         if mode in ("ii", "iii"):
@@ -875,7 +866,7 @@ def avitzour_shape_check(n: int, u, v, w, a: FreeElement, mode: str) -> ShapeRep
                 return ShapeReport(mode, n, ell, False, checked, word,
                                    "trailing letter not in the second factor")
             overlap = l2_inner(last.payload, w_adj)
-            if scalar_is_zero(overlap, _FLOAT_TOL):
+            if negligible(overlap):
                 return ShapeReport(mode, n, ell, False, checked, word,
                                    "trailing letter orthogonal to w*")
     return ShapeReport(mode, n, ell, True, checked, None, None)

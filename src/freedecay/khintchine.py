@@ -27,6 +27,7 @@ from .fock import (
     shared_fock,
 )
 from .freeword import FreeElement, FreeProductAmbient, Letter
+from .scalars import agree
 
 __all__ = [
     "HomogeneousWordElement",
@@ -287,7 +288,8 @@ class RxReport:
 
     @property
     def ok(self) -> bool:
-        return self.margin >= -1e-9 and self.sr_ok and self.hs_identity_ok and self.weak_cs_ok
+        holds = self.norm_lb <= self.bound or agree(self.norm_lb, self.bound, self.bound)
+        return holds and self.sr_ok and self.hs_identity_ok and self.weak_cs_ok
 
 
 def rx_check(x: HomogeneousWordElement, moment_rmax: int = 2) -> RxReport:
@@ -308,9 +310,9 @@ def rx_check(x: HomogeneousWordElement, moment_rmax: int = 2) -> RxReport:
     kh_lo, kh_up = _kh_range(s_values, t_bounds)
     bound = 2 * (ell + 1) * kh_up
     l2 = x.l2_norm()
-    sr_ok = all(s <= l2 * (1 + 1e-10) + 1e-12 for s in s_values)
+    sr_ok = all(s <= l2 or agree(s, l2, l2) for s in s_values)
     hs_ok = all(sr_hs_norm(x, r) == l2 for r in range(ell + 1))
-    weak_ok = all(t.upper <= t.weak_cs + 1e-9 for t in t_bounds)
+    weak_ok = all(t.upper <= t.weak_cs or agree(t.upper, t.weak_cs, t.weak_cs) for t in t_bounds)
     return RxReport(
         length=ell,
         l2=l2,
@@ -341,7 +343,7 @@ class LayerReport:
 
     @property
     def ok(self) -> bool:
-        return self.margin >= -1e-9
+        return self.norm_lb <= self.bound or agree(self.norm_lb, self.bound, self.bound)
 
 
 def layer_bound_check(x: HomogeneousWordElement) -> LayerReport:

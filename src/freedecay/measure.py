@@ -16,7 +16,7 @@ from math import comb
 import numpy as np
 
 from .algebra import MatrixBlockAlgebra, json_number, json_shape
-from .scalars import exact_sqrt
+from .scalars import agree, exact_sqrt, negligible
 
 __all__ = [
     "MeasureError",
@@ -30,9 +30,9 @@ __all__ = [
     "degree_filtration",
 ]
 
-# A three-term recurrence weight at or below this threshold means the moment
-# matrix is numerically singular, i.e. the measure has too few atoms.
-_BETA_FLOOR = 1e-13
+# golden section: stop at a bracket of _GOLDEN_STOP relative, or after _GOLDEN_STEPS
+_GOLDEN_STOP = 1e-14
+_GOLDEN_STEPS = 80
 
 
 class MeasureError(Exception):
@@ -73,7 +73,7 @@ class CompactMeasure:
         self.name = name
         self._moment_cache: dict[int, object] = {}
         m0 = self.moment(0)
-        if not (m0 == 1 or abs(float(m0) - 1.0) < 1e-12):
+        if not negligible(m0 - 1):
             raise MeasureError(f"m_0 = {m0}, expected a probability measure")
 
     def moment(self, k: int):
@@ -122,6 +122,7 @@ class CompactMeasure:
 
         def dens(t):
             t = np.asarray(t, dtype=float)
+            # the floor guards the division at the end points t = +-1
             return 1.0 / (np.pi * np.sqrt(np.maximum(1.0 - t * t, 1e-300)))
 
         return cls((-1, 1), m, density=dens, atomless=True, name="cosine")
@@ -140,7 +141,7 @@ class CompactMeasure:
             if len(ws) != n:
                 raise MeasureError(f"{n} atoms but {len(ws)} weights")
         total = sum(ws)
-        if not (total == 1 or abs(float(total) - 1.0) < 1e-12):
+        if not negligible(total - 1):
             raise MeasureError("atom weights must sum to 1")
         lo, hi = min(pts, key=float), max(pts, key=float)
         if float(lo) == float(hi):
@@ -332,8 +333,10 @@ class OrthoPolySequence:
 def _chebyshev_algorithm(measure: CompactMeasure, n: int):
     """Moments -> recurrence coefficients (alpha_0..alpha_{n-1}, beta_0..beta_{n-1}).
 
-    Exact when the moments are Fractions.  Raises AtomicMeasureError at the
-    first degree where the Hankel form degenerates.
+    Exact when the moments are Fractions; then a Hankel form that stops
+    being positive at degree k proves at most k atoms (AtomicMeasureError).
+    Float moments lose about a digit per degree, so a degenerate weight
+    there proves nothing about atoms and raises a plain MeasureError.
     """
     m = [measure.moment(k) for k in range(2 * n)]
     exact = all(isinstance(x, (int, Fraction)) for x in m)
@@ -355,15 +358,12 @@ def _chebyshev_algorithm(measure: CompactMeasure, n: int):
             sigma_next[l] = s
         denom = sigma_next[k]
         prev_denom = sigma_cur[k - 1]
-        if exact:
-            if denom <= 0:
-                raise AtomicMeasureError(k)
-        else:
-            if denom <= _BETA_FLOOR * abs(prev_denom):
-                raise AtomicMeasureError(k)
-        b_k = denom / prev_denom
-        if float(b_k) <= _BETA_FLOOR:
+        if exact and denom <= 0:
             raise AtomicMeasureError(k)
+        b_k = denom / prev_denom
+        if not exact and (b_k <= 0 or negligible(b_k)):
+            raise MeasureError(f"float moments lost precision at degree {k} (beta_{k} = {b_k!r}); "
+                               "give the moments exactly, as ints or strings such as \"1/3\"")
         a_k = sigma_next[k + 1] / denom - sigma_cur[k] / prev_denom
         alpha.append(a_k)
         beta.append(b_k)
@@ -426,12 +426,12 @@ def sup_norm(fn, interval, degree: int = 8) -> SupNormEstimate:
     return SupNormEstimate(best_v, best_t, n_points, (lo, hi))
 
 
-def _golden_section_max(f, lo, hi, iters: int = 80):
+def _golden_section_max(f, lo, hi):
     phi = (math.sqrt(5.0) - 1.0) / 2.0
     c = hi - phi * (hi - lo)
     d = lo + phi * (hi - lo)
     fc, fd = f(c), f(d)
-    for _ in range(iters):
+    for _ in range(_GOLDEN_STEPS):
         if fc >= fd:
             hi, d, fd = d, c, fc
             c = hi - phi * (hi - lo)
@@ -440,7 +440,7 @@ def _golden_section_max(f, lo, hi, iters: int = 80):
             lo, c, fc = c, d, fd
             d = lo + phi * (hi - lo)
             fd = f(d)
-        if hi - lo < 1e-14 * max(abs(lo), abs(hi), 1.0):
+        if hi - lo < _GOLDEN_STOP * max(abs(lo), abs(hi), 1.0):
             break
     return (c, fc) if fc >= fd else (d, fd)
 
@@ -490,8 +490,9 @@ def gauss_discretize(measure: CompactMeasure, n_nodes: int):
         weights = evecs[0, :] ** 2
         weights = weights / weights.sum()
     a, b = (float(measure.support[0]), float(measure.support[1]))
-    pad = 1e-9 * max(1.0, abs(a), abs(b))
-    if nodes.min() < a - pad or nodes.max() > b + pad:
+    scale = max(1.0, abs(a), abs(b))  # an end node agrees with its end point
+    lo, hi = float(nodes.min()), float(nodes.max())
+    if not (lo >= a or agree(lo, a, scale)) or not (hi <= b or agree(hi, b, scale)):
         raise MeasureError("Gauss nodes escaped the declared support")
     algebra = MatrixBlockAlgebra.from_weights([float(w) for w in weights])
     return algebra, nodes

@@ -24,12 +24,17 @@ from .algebra import (
     gram_schmidt,
     l2_inner,
     l2_norm,
+    negligible_element,
     onb_complement,
     op_norm,
     state,
 )
 from .freeword import FreeElement, FreeProductAmbient, Letter
-from .scalars import QC, conj, to_complex
+from .scalars import QC, agree, negligible, to_complex
+
+# _newton_phases: stop when every |constraint| < _NEWTON_STOP, or after _NEWTON_STEPS
+_NEWTON_STOP = 1e-14
+_NEWTON_STEPS = 250
 
 __all__ = [
     "Filtration",
@@ -160,7 +165,8 @@ class FiniteDimFiltration(Filtration):
             residual = adj
             for b in basis:
                 residual = residual - b * l2_inner(adj, b)
-            if l2_norm(residual) > 1e-9:
+            # x* agrees with its projection onto the level, relative to ||x*||_2
+            if not agree(l2_norm(residual), 0.0, l2_norm(adj)):
                 raise AlgebraError(f"level {n} is not stable under adjoints")
 
     def check_product_containment(self, n: int, k: int, rng, samples: int = 5) -> bool:
@@ -172,7 +178,7 @@ class FiniteDimFiltration(Filtration):
             residual = x
             for b in top:
                 residual = residual - b * l2_inner(x, b)
-            if l2_norm(residual) > 1e-9:
+            if not agree(l2_norm(residual), 0.0, l2_norm(x)):
                 return False
         return True
 
@@ -479,7 +485,7 @@ def _derived_direct_sum(f1: Filtration, f2: Filtration, weight, max_n: int):
             max(f1.rd_constant(n).value * s1, f2.rd_constant(n).value * s2)
         )
         realized.append(filt.rd_constant(n).value)
-    ok = all(r <= p + 1e-9 for r, p in zip(realized, predicted))
+    ok = all(r <= p or agree(r, p, p) for r, p in zip(realized, predicted))
     return DerivedFiltrationReport("direct_sum", filt, predicted, realized, ok)
 
 
@@ -493,11 +499,11 @@ def _derived_corner(f: Filtration, p: AlgebraElement, max_n: int):
     algebra = f.algebra
     if p.owner != algebra:
         raise AlgebraError("projection lives in the wrong algebra")
-    if op_norm(p * p - p) > 1e-10 or op_norm(p.adjoint() - p) > 1e-10:
+    if not (negligible_element(p * p - p) and negligible_element(p.adjoint() - p)):
         raise AlgebraError("corner needs a self-adjoint idempotent")
-    wp = to_complex(state(p)).real
-    if wp <= 1e-12:
+    if negligible(state(p)):
         raise AlgebraError("corner projection has zero weight")
+    wp = to_complex(state(p)).real
     # per-block isometries onto the range of p
     isometries = []
     new_densities = []
@@ -538,7 +544,7 @@ def _derived_corner(f: Filtration, p: AlgebraElement, max_n: int):
     for n in range(1, top + 1):
         predicted.append(f.rd_constant(n).value * math.sqrt(wp))
         realized.append(filt.rd_constant(n).value)
-    ok = all(r <= pr + 1e-9 for r, pr in zip(realized, predicted))
+    ok = all(r <= pr or agree(r, pr, pr) for r, pr in zip(realized, predicted))
     return DerivedFiltrationReport("corner", filt, predicted, realized, ok)
 
 
@@ -562,7 +568,8 @@ def _intersect_with_corner(algebra, level_basis, p):
     out = []
     dims = algebra.block_dims
     for i in range(len(evals)):
-        if evals[i] > 1 - 1e-9:
+        # eigenvalue 1 of the product of the two projections (norm 1)
+        if agree(evals[i], 1.0, 1.0):
             flat = evecs[:, i]
             blocks, at = [], 0
             for n in dims:
@@ -590,7 +597,7 @@ def _derived_tensor(f1: Filtration, f2: Filtration, max_n: int):
             f1.rd_constant(n).value * f2.rd_constant(n).value * math.sqrt(k_n)
         )
         realized.append(filt.rd_constant(n).value)
-    ok = all(r <= pr + 1e-9 for r, pr in zip(realized, predicted))
+    ok = all(r <= pr or agree(r, pr, pr) for r, pr in zip(realized, predicted))
     return DerivedFiltrationReport("tensor", filt, predicted, realized, ok)
 
 
@@ -633,12 +640,8 @@ def _diagonal_weights(algebra: MatrixBlockAlgebra):
         n = len(d)
         for i in range(n):
             for j in range(n):
-                if i != j:
-                    v = d[i][j]
-                    if (isinstance(v, QC) and bool(v)) or (
-                        not isinstance(v, QC) and abs(to_complex(v)) > 1e-14
-                    ):
-                        return None
+                if i != j and not negligible(d[i][j]):
+                    return None
         weights.append([d[i][i] for i in range(n)])
     return weights
 
@@ -652,7 +655,7 @@ def _phase_vector_with_zero_mean(weights):
     """
     fw = [float(w) for w in weights]
     total = sum(fw)
-    if max(fw) > total / 2 + 1e-15:
+    if max(fw) > total / 2 and not negligible(max(fw) - total / 2):
         return None
     m = len(weights)
     exact = all(isinstance(w, (int, Fraction)) or (isinstance(w, QC) and w.im == 0) for w in weights)
@@ -677,11 +680,11 @@ def _phase_vector_with_zero_mean(weights):
         groups[i].append(k)
         sums[i] += fw[k]
     a, b, c = sums
-    if a > b + c + 1e-15 or b > a + c + 1e-15 or c > a + b + 1e-15:
+    if any(x > y and not negligible(x - y) for x, y in ((a, b + c), (b, a + c), (c, a + b))):
         return None
-    if c <= 1e-18:
+    if not groups[2]:
         # two balanced groups: a +-1 split
-        if abs(a - b) > 1e-12:
+        if not negligible(a - b):
             return None
         phases = [0j] * m
         for k in groups[0]:
@@ -702,10 +705,10 @@ def _phase_vector_with_zero_mean(weights):
         phases[k] = zb
     for k in groups[2]:
         phases[k] = zc
-    # polish: exact zero is generally impossible in floats; one Newton step
-    # on the third group scale keeps the residual at machine precision
+    # exact zero is generally impossible in floats: the float state of the
+    # phases must agree with 0 relative to the total weight
     resid = sum(w * z for w, z in zip(fw, phases))
-    if abs(resid) > 1e-9:
+    if not agree(resid, 0.0, total):
         return None
     return phases
 
@@ -835,7 +838,7 @@ def _abelian_pair_search(algebra, weights, rng, trials):
     fw = np.array([float(w) for w in weights])
     # the rows (1, v, w) scaled by sqrt(weights) form a row-orthonormal
     # 3 x m matrix, so 3 w_k <= 1 for every atom: a proven obstruction
-    if max(fw) > 1.0 / 3.0 + 1e-12:
+    if max(fw) > 1.0 / 3.0 and not negligible(max(fw) - 1.0 / 3.0):
         return None
     # strategy 1: phases with sum(w z) = sum(w z^2) = 0, then w = v^2
     z = _newton_phases(
@@ -885,10 +888,10 @@ def _abelian_pair_search(algebra, weights, rng, trials):
 def _newton_phases(fw, rng, trials, constraints, jacobian, unknowns, to_phases):
     for _ in range(trials):
         ang = rng.uniform(0, 2 * np.pi, size=unknowns)
-        for _ in range(250):
+        for _ in range(_NEWTON_STEPS):
             z = to_phases(ang)
             f = np.array(constraints(z))
-            if np.all(np.abs(f) < 1e-14):
+            if np.all(np.abs(f) < _NEWTON_STOP):
                 return z
             jac = jacobian(z)
             real_jac = np.vstack([jac.real, jac.imag])
@@ -899,7 +902,7 @@ def _newton_phases(fw, rng, trials, constraints, jacobian, unknowns, to_phases):
                 step *= np.pi / norm
             ang = ang + step
         z = to_phases(ang)
-        if np.all(np.abs(np.array(constraints(z))) < 1e-12):
+        if all(negligible(f) for f in constraints(z)):
             return z
     return None
 
@@ -919,11 +922,10 @@ def find_avitzour_triple(f1: Filtration, f2: Filtration, seed: int = 0,
     if pair is None:
         return None
     v, w = pair
-    triple = AvitzourTriple(u, v, w)
-    residuals = verify_avitzour_triple(u, v, w)
-    if max(residuals.values()) > 1e-9:
+    # each residual is |computed - target| for a quantity of size at most 1
+    if not all(agree(r, 0.0, 1.0) for r in verify_avitzour_triple(u, v, w).values()):
         return None
-    return triple
+    return AvitzourTriple(u, v, w)
 
 
 # ---------------------------------------------------------------------------
@@ -966,8 +968,7 @@ def orthogonality_hypotheses(v_span, u: AlgebraElement, fhat_span) -> Orthogonal
     Only the numbers for this (V, u, Fhat) are reported; no limit statement.
     """
     algebra = u.owner
-    diff = op_norm(u.adjoint() * u - algebra.identity())
-    if diff > 1e-10:
+    if not negligible_element(u.adjoint() * u - algebra.identity()):
         raise AlgebraError("u must be unitary")
     v_onb = gram_schmidt([algebra.identity()] + list(v_span))
     f_onb = gram_schmidt([algebra.identity()] + list(fhat_span))
@@ -1038,8 +1039,7 @@ def classify_abelian(weights_a, weights_b) -> Classification:
         reasons.append(f"dim(A)+dim(B) = {m + n} < 5")
         witnesses["dims"] = (m, n)
     heavy = max_a + max_b
-    heavy_fail = (heavy >= 1) if isinstance(heavy, Fraction) else heavy >= 1 - 1e-12
-    if heavy_fail:
+    if heavy >= 1 or negligible(heavy - 1):
         reasons.append(
             f"max atom weights {max_a} + {max_b} = {heavy} >= 1"
         )
@@ -1059,15 +1059,12 @@ def _validated_weights(weights, side):
             w = w.re
         else:
             w = float(w)
-        if (isinstance(w, Fraction) and w <= 0) or (isinstance(w, float) and w <= 0):
+        if w <= 0:
             raise AlgebraError(f"weights of {side} must be positive")
         out.append(w)
     if not out:
         raise AlgebraError(f"{side} needs at least one atom")
     total = sum(out)
-    if isinstance(total, Fraction):
-        if total != 1:
-            raise AlgebraError(f"weights of {side} sum to {total}, expected 1")
-    elif abs(total - 1.0) > 1e-9:
+    if not negligible(total - 1):
         raise AlgebraError(f"weights of {side} sum to {total}, expected 1")
     return out

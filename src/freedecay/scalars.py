@@ -12,12 +12,27 @@ negations) and stores them as they are, so no part is wrapped twice.
 Addition and multiplication skip the Fraction operations that an exact zero
 part makes trivial (x + 0, and the products of a real factor's zero
 imaginary part); the values are the same.
+
+Tolerances.  Exact values (``QC``, int, ``Fraction``) are compared
+exactly; anything else is compared as a float.  Term dicts drop a
+coefficient only when ``not c``, a structural zero and never a tolerance:
+dropping a small float term would change the sums it enters.
+:func:`negligible` decides that a data value counts as zero (a float when
+|v| <= ``FLOAT_ZERO``); :func:`agree` decides that two routes to one
+quantity match (floats when |a - b| <= ``FLOAT_RTOL`` * scale, the scale
+named at each call site), and a <= b between computed quantities holds
+when ``a <= b or agree(a, b, scale)``.  Stopping rules of iterations and
+guards against division by zero are no decisions on data; they stay with
+their algorithms.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from numbers import Integral
+
+FLOAT_ZERO = 1e-12
+FLOAT_RTOL = 1e-9
 
 
 class QC:
@@ -198,10 +213,22 @@ def to_complex(value) -> complex:
     return complex(value)
 
 
-def scalar_is_zero(value, tol: float = 0.0) -> bool:
-    if isinstance(value, QC):
-        return not bool(value)
-    return abs(complex(value)) <= tol
+_EXACT = (QC, Integral, Fraction)
+
+
+def negligible(value) -> bool:
+    """Whether a data value counts as zero (see the module docstring)."""
+    if isinstance(value, _EXACT):
+        return not value
+    return abs(complex(value)) <= FLOAT_ZERO
+
+
+def agree(a, b, scale) -> bool:
+    """Whether two routes to one quantity match: exactly when both are
+    exact, else to ``FLOAT_RTOL * scale`` (see the module docstring)."""
+    if isinstance(a, _EXACT) and isinstance(b, _EXACT):
+        return a == b
+    return abs(complex(a) - complex(b)) <= FLOAT_RTOL * scale
 
 
 def exact_sqrt(fr: Fraction):

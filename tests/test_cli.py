@@ -6,12 +6,12 @@ import os
 import tempfile
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from freedecay.cli import _FLOAT_IDENTITY_RTOL, _identity_holds, run
-from freedecay.scalars import QC
+from freedecay.cli import run
 
 
 def _write(tmp_path, name, payload):
@@ -257,6 +257,71 @@ def test_free_moments_and_norm_estimate(tmp_path):
     assert "best_lower_bound=" in text
 
 
+def test_exact_free_moments_drift_is_compared_exactly(tmp_path, monkeypatch):
+    import freedecay.cli as cli
+    from freedecay.scalars import QC
+
+    factors = _m2_factors(tmp_path)
+    flip = [[["0", "1"], ["1", "0"]]]
+    epath = _write(tmp_path, "elem.json",
+                   {"terms": [{"coeff": ["1", "0"], "word": [{"factor": 0, "elem": flip}]}]})
+    argv = ["free-moments", "--factors", factors, "--element", epath, "--rmax", "2",
+            "--out", str(tmp_path / "m.csv")]
+    assert run(argv) == 0
+    # an exact vacuum side off by 10^-30 is a failed check, not rounding
+    off = lambda x: cli.free_state(x) + QC(Fraction(1, 10**30))  # noqa: E731
+    monkeypatch.setattr(cli, "vacuum_expectation", off)
+    assert run(argv) == 1
+
+
+def _random_uncentred_sum(seed):
+    """Four uncentred random words of lengths 1-3 over (M2, tr) * (M2, tr)."""
+    from freedecay.algebra import MatrixBlockAlgebra
+    from freedecay.freeword import FreeElement, FreeProductAmbient, random_alternating_word
+
+    m2 = MatrixBlockAlgebra.matrix_with_trace(2)
+    amb = FreeProductAmbient((m2, m2))
+    rng = np.random.default_rng(seed)
+    x = FreeElement(amb)
+    for _ in range(4):
+        x = x + random_alternating_word(amb, int(rng.integers(1, 4)), rng, centered=False)
+    return x
+
+
+@pytest.mark.parametrize("seed, code", [(3, 2), (1, 0)])
+def test_exact_free_moments_stop_at_the_term_cap(tmp_path, monkeypatch, capsys, seed, code):
+    import freedecay.fock as fock
+
+    calls = []
+
+    def counting(x):
+        calls.append(len(x.terms))
+        return normalize(x)
+
+    normalize = fock.normalize
+    monkeypatch.setattr(fock, "normalize", counting)
+    epath = _write(tmp_path, "elem.json", _random_uncentred_sum(seed).to_json())
+    argv = ["free-moments", "--factors", _m2_factors(tmp_path), "--element", epath,
+            "--rmax", "3", "--out", str(tmp_path / "m.csv")]
+    assert run(argv) == code
+    if code:
+        # h = normalize(x* x) is formed, h * h is not
+        assert len(calls) == 1
+        assert f"exceed {fock._TERM_CAP} word products" in capsys.readouterr().err
+
+
+def test_float_moments_do_not_claim_atoms(tmp_path, capsys):
+    from math import comb
+
+    # the semicircle's moments (Catalan numbers) written as JSON floats
+    moments = [float(comb(k, k // 2) // (k // 2 + 1)) if k % 2 == 0 else 0.0 for k in range(90)]
+    space = _write(tmp_path, "space.json",
+                   {"measure": {"support": [-2, 2], "moments": moments}})
+    assert run(["rd-certify", "--space", space, "--max-n", "40"]) == 2
+    err = capsys.readouterr().err
+    assert "float" in err and "atoms" not in err
+
+
 @pytest.mark.parametrize("coeff", [[1, 0], ["1", "0"]], ids=["int-pair", "string-pair"])
 def test_int_pair_coefficient_is_exact(tmp_path, coeff):
     # x = iota_0(e_12): q_2 = tau((x*x)^2) = 1/2, exact by free cumulants
@@ -365,14 +430,6 @@ def test_avitzour_check_passes_on_a_float_triple(tmp_path):
     assert len(rows) == 30
     assert all(r[2:5] == ["1", "1", "1"] and r[6] == "1" for r in rows)
     assert "failures=0" in out.read_text()
-
-
-def test_identity_check_is_exact_on_exact_sides():
-    exact = QC(Fraction(4352, 5))
-    assert _identity_holds(exact, QC(Fraction(4352, 5)), 870.4)
-    assert not _identity_holds(exact, exact + QC(Fraction(1, 10**30)), 870.4)
-    assert _identity_holds(870.4000000000017 + 0j, exact, 870.4)
-    assert not _identity_holds(870.4 * (1 + 10 * _FLOAT_IDENTITY_RTOL) + 0j, exact, 870.4)
 
 
 def test_orthogonality_check_demo(tmp_path):

@@ -396,7 +396,7 @@ def test_vector_moments_match_word_expansion(length, r_max):
     for _ in range(3):
         x = HomogeneousWordElement.random(amb, length, rng).to_free_element()
         got = _vector_moments(x, r_max)
-        want = _word_moments(normalize(x.adjoint() * x), r_max, fock._TERM_CAP)
+        want = _word_moments(normalize(x.adjoint() * x), r_max)
         for a, b in zip(got, want):
             assert a == pytest.approx(complex(b).real, rel=1e-12, abs=0)
         assert moment_norm_estimate(x, r_max).method == "fock-vector"
