@@ -20,7 +20,6 @@ from .measure import (  # noqa: F401
     CompactMeasure,
     MeasureError,
     OrthoPolySequence,
-    degree_filtration,
     gauss_discretize,
     ortho_polys,
     sup_norm,
@@ -61,6 +60,7 @@ from .rdcert import (  # noqa: F401
     MeasureDegreeFiltration,
     RDReport,
     classify_abelian,
+    degree_filtration,
     derived_filtration,
     find_avitzour_triple,
     fit_exponent,

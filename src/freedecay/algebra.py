@@ -156,7 +156,7 @@ class MatrixBlockAlgebra:
         the block weights and must sum to 1.
     """
 
-    __slots__ = ("block_dims", "densities", "_diagonals", "_hash", "_chols")
+    __slots__ = ("block_dims", "densities", "_diagonals", "_hash", "_chols", "_onb")
 
     def __init__(self, densities):
         dens = tuple(_as_matrix(d) for d in densities)
@@ -168,6 +168,7 @@ class MatrixBlockAlgebra:
         self._diagonals = tuple(_exact_diagonal(d) for d in dens)
         self._hash = None
         self._chols = None
+        self._onb = None
         self._validate()
 
     def _validate(self):
@@ -644,10 +645,13 @@ def onb_complement(algebra: MatrixBlockAlgebra):
 
     Gram-Schmidt over [1, canonical matrix units...]; the leading slot spans
     C1, the rest is the complement.  Length is dim(A) - 1 (state faithful).
+    It runs once per algebra: every call returns a fresh list of the same
+    element objects.
     """
-    seed = [algebra.identity()] + algebra.basis()
-    basis = gram_schmidt(seed)
-    return basis[1:]
+    if algebra._onb is None:
+        basis = gram_schmidt([algebra.identity()] + algebra.basis())
+        object.__setattr__(algebra, "_onb", tuple(basis[1:]))
+    return list(algebra._onb)
 
 
 def dn_norm(vectors) -> float:

@@ -34,7 +34,6 @@ from .freeword import (
     l2_inner_free,
     l2_norm_free,
     random_alternating_word,
-    reset_cache_probe,
     three_factor_ambient,
 )
 from .fock import (
@@ -47,10 +46,11 @@ from .fock import (
     vacuum_expectation,
 )
 from .khintchine import HomogeneousWordElement, rx_check
-from .measure import CompactMeasure, MeasureError, degree_filtration
+from .measure import CompactMeasure, MeasureError
 from .rdcert import (
     ConstantFiltration,
     classify_abelian,
+    degree_filtration,
     find_avitzour_triple,
     free_filtration,
     orthogonality_hypotheses,
@@ -567,7 +567,6 @@ def run(argv) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return USAGE_ERROR if exc.code not in (0,) else 0
-    reset_cache_probe()
     try:
         return args.func(args)
     except CliError as exc:

@@ -11,7 +11,9 @@ Two independent oracles live here:
   the depth-L space itself (:func:`_represent_sparse`).  A space caches
   one sparse letter operator per vector of each factor's complement basis
   (:meth:`TruncatedFock.onb_operators`); the operator of any other letter
-  is built when asked for and not kept.
+  is built when asked for and not kept.  The complement bases are the
+  algebras' own (:func:`onb_complement`), and :func:`shared_fock` keeps the
+  16 most recently used spaces per process.
 
 Moment-power estimates sit on top: s_r = state((x*x)^r)^(1/2r) together
 with the consecutive-moment ratio (state((x*x)^r)/state((x*x)^{r-1}))^(1/2);
@@ -31,8 +33,8 @@ q_r = state((x*x)^r) come from one of three methods:
 
 from __future__ import annotations
 
+import functools
 import math
-import threading
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -48,7 +50,9 @@ from .algebra import (
     onb_complement,
     state,
 )
-from .freeword import FreeElement, FreeProductAmbient, Letter, is_normalized_word, normalize
+from .freeword import (
+    FreeElement, FreeProductAmbient, Letter, is_normalized_word, l2_inner_free, normalize,
+)
 from .scalars import QC, is_exact, to_complex
 
 __all__ = [
@@ -72,6 +76,8 @@ _DENSE_CAP = 4_000
 # word products per exact moment power: about 0.3-0.45 ms each over
 # (M2, tr) * (M2, tr), so a run at the cap takes seconds
 _TERM_CAP = 20_000
+# term pairs per exact moment pairing; larger pairings take minutes
+_PAIR_CAP = 250_000
 
 
 class FockError(Exception):
@@ -234,20 +240,12 @@ def build_fock(factors, depth: int) -> TruncatedFock:
     return TruncatedFock(factors, depth)
 
 
-_shared_focks: dict = {}
-_shared_focks_lock = threading.Lock()
-
-
+@functools.lru_cache(maxsize=16)
 def shared_fock(factors, depth: int) -> TruncatedFock:
-    """Process-wide cache of truncated spaces, so that repeated norm queries
-    share the basis and the cached basis-vector operators of one space."""
-    key = (tuple(f._key() for f in factors), depth)
-    with _shared_focks_lock:
-        fock = _shared_focks.get(key)
-        if fock is None:
-            fock = TruncatedFock(factors, depth)
-            _shared_focks[key] = fock
-    return fock
+    """Process-wide cache of the 16 most recently used truncated spaces, so
+    that repeated norm queries share the basis and the cached basis-vector
+    operators of one space.  ``factors`` must be a tuple."""
+    return TruncatedFock(factors, depth)
 
 
 def default_depth(x: FreeElement) -> int:
@@ -535,7 +533,8 @@ def moment_norm_estimate(x: FreeElement, r_max: int) -> MomentEstimates:
       above the dimension cap raises ResourceCapError;
     * "word-expansion": other exact elements, by multiplying words out
       (exact); a power of x*x that would take more than ``_TERM_CAP`` word
-      products raises ResourceCapError.
+      products, or a pairing of more than ``_PAIR_CAP`` term pairs, raises
+      ResourceCapError.
     """
     if r_max < 1:
         raise ValueError("r_max must be >= 1")
@@ -569,8 +568,6 @@ def _even_moments(x: FreeElement, r_max: int):
 def _word_moments(h: FreeElement, r_max: int):
     """[q_0..q_{r_max}] from the normalized h = x*x by multiplying words out;
     exact in rational mode."""
-    from .freeword import l2_inner_free
-
     # q_{2s} = <h^s, h^s> and q_{2s+1} = <h^{s+1}, h^s> (h self-adjoint), so
     # only powers up to ceil(r_max/2) are ever multiplied out.
     powers = {0: FreeElement.one(h.ambient), 1: h}
@@ -586,14 +583,20 @@ def _word_moments(h: FreeElement, r_max: int):
             powers[s] = normalize(prev * h)
         return powers[s]
 
+    def pair(a, b):
+        if len(a.terms) * len(b.terms) > _PAIR_CAP:
+            raise ResourceCapError(
+                f"moment pairing would exceed {_PAIR_CAP} term pairs; lower r_max"
+            )
+        return l2_inner_free(a, b)
+
     q = [QC(1)]
     for r in range(1, r_max + 1):
         s = r // 2
         if r % 2 == 0:
-            hs = power(s)
-            q.append(l2_inner_free(hs, hs))
+            q.append(pair(power(s), power(s)))
         else:
-            q.append(l2_inner_free(power(s + 1), power(s)))
+            q.append(pair(power(s + 1), power(s)))
     return q
 
 

@@ -12,10 +12,12 @@ is exact whenever payloads and coefficients are rational.
 from __future__ import annotations
 
 import functools
-import json
+import math
 import reprlib
 from dataclasses import dataclass
 from fractions import Fraction
+
+import numpy as np
 
 from .algebra import (
     AlgebraElement, AlgebraError, MatrixBlockAlgebra, center, l2_inner, negligible_element, op_norm, state,
@@ -450,103 +452,16 @@ def free_state(x: FreeElement):
     alternating normal form, so 1 on the empty word and 0 on every nonempty
     alternating centered word.
 
-    One memo serves every term of x; with FREEDECAY_CACHE_DIR set, each
-    nonempty input word is looked up and stored once.
+    Computed afresh on every call; one memo serves every term of x, and
+    nothing is kept between calls.
     """
     memo: dict = {}
     acc = QC(0)
     for word, coeff in x.terms.items():
-        if not word:
-            acc = acc + coeff
-            continue
-        val = _persistent_cache_get(x.ambient, word)
-        if val is None:
-            val = _decompose_word(x.ambient, word, memo).get((), QC(0))
-            _persistent_cache_put(x.ambient, word, val)
-        acc = acc + coeff * val
+        if word:
+            coeff = coeff * _decompose_word(x.ambient, word, memo).get((), QC(0))
+        acc = acc + coeff
     return acc
-
-
-# ---------------------------------------------------------------------------
-# optional content-addressed persistent cache (FREEDECAY_CACHE_DIR)
-# ---------------------------------------------------------------------------
-
-_cache_state = {"dir": None, "checked": False, "mem": {}}
-
-
-def _cache_dir():
-    if not _cache_state["checked"]:
-        import os
-
-        d = os.environ.get("FREEDECAY_CACHE_DIR")
-        if d:
-            os.makedirs(d, exist_ok=True)
-        _cache_state["dir"] = d or None
-        _cache_state["checked"] = True
-    return _cache_state["dir"]
-
-
-def reset_cache_probe():
-    """Re-read FREEDECAY_CACHE_DIR on the next cache access (used by the CLI)."""
-    _cache_state["checked"] = False
-    _cache_state["mem"].clear()
-
-
-def _cache_key(ambient, word):
-    import hashlib
-
-    payload = json.dumps(
-        {
-            "ambient": ambient.to_json(),
-            "word": [
-                {"factor": l.factor, "elem": l.payload.to_json()} for l in word
-            ],
-        },
-        sort_keys=True,
-        separators=(",", ":"),
-    )
-    return hashlib.sha256(payload.encode()).hexdigest()
-
-
-def _persistent_cache_get(ambient, word):
-    d = _cache_dir()
-    if d is None:
-        return None
-    key = _cache_key(ambient, word)
-    if key in _cache_state["mem"]:
-        return _cache_state["mem"][key]
-    import os
-
-    path = os.path.join(d, key[:2], key + ".json")
-    if not os.path.exists(path):
-        return None
-    try:
-        with open(path) as fh:
-            val = _coeff_from_json(json.load(fh)["value"])
-        _cache_state["mem"][key] = val
-        return val
-    except (OSError, ValueError, KeyError):
-        return None
-
-
-def _persistent_cache_put(ambient, word, value):
-    d = _cache_dir()
-    if d is None:
-        return
-    import os
-    import tempfile
-
-    key = _cache_key(ambient, word)
-    _cache_state["mem"][key] = value
-    sub = os.path.join(d, key[:2])
-    os.makedirs(sub, exist_ok=True)
-    path = os.path.join(sub, key + ".json")
-    if os.path.exists(path):
-        return
-    fd, tmp = tempfile.mkstemp(dir=sub, suffix=".tmp")
-    with os.fdopen(fd, "w") as fh:
-        json.dump({"value": _coeff_to_json(value)}, fh)
-    os.replace(tmp, path)
 
 
 # ---------------------------------------------------------------------------
@@ -571,7 +486,7 @@ def _pair_normalized_words(w1, w2):
 def l2_inner_free(x: FreeElement, y: FreeElement):
     """<x, y> = free_state(y* x), via normal forms and slotwise pairing.
 
-    Exact when both sides are rational; large float inputs go through a
+    Exact when both sides are rational; float inputs go through a
     vectorized Gram computation per factor pattern.
     """
     if x.ambient != y.ambient:
@@ -580,7 +495,7 @@ def l2_inner_free(x: FreeElement, y: FreeElement):
     exact = nx.is_exact() and ny.is_exact()
     bx = _bucket_by_pattern(nx)
     by = _bucket_by_pattern(ny)
-    if exact and len(nx.terms) * len(ny.terms) <= 250_000:
+    if exact:
         acc = QC(0)
         for key, terms_x in bx.items():
             terms_y = by.get(key)
@@ -592,8 +507,6 @@ def l2_inner_free(x: FreeElement, y: FreeElement):
                     if p:
                         acc = acc + c1 * conj(c2) * p
         return acc
-    import numpy as np
-
     total = 0.0 + 0.0j
     for key, terms_x in bx.items():
         terms_y = by.get(key)
@@ -626,8 +539,6 @@ def _bucket_by_pattern(x: FreeElement):
 
 
 def l2_norm_free(x: FreeElement) -> float:
-    import math
-
     return math.sqrt(max(complex(l2_inner_free(x, x)).real, 0.0))
 
 

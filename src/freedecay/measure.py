@@ -14,6 +14,7 @@ from fractions import Fraction
 from math import comb
 
 import numpy as np
+from scipy.linalg import eigh_tridiagonal
 
 from .algebra import MatrixBlockAlgebra, json_number, json_shape
 from .scalars import agree, exact_sqrt, negligible
@@ -27,7 +28,6 @@ __all__ = [
     "sup_norm",
     "SupNormEstimate",
     "gauss_discretize",
-    "degree_filtration",
 ]
 
 # golden section: stop at a bracket of _GOLDEN_STOP relative, or after _GOLDEN_STEPS
@@ -62,14 +62,13 @@ class CompactMeasure:
     independent quadrature oracle.
     """
 
-    def __init__(self, support, moment_fn, density=None, atomless=True, name="custom"):
+    def __init__(self, support, moment_fn, density=None, name="custom"):
         a, b = support
         if not float(a) < float(b):
             raise MeasureError("support must be an interval [a, b] with a < b")
         self.support = (a, b)
         self._moment_fn = moment_fn
         self.density = density
-        self.atomless = bool(atomless)
         self.name = name
         self._moment_cache: dict[int, object] = {}
         m0 = self.moment(0)
@@ -94,7 +93,7 @@ class CompactMeasure:
         def dens(t):
             return np.sqrt(np.maximum(4.0 - t * t, 0.0)) / (2.0 * np.pi)
 
-        return cls((-2, 2), m, density=dens, atomless=True, name="semicircle")
+        return cls((-2, 2), m, density=dens, name="semicircle")
 
     @classmethod
     def lebesgue(cls, a=-1, b=1) -> "CompactMeasure":
@@ -110,7 +109,7 @@ class CompactMeasure:
         def dens(t):
             return np.full_like(np.asarray(t, dtype=float), 1.0 / (fb - fa))
 
-        return cls((a, b), m, density=dens, atomless=True, name=f"lebesgue[{a},{b}]")
+        return cls((a, b), m, density=dens, name=f"lebesgue[{a},{b}]")
 
     @classmethod
     def cosine(cls) -> "CompactMeasure":
@@ -125,7 +124,7 @@ class CompactMeasure:
             # the floor guards the division at the end points t = +-1
             return 1.0 / (np.pi * np.sqrt(np.maximum(1.0 - t * t, 1e-300)))
 
-        return cls((-1, 1), m, density=dens, atomless=True, name="cosine")
+        return cls((-1, 1), m, density=dens, name="cosine")
 
     @classmethod
     def uniform_atoms(cls, points, weights=None) -> "CompactMeasure":
@@ -150,7 +149,7 @@ class CompactMeasure:
         def m(k):
             return sum(w * p ** k for w, p in zip(ws, pts))
 
-        mu = cls((lo, hi), m, atomless=False, name=f"atoms[{n}]")
+        mu = cls((lo, hi), m, name=f"atoms[{n}]")
         mu.atoms = (tuple(pts), tuple(ws))
         return mu
 
@@ -206,7 +205,7 @@ class CompactMeasure:
                 )
             return moments[k]
 
-        return cls((a, b), m, atomless=bool(data.get("atomless", True)), name="custom")
+        return cls((a, b), m, name="custom")
 
     def __repr__(self):
         return f"CompactMeasure({self.name}, support={self.support})"
@@ -482,8 +481,6 @@ def gauss_discretize(measure: CompactMeasure, n_nodes: int):
         nodes = np.array([float(seq.alpha(0))])
         weights = np.array([1.0])
     else:
-        from scipy.linalg import eigh_tridiagonal
-
         diag, off = seq.jacobi_matrix(n_nodes)
         evals, evecs = eigh_tridiagonal(diag, off)
         nodes = evals
@@ -503,9 +500,3 @@ def polynomial_element(algebra: MatrixBlockAlgebra, nodes, coeffs):
     vals = np.polyval(list(map(float, coeffs))[::-1], np.asarray(nodes, dtype=float))
     return algebra.element([[[complex(v)]] for v in vals])
 
-
-def degree_filtration(measure: CompactMeasure, n: int):
-    """Filtration by polynomial degree; see freedecay.rdcert."""
-    from .rdcert import MeasureDegreeFiltration
-
-    return MeasureDegreeFiltration(measure, n)

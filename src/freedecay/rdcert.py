@@ -29,7 +29,11 @@ from .algebra import (
     op_norm,
     state,
 )
+from .fock import (
+    _DIMENSION_CAP, alternating_dimension, fock_dimension, norm_lower_bound, shared_fock,
+)
 from .freeword import FreeElement, FreeProductAmbient, Letter
+from .measure import christoffel_sup, ortho_polys
 from .scalars import QC, agree, negligible, to_complex
 
 # _newton_phases: stop when every |constraint| < _NEWTON_STOP, or after _NEWTON_STEPS
@@ -41,6 +45,7 @@ __all__ = [
     "ConstantFiltration",
     "FiniteDimFiltration",
     "MeasureDegreeFiltration",
+    "degree_filtration",
     "FreeProductFiltration",
     "RdConstant",
     "RDReport",
@@ -193,8 +198,6 @@ class MeasureDegreeFiltration(Filtration):
     recipe = "degree"
 
     def __init__(self, measure, max_n: int):
-        from .measure import ortho_polys
-
         self.measure = measure
         self.max_n = max_n
         self.seq = ortho_polys(measure, max_n + 1)
@@ -209,12 +212,15 @@ class MeasureDegreeFiltration(Filtration):
         return [self.seq.orthonormal_coefficients(k) for k in range(n + 1)]
 
     def rd_constant(self, n: int) -> RdConstant:
-        from .measure import christoffel_sup
-
         if n == 0:
             return RdConstant(1.0, 1.0, "exact")
         c = float(christoffel_sup(self.seq, n))
         return RdConstant(c, c, "christoffel-grid")
+
+
+def degree_filtration(measure, n: int) -> MeasureDegreeFiltration:
+    """Filtration of the measure's polynomials by degree, levels 0..n."""
+    return MeasureDegreeFiltration(measure, n)
 
 
 class FreeProductFiltration(Filtration):
@@ -252,8 +258,6 @@ class FreeProductFiltration(Filtration):
         return out
 
     def level_dim(self, n: int) -> int:
-        from .fock import alternating_dimension
-
         return alternating_dimension([len(f.complement_onb(n)) for f in self.factors], n)
 
     def rd_constant(self, n: int) -> RdConstant:
@@ -294,8 +298,6 @@ class FreeProductFiltration(Filtration):
         return probes
 
     def _probe_lower(self, n: int) -> float:
-        from .fock import _DIMENSION_CAP, fock_dimension, norm_lower_bound, shared_fock
-
         depth = max(4, n + 1)
         while depth > 1 and fock_dimension(self.ambient.factors, depth) > _DIMENSION_CAP:
             depth -= 1

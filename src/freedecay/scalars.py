@@ -28,6 +28,7 @@ their algorithms.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from numbers import Integral
 
@@ -244,7 +245,5 @@ def exact_sqrt(fr: Fraction):
 
 
 def _isqrt_exact(n: int):
-    import math
-
     r = math.isqrt(n)
     return r if r * r == n else None

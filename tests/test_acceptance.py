@@ -38,8 +38,7 @@ from freedecay.khintchine import (
     weak_cs_bound,
 )
 from freedecay.measure import CompactMeasure, ortho_polys, sup_norm_poly
-from freedecay.rdcert import classify_abelian, rd_report
-from freedecay.measure import degree_filtration
+from freedecay.rdcert import classify_abelian, degree_filtration, rd_report
 
 
 def _report(criterion: str, ok: bool, detail: str):

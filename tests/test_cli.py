@@ -310,6 +310,26 @@ def test_exact_free_moments_stop_at_the_term_cap(tmp_path, monkeypatch, capsys, 
         assert f"exceed {fock._TERM_CAP} word products" in capsys.readouterr().err
 
 
+def test_exact_free_moments_stop_at_the_pair_cap(tmp_path, capsys):
+    import freedecay.fock as fock
+    from freedecay.algebra import MatrixBlockAlgebra
+    from freedecay.freeword import FreeElement, FreeProductAmbient, random_alternating_word
+
+    # five uncentred length-3 words: h = x* x has 595 terms, so <h, h> at
+    # r = 2 would take 595^2 = 354,025 term pairs
+    m2 = MatrixBlockAlgebra.matrix_with_trace(2)
+    amb = FreeProductAmbient((m2, m2))
+    rng = np.random.default_rng(0)
+    x = FreeElement(amb)
+    for _ in range(5):
+        x = x + random_alternating_word(amb, 3, rng, centered=False)
+    epath = _write(tmp_path, "elem.json", x.to_json())
+    argv = ["free-moments", "--factors", _m2_factors(tmp_path), "--element", epath,
+            "--rmax", "2", "--out", str(tmp_path / "m.csv")]
+    assert run(argv) == 2
+    assert f"exceed {fock._PAIR_CAP} term pairs" in capsys.readouterr().err
+
+
 def test_float_moments_do_not_claim_atoms(tmp_path, capsys):
     from math import comb
 
@@ -444,29 +464,36 @@ def test_orthogonality_check_demo(tmp_path):
     assert len([l for l in lines if l.startswith("k=")]) == 2
 
 
-def test_cache_dir_round_trip(tmp_path, monkeypatch):
-    monkeypatch.setenv("FREEDECAY_CACHE_DIR", str(tmp_path / "cache"))
-    from freedecay.freeword import reset_cache_probe
+def test_free_moments_reads_no_package_variable_and_writes_only_its_output(tmp_path, monkeypatch):
+    read = []
 
-    reset_cache_probe()
+    class RecordingEnviron(dict):
+        def __getitem__(self, key):
+            read.append(key)
+            return super().__getitem__(key)
+
+        def get(self, key, default=None):
+            read.append(key)
+            return super().get(key, default)
+
+        def __contains__(self, key):
+            read.append(key)
+            return super().__contains__(key)
+
     factors = _m2_factors(tmp_path)
-    elem = {
-        "terms": [
-            {
-                "coeff": ["1", "0"],
-                "word": [
-                    {"factor": 0, "elem": [[["0", "1"], ["1", "0"]]]},
-                    {"factor": 1, "elem": [[["1", "0"], ["0", "-1"]]]},
-                ],
-            }
-        ]
-    }
+    elem = {"terms": [{"coeff": ["1", "0"], "word": [
+        {"factor": 0, "elem": [[["0", "1"], ["1", "0"]]]},
+        {"factor": 1, "elem": [[["1", "0"], ["0", "-1"]]]},
+    ]}]}
     epath = _write(tmp_path, "elem.json", elem)
-    out1, out2 = tmp_path / "m1.csv", tmp_path / "m2.csv"
-    argv = ["free-moments", "--factors", factors, "--element", epath, "--rmax", "2"]
-    assert run(argv + ["--out", str(out1)]) == 0
-    assert os.path.isdir(str(tmp_path / "cache"))
-    assert run(argv + ["--out", str(out2)]) == 0
-    assert out1.read_bytes() == out2.read_bytes()
-    monkeypatch.delenv("FREEDECAY_CACHE_DIR")
-    reset_cache_probe()
+    work = tmp_path / "work"
+    work.mkdir()
+    monkeypatch.chdir(work)
+    monkeypatch.setattr(os, "environ", RecordingEnviron(os.environ))
+    argv = ["free-moments", "--factors", factors, "--element", epath, "--rmax", "2",
+            "--out", "m.csv"]
+    assert run(argv) == 0
+    # no environment variable of the package steers the run (there is no
+    # disk cache), and nothing but the output file is written
+    assert not [k for k in read if k.startswith("FREEDECAY")]
+    assert sorted(p.name for p in work.iterdir()) == ["m.csv"]

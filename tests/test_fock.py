@@ -34,6 +34,7 @@ from freedecay.fock import (
     moments_to_free_cumulants,
     norm_lower_bound,
     represent,
+    shared_fock,
     vacuum_expectation,
 )
 from freedecay.freeword import FreeElement, Letter, free_state, is_normalized_word, normalize
@@ -245,6 +246,36 @@ def test_only_basis_vector_operators_are_cached():
     xi = f.onb[1][1]
     assert f.letter_operator(1, xi) is f.onb_operators(1)[1]
     assert list(f._onb_ops) == [1] and len(f._onb_ops[1]) == 2
+
+
+def test_complement_basis_is_built_once_per_algebra():
+    from freedecay.algebra import onb_complement
+    from freedecay.rdcert import ConstantFiltration
+
+    a = m2_tr()
+    onb = onb_complement(a)
+    again = onb_complement(a)
+    assert again is not onb and len(onb) == a.dim - 1
+    assert all(u is v for u, v in zip(again, onb))
+    space = build_fock([a, c3_weighted()], 2)
+    x = HomogeneousWordElement.random(space.ambient(), 2, np.random.default_rng(3))
+    filt = ConstantFiltration(a)
+    for held in (space.onb[0], x.onb[0], filt.complement_onb(1)):
+        assert len(held) == len(onb) and all(u is v for u, v in zip(held, onb))
+
+
+def test_shared_fock_keeps_at_most_16_spaces():
+    c2 = MatrixBlockAlgebra.from_weights([Fraction(1, 2)] * 2)
+    factors = (c2, c2)  # dimension 2 * depth + 1
+    shared_fock.cache_clear()
+    try:
+        spaces = [shared_fock(factors, depth) for depth in range(17)]
+        info = shared_fock.cache_info()
+        assert info.maxsize == 16 and info.misses == 17 and info.currsize == 16
+        assert shared_fock(factors, 16) is spaces[16]
+        assert shared_fock.cache_info().hits == 1
+    finally:
+        shared_fock.cache_clear()
 
 
 def test_vacuum_pairing_matches_free_state_exactly():

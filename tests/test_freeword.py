@@ -181,16 +181,6 @@ def MatrixBlockAlgebra_from_uniform(n):
     return MatrixBlockAlgebra.from_weights([Fraction(1, n)] * n)
 
 
-@pytest.fixture
-def cache_dir(tmp_path, monkeypatch):
-    from freedecay.freeword import reset_cache_probe
-
-    monkeypatch.setenv("FREEDECAY_CACHE_DIR", str(tmp_path / "cache"))
-    reset_cache_probe()
-    yield tmp_path / "cache"
-    reset_cache_probe()  # the next access re-reads the restored environment
-
-
 def _as_float(x):
     """The same element with complex payload entries and coefficients."""
     terms = {}
@@ -204,27 +194,28 @@ def _as_float(x):
     return FreeElement(x.ambient, terms)
 
 
-@pytest.mark.parametrize("kind", ["exact", "float"])
-def test_free_state_disk_cache_hit_skips_the_recursion(cache_dir, monkeypatch, kind):
-    import freedecay.freeword as fw
+def test_l2_inner_free_path_is_chosen_by_exactness_alone(monkeypatch):
+    class FloatPath(Exception):
+        pass
 
+    def gram(self, x):
+        raise FloatPath
+
+    monkeypatch.setattr(MatrixBlockAlgebra, "gns_embedding", gram)
     amb = _ambient_m2_c3()
-    x = random_word_element(amb, 4, np.random.default_rng(30), n_terms=4)
-    if kind == "float":
-        x = _as_float(x)
-    cold = free_state(x)
-    assert isinstance(cold, QC if kind == "exact" else complex)
-    # one entry per nonempty input word, none for the recursion's subwords
-    n_words = sum(1 for w in x.terms if w)
-    assert len(list(cache_dir.glob("*/*.json"))) == n_words
-    fw.reset_cache_probe()  # drop the in-memory copy: the warm call reads disk
 
-    def no_recursion(*args):
-        raise AssertionError("a cache hit must not recurse")
+    def letters(j, payloads):
+        return FreeElement(amb, {(Letter(j, amb.factors[j].element(b)),): QC(1) for b in payloads})
 
-    monkeypatch.setattr(fw, "_decompose_word", no_recursion)
-    warm = free_state(x)
-    assert type(warm) is type(cold) and warm == cold
+    # 501 * 500 term pairs, above the old size limit of 250,000; only the
+    # 501 pairs of the factor-0 bucket are formed
+    x = letters(0, [[[[0, k], [0, 0]]] for k in range(1, 502)])
+    y0 = letters(0, [[[[0, 1], [0, 0]]]])
+    y = y0 + letters(1, [[[[k]], [[-3 * k]], [[0]]] for k in range(1, 500)])
+    inner = l2_inner_free(x, y)
+    assert isinstance(inner, QC) and inner == l2_inner_free(x, y0)
+    with pytest.raises(FloatPath):
+        l2_inner_free(_as_float(y0), _as_float(y0))
 
 
 # ---------------------------------------------------------------------------

@@ -187,15 +187,30 @@ def test_rx_check_builds_each_bracket_once(monkeypatch):
     assert calls == [1, 2]
 
 
-def test_rx_check_caches_only_basis_vector_operators(monkeypatch):
+@pytest.fixture
+def built_spaces(monkeypatch):
+    """The spaces that shared_fock builds during a test, from an empty cache."""
     import freedecay.fock as fk
 
-    monkeypatch.setattr(fk, "_shared_focks", {})
+    built = []
+
+    class Recording(fk.TruncatedFock):
+        def __init__(self, factors, depth):
+            super().__init__(factors, depth)
+            built.append(self)
+
+    monkeypatch.setattr(fk, "TruncatedFock", Recording)
+    shared_fock.cache_clear()
+    yield built
+    shared_fock.cache_clear()
+
+
+def test_rx_check_caches_only_basis_vector_operators(built_spaces):
     amb = _ambient()
     rng = np.random.default_rng(15)
     for ell in (1, 2):
         assert rx_check(HomogeneousWordElement.random(amb, ell, rng)).ok
-    spaces = {f.depth: f for f in fk._shared_focks.values()}
+    spaces = {f.depth: f for f in built_spaces}
     # depth 4 serves both norm bounds and the brackets; depth 2 holds the
     # moment vectors of the length-1 sample (r_max * l = 2)
     assert sorted(spaces) == [2, 4]
@@ -205,22 +220,11 @@ def test_rx_check_caches_only_basis_vector_operators(monkeypatch):
             assert len(ops) == f.factors[j].dim - 1
 
 
-def test_rx_check_builds_no_space_beyond_its_depth(monkeypatch):
-    import freedecay.fock as fk
-
-    built = []
-
-    class Recording(fk.TruncatedFock):
-        def __init__(self, factors, depth):
-            built.append(depth)
-            super().__init__(factors, depth)
-
-    monkeypatch.setattr(fk, "_shared_focks", {})
-    monkeypatch.setattr(fk, "TruncatedFock", Recording)
+def test_rx_check_builds_no_space_beyond_its_depth(built_spaces):
     rng = np.random.default_rng(16)
     for ell in (1, 2):
         assert rx_check(HomogeneousWordElement.random(_ambient(), ell, rng)).ok
-    assert built == [4, 2]
+    assert [f.depth for f in built_spaces] == [4, 2]
 
 
 def test_tr_bracket_rejects_a_fock_of_other_factors():

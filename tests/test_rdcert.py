@@ -14,11 +14,12 @@ from freedecay.algebra import (
     op_norm,
 )
 from freedecay.freeword import l2_inner_free
-from freedecay.measure import CompactMeasure, degree_filtration
+from freedecay.measure import CompactMeasure
 from freedecay.rdcert import (
     ConstantFiltration,
     FiniteDimFiltration,
     classify_abelian,
+    degree_filtration,
     derived_filtration,
     find_avitzour_triple,
     fit_exponent,

@@ -1,6 +1,8 @@
 """The tolerance policy of ``freedecay.scalars``: negligible, agree, and the
-rule that tolerance literals live only there."""
+rule that tolerance literals live only there; plus the rule that modules
+import only at their top."""
 
+import ast
 import pathlib
 import re
 from fractions import Fraction
@@ -113,3 +115,16 @@ def test_tolerance_literals_live_only_in_the_policy():
                 stray.append(f"{path.name}:{number}: {line.strip()}")
     assert not stray, "tolerance literals outside the policy:\n" + "\n".join(stray)
     assert found == set(ALLOWED_LITERALS)
+
+
+def test_no_imports_inside_functions():
+    stray = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                stray += [
+                    f"{path.name}:{inner.lineno}: {ast.unparse(inner)}"
+                    for inner in ast.walk(node)
+                    if isinstance(inner, (ast.Import, ast.ImportFrom))
+                ]
+    assert not stray, "imports inside function bodies:\n" + "\n".join(stray)
