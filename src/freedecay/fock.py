@@ -8,8 +8,9 @@ Two independent oracles live here:
 * a numeric compressed left representation (:func:`represent`,
   :func:`norm_lower_bound`) on an orthonormal tensor basis, whose spectral
   data give certified lower bounds for the reduced norm.  Words act on
-  the depth-L space itself (:func:`_represent_sparse`).  A space caches
-  one sparse letter operator per vector of each factor's complement basis
+  the depth-L space itself (:func:`_represent_sparse`), and the elements
+  of one call share each word's block.  A space caches one sparse letter
+  operator per vector of each factor's complement basis
   (:meth:`TruncatedFock.onb_operators`); the operator of any other letter
   is built when asked for and not kept.  The complement bases are the
   algebras' own (:func:`onb_complement`), and :func:`shared_fock` keeps the
@@ -257,8 +258,8 @@ def default_depth(x: FreeElement) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _represent_sparse(fock: TruncatedFock, x: FreeElement):
-    """P_L lambda(x) P_L as a sparse matrix, exact compression.
+def _represent_sparse(fock: TruncatedFock, xs):
+    """[P_L lambda(x) P_L for x in xs] as sparse matrices, exact compression.
 
     Each word acts on the depth-L space itself, as the product of its
     compressed letters P_L lambda(xi) P_L, right to left.  For centred
@@ -279,32 +280,35 @@ def _represent_sparse(fock: TruncatedFock, x: FreeElement):
     rule: a negligible state (``scalars.negligible``).  Level-basis probes, ``HomogeneousWordElement`` words and
     ``normalize`` output are centred, and their letters' states are cached.
 
-    Words that share a suffix share its product.  The block of a word is
-    the right-nested product L(xi_1) @ (L(xi_2) @ (... @ (L(xi_k) @ I))),
-    so the block of ``word[i:]`` is an intermediate of every word ending
-    in it.  Each word starts from its longest suffix whose block is
-    stored (the empty suffix stores I) and multiplies on the left from
-    there: the same products in the same association as rebuilding it
-    letter by letter, so every block keeps its bits.  A block is stored
-    only while a word still to come ends in its suffix.  The blocks are
-    summed in ``x.terms`` order, which fixes the summation order of
-    duplicate entries.  The level basis of ``rdcert`` holds every
-    alternating word up to its length, so there each word costs one
-    product.
+    The elements of one call share their word blocks: each distinct word,
+    in first-seen order, gets its block once.  Words that share a suffix
+    share its product.  The block of a word is the right-nested product
+    L(xi_1) @ (L(xi_2) @ (... @ (L(xi_k) @ I))), so the block of
+    ``word[i:]`` is an intermediate of every word ending in it.  Each word
+    starts from its longest suffix whose block is stored (the empty suffix
+    stores I) and multiplies on the left from there: the same products in
+    the same association as rebuilding it letter by letter, so every block
+    keeps its bits.  A suffix block is stored only while a word still to
+    come ends in it.  Each element's blocks are summed in its own
+    ``x.terms`` order, which fixes the summation order of duplicate
+    entries.  The level basis of ``rdcert`` holds every alternating word up
+    to its length, so there each word costs one product, and its probes
+    cost one block pass between them.
     """
-    if x.ambient != fock.ambient():
+    ambient = fock.ambient()
+    if any(x.ambient != ambient for x in xs):
         raise AlgebraError("element ambient does not match the Fock factors")
-    if not all(is_normalized_word(word) for word in x.terms):
-        x = normalize(x)
+    xs = [x if all(is_normalized_word(word) for word in x.terms) else normalize(x) for x in xs]
+    words = list(dict.fromkeys(word for x in xs for word in x.terms))
     n = fock.dimension
     # uses[s]: words still to come that end in the proper suffix s
     uses: dict = {}
-    for word in x.terms:
+    for word in words:
         for i in range(1, len(word)):
             uses[word[i:]] = uses.get(word[i:], 0) + 1
     products = {(): sp.identity(n, dtype=complex, format="csr")}
-    rows_acc, cols_acc, data_acc = [], [], []
-    for word, coeff in x.terms.items():
+    blocks = {}
+    for word in words:
         start = next(i for i in range(len(word) + 1) if word[i:] in products)
         block = products[word[start:]]
         for i in range(start - 1, -1, -1):
@@ -316,17 +320,23 @@ def _represent_sparse(fock: TruncatedFock, x: FreeElement):
             uses[word[i:]] -= 1
             if not uses[word[i:]]:
                 products.pop(word[i:], None)
-        block = block.tocoo()
-        rows_acc.append(block.row)
-        cols_acc.append(block.col)
-        data_acc.append(to_complex(coeff) * block.data)
-    if not data_acc:
-        return sp.csr_matrix((n, n), dtype=complex)
-    return sp.csr_matrix(
-        (np.concatenate(data_acc), (np.concatenate(rows_acc), np.concatenate(cols_acc))),
-        shape=(n, n),
-        dtype=complex,
-    )
+        blocks[word] = block.tocoo()
+    out = []
+    for x in xs:
+        if not x.terms:
+            out.append(sp.csr_matrix((n, n), dtype=complex))
+            continue
+        terms = [(blocks[word], to_complex(coeff)) for word, coeff in x.terms.items()]
+        # unnamed arrays: one element's copies are freed before the next
+        # element's are built, which keeps the peak memory of a level down
+        out.append(sp.csr_matrix(
+            (np.concatenate([c * b.data for b, c in terms]),
+             (np.concatenate([b.row for b, _ in terms]),
+              np.concatenate([b.col for b, _ in terms]))),
+            shape=(n, n),
+            dtype=complex,
+        ))
+    return out
 
 
 def represent(fock: TruncatedFock, x: FreeElement) -> np.ndarray:
@@ -336,13 +346,15 @@ def represent(fock: TruncatedFock, x: FreeElement) -> np.ndarray:
             f"dense representation capped at dimension {_DENSE_CAP}; "
             "use norm_lower_bound for spectral data"
         )
-    return np.asarray(_represent_sparse(fock, x).todense())
+    (matrix,) = _represent_sparse(fock, [x])
+    return np.asarray(matrix.todense())
 
 
 def norm_lower_bound(fock: TruncatedFock, x: FreeElement) -> float:
     """Largest singular value of the compressed action: a certified lower
     bound of the reduced free-product norm of x."""
-    return _spectral_norm(_represent_sparse(fock, x))
+    (matrix,) = _represent_sparse(fock, [x])
+    return _spectral_norm(matrix)
 
 
 def _spectral_norm(matrix) -> float:
@@ -532,9 +544,9 @@ def moment_norm_estimate(x: FreeElement, r_max: int) -> MomentEstimates:
       cut, so the values are the untruncated ones up to rounding.  A space
       above the dimension cap raises ResourceCapError;
     * "word-expansion": other exact elements, by multiplying words out
-      (exact); a power of x*x that would take more than ``_TERM_CAP`` word
-      products, or a pairing of more than ``_PAIR_CAP`` term pairs, raises
-      ResourceCapError.
+      (exact); x*x or a power of it that would take more than ``_TERM_CAP``
+      word products, or a pairing of more than ``_PAIR_CAP`` term pairs,
+      raises ResourceCapError.
     """
     if r_max < 1:
         raise ValueError("r_max must be >= 1")
@@ -558,6 +570,11 @@ def _even_moments(x: FreeElement, r_max: int):
         return [m[2 * r] for r in range(r_max + 1)], "free-cumulant"
     if not x.is_exact():
         return _vector_moments(x, r_max), "fock-vector"
+    if len(x.terms) ** 2 > _TERM_CAP:
+        raise ResourceCapError(
+            f"x*x would exceed {_TERM_CAP} word products ({len(x.terms)} terms squared); "
+            "give fewer terms"
+        )
     h = normalize(x.adjoint() * x)
     if h.max_word_length() <= 1:
         m = _single_letter_moments(h, r_max)

@@ -3,8 +3,8 @@
 A :class:`CompactMeasure` is presented by its moment sequence (exact
 Fractions whenever possible) plus an optional density sampler used only for
 oracle cross-checks.  Orthonormal polynomials come out of the Stieltjes /
-Chebyshev moment algorithm, Gauss rules out of Golub-Welsch, and sup norms
-out of a Chebyshev-Lobatto grid with golden-section refinement.
+Chebyshev moment algorithm, Gauss rules out of Golub-Welsch, and sup norm
+estimates out of the maximum over a Chebyshev-Lobatto grid.
 """
 
 from __future__ import annotations
@@ -29,11 +29,6 @@ __all__ = [
     "SupNormEstimate",
     "gauss_discretize",
 ]
-
-# golden section: stop at a bracket of _GOLDEN_STOP relative, or after _GOLDEN_STEPS
-_GOLDEN_STOP = 1e-14
-_GOLDEN_STEPS = 80
-
 
 class MeasureError(Exception):
     pass
@@ -302,21 +297,17 @@ class OrthoPolySequence:
         return acc
 
     def orthonormal_values(self, n: int, ts):
-        """Values [p_0(t), ..., p_n(t)] on a float grid, stable recurrence.
-
-        A single point (the golden-section pass of :func:`sup_norm` asks
-        for one at a time) runs the recurrence in Python floats, which do
-        the same IEEE double operations as float64 arrays, so its column
-        has the same bits as the matching column of a grid."""
+        """Values [p_0(t), ..., p_n(t)] at the float points ``ts``, by the
+        orthonormal three-term recurrence, as an array of shape
+        (n + 1,) + ts.shape.  Every point runs the same float64 operations,
+        so a point's column does not depend on the other points."""
         self.extend(n + 1)
         ts = np.asarray(ts, dtype=float)
-        single = ts.shape == (1,)
-        t = float(ts[0]) if single else ts
-        p_prev, p_cur = None, 1.0 if single else np.ones_like(ts)  # p_0 = 1 (beta_0 = 1)
+        p_prev, p_cur = None, np.ones_like(ts)  # p_0 = 1 (beta_0 = 1)
         vals = [p_cur]
         for k in range(n):
             a, sb = self._floats[k]
-            p_next = ((t - a) * p_cur - (sb * p_prev if k > 0 else 0.0)) / self._floats[k + 1][1]
+            p_next = ((ts - a) * p_cur - (sb * p_prev if k > 0 else 0.0)) / self._floats[k + 1][1]
             p_prev, p_cur = p_cur, p_next
             vals.append(p_cur)
         return np.array(vals).reshape((n + 1,) + ts.shape)
@@ -385,11 +376,10 @@ def ortho_polys(measure: CompactMeasure, n: int) -> OrthoPolySequence:
 class SupNormEstimate(float):
     """A float (the lower estimate) carrying grid metadata."""
 
-    def __new__(cls, value, argmax, grid_points, refined):
+    def __new__(cls, value, argmax, grid_points):
         obj = super().__new__(cls, value)
         obj.argmax = argmax
         obj.grid_points = grid_points
-        obj.refined = refined
         return obj
 
 
@@ -401,47 +391,16 @@ def _lobatto_grid(a: float, b: float, n_points: int):
 
 
 def sup_norm(fn, interval, degree: int = 8) -> SupNormEstimate:
-    """Estimate max |fn| on [a, b].
-
-    Chebyshev-Lobatto grid of 64*(degree+1) points (endpoints included) with
-    one golden-section refinement pass around the grid maximum.  The result
-    is a certified lower estimate of the true maximum.
+    """Maximum of |fn| over a Chebyshev-Lobatto grid of 64*(degree+1)
+    points on [a, b], end points included: a lower estimate of max |fn|,
+    up to rounding in fn.  ``argmax`` is the grid point that attains it.
     """
     a, b = float(interval[0]), float(interval[1])
     n_points = max(64 * (degree + 1), 8)
     ts = _lobatto_grid(a, b, n_points)
     vals = np.abs(np.asarray(fn(ts), dtype=complex))
     i = int(np.argmax(vals))
-    best_t, best_v = float(ts[i]), float(vals[i])
-    lo = float(ts[max(i - 1, 0)])
-    hi = float(ts[min(i + 1, n_points - 1)])
-
-    def scalar_abs(s):
-        return float(np.max(np.abs(np.asarray(fn(np.array([s]))))))
-
-    t, v = _golden_section_max(scalar_abs, lo, hi)
-    if v > best_v:
-        best_t, best_v = t, v
-    return SupNormEstimate(best_v, best_t, n_points, (lo, hi))
-
-
-def _golden_section_max(f, lo, hi):
-    phi = (math.sqrt(5.0) - 1.0) / 2.0
-    c = hi - phi * (hi - lo)
-    d = lo + phi * (hi - lo)
-    fc, fd = f(c), f(d)
-    for _ in range(_GOLDEN_STEPS):
-        if fc >= fd:
-            hi, d, fd = d, c, fc
-            c = hi - phi * (hi - lo)
-            fc = f(c)
-        else:
-            lo, c, fc = c, d, fd
-            d = lo + phi * (hi - lo)
-            fd = f(d)
-        if hi - lo < _GOLDEN_STOP * max(abs(lo), abs(hi), 1.0):
-            break
-    return (c, fc) if fc >= fd else (d, fd)
+    return SupNormEstimate(float(vals[i]), float(ts[i]), n_points)
 
 
 def sup_norm_poly(seq: OrthoPolySequence, n: int, interval=None) -> SupNormEstimate:

@@ -29,9 +29,7 @@ from .algebra import (
     op_norm,
     state,
 )
-from .fock import (
-    _DIMENSION_CAP, alternating_dimension, fock_dimension, norm_lower_bound, shared_fock,
-)
+from . import fock
 from .freeword import FreeElement, FreeProductAmbient, Letter
 from .measure import christoffel_sup, ortho_polys
 from .scalars import QC, agree, negligible, to_complex
@@ -55,7 +53,6 @@ __all__ = [
     "free_filtration",
     "derived_filtration",
     "DerivedFiltrationReport",
-    "tensor_embed",
     "find_avitzour_triple",
     "verify_avitzour_triple",
     "AvitzourTriple",
@@ -242,7 +239,11 @@ class FreeProductFiltration(Filtration):
 
     def level_onb(self, n: int):
         out = [FreeElement.one(self.ambient)]
-        comps = [f.complement_onb(n) for f in self.factors]
+        # one Letter per complement vector, shared by every word, so equal
+        # suffixes are tuples of the same objects
+        letters = [
+            [Letter(j, xi) for xi in f.complement_onb(n)] for j, f in enumerate(self.factors)
+        ]
         frontier = [((), None)]
         for _ in range(n):
             new = []
@@ -250,15 +251,15 @@ class FreeProductFiltration(Filtration):
                 for j in range(len(self.factors)):
                     if j == last:
                         continue
-                    for xi in comps[j]:
-                        new.append((word + (Letter(j, xi),), j))
+                    for letter in letters[j]:
+                        new.append((word + (letter,), j))
             for word, _ in new:
                 out.append(FreeElement.word(self.ambient, word))
             frontier = new
         return out
 
     def level_dim(self, n: int) -> int:
-        return alternating_dimension([len(f.complement_onb(n)) for f in self.factors], n)
+        return fock.alternating_dimension([len(f.complement_onb(n)) for f in self.factors], n)
 
     def rd_constant(self, n: int) -> RdConstant:
         """Bracket: certified analytic upper endpoint vs realized lower bounds.
@@ -299,13 +300,10 @@ class FreeProductFiltration(Filtration):
 
     def _probe_lower(self, n: int) -> float:
         depth = max(4, n + 1)
-        while depth > 1 and fock_dimension(self.ambient.factors, depth) > _DIMENSION_CAP:
+        while depth > 1 and fock.fock_dimension(self.ambient.factors, depth) > fock._DIMENSION_CAP:
             depth -= 1
-        fock = shared_fock(self.ambient.factors, depth)
-        best = 0.0
-        for probe in self._probes(n):
-            best = max(best, norm_lower_bound(fock, probe))
-        return best
+        space = fock.shared_fock(self.ambient.factors, depth)
+        return max(fock._spectral_norm(m) for m in fock._represent_sparse(space, self._probes(n)))
 
 
 # ---------------------------------------------------------------------------

@@ -190,8 +190,8 @@ def _float_centred(algebra, rng):
 
 
 def _assert_same_bits(f, x):
-    got = fock._represent_sparse(f, x).toarray()
-    assert np.array_equal(got, _represent_word_by_word(f, x).toarray())
+    (got,) = fock._represent_sparse(f, [x])
+    assert np.array_equal(got.toarray(), _represent_word_by_word(f, x).toarray())
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
@@ -226,14 +226,56 @@ def test_shared_suffix_compression_keeps_the_bits_of_float_and_uncentred_element
     _assert_same_bits(f, uncentred)
 
 
+def test_shared_blocks_keep_the_bits_of_several_elements():
+    rng = np.random.default_rng(41)
+    amb = two_factor(m2_tr(), m2_tr())
+    f = build_fock(amb.factors, 3)
+    pool = [[Letter(j, _float_centred(amb.factors[j], rng)) for _ in range(2)] for j in (0, 1)]
+    words = [()]
+    for length in (1, 2, 3):
+        for start in (0, 1):
+            pattern = [(start + i) % 2 for i in range(length)]
+            words += itertools.product(*(pool[j] for j in pattern))
+
+    def element(picks):
+        coeffs = rng.standard_normal(len(picks)) + 1j * rng.standard_normal(len(picks))
+        return FreeElement(amb, {tuple(words[i]): complex(c) for i, c in zip(picks, coeffs)})
+
+    # term sets that overlap in part, listed in different orders, an
+    # uncentred element (represented through normalize) and the zero element
+    first = element(rng.permutation(20))
+    second = element(rng.permutation(np.arange(10, 29)))
+    third = element(list(range(28, 4, -3)))
+    uncentred = random_alternating_word(amb, 3, rng, centered=False)
+    uncentred = uncentred + random_alternating_word(amb, 2, rng, centered=False)
+    assert not all(is_normalized_word(word) for word in uncentred.terms)
+    zero = FreeElement(amb)
+    xs = [first, second, uncentred, zero, third]
+    assert set(first.terms) & set(second.terms) and set(second.terms) - set(first.terms)
+    assert list(third.terms)[:2] == [tuple(words[28]), tuple(words[25])]
+    got = fock._represent_sparse(f, xs)
+    assert len(got) == len(xs)
+    for x, matrix in zip(xs, got):
+        assert np.array_equal(matrix.toarray(), _represent_word_by_word(f, x).toarray())
+    assert got[3].nnz == 0
+
+
 def test_shared_suffix_compression_keeps_the_certify_csv(tmp_path, monkeypatch):
     space = tmp_path / "c2c3.json"
     space.write_text(json.dumps({"free_product": [{"atoms": ["1/2", "1/2"]},
                                                   {"atoms": ["1/3", "1/3", "1/3"]}]}))
     argv = ["rd-certify", "--space", str(space), "--max-n", "6", "--seed", "1", "--out"]
     assert run(argv + [str(tmp_path / "shared.csv")]) == 0
-    monkeypatch.setattr(fock, "_represent_sparse", _represent_word_by_word)
+    calls = []
+
+    def word_by_word(f, xs):
+        calls.append(len(xs))
+        return [_represent_word_by_word(f, x) for x in xs]
+
+    monkeypatch.setattr(fock, "_represent_sparse", word_by_word)
     assert run(argv + [str(tmp_path / "word-by-word.csv")]) == 0
+    # the reference built every probe: levels 1-6, three probes each
+    assert calls == [3] * 6
     assert (tmp_path / "shared.csv").read_bytes() == (tmp_path / "word-by-word.csv").read_bytes()
 
 
@@ -440,6 +482,31 @@ def test_exact_moments_stay_word_expansion():
     est = moment_norm_estimate(x, 2)
     assert est.method == "word-expansion"
     assert all(isinstance(row[1], QC) for row in est.rows)
+
+
+def test_exact_x_star_x_above_the_term_cap_is_not_formed(tmp_path, monkeypatch, capsys):
+    def refuse(x):
+        raise AssertionError("normalize called: x*x was formed")
+
+    # 150 uncentred exact length-3 words over (M2, tr) * (M2, tr)
+    amb = two_factor(m2_tr(), m2_tr())
+    rng = np.random.default_rng(43)
+    x = FreeElement(amb)
+    for _ in range(150):
+        x = x + random_alternating_word(amb, 3, rng, centered=False)
+    assert len(x.terms) == 150 and len(x.terms) ** 2 > fock._TERM_CAP
+    monkeypatch.setattr(fock, "normalize", refuse)
+    message = f"exceed {fock._TERM_CAP} word products"
+    with pytest.raises(ResourceCapError, match=message):
+        moment_norm_estimate(x, 2)
+    m2 = {"blocks": [{"dim": 2, "density": [["1/2", "0"], ["0", "1/2"]]}]}
+    factors, element = tmp_path / "factors.json", tmp_path / "elem.json"
+    factors.write_text(json.dumps({"factors": [m2, m2]}))
+    element.write_text(json.dumps(x.to_json()))
+    argv = ["free-moments", "--factors", str(factors), "--element", str(element),
+            "--rmax", "2", "--out", str(tmp_path / "m.csv")]
+    assert run(argv) == 2
+    assert message in capsys.readouterr().err
 
 
 def test_vector_moments_depth_above_cap_raises():

@@ -1,5 +1,6 @@
 """Tests for filtrations, RD certificates, triples, and the classifier."""
 
+import itertools
 import math
 from fractions import Fraction
 
@@ -398,8 +399,6 @@ def test_classify_heavy_atoms_not_selfless():
 
 
 def test_classify_symmetric():
-    import itertools
-
     weight_sets = [
         [Fraction(1, 2), Fraction(1, 2)],
         [Fraction(2, 3), Fraction(1, 3)],
@@ -408,6 +407,27 @@ def test_classify_symmetric():
     ]
     for wa, wb in itertools.product(weight_sets, repeat=2):
         assert classify_abelian(wa, wb).selfless == classify_abelian(wb, wa).selfless
+
+
+def test_a_found_triple_means_the_classifier_says_selfless():
+    # every abelian weight vector of at most 4 atoms with denominators <= 4
+    vectors = sorted({
+        tuple(sorted(Fraction(c, d) for c in counts))
+        for atoms in range(1, 5)
+        for d in range(1, 5)
+        for counts in itertools.combinations_with_replacement(range(1, d + 1), atoms)
+        if sum(Fraction(c, d) for c in counts) == 1
+    })
+    assert len(vectors) == 7
+    tally = {}
+    for wa, wb in itertools.product(vectors, repeat=2):
+        a, b = MatrixBlockAlgebra.from_weights(list(wa)), MatrixBlockAlgebra.from_weights(list(wb))
+        found = find_avitzour_triple(a, b, seed=0, trials=200) is not None
+        selfless = classify_abelian(list(wa), list(wb)).selfless
+        assert selfless or not found, (wa, wb)
+        tally[found, selfless] = tally.get((found, selfless), 0) + 1
+    # both routes decide something: the implication is not vacuous
+    assert tally == {(True, True): 8, (False, True): 6, (False, False): 35}
 
 
 def test_classify_rejects_bad_weights():

@@ -95,7 +95,6 @@ ALLOWED_LITERALS = {
     ("scalars.py", "FLOAT_ZERO = 1e-12"): "the policy: a float data value counts as zero",
     ("scalars.py", "FLOAT_RTOL = 1e-9"): "the policy: relative agreement of two float routes",
     ("algebra.py", "_POWER_STOP = 1e-12"): "power iteration stopping rule",
-    ("measure.py", "_GOLDEN_STOP = 1e-14"): "golden-section stopping rule",
     ("measure.py", "np.maximum(1.0 - t * t, 1e-300)"): "cosine density: division guard at t = +-1",
     ("rdcert.py", "_NEWTON_STOP = 1e-14"): "Newton phase search stopping rule",
 }
