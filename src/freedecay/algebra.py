@@ -90,7 +90,7 @@ def _mat_mul(a, b):
     n = len(a)
     bt = tuple(zip(*b))
     return tuple(
-        tuple(sum((x * y for x, y in zip(row, col)), QC(0)) for col in bt) for row in a
+        tuple(sum((x * y for x, y in zip(row, col)), QC_ZERO) for col in bt) for row in a
     )
 
 
@@ -100,7 +100,7 @@ def _mat_adjoint(a):
 
 def _mat_trace_product(a, b):
     """trace(a @ b) without forming the product."""
-    acc = QC(0)
+    acc = QC_ZERO
     n = len(a)
     for i in range(n):
         for k in range(n):

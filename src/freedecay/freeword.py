@@ -23,7 +23,7 @@ from .algebra import (
     AlgebraElement, AlgebraError, MatrixBlockAlgebra, center, l2_inner, negligible_element, op_norm, state,
 )
 from .algebra import _scalar_from_json, json_shape
-from .scalars import QC, as_scalar, conj, is_exact, negligible, to_complex
+from .scalars import QC, QC_ONE, QC_ZERO, as_scalar, conj, is_exact, negligible, to_complex
 
 __all__ = [
     "FreeProductAmbient",
@@ -138,7 +138,7 @@ def _merge_word(ambient: FreeProductAmbient, letters):
     same-factor letters and no scalar-multiple-of-1 letters; coefficient 0
     means the whole word vanished.
     """
-    coeff = QC(1)
+    coeff = QC_ONE
     stack: list[Letter] = []
     for letter in letters:
         current = letter
@@ -147,7 +147,7 @@ def _merge_word(ambient: FreeProductAmbient, letters):
             if s is not None:
                 coeff = coeff * s
                 if not coeff:
-                    return QC(0), ()
+                    return QC_ZERO, ()
                 current = None
                 break
             if stack and stack[-1].factor == current.factor:
@@ -208,7 +208,7 @@ class FreeElement:
 
     @classmethod
     def letter(cls, ambient, factor: int, payload: AlgebraElement) -> "FreeElement":
-        return cls(ambient, {(Letter(factor, payload),): QC(1)})
+        return cls(ambient, {(Letter(factor, payload),): QC_ONE})
 
     @classmethod
     def word(cls, ambient, letters, coeff=1) -> "FreeElement":
@@ -340,7 +340,7 @@ class FreeElement:
             json_shape(item, dict, "a term", ("coeff", "word"))
             word = tuple(_letter_from_json(ambient, l) for l in json_shape(item["word"], list, "'word'"))
             c = _coeff_from_json(item["coeff"])
-            terms[word] = terms.get(word, QC(0)) + c
+            terms[word] = terms.get(word, QC_ZERO) + c
         return cls(ambient, terms)
 
 
@@ -398,7 +398,7 @@ def _decompose_word(ambient, word, memo):
             split_at = (i, s)
             break
     if split_at is None:
-        result = {word: QC(1)}
+        result = {word: QC_ONE}
         memo[word] = result
         return result
     i, s = split_at
@@ -456,10 +456,10 @@ def free_state(x: FreeElement):
     nothing is kept between calls.
     """
     memo: dict = {}
-    acc = QC(0)
+    acc = QC_ZERO
     for word, coeff in x.terms.items():
         if word:
-            coeff = coeff * _decompose_word(x.ambient, word, memo).get((), QC(0))
+            coeff = coeff * _decompose_word(x.ambient, word, memo).get((), QC_ZERO)
         acc = acc + coeff
     return acc
 

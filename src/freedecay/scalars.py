@@ -2,16 +2,20 @@
 
 States and inner products stay exact whenever every input was built from
 rational data; operator norms always go through floating point.  The two
-scalar worlds are :class:`QC` (a complex number with `Fraction` parts) and
-the builtin ``complex``.  Mixing them silently degrades to ``complex``.
+scalar worlds are :class:`QC` (an exact complex rational) and the builtin
+``complex``.  Mixing them silently degrades to ``complex``.
 
-``QC(re, im)`` accepts any rational input and wraps each part in a
-``Fraction``.  The arithmetic itself builds its results with the private
-``_qc``, which takes parts that are already Fractions (sums, products,
-negations) and stores them as they are, so no part is wrapped twice.
-Addition and multiplication skip the Fraction operations that an exact zero
-part makes trivial (x + 0, and the products of a real factor's zero
-imaginary part); the values are the same.
+Layout.  A ``QC`` is three ints (a, b, d) for (a + b·i)/d, a Gaussian-integer
+numerator over one denominator, kept canonical: d > 0 and gcd(a, b, d) = 1,
+so zero is (0, 0, 1) and equal values have equal fields.  Only this module
+reads the fields (a lint test keeps it so); others read the ``Fraction``
+properties ``re`` and ``im``.  Sums of equal denominators add numerators,
+and every operation ends in at most one ``gcd(d, a, b)`` (Knuth, TAOCP
+vol. 2, §4.5.1).  ``complex(q)`` is ``complex(a / d, b / d)``: int/int
+division rounds correctly, so the bits are those of ``float(q.re)`` and
+``float(q.im)``.  ``==`` against float or complex is exact, as for
+``Fraction``, and ``hash`` is CPython's numeric hash, so equal numbers hash
+equal across ``QC``, int, ``Fraction``, float and complex.
 
 Tolerances.  Exact values (``QC``, int, ``Fraction``) are compared
 exactly; anything else is compared as a float.  Term dicts drop a
@@ -29,32 +33,46 @@ their algorithms.
 from __future__ import annotations
 
 import math
+import sys
 from fractions import Fraction
+from math import gcd
 from numbers import Integral
 
 FLOAT_ZERO = 1e-12
 FLOAT_RTOL = 1e-9
 
+_MODULUS, _IMAG = sys.hash_info.modulus, sys.hash_info.imag
+_HALF = 1 << (sys.hash_info.width - 1)
+
 
 class QC:
-    """Complex number with exact rational real and imaginary parts."""
+    """Complex number (a + b·i)/d with exact rational parts ``re``, ``im``."""
 
-    __slots__ = ("re", "im")
+    __slots__ = ("_a", "_b", "_d")
 
     def __init__(self, re=0, im=0):
-        object.__setattr__(self, "re", Fraction(re))
-        object.__setattr__(self, "im", Fraction(im))
+        if type(re) is int and type(im) is int:
+            a, b, d = re, im, 1
+        else:
+            re, im = Fraction(re), Fraction(im)
+            p, q = re.denominator, im.denominator
+            d = math.lcm(p, q)
+            a, b = re.numerator * (d // p), im.numerator * (d // q)
+        _set_a(self, a)
+        _set_b(self, b)
+        _set_d(self, d)
 
     def __setattr__(self, name, value):
         raise AttributeError("QC is immutable")
 
+    re = property(lambda self: Fraction(self._a, self._d))
+    im = property(lambda self: Fraction(self._b, self._d))
+
     # -- arithmetic ---------------------------------------------------
     def __add__(self, other):
-        q = _lift(other)
+        q = other if type(other) is QC else _lift(other)
         if q is not None:
-            a, b, c, d = self.re, self.im, q.re, q.im
-            # a zero part is the sum: x + 0 needs no addition
-            return _qc(a + c if a and c else a or c, b + d if b and d else b or d)
+            return _sum(self._a, self._b, self._d, q._a, q._b, q._d)
         if isinstance(other, (float, complex)):
             return complex(self) + other
         return NotImplemented
@@ -62,12 +80,12 @@ class QC:
     __radd__ = __add__
 
     def __neg__(self):
-        return _qc(-self.re, -self.im)
+        return _make(-self._a, -self._b, self._d)
 
     def __sub__(self, other):
-        q = _lift(other)
+        q = other if type(other) is QC else _lift(other)
         if q is not None:
-            return _qc(self.re - q.re, self.im - q.im)
+            return _sum(self._a, self._b, self._d, -q._a, -q._b, q._d)
         if isinstance(other, (float, complex)):
             return complex(self) - other
         return NotImplemented
@@ -76,15 +94,10 @@ class QC:
         return (-self).__add__(other)
 
     def __mul__(self, other):
-        q = _lift(other)
+        q = other if type(other) is QC else _lift(other)
         if q is not None:
-            a, b, c, d = self.re, self.im, q.re, q.im
-            # a real factor (b or d zero) needs two products, or one
-            if not b:
-                return _qc(a * c, a * d if d else b)
-            if not d:
-                return _qc(a * c, b * c)
-            return _qc(a * c - b * d, a * d + b * c)
+            a, b, c, e = self._a, self._b, q._a, q._b
+            return _reduced(a * c - b * e, a * e + b * c, self._d * q._d)
         if isinstance(other, (float, complex)):
             return complex(self) * other
         return NotImplemented
@@ -92,15 +105,13 @@ class QC:
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        q = _lift(other)
+        q = other if type(other) is QC else _lift(other)
         if q is not None:
-            d = q.re * q.re + q.im * q.im
-            if d == 0:
+            a, b, c, e, f = self._a, self._b, q._a, q._b, q._d
+            if not (c or e):
                 raise ZeroDivisionError("division by zero QC")
-            return _qc(
-                (self.re * q.re + self.im * q.im) / d,
-                (self.im * q.re - self.re * q.im) / d,
-            )
+            # (a + bi)/d · f/(c + ei) = f(a + bi)(c - ei) / (d(c² + e²))
+            return _reduced((a * c + b * e) * f, (b * c - a * e) * f, self._d * (c * c + e * e))
         if isinstance(other, (float, complex)):
             return complex(self) / other
         return NotImplemented
@@ -114,74 +125,102 @@ class QC:
         return NotImplemented
 
     def __pow__(self, n):
-        if not isinstance(n, Integral) or n < 0:
+        """Exact for an integer n (n < 0 is the reciprocal's power and raises
+        ZeroDivisionError on 0); any other exponent goes through complex."""
+        if not isinstance(n, Integral):
             return complex(self) ** n
-        out = QC(1)
-        base = self
-        n = int(n)
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
+        base, n = (self, int(n)) if n >= 0 else (QC_ONE / self, -int(n))
+        a, b, ra, rb, k = base._a, base._b, 1, 0, n
+        while k:
+            if k & 1:
+                ra, rb = ra * a - rb * b, ra * b + rb * a
+            a, b, k = a * a - b * b, 2 * a * b, k >> 1
+        return _reduced(ra, rb, base._d ** n)
 
     # -- structure ----------------------------------------------------
     def conjugate(self):
-        return _qc(self.re, -self.im)
+        return _make(self._a, -self._b, self._d)
 
     def __abs__(self) -> float:
         return abs(complex(self))
 
     def __complex__(self) -> complex:
-        return complex(float(self.re), float(self.im))
+        return complex(self._a / self._d, self._b / self._d)
 
     def __float__(self) -> float:
-        if self.im != 0:
+        if self._b:
             raise ValueError("QC with nonzero imaginary part has no float value")
-        return float(self.re)
+        return self._a / self._d
 
     def __bool__(self) -> bool:
-        return bool(self.re) or bool(self.im)
+        return bool(self._a or self._b)
 
     def __eq__(self, other):
-        q = _lift(other)
+        q = other if type(other) is QC else _lift(other)
         if q is not None:
-            return self.re == q.re and self.im == q.im
-        if isinstance(other, (float, complex)):
-            return complex(self) == other
+            return self._a == q._a and self._b == q._b and self._d == q._d
+        if isinstance(other, (float, complex)):  # exact, as Fraction compares
+            return self.re == other.real and self.im == other.imag
         return NotImplemented
 
     def __hash__(self):
-        if self.im == 0:
-            return hash(self.re)
-        return hash((self.re, self.im))
+        # Fraction's hash of each part, combined as complex combines them
+        h = _hash_part(self._a, self._d) + _IMAG * _hash_part(self._b, self._d)
+        h = (h + _HALF) % (2 * _HALF) - _HALF  # wrap to a signed machine word
+        return -2 if h == -1 else h
 
     def __repr__(self):
-        if self.im == 0:
-            return f"QC({self.re})"
-        return f"QC({self.re}, {self.im})"
+        return f"QC({self.re}, {self.im})" if self._b else f"QC({self.re})"
 
 
 _new_object = object.__new__
-_set_re = QC.re.__set__
-_set_im = QC.im.__set__
+_set_a, _set_b, _set_d = QC._a.__set__, QC._b.__set__, QC._d.__set__
 
 
-def _qc(re: Fraction, im: Fraction) -> QC:
-    """QC from two parts that are already Fractions, stored without a re-wrap."""
+def _make(a: int, b: int, d: int) -> QC:
+    """QC from fields already in canonical form."""
     z = _new_object(QC)
-    _set_re(z, re)
-    _set_im(z, im)
+    _set_a(z, a)
+    _set_b(z, b)
+    _set_d(z, d)
     return z
+
+
+def _reduced(a: int, b: int, d: int) -> QC:
+    """QC of (a + bi)/d for d > 0, made canonical by one gcd."""
+    g = gcd(d, a, b)
+    if g != 1:
+        a, b, d = a // g, b // g, d // g
+    return _make(a, b, d)
+
+
+def _sum(a: int, b: int, d: int, c: int, e: int, f: int) -> QC:
+    """(a + bi)/d + (c + ei)/f for canonical operands."""
+    if d == f:
+        return _reduced(a + c, b + e, d)
+    return _reduced(a * f + c * d, b * f + e * d, d * f)
+
+
+def _hash_part(n: int, d: int) -> int:
+    """hash(Fraction(n, d)) without building the Fraction."""
+    if d == 1 or not n:
+        return hash(n)
+    try:
+        h = hash(hash(abs(n)) * pow(d, -1, _MODULUS))
+    except ValueError:  # d is a multiple of the modulus
+        return hash(Fraction(n, d))
+    h = h if n >= 0 else -h
+    return -2 if h == -1 else h
 
 
 def _lift(value):
     """Lift exact numbers into QC; None signals an inexact or foreign type."""
     if isinstance(value, QC):
         return value
-    if isinstance(value, (Integral, Fraction)):
-        return QC(value)
+    if isinstance(value, Integral):
+        return _make(int(value), 0, 1)
+    if isinstance(value, Fraction):
+        return _make(value.numerator, 0, value.denominator)
     return None
 
 

@@ -486,14 +486,48 @@ def test_state_is_cached_on_the_element():
         assert _bits(state(fresh)) == _bits(s) == _bits(_reference_state(x))
 
 
-_parts = st.one_of(st.just(Fraction(0)), rational)
+# parts whose numerator and denominator both exceed 2**1100
+_huge = st.builds(lambda n, d, neg: Fraction(-n if neg else n, d),
+                  st.integers(2**1100, 2**1200), st.integers(2**1100, 2**1200), st.booleans())
+_parts = st.one_of(st.just(Fraction(0)), rational, _huge)
+
+
+def _pair_power(a, b, n):
+    """(a + bi) ** n on Fraction pairs by repeated products; None for 0 ** -n."""
+    re, im = Fraction(1), Fraction(0)
+    for _ in range(abs(n)):
+        re, im = re * a - im * b, re * b + im * a
+    if n >= 0:
+        return re, im
+    norm = re * re + im * im
+    return (re / norm, -im / norm) if norm else None
 
 
 @settings(max_examples=200, deadline=None)
-@given(_parts, _parts, _parts, _parts)
-def test_qc_sum_and_product_match_the_textbook_formulas(a, b, c, d):
-    # the zero-part shortcuts must give the values of the full formulas
+@given(_parts, _parts, _parts, _parts, st.integers(-4, 4))
+def test_qc_sum_and_product_match_the_textbook_formulas(a, b, c, d, n):
     x, y = QC(a, b), QC(c, d)
-    for got, re, im in ((x + y, a + c, b + d), (x * y, a * c - b * d, a * d + b * c)):
+    norm = c * c + d * d
+    cases = [(x + y, a + c, b + d), (x - y, a - c, b - d), (-x, -a, -b),
+             (x * y, a * c - b * d, a * d + b * c), (x.conjugate(), a, -b)]
+    if norm:
+        cases.append((x / y, (a * c + b * d) / norm, (b * c - a * d) / norm))
+    else:
+        with pytest.raises(ZeroDivisionError):
+            x / y
+    power = _pair_power(a, b, n)
+    if power is None:
+        with pytest.raises(ZeroDivisionError):
+            x ** n
+    else:
+        cases.append((x ** n, *power))
+    for got, re, im in cases:
         assert (got.re, got.im) == (re, im)
         assert type(got.re) is Fraction and type(got.im) is Fraction
+        # canonical form: (a + bi)/d with d > 0, gcd(a, b, d) = 1, zero (0, 0, 1)
+        fields = (got._a, got._b, got._d)
+        assert fields[2] > 0 and math.gcd(*fields) == 1
+        assert (re or im) or fields == (0, 0, 1)
+        assert got == QC(re, im) and (got == x) == ((re, im) == (a, b))
+        assert bool(got) == bool(re or im)
+        assert _bits(complex(got)) == _bits(complex(float(re), float(im)))

@@ -1,17 +1,19 @@
 """The tolerance policy of ``freedecay.scalars``: negligible, agree, and the
-rule that tolerance literals live only there; plus the rule that modules
-import only at their top."""
+rule that tolerance literals live only there; the equality, hashing and
+powers of ``QC`` and the rule that its layout stays in ``scalars``; plus the
+rule that modules import only at their top."""
 
 import ast
 import pathlib
 import re
+import sys
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from freedecay.algebra import AlgebraError, MatrixBlockAlgebra
+from freedecay.algebra import AlgebraError, AlgebraElement, MatrixBlockAlgebra
 from freedecay.measure import CompactMeasure, MeasureError
 from freedecay.rdcert import classify_abelian
 from freedecay.scalars import FLOAT_RTOL, FLOAT_ZERO, QC, agree, negligible
@@ -64,6 +66,64 @@ def test_identity_check_is_exact_on_exact_sides():
     assert not agree(exact, exact + QC(Fraction(1, 10**30)), 870.4)
     assert agree(870.4000000000017 + 0j, exact, 870.4)
     assert not agree(870.4 * (1 + 10 * FLOAT_RTOL) + 0j, exact, 870.4)
+
+
+def _complex_hash(re, im):
+    """CPython's hash of a complex number with parts of these values."""
+    width = sys.hash_info.width
+    h = (hash(re) + sys.hash_info.imag * hash(im)) & ((1 << width) - 1)
+    h -= (1 << width) if h >> (width - 1) else 0
+    return -2 if h == -1 else h
+
+
+_M = sys.hash_info.modulus
+# denominators that are multiples of the hash modulus have no inverse mod it
+hashed_parts = st.one_of(rationals, st.builds(lambda n, k: Fraction(n, k * _M),
+                                              st.integers(-10**6, 10**6), st.integers(1, 9)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(hashed_parts, hashed_parts)
+def test_qc_hashes_like_fraction_and_complex(re, im):
+    q = QC(re, im)
+    assert hash(q) == _complex_hash(re, im)
+    if not im:
+        assert hash(q) == hash(re)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(-2**53, 2**53), st.integers(-2**53, 2**53), st.integers(0, 80))
+def test_dyadic_exact_and_float_twins_are_one_number(m, k, e):
+    # a dyadic rational is a float exactly: both compare and hash equal
+    re, im = Fraction(m, 2**e), Fraction(k, 2**e)
+    q, z = QC(re, im), complex(float(re), float(im))
+    assert q == z and z == q and hash(q) == hash(z)
+    assert (q == float(re)) == (not im)
+    if not im:
+        assert hash(q) == hash(float(re)) == hash(re) == hash(z)
+
+
+def test_exact_against_float_equality_is_exact():
+    third = QC(Fraction(1, 3))
+    assert third != 1 / 3 and Fraction(1, 3) != 1 / 3
+    assert QC(Fraction(1, 3), 1) != complex(1 / 3, 1)
+    assert QC(1) != float("nan") and QC(1) != float("inf")
+    alg = MatrixBlockAlgebra.matrix_with_trace(2)
+    exact = AlgebraElement(alg, [[[QC(Fraction(1, 2), Fraction(1, 4)), QC(0)],
+                                  [QC(0), QC(-1)]]])
+    floats = AlgebraElement(alg, [[[0.5 + 0.25j, 0j], [0j, -1 + 0j]]])
+    assert exact == floats and len({exact, floats}) == 1
+
+
+def test_integer_powers_stay_exact():
+    assert QC(2) ** -1 == QC(Fraction(1, 2)) and type(QC(2) ** -1) is QC
+    assert QC(1, 1) ** -2 == QC(0, Fraction(-1, 2))  # (1 + i)^2 = 2i
+    assert QC(0) ** 0 == QC(1)
+    with pytest.raises(ZeroDivisionError):
+        QC(0) ** -1
+    # other exponents go through complex
+    root = QC(4) ** 0.5
+    assert type(root) is complex and root == 2
 
 
 def _loaders_accept(weights):
@@ -127,3 +187,29 @@ def test_no_imports_inside_functions():
                     if isinstance(inner, (ast.Import, ast.ImportFrom))
                 ]
     assert not stray, "imports inside function bodies:\n" + "\n".join(stray)
+
+
+QC_FIELDS = {"_a", "_b", "_d"}
+
+
+def test_qc_layout_lives_only_in_scalars():
+    # no other module reads QC's fields, imports a private name of scalars,
+    # or builds a QC past its constructor
+    stray = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "scalars.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            bad = False
+            if isinstance(node, ast.ImportFrom) and (node.module or "").endswith("scalars"):
+                bad = any(alias.name.startswith("_") for alias in node.names)
+            elif isinstance(node, ast.Attribute):
+                owner = node.value.id if isinstance(node.value, ast.Name) else None
+                bad = (node.attr in QC_FIELDS
+                       or owner in ("QC", "scalars") and node.attr.startswith("_"))
+            elif isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+                bad = node.func.attr == "__new__" and any(
+                    isinstance(arg, ast.Name) and arg.id == "QC" for arg in node.args)
+            if bad:
+                stray.append(f"{path.name}:{node.lineno}: {ast.unparse(node)}")
+    assert not stray, "QC layout read outside scalars:\n" + "\n".join(stray)
