@@ -43,7 +43,6 @@ from .fock import (  # noqa: F401
     fock_dimension,
     moment_norm_estimate,
     norm_lower_bound,
-    represent,
     vacuum_expectation,
 )
 from .khintchine import (  # noqa: F401

@@ -478,10 +478,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     def common(p):
         p.add_argument("--seed", type=int, default=0, help="RNG seed recorded in outputs")
-        p.add_argument("--threads", type=_positive_int, default=1,
-                       help="threads for kh-norm trials (default 1)")
         p.add_argument("--out", default=None, help="output path (default: stdout)")
-        p.add_argument("--json", dest="as_json", action="store_true", help="JSON output")
 
     p = sub.add_parser("rd-certify", help="filtration constants and fitted exponent")
     p.add_argument("--builtin", help="builtin measure name")
@@ -493,12 +490,14 @@ def _build_parser() -> argparse.ArgumentParser:
         help="recipe; must match the space kind (default: inferred)",
     )
     p.add_argument("--max-n", type=int, default=20, dest="max_n")
+    p.add_argument("--json", dest="as_json", action="store_true", help="JSON output")
     common(p)
     p.set_defaults(func=_cmd_rd_certify)
 
     p = sub.add_parser("classify-abelian", help="selflessness verdict for abelian pairs")
     p.add_argument("--a", required=True, help="comma-separated atom weights")
     p.add_argument("--b", required=True, help="comma-separated atom weights")
+    p.add_argument("--json", dest="as_json", action="store_true", help="JSON output")
     common(p)
     p.set_defaults(func=_cmd_classify_abelian)
 
@@ -526,21 +525,23 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("kh-norm", help="random homogeneous-element norm bracket sweep")
     p.add_argument("--factors", default=None)
     p.add_argument("--length", type=int, default=2)
-    p.add_argument("--trials", type=int, default=10)
+    p.add_argument("--trials", type=_positive_int, default=10)
     p.add_argument("--moment-rmax", type=int, default=2, dest="moment_rmax")
+    p.add_argument("--threads", type=_positive_int, default=1,
+                   help="threads for the independent trials (default 1)")
     common(p)
     p.set_defaults(func=_cmd_kh_norm)
 
     p = sub.add_parser("avitzour-find", help="search for a unitary triple")
     p.add_argument("--a", required=True, help="JSON file with the first algebra")
     p.add_argument("--b", required=True, help="JSON file with the second algebra")
-    p.add_argument("--trials", type=int, default=10_000)
+    p.add_argument("--trials", type=_positive_int, default=10_000)
     common(p)
     p.set_defaults(func=_cmd_avitzour_find)
 
     p = sub.add_parser("avitzour-check", help="conjugation identities on random words")
     p.add_argument("--factors", default=None)
-    p.add_argument("--trials", type=int, default=20)
+    p.add_argument("--trials", type=_positive_int, default=20)
     p.add_argument("--lmax", type=int, default=4)
     common(p)
     p.set_defaults(func=_cmd_avitzour_check)
@@ -550,7 +551,8 @@ def _build_parser() -> argparse.ArgumentParser:
         help="almost-orthogonality / containment numbers for a candidate unitary",
     )
     p.add_argument("--config", default=None, help="JSON config with algebra/u/v_span")
-    p.add_argument("--atoms", type=int, default=48, help="demo: circle discretization size")
+    p.add_argument("--atoms", type=_positive_int, default=48,
+                   help="demo: circle discretization size")
     p.add_argument("--level", type=int, default=2, help="demo: low-frequency band half-width")
     p.add_argument("--orders", type=int, nargs="+", default=[3, 6, 12],
                    help="demo: character orders to test")

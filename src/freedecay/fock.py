@@ -5,11 +5,11 @@ Two independent oracles live here:
 * an exact vacuum-pairing engine (:func:`vacuum_expectation`) that applies
   the free-product left action to tensor words symbolically and reads off
   the vacuum coefficient -- exact in rational mode;
-* a numeric compressed left representation (:func:`represent`,
-  :func:`norm_lower_bound`) on an orthonormal tensor basis, whose spectral
-  data give certified lower bounds for the reduced norm.  Words act on
-  the depth-L space itself (:func:`_represent_sparse`), and the elements
-  of one call share each word's block.  A space caches one sparse letter
+* a numeric compressed left representation (:func:`norm_lower_bound`) on
+  an orthonormal tensor basis, whose spectral data give certified lower
+  bounds for the reduced norm.  Words act on the depth-L space itself
+  (:func:`_represent_sparse`), and the elements of one call share each
+  word's block.  A space caches one sparse letter
   operator per vector of each factor's complement basis
   (:meth:`TruncatedFock.onb_operators`); the operator of any other letter
   is built when asked for and not kept.  The complement bases are the
@@ -62,7 +62,6 @@ __all__ = [
     "TruncatedFock",
     "build_fock",
     "fock_dimension",
-    "represent",
     "norm_lower_bound",
     "vacuum_expectation",
     "moment_norm_estimate",
@@ -337,17 +336,6 @@ def _represent_sparse(fock: TruncatedFock, xs):
             dtype=complex,
         ))
     return out
-
-
-def represent(fock: TruncatedFock, x: FreeElement) -> np.ndarray:
-    """Dense matrix of the compressed left action P_L lambda(x) P_L."""
-    if fock.dimension > _DENSE_CAP:
-        raise ResourceCapError(
-            f"dense representation capped at dimension {_DENSE_CAP}; "
-            "use norm_lower_bound for spectral data"
-        )
-    (matrix,) = _represent_sparse(fock, [x])
-    return np.asarray(matrix.todense())
 
 
 def norm_lower_bound(fock: TruncatedFock, x: FreeElement) -> float:

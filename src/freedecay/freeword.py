@@ -576,29 +576,23 @@ def three_factor_ambient(a1: MatrixBlockAlgebra, a2: MatrixBlockAlgebra) -> Free
     return FreeProductAmbient((a1, a2, a1))
 
 
-def phi_conjugation(v: AlgebraElement, x: FreeElement) -> FreeElement:
-    """The homomorphism A1*A2*A1 -> A1*A2 fixing the first two factors and
-    sending a third-factor letter c to v* c v (v a unitary of A2)."""
-    ambient = x.ambient
-    if len(ambient.factors) != 3 or ambient.factors[0] != ambient.factors[2]:
-        raise AlgebraError("phi_conjugation expects an A1*A2*A1 ambient")
-    if v.owner != ambient.factors[1]:
-        raise AlgebraError("conjugating unitary must live in the middle factor")
-    _require_unitary(v, "v")
-    target = FreeProductAmbient((ambient.factors[0], ambient.factors[1]))
-    v_adj = v.adjoint()
+def _conjugate_third_factor(x: FreeElement, left, right) -> FreeElement:
+    """The homomorphism A1*A2*A1 -> A1*A2 that fixes the first two factors
+    and sends a third-factor letter c to L* c L, where ``left`` holds the
+    letters of L* and ``right`` those of L.  Each image word is merged once.
+    The callers check that x lives in A1*A2*A1 before their own checks."""
+    factors = x.ambient.factors
+    target = FreeProductAmbient((factors[0], factors[1]))
     out: dict = {}
     for word, coeff in x.terms.items():
         letters: list[Letter] = []
         for letter in word:
-            if letter.factor == 0:
+            if letter.factor == 2:
+                letters.extend(left)
                 letters.append(Letter(0, letter.payload))
-            elif letter.factor == 1:
-                letters.append(Letter(1, letter.payload))
+                letters.extend(right)
             else:
-                letters.append(Letter(1, v_adj))
-                letters.append(Letter(0, letter.payload))
-                letters.append(Letter(1, v))
+                letters.append(letter)
         c2, merged = _merge_word(target, letters)
         c = coeff * c2
         if not c:
@@ -610,6 +604,18 @@ def phi_conjugation(v: AlgebraElement, x: FreeElement) -> FreeElement:
         else:
             out[merged] = acc
     return FreeElement(target, out, _validated=True)
+
+
+def phi_conjugation(v: AlgebraElement, x: FreeElement) -> FreeElement:
+    """The homomorphism A1*A2*A1 -> A1*A2 fixing the first two factors and
+    sending a third-factor letter c to v* c v (v a unitary of A2)."""
+    ambient = x.ambient
+    if len(ambient.factors) != 3 or ambient.factors[0] != ambient.factors[2]:
+        raise AlgebraError("phi_conjugation expects an A1*A2*A1 ambient")
+    if v.owner != ambient.factors[1]:
+        raise AlgebraError("conjugating unitary must live in the middle factor")
+    _require_unitary(v, "v")
+    return _conjugate_third_factor(x, (Letter(1, v.adjoint()),), (Letter(1, v),))
 
 
 def conjugation_word_shape(v: AlgebraElement, x: FreeElement):
@@ -649,12 +655,9 @@ def _check_avitzour_triple(u, v, w, _exactness):
     _require_centralizer(v)
 
 
-def _conjugator_word(ambient2: FreeProductAmbient, n: int, u, v, w) -> FreeElement:
-    """x_n = (w u w)(u v)^n as a free element of A1*A2."""
-    letters = [Letter(1, w), Letter(0, u), Letter(1, w)]
-    for _ in range(n):
-        letters.extend((Letter(0, u), Letter(1, v)))
-    return FreeElement.word(ambient2, letters)
+def _conjugator_letters(n: int, u, v, w) -> tuple:
+    """The letters of x_n = (w u w)(u v)^n in A1*A2."""
+    return (Letter(1, w), Letter(0, u), Letter(1, w)) + (Letter(0, u), Letter(1, v)) * n
 
 
 def avitzour_phi(n: int, u: AlgebraElement, v: AlgebraElement, w: AlgebraElement,
@@ -675,22 +678,9 @@ def avitzour_phi(n: int, u: AlgebraElement, v: AlgebraElement, w: AlgebraElement
     if v.owner != ambient.factors[1] or w.owner != ambient.factors[1]:
         raise AlgebraError("v, w must live in the second factor")
     check_avitzour_conditions(u, v, w)
-    target = FreeProductAmbient((ambient.factors[0], ambient.factors[1]))
-    xn = _conjugator_word(target, n, u, v, w)
-    xn_adj = xn.adjoint()
-    out = FreeElement(target)
-    for word, coeff in x.terms.items():
-        piece = FreeElement.scalar(target, coeff)
-        for letter in word:
-            if letter.factor == 0:
-                nxt = FreeElement.letter(target, 0, letter.payload)
-            elif letter.factor == 1:
-                nxt = FreeElement.letter(target, 1, letter.payload)
-            else:
-                nxt = xn_adj * FreeElement.letter(target, 0, letter.payload) * xn
-            piece = piece * nxt
-        out = out + piece
-    return out
+    right = _conjugator_letters(n, u, v, w)
+    left = tuple(Letter(l.factor, l.payload.adjoint()) for l in reversed(right))
+    return _conjugate_third_factor(x, left, right)
 
 
 # ---------------------------------------------------------------------------
@@ -746,7 +736,7 @@ def avitzour_shape_check(n: int, u, v, w, a: FreeElement, mode: str) -> ShapeRep
     for word in a.terms:
         if not is_normalized_word(word):
             raise AlgebraError("input must combine alternating centered words")
-    xn = _conjugator_word(ambient, n, u, v, w)
+    xn = FreeElement.word(ambient, _conjugator_letters(n, u, v, w))
     if mode == "i":
         prod = xn * a
     elif mode == "ii":

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .algebra import AlgebraError, dn_norm, onb_complement
+from .algebra import AlgebraError, onb_complement
 from .fock import (
     TruncatedFock,
     _spectral_norm,
@@ -38,8 +38,6 @@ __all__ = [
     "kh_bracket",
     "rx_check",
     "RxReport",
-    "layer_bound_check",
-    "LayerReport",
     "assemble_rank_one_blocks",
     "weak_cs_bound",
 ]
@@ -324,47 +322,6 @@ def rx_check(x: HomogeneousWordElement, moment_rmax: int = 2) -> RxReport:
         sr_ok=sr_ok,
         hs_identity_ok=hs_ok,
         weak_cs_ok=weak_ok,
-    )
-
-
-# ---------------------------------------------------------------------------
-# layer estimate
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class LayerReport:
-    length: int
-    l2: float
-    norm_lb: float
-    factor_constants: list
-    bound: float
-    margin: float
-
-    @property
-    def ok(self) -> bool:
-        return self.norm_lb <= self.bound or agree(self.norm_lb, self.bound, self.bound)
-
-
-def layer_bound_check(x: HomogeneousWordElement) -> LayerReport:
-    """Layer estimate: lower bounds of ||x|| against
-    2 sqrt(m) (l+1) (max_j C_j) ||x||_2 with C_j certified on the factor
-    complements by dn_norm."""
-    m = len(x.ambient.factors)
-    ell = x.length
-    constants = [dn_norm(onb) for onb in x.onb]
-    elem = x.to_free_element()
-    fock = shared_fock(x.ambient.factors, default_depth(elem))
-    norm_lb = max(norm_lower_bound(fock, elem), moment_norm_estimate(elem, 2).max)
-    l2 = x.l2_norm()
-    bound = 2 * math.sqrt(m) * (ell + 1) * max(constants) * l2
-    return LayerReport(
-        length=ell,
-        l2=l2,
-        norm_lb=norm_lb,
-        factor_constants=constants,
-        bound=bound,
-        margin=bound - norm_lb,
     )
 
 

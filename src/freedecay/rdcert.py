@@ -47,7 +47,6 @@ __all__ = [
     "FreeProductFiltration",
     "RdConstant",
     "RDReport",
-    "rd_constant",
     "rd_report",
     "fit_exponent",
     "free_filtration",
@@ -170,19 +169,6 @@ class FiniteDimFiltration(Filtration):
             # x* agrees with its projection onto the level, relative to ||x*||_2
             if not agree(l2_norm(residual), 0.0, l2_norm(adj)):
                 raise AlgebraError(f"level {n} is not stable under adjoints")
-
-    def check_product_containment(self, n: int, k: int, rng, samples: int = 5) -> bool:
-        """Spot check V_n V_k inside V_{n+k} on random spanning products."""
-        top = self.level_onb(min(n + k, len(self.spans) - 1))
-        bn, bk = self.level_onb(n), self.level_onb(k)
-        for _ in range(samples):
-            x = bn[rng.integers(0, len(bn))] * bk[rng.integers(0, len(bk))]
-            residual = x
-            for b in top:
-                residual = residual - b * l2_inner(x, b)
-            if not agree(l2_norm(residual), 0.0, l2_norm(x)):
-                return False
-        return True
 
     def rd_constant(self, n: int) -> RdConstant:
         c = dn_norm(self.level_onb(n))
@@ -328,12 +314,6 @@ class RDReport:
                 for (n, lo, up, d) in self.rows
             ],
         }
-
-
-def rd_constant(filtration: Filtration, n: int):
-    """(certificate value, method) at level n."""
-    c = filtration.rd_constant(n)
-    return c.value, c.method
 
 
 def fit_exponent(rows):

@@ -192,16 +192,6 @@ def test_c_star_identity_and_norm_comparison():
             assert l2_norm(x) <= op_norm(x) + 1e-12
 
 
-def test_power_iteration_matches_eigh():
-    from freedecay.algebra import _power_iteration_top
-
-    rng = np.random.default_rng(4)
-    a = rng.standard_normal((40, 40)) + 1j * rng.standard_normal((40, 40))
-    h = a @ a.conj().T
-    lam = max(np.linalg.eigvalsh(h))
-    assert _power_iteration_top(h) == pytest.approx(lam, rel=1e-9)
-
-
 # ---------------------------------------------------------------------------
 # centering and the complement basis
 # ---------------------------------------------------------------------------
@@ -321,6 +311,8 @@ def test_dn_norm_dominates_sampled_sup_matrix_block():
     vecs = [alg.identity()] + onb_complement(alg)
     sampled = _sampled_sup_ratio(vecs, n_samples=400, seed=2)
     assert dn_norm(vecs) >= sampled - 1e-9
+    # the 3-dim complement of (M2, tr) alone
+    assert dn_norm(onb_complement(alg)) == pytest.approx(math.sqrt(3.0), abs=1e-9)
 
 
 # ---------------------------------------------------------------------------

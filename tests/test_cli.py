@@ -83,12 +83,18 @@ def test_rd_certify_filtration_recipe_must_match(tmp_path, capsys):
     assert "recipe" in capsys.readouterr().err
 
 
-def test_rd_certify_threads_deterministic(tmp_path):
-    out1, out2 = tmp_path / "t1.csv", tmp_path / "t2.csv"
-    argv = ["rd-certify", "--builtin", "semicircle", "--max-n", "10", "--seed", "3"]
-    assert run(argv + ["--out", str(out1), "--threads", "1"]) == 0
-    assert run(argv + ["--out", str(out2), "--threads", "3"]) == 0
-    assert out1.read_bytes() == out2.read_bytes()
+def test_rd_certify_threads_deterministic(tmp_path, capsys):
+    # rd-certify runs serially and takes no thread count, so no flag can
+    # change its output: only kh-norm registers --threads, and --json lives
+    # only where it is read
+    factors = _m2_factors(tmp_path)
+    for argv, extra in ((["rd-certify", "--builtin", "semicircle", "--max-n", "4"], "--threads 3"),
+                        (["fock-dim", "--factors", factors], "--threads 4"),
+                        (["fock-dim", "--factors", factors], "--json")):
+        assert run(argv) == 0
+        capsys.readouterr()
+        assert run(argv + extra.split()) == 2
+        assert f"unrecognized arguments: {extra}" in capsys.readouterr().err
 
 
 def test_rd_certify_malformed_json(tmp_path, capsys):
@@ -391,6 +397,11 @@ def test_kh_norm_threads_below_one_is_usage_error(capsys):
     for bad in ("0", "-3"):
         assert run(["kh-norm", "--length", "1", "--trials", "1", "--threads", bad]) == 2
         assert "--threads" in capsys.readouterr().err
+    for argv, flag in ((["orthogonality-check", "--atoms", "0"], "--atoms"),
+                       (["kh-norm", "--trials", "-1"], "--trials")):
+        assert run(argv) == 2
+        err = capsys.readouterr().err
+        assert flag in err and "Traceback" not in err
 
 
 def test_avitzour_find_m2(tmp_path):

@@ -33,7 +33,6 @@ from freedecay.fock import (
     moment_norm_estimate,
     moments_to_free_cumulants,
     norm_lower_bound,
-    represent,
     shared_fock,
     vacuum_expectation,
 )
@@ -45,6 +44,11 @@ from freedecay.scalars import QC, to_complex
 
 def c2_half():
     return MatrixBlockAlgebra.from_weights([Fraction(1, 2), Fraction(1, 2)])
+
+
+def _represent_dense(f, x):
+    """Dense matrix of the compressed left action of x on f."""
+    return fock._represent_sparse(f, [x])[0].toarray()
 
 
 # ---------------------------------------------------------------------------
@@ -81,7 +85,7 @@ def test_dimension_cap():
 def test_represent_identity():
     f = build_fock([m2_tr(), m2_tr()], 2)
     amb = f.ambient()
-    mat = represent(f, FreeElement.one(amb))
+    mat = _represent_dense(f, FreeElement.one(amb))
     assert np.allclose(mat, np.eye(f.dimension))
 
 
@@ -93,7 +97,7 @@ def test_letter_on_vacuum_definition():
     from freedecay.algebra import center, l2_inner, state
 
     a = random_rational_element(amb.factors[0], rng)
-    mat = represent(f, FreeElement.letter(amb, 0, a))
+    mat = _represent_dense(f, FreeElement.letter(amb, 0, a))
     col = mat[:, 0]
     assert col[0] == pytest.approx(complex(state(a)))
     c = center(a)
@@ -140,7 +144,7 @@ def test_represent_words_match_the_free_state_oracle(length):
     for centered in (True, False):
         x = random_alternating_word(f.ambient(), length, rng, centered=centered)
         assert x.max_word_length() == length
-        assert np.abs(represent(f, x) - _oracle_matrix(f, x)).max() < 1e-12, centered
+        assert np.abs(_represent_dense(f, x) - _oracle_matrix(f, x)).max() < 1e-12, centered
 
 
 def test_centred_words_are_represented_without_normalize(monkeypatch):
@@ -157,7 +161,7 @@ def test_centred_words_are_represented_without_normalize(monkeypatch):
         FreeElement.word(amb, [Letter(1, f.onb[1][1]), Letter(0, f.onb[0][2])]),
     ]
     for x in probes:
-        assert np.abs(represent(f, x) - _oracle_matrix(f, x)).max() < 1e-12
+        assert np.abs(_represent_dense(f, x) - _oracle_matrix(f, x)).max() < 1e-12
 
 
 def _represent_word_by_word(f, x):
@@ -334,7 +338,7 @@ def test_represent_vacuum_pairing_matches_free_state_numerically():
     rng = np.random.default_rng(2)
     for _ in range(25):
         x = random_word_element(amb, 4, rng, n_terms=2)
-        mat = represent(f, x)
+        mat = _represent_dense(f, x)
         got = mat[0, 0]
         assert got == pytest.approx(complex(free_state(x)), abs=1e-10)
 
@@ -346,7 +350,7 @@ def test_adjoint_compatibility_all_depths():
     for depth in (1, 2, 3):
         f = build_fock(amb.factors, depth)
         assert np.allclose(
-            represent(f, x.adjoint()), represent(f, x).conj().T, atol=1e-10
+            _represent_dense(f, x.adjoint()), _represent_dense(f, x).conj().T, atol=1e-10
         )
 
 
@@ -356,7 +360,7 @@ def test_represent_hermitian_for_self_adjoint():
     y = random_word_element(amb, 2, rng, n_terms=2)
     x = y + y.adjoint()
     f = build_fock(amb.factors, 3)
-    mat = represent(f, x)
+    mat = _represent_dense(f, x)
     assert np.allclose(mat, mat.conj().T, atol=1e-12)
 
 
@@ -369,7 +373,7 @@ def test_represented_onb_words_have_orthogonal_vacuum_images():
         FreeElement.word(amb, (Letter(0, onb0[0]), Letter(1, onb1[1]))),
         FreeElement.word(amb, (Letter(1, onb1[2]), Letter(0, onb0[1]), Letter(1, onb1[0]))),
     ]
-    images = [represent(f, w)[:, 0] for w in words]
+    images = [_represent_dense(f, w)[:, 0] for w in words]
     for i, a in enumerate(images):
         for j, b in enumerate(images):
             if i != j:

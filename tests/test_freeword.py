@@ -34,6 +34,7 @@ from freedecay.freeword import (
     phi_conjugation,
     three_factor_ambient,
 )
+from freedecay.rdcert import ConstantFiltration, find_avitzour_triple
 from freedecay.scalars import QC
 
 
@@ -464,6 +465,51 @@ def test_avitzour_l2_isometry_exact():
         n = x.max_word_length() + 1
         img = avitzour_phi(n, u, v, w, x)
         assert l2_inner_free(img, img) == l2_inner_free(x, x)
+
+
+def _letterwise_image(x, target, third):
+    """The defining formula of a map that fixes the first two factors:
+    sum of c * (product of the letter images), multiplied out letter by
+    letter as free elements; ``third`` sends the letter c of the first
+    factor to the image of the third-factor letter c."""
+    out = FreeElement(target)
+    for word, coeff in x.terms.items():
+        piece = FreeElement.scalar(target, coeff)
+        for letter in word:
+            if letter.factor == 2:
+                piece = piece * third(FreeElement.letter(target, 0, letter.payload))
+            else:
+                piece = piece * FreeElement.letter(target, letter.factor, letter.payload)
+        out = out + piece
+    return out
+
+
+def _conjugation_triples():
+    alg = m2_tr()
+    c3 = MatrixBlockAlgebra.from_weights([Fraction(1, 3)] * 3)
+    c5 = MatrixBlockAlgebra.from_weights([Fraction(1, 5)] * 5)
+    found = find_avitzour_triple(ConstantFiltration(c3), ConstantFiltration(c5), seed=0)
+    assert not found.v.is_exact()
+    return [(alg, alg, *pauli_unitaries(alg)), (c3, c5, found.u, found.v, found.w)]
+
+
+def test_conjugation_maps_match_their_letterwise_definition():
+    # each image word is merged once; the terms keep the bits of v* c v and
+    # x_n* c x_n multiplied out letter by letter
+    rng = np.random.default_rng(26)
+    for a1, a2, u, v, w in _conjugation_triples():
+        amb3 = three_factor_ambient(a1, a2)
+        target = FreeProductAmbient((a1, a2))
+        lv = FreeElement.letter(target, 1, v)
+        for _ in range(4):
+            x = random_word_element(amb3, 4, rng, n_terms=3) + QC(2, -1)
+            want = _letterwise_image(x, target, lambda c: lv.adjoint() * c * lv)
+            assert phi_conjugation(v, x).terms == want.terms
+            for n in (1, 2, 3):
+                xn = FreeElement.word(target, [Letter(1, w), Letter(0, u), Letter(1, w)]
+                                      + [Letter(0, u), Letter(1, v)] * n)
+                want = _letterwise_image(x, target, lambda c: xn.adjoint() * c * xn)
+                assert avitzour_phi(n, u, v, w, x).terms == want.terms
 
 
 # ---------------------------------------------------------------------------

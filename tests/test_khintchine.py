@@ -11,7 +11,6 @@ from freedecay.khintchine import (
     HomogeneousWordElement,
     assemble_rank_one_blocks,
     kh_bracket,
-    layer_bound_check,
     rx_check,
     sr_hs_norm,
     sr_norm,
@@ -246,18 +245,6 @@ def test_rx_check_random_sweep():
             report = rx_check(x)
             assert report.margin >= -1e-9, (ell, report)
             assert report.sr_ok and report.hs_identity_ok and report.weak_cs_ok
-
-
-def test_layer_estimate_margin_nonnegative():
-    rng = np.random.default_rng(8)
-    amb = _ambient()
-    for ell in (1, 2, 3):
-        x = HomogeneousWordElement.random(amb, ell, rng)
-        report = layer_bound_check(x)
-        assert report.ok, report
-        # dn_norm over the 3-dim complement of (M2, tr): sqrt(3)
-        for c in report.factor_constants:
-            assert c == pytest.approx(math.sqrt(3.0), abs=1e-9)
 
 
 # ---------------------------------------------------------------------------

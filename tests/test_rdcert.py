@@ -26,7 +26,6 @@ from freedecay.rdcert import (
     fit_exponent,
     free_filtration,
     orthogonality_hypotheses,
-    rd_constant,
     rd_report,
     verify_avitzour_triple,
 )
@@ -39,15 +38,13 @@ from freedecay.rdcert import (
 
 def test_constant_filtration_rd_constant():
     filt = ConstantFiltration(c3_weighted())
-    value, method = rd_constant(filt, 3)
-    assert value == pytest.approx(math.sqrt(5.0), abs=1e-10)
-    assert rd_constant(filt, 0)[0] == 1.0
+    assert filt.rd_constant(3).upper == pytest.approx(math.sqrt(5.0), abs=1e-10)
+    assert filt.rd_constant(0).upper == 1.0
 
 
 def test_measure_filtration_semicircle_constant():
     filt = degree_filtration(CompactMeasure.semicircle(), 12)
-    value, _ = rd_constant(filt, 10)
-    assert value == pytest.approx(math.sqrt(506.0), abs=1e-8)
+    assert filt.rd_constant(10).upper == pytest.approx(math.sqrt(506.0), abs=1e-8)
 
 
 def test_fit_exponent_flat_is_zero():
@@ -87,15 +84,6 @@ def test_finite_dim_filtration_star_stability_enforced():
     e12 = alg.element([[[0, 1], [0, 0]]])
     with pytest.raises(AlgebraError):
         FiniteDimFiltration(alg, [[], [e12]])
-
-
-def test_finite_dim_filtration_product_containment():
-    alg = m2_tr()
-    e12 = alg.element([[[0, 1], [0, 0]]])
-    e21 = e12.adjoint()
-    filt = FiniteDimFiltration(alg, [[], [e12 + e21], [e12 * e21, e21 * e12, e12, e21]])
-    rng = np.random.default_rng(0)
-    assert filt.check_product_containment(1, 1, rng)
 
 
 # ---------------------------------------------------------------------------

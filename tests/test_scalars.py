@@ -1,9 +1,11 @@
 """The tolerance policy of ``freedecay.scalars``: negligible, agree, and the
 rule that tolerance literals live only there; the equality, hashing and
 powers of ``QC`` and the rule that its layout stays in ``scalars``; plus the
-rule that modules import only at their top."""
+rules that modules import only at their top and that every ``__all__``
+entry exists."""
 
 import ast
+import importlib
 import pathlib
 import re
 import sys
@@ -154,7 +156,6 @@ def test_weight_loaders_share_the_sum_to_one_rule(offset, accepted):
 ALLOWED_LITERALS = {
     ("scalars.py", "FLOAT_ZERO = 1e-12"): "the policy: a float data value counts as zero",
     ("scalars.py", "FLOAT_RTOL = 1e-9"): "the policy: relative agreement of two float routes",
-    ("algebra.py", "_POWER_STOP = 1e-12"): "power iteration stopping rule",
     ("measure.py", "np.maximum(1.0 - t * t, 1e-300)"): "cosine density: division guard at t = +-1",
     ("rdcert.py", "_NEWTON_STOP = 1e-14"): "Newton phase search stopping rule",
 }
@@ -187,6 +188,17 @@ def test_no_imports_inside_functions():
                     if isinstance(inner, (ast.Import, ast.ImportFrom))
                 ]
     assert not stray, "imports inside function bodies:\n" + "\n".join(stray)
+
+
+def test_every_all_entry_exists():
+    # a deletion that leaves a stale __all__ entry fails here at once
+    modules = [importlib.import_module("freedecay" if p.stem == "__init__" else f"freedecay.{p.stem}")
+               for p in sorted(SRC.glob("*.py"))]
+    stray = [f"{m.__name__}: {entry}" for m in modules for entry in getattr(m, "__all__", ())
+             if not hasattr(m, entry)]
+    assert not stray, "__all__ entries that do not exist:\n" + "\n".join(stray)
+    for m in modules:
+        exec(f"from {m.__name__} import *", {})
 
 
 QC_FIELDS = {"_a", "_b", "_d"}
