@@ -39,7 +39,6 @@ from .freeword import (  # noqa: F401
 from .fock import (  # noqa: F401
     ResourceCapError,
     TruncatedFock,
-    build_fock,
     fock_dimension,
     moment_norm_estimate,
     norm_lower_bound,
@@ -59,11 +58,9 @@ from .rdcert import (  # noqa: F401
     MeasureDegreeFiltration,
     RDReport,
     classify_abelian,
-    degree_filtration,
     derived_filtration,
     find_avitzour_triple,
     fit_exponent,
-    free_filtration,
     orthogonality_hypotheses,
     rd_report,
 )

@@ -413,6 +413,9 @@ class AlgebraElement:
     def __setattr__(self, name, value):
         raise AttributeError("AlgebraElement is immutable")
 
+    def __reduce__(self):
+        return AlgebraElement._of, (self.owner, self.blocks)
+
     # -- arithmetic -------------------------------------------------------
     def _check_owner(self, other):
         if self.owner != other.owner:

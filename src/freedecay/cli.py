@@ -38,7 +38,7 @@ from .freeword import (
 )
 from .fock import (
     FockError,
-    build_fock,
+    TruncatedFock,
     default_depth,
     fock_dimension,
     moment_norm_estimate,
@@ -49,10 +49,10 @@ from .khintchine import HomogeneousWordElement, rx_check
 from .measure import CompactMeasure, MeasureError
 from .rdcert import (
     ConstantFiltration,
+    FreeProductFiltration,
+    MeasureDegreeFiltration,
     classify_abelian,
-    degree_filtration,
     find_avitzour_triple,
-    free_filtration,
     orthogonality_hypotheses,
     rd_report,
     verify_avitzour_triple,
@@ -171,11 +171,11 @@ def _cmd_rd_certify(args) -> int:
             f"(expected {_RECIPES[kind]!r})"
         )
     if kind == "measure":
-        filt = degree_filtration(space["measure"], args.max_n)
+        filt = MeasureDegreeFiltration(space["measure"], args.max_n)
     elif kind == "algebra":
         filt = ConstantFiltration(space["algebra"])
     else:
-        filt = free_filtration(
+        filt = FreeProductFiltration(
             [ConstantFiltration(a) for a in space["free_product"]], probe_seed=args.seed
         )
     report = rd_report(filt, args.max_n)
@@ -241,7 +241,7 @@ def _cmd_norm_estimate(args) -> int:
     ambient = _load_factors(args.factors)
     x = FreeElement.from_json(ambient, _load_json_file(args.element))
     depth = args.depth if args.depth is not None else default_depth(x)
-    fock = build_fock(ambient.factors, depth)
+    fock = TruncatedFock(ambient.factors, depth)
     lb_fock = norm_lower_bound(fock, x)
     est = moment_norm_estimate(x, args.moment_rmax)
     rows = [
@@ -322,9 +322,7 @@ def _cmd_kh_norm(args) -> int:
 def _cmd_avitzour_find(args) -> int:
     a = MatrixBlockAlgebra.from_json(_load_json_file(args.a))
     b = MatrixBlockAlgebra.from_json(_load_json_file(args.b))
-    triple = find_avitzour_triple(
-        ConstantFiltration(a), ConstantFiltration(b), seed=args.seed, trials=args.trials
-    )
+    triple = find_avitzour_triple(a, b, seed=args.seed, trials=args.trials)
     if triple is None:
         payload = {"found": False, "seed": args.seed}
     else:
@@ -347,9 +345,7 @@ def _cmd_avitzour_check(args) -> int:
         a1, a2 = ambient2.factors
     else:
         a1 = a2 = MatrixBlockAlgebra.matrix_with_trace(2)
-    triple = find_avitzour_triple(
-        ConstantFiltration(a1), ConstantFiltration(a2), seed=args.seed, trials=args.trials
-    )
+    triple = find_avitzour_triple(a1, a2, seed=args.seed, trials=args.trials)
     if triple is None:
         sys.stderr.write("witness: no unitary triple exists for these factors\n")
         return CHECK_FAILED
@@ -458,14 +454,22 @@ def _cmd_orthogonality_check(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _positive_int(text: str) -> int:
+def _int_at_least(text: str, low: int) -> int:
     try:
         value = int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    if value < low:
+        raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
     return value
+
+
+def _positive_int(text: str) -> int:
+    return _int_at_least(text, 1)
+
+
+def _nonnegative_int(text: str) -> int:
+    return _int_at_least(text, 0)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -503,30 +507,30 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("fock-dim", help="truncated space dimensions per depth")
     p.add_argument("--factors", required=True, help="JSON file with {'factors': [...]}")
-    p.add_argument("--depth", type=int, default=4)
+    p.add_argument("--depth", type=_nonnegative_int, default=4)
     common(p)
     p.set_defaults(func=_cmd_fock_dim)
 
     p = sub.add_parser("free-moments", help="moments of x*x with the vacuum cross-check")
     p.add_argument("--factors", required=True)
     p.add_argument("--element", required=True, help="JSON file with the element")
-    p.add_argument("--rmax", type=int, default=4)
+    p.add_argument("--rmax", type=_positive_int, default=4)
     common(p)
     p.set_defaults(func=_cmd_free_moments)
 
     p = sub.add_parser("norm-estimate", help="lower bounds for the reduced norm")
     p.add_argument("--factors", required=True)
     p.add_argument("--element", required=True)
-    p.add_argument("--depth", type=int, default=None)
-    p.add_argument("--moment-rmax", type=int, default=4, dest="moment_rmax")
+    p.add_argument("--depth", type=_nonnegative_int, default=None)
+    p.add_argument("--moment-rmax", type=_positive_int, default=4, dest="moment_rmax")
     common(p)
     p.set_defaults(func=_cmd_norm_estimate)
 
     p = sub.add_parser("kh-norm", help="random homogeneous-element norm bracket sweep")
     p.add_argument("--factors", default=None)
-    p.add_argument("--length", type=int, default=2)
+    p.add_argument("--length", type=_positive_int, default=2)
     p.add_argument("--trials", type=_positive_int, default=10)
-    p.add_argument("--moment-rmax", type=int, default=2, dest="moment_rmax")
+    p.add_argument("--moment-rmax", type=_positive_int, default=2, dest="moment_rmax")
     p.add_argument("--threads", type=_positive_int, default=1,
                    help="threads for the independent trials (default 1)")
     common(p)
@@ -542,7 +546,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("avitzour-check", help="conjugation identities on random words")
     p.add_argument("--factors", default=None)
     p.add_argument("--trials", type=_positive_int, default=20)
-    p.add_argument("--lmax", type=int, default=4)
+    p.add_argument("--lmax", type=_positive_int, default=4)
     common(p)
     p.set_defaults(func=_cmd_avitzour_check)
 
@@ -553,7 +557,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", default=None, help="JSON config with algebra/u/v_span")
     p.add_argument("--atoms", type=_positive_int, default=48,
                    help="demo: circle discretization size")
-    p.add_argument("--level", type=int, default=2, help="demo: low-frequency band half-width")
+    p.add_argument("--level", type=_nonnegative_int, default=2, help="demo: low-frequency band half-width")
     p.add_argument("--orders", type=int, nargs="+", default=[3, 6, 12],
                    help="demo: character orders to test")
     common(p)

@@ -60,7 +60,6 @@ __all__ = [
     "FockError",
     "ResourceCapError",
     "TruncatedFock",
-    "build_fock",
     "fock_dimension",
     "norm_lower_bound",
     "vacuum_expectation",
@@ -233,11 +232,6 @@ def _enumerate_basis(factors, depth, onb):
         for t in new:
             yield t
         frontier = new
-
-
-def build_fock(factors, depth: int) -> TruncatedFock:
-    """A fresh space; :func:`shared_fock` gives the process-wide cached one."""
-    return TruncatedFock(factors, depth)
 
 
 @functools.lru_cache(maxsize=16)

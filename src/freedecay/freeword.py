@@ -67,6 +67,9 @@ class FreeProductAmbient:
     def __setattr__(self, name, value):
         raise AttributeError("FreeProductAmbient is immutable")
 
+    def __reduce__(self):
+        return FreeProductAmbient, (self.factors,)
+
     def __eq__(self, other):
         return isinstance(other, FreeProductAmbient) and self.factors == other.factors
 
@@ -101,6 +104,9 @@ class Letter:
 
     def __setattr__(self, name, value):
         raise AttributeError("Letter is immutable")
+
+    def __reduce__(self):
+        return Letter, (self.factor, self.payload)
 
     def __eq__(self, other):
         return (
@@ -196,6 +202,9 @@ class FreeElement:
 
     def __setattr__(self, name, value):
         raise AttributeError("FreeElement is immutable")
+
+    def __reduce__(self):
+        return FreeElement, (self.ambient, self.terms, True)
 
     # -- constructors -----------------------------------------------------
     @classmethod
@@ -697,22 +706,6 @@ class ShapeReport:
     words_checked: int
     offending_word: tuple | None
     reason: str | None
-
-    def to_json(self):
-        return {
-            "mode": self.mode,
-            "n": self.n,
-            "ell": self.ell,
-            "ok": self.ok,
-            "words_checked": self.words_checked,
-            "reason": self.reason,
-            "offending_word": None
-            if self.offending_word is None
-            else [
-                {"factor": l.factor, "elem": l.payload.to_json()}
-                for l in self.offending_word
-            ],
-        }
 
 
 def avitzour_shape_check(n: int, u, v, w, a: FreeElement, mode: str) -> ShapeReport:

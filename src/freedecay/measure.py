@@ -144,9 +144,7 @@ class CompactMeasure:
         def m(k):
             return sum(w * p ** k for w, p in zip(ws, pts))
 
-        mu = cls((lo, hi), m, name=f"atoms[{n}]")
-        mu.atoms = (tuple(pts), tuple(ws))
-        return mu
+        return cls((lo, hi), m, name=f"atoms[{n}]")
 
     @classmethod
     def builtin(cls, name: str) -> "CompactMeasure":
@@ -163,17 +161,6 @@ class CompactMeasure:
         return table[name]()
 
     # -- JSON ---------------------------------------------------------------
-    def to_json(self) -> dict:
-        builtin_names = {
-            "semicircle": "semicircle",
-            "cosine": "cosine",
-            "lebesgue[-1,1]": "lebesgue",
-            "lebesgue[0,1]": "lebesgue01",
-        }
-        if self.name in builtin_names:
-            return {"builtin": builtin_names[self.name]}
-        raise MeasureError("only builtin or moment-list measures serialize")
-
     @classmethod
     def from_json(cls, data) -> "CompactMeasure":
         json_shape(data, dict, "measure JSON", error=MeasureError)

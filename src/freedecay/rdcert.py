@@ -43,13 +43,11 @@ __all__ = [
     "ConstantFiltration",
     "FiniteDimFiltration",
     "MeasureDegreeFiltration",
-    "degree_filtration",
     "FreeProductFiltration",
     "RdConstant",
     "RDReport",
     "rd_report",
     "fit_exponent",
-    "free_filtration",
     "derived_filtration",
     "DerivedFiltrationReport",
     "find_avitzour_triple",
@@ -73,11 +71,6 @@ class RdConstant:
     upper: float
     method: str
 
-    @property
-    def value(self) -> float:
-        """Certificate value (the upper endpoint)."""
-        return self.upper
-
 
 class Filtration:
     """Base class; subclasses provide level bases and a recipe tag."""
@@ -93,86 +86,65 @@ class Filtration:
     def rd_constant(self, n: int) -> RdConstant:
         raise NotImplementedError
 
-    def max_level(self) -> int | None:
-        return None
-
-
-class ConstantFiltration(Filtration):
-    """V_0 = C1 and V_n = A for n >= 1: every finite-dimensional faithful
-    C*-probability space has rapid decay along it."""
-
-    recipe = "constant"
-
-    def __init__(self, algebra: MatrixBlockAlgebra):
-        self.algebra = algebra
-        self._onb = [algebra.identity()] + onb_complement(algebra)
-
-    def level_onb(self, n: int):
-        if n == 0:
-            return [self.algebra.identity()]
-        return list(self._onb)
-
-    def complement_onb(self, n: int):
-        return [] if n == 0 else list(self._onb[1:])
-
-    def rd_constant(self, n: int) -> RdConstant:
-        if n == 0:
-            return RdConstant(1.0, 1.0, "exact")
-        c = dn_norm(self._onb)
-        return RdConstant(c, c, "dn-certificate")
-
 
 class FiniteDimFiltration(Filtration):
-    """Generic finite-dimensional filtration from cumulative spanning sets.
+    """Finite-dimensional filtration given by one orthonormal basis per level.
 
-    ``spans[n]`` lists elements generating V_n together with all lower
-    levels and the identity.  Nesting is by construction; *-stability is
-    validated on the resulting bases.  Levels continue constantly beyond
-    the last provided span (the union is already everything they reach).
+    ``levels[n]`` is an orthonormal basis of V_n with the identity first, so
+    the rest of it spans the centred part of V_n.  Levels continue constantly
+    beyond the last one given.
     """
 
-    recipe = "finite-dim"
-
-    def __init__(self, algebra: MatrixBlockAlgebra, spans, validate: bool = True):
+    def __init__(self, algebra: MatrixBlockAlgebra, levels, recipe: str = "finite-dim"):
         self.algebra = algebra
-        self.spans = [list(level) for level in spans]
-        self._onb_cache: dict[int, list] = {}
-        if validate:
-            for n in range(len(self.spans)):
-                self._check_star_stable(n)
+        self.levels = [list(level) for level in levels]
+        self.recipe = recipe
 
-    def max_level(self):
-        return len(self.spans) - 1
-
-    def _seed(self, n: int):
-        seed = [self.algebra.identity()]
-        for level in self.spans[: n + 1]:
-            seed.extend(level)
-        return seed
+    @classmethod
+    def from_spans(cls, algebra: MatrixBlockAlgebra, spans) -> "FiniteDimFiltration":
+        """``spans[n]`` lists elements generating V_n together with all lower
+        levels and the identity.  Nesting is by construction; *-stability is
+        checked on the resulting bases."""
+        seed = [algebra.identity()]
+        levels = []
+        for n, span in enumerate(spans):
+            seed = seed + list(span)
+            basis = gram_schmidt(seed)
+            _check_star_stable(basis, n)
+            levels.append(basis)
+        return cls(algebra, levels)
 
     def level_onb(self, n: int):
-        n = min(n, len(self.spans) - 1)
-        if n not in self._onb_cache:
-            self._onb_cache[n] = gram_schmidt(self._seed(n))
-        return list(self._onb_cache[n])
+        return list(self.levels[min(n, len(self.levels) - 1)])
 
     def complement_onb(self, n: int):
         return self.level_onb(n)[1:]
 
-    def _check_star_stable(self, n: int):
-        basis = self.level_onb(n)
-        for x in basis:
-            adj = x.adjoint()
-            residual = adj
-            for b in basis:
-                residual = residual - b * l2_inner(adj, b)
-            # x* agrees with its projection onto the level, relative to ||x*||_2
-            if not agree(l2_norm(residual), 0.0, l2_norm(adj)):
-                raise AlgebraError(f"level {n} is not stable under adjoints")
-
     def rd_constant(self, n: int) -> RdConstant:
+        if n == 0:
+            return RdConstant(1.0, 1.0, "exact")
         c = dn_norm(self.level_onb(n))
         return RdConstant(c, c, "dn-certificate")
+
+
+def _check_star_stable(basis, n: int):
+    for x in basis:
+        adj = x.adjoint()
+        residual = adj
+        for b in basis:
+            residual = residual - b * l2_inner(adj, b)
+        # x* agrees with its projection onto the level, relative to ||x*||_2
+        if not agree(l2_norm(residual), 0.0, l2_norm(adj)):
+            raise AlgebraError(f"level {n} is not stable under adjoints")
+
+
+class ConstantFiltration(FiniteDimFiltration):
+    """V_0 = C1 and V_n = A for n >= 1: every finite-dimensional faithful
+    C*-probability space has rapid decay along it."""
+
+    def __init__(self, algebra: MatrixBlockAlgebra):
+        one = algebra.identity()
+        super().__init__(algebra, [[one], [one] + onb_complement(algebra)], "constant")
 
 
 class MeasureDegreeFiltration(Filtration):
@@ -184,9 +156,6 @@ class MeasureDegreeFiltration(Filtration):
         self.measure = measure
         self.max_n = max_n
         self.seq = ortho_polys(measure, max_n + 1)
-
-    def max_level(self):
-        return self.max_n
 
     def level_dim(self, n: int) -> int:
         return n + 1
@@ -201,11 +170,6 @@ class MeasureDegreeFiltration(Filtration):
         return RdConstant(c, c, "christoffel-grid")
 
 
-def degree_filtration(measure, n: int) -> MeasureDegreeFiltration:
-    """Filtration of the measure's polynomials by degree, levels 0..n."""
-    return MeasureDegreeFiltration(measure, n)
-
-
 class FreeProductFiltration(Filtration):
     """Alternating centered words of length <= n with letters from the
     level-n factor complements."""
@@ -215,7 +179,7 @@ class FreeProductFiltration(Filtration):
     def __init__(self, factor_filtrations, probe_seed: int = 0):
         self.factors = []
         for f in factor_filtrations:
-            if not isinstance(f, (ConstantFiltration, FiniteDimFiltration)):
+            if not isinstance(f, FiniteDimFiltration):
                 raise AlgebraError(
                     "free-product levels need finite-dimensional factor filtrations"
                 )
@@ -322,7 +286,7 @@ def fit_exponent(rows):
     Monotone clamping (C_n := max(C_n, C_{n-1})) removes numerical dips
     before fitting.  Needs at least 3 usable rows.
     """
-    pts = [(n, c) for (n, c, *_rest) in _normalize_rows(rows) if n >= 1]
+    pts = [(n, float(c)) for (n, c, *_rest) in rows if n >= 1]
     if len(pts) < 3:
         raise ValueError("need at least 3 rows with n >= 1 to fit an exponent")
     clamped = []
@@ -337,14 +301,6 @@ def fit_exponent(rows):
     return float(slope), float(intercept)
 
 
-def _normalize_rows(rows):
-    out = []
-    for row in rows:
-        if len(row) >= 2:
-            out.append((row[0], float(row[1])) + tuple(row[2:]))
-    return out
-
-
 def rd_report(filtration: Filtration, max_n: int) -> RDReport:
     levels = range(max_n + 1)
     constants = [filtration.rd_constant(n) for n in levels]
@@ -354,10 +310,6 @@ def rd_report(filtration: Filtration, max_n: int) -> RDReport:
     # clamp the certificate column monotone, then fit
     alpha, intercept = fit_exponent([(n, up) for (n, _lo, up, _d) in rows])
     return RDReport(rows=rows, alpha_hat=alpha, intercept=intercept, recipe=filtration.recipe)
-
-
-def free_filtration(factor_filtrations, probe_seed: int = 0) -> FreeProductFiltration:
-    return FreeProductFiltration(factor_filtrations, probe_seed=probe_seed)
 
 
 # ---------------------------------------------------------------------------
@@ -414,16 +366,12 @@ def derived_filtration(mode: str, *, first: Filtration = None, second: Filtratio
     raise ValueError(f"unknown derived filtration mode {mode!r}")
 
 
-class _LevelFiltration(FiniteDimFiltration):
-    """Finite-dim filtration with explicit per-level orthonormal bases."""
-
-    def __init__(self, algebra, onbs, recipe):
-        super().__init__(algebra, onbs, validate=False)
-        self._levels = onbs
-        self.recipe = recipe
-
-    def level_onb(self, n: int):
-        return list(self._levels[min(n, len(self._levels) - 1)])
+def _derived_report(mode: str, filt: FiniteDimFiltration, bound, max_n: int):
+    """Levels 0..max_n of ``filt`` against the predicted ``bound(n)``, n >= 1."""
+    predicted = [1.0] + [bound(n) for n in range(1, max_n + 1)]
+    realized = [filt.rd_constant(n).upper for n in range(max_n + 1)]
+    ok = all(r <= p or agree(r, p, p) for r, p in zip(realized, predicted))
+    return DerivedFiltrationReport(mode, filt, predicted, realized, ok)
 
 
 def _derived_direct_sum(f1: Filtration, f2: Filtration, weight, max_n: int):
@@ -455,18 +403,15 @@ def _derived_direct_sum(f1: Filtration, f2: Filtration, weight, max_n: int):
     s1, s2 = 1.0 / math.sqrt(wf), 1.0 / math.sqrt(1.0 - wf)
     onbs = [[algebra.identity()]]
     for n in range(1, max_n + 1):
-        level = [embed(x, None) * s1 for x in f1.level_onb(n)]
+        level = [algebra.identity()]
+        level += [embed(x, None) * s1 for x in f1.level_onb(n)]
         level += [embed(None, y) * s2 for y in f2.level_onb(n)]
         onbs.append(gram_schmidt(level))
-    filt = _LevelFiltration(algebra, onbs, "direct-sum")
-    predicted, realized = [1.0], [filt.rd_constant(0).value]
-    for n in range(1, max_n + 1):
-        predicted.append(
-            max(f1.rd_constant(n).value * s1, f2.rd_constant(n).value * s2)
-        )
-        realized.append(filt.rd_constant(n).value)
-    ok = all(r <= p or agree(r, p, p) for r, p in zip(realized, predicted))
-    return DerivedFiltrationReport("direct_sum", filt, predicted, realized, ok)
+    filt = FiniteDimFiltration(algebra, onbs, "direct-sum")
+    return _derived_report(
+        "direct_sum", filt,
+        lambda n: max(f1.rd_constant(n).upper * s1, f2.rd_constant(n).upper * s2), max_n,
+    )
 
 
 def _scale_scalar(v, s):
@@ -511,21 +456,13 @@ def _derived_corner(f: Filtration, p: AlgebraElement, max_n: int):
             [[[complex(v) for v in row] for row in blk] for blk in blocks]
         )
 
-    max_available = f.max_level()
-    top = max_n if max_available is None else min(max_n, max_available)
     onbs = [[corner_algebra.identity()]]
-    for n in range(1, top + 1):
-        level_basis = f.level_onb(n)
-        corner_span = _intersect_with_corner(algebra, level_basis, p)
+    for n in range(1, max_n + 1):
+        corner_span = _intersect_with_corner(algebra, f.level_onb(n), p)
         compressed = [compress(x) for x in corner_span]
         onbs.append(gram_schmidt([corner_algebra.identity()] + compressed))
-    filt = _LevelFiltration(corner_algebra, onbs, "corner")
-    predicted, realized = [1.0], [filt.rd_constant(0).value]
-    for n in range(1, top + 1):
-        predicted.append(f.rd_constant(n).value * math.sqrt(wp))
-        realized.append(filt.rd_constant(n).value)
-    ok = all(r <= pr or agree(r, pr, pr) for r, pr in zip(realized, predicted))
-    return DerivedFiltrationReport("corner", filt, predicted, realized, ok)
+    filt = FiniteDimFiltration(corner_algebra, onbs, "corner")
+    return _derived_report("corner", filt, lambda n: f.rd_constant(n).upper * math.sqrt(wp), max_n)
 
 
 def _intersect_with_corner(algebra, level_basis, p):
@@ -569,16 +506,12 @@ def _derived_tensor(f1: Filtration, f2: Filtration, max_n: int):
             embed(x, y) for x in f1.level_onb(n) for y in f2.level_onb(n)
         ]
         onbs.append(gram_schmidt(level))
-    filt = _LevelFiltration(algebra, onbs, "tensor")
-    predicted, realized = [1.0], [filt.rd_constant(0).value]
-    for n in range(1, max_n + 1):
-        k_n = len(f1.level_onb(n))
-        predicted.append(
-            f1.rd_constant(n).value * f2.rd_constant(n).value * math.sqrt(k_n)
-        )
-        realized.append(filt.rd_constant(n).value)
-    ok = all(r <= pr or agree(r, pr, pr) for r, pr in zip(realized, predicted))
-    return DerivedFiltrationReport("tensor", filt, predicted, realized, ok)
+    filt = FiniteDimFiltration(algebra, onbs, "tensor")
+
+    def bound(n):
+        return f1.rd_constant(n).upper * f2.rd_constant(n).upper * math.sqrt(f1.level_dim(n))
+
+    return _derived_report("tensor", filt, bound, max_n)
 
 
 # ---------------------------------------------------------------------------
@@ -887,13 +820,11 @@ def _newton_phases(fw, rng, trials, constraints, jacobian, unknowns, to_phases):
     return None
 
 
-def find_avitzour_triple(f1: Filtration, f2: Filtration, seed: int = 0,
+def find_avitzour_triple(a1: MatrixBlockAlgebra, a2: MatrixBlockAlgebra, seed: int = 0,
                          trials: int = 10_000):
-    """(u, v, w) with rho(u) = tau(v) = tau(w) = tau(v*w) = 0, unitary, and
-    v in the centralizer; structured constructions first, randomized search
-    second, None when nothing qualifies."""
-    a1 = f1.algebra if isinstance(f1, Filtration) else f1
-    a2 = f2.algebra if isinstance(f2, Filtration) else f2
+    """(u, v, w) in A1, A2 with rho(u) = tau(v) = tau(w) = tau(v*w) = 0,
+    unitary, and v in the centralizer; structured constructions first,
+    randomized search second, None when nothing qualifies."""
     rng = np.random.default_rng(seed)
     u = _state_zero_unitary(a1)
     if u is None:
@@ -922,17 +853,6 @@ class OrthogonalityReport:
     containment_op: float
     level_dim: int
     fhat_dim: int
-
-    def to_json(self):
-        return {
-            "sup_conjugated": self.sup_conjugated,
-            "sup_mixed": self.sup_mixed,
-            "inflated_constant": self.inflated_constant,
-            "containment_l2": self.containment_l2,
-            "containment_op": self.containment_op,
-            "level_dim": self.level_dim,
-            "fhat_dim": self.fhat_dim,
-        }
 
 
 def orthogonality_hypotheses(v_span, u: AlgebraElement, fhat_span) -> OrthogonalityReport:

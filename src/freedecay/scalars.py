@@ -65,6 +65,9 @@ class QC:
     def __setattr__(self, name, value):
         raise AttributeError("QC is immutable")
 
+    def __reduce__(self):
+        return _make, (self._a, self._b, self._d)
+
     re = property(lambda self: Fraction(self._a, self._d))
     im = property(lambda self: Fraction(self._b, self._d))
 

@@ -38,7 +38,7 @@ from freedecay.khintchine import (
     weak_cs_bound,
 )
 from freedecay.measure import CompactMeasure, ortho_polys, sup_norm_poly
-from freedecay.rdcert import classify_abelian, degree_filtration, rd_report
+from freedecay.rdcert import MeasureDegreeFiltration, classify_abelian, rd_report
 
 
 def _report(criterion: str, ok: bool, detail: str):
@@ -112,8 +112,8 @@ def test_criterion_02_legendre_bound():
 
 
 def test_criterion_03_rd_exponents():
-    semi = rd_report(degree_filtration(CompactMeasure.semicircle(), 40), 40)
-    leb = rd_report(degree_filtration(CompactMeasure.lebesgue(), 40), 40)
+    semi = rd_report(MeasureDegreeFiltration(CompactMeasure.semicircle(), 40), 40)
+    leb = rd_report(MeasureDegreeFiltration(CompactMeasure.lebesgue(), 40), 40)
     ok_semi = 1.4 <= semi.alpha_hat <= 1.6
     ok_leb = 0.95 <= leb.alpha_hat <= 1.05
     dims_ok = all(d == n + 1 for (n, _lo, _up, d) in semi.rows) and all(

@@ -404,6 +404,37 @@ def test_kh_norm_threads_below_one_is_usage_error(capsys):
         assert flag in err and "Traceback" not in err
 
 
+# F and E stand for a factors file and an element file
+@pytest.mark.parametrize("argv, flag", [
+    (["fock-dim", "--factors", "F", "--depth", "-1"], "--depth"),
+    (["norm-estimate", "--factors", "F", "--element", "E", "--depth", "-1"], "--depth"),
+    (["orthogonality-check", "--level", "-1"], "--level"),
+    (["avitzour-check", "--lmax", "0"], "--lmax"),
+    (["kh-norm", "--length", "0"], "--length"),
+    (["kh-norm", "--moment-rmax", "0"], "--moment-rmax"),
+    (["free-moments", "--factors", "F", "--element", "E", "--rmax", "0"], "--rmax"),
+    (["norm-estimate", "--factors", "F", "--element", "E", "--moment-rmax", "0"],
+     "--moment-rmax"),
+])
+def test_count_flags_reject_values_out_of_range(tmp_path, capsys, argv, flag):
+    files = {"F": _m2_factors(tmp_path),
+             "E": _write(tmp_path, "elem.json",
+                         {"terms": [{"coeff": ["1", "0"], "word": [{"factor": 0, "elem": _FLIP}]}]})}
+    out = tmp_path / "out.csv"
+    assert run([files.get(a, a) for a in argv] + ["--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert flag in err and "Traceback" not in err
+    assert not out.exists()
+
+
+def test_fock_dim_depth_zero_writes_one_row(tmp_path):
+    out = tmp_path / "dims.csv"
+    assert run(["fock-dim", "--factors", _m2_factors(tmp_path), "--depth", "0",
+                "--out", str(out)]) == 0
+    rows = [line for line in out.read_text().splitlines() if not line.startswith("#")]
+    assert rows == ["depth,dimension", "0,1"]
+
+
 def test_avitzour_find_m2(tmp_path):
     m2 = {"blocks": [{"dim": 2, "density": [["1/2", "0"], ["0", "1/2"]]}]}
     a = _write(tmp_path, "a.json", m2)

@@ -23,10 +23,10 @@ from freedecay.cli import run
 from freedecay.fock import (
     FockError,
     ResourceCapError,
+    TruncatedFock,
     _spectral_norm,
     _vector_moments,
     _word_moments,
-    build_fock,
     default_depth,
     fock_dimension,
     free_cumulants_to_moments,
@@ -38,7 +38,7 @@ from freedecay.fock import (
 )
 from freedecay.freeword import FreeElement, Letter, free_state, is_normalized_word, normalize
 from freedecay.khintchine import HomogeneousWordElement
-from freedecay.rdcert import ConstantFiltration, free_filtration
+from freedecay.rdcert import ConstantFiltration, FreeProductFiltration
 from freedecay.scalars import QC, to_complex
 
 
@@ -57,24 +57,24 @@ def _represent_dense(f, x):
 
 
 def test_single_factor_depth_one_dimension():
-    f = build_fock([c2_half()], 1)
+    f = TruncatedFock([c2_half()], 1)
     assert f.dimension == 2
     assert fock_dimension([c2_half()], 1) == 2
 
 
 def test_two_m2_factors_depth_two_dimension():
-    f = build_fock([m2_tr(), m2_tr()], 2)
+    f = TruncatedFock([m2_tr(), m2_tr()], 2)
     assert f.dimension == 1 + 3 + 3 + 9 + 9
     assert fock_dimension([m2_tr(), m2_tr()], 2) == 25
 
 
 def test_depth_zero():
-    assert build_fock([m2_tr()], 0).dimension == 1
+    assert TruncatedFock([m2_tr()], 0).dimension == 1
 
 
 def test_dimension_cap():
     with pytest.raises(ResourceCapError):
-        build_fock([MatrixBlockAlgebra.from_weights([Fraction(1, 24)] * 24)] * 2, 5)
+        TruncatedFock([MatrixBlockAlgebra.from_weights([Fraction(1, 24)] * 24)] * 2, 5)
 
 
 # ---------------------------------------------------------------------------
@@ -83,7 +83,7 @@ def test_dimension_cap():
 
 
 def test_represent_identity():
-    f = build_fock([m2_tr(), m2_tr()], 2)
+    f = TruncatedFock([m2_tr(), m2_tr()], 2)
     amb = f.ambient()
     mat = _represent_dense(f, FreeElement.one(amb))
     assert np.allclose(mat, np.eye(f.dimension))
@@ -91,7 +91,7 @@ def test_represent_identity():
 
 def test_letter_on_vacuum_definition():
     # lambda(a) Omega = centered part (+) state(a) Omega
-    f = build_fock([m2_tr(), m2_tr()], 2)
+    f = TruncatedFock([m2_tr(), m2_tr()], 2)
     amb = f.ambient()
     rng = np.random.default_rng(0)
     from freedecay.algebra import center, l2_inner, state
@@ -120,7 +120,7 @@ def _oracle_matrix(f, x):
 
 
 def test_letter_operators_match_the_free_state_oracle():
-    f = build_fock([m2_tr(), c3_weighted()], 2)
+    f = TruncatedFock([m2_tr(), c3_weighted()], 2)
     amb = f.ambient()
     rng = np.random.default_rng(20)
     exact = random_rational_element(amb.factors[0], rng)
@@ -139,7 +139,7 @@ def test_represent_words_match_the_free_state_oracle(length):
     # every word acts on the depth-L space itself: centred words as they are,
     # uncentred ones after normalize (unnormalized, the uncentred length-3
     # word is off by more than 1)
-    f = build_fock([m2_tr(), c3_weighted()], 2)
+    f = TruncatedFock([m2_tr(), c3_weighted()], 2)
     rng = np.random.default_rng(21)
     for centered in (True, False):
         x = random_alternating_word(f.ambient(), length, rng, centered=centered)
@@ -152,7 +152,7 @@ def test_centred_words_are_represented_without_normalize(monkeypatch):
         raise AssertionError("normalize called on a centred element")
 
     monkeypatch.setattr(fock, "normalize", refuse)
-    f = build_fock([m2_tr(), c3_weighted()], 2)
+    f = TruncatedFock([m2_tr(), c3_weighted()], 2)
     amb = f.ambient()
     rng = np.random.default_rng(23)
     probes = [
@@ -201,8 +201,8 @@ def _assert_same_bits(f, x):
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
 def test_shared_suffix_compression_keeps_the_bits_of_level_probes(n):
     c3 = MatrixBlockAlgebra.from_weights([Fraction(1, 3)] * 3)
-    filt = free_filtration([ConstantFiltration(c2_half()), ConstantFiltration(c3)], probe_seed=5)
-    f = build_fock(filt.ambient.factors, max(4, n + 1))
+    filt = FreeProductFiltration([ConstantFiltration(c2_half()), ConstantFiltration(c3)], probe_seed=5)
+    f = TruncatedFock(filt.ambient.factors, max(4, n + 1))
     for probe in filt._probes(n):
         _assert_same_bits(f, probe)
 
@@ -210,7 +210,7 @@ def test_shared_suffix_compression_keeps_the_bits_of_level_probes(n):
 def test_shared_suffix_compression_keeps_the_bits_of_float_and_uncentred_elements():
     rng = np.random.default_rng(31)
     amb = two_factor(m2_tr(), m2_tr())
-    f = build_fock(amb.factors, 3)
+    f = TruncatedFock(amb.factors, 3)
     # every alternating word of length <= 3 over two float letters per
     # factor, in shuffled order: long words come before their suffixes too
     pool = [[Letter(j, _float_centred(amb.factors[j], rng)) for _ in range(2)] for j in (0, 1)]
@@ -233,7 +233,7 @@ def test_shared_suffix_compression_keeps_the_bits_of_float_and_uncentred_element
 def test_shared_blocks_keep_the_bits_of_several_elements():
     rng = np.random.default_rng(41)
     amb = two_factor(m2_tr(), m2_tr())
-    f = build_fock(amb.factors, 3)
+    f = TruncatedFock(amb.factors, 3)
     pool = [[Letter(j, _float_centred(amb.factors[j], rng)) for _ in range(2)] for j in (0, 1)]
     words = [()]
     for length in (1, 2, 3):
@@ -284,7 +284,7 @@ def test_shared_suffix_compression_keeps_the_certify_csv(tmp_path, monkeypatch):
 
 
 def test_only_basis_vector_operators_are_cached():
-    f = build_fock([m2_tr(), c3_weighted()], 2)
+    f = TruncatedFock([m2_tr(), c3_weighted()], 2)
     amb = f.ambient()
     a = random_rational_element(amb.factors[0], np.random.default_rng(22))
     f.letter_operator(0, a)
@@ -303,7 +303,7 @@ def test_complement_basis_is_built_once_per_algebra():
     again = onb_complement(a)
     assert again is not onb and len(onb) == a.dim - 1
     assert all(u is v for u, v in zip(again, onb))
-    space = build_fock([a, c3_weighted()], 2)
+    space = TruncatedFock([a, c3_weighted()], 2)
     x = HomogeneousWordElement.random(space.ambient(), 2, np.random.default_rng(3))
     filt = ConstantFiltration(a)
     for held in (space.onb[0], x.onb[0], filt.complement_onb(1)):
@@ -333,7 +333,7 @@ def test_vacuum_pairing_matches_free_state_exactly():
 
 
 def test_represent_vacuum_pairing_matches_free_state_numerically():
-    f = build_fock([m2_tr(), c3_weighted()], 4)
+    f = TruncatedFock([m2_tr(), c3_weighted()], 4)
     amb = f.ambient()
     rng = np.random.default_rng(2)
     for _ in range(25):
@@ -348,7 +348,7 @@ def test_adjoint_compatibility_all_depths():
     rng = np.random.default_rng(3)
     x = random_word_element(amb, 3, rng, n_terms=2)
     for depth in (1, 2, 3):
-        f = build_fock(amb.factors, depth)
+        f = TruncatedFock(amb.factors, depth)
         assert np.allclose(
             _represent_dense(f, x.adjoint()), _represent_dense(f, x).conj().T, atol=1e-10
         )
@@ -359,13 +359,13 @@ def test_represent_hermitian_for_self_adjoint():
     rng = np.random.default_rng(4)
     y = random_word_element(amb, 2, rng, n_terms=2)
     x = y + y.adjoint()
-    f = build_fock(amb.factors, 3)
+    f = TruncatedFock(amb.factors, 3)
     mat = _represent_dense(f, x)
     assert np.allclose(mat, mat.conj().T, atol=1e-12)
 
 
 def test_represented_onb_words_have_orthogonal_vacuum_images():
-    f = build_fock([m2_tr(), m2_tr()], 3)
+    f = TruncatedFock([m2_tr(), m2_tr()], 3)
     amb = f.ambient()
     onb0, onb1 = f.onb
     words = [
@@ -384,7 +384,7 @@ def test_norm_lower_bound_monotone_in_depth():
     amb = two_factor(m2_tr(), m2_tr())
     rng = np.random.default_rng(5)
     x = random_word_element(amb, 2, rng, n_terms=3)
-    vals = [norm_lower_bound(build_fock(amb.factors, L), x) for L in (1, 2, 3, 4)]
+    vals = [norm_lower_bound(TruncatedFock(amb.factors, L), x) for L in (1, 2, 3, 4)]
     for a, b in zip(vals, vals[1:]):
         assert b >= a - 1e-9
 
@@ -434,7 +434,7 @@ def test_moment_estimate_of_identity():
     amb = two_factor(m2_tr(), m2_tr())
     est = moment_norm_estimate(FreeElement.one(amb), 3)
     assert est.max == pytest.approx(1.0)
-    f = build_fock(amb.factors, 2)
+    f = TruncatedFock(amb.factors, 2)
     assert norm_lower_bound(f, FreeElement.one(amb)) == pytest.approx(1.0)
 
 
@@ -456,7 +456,7 @@ def test_moment_estimates_nondecreasing_and_bounded():
     bests = [row[4] for row in est.rows]
     for a, b in zip(bests, bests[1:]):
         assert b >= a - 1e-12
-    f = build_fock(amb.factors, default_depth(x))
+    f = TruncatedFock(amb.factors, default_depth(x))
     lb = norm_lower_bound(f, x)
     # both are lower bounds of the same norm; the Fock bound at depth >= 2*len
     # dominates the moment bound at small r only up to truncation, so just

@@ -1,5 +1,7 @@
 """Tests for the symbolic free-product engine."""
 
+import copy
+import pickle
 from fractions import Fraction
 
 import numpy as np
@@ -34,7 +36,7 @@ from freedecay.freeword import (
     phi_conjugation,
     three_factor_ambient,
 )
-from freedecay.rdcert import ConstantFiltration, find_avitzour_triple
+from freedecay.rdcert import find_avitzour_triple
 from freedecay.scalars import QC
 
 
@@ -488,7 +490,7 @@ def _conjugation_triples():
     alg = m2_tr()
     c3 = MatrixBlockAlgebra.from_weights([Fraction(1, 3)] * 3)
     c5 = MatrixBlockAlgebra.from_weights([Fraction(1, 5)] * 5)
-    found = find_avitzour_triple(ConstantFiltration(c3), ConstantFiltration(c5), seed=0)
+    found = find_avitzour_triple(c3, c5, seed=0)
     assert not found.v.is_exact()
     return [(alg, alg, *pauli_unitaries(alg)), (c3, c5, found.u, found.v, found.w)]
 
@@ -614,3 +616,25 @@ def test_scalar_part_rejects_a_tiny_off_diagonal_float():
         assert _reference_scalar_part(x) is None
     x = AlgebraElement(alg, [[[1.5, -0.0], [complex(0.0, -0.0), 1.5]]])
     assert _scalar_part(x) == _reference_scalar_part(x) == 1.5
+
+
+def _exact_word():
+    amb = _ambient_m2_c3()
+    return random_word_element(amb, 3, np.random.default_rng(7), n_terms=3, centered=True)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: QC(Fraction(-2, 3), Fraction(5, 7)),
+    lambda: m2_tr().element([[[QC(1, 2), 1], [0, Fraction(1, 3)]]]),
+    lambda: m2_tr().element([[[0.5j, 1], [0, 2.0]]]),
+    lambda: _ambient_m2_c3(),
+    lambda: Letter(1, c3_weighted().element([[[1]], [[QC(0, 1)]], [[-1]]])),
+    _exact_word,
+    lambda: _exact_word() * 0.25j,
+], ids=["QC", "AlgebraElement", "float-AlgebraElement", "FreeProductAmbient", "Letter",
+        "FreeElement", "float-FreeElement"])
+def test_exact_values_survive_pickle_and_deepcopy(make):
+    x = make()
+    for y in (pickle.loads(pickle.dumps(x)), copy.deepcopy(x)):
+        assert type(y) is type(x)
+        assert y == x and hash(y) == hash(x)

@@ -228,10 +228,10 @@ def test_rx_check_builds_no_space_beyond_its_depth(built_spaces):
 
 def test_tr_bracket_rejects_a_fock_of_other_factors():
     from freedecay.algebra import AlgebraError, MatrixBlockAlgebra
-    from freedecay.fock import build_fock
+    from freedecay.fock import TruncatedFock
 
     x = _single_word(_ambient(), (0, 1), (0, 2))
-    other = build_fock((m2_tr(), MatrixBlockAlgebra.matrix_with_trace(3)), 2)
+    other = TruncatedFock((m2_tr(), MatrixBlockAlgebra.matrix_with_trace(3)), 2)
     with pytest.raises(AlgebraError):
         tr_bracket(x, 1, fock=other)
 

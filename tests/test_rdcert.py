@@ -19,12 +19,12 @@ from freedecay.measure import CompactMeasure
 from freedecay.rdcert import (
     ConstantFiltration,
     FiniteDimFiltration,
+    FreeProductFiltration,
+    MeasureDegreeFiltration,
     classify_abelian,
-    degree_filtration,
     derived_filtration,
     find_avitzour_triple,
     fit_exponent,
-    free_filtration,
     orthogonality_hypotheses,
     rd_report,
     verify_avitzour_triple,
@@ -43,7 +43,7 @@ def test_constant_filtration_rd_constant():
 
 
 def test_measure_filtration_semicircle_constant():
-    filt = degree_filtration(CompactMeasure.semicircle(), 12)
+    filt = MeasureDegreeFiltration(CompactMeasure.semicircle(), 12)
     assert filt.rd_constant(10).upper == pytest.approx(math.sqrt(506.0), abs=1e-8)
 
 
@@ -59,17 +59,17 @@ def test_fit_exponent_requires_three_rows():
 
 
 def test_semicircle_exponent_three_halves():
-    report = rd_report(degree_filtration(CompactMeasure.semicircle(), 40), 40)
+    report = rd_report(MeasureDegreeFiltration(CompactMeasure.semicircle(), 40), 40)
     assert 1.40 <= report.alpha_hat <= 1.60
 
 
 def test_lebesgue_exponent_one():
-    report = rd_report(degree_filtration(CompactMeasure.lebesgue(), 40), 40)
+    report = rd_report(MeasureDegreeFiltration(CompactMeasure.lebesgue(), 40), 40)
     assert 0.95 <= report.alpha_hat <= 1.05
 
 
 def test_rd_constant_monotone():
-    report = rd_report(degree_filtration(CompactMeasure.semicircle(), 12), 12)
+    report = rd_report(MeasureDegreeFiltration(CompactMeasure.semicircle(), 12), 12)
     uppers = [row[2] for row in report.rows]
     assert all(b >= a - 1e-12 for a, b in zip(uppers, uppers[1:]))
 
@@ -83,7 +83,16 @@ def test_finite_dim_filtration_star_stability_enforced():
     alg = m2_tr()
     e12 = alg.element([[[0, 1], [0, 0]]])
     with pytest.raises(AlgebraError):
-        FiniteDimFiltration(alg, [[], [e12]])
+        FiniteDimFiltration.from_spans(alg, [[], [e12]])
+
+
+def test_constant_filtration_is_the_finite_dim_filtration_of_all_of_a():
+    for alg in (m2_tr(), c3_weighted()):
+        const = ConstantFiltration(alg)
+        spans = FiniteDimFiltration.from_spans(alg, [[], alg.basis()])
+        for n in range(4):
+            assert const.rd_constant(n).upper == spans.rd_constant(n).upper
+        assert const.recipe == "constant" and spans.recipe == "finite-dim"
 
 
 # ---------------------------------------------------------------------------
@@ -96,14 +105,14 @@ def _c2():
 
 
 def test_free_filtration_level_dims():
-    filt = free_filtration([ConstantFiltration(_c2()), ConstantFiltration(_c2())])
+    filt = FreeProductFiltration([ConstantFiltration(_c2()), ConstantFiltration(_c2())])
     assert filt.level_dim(0) == 1
     assert filt.level_dim(2) == 5
     assert len(filt.level_onb(2)) == 5
 
 
 def test_free_filtration_levels_orthonormal():
-    filt = free_filtration([ConstantFiltration(_c2()), ConstantFiltration(m2_tr())])
+    filt = FreeProductFiltration([ConstantFiltration(_c2()), ConstantFiltration(m2_tr())])
     basis = filt.level_onb(2)
     for i, x in enumerate(basis):
         for j, y in enumerate(basis):
@@ -112,7 +121,7 @@ def test_free_filtration_levels_orthonormal():
 
 
 def test_free_filtration_bracket_orders():
-    filt = free_filtration(
+    filt = FreeProductFiltration(
         [ConstantFiltration(_c2()), ConstantFiltration(_c2())], probe_seed=1
     )
     for n in (1, 2, 3):
@@ -123,7 +132,7 @@ def test_free_filtration_bracket_orders():
 
 def test_free_filtration_probes_match_summed_probes():
     c3 = MatrixBlockAlgebra.from_weights([Fraction(1, 3)] * 3)
-    filt = free_filtration(
+    filt = FreeProductFiltration(
         [ConstantFiltration(_c2()), ConstantFiltration(c3)], probe_seed=4
     )
     n = 3
@@ -143,12 +152,12 @@ def test_free_filtration_probes_match_summed_probes():
 def test_free_filtration_lower_endpoint_keeps_its_depth():
     # level 5 of (M2, tr) * (M2, tr) must probe on the depth-6 space (dim
     # 2,185): on the depth-5 space its lower endpoint falls below level 4's
-    filt = free_filtration([ConstantFiltration(m2_tr()), ConstantFiltration(m2_tr())])
+    filt = FreeProductFiltration([ConstantFiltration(m2_tr()), ConstantFiltration(m2_tr())])
     assert filt.rd_constant(5).lower >= filt.rd_constant(4).lower
 
 
 def test_free_filtration_exponent_finite():
-    filt = free_filtration(
+    filt = FreeProductFiltration(
         [ConstantFiltration(_c2()), ConstantFiltration(_c2())], probe_seed=2
     )
     report = rd_report(filt, 4)
@@ -196,6 +205,25 @@ def test_corner_rejects_non_projection():
         derived_filtration("corner", first=f, projection=q, max_n=1)
 
 
+def test_derived_filtrations_report_every_level():
+    alg = c3_weighted()
+    two_level = FiniteDimFiltration.from_spans(alg, [[], [alg.element([[[1]], [[-1]], [[0]]])]])
+    p = alg.element([[[1]], [[1]], [[0]]])
+    reports = [
+        derived_filtration("direct_sum", first=ConstantFiltration(_c2()), second=two_level,
+                           max_n=3),
+        derived_filtration("corner", first=two_level, projection=p, max_n=3),
+        derived_filtration("tensor", first=two_level, second=ConstantFiltration(_c2()),
+                           max_n=3),
+    ]
+    for report in reports:
+        assert len(report.predicted_bound) == len(report.realized) == 4
+        filt = report.filtration
+        for n in range(4):
+            first = filt.level_onb(n)[0]
+            assert op_norm(first - filt.algebra.identity()) <= 1e-12
+
+
 def test_tensor_bound_on_random_elements():
     f1 = ConstantFiltration(_c2())
     f2 = ConstantFiltration(m2_tr())
@@ -204,8 +232,8 @@ def test_tensor_bound_on_random_elements():
     filt = report.filtration
     rng = np.random.default_rng(3)
     basis = filt.level_onb(1)
-    c1 = f1.rd_constant(1).value
-    c2 = f2.rd_constant(1).value
+    c1 = f1.rd_constant(1).upper
+    c2 = f2.rd_constant(1).upper
     bound = c1 * c2 * math.sqrt(len(f1.level_onb(1)))
     for _ in range(10):
         coeffs = rng.standard_normal(len(basis))
@@ -221,26 +249,26 @@ def test_tensor_bound_on_random_elements():
 
 
 def test_triple_for_m2_pair_is_exact_and_structured():
-    f1 = ConstantFiltration(MatrixBlockAlgebra.matrix_with_state([Fraction(2, 3), Fraction(1, 3)]))
-    f2 = ConstantFiltration(m2_tr())
+    f1 = MatrixBlockAlgebra.matrix_with_state([Fraction(2, 3), Fraction(1, 3)])
+    f2 = m2_tr()
     triple = find_avitzour_triple(f1, f2, seed=0)
     assert triple is not None
     res = verify_avitzour_triple(triple.u, triple.v, triple.w)
     assert max(res.values()) == 0.0  # rational structured construction
     flip = [[0, 1], [1, 0]]
-    assert triple.u == f1.algebra.element([flip])
-    assert triple.w == f2.algebra.element([flip])
-    assert triple.v == f2.algebra.element([[[1, 0], [0, -1]]])
+    assert triple.u == f1.element([flip])
+    assert triple.w == f2.element([flip])
+    assert triple.v == f2.element([[[1, 0], [0, -1]]])
 
 
 def test_triple_for_trivial_second_factor_is_none():
-    f1 = ConstantFiltration(m2_tr())
-    f2 = ConstantFiltration(MatrixBlockAlgebra.from_weights([1]))
+    f1 = m2_tr()
+    f2 = MatrixBlockAlgebra.from_weights([1])
     assert find_avitzour_triple(f1, f2, seed=0) is None
 
 
 def test_triple_for_m3_trace_uses_cube_roots():
-    f = ConstantFiltration(MatrixBlockAlgebra.matrix_with_trace(3))
+    f = MatrixBlockAlgebra.matrix_with_trace(3)
     triple = find_avitzour_triple(f, f, seed=0)
     assert triple is not None
     res = verify_avitzour_triple(triple.u, triple.v, triple.w)
@@ -252,7 +280,7 @@ def test_triple_for_m3_trace_uses_cube_roots():
 
 
 def test_triple_for_uniform_abelian_four_atoms_exact():
-    f1 = ConstantFiltration(MatrixBlockAlgebra.from_weights([Fraction(1, 4)] * 4))
+    f1 = MatrixBlockAlgebra.from_weights([Fraction(1, 4)] * 4)
     triple = find_avitzour_triple(f1, f1, seed=0)
     assert triple is not None
     res = verify_avitzour_triple(triple.u, triple.v, triple.w)
@@ -262,15 +290,15 @@ def test_triple_for_uniform_abelian_four_atoms_exact():
 
 def test_triple_none_when_heavy_atom_blocks_unitaries():
     # max weight > 1/2: no state-zero unitary exists in the abelian algebra
-    f1 = ConstantFiltration(MatrixBlockAlgebra.from_weights([Fraction(3, 5), Fraction(1, 5), Fraction(1, 5)]))
-    f2 = ConstantFiltration(m2_tr())
+    f1 = MatrixBlockAlgebra.from_weights([Fraction(3, 5), Fraction(1, 5), Fraction(1, 5)])
+    f2 = m2_tr()
     assert find_avitzour_triple(f2, f1, seed=0) is None  # v needs state zero in A2
     assert find_avitzour_triple(f1, f2, seed=0) is None  # u needs state zero in A1
 
 
 def test_triple_general_weights_five_atoms():
     weights = [Fraction(6, 20), Fraction(5, 20), Fraction(4, 20), Fraction(3, 20), Fraction(2, 20)]
-    f = ConstantFiltration(MatrixBlockAlgebra.from_weights(weights))
+    f = MatrixBlockAlgebra.from_weights(weights)
     triple = find_avitzour_triple(f, f, seed=1, trials=200)
     assert triple is not None
     res = verify_avitzour_triple(triple.u, triple.v, triple.w)
@@ -281,14 +309,14 @@ def test_triple_three_nonuniform_atoms_is_none():
     # for three atoms the pair (v, w) forces uniform weights: the phase
     # matrix scaled by sqrt(weights) would have to be unitary
     weights = [Fraction(5, 12), Fraction(4, 12), Fraction(3, 12)]
-    f = ConstantFiltration(MatrixBlockAlgebra.from_weights(weights))
+    f = MatrixBlockAlgebra.from_weights(weights)
     assert find_avitzour_triple(f, f, seed=1, trials=300) is None
 
 
 def test_triple_heavy_atom_above_third_is_none():
     # a single atom above 1/3 contradicts the rank-3 projection diagonal
     weights = [Fraction(2, 5), Fraction(3, 10), Fraction(3, 20), Fraction(3, 20)]
-    f = ConstantFiltration(MatrixBlockAlgebra.from_weights(weights))
+    f = MatrixBlockAlgebra.from_weights(weights)
     assert find_avitzour_triple(f, f, seed=1, trials=50) is None
 
 

@@ -1,8 +1,8 @@
 """The tolerance policy of ``freedecay.scalars``: negligible, agree, and the
 rule that tolerance literals live only there; the equality, hashing and
 powers of ``QC`` and the rule that its layout stays in ``scalars``; plus the
-rules that modules import only at their top and that every ``__all__``
-entry exists."""
+rules that modules import only at their top, that every ``__all__``
+entry exists and that the Python examples of README.md run."""
 
 import ast
 import importlib
@@ -199,6 +199,14 @@ def test_every_all_entry_exists():
     assert not stray, "__all__ entries that do not exist:\n" + "\n".join(stray)
     for m in modules:
         exec(f"from {m.__name__} import *", {})
+
+
+def test_readme_python_blocks_run(capsys):
+    readme = SRC.parent.parent / "README.md"
+    blocks = re.findall(r"```python\n(.*?)```", readme.read_text(), re.S)
+    assert blocks
+    for block in blocks:
+        exec(compile(block, str(readme), "exec"), {})
 
 
 QC_FIELDS = {"_a", "_b", "_d"}
