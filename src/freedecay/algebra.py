@@ -494,8 +494,7 @@ class AlgebraElement:
 def state(x: AlgebraElement):
     """rho(x) = sum_b trace(density_b . block_b).
 
-    Cached on the (immutable) element the first time it is computed (threads
-    racing on one element store equal values).  On a
+    Cached on the (immutable) element the first time it is computed.  On a
     block with a diagonal density only the diagonal of the block is read,
     sum_i d_ii x_ii, with the bits of the full trace product (see the module
     docstring)."""
@@ -583,9 +582,9 @@ def center(x: AlgebraElement) -> AlgebraElement:
     return AlgebraElement._of(x.owner, blocks)
 
 
-def gram_schmidt(vectors, inner=l2_inner):
-    """Orthonormalize under ``inner``; a vector whose residual norm is
-    negligible drops.
+def gram_schmidt(vectors):
+    """Orthonormalize under the GNS inner product ``l2_inner``; a vector
+    whose residual norm is negligible drops.
 
     Normalization constants stay exact when the squared norm is a perfect
     rational square, otherwise the vector degrades to floats.
@@ -594,8 +593,8 @@ def gram_schmidt(vectors, inner=l2_inner):
     for v in vectors:
         w = v
         for b in basis:
-            w = w - b * inner(w, b)
-        nn = inner(w, w)
+            w = w - b * l2_inner(w, b)
+        nn = l2_inner(w, w)
         if isinstance(nn, QC):
             n2 = max(nn.re, Fraction(0))
             if negligible(n2):

@@ -16,7 +16,6 @@ import math
 import os
 import sys
 import tempfile
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 import numpy as np
@@ -159,17 +158,9 @@ def _load_factors(path: str):
 # ---------------------------------------------------------------------------
 
 
-_RECIPES = {"measure": "degree", "algebra": "constant", "free_product": "free"}
-
-
 def _cmd_rd_certify(args) -> int:
     space = _load_space(args)
     (kind,) = space.keys()
-    if args.filtration not in ("auto", _RECIPES[kind]):
-        raise CliError(
-            f"filtration recipe {args.filtration!r} does not apply to a {kind} space "
-            f"(expected {_RECIPES[kind]!r})"
-        )
     if kind == "measure":
         filt = MeasureDegreeFiltration(space["measure"], args.max_n)
     elif kind == "algebra":
@@ -275,19 +266,10 @@ def _cmd_kh_norm(args) -> int:
     )
     rows = []
     failures = []
-
-    def one_trial(trial):
+    for trial in range(args.trials):
         rng = np.random.default_rng(args.seed + trial)
         x = HomogeneousWordElement.random(ambient, args.length, rng)
         report = rx_check(x, moment_rmax=args.moment_rmax)
-        return trial, report
-
-    if args.threads > 1:
-        with ThreadPoolExecutor(max_workers=args.threads) as pool:
-            results = list(pool.map(one_trial, range(args.trials)))
-    else:
-        results = [one_trial(t) for t in range(args.trials)]
-    for trial, report in results:
         rows.append(
             (
                 trial,
@@ -487,13 +469,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("rd-certify", help="filtration constants and fitted exponent")
     p.add_argument("--builtin", help="builtin measure name")
     p.add_argument("--space", help="JSON file with measure/algebra/free_product")
-    p.add_argument(
-        "--filtration",
-        default="auto",
-        choices=["auto", "degree", "constant", "free"],
-        help="recipe; must match the space kind (default: inferred)",
-    )
-    p.add_argument("--max-n", type=int, default=20, dest="max_n")
+    p.add_argument("--max-n", type=lambda text: _int_at_least(text, 3), default=20, dest="max_n",
+                   help="last level; the exponent fit needs levels 1..3 at least")
     p.add_argument("--json", dest="as_json", action="store_true", help="JSON output")
     common(p)
     p.set_defaults(func=_cmd_rd_certify)
@@ -502,7 +479,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--a", required=True, help="comma-separated atom weights")
     p.add_argument("--b", required=True, help="comma-separated atom weights")
     p.add_argument("--json", dest="as_json", action="store_true", help="JSON output")
-    common(p)
+    p.add_argument("--out", default=None, help="output path (default: stdout)")
     p.set_defaults(func=_cmd_classify_abelian)
 
     p = sub.add_parser("fock-dim", help="truncated space dimensions per depth")
@@ -531,8 +508,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--length", type=_positive_int, default=2)
     p.add_argument("--trials", type=_positive_int, default=10)
     p.add_argument("--moment-rmax", type=_positive_int, default=2, dest="moment_rmax")
-    p.add_argument("--threads", type=_positive_int, default=1,
-                   help="threads for the independent trials (default 1)")
     common(p)
     p.set_defaults(func=_cmd_kh_norm)
 

@@ -151,11 +151,10 @@ class TruncatedFock:
         one per vector xi_i of the factor's complement basis.
 
         All operators of a factor are built in one pass over the basis and
-        cached on the space; the fill is idempotent, and setdefault keeps
-        the first list when threads race."""
+        cached on the space."""
         ops = self._onb_ops.get(factor)
         if ops is None:
-            ops = self._onb_ops.setdefault(factor, self._build_letter_operators(factor, self.onb[factor]))
+            ops = self._onb_ops[factor] = self._build_letter_operators(factor, self.onb[factor])
         return ops
 
     def letter_operator(self, factor: int, payload: AlgebraElement):

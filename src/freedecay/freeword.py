@@ -220,8 +220,8 @@ class FreeElement:
         return cls(ambient, {(Letter(factor, payload),): QC_ONE})
 
     @classmethod
-    def word(cls, ambient, letters, coeff=1) -> "FreeElement":
-        return cls(ambient, {tuple(letters): as_scalar(coeff)})
+    def word(cls, ambient, letters) -> "FreeElement":
+        return cls(ambient, {tuple(letters): QC_ONE})
 
     @classmethod
     def combination(cls, ambient, pairs) -> "FreeElement":
@@ -568,7 +568,7 @@ def _require_state_zero(p: AlgebraElement, name: str):
         raise AvitzourConditionError(name, s)
 
 
-def _require_centralizer(v: AlgebraElement, name: str = "v"):
+def _require_centralizer(v: AlgebraElement):
     """v must satisfy rho(vy) = rho(yv) for all y; checked on matrix units."""
     owner = v.owner
     if owner.is_tracial():
@@ -576,7 +576,7 @@ def _require_centralizer(v: AlgebraElement, name: str = "v"):
     for y in owner.basis():
         diff = state(v * y) - state(y * v)
         if not negligible(diff):
-            raise AvitzourConditionError(f"{name} in centralizer", diff)
+            raise AvitzourConditionError("v in centralizer", diff)
 
 
 def three_factor_ambient(a1: MatrixBlockAlgebra, a2: MatrixBlockAlgebra) -> FreeProductAmbient:

@@ -19,7 +19,6 @@ import scipy.sparse as sp
 
 from .algebra import AlgebraError, onb_complement
 from .fock import (
-    TruncatedFock,
     _spectral_norm,
     default_depth,
     moment_norm_estimate,
@@ -89,13 +88,13 @@ class HomogeneousWordElement:
         self.coeffs = clean
 
     @classmethod
-    def random(cls, ambient, length, rng, scale=1.0) -> "HomogeneousWordElement":
+    def random(cls, ambient, length, rng) -> "HomogeneousWordElement":
         onb = [onb_complement(f) for f in ambient.factors]
         coeffs = {}
         for pattern in _alternating_patterns(len(ambient.factors), length):
             dims = [len(onb[j]) for j in pattern]
             for idx in np.ndindex(*dims):
-                coeffs[(pattern, tuple(int(i) for i in idx))] = scale * complex(
+                coeffs[(pattern, tuple(int(i) for i in idx))] = complex(
                     rng.standard_normal(), rng.standard_normal()
                 )
         return cls(ambient, length, coeffs)
@@ -187,21 +186,18 @@ def _tr_blocks(x: HomogeneousWordElement, r: int):
     return blocks, terms
 
 
-def tr_bracket(x: HomogeneousWordElement, r: int, fock: TruncatedFock | None = None) -> TrBounds:
+def tr_bracket(x: HomogeneousWordElement, r: int) -> TrBounds:
     """Bracket for the middle-letter block operator at position r.
 
     upper: sum over factors of the exact block-matrix norm of the factor
     part (exact when all middle letters come from one factor);
     lower: the same block operator realized through the compressed left
     representation, each cell sum c L_{j,i} over the cached basis-vector
-    operators L_{j,i} = P_L lambda(xi_i) P_L of ``fock``, the compressions
-    ``_represent_sparse`` uses; weak_cs: the sqrt(m) * Hilbert-Schmidt
-    style bound that the upper must respect.
+    operators L_{j,i} = P_L lambda(xi_i) P_L of the shared depth-4 space,
+    the compressions ``_represent_sparse`` uses; weak_cs: the sqrt(m) *
+    Hilbert-Schmidt style bound that the upper must respect.
     """
-    if fock is None:
-        fock = shared_fock(x.ambient.factors, 4)
-    elif fock.ambient() != x.ambient:
-        raise AlgebraError("element ambient does not match the Fock factors")
+    fock = shared_fock(x.ambient.factors, 4)
     blocks, terms = _tr_blocks(x, r)
     m = len(x.ambient.factors)
     rows: dict = {}
@@ -215,16 +211,12 @@ def tr_bracket(x: HomogeneousWordElement, r: int, fock: TruncatedFock | None = N
     for j in factors_used:
         algebra = x.ambient.factors[j]
         best = 0.0
-        for b, nb in enumerate(algebra.block_dims):
-            big = np.zeros((len(rows) * nb, len(cols) * nb), dtype=complex)
-            for (pre, suf), cell in blocks.items():
-                if j not in cell:
-                    continue
-                ri, ci = rows[pre], cols[suf]
-                blk = cell[j].to_numpy()[b]
-                big[ri * nb : (ri + 1) * nb, ci * nb : (ci + 1) * nb] = blk
-            if big.size:
-                best = max(best, float(np.linalg.norm(big, 2)))
+        for b in range(len(algebra.block_dims)):
+            big = assemble_rank_one_blocks(len(rows), len(cols), {
+                (rows[pre], cols[suf]): cell[j].to_numpy()[b]
+                for (pre, suf), cell in blocks.items() if j in cell
+            })
+            best = max(best, float(np.linalg.norm(big, 2)))
         upper += best
 
     # weak Cauchy-Schwarz style bound on the assembled operator; the norm of
@@ -252,11 +244,11 @@ def tr_bracket(x: HomogeneousWordElement, r: int, fock: TruncatedFock | None = N
 # ---------------------------------------------------------------------------
 
 
-def _unfoldings(x: HomogeneousWordElement, fock: TruncatedFock | None):
+def _unfoldings(x: HomogeneousWordElement):
     """(s_values, t_bounds): sr_norm at every cut 0..l and tr_bracket at
     every middle position 1..l."""
     s_values = [sr_norm(x, r) for r in range(0, x.length + 1)]
-    t_bounds = [tr_bracket(x, r, fock=fock) for r in range(1, x.length + 1)]
+    t_bounds = [tr_bracket(x, r) for r in range(1, x.length + 1)]
     return s_values, t_bounds
 
 
@@ -266,9 +258,9 @@ def _kh_range(s_values, t_bounds):
     return lower, upper
 
 
-def kh_bracket(x: HomogeneousWordElement, fock: TruncatedFock | None = None):
+def kh_bracket(x: HomogeneousWordElement):
     """(lower, upper) for kh(x) = max over cuts of the unfolding norms."""
-    return _kh_range(*_unfoldings(x, fock))
+    return _kh_range(*_unfoldings(x))
 
 
 @dataclass
@@ -300,11 +292,10 @@ def rx_check(x: HomogeneousWordElement, moment_rmax: int = 2) -> RxReport:
     ell = x.length
     elem = x.to_free_element()
     fock = shared_fock(x.ambient.factors, default_depth(elem))
-    tr_fock = shared_fock(x.ambient.factors, 4)
     lb_fock = norm_lower_bound(fock, elem)
     lb_moment = moment_norm_estimate(elem, moment_rmax).max
     norm_lb = max(lb_fock, lb_moment)
-    s_values, t_bounds = _unfoldings(x, tr_fock)
+    s_values, t_bounds = _unfoldings(x)
     kh_lo, kh_up = _kh_range(s_values, t_bounds)
     bound = 2 * (ell + 1) * kh_up
     l2 = x.l2_norm()

@@ -26,7 +26,6 @@ __all__ = [
     "OrthoPolySequence",
     "ortho_polys",
     "sup_norm",
-    "SupNormEstimate",
     "gauss_discretize",
 ]
 
@@ -360,16 +359,6 @@ def ortho_polys(measure: CompactMeasure, n: int) -> OrthoPolySequence:
 # ---------------------------------------------------------------------------
 
 
-class SupNormEstimate(float):
-    """A float (the lower estimate) carrying grid metadata."""
-
-    def __new__(cls, value, argmax, grid_points):
-        obj = super().__new__(cls, value)
-        obj.argmax = argmax
-        obj.grid_points = grid_points
-        return obj
-
-
 def _lobatto_grid(a: float, b: float, n_points: int):
     # Chebyshev extrema including both endpoints.
     k = np.arange(n_points)
@@ -377,35 +366,30 @@ def _lobatto_grid(a: float, b: float, n_points: int):
     return 0.5 * (a + b) + 0.5 * (b - a) * x[::-1]
 
 
-def sup_norm(fn, interval, degree: int = 8) -> SupNormEstimate:
+def sup_norm(fn, interval, degree: int) -> float:
     """Maximum of |fn| over a Chebyshev-Lobatto grid of 64*(degree+1)
     points on [a, b], end points included: a lower estimate of max |fn|,
-    up to rounding in fn.  ``argmax`` is the grid point that attains it.
+    up to rounding in fn.
     """
     a, b = float(interval[0]), float(interval[1])
-    n_points = max(64 * (degree + 1), 8)
-    ts = _lobatto_grid(a, b, n_points)
-    vals = np.abs(np.asarray(fn(ts), dtype=complex))
-    i = int(np.argmax(vals))
-    return SupNormEstimate(float(vals[i]), float(ts[i]), n_points)
+    ts = _lobatto_grid(a, b, max(64 * (degree + 1), 8))
+    return float(np.max(np.abs(np.asarray(fn(ts), dtype=complex))))
 
 
-def sup_norm_poly(seq: OrthoPolySequence, n: int, interval=None) -> SupNormEstimate:
+def sup_norm_poly(seq: OrthoPolySequence, n: int) -> float:
     """Sup norm of the n-th orthonormal polynomial over the support."""
-    interval = interval or seq.measure.support
-    return sup_norm(lambda ts: seq.orthonormal_values(n, np.atleast_1d(ts))[n], interval, degree=n)
+    return sup_norm(lambda ts: seq.orthonormal_values(n, ts)[n], seq.measure.support, n)
 
 
-def christoffel_sup(seq: OrthoPolySequence, n: int, interval=None) -> SupNormEstimate:
-    """Sup over t of (sum_{k<=n} p_k(t)^2)^(1/2): the degree-n filtration
-    constant of the measure."""
-    interval = interval or seq.measure.support
+def christoffel_sup(seq: OrthoPolySequence, n: int) -> float:
+    """Sup over t of (sum_{k<=n} p_k(t)^2)^(1/2) over the support: the
+    degree-n filtration constant of the measure."""
 
     def f(ts):
-        vals = seq.orthonormal_values(n, np.atleast_1d(ts))
+        vals = seq.orthonormal_values(n, ts)
         return np.sqrt(np.sum(vals * vals, axis=0))
 
-    return sup_norm(f, interval, degree=n)
+    return sup_norm(f, seq.measure.support, n)
 
 
 # ---------------------------------------------------------------------------

@@ -127,14 +127,18 @@ class FiniteDimFiltration(Filtration):
         return RdConstant(c, c, "dn-certificate")
 
 
+def _outside(x: AlgebraElement, basis) -> bool:
+    """Whether x differs from its projection onto the span of the
+    orthonormal ``basis``, relative to ||x||_2."""
+    residual = x
+    for b in basis:
+        residual = residual - b * l2_inner(x, b)
+    return not agree(l2_norm(residual), 0.0, l2_norm(x))
+
+
 def _check_star_stable(basis, n: int):
     for x in basis:
-        adj = x.adjoint()
-        residual = adj
-        for b in basis:
-            residual = residual - b * l2_inner(adj, b)
-        # x* agrees with its projection onto the level, relative to ||x*||_2
-        if not agree(l2_norm(residual), 0.0, l2_norm(adj)):
+        if _outside(x.adjoint(), basis):
             raise AlgebraError(f"level {n} is not stable under adjoints")
 
 
@@ -166,7 +170,7 @@ class MeasureDegreeFiltration(Filtration):
     def rd_constant(self, n: int) -> RdConstant:
         if n == 0:
             return RdConstant(1.0, 1.0, "exact")
-        c = float(christoffel_sup(self.seq, n))
+        c = christoffel_sup(self.seq, n)
         return RdConstant(c, c, "christoffel-grid")
 
 
@@ -332,14 +336,14 @@ def tensor_embed(a1: MatrixBlockAlgebra, a2: MatrixBlockAlgebra):
     for d1 in a1.densities:
         for d2 in a2.densities:
             densities.append(np.kron(_mat_to_numpy(d1), _mat_to_numpy(d2)))
-    tensor = MatrixBlockAlgebra([[[complex(v) for v in row] for row in d] for d in densities])
+    tensor = MatrixBlockAlgebra(densities)
 
     def embed(x: AlgebraElement, y: AlgebraElement) -> AlgebraElement:
         blocks = []
         for b1 in x.to_numpy():
             for b2 in y.to_numpy():
                 blocks.append(np.kron(b1, b2))
-        return tensor.element([[[complex(v) for v in row] for row in b] for b in blocks])
+        return tensor.element(blocks)
 
     return tensor, embed
 
@@ -353,7 +357,8 @@ def derived_filtration(mode: str, *, first: Filtration = None, second: Filtratio
         max(C_1 w^{-1/2}, C_2 (1-w)^{-1/2}).
     corner:     levels p A p intersect V_n under the normalized corner state;
         certificate below C_n state(p)^{1/2} (hence also below
-        C_n state(p)^{-1/2}).
+        C_n state(p)^{-1/2}).  p must lie in V_1, so that every level
+        contains the corner's unit p.
     tensor:     levels V_{n,1} (x) V_{n,2}; certificate below
         C_1 C_2 dim(V_{n,1})^{1/2}.
     """
@@ -428,6 +433,8 @@ def _derived_corner(f: Filtration, p: AlgebraElement, max_n: int):
         raise AlgebraError("corner needs a self-adjoint idempotent")
     if negligible(state(p)):
         raise AlgebraError("corner projection has zero weight")
+    if _outside(p, f.level_onb(1)):
+        raise AlgebraError("corner projection must lie in level 1 of the filtration")
     wp = to_complex(state(p)).real
     # per-block isometries onto the range of p
     isometries = []
@@ -442,9 +449,7 @@ def _derived_corner(f: Filtration, p: AlgebraElement, max_n: int):
         keep.append(b)
         isometries.append(cols)
         new_densities.append(cols.conj().T @ db @ cols / wp)
-    corner_algebra = MatrixBlockAlgebra(
-        [[[complex(v) for v in row] for row in d] for d in new_densities]
-    )
+    corner_algebra = MatrixBlockAlgebra(new_densities)
 
     def compress(x: AlgebraElement) -> AlgebraElement:
         blocks = []
@@ -452,9 +457,7 @@ def _derived_corner(f: Filtration, p: AlgebraElement, max_n: int):
             u = isometries[b]
             xb = x.to_numpy()[b]
             blocks.append(u.conj().T @ xb @ u)
-        return corner_algebra.element(
-            [[[complex(v) for v in row] for row in blk] for blk in blocks]
-        )
+        return corner_algebra.element(blocks)
 
     onbs = [[corner_algebra.identity()]]
     for n in range(1, max_n + 1):
@@ -492,9 +495,7 @@ def _intersect_with_corner(algebra, level_basis, p):
             for n in dims:
                 blocks.append(flat[at : at + n * n].reshape(n, n))
                 at += n * n
-            out.append(
-                algebra.element([[[complex(v) for v in row] for row in b] for b in blocks])
-            )
+            out.append(algebra.element(blocks))
     return out
 
 
@@ -694,7 +695,7 @@ def _eigenbases(algebra):
 def _conjugated(algebra, bases, mats):
     """The float element with blocks U m U*."""
     blocks = [u @ m @ u.conj().T for u, m in zip(bases, mats)]
-    return algebra.element([[[complex(v) for v in row] for row in b] for b in blocks])
+    return algebra.element(blocks)
 
 
 def _state_zero_unitary_float(algebra):

@@ -118,11 +118,10 @@ def test_tr_single_letter_both_bounds_are_letter_norm():
 def test_tr_lower_below_upper_random():
     rng = np.random.default_rng(4)
     amb = _ambient()
-    fock = shared_fock(amb.factors, 4)
     for ell in (1, 2, 3):
         x = HomogeneousWordElement.random(amb, ell, rng)
         for r in range(1, ell + 1):
-            b = tr_bracket(x, r, fock=fock)
+            b = tr_bracket(x, r)
             assert b.lower <= b.upper + 1e-8
             assert b.upper <= b.weak_cs + 1e-9
 
@@ -131,7 +130,6 @@ def test_tr_single_middle_factor_exact():
     # all middle letters from one factor: lower == upper
     rng = np.random.default_rng(5)
     amb = _ambient()
-    fock = shared_fock(amb.factors, 4)
     for _ in range(5):
         coeffs = {}
         for i0 in range(3):
@@ -141,7 +139,7 @@ def test_tr_single_middle_factor_exact():
                         rng.standard_normal(), rng.standard_normal()
                     )
         x = HomogeneousWordElement(amb, 3, coeffs)
-        b = tr_bracket(x, 2, fock=fock)  # middle letter always factor 1
+        b = tr_bracket(x, 2)  # middle letter always factor 1
         assert b.single_factor
         assert b.lower == pytest.approx(b.upper, rel=1e-7)
 
@@ -154,10 +152,9 @@ def test_tr_single_middle_factor_exact():
 def test_kh_bracket_orders():
     rng = np.random.default_rng(6)
     amb = _ambient()
-    fock = shared_fock(amb.factors, 4)
     for ell in (1, 2):
         x = HomogeneousWordElement.random(amb, ell, rng)
-        lo, up = kh_bracket(x, fock=fock)
+        lo, up = kh_bracket(x)
         assert lo <= up + 1e-9
         assert lo >= x.l2_norm() - 1e-9  # s_0 already equals the l2 norm
 
@@ -176,9 +173,9 @@ def test_rx_check_builds_each_bracket_once(monkeypatch):
 
     calls = []
 
-    def counted(x, r, fock=None):
+    def counted(x, r):
         calls.append(r)
-        return tr_bracket(x, r, fock=fock)
+        return tr_bracket(x, r)
 
     monkeypatch.setattr(kh, "tr_bracket", counted)
     x = HomogeneousWordElement.random(_ambient(), 2, np.random.default_rng(14))
@@ -224,16 +221,6 @@ def test_rx_check_builds_no_space_beyond_its_depth(built_spaces):
     for ell in (1, 2):
         assert rx_check(HomogeneousWordElement.random(_ambient(), ell, rng)).ok
     assert [f.depth for f in built_spaces] == [4, 2]
-
-
-def test_tr_bracket_rejects_a_fock_of_other_factors():
-    from freedecay.algebra import AlgebraError, MatrixBlockAlgebra
-    from freedecay.fock import TruncatedFock
-
-    x = _single_word(_ambient(), (0, 1), (0, 2))
-    other = TruncatedFock((m2_tr(), MatrixBlockAlgebra.matrix_with_trace(3)), 2)
-    with pytest.raises(AlgebraError):
-        tr_bracket(x, 1, fock=other)
 
 
 def test_rx_check_random_sweep():

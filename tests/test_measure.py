@@ -156,7 +156,6 @@ def test_sup_norm_semicircle_g4_is_5():
     seq = ortho_polys(CompactMeasure.semicircle(), 6)
     est = sup_norm_poly(seq, 4)
     assert float(est) == pytest.approx(5.0, abs=1e-9)
-    assert abs(abs(est.argmax) - 2.0) < 1e-9
 
 
 def test_sup_norm_legendre_q3_is_sqrt7():

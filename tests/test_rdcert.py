@@ -205,18 +205,31 @@ def test_corner_rejects_non_projection():
         derived_filtration("corner", first=f, projection=q, max_n=1)
 
 
+def test_corner_rejects_a_projection_outside_level_one():
+    # V_n intersect pAp holds the corner's unit p only when p is in V_n; here
+    # adjoining p would make level 1 the whole corner, whose constant 2.0
+    # exceeds the predicted C_1 state(p)^(1/2) = 1.803
+    alg = c3_weighted()
+    two_level = FiniteDimFiltration.from_spans(alg, [[], [alg.element([[[1]], [[-1]], [[0]]])]])
+    p = alg.element([[[1]], [[1]], [[0]]])
+    with pytest.raises(AlgebraError, match="level 1"):
+        derived_filtration("corner", first=two_level, projection=p, max_n=1)
+
+
 def test_derived_filtrations_report_every_level():
     alg = c3_weighted()
     two_level = FiniteDimFiltration.from_spans(alg, [[], [alg.element([[[1]], [[-1]], [[0]]])]])
     p = alg.element([[[1]], [[1]], [[0]]])
+    with_p = FiniteDimFiltration.from_spans(alg, [[], [p], [alg.element([[[1]], [[-1]], [[0]]])]])
     reports = [
         derived_filtration("direct_sum", first=ConstantFiltration(_c2()), second=two_level,
                            max_n=3),
-        derived_filtration("corner", first=two_level, projection=p, max_n=3),
+        derived_filtration("corner", first=with_p, projection=p, max_n=3),
         derived_filtration("tensor", first=two_level, second=ConstantFiltration(_c2()),
                            max_n=3),
     ]
     for report in reports:
+        assert report.ok
         assert len(report.predicted_bound) == len(report.realized) == 4
         filt = report.filtration
         for n in range(4):

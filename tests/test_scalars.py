@@ -1,7 +1,8 @@
 """The tolerance policy of ``freedecay.scalars``: negligible, agree, and the
 rule that tolerance literals live only there; the equality, hashing and
 powers of ``QC`` and the rule that its layout stays in ``scalars``; plus the
-rules that modules import only at their top, that every ``__all__``
+rules that modules import only at their top and never a thread or process
+pool, that every ``__all__``
 entry exists and that the Python examples of README.md run."""
 
 import ast
@@ -188,6 +189,26 @@ def test_no_imports_inside_functions():
                     if isinstance(inner, (ast.Import, ast.ImportFrom))
                 ]
     assert not stray, "imports inside function bodies:\n" + "\n".join(stray)
+
+
+CONCURRENCY_MODULES = {"threading", "concurrent", "multiprocessing"}
+
+
+def test_no_module_imports_concurrency():
+    # the library runs serially: the largest cost of kh-norm, dense SVDs,
+    # is left to BLAS to thread
+    stray = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            stray += [f"{path.name}:{node.lineno}: {ast.unparse(node)}"
+                      for name in names if name.split(".")[0] in CONCURRENCY_MODULES]
+    assert not stray, "concurrency imports:\n" + "\n".join(stray)
 
 
 def test_every_all_entry_exists():
