@@ -329,7 +329,10 @@ def _cmd_avitzour_check(args) -> int:
         a1 = a2 = MatrixBlockAlgebra.matrix_with_trace(2)
     triple = find_avitzour_triple(a1, a2, seed=args.seed, trials=args.trials)
     if triple is None:
-        sys.stderr.write("witness: no unitary triple exists for these factors\n")
+        sys.stderr.write(
+            "witness: no unitary triple found for these factors"
+            " (u from the first, v and w from the second)\n"
+        )
         return CHECK_FAILED
     u, v, w = triple.u, triple.v, triple.w
     amb3 = three_factor_ambient(a1, a2)

@@ -568,15 +568,15 @@ def _require_state_zero(p: AlgebraElement, name: str):
         raise AvitzourConditionError(name, s)
 
 
-def _require_centralizer(v: AlgebraElement):
-    """v must satisfy rho(vy) = rho(yv) for all y; checked on matrix units."""
-    owner = v.owner
+def _require_centralizer(p: AlgebraElement, name: str):
+    """p must satisfy rho(py) = rho(yp) for all y; checked on matrix units."""
+    owner = p.owner
     if owner.is_tracial():
         return
     for y in owner.basis():
-        diff = state(v * y) - state(y * v)
+        diff = state(p * y) - state(y * p)
         if not negligible(diff):
-            raise AvitzourConditionError("v in centralizer", diff)
+            raise AvitzourConditionError(f"{name} in centralizer", diff)
 
 
 def three_factor_ambient(a1: MatrixBlockAlgebra, a2: MatrixBlockAlgebra) -> FreeProductAmbient:
@@ -641,7 +641,7 @@ def conjugation_word_shape(v: AlgebraElement, x: FreeElement):
 
 def check_avitzour_conditions(u: AlgebraElement, v: AlgebraElement, w: AlgebraElement):
     """Unitarity and moment conditions for the conjugation construction:
-    rho(u) = tau(v) = tau(w) = tau(v*w) = 0 with v in the centralizer.
+    rho(u) = tau(v) = tau(w) = tau(v*w) = 0 with u and v in the centralizers.
 
     A triple that passes is remembered, so the maps and shape checks of one
     trial verify it once; a triple that fails raises on every call.
@@ -661,7 +661,8 @@ def _check_avitzour_triple(u, v, w, _exactness):
     _require_state_zero(v, "tau(v)")
     _require_state_zero(w, "tau(w)")
     _require_state_zero(v.adjoint() * w, "tau(v*w)")
-    _require_centralizer(v)
+    _require_centralizer(u, "u")
+    _require_centralizer(v, "v")
 
 
 def _conjugator_letters(n: int, u, v, w) -> tuple:

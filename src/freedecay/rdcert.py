@@ -9,6 +9,7 @@ ambients; free-product levels get honest brackets instead of single numbers.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -30,7 +31,13 @@ from .algebra import (
     state,
 )
 from . import fock
-from .freeword import FreeElement, FreeProductAmbient, Letter
+from .freeword import (
+    AvitzourConditionError,
+    FreeElement,
+    FreeProductAmbient,
+    Letter,
+    check_avitzour_conditions,
+)
 from .measure import christoffel_sup, ortho_polys
 from .scalars import QC, agree, negligible, to_complex
 
@@ -531,7 +538,8 @@ class AvitzourTriple:
 
 
 def verify_avitzour_triple(u, v, w) -> dict:
-    """Residuals of the five moment/unitarity conditions plus centralizer."""
+    """Residuals of the unitarity and moment conditions and of u and v in
+    the centralizers."""
     out = {}
     for name, x in (("u", u), ("v", v), ("w", w)):
         out[f"{name} unitary"] = op_norm(x.adjoint() * x - x.owner.identity())
@@ -539,92 +547,81 @@ def verify_avitzour_triple(u, v, w) -> dict:
     out["tau(v)"] = abs(to_complex(state(v)))
     out["tau(w)"] = abs(to_complex(state(w)))
     out["tau(v*w)"] = abs(to_complex(state(v.adjoint() * w)))
-    worst = 0.0
-    for y in v.owner.basis():
-        worst = max(worst, abs(to_complex(state(v * y) - state(y * v))))
-    out["v centralizer"] = worst
+    for name, x in (("u", u), ("v", v)):
+        out[f"{name} centralizer"] = max(
+            abs(to_complex(state(x * y) - state(y * x))) for y in x.owner.basis()
+        )
     return out
 
 
-def _diagonal_weights(algebra: MatrixBlockAlgebra):
-    """Diagonal entries of the densities, exact when rational; None if any
-    density is not diagonal."""
-    weights = []
-    for d in algebra.densities:
-        n = len(d)
-        for i in range(n):
-            for j in range(n):
-                if i != j and not negligible(d[i][j]):
-                    return None
-        weights.append([d[i][i] for i in range(n)])
-    return weights
+def _spectral_frame(algebra: MatrixBlockAlgebra):
+    """The eigenvalues of the density blocks as one flat list, and the map
+    from block matrices written in that eigenbasis to elements.
+
+    Diagonal densities (off-diagonal entries negligible) are their own
+    eigenbasis: the weights are their diagonals and the map is
+    ``algebra.element``, so exact data stay exact.  Otherwise each block is
+    diagonalized once, D = U diag(w) U*, and the map is m -> U m U*."""
+    dens = algebra.densities
+    if all(negligible(d[i][j]) for d in dens for i in range(len(d)) for j in range(len(d)) if i != j):
+        return [d[i][i] for d in dens for i in range(len(d))], algebra.element
+    weights, bases = [], []
+    for d in dens:
+        evals, evecs = np.linalg.eigh(_mat_to_numpy(d))
+        weights.extend(evals.tolist())
+        bases.append(evecs)
+    return weights, lambda mats: algebra.element(
+        [b @ _mat_to_numpy(m) @ b.conj().T for b, m in zip(bases, mats)]
+    )
 
 
-def _phase_vector_with_zero_mean(weights):
-    """Unit phases z_k with sum w_k z_k = 0, exact when possible.
+def _diagonal_blocks(dims, phases):
+    zero = QC(0) if isinstance(phases[0], QC) else 0j
+    blocks, at = [], 0
+    for n in dims:
+        blocks.append([[phases[at + i] if i == j else zero for j in range(n)] for i in range(n)])
+        at += n
+    return blocks
 
-    Tries an exact half-weight split (+1/-1), then uniform roots of unity,
-    then the three-group law-of-cosines construction.  Returns None when
-    max w > 1/2 (no solution exists) or no pattern is found.
-    """
-    fw = [float(w) for w in weights]
-    total = sum(fw)
-    if max(fw) > total / 2 and not negligible(max(fw) - total / 2):
+
+def _shift_blocks(dims):
+    """A cyclic shift in every block: zero on the diagonal, so its state
+    vanishes against a diagonal density (all blocks of size >= 2)."""
+    return [[[QC(1) if i == (j + 1) % n else QC(0) for j in range(n)] for i in range(n)] for n in dims]
+
+
+def _zero_mean_phases(weights):
+    """Unit phases z_k with sum w_k z_k = 0, or None iff max w > 1/2.
+
+    The weights are read as real numbers.  Exact weights first try an
+    exact +-1 split: alternating signs for an even number of equal weights,
+    else a subset with half the total (m <= 16).  Otherwise the weights are
+    cut at the first prefix sum above half the total.  Each of the three
+    pieces then weighs at most half, so their sums a, b, c close a triangle,
+    and the law of cosines gives one phase per piece."""
+    real = [to_complex(w).real for w in weights]
+    exact = all(isinstance(w, QC) and not w.im for w in weights)
+    fr = [w.re for w in weights] if exact else real
+    heavy = max(fr) - sum(fr) / 2
+    if heavy > 0 and not negligible(heavy):
         return None
     m = len(weights)
-    exact = all(isinstance(w, (int, Fraction)) or (isinstance(w, QC) and w.im == 0) for w in weights)
     if exact:
-        fr = [Fraction(w.re) if isinstance(w, QC) else Fraction(w) for w in weights]
         if len(set(fr)) == 1 and m % 2 == 0:
             return [QC(1) if k % 2 == 0 else QC(-1) for k in range(m)]
-        half = sum(fr) / 2
-        # subset-sum search for an exact +-1 split (small m only)
         if m <= 16:
-            found = _subset_with_sum(fr, half)
+            found = _subset_with_sum(fr, sum(fr) / 2)
             if found is not None:
                 return [QC(-1) if k in found else QC(1) for k in range(m)]
-    if len(set(fw)) == 1:
-        return [complex(np.exp(2j * np.pi * k / m)) for k in range(m)]
-    # three groups with balanced sums, phases from the triangle construction
-    order = sorted(range(m), key=lambda k: -fw[k])
-    groups = [[], [], []]
-    sums = [0.0, 0.0, 0.0]
-    for k in order:
-        i = int(np.argmin(sums))
-        groups[i].append(k)
-        sums[i] += fw[k]
-    a, b, c = sums
-    if any(x > y and not negligible(x - y) for x, y in ((a, b + c), (b, a + c), (c, a + b))):
-        return None
-    if not groups[2]:
-        # two balanced groups: a +-1 split
-        if not negligible(a - b):
-            return None
-        phases = [0j] * m
-        for k in groups[0]:
-            phases[k] = 1.0 + 0j
-        for k in groups[1]:
-            phases[k] = -1.0 + 0j
-        return phases
-    cos_c = (a * a + b * b - c * c) / (2 * a * b) if a > 0 and b > 0 else 0.0
-    theta = math.pi - math.acos(min(1.0, max(-1.0, cos_c)))
-    zb = complex(np.exp(1j * theta))
-    rem = -(a + b * zb)
-    zc = rem / c
-    zc /= abs(zc)
-    phases = [0j] * m
-    for k in groups[0]:
-        phases[k] = 1.0 + 0j
-    for k in groups[1]:
-        phases[k] = zb
-    for k in groups[2]:
-        phases[k] = zc
-    # exact zero is generally impossible in floats: the float state of the
-    # phases must agree with 0 relative to the total weight
-    resid = sum(w * z for w, z in zip(fw, phases))
-    if not agree(resid, 0.0, total):
-        return None
-    return phases
+    total = sum(real)
+    k = next(i for i, s in enumerate(itertools.accumulate(real)) if s > total / 2)
+    a, b, c = sum(real[:k]), real[k], sum(real[k + 1:])
+    # z_a = 1, and z_b makes |a + b z_b| = c
+    cos = min(1.0, max(-1.0, (c * c - a * a - b * b) / (2 * a * b))) if a * b > 0 else -1.0
+    zb = complex(cos, math.sqrt(1.0 - cos * cos))
+    rest = -(a + b * zb)
+    zc = rest / abs(rest) if rest else 1 + 0j
+    return [1 + 0j] * k + [zb] + [zc] * (m - k - 1)
 
 
 def _subset_with_sum(fractions_list, target):
@@ -641,115 +638,39 @@ def _subset_with_sum(fractions_list, target):
     return reachable.get(target)
 
 
-def _diag_element(algebra, phases):
-    blocks = []
-    at = 0
-    for n in algebra.block_dims:
-        rows = [[phases[at + i] if i == j else _zero_for(phases[0]) for j in range(n)] for i in range(n)]
-        blocks.append(rows)
-        at += n
-    return algebra.element(blocks)
-
-
-def _zero_for(v):
-    return QC(0) if isinstance(v, QC) else 0j
-
-
-def _cyclic_shift(algebra):
-    """The unitary with a zero-diagonal cyclic shift in every block (all
-    blocks of size >= 2): its state vanishes against a diagonal density."""
-    blocks = []
-    for n in algebra.block_dims:
-        rows = [[QC(1) if i == (j + 1) % n else QC(0) for j in range(n)] for i in range(n)]
-        blocks.append(rows)
-    return algebra.element(blocks)
-
-
-def _state_zero_unitary(algebra: MatrixBlockAlgebra):
-    """A unitary with state zero, or None."""
-    weights = _diagonal_weights(algebra)
-    if weights is not None and all(n >= 2 for n in algebra.block_dims):
-        return _cyclic_shift(algebra)
-    if weights is not None:
-        flat = [w for ws in weights for w in ws]
-        phases = _phase_vector_with_zero_mean(flat)
-        if phases is not None:
-            return _diag_element(algebra, phases)
-        return None
-    # non-diagonal density: diagonalize first (float)
-    return _state_zero_unitary_float(algebra)
-
-
-def _eigenbases(algebra):
-    """The eigenvalues of all density blocks in one list, and the unitary U
-    of eigenvectors of each block."""
-    weights, bases = [], []
-    for d in algebra.densities:
-        dn = _mat_to_numpy(d)
-        evals, evecs = np.linalg.eigh(0.5 * (dn + dn.conj().T))
-        weights.extend(evals.tolist())
-        bases.append(evecs)
-    return weights, bases
-
-
-def _conjugated(algebra, bases, mats):
-    """The float element with blocks U m U*."""
-    blocks = [u @ m @ u.conj().T for u, m in zip(bases, mats)]
-    return algebra.element(blocks)
-
-
-def _state_zero_unitary_float(algebra):
-    weights, bases = _eigenbases(algebra)
-    phases = _phase_vector_with_zero_mean(weights)
-    if phases is None:
-        return None
-    return _conjugated(algebra, bases, _diag_element(algebra, phases).to_numpy())
-
-
 def _centralizer_pair(algebra: MatrixBlockAlgebra, rng, trials: int):
-    """(v, w) with tau(v) = tau(w) = tau(v*w) = 0, v in the centralizer."""
-    weights = _diagonal_weights(algebra)
-    if weights is not None and all(n >= 2 for n in algebra.block_dims):
-        flat = [w for ws in weights for w in ws]
-        phases = _phase_vector_with_zero_mean(flat)
-        if phases is None:
-            return None
-        v = _diag_element(algebra, phases)
-        # tau(w) = 0 and tau(v* w) = 0 since the product keeps a zero
-        # diagonal against any diagonal density
-        return v, _cyclic_shift(algebra)
-    if weights is not None and algebra.is_abelian():
-        flat = [w for ws in weights for w in ws]
-        m = len(flat)
-        if len(set(float(x) for x in flat)) == 1 and m >= 3:
-            if m % 4 == 0:
-                # exact rational-complex characters of orders 2 and 4
-                sign = [QC(1) if k % 2 == 0 else QC(-1) for k in range(m)]
-                quarter = [QC(0, 1) ** (k % 4) for k in range(m)]
-                return _diag_element(algebra, sign), _diag_element(algebra, quarter)
-            # two distinct nontrivial characters of the cyclic group
-            v = _diag_element(
-                algebra, [complex(np.exp(2j * np.pi * k / m)) for k in range(m)]
-            )
-            w = _diag_element(
-                algebra, [complex(np.exp(4j * np.pi * k / m)) for k in range(m)]
-            )
-            return v, w
-        return _abelian_pair_search(algebra, flat, rng, trials)
-    if weights is None and all(n >= 2 for n in algebra.block_dims):
-        # the diagonal construction in the eigenbasis U of each density
-        # block: v = U diag(z) U* commutes with the density, and w = U S U*
-        # and v* w = U diag(z)* S U* have zero diagonal against its
-        # eigenvalues
-        v = _state_zero_unitary_float(algebra)
-        shift = _cyclic_shift(algebra).to_numpy()
-        return None if v is None else (v, _conjugated(algebra, _eigenbases(algebra)[1], shift))
-    return None
+    """(v, w) with tau(v) = tau(w) = tau(v*w) = 0 and v in the centralizer."""
+    dims = algebra.block_dims
+    weights, frame = _spectral_frame(algebra)
+
+    def diag(phases):
+        return frame(_diagonal_blocks(dims, phases))
+
+    if min(dims) >= 2:
+        # v is diagonal in the eigenbasis, so it commutes with the density;
+        # w and v* w are zero on the diagonal there
+        phases = _zero_mean_phases(weights)
+        return None if phases is None else (diag(phases), frame(_shift_blocks(dims)))
+    if not algebra.is_abelian():
+        return None
+    real = [to_complex(w).real for w in weights]
+    m = len(real)
+    if len(set(real)) == 1 and m >= 3:
+        if m % 4 == 0:
+            # exact rational-complex characters of orders 2 and 4
+            sign = [QC(1) if k % 2 == 0 else QC(-1) for k in range(m)]
+            quarter = [QC(0, 1) ** (k % 4) for k in range(m)]
+            return diag(sign), diag(quarter)
+        # two distinct nontrivial characters of the cyclic group
+        v = diag([complex(np.exp(2j * np.pi * k / m)) for k in range(m)])
+        w = diag([complex(np.exp(4j * np.pi * k / m)) for k in range(m)])
+        return v, w
+    return _abelian_pair_search(diag, real, rng, trials)
 
 
-def _abelian_pair_search(algebra, weights, rng, trials):
+def _abelian_pair_search(diag, weights, rng, trials):
     m = len(weights)
-    fw = np.array([float(w) for w in weights])
+    fw = np.array(weights)
     # the rows (1, v, w) scaled by sqrt(weights) form a row-orthonormal
     # 3 x m matrix, so 3 w_k <= 1 for every atom: a proven obstruction
     if max(fw) > 1.0 / 3.0 and not negligible(max(fw) - 1.0 / 3.0):
@@ -765,7 +686,7 @@ def _abelian_pair_search(algebra, weights, rng, trials):
         to_phases=lambda ang: np.exp(1j * ang),
     )
     if z is not None:
-        v = _diag_element(algebra, [complex(x) for x in z])
+        v = diag([complex(x) for x in z])
         return v, v * v
     # strategy 2: joint Newton over both phase vectors
     def joint_constraints(zz):
@@ -793,8 +714,8 @@ def _abelian_pair_search(algebra, weights, rng, trials):
         to_phases=lambda ang: np.exp(1j * ang),
     )
     if zz is not None:
-        v = _diag_element(algebra, [complex(x) for x in zz[:m]])
-        w = _diag_element(algebra, [complex(x) for x in zz[m:]])
+        v = diag([complex(x) for x in zz[:m]])
+        w = diag([complex(x) for x in zz[m:]])
         return v, w
     return None
 
@@ -823,19 +744,36 @@ def _newton_phases(fw, rng, trials, constraints, jacobian, unknowns, to_phases):
 
 def find_avitzour_triple(a1: MatrixBlockAlgebra, a2: MatrixBlockAlgebra, seed: int = 0,
                          trials: int = 10_000):
-    """(u, v, w) in A1, A2 with rho(u) = tau(v) = tau(w) = tau(v*w) = 0,
-    unitary, and v in the centralizer; structured constructions first,
-    randomized search second, None when nothing qualifies."""
+    """(u, v, w): u in A1, v and w in A2, unitaries with rho(u) = tau(v) =
+    tau(w) = tau(v*w) = 0 and u, v in the centralizers of the states,
+    exactly the conditions of :func:`check_avitzour_conditions`; None when
+    none is found.
+
+    u and v commute with the densities, so in their eigenbasis they are
+    diagonal phases z_k with sum w_k z_k = 0 over the eigenvalues w_k.  Such
+    phases exist iff max w <= 1/2, so a None for max w > 1/2 in A1, or in
+    an A2 whose blocks are all at least 2 x 2, is a proof.  So is
+    3 max w > 1 for an abelian A2.  A miss of the abelian Newton search, or
+    an A2 that is not abelian and has a 1 x 1 block, proves nothing."""
     rng = np.random.default_rng(seed)
-    u = _state_zero_unitary(a1)
-    if u is None:
-        return None
+    dims = a1.block_dims
+    weights, frame = _spectral_frame(a1)
+    # a shift commutes only with a scalar density; a diagonal in the
+    # eigenbasis commutes with any
+    if a1.is_tracial() and min(dims) >= 2:
+        u = frame(_shift_blocks(dims))
+    else:
+        phases = _zero_mean_phases(weights)
+        if phases is None:
+            return None
+        u = frame(_diagonal_blocks(dims, phases))
     pair = _centralizer_pair(a2, rng, trials)
     if pair is None:
         return None
     v, w = pair
-    # each residual is |computed - target| for a quantity of size at most 1
-    if not all(agree(r, 0.0, 1.0) for r in verify_avitzour_triple(u, v, w).values()):
+    try:
+        check_avitzour_conditions(u, v, w)
+    except AvitzourConditionError:
         return None
     return AvitzourTriple(u, v, w)
 

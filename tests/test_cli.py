@@ -76,7 +76,7 @@ def test_rd_certify_requires_space():
     assert run(["rd-certify", "--max-n", "5"]) == 2
 
 
-def test_rd_certify_threads_deterministic(tmp_path, capsys):
+def test_removed_options_are_unrecognized_arguments(tmp_path, capsys):
     # every subcommand runs serially and takes no thread count; rd-certify
     # infers its recipe from the space, classify-abelian echoes no seed, and
     # --json lives only where it is read
@@ -382,7 +382,7 @@ def test_kh_norm_csv_schema_and_determinism(tmp_path):
     assert sum(1 for l in lines if not l.startswith("#")) == 4
 
 
-def test_kh_norm_threads_below_one_is_usage_error(capsys):
+def test_counts_below_one_are_usage_errors_naming_the_flag(capsys):
     for argv, flag in ((["orthogonality-check", "--atoms", "0"], "--atoms"),
                        (["kh-norm", "--trials", "-1"], "--trials")):
         assert run(argv) == 2
@@ -480,6 +480,43 @@ def test_avitzour_check_passes_on_a_float_triple(tmp_path):
     assert len(rows) == 30
     assert all(r[2:5] == ["1", "1", "1"] and r[6] == "1" for r in rows)
     assert "failures=0" in out.read_text()
+
+
+def test_avitzour_check_passes_with_a_non_tracial_first_factor(tmp_path):
+    # u must commute with the density diag(1/2, 1/3, 1/6): a cyclic shift
+    # has state 0 but does not, and then the identities fail
+    m3 = {"blocks": [{"dim": 3, "density": [["1/2", "0", "0"], ["0", "1/3", "0"],
+                                            ["0", "0", "1/6"]]}]}
+    m2 = {"blocks": [{"dim": 2, "density": [["1/2", "0"], ["0", "1/2"]]}]}
+    factors = _write(tmp_path, "m3m2.json", {"factors": [m3, m2]})
+    out = tmp_path / "av.csv"
+    code = run(["avitzour-check", "--factors", factors, "--seed", "3", "--trials", "30",
+                "--lmax", "3", "--out", str(out)])
+    assert code == 0
+    assert "failures=0" in out.read_text()
+
+
+def test_avitzour_check_without_a_triple_says_none_was_found(tmp_path, capsys):
+    skew = {"blocks": [{"dim": 2, "density": [["2/3", "0"], ["0", "1/3"]]}]}
+    m2 = {"blocks": [{"dim": 2, "density": [["1/2", "0"], ["0", "1/2"]]}]}
+    factors = _write(tmp_path, "skew.json", {"factors": [skew, m2]})
+    assert run(["avitzour-check", "--factors", factors, "--out", str(tmp_path / "av.csv")]) == 1
+    err = capsys.readouterr().err
+    assert "no unitary triple found for these factors" in err and "exists" not in err
+
+
+def test_avitzour_find_reads_float_atoms_like_fractions(tmp_path):
+    m2 = _write(tmp_path, "m2.json",
+                {"blocks": [{"dim": 2, "density": [["1/2", "0"], ["0", "1/2"]]}]})
+    # C2 uniform has a u (1, -1) but no pair (v, w): 3 * 1/2 > 1
+    for atoms in ([0.5, 0.5], ["1/2", "1/2"]):
+        atoms_file = _write(tmp_path, "atoms.json", {"atoms": atoms})
+        for a, b, found in ((atoms_file, m2, True), (m2, atoms_file, False)):
+            out = tmp_path / "triple.json"
+            assert run(["avitzour-find", "--a", a, "--b", b, "--out", str(out)]) == 0
+            data = json.loads(out.read_text())
+            assert data["found"] is found
+            assert not found or float(data["residuals"]["u centralizer"]) == 0.0
 
 
 def test_orthogonality_check_demo(tmp_path):

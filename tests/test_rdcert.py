@@ -6,6 +6,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import c3_weighted, m2_tr
 from freedecay.algebra import (
@@ -14,7 +16,17 @@ from freedecay.algebra import (
     l2_norm,
     op_norm,
 )
-from freedecay.freeword import l2_inner_free
+from freedecay.freeword import (
+    AvitzourConditionError,
+    FreeProductAmbient,
+    avitzour_phi,
+    avitzour_shape_check,
+    check_avitzour_conditions,
+    free_state,
+    l2_inner_free,
+    random_alternating_word,
+    three_factor_ambient,
+)
 from freedecay.measure import CompactMeasure
 from freedecay.rdcert import (
     ConstantFiltration,
@@ -27,8 +39,10 @@ from freedecay.rdcert import (
     fit_exponent,
     orthogonality_hypotheses,
     rd_report,
+    _zero_mean_phases,
     verify_avitzour_triple,
 )
+from freedecay.scalars import QC, agree, negligible
 
 
 # ---------------------------------------------------------------------------
@@ -262,7 +276,7 @@ def test_tensor_bound_on_random_elements():
 
 
 def test_triple_for_m2_pair_is_exact_and_structured():
-    f1 = MatrixBlockAlgebra.matrix_with_state([Fraction(2, 3), Fraction(1, 3)])
+    f1 = m2_tr()
     f2 = m2_tr()
     triple = find_avitzour_triple(f1, f2, seed=0)
     assert triple is not None
@@ -272,6 +286,14 @@ def test_triple_for_m2_pair_is_exact_and_structured():
     assert triple.u == f1.element([flip])
     assert triple.w == f2.element([flip])
     assert triple.v == f2.element([[[1, 0], [0, -1]]])
+    # the flip has state 0 for (2/3, 1/3) too, but it does not commute with
+    # that density, and a u in its centralizer is diagonal: 2/3 > 1/2 rules
+    # it out
+    skew = MatrixBlockAlgebra.matrix_with_state([Fraction(2, 3), Fraction(1, 3)])
+    assert find_avitzour_triple(skew, f2, seed=0) is None
+    with pytest.raises(AvitzourConditionError) as exc:
+        check_avitzour_conditions(skew.element([flip]), triple.v, triple.w)
+    assert "u in centralizer" in str(exc.value)
 
 
 def test_triple_for_trivial_second_factor_is_none():
@@ -331,6 +353,103 @@ def test_triple_heavy_atom_above_third_is_none():
     weights = [Fraction(2, 5), Fraction(3, 10), Fraction(3, 20), Fraction(3, 20)]
     f = MatrixBlockAlgebra.from_weights(weights)
     assert find_avitzour_triple(f, f, seed=1, trials=50) is None
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.integers(1, 30), min_size=1, max_size=10))
+def test_zero_mean_phases_exist_iff_no_atom_above_half(counts):
+    # exact weights, and their float twins as float atoms store them
+    exact = [QC(Fraction(c, sum(counts))) for c in counts]
+    for weights in (exact, [complex(w) for w in exact]):
+        phases = _zero_mean_phases(weights)
+        assert (phases is None) == (2 * max(counts) > sum(counts))
+        if phases is not None:
+            assert all(abs(abs(complex(z)) - 1) < 1e-15 for z in phases)
+            assert negligible(sum((w * z for w, z in zip(weights, phases)), QC(0)))
+
+
+def _rotated_twin():
+    # the density [[1/2, 1/6], [1/6, 1/2]] has eigenvalues 2/3 and 1/3
+    sixth = Fraction(1, 6)
+    return (MatrixBlockAlgebra([[[Fraction(1, 2), sixth], [sixth, Fraction(1, 2)]]]),
+            MatrixBlockAlgebra.matrix_with_state([Fraction(2, 3), Fraction(1, 3)]))
+
+
+def test_rotated_density_and_its_diagonal_twin_get_one_verdict():
+    third, sixth = Fraction(1, 3), Fraction(1, 6)
+    rotated_m3 = MatrixBlockAlgebra([[[third, sixth, 0], [sixth, third, 0], [0, 0, third]]])
+    diagonal_m3 = MatrixBlockAlgebra.matrix_with_state([Fraction(1, 2), sixth, third])
+    # an eigenvalue 2/3 > 1/2 rules out u and v; (1/2, 1/6, 1/3) admits both
+    for rotated, twin, found in (_rotated_twin() + (False,), (rotated_m3, diagonal_m3, True)):
+        for other in (m2_tr(), MatrixBlockAlgebra.from_weights([Fraction(1, 4)] * 4)):
+            for pair, twin_pair in (((rotated, other), (twin, other)),
+                                    ((other, rotated), (other, twin))):
+                verdict = find_avitzour_triple(*pair, seed=0) is not None
+                twin_verdict = find_avitzour_triple(*twin_pair, seed=0) is not None
+                assert verdict == twin_verdict == found, pair
+
+
+def _small_abelian_vectors():
+    """Every abelian weight vector of at most 4 atoms with denominators <= 4."""
+    return sorted({
+        tuple(sorted(Fraction(c, d) for c in counts))
+        for atoms in range(1, 5)
+        for d in range(1, 5)
+        for counts in itertools.combinations_with_replacement(range(1, d + 1), atoms)
+        if sum(Fraction(c, d) for c in counts) == 1
+    })
+
+
+def test_float_atoms_get_the_verdicts_of_their_fraction_twins():
+    tally = {}
+    for wa, wb in itertools.product(_small_abelian_vectors(), repeat=2):
+        exact = find_avitzour_triple(MatrixBlockAlgebra.from_weights(list(wa)),
+                                     MatrixBlockAlgebra.from_weights(list(wb)), seed=0, trials=200)
+        floats = find_avitzour_triple(MatrixBlockAlgebra.from_weights([float(x) for x in wa]),
+                                      MatrixBlockAlgebra.from_weights([float(x) for x in wb]),
+                                      seed=0, trials=200)
+        assert (exact is None) == (floats is None), (wa, wb)
+        selfless = classify_abelian(list(wa), list(wb)).selfless
+        tally[floats is not None, selfless] = tally.get((floats is not None, selfless), 0) + 1
+    assert tally == {(True, True): 8, (False, True): 6, (False, False): 35}
+
+
+def test_every_found_triple_passes_the_conjugation_identities():
+    # the identities on seeded words are an oracle independent of the
+    # finder's own condition check; agree() is exact on exact triples
+    third, sixth = Fraction(1, 3), Fraction(1, 6)
+    algebras = [
+        m2_tr(),
+        MatrixBlockAlgebra.matrix_with_state([Fraction(1, 2), third, sixth]),
+        MatrixBlockAlgebra.matrix_with_state([Fraction(1, 2), Fraction(1, 4), Fraction(1, 4)]),
+        MatrixBlockAlgebra([[[third, sixth, 0], [sixth, third, 0], [0, 0, third]]]),
+        MatrixBlockAlgebra([[[third, 0], [0, sixth]], [[Fraction(1, 4), 0], [0, Fraction(1, 4)]]]),
+        MatrixBlockAlgebra.from_weights([Fraction(1, 4)] * 4),
+        *_rotated_twin(),
+    ]
+    rng = np.random.default_rng(16)
+    found = {"exact": 0, "float": 0, "non-tracial u": 0}
+    for a1, a2 in itertools.product(algebras, repeat=2):
+        triple = find_avitzour_triple(a1, a2, seed=0)
+        if triple is None:
+            continue
+        u, v, w = triple.u, triple.v, triple.w
+        exact = u.is_exact() and v.is_exact() and w.is_exact()
+        found["exact" if exact else "float"] += 1
+        found["non-tracial u"] += not a1.is_tracial()
+        amb3, amb2 = three_factor_ambient(a1, a2), FreeProductAmbient((a1, a2))
+        for _ in range(2):
+            ell = int(rng.integers(1, 4))
+            x3 = random_alternating_word(amb3, ell, rng)
+            scale = abs(complex(l2_inner_free(x3, x3)))
+            img = avitzour_phi(ell // 2 + 1, u, v, w, x3)
+            assert agree(free_state(img), free_state(x3), math.sqrt(scale)), (a1, a2)
+            img = avitzour_phi(ell + 1, u, v, w, x3)
+            assert agree(l2_inner_free(img, img), l2_inner_free(x3, x3), scale), (a1, a2)
+            x2 = random_alternating_word(amb2, ell, rng)
+            for mode in ("i", "ii", "iii"):
+                assert avitzour_shape_check(ell // 2 + 1, u, v, w, x2, mode).ok, (a1, a2, mode)
+    assert all(found.values()), found
 
 
 # ---------------------------------------------------------------------------
