@@ -72,6 +72,7 @@ __all__ = [
 
 _DIMENSION_CAP = 200_000
 _DENSE_CAP = 4_000
+_DENSE_MEMO = 1  # dense norms kept by _spectral_norm
 # word products per exact moment power: about 0.12-0.13 ms each over
 # (M2, tr) * (M2, tr), so a run at the cap takes seconds
 _TERM_CAP = 20_000
@@ -339,14 +340,21 @@ def norm_lower_bound(fock: TruncatedFock, x: FreeElement) -> float:
 
 
 def _spectral_norm(matrix) -> float:
-    """Largest singular value of a sparse matrix: dense up to 400 rows or
+    """Largest singular value of a CSR matrix: dense up to 400 rows or
     columns, ARPACK above.  When ARPACK does not converge the dense norm is
-    taken up to dimension _DENSE_CAP; beyond it FockError is raised."""
+    taken up to dimension _DENSE_CAP; beyond it FockError is raised.
+
+    The latest dense norm is kept, keyed by the full CSR bytes (not a
+    digest), so a hit is the float recomputing gives: ``rx_check`` of a
+    length-1 element, whose bracket cell is its Fock matrix, takes one SVD.
+    More kept keys found no more hits and raised rd-certify's peak memory.
+    The ARPACK path and its fallback (up to _DENSE_CAP rows) are not kept."""
     n = min(matrix.shape)
     if n == 0:
         return 0.0
     if n <= 2 or max(matrix.shape) <= 400:
-        return float(np.linalg.norm(matrix.toarray(), 2))
+        return _dense_norm(matrix.shape, matrix.data.dtype.str, matrix.indices.dtype.str,
+                           matrix.data.tobytes(), matrix.indices.tobytes(), matrix.indptr.tobytes())
     v0 = np.ones(n, dtype=complex) / math.sqrt(n)
     try:
         vals = spla.svds(matrix, k=1, v0=v0, return_singular_vectors=False, maxiter=5000)
@@ -358,6 +366,13 @@ def _spectral_norm(matrix) -> float:
             ) from exc
         return float(np.linalg.norm(matrix.toarray(), 2))
     return float(vals[0])
+
+
+@functools.lru_cache(maxsize=_DENSE_MEMO)
+def _dense_norm(shape, data_dtype, index_dtype, data, indices, indptr) -> float:
+    matrix = sp.csr_matrix((np.frombuffer(data, data_dtype), np.frombuffer(indices, index_dtype),
+                            np.frombuffer(indptr, index_dtype)), shape=shape)
+    return float(np.linalg.norm(matrix.toarray(), 2))
 
 
 # ---------------------------------------------------------------------------

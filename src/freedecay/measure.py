@@ -287,16 +287,19 @@ class OrthoPolySequence:
         orthonormal three-term recurrence, as an array of shape
         (n + 1,) + ts.shape.  Every point runs the same float64 operations,
         so a point's column does not depend on the other points."""
-        self.extend(n + 1)
         ts = np.asarray(ts, dtype=float)
+        return np.array(list(self._orthonormal_rows(n, ts))).reshape((n + 1,) + ts.shape)
+
+    def _orthonormal_rows(self, n: int, ts):
+        """Yield p_0(ts), ..., p_n(ts) for a float array ``ts``."""
+        self.extend(n + 1)
         p_prev, p_cur = None, np.ones_like(ts)  # p_0 = 1 (beta_0 = 1)
-        vals = [p_cur]
+        yield p_cur
         for k in range(n):
             a, sb = self._floats[k]
             p_next = ((ts - a) * p_cur - (sb * p_prev if k > 0 else 0.0)) / self._floats[k + 1][1]
             p_prev, p_cur = p_cur, p_next
-            vals.append(p_cur)
-        return np.array(vals).reshape((n + 1,) + ts.shape)
+            yield p_cur
 
     def jacobi_matrix(self, n: int):
         """Symmetric Jacobi matrix of order n (float)."""
@@ -326,11 +329,15 @@ def _chebyshev_algorithm(measure: CompactMeasure, n: int):
     sigma_cur = list(m)
     for k in range(1, n):
         sigma_next = [None] * (2 * n)
-        hi = 2 * n - k
-        for l in range(k, hi):
-            s = sigma_cur[l + 1] - alpha[k - 1] * sigma_cur[l]
-            if k >= 2:
-                s -= beta[k - 1] * sigma_prev[l]
+        a, b = alpha[k - 1], beta[k - 1] if k >= 2 else 0
+        # exact zero products are skipped (a symmetric measure has every alpha
+        # and every other sigma 0); float ones may carry a -0.0 or a NaN
+        for l in range(k, 2 * n - k):
+            s = sigma_cur[l + 1]
+            if not exact or (a and sigma_cur[l]):
+                s -= a * sigma_cur[l]
+            if b and (not exact or sigma_prev[l]):
+                s -= b * sigma_prev[l]
             sigma_next[l] = s
         denom = sigma_next[k]
         prev_denom = sigma_cur[k - 1]
@@ -359,8 +366,10 @@ def ortho_polys(measure: CompactMeasure, n: int) -> OrthoPolySequence:
 # ---------------------------------------------------------------------------
 
 
-def _lobatto_grid(a: float, b: float, n_points: int):
-    # Chebyshev extrema including both endpoints.
+def _lobatto_grid(interval, degree: int):
+    # 64*(degree+1) Chebyshev extrema on [a, b] (at least 8), end points included
+    a, b = float(interval[0]), float(interval[1])
+    n_points = max(64 * (degree + 1), 8)
     k = np.arange(n_points)
     x = np.cos(np.pi * k / (n_points - 1))
     return 0.5 * (a + b) + 0.5 * (b - a) * x[::-1]
@@ -371,9 +380,7 @@ def sup_norm(fn, interval, degree: int) -> float:
     points on [a, b], end points included: a lower estimate of max |fn|,
     up to rounding in fn.
     """
-    a, b = float(interval[0]), float(interval[1])
-    ts = _lobatto_grid(a, b, max(64 * (degree + 1), 8))
-    return float(np.max(np.abs(np.asarray(fn(ts), dtype=complex))))
+    return float(np.max(np.abs(np.asarray(fn(_lobatto_grid(interval, degree)), dtype=complex))))
 
 
 def sup_norm_poly(seq: OrthoPolySequence, n: int) -> float:
@@ -383,13 +390,10 @@ def sup_norm_poly(seq: OrthoPolySequence, n: int) -> float:
 
 def christoffel_sup(seq: OrthoPolySequence, n: int) -> float:
     """Sup over t of (sum_{k<=n} p_k(t)^2)^(1/2) over the support: the
-    degree-n filtration constant of the measure."""
-
-    def f(ts):
-        vals = seq.orthonormal_values(n, ts)
-        return np.sqrt(np.sum(vals * vals, axis=0))
-
-    return sup_norm(f, seq.measure.support, n)
+    degree-n filtration constant of the measure: ``sup_norm``'s float, as
+    sqrt is monotone and the squares are summed in degree order."""
+    squares = sum(p * p for p in seq._orthonormal_rows(n, _lobatto_grid(seq.measure.support, n)))
+    return math.sqrt(float(np.max(squares)))
 
 
 # ---------------------------------------------------------------------------

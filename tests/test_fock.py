@@ -37,7 +37,7 @@ from freedecay.fock import (
     vacuum_expectation,
 )
 from freedecay.freeword import FreeElement, Letter, free_state, is_normalized_word, normalize
-from freedecay.khintchine import HomogeneousWordElement
+from freedecay.khintchine import HomogeneousWordElement, rx_check
 from freedecay.rdcert import ConstantFiltration, FreeProductFiltration
 from freedecay.scalars import QC, to_complex
 
@@ -399,6 +399,49 @@ def test_spectral_norm_falls_back_to_dense_without_arpack_convergence(monkeypatc
     assert _spectral_norm(sp.csr_matrix(dense)) == pytest.approx(np.linalg.norm(dense, 2))
     with pytest.raises(FockError):
         _spectral_norm(sp.identity(fock._DENSE_CAP + 1, dtype=complex, format="csr"))
+
+
+def test_length_one_rx_check_takes_one_dense_svd(monkeypatch):
+    # the depth-4 Fock matrix of x and its 1 x 1 bracket cell are one matrix
+    shapes = []
+    norm = np.linalg.norm
+
+    def counting_norm(a, *args, **kwargs):
+        shapes.append(np.shape(a))
+        return norm(a, *args, **kwargs)
+
+    amb = two_factor(m2_tr(), m2_tr())
+    x = HomogeneousWordElement.random(amb, 1, np.random.default_rng(3))
+    fock._dense_norm.cache_clear()
+    monkeypatch.setattr(np.linalg, "norm", counting_norm)
+    rx_check(x, moment_rmax=2)
+    assert shapes.count((241, 241)) == 1
+    assert fock._dense_norm.cache_info().hits == 1
+
+
+def test_dense_memo_leaves_kh_norm_csv_unchanged(tmp_path, monkeypatch):
+    argv = ["kh-norm", "--length", "1", "--trials", "4", "--seed", "5", "--out"]
+    fock._dense_norm.cache_clear()
+    assert run(argv + [str(tmp_path / "memo.csv")]) == 0
+    assert fock._dense_norm.cache_info().hits == 4
+    monkeypatch.setattr(fock, "_dense_norm", fock._dense_norm.__wrapped__)
+    assert run(argv + [str(tmp_path / "direct.csv")]) == 0
+    assert (tmp_path / "memo.csv").read_bytes() == (tmp_path / "direct.csv").read_bytes()
+
+
+def test_dense_memo_keys_on_the_stored_layout():
+    # one dense value, stored once summed and once as duplicate entries
+    rng = np.random.default_rng(11)
+    dense = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
+    summed = sp.csr_matrix(dense)
+    split = sp.csr_matrix((np.hstack([dense / 2, dense / 2]).ravel(), np.tile(np.arange(6), 12),
+                           np.arange(0, 73, 12)), shape=(6, 6))
+    assert np.array_equal(split.toarray(), summed.toarray())
+    fock._dense_norm.cache_clear()
+    for m in (summed, summed, split, split):
+        assert _spectral_norm(m) == np.linalg.norm(m.toarray(), 2)
+    assert fock._dense_norm.cache_info()[:2] == (2, 2)  # hits, misses
+    assert fock._dense_norm.cache_info().maxsize == fock._DENSE_MEMO
 
 
 # ---------------------------------------------------------------------------

@@ -14,6 +14,7 @@ from freedecay.measure import (
     CompactMeasure,
     MeasureError,
     OrthoPolySequence,
+    _chebyshev_algorithm,
     christoffel_sup,
     gauss_discretize,
     ortho_polys,
@@ -305,3 +306,72 @@ def test_extend_refreshes_the_float_coefficients():
     ]
     assert np.array_equal(high[:4], low)
     assert np.array_equal(high[:, 0], seq.orthonormal_values(20, np.array([0.5, 1.0]))[:, 0])
+
+
+# ---------------------------------------------------------------------------
+# kernels that skip work keep their bits
+# ---------------------------------------------------------------------------
+
+
+def _chebyshev_forming_every_product(measure, n):
+    """The Chebyshev moment algorithm with no product skipped, for
+    measures whose recurrence holds through degree n."""
+    m = [measure.moment(k) for k in range(2 * n)]
+    exact = all(isinstance(x, (int, Fraction)) for x in m)
+    m = [Fraction(x) if exact else float(x) for x in m]
+    alpha, beta = [m[1] / m[0]], [m[0]]
+    sigma_prev, sigma_cur = [None] * (2 * n), list(m)
+    for k in range(1, n):
+        sigma_next = [None] * (2 * n)
+        for l in range(k, 2 * n - k):
+            s = sigma_cur[l + 1] - alpha[k - 1] * sigma_cur[l]
+            if k >= 2:
+                s -= beta[k - 1] * sigma_prev[l]
+            sigma_next[l] = s
+        alpha.append(sigma_next[k + 1] / sigma_next[k] - sigma_cur[k] / sigma_cur[k - 1])
+        beta.append(sigma_next[k] / sigma_cur[k - 1])
+        sigma_prev, sigma_cur = sigma_cur, sigma_next
+    return alpha, beta
+
+
+BUILTINS = ("semicircle", "lebesgue", "lebesgue01", "cosine")
+
+
+@pytest.mark.parametrize(
+    "measure, n",
+    [(CompactMeasure.builtin(name), 61) for name in BUILTINS]
+    + [
+        (CompactMeasure.uniform_atoms([-1, Fraction(1, 3), 2],
+                                      [Fraction(1, 2), Fraction(1, 3), Fraction(1, 6)]), 3),
+        (_float_semicircle(), 30),
+        (CompactMeasure((0, 1), lambda k: 1.0 / (k + 1)), 6),
+    ],
+    ids=list(BUILTINS) + ["atoms", "float-semicircle", "float-lebesgue01"],
+)
+def test_chebyshev_algorithm_keeps_the_bits_of_every_product_formed(measure, n):
+    # repr tells 0.0 from -0.0 and shows Fractions in lowest terms
+    got = _chebyshev_algorithm(measure, n)
+    assert repr(got) == repr(_chebyshev_forming_every_product(measure, n))
+
+
+def test_closed_form_recurrences_at_degree_61():
+    cosine = ortho_polys(CompactMeasure.cosine(), 61)
+    assert [cosine.alpha(k) for k in range(61)] == [0] * 61
+    assert [cosine.beta(k) for k in range(61)] == [1, Fraction(1, 2)] + [Fraction(1, 4)] * 59
+    unit = ortho_polys(CompactMeasure.builtin("lebesgue01"), 61)
+    assert [unit.alpha(k) for k in range(61)] == [Fraction(1, 2)] * 61
+    assert [unit.beta(k) for k in range(61)] == [1] + [
+        Fraction(k * k, 4 * (4 * k * k - 1)) for k in range(1, 61)
+    ]
+
+
+@pytest.mark.parametrize("name", BUILTINS)
+def test_christoffel_sup_equals_the_stacked_formula(name):
+    seq = ortho_polys(CompactMeasure.builtin(name), 61)
+    for n in range(1, 61):
+
+        def stacked(ts):
+            vals = seq.orthonormal_values(n, ts)
+            return np.sqrt(np.sum(vals * vals, axis=0))
+
+        assert christoffel_sup(seq, n) == sup_norm(stacked, seq.measure.support, n), n

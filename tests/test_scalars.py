@@ -2,7 +2,7 @@
 rule that tolerance literals live only there; the equality, hashing and
 powers of ``QC`` and the rule that its layout stays in ``scalars``; plus the
 rules that modules import only at their top and never a thread or process
-pool, that every ``__all__``
+pool, that every cache is bounded, that every ``__all__``
 entry exists and that the Python examples of README.md run."""
 
 import ast
@@ -209,6 +209,32 @@ def test_no_module_imports_concurrency():
             stray += [f"{path.name}:{node.lineno}: {ast.unparse(node)}"
                       for name in names if name.split(".")[0] in CONCURRENCY_MODULES]
     assert not stray, "concurrency imports:\n" + "\n".join(stray)
+
+
+def test_every_cache_is_bounded():
+    # peak_rss_mb is a gated benchmark metric: a memo keeps a fixed number of
+    # entries however many distinct arguments a run brings.  Memos are
+    # spelled functools.lru_cache(maxsize=...) with an integer maxsize.
+    stray, memos = [], []
+    for path in sorted(SRC.glob("*.py")):
+        module = importlib.import_module("freedecay" if path.stem == "__init__" else f"freedecay.{path.stem}")
+        tree = ast.parse(path.read_text())
+        sized = {id(node.func) for node in ast.walk(tree)
+                 if isinstance(node, ast.Call) and [k.arg for k in node.keywords] == ["maxsize"]}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "functools":
+                bad = any(alias.name in ("cache", "lru_cache") for alias in node.names)
+            elif isinstance(node, ast.Attribute) and ast.unparse(node.value) == "functools":
+                bad = node.attr == "cache" or node.attr == "lru_cache" and id(node) not in sized
+            else:
+                continue
+            if bad:
+                stray.append(f"{path.name}:{node.lineno}: {ast.unparse(node)}")
+        memos += [f for f in vars(module).values() if hasattr(f, "cache_info")]
+    stray += [f"{f.__module__}.{f.__name__}: maxsize {f.cache_info().maxsize!r}" for f in memos
+              if type(f.cache_info().maxsize) is not int]
+    assert not stray, "unbounded or unsized caches:\n" + "\n".join(stray)
+    assert len(memos) >= 3
 
 
 def test_every_all_entry_exists():
