@@ -113,12 +113,16 @@ def alternating_dimension(dims, depth: int) -> int:
 class TruncatedFock:
     """Length <= depth truncation of the free-product Hilbert space.
 
-    Basis tensors are tuples of (factor, onb_index) pairs with alternating
-    factors; slot vectors run over an orthonormal basis of each factor's
-    complement of C1.  The empty tuple is the vacuum.  The space caches the
-    letter operators of those basis vectors, at most dim(A_j) - 1 per
-    factor, and no others.  Words of any length act on this one space, of
-    at most ``_DIMENSION_CAP`` tensors.
+    Basis tensors are strings of slot vectors with alternating factors; the
+    slot vectors of factor j run over an orthonormal basis of its complement
+    of C1 and are numbered factor-major, vector i of factor j after those
+    of factors 0..j-1.  Tensor p is the slot vector ``lead[p]`` followed by
+    the tensor at position ``tail[p]``; the vacuum is position 0, with -1 in
+    both arrays.  Tensors are ordered by length, then lexicographically by
+    the (factor, index) of the first slot, then of the second, and so on.
+    The space caches the letter operators of the slot vectors, at most
+    dim(A_j) - 1 per factor, and no others.  Words of any length act on this
+    one space, of at most ``_DIMENSION_CAP`` tensors.
     """
 
     def __init__(self, factors, depth: int):
@@ -126,20 +130,28 @@ class TruncatedFock:
             raise FockError("depth must be >= 0")
         self.factors = tuple(factors)
         self.depth = depth
-        dim = fock_dimension(self.factors, depth)
-        if dim > _DIMENSION_CAP:
+        self.dimension = fock_dimension(self.factors, depth)
+        if self.dimension > _DIMENSION_CAP:
             raise ResourceCapError(
-                f"truncated Fock dimension {dim} exceeds the cap {_DIMENSION_CAP}"
+                f"truncated Fock dimension {self.dimension} exceeds the cap {_DIMENSION_CAP}"
             )
         self.onb = [onb_complement(f) for f in self.factors]
-        self.basis = list(_enumerate_basis(self.factors, depth, self.onb))
-        self.index = {t: i for i, t in enumerate(self.basis)}
         self._onb_position = [{xi: i for i, xi in enumerate(b)} for b in self.onb]
         self._onb_ops: dict = {}
-
-    @property
-    def dimension(self) -> int:
-        return len(self.basis)
+        # each length from the one before: every slot vector, in order, leads
+        # the shorter tensors not led by its factor, in their order
+        offsets = np.cumsum([0] + [len(b) for b in self.onb])
+        lead, tail = [np.array([-1])], [np.array([-1])]
+        start = 0
+        for _ in range(depth):
+            shorter = np.arange(start, start + len(lead[-1]))
+            start += len(shorter)
+            rests = [(lo, hi, shorter[(lead[-1] < lo) | (lead[-1] >= hi)])
+                     for lo, hi in zip(offsets[:-1], offsets[1:])]
+            lead.append(np.concatenate([np.repeat(np.arange(lo, hi), len(r))
+                                        for lo, hi, r in rests]))
+            tail.append(np.concatenate([np.tile(r, hi - lo) for lo, hi, r in rests]))
+        self.lead, self.tail = np.concatenate(lead), np.concatenate(tail)
 
     def ambient(self) -> FreeProductAmbient:
         return FreeProductAmbient(self.factors)
@@ -151,8 +163,8 @@ class TruncatedFock:
         """Sparse matrices L_i = P lambda(iota_factor(xi_i)) P on this basis,
         one per vector xi_i of the factor's complement basis.
 
-        All operators of a factor are built in one pass over the basis and
-        cached on the space."""
+        All operators of a factor are built together and cached on the
+        space."""
         ops = self._onb_ops.get(factor)
         if ops is None:
             ops = self._onb_ops[factor] = self._build_letter_operators(factor, self.onb[factor])
@@ -172,8 +184,8 @@ class TruncatedFock:
         return self._build_letter_operators(factor, [payload])[0]
 
     def _build_letter_operators(self, factor: int, payloads):
-        """The operators of the letters iota_factor(a), a in payloads, in one
-        pass over the basis."""
+        """The operators of the letters iota_factor(a), a in payloads, from
+        array operations over all tensors at once."""
         basis_j = self.onb[factor]
         d = len(basis_j)
         # act[r, c]: component r (0: the scalar part, k + 1: xi_k) of a times
@@ -189,49 +201,32 @@ class TruncatedFock:
                 for r, xi in enumerate(basis_j):
                     act[r + 1, c] = to_complex(l2_inner(prod_c, xi))
             acts.append(act)
-        # entries (row, col, comp, src): entry (row, col) of the operator of a
-        # is act[comp, src]
-        entries = []
-        for col, tensor in enumerate(self.basis):
-            if tensor and tensor[0][0] == factor:
-                # multiply into the leading slot, then split
-                src, rest = tensor[0][1] + 1, tensor[1:]
-                targets = [self.index[rest]]
-                targets += [self.index[((factor, k),) + rest] for k in range(d)]
-            else:
-                # scalar part keeps the tensor, centered part prepends
-                src, targets = 0, [col]
-                if len(tensor) < self.depth:
-                    targets += [self.index[((factor, k),) + tensor] for k in range(d)]
-            entries += [(row, col, comp, src) for comp, row in enumerate(targets)]
-        rows, cols, comps, srcs = np.array(entries).T
-        shape = (self.dimension, self.dimension)
+        lo = sum(len(b) for b in self.onb[:factor])
+        n = self.dimension
+        positions = np.arange(n)
+        led = (self.lead >= lo) & (self.lead < lo + d)
+        # a tensor led by the factor: a multiplies into the leading slot and
+        # the product splits into the tail and the prepends to the tail; any
+        # other tensor: the scalar part keeps it and the centred part prepends
+        kept = np.where(led, self.tail, positions)
+        src = np.where(led, self.lead - lo + 1, 0)
+        # rows[comp, col]: the tensor that component comp of column col lands
+        # on, -1 where a prepend would pass the depth
+        rows = np.empty((d + 1, n), dtype=np.intp)
+        rows[0] = kept
+        for k in range(d):
+            prepend = np.full(n, -1)
+            starts = self.lead == lo + k
+            prepend[self.tail[starts]] = positions[starts]
+            rows[k + 1] = prepend[kept]
+        cols = np.broadcast_to(positions, rows.shape)
         ops = []
         for act in acts:
-            vals = act[comps, srcs]
-            keep = vals != 0
-            ops.append(sp.csr_matrix((vals[keep], (rows[keep], cols[keep])), shape=shape))
+            # entry (rows[comp, col], col) of the operator of a is act[comp, src[col]]
+            vals = act[:, src]
+            keep = (rows >= 0) & (vals != 0)
+            ops.append(sp.csr_matrix((vals[keep], (rows[keep], cols[keep])), shape=(n, n)))
         return ops
-
-
-def _enumerate_basis(factors, depth, onb):
-    yield ()
-    m = len(factors)
-    frontier = [()]
-    for _ in range(depth):
-        new = []
-        for tensor in frontier:
-            first = tensor[0][0] if tensor else None
-            for j in range(m):
-                if j == first:
-                    continue
-                for i in range(len(onb[j])):
-                    new.append(((j, i),) + tensor)
-        # deterministic order: sort by pattern then indices
-        new.sort()
-        for t in new:
-            yield t
-        frontier = new
 
 
 @functools.lru_cache(maxsize=16)
@@ -627,7 +622,7 @@ def _vector_moments(x: FreeElement, r_max: int):
     x_terms = [(word[::-1], to_complex(c)) for word, c in x.terms.items()]
     adj_terms = [(word, to_complex(c).conjugate()) for word, c in x.terms.items()]
     v = np.zeros(fock.dimension, dtype=complex)
-    v[fock.index[()]] = 1.0
+    v[0] = 1.0
     q = [1.0]
     for r in range(1, r_max + 1):
         if r % 2:

@@ -651,8 +651,6 @@ def _centralizer_pair(algebra: MatrixBlockAlgebra, rng, trials: int):
         # w and v* w are zero on the diagonal there
         phases = _zero_mean_phases(weights)
         return None if phases is None else (diag(phases), frame(_shift_blocks(dims)))
-    if not algebra.is_abelian():
-        return None
     real = [to_complex(w).real for w in weights]
     m = len(real)
     if len(set(real)) == 1 and m >= 3:
@@ -671,8 +669,9 @@ def _centralizer_pair(algebra: MatrixBlockAlgebra, rng, trials: int):
 def _abelian_pair_search(diag, weights, rng, trials):
     m = len(weights)
     fw = np.array(weights)
-    # the rows (1, v, w) scaled by sqrt(weights) form a row-orthonormal
-    # 3 x m matrix, so 3 w_k <= 1 for every atom: a proven obstruction
+    # for diagonal v and w the rows (1, v, w) scaled by sqrt(weights) form a
+    # row-orthonormal 3 x m matrix, so 3 w_k <= 1 for every eigenvalue: a
+    # proven obstruction to diagonal pairs, which are all an abelian A2 has
     if max(fw) > 1.0 / 3.0 and not negligible(max(fw) - 1.0 / 3.0):
         return None
     # strategy 1: phases with sum(w z) = sum(w z^2) = 0, then w = v^2
@@ -752,9 +751,11 @@ def find_avitzour_triple(a1: MatrixBlockAlgebra, a2: MatrixBlockAlgebra, seed: i
     u and v commute with the densities, so in their eigenbasis they are
     diagonal phases z_k with sum w_k z_k = 0 over the eigenvalues w_k.  Such
     phases exist iff max w <= 1/2, so a None for max w > 1/2 in A1, or in
-    an A2 whose blocks are all at least 2 x 2, is a proof.  So is
-    3 max w > 1 for an abelian A2.  A miss of the abelian Newton search, or
-    an A2 that is not abelian and has a 1 x 1 block, proves nothing."""
+    an A2 whose blocks are all at least 2 x 2, is a proof.  An A2 with a
+    1 x 1 block gets v and w diagonal in the eigenbasis too.  For an abelian
+    A2 that is every candidate, so a None for 3 max w > 1 is a proof; for a
+    non-abelian A2 a None from this diagonal search proves nothing, and
+    neither does a miss of the Newton search."""
     rng = np.random.default_rng(seed)
     dims = a1.block_dims
     weights, frame = _spectral_frame(a1)

@@ -505,6 +505,19 @@ def test_avitzour_check_without_a_triple_says_none_was_found(tmp_path, capsys):
     assert "no unitary triple found for these factors" in err and "exists" not in err
 
 
+def test_avitzour_check_finds_a_pair_in_a_non_abelian_factor_with_a_1x1_block(tmp_path):
+    # M2 (+) C with density diag(1/3, 1/3) (+) (1/3): v and w are diagonal
+    # characters of order 3 in the eigenbasis
+    m2 = {"blocks": [{"dim": 2, "density": [["1/2", "0"], ["0", "1/2"]]}]}
+    m2_c = {"blocks": [{"dim": 2, "density": [["1/3", "0"], ["0", "1/3"]]},
+                       {"dim": 1, "density": [["1/3"]]}]}
+    factors = _write(tmp_path, "m2c.json", {"factors": [m2, m2_c]})
+    out = tmp_path / "av.csv"
+    assert run(["avitzour-check", "--factors", factors, "--trials", "20", "--lmax", "3",
+                "--seed", "1", "--out", str(out)]) == 0
+    assert "failures=0" in out.read_text()
+
+
 def test_avitzour_find_reads_float_atoms_like_fractions(tmp_path):
     m2 = _write(tmp_path, "m2.json",
                 {"blocks": [{"dim": 2, "density": [["1/2", "0"], ["0", "1/2"]]}]})

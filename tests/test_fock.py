@@ -18,7 +18,7 @@ from conftest import (
     two_factor,
 )
 from freedecay import fock
-from freedecay.algebra import MatrixBlockAlgebra
+from freedecay.algebra import MatrixBlockAlgebra, center, l2_inner, state
 from freedecay.cli import run
 from freedecay.fock import (
     FockError,
@@ -77,6 +77,23 @@ def test_dimension_cap():
         TruncatedFock([MatrixBlockAlgebra.from_weights([Fraction(1, 24)] * 24)] * 2, 5)
 
 
+def test_dimension_counts_are_exact_past_int64(tmp_path):
+    # (M2, tr) * (M2, tr) has 2 * 3^k tensors of each length k >= 1; from
+    # depth 39 on the count no longer fits in an int64
+    counts = [1 + sum(2 * 3**k for k in range(1, depth + 1)) for depth in range(46)]
+    out = tmp_path / "dims.csv"
+    m2 = {"blocks": [{"dim": 2, "density": [["1/2", "0"], ["0", "1/2"]]}]}
+    (tmp_path / "factors.json").write_text(json.dumps({"factors": [m2, m2]}))
+    assert run(["fock-dim", "--factors", str(tmp_path / "factors.json"), "--depth", "45",
+                "--out", str(out)]) == 0
+    rows = [line.split(",") for line in out.read_text().splitlines()[1:] if not line.startswith("#")]
+    assert rows == [[str(d), str(c)] for d, c in enumerate(counts)]
+    assert counts[45] == 8862938119652501095927
+    assert [fock_dimension([m2_tr(), m2_tr()], d) for d in range(46)] == counts
+    with pytest.raises(ResourceCapError):
+        TruncatedFock([m2_tr(), m2_tr()], 45)
+
+
 # ---------------------------------------------------------------------------
 # representation
 # ---------------------------------------------------------------------------
@@ -102,8 +119,20 @@ def test_letter_on_vacuum_definition():
     assert col[0] == pytest.approx(complex(state(a)))
     c = center(a)
     for k, xi in enumerate(f.onb[0]):
-        idx = f.index[((0, k),)]
+        idx = _tuple_basis(f).index(((0, k),))
         assert col[idx] == pytest.approx(complex(l2_inner(c, xi)))
+
+
+def _tuple_basis(f):
+    """The basis tensors of f as tuples of (factor, index) slots, in sorted
+    order within each length: the tuple enumeration kept as the oracle of
+    the space's lead/tail code."""
+    basis, level = [()], [()]
+    for _ in range(f.depth):
+        level = sorted(((j, i),) + t for t in level for j, onb in enumerate(f.onb)
+                       if not t or t[0][0] != j for i in range(len(onb)))
+        basis += level
+    return basis
 
 
 def _tensor_word(f, tensor):
@@ -113,7 +142,7 @@ def _tensor_word(f, tensor):
 
 def _oracle_matrix(f, x):
     """Entry (s, t) = free_state(W_s* x W_t) = <lambda(x) e_t, e_s>."""
-    words = [_tensor_word(f, t) for t in f.basis]
+    words = [_tensor_word(f, t) for t in _tuple_basis(f)]
     return np.array(
         [[complex(free_state(ws.adjoint() * x * wt)) for wt in words] for ws in words]
     )
@@ -162,6 +191,75 @@ def test_centred_words_are_represented_without_normalize(monkeypatch):
     ]
     for x in probes:
         assert np.abs(_represent_dense(f, x) - _oracle_matrix(f, x)).max() < 1e-12
+
+
+def _per_tensor_letter_operators(f, factor):
+    """The cached operators of a factor, built by a loop over the tuple
+    basis: a tensor led by the factor splits into its rest and the prepends
+    to the rest, any other tensor keeps itself and gains its prepends."""
+    basis = _tuple_basis(f)
+    index = {t: p for p, t in enumerate(basis)}
+    onb = f.onb[factor]
+    d = len(onb)
+    entries = []
+    for col, tensor in enumerate(basis):
+        if tensor and tensor[0][0] == factor:
+            src, rest = tensor[0][1] + 1, tensor[1:]
+            targets = [index[rest]] + [index[((factor, k),) + rest] for k in range(d)]
+        else:
+            src, targets = 0, [col]
+            if len(tensor) < f.depth:
+                targets += [index[((factor, k),) + tensor] for k in range(d)]
+        entries += [(row, col, comp, src) for comp, row in enumerate(targets)]
+    rows, cols, comps, srcs = np.array(entries).T
+    ops = []
+    for a in onb:
+        act = np.zeros((d + 1, d + 1), dtype=complex)
+        for c, vec in enumerate([f.factors[factor].identity()] + onb):
+            prod = a * vec
+            act[0, c] = to_complex(state(prod))
+            for r, xi in enumerate(onb):
+                act[r + 1, c] = to_complex(l2_inner(center(prod), xi))
+        vals = act[comps, srcs]
+        keep = vals != 0
+        ops.append(sp.csr_matrix((vals[keep], (rows[keep], cols[keep])),
+                                 shape=(f.dimension, f.dimension)))
+    return ops
+
+
+def c3_uniform():
+    return MatrixBlockAlgebra.from_weights([Fraction(1, 3)] * 3)
+
+
+def m3_tr():
+    return MatrixBlockAlgebra.matrix_with_trace(3)
+
+
+@pytest.mark.parametrize("factors, depth", [
+    ((c2_half,), 3),  # one factor: lengths 2 and 3 are empty
+    ((m2_tr, m2_tr), 0),
+    ((m2_tr, m2_tr), 1),
+    ((c2_half, m2_tr, c3_uniform), 2),  # slot dimensions 1, 3 and 2
+    ((c2_half, m2_tr, c3_uniform), 3),
+    ((m2_tr, c3_weighted), 2),
+    ((m2_tr, c3_weighted), 3),
+    ((m2_tr, m3_tr), 2),
+])
+def test_letter_operators_keep_the_bits_of_the_per_tensor_construction(factors, depth):
+    f = TruncatedFock([make() for make in factors], depth)
+    slots = [(j, i) for j, onb in enumerate(f.onb) for i in range(len(onb))]
+    decoded = [()]
+    for p in range(1, f.dimension):
+        decoded.append((slots[f.lead[p]],) + decoded[f.tail[p]])
+    assert decoded == _tuple_basis(f)
+    assert f.lead[0] == f.tail[0] == -1 and len(f.lead) == len(f.tail) == f.dimension
+    for j in range(len(f.factors)):
+        want = _per_tensor_letter_operators(f, j)
+        assert len(f.onb_operators(j)) == len(want)
+        for got, ref in zip(f.onb_operators(j), want):
+            for attr in ("data", "indices", "indptr"):
+                a, b = getattr(got, attr), getattr(ref, attr)
+                assert a.dtype == b.dtype and np.array_equal(a, b), (j, attr)
 
 
 def _represent_word_by_word(f, x):
