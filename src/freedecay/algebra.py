@@ -570,12 +570,10 @@ def center(x: AlgebraElement) -> AlgebraElement:
     are -s and an exact zero, and the entries off the diagonal stay as they
     are.  A float s keeps both products, signed zeros included."""
     s = state(x)
-    if type(s) is QC:
-        on, off = -s, None
-    else:
-        on, off = QC(-1) * (s * QC_ONE), QC(-1) * (s * QC_ZERO)
+    exact = type(s) is QC
+    on, off = (-s, None) if exact else (QC(-1) * (s * QC_ONE), QC(-1) * (s * QC_ZERO))
     blocks = tuple(
-        tuple(tuple(v + on if i == j else v if off is None else v + off for j, v in enumerate(row))
+        tuple(tuple(v + on if i == j else v if exact else v + off for j, v in enumerate(row))
               for i, row in enumerate(b))
         for b in x.blocks
     )

@@ -121,7 +121,7 @@ def _parse_weights(text: str):
             continue
         try:
             out.append(Fraction(piece))
-        except ValueError:
+        except (ValueError, ZeroDivisionError):
             try:
                 out.append(float(piece))
             except ValueError:
@@ -134,11 +134,15 @@ def _parse_weights(text: str):
 def _load_space(args) -> dict:
     """Resolve --builtin/--space into {'measure': ...} or {'algebra': ...} or
     {'free_product': [...]}."""
-    if getattr(args, "builtin", None):
+    if args.builtin and args.space:
+        raise CliError("give one of --builtin and --space, not both")
+    if args.builtin:
         return {"measure": CompactMeasure.builtin(args.builtin)}
-    if getattr(args, "space", None):
+    if args.space:
         data = json_shape(_load_json_file(args.space), dict, args.space)
         _reject_unknown_keys(data, {"measure", "algebra", "free_product"}, args.space)
+        if len(data) > 1:
+            raise CliError(f"{args.space} gives both {' and '.join(data)}: give one space")
         if "measure" in data:
             return {"measure": CompactMeasure.from_json(data["measure"])}
         if "algebra" in data:
@@ -327,7 +331,7 @@ def _cmd_avitzour_check(args) -> int:
         a1, a2 = ambient2.factors
     else:
         a1 = a2 = MatrixBlockAlgebra.matrix_with_trace(2)
-    triple = find_avitzour_triple(a1, a2, seed=args.seed, trials=args.trials)
+    triple = find_avitzour_triple(a1, a2, seed=args.seed)
     if triple is None:
         sys.stderr.write(
             "witness: no unitary triple found for these factors"

@@ -54,7 +54,7 @@ from .algebra import (
 from .freeword import (
     FreeElement, FreeProductAmbient, Letter, is_normalized_word, l2_inner_free, normalize,
 )
-from .scalars import QC, QC_ONE, QC_ZERO, is_exact, to_complex
+from .scalars import QC, QC_ONE, QC_ZERO, accumulate, is_exact, to_complex
 
 __all__ = [
     "FockError",
@@ -392,37 +392,31 @@ def _vacuum_of_word(ambient, word):
     # to coefficient; apply letters right to left.
     states = {(): QC_ONE}
     for letter in reversed(word):
-        j = letter.factor
-        payload = letter.payload
-        new: dict = {}
-
-        def _add(tensor, coeff):
-            if not coeff:
-                return
-            acc = new.get(tensor)
-            acc = coeff if acc is None else acc + coeff
-            if not acc:
-                new.pop(tensor, None)
-            else:
-                new[tensor] = acc
-
-        for tensor, coeff in states.items():
-            if tensor and tensor[0].factor == j:
-                prod = payload * tensor[0].payload
-                rest = tensor[1:]
-                _add(rest, coeff * state(prod))
-                centered = center(prod)
-                if not _is_zero_element(centered):
-                    _add((Letter(j, centered),) + rest, coeff)
-            else:
-                _add(tensor, coeff * state(payload))
-                centered = center(payload)
-                if not _is_zero_element(centered):
-                    _add((Letter(j, centered),) + tensor, coeff)
-        states = new
+        states = accumulate({}, _letter_on_tensors(letter, states))
         if not states:
             return QC_ZERO
     return states.get((), QC_ZERO)
+
+
+def _letter_on_tensors(letter, states):
+    """(tensor, coeff) terms of the letter applied to each tensor of ``states``.
+
+    The letter multiplies the tensor's first slot when that slot is in its
+    factor, else it stands before the tensor; the product splits into its
+    state, which drops the slot, and its centred part, a new first slot.
+    Coefficients in ``states`` are never 0, so only a state term can be."""
+    j, payload = letter.factor, letter.payload
+    for tensor, coeff in states.items():
+        if tensor and tensor[0].factor == j:
+            prod, rest = payload * tensor[0].payload, tensor[1:]
+        else:
+            prod, rest = payload, tensor
+        c = coeff * state(prod)
+        if c:
+            yield rest, c
+        centered = center(prod)
+        if not _is_zero_element(centered):
+            yield (Letter(j, centered),) + rest, coeff
 
 
 def _is_zero_element(x: AlgebraElement) -> bool:
@@ -650,14 +644,10 @@ def _single_letter_moments(x: FreeElement, n: int):
     """Moments of a self-adjoint x = c 1 + sum_j iota_j(y_j) via cumulant
     additivity of free summands."""
     c = x.terms.get((), QC(0))
-    by_factor: dict[int, AlgebraElement] = {}
-    for word, coeff in x.terms.items():
-        if not word:
-            continue
-        (letter,) = word
-        contrib = letter.payload * coeff
-        acc = by_factor.get(letter.factor)
-        by_factor[letter.factor] = contrib if acc is None else acc + contrib
+    # every word has at most one letter
+    by_factor: dict[int, AlgebraElement] = accumulate({}, (
+        (letter.factor, letter.payload * coeff) for word, coeff in x.terms.items() for letter in word
+    ))
     exact = is_exact(c) and all(y.is_exact() for y in by_factor.values())
     c_real = Fraction(c.re) if isinstance(c, QC) else complex(c).real
     if not exact:

@@ -23,7 +23,7 @@ from .algebra import (
     AlgebraElement, AlgebraError, MatrixBlockAlgebra, center, l2_inner, negligible_element, op_norm, state,
 )
 from .algebra import _scalar_from_json, json_shape
-from .scalars import QC, QC_ONE, QC_ZERO, as_scalar, conj, is_exact, negligible, to_complex
+from .scalars import QC, QC_ONE, QC_ZERO, accumulate, as_scalar, conj, is_exact, negligible, to_complex
 
 __all__ = [
     "FreeProductAmbient",
@@ -168,48 +168,53 @@ def _merge_word(ambient: FreeProductAmbient, letters):
     return coeff, tuple(stack)
 
 
+def _merged_terms(ambient: FreeProductAmbient, pairs):
+    """(merged word, c * merge coefficient) for each (letters, c), skipping
+    a zero before it reaches a sum."""
+    for letters, c in pairs:
+        c2, word = _merge_word(ambient, letters)
+        c = c * c2
+        if c:
+            yield word, c
+
+
 class FreeElement:
     """Finite linear combination of merged words."""
 
     __slots__ = ("ambient", "terms")
 
-    def __init__(self, ambient: FreeProductAmbient, terms=None, _validated=False):
+    def __init__(self, ambient: FreeProductAmbient, terms=None):
         object.__setattr__(self, "ambient", ambient)
-        clean: dict = {}
-        if terms:
-            for word, coeff in terms.items():
-                coeff = as_scalar(coeff)
-                if not coeff:
-                    continue
-                if not _validated:
-                    for letter in word:
-                        owner = ambient.factors[letter.factor]
-                        if letter.payload.owner != owner:
-                            raise AlgebraError(
-                                f"letter in factor {letter.factor} has a foreign payload"
-                            )
-                    c2, word = _merge_word(ambient, word)
-                    coeff = coeff * c2
-                    if not coeff:
-                        continue
-                prev = clean.get(word)
-                coeff = coeff if prev is None else prev + coeff
-                if not coeff:
-                    clean.pop(word, None)
-                else:
-                    clean[word] = coeff
-        object.__setattr__(self, "terms", clean)
+        owned = []
+        for word, coeff in (terms or {}).items():
+            coeff = as_scalar(coeff)
+            if coeff:
+                for letter in word:
+                    if letter.payload.owner != ambient.factors[letter.factor]:
+                        raise AlgebraError(f"letter in factor {letter.factor} has a foreign payload")
+                owned.append((word, coeff))
+        object.__setattr__(self, "terms", accumulate({}, _merged_terms(ambient, owned)))
+
+    @classmethod
+    def _of(cls, ambient: FreeProductAmbient, terms: dict) -> "FreeElement":
+        """Element from a term dict that arithmetic built: merged words of
+        ``ambient`` to nonzero QC/complex coefficients.  Stored as given,
+        without the checks and merging of the public constructor."""
+        x = object.__new__(cls)
+        object.__setattr__(x, "ambient", ambient)
+        object.__setattr__(x, "terms", terms)
+        return x
 
     def __setattr__(self, name, value):
         raise AttributeError("FreeElement is immutable")
 
     def __reduce__(self):
-        return FreeElement, (self.ambient, self.terms, True)
+        return FreeElement._of, (self.ambient, self.terms)
 
     # -- constructors -----------------------------------------------------
     @classmethod
     def scalar(cls, ambient, value) -> "FreeElement":
-        return cls(ambient, {(): as_scalar(value)}, _validated=True)
+        return cls._of(ambient, accumulate({}, [((), as_scalar(value))]))
 
     @classmethod
     def one(cls, ambient) -> "FreeElement":
@@ -231,15 +236,8 @@ class FreeElement:
         out: dict = {}
         for e, c in pairs:
             s = as_scalar(c)
-            for w, v in e.terms.items():
-                term = v * s
-                acc = out.get(w)
-                acc = term if acc is None else acc + term
-                if not acc:
-                    out.pop(w, None)
-                else:
-                    out[w] = acc
-        return cls(ambient, out, _validated=True)
+            accumulate(out, ((w, v * s) for w, v in e.terms.items()))
+        return cls._of(ambient, out)
 
     # -- algebra ------------------------------------------------------------
     def _check(self, other):
@@ -250,15 +248,7 @@ class FreeElement:
         if not isinstance(other, FreeElement):
             other = FreeElement.scalar(self.ambient, other)
         self._check(other)
-        out = dict(self.terms)
-        for w, c in other.terms.items():
-            acc = out.get(w)
-            acc = c if acc is None else acc + c
-            if not acc:
-                out.pop(w, None)
-            else:
-                out[w] = acc
-        return FreeElement(self.ambient, out, _validated=True)
+        return FreeElement._of(self.ambient, accumulate(dict(self.terms), other.terms.items()))
 
     def __sub__(self, other):
         if not isinstance(other, FreeElement):
@@ -266,44 +256,31 @@ class FreeElement:
         return self + (-other)
 
     def __neg__(self):
-        return FreeElement(
-            self.ambient, {w: -c for w, c in self.terms.items()}, _validated=True
-        )
+        return FreeElement._of(self.ambient, {w: -c for w, c in self.terms.items()})
 
     def __mul__(self, other):
         if not isinstance(other, FreeElement):
             s = as_scalar(other)
-            return FreeElement(
-                self.ambient, {w: c * s for w, c in self.terms.items()}, _validated=True
+            return FreeElement._of(
+                self.ambient, accumulate({}, ((w, c * s) for w, c in self.terms.items()))
             )
         self._check(other)
-        out: dict = {}
-        for w1, c1 in self.terms.items():
-            for w2, c2 in other.terms.items():
-                c3, word = _merge_word(self.ambient, w1 + w2)
-                coeff = c1 * c2 * c3
-                if not coeff:
-                    continue
-                acc = out.get(word)
-                acc = coeff if acc is None else acc + coeff
-                if not acc:
-                    out.pop(word, None)
-                else:
-                    out[word] = acc
-        return FreeElement(self.ambient, out, _validated=True)
+        products = (
+            (w1 + w2, c1 * c2) for w1, c1 in self.terms.items() for w2, c2 in other.terms.items()
+        )
+        return FreeElement._of(self.ambient, accumulate({}, _merged_terms(self.ambient, products)))
 
     def __rmul__(self, other):
         s = as_scalar(other)
-        return FreeElement(
-            self.ambient, {w: s * c for w, c in self.terms.items()}, _validated=True
+        return FreeElement._of(
+            self.ambient, accumulate({}, ((w, s * c) for w, c in self.terms.items()))
         )
 
     def adjoint(self) -> "FreeElement":
-        out = {}
-        for w, c in self.terms.items():
-            new = tuple(Letter(l.factor, l.payload.adjoint()) for l in reversed(w))
-            out[new] = conj(c)
-        return FreeElement(self.ambient, out, _validated=True)
+        return FreeElement._of(self.ambient, {
+            tuple(Letter(l.factor, l.payload.adjoint()) for l in reversed(w)): conj(c)
+            for w, c in self.terms.items()
+        })
 
     # -- inspection -----------------------------------------------------------
     def max_word_length(self) -> int:
@@ -417,20 +394,14 @@ def _decompose_word(ambient, word, memo):
     # branch 1: replace the letter by its centered part (may vanish)
     if _scalar_part(centered_letter.payload) is None:
         branch = word[:i] + (centered_letter,) + word[i + 1 :]
-        for w, c in _decompose_word(ambient, branch, memo).items():
-            acc = result.get(w)
-            acc = c if acc is None else acc + c
-            result[w] = acc
-    # branch 2: scalar part times the word with the letter removed
+        accumulate(result, _decompose_word(ambient, branch, memo).items())
+    # branch 2: scalar part times the word with the letter removed; it adds
+    # each word once, so a word it cancels is never added again
     c2, reduced = _merge_word(ambient, word[:i] + word[i + 1 :])
     factor = s * c2
     if factor:
-        for w, c in _decompose_word(ambient, reduced, memo).items():
-            acc = result.get(w)
-            add = factor * c
-            acc = add if acc is None else acc + add
-            result[w] = acc
-    result = {w: c for w, c in result.items() if c}
+        rest = _decompose_word(ambient, reduced, memo)
+        accumulate(result, ((w, factor * c) for w, c in rest.items()))
     memo[word] = result
     return result
 
@@ -438,17 +409,12 @@ def _decompose_word(ambient, word, memo):
 def normalize(x: FreeElement) -> FreeElement:
     """Equal element written as c*1 + sum of alternating centered words."""
     memo: dict = {}
-    out: dict = {}
-    for word, coeff in x.terms.items():
-        for w, c in _decompose_word(x.ambient, word, memo).items():
-            acc = out.get(w)
-            add = coeff * c
-            acc = add if acc is None else acc + add
-            if not acc:
-                out.pop(w, None)
-            else:
-                out[w] = acc
-    return FreeElement(x.ambient, out, _validated=True)
+    pairs = (
+        (w, coeff * c)
+        for word, coeff in x.terms.items()
+        for w, c in _decompose_word(x.ambient, word, memo).items()
+    )
+    return FreeElement._of(x.ambient, accumulate({}, pairs))
 
 
 def is_normalized_word(word) -> bool:
@@ -592,8 +558,8 @@ def _conjugate_third_factor(x: FreeElement, left, right) -> FreeElement:
     The callers check that x lives in A1*A2*A1 before their own checks."""
     factors = x.ambient.factors
     target = FreeProductAmbient((factors[0], factors[1]))
-    out: dict = {}
-    for word, coeff in x.terms.items():
+
+    def image(word):
         letters: list[Letter] = []
         for letter in word:
             if letter.factor == 2:
@@ -602,17 +568,10 @@ def _conjugate_third_factor(x: FreeElement, left, right) -> FreeElement:
                 letters.extend(right)
             else:
                 letters.append(letter)
-        c2, merged = _merge_word(target, letters)
-        c = coeff * c2
-        if not c:
-            continue
-        acc = out.get(merged)
-        acc = c if acc is None else acc + c
-        if not acc:
-            out.pop(merged, None)
-        else:
-            out[merged] = acc
-    return FreeElement(target, out, _validated=True)
+        return letters
+
+    pairs = ((image(word), coeff) for word, coeff in x.terms.items())
+    return FreeElement._of(target, accumulate({}, _merged_terms(target, pairs)))
 
 
 def phi_conjugation(v: AlgebraElement, x: FreeElement) -> FreeElement:

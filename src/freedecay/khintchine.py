@@ -26,7 +26,7 @@ from .fock import (
     shared_fock,
 )
 from .freeword import FreeElement, FreeProductAmbient, Letter
-from .scalars import agree
+from .scalars import accumulate, agree
 
 __all__ = [
     "HomogeneousWordElement",
@@ -100,11 +100,10 @@ class HomogeneousWordElement:
         return cls(ambient, length, coeffs)
 
     def to_free_element(self) -> FreeElement:
-        terms = {}
-        for (pattern, idx), c in self.coeffs.items():
-            word = tuple(Letter(j, self.onb[j][i]) for j, i in zip(pattern, idx))
-            terms[word] = c
-        return FreeElement(self.ambient, terms, _validated=True)
+        return FreeElement._of(self.ambient, {
+            tuple(Letter(j, self.onb[j][i]) for j, i in zip(pattern, idx)): c
+            for (pattern, idx), c in self.coeffs.items()
+        })
 
     def l2_norm(self) -> float:
         return math.sqrt(math.fsum(abs(c) ** 2 for c in self.coeffs.values()))
@@ -180,8 +179,7 @@ def _tr_blocks(x: HomogeneousWordElement, r: int):
         suf = (pattern[r:], idx[r:])
         j, i = pattern[r - 1], idx[r - 1]
         cell = blocks.setdefault((pre, suf), {})
-        letter = x.onb[j][i] * c
-        cell[j] = letter if j not in cell else cell[j] + letter
+        accumulate(cell, [(j, x.onb[j][i] * c)])
         terms.setdefault((pre, suf), []).append((j, i, c))
     return blocks, terms
 

@@ -650,7 +650,7 @@ def _centralizer_pair(algebra: MatrixBlockAlgebra, rng, trials: int):
         # v is diagonal in the eigenbasis, so it commutes with the density;
         # w and v* w are zero on the diagonal there
         phases = _zero_mean_phases(weights)
-        return None if phases is None else (diag(phases), frame(_shift_blocks(dims)))
+        return (diag(phases), frame(_shift_blocks(dims))) if phases else None
     real = [to_complex(w).real for w in weights]
     m = len(real)
     if len(set(real)) == 1 and m >= 3:

@@ -21,6 +21,9 @@ Tolerances.  Exact values (``QC``, int, ``Fraction``) are compared
 exactly; anything else is compared as a float.  Term dicts drop a
 coefficient only when ``not c``, a structural zero and never a tolerance:
 dropping a small float term would change the sums it enters.
+:func:`accumulate` is the one implementation of that rule; callers that
+may produce a zero coefficient skip it before adding, since adding an
+exact zero to a float term can turn a -0.0 part into +0.0.
 :func:`negligible` decides that a data value counts as zero (a float when
 |v| <= ``FLOAT_ZERO``); :func:`agree` decides that two routes to one
 quantity match (floats when |a - b| <= ``FLOAT_RTOL`` * scale, the scale
@@ -264,6 +267,23 @@ def negligible(value) -> bool:
     if isinstance(value, _EXACT):
         return not value
     return abs(complex(value)) <= FLOAT_ZERO
+
+
+def accumulate(terms: dict, pairs) -> dict:
+    """Add each (key, c) of ``pairs`` into the term dict ``terms`` and return
+    it: c for a new key, else the old value + c.  A falsy sum (a structural
+    zero, see the module docstring) pops its key, so a key added again goes
+    to the end.  Values without ``__bool__``, such as algebra elements,
+    never drop."""
+    get, pop = terms.get, terms.pop
+    for key, c in pairs:
+        acc = get(key)
+        acc = c if acc is None else acc + c
+        if acc:
+            terms[key] = acc
+        else:
+            pop(key, None)
+    return terms
 
 
 def agree(a, b, scale) -> bool:

@@ -56,6 +56,11 @@ def test_classify_abelian_bad_weights_exit_2():
     assert run(["classify-abelian", "--a", "0.7,0.6", "--b", "0.5,0.5"]) == 2
 
 
+def test_classify_abelian_weight_with_a_zero_denominator_exits_2(capsys):
+    assert run(["classify-abelian", "--a", "1/0", "--b", "1/2,1/2"]) == 2
+    assert capsys.readouterr().err == "error: bad weight '1/0'\n"
+
+
 def test_rd_certify_semicircle_csv(tmp_path):
     out = tmp_path / "report.csv"
     code = run(
@@ -74,6 +79,17 @@ def test_rd_certify_semicircle_csv(tmp_path):
 
 def test_rd_certify_requires_space():
     assert run(["rd-certify", "--max-n", "5"]) == 2
+
+
+def test_rd_certify_with_two_spaces_is_a_usage_error_naming_both(tmp_path, capsys):
+    algebra = _write(tmp_path, "algebra.json", {"algebra": _M2})
+    both = _write(tmp_path, "both.json", {"algebra": _M2, "free_product": [_M2, _M2]})
+    for argv, names in ((["--builtin", "semicircle", "--space", algebra], ("--builtin", "--space")),
+                        (["--space", both], ("algebra", "free_product"))):
+        assert run(["rd-certify", *argv, "--max-n", "3", "--out", str(tmp_path / "r.csv")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert all(name in err for name in names)
 
 
 def test_removed_options_are_unrecognized_arguments(tmp_path, capsys):
@@ -515,6 +531,18 @@ def test_avitzour_check_finds_a_pair_in_a_non_abelian_factor_with_a_1x1_block(tm
     out = tmp_path / "av.csv"
     assert run(["avitzour-check", "--factors", factors, "--trials", "20", "--lmax", "3",
                 "--seed", "1", "--out", str(out)]) == 0
+    assert "failures=0" in out.read_text()
+
+
+def test_avitzour_check_searches_triples_with_the_finders_budget(tmp_path):
+    # v and w in C5 with atoms (1/3, 1/9, 1/9, 1/9, 1/3) take more Newton
+    # restarts than the default 20 trials; the trial count is the number of
+    # random words only
+    c5 = {"atoms": ["1/3", "1/9", "1/9", "1/9", "1/3"]}
+    factors = _write(tmp_path, "m2c5.json", {"factors": [_M2, c5]})
+    out = tmp_path / "av.csv"
+    assert run(["avitzour-check", "--factors", factors, "--lmax", "2", "--seed", "0",
+                "--out", str(out)]) == 0
     assert "failures=0" in out.read_text()
 
 

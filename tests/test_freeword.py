@@ -638,3 +638,40 @@ def test_exact_values_survive_pickle_and_deepcopy(make):
     for y in (pickle.loads(pickle.dumps(x)), copy.deepcopy(x)):
         assert type(y) is type(x)
         assert y == x and hash(y) == hash(x)
+
+
+# ---------------------------------------------------------------------------
+# term dicts: structural zeros and the two constructors
+# ---------------------------------------------------------------------------
+
+
+def test_zero_results_have_no_terms():
+    amb = _ambient_m2_c3()
+    rng = np.random.default_rng(11)
+    x = random_word_element(amb, 3, rng, n_terms=3)
+    y = x * 1.5
+    assert x.terms and y.terms
+    for zero in (x * 0, 0.0 * x, x - x, y - y, y * 0.0, FreeElement.scalar(amb, 0),
+                 FreeElement.scalar(amb, 0.0)):
+        assert zero.terms == {}
+        assert zero == FreeElement(amb)
+
+
+def test_public_constructor_rejects_a_foreign_payload():
+    amb = _ambient_m2_c3()
+    c3_letter = Letter(0, AlgebraElement(amb.factors[1], [[[QC(1)]], [[QC(0)]], [[QC(0)]]]))
+    with pytest.raises(AlgebraError, match="foreign payload"):
+        FreeElement(amb, {(c3_letter,): QC(1)})
+    # a zero coefficient is dropped before its word is read
+    assert FreeElement(amb, {(c3_letter,): 0}).terms == {}
+
+
+def test_public_constructor_merges_and_sums_its_words():
+    amb = _ambient_m2_c3()
+    rng = np.random.default_rng(12)
+    a = random_centered_rational(amb.factors[0], rng)
+    b = random_centered_rational(amb.factors[0], rng)
+    merged = (Letter(0, a * b),)
+    x = FreeElement(amb, {(Letter(0, a), Letter(0, b)): QC(2), merged: QC(-1)})
+    assert x.terms == {merged: QC(1)}
+    assert FreeElement(amb, {(Letter(0, a), Letter(0, b)): 1, merged: -1}).terms == {}

@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 from freedecay.algebra import AlgebraError, AlgebraElement, MatrixBlockAlgebra
 from freedecay.measure import CompactMeasure, MeasureError
 from freedecay.rdcert import classify_abelian
-from freedecay.scalars import FLOAT_RTOL, FLOAT_ZERO, QC, agree, negligible
+from freedecay.scalars import FLOAT_RTOL, FLOAT_ZERO, QC, accumulate, agree, negligible
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "freedecay"
 
@@ -280,3 +280,44 @@ def test_qc_layout_lives_only_in_scalars():
             if bad:
                 stray.append(f"{path.name}:{node.lineno}: {ast.unparse(node)}")
     assert not stray, "QC layout read outside scalars:\n" + "\n".join(stray)
+
+
+# ---------------------------------------------------------------------------
+# term dicts: one accumulator
+# ---------------------------------------------------------------------------
+
+
+def test_accumulate_drops_exact_and_float_zero_sums():
+    terms = accumulate({"a": QC(1, 2), "b": 0.5 + 0j}, [("a", QC(-1, -2)), ("b", -0.5 + 0j)])
+    assert terms == {}
+    assert accumulate({}, [("c", QC(0)), ("d", 0.0)]) == {}
+
+
+def test_accumulate_keeps_a_tiny_float_sum():
+    terms = accumulate({"a": 1.0 + 0j}, [("a", -(1.0 - 2.0 ** -52) + 0j)])
+    assert terms == {"a": 2.0 ** -52 + 0j}
+    assert 0 < abs(terms["a"]) < FLOAT_ZERO
+
+
+def test_accumulate_sends_a_key_re_added_after_a_drop_to_the_end():
+    terms = {"a": QC(1), "b": QC(2)}
+    accumulate(terms, [("a", QC(-1)), ("c", QC(3)), ("a", QC(4))])
+    assert list(terms.items()) == [("b", QC(2)), ("c", QC(3)), ("a", QC(4))]
+
+
+def test_accumulate_keeps_algebra_elements():
+    c2 = MatrixBlockAlgebra.from_weights([Fraction(1, 2), Fraction(1, 2)])
+    x = c2.element([[[1]], [[-1]]])
+    terms = accumulate({}, [(0, x), (0, -x), (1, x)])
+    assert list(terms) == [0, 1]
+    assert terms[0] == x - x and terms[1] == x
+
+
+def test_accumulation_idiom_lives_only_in_scalars():
+    # the structural-zero rule of term dicts is written once, in accumulate
+    pattern = re.compile(r"is None else\b.*\+")
+    stray = [f"{path.name}:{number}: {line.strip()}"
+             for path in sorted(SRC.glob("*.py")) if path.name != "scalars.py"
+             for number, line in enumerate(path.read_text().splitlines(), 1)
+             if pattern.search(line)]
+    assert not stray, "hand-written term-dict accumulation:\n" + "\n".join(stray)
