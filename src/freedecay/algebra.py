@@ -148,7 +148,7 @@ class MatrixBlockAlgebra:
         the block weights and must sum to 1.
     """
 
-    __slots__ = ("block_dims", "densities", "_diagonals", "_hash", "_chols", "_onb")
+    __slots__ = ("block_dims", "densities", "_diagonals", "_hash", "_onb")
 
     def __init__(self, densities):
         dens = tuple(_as_matrix(d) for d in densities)
@@ -159,7 +159,6 @@ class MatrixBlockAlgebra:
         # per block: the density's diagonal when it is exactly diagonal, else None
         self._diagonals = tuple(_exact_diagonal(d) for d in dens)
         self._hash = None
-        self._chols = None
         self._onb = None
         self._validate()
 
@@ -243,19 +242,6 @@ class MatrixBlockAlgebra:
                     blocks[b] = tuple(tuple(r) for r in rows)
                     out.append(AlgebraElement(self, blocks))
         return out
-
-    def gns_embedding(self, x: "AlgebraElement") -> np.ndarray:
-        """Flat complex vector phi(x) with <x, y>_rho = phi(y)^H phi(x).
-
-        Stacks vec(x_b @ chol(density_b)) across blocks, so the GNS inner
-        product turns into the plain Hermitian dot product."""
-        if self._chols is None:
-            chols = tuple(np.linalg.cholesky(_mat_to_numpy(d)) for d in self.densities)
-            object.__setattr__(self, "_chols", chols)
-        parts = [
-            (blk @ ch).ravel() for blk, ch in zip(x.to_numpy(), self._chols)
-        ]
-        return np.concatenate(parts)
 
     def is_abelian(self) -> bool:
         return all(n == 1 for n in self.block_dims)

@@ -31,7 +31,6 @@ from .freeword import (
     conjugation_word_shape,
     free_state,
     l2_inner_free,
-    l2_norm_free,
     random_alternating_word,
     three_factor_ambient,
 )
@@ -42,6 +41,7 @@ from .fock import (
     fock_dimension,
     moment_norm_estimate,
     norm_lower_bound,
+    shared_fock,
     vacuum_expectation,
 )
 from .khintchine import HomogeneousWordElement, rx_check
@@ -228,14 +228,15 @@ def _cmd_free_moments(args) -> int:
     _atomic_write(
         args.out, _csv_text(["r", "moment_2r", "power_root", "ratio", "best"], rows, meta)
     )
-    # |free_state(x)| <= ||x||_2 bounds both sides
-    return 0 if agree(sym, vac, l2_norm_free(x)) else CHECK_FAILED
+    # |free_state(x)| <= ||x||_2 bounds both sides, and ||x||_2^2 = state(x*x) = q_1
+    norm = math.sqrt(max(to_complex(est.rows[0][1]).real, 0.0))
+    return 0 if agree(sym, vac, norm) else CHECK_FAILED
 
 
 def _cmd_norm_estimate(args) -> int:
     ambient = _load_factors(args.factors)
     x = FreeElement.from_json(ambient, _load_json_file(args.element))
-    depth = args.depth if args.depth is not None else default_depth(x)
+    depth = args.depth if args.depth is not None else default_depth(x.max_word_length())
     fock = TruncatedFock(ambient.factors, depth)
     lb_fock = norm_lower_bound(fock, x)
     est = moment_norm_estimate(x, args.moment_rmax)
@@ -268,6 +269,8 @@ def _cmd_kh_norm(args) -> int:
     ambient = (
         _load_factors(args.factors) if args.factors else _default_kh_factors()
     )
+    # the space rx_check represents every draw on, refused before the first draw
+    shared_fock(ambient.factors, default_depth(args.length))
     rows = []
     failures = []
     for trial in range(args.trials):

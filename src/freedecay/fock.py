@@ -237,8 +237,9 @@ def shared_fock(factors, depth: int) -> TruncatedFock:
     return TruncatedFock(factors, depth)
 
 
-def default_depth(x: FreeElement) -> int:
-    return max(4, 2 * x.max_word_length())
+def default_depth(length: int) -> int:
+    """Depth of the space that represents words of length <= ``length``."""
+    return max(4, 2 * length)
 
 
 # ---------------------------------------------------------------------------
@@ -383,11 +384,11 @@ def vacuum_expectation(x: FreeElement):
     """
     acc = QC_ZERO
     for word, coeff in x.terms.items():
-        acc = acc + coeff * _vacuum_of_word(x.ambient, word)
+        acc = acc + coeff * _vacuum_of_word(word)
     return acc
 
 
-def _vacuum_of_word(ambient, word):
+def _vacuum_of_word(word):
     # states: dict mapping tensor (tuple of Letters with centered payloads)
     # to coefficient; apply letters right to left.
     states = {(): QC_ONE}
@@ -403,25 +404,30 @@ def _letter_on_tensors(letter, states):
 
     The letter multiplies the tensor's first slot when that slot is in its
     factor, else it stands before the tensor; the product splits into its
-    state, which drops the slot, and its centred part, a new first slot.
+    state, which drops the slot, and its centred part, a new first slot.  The
+    letter alone is split once, at the first tensor it stands before.
     Coefficients in ``states`` are never 0, so only a state term can be."""
     j, payload = letter.factor, letter.payload
+    alone = None
     for tensor, coeff in states.items():
         if tensor and tensor[0].factor == j:
-            prod, rest = payload * tensor[0].payload, tensor[1:]
+            (s, slot), rest = _split(j, payload * tensor[0].payload), tensor[1:]
         else:
-            prod, rest = payload, tensor
-        c = coeff * state(prod)
+            alone = alone or _split(j, payload)
+            (s, slot), rest = alone, tensor
+        c = coeff * s
         if c:
             yield rest, c
-        centered = center(prod)
-        if not _is_zero_element(centered):
-            yield (Letter(j, centered),) + rest, coeff
+        if slot is not None:
+            yield (slot,) + rest, coeff
 
 
-def _is_zero_element(x: AlgebraElement) -> bool:
-    """Structural zero: every entry exactly 0."""
-    return not any(v for b in x.blocks for row in b for v in row)
+def _split(j, prod):
+    """(state, centred slot) of a factor-j product; the slot is None when the
+    centred part is a structural zero, every entry exactly 0."""
+    s, centered = state(prod), center(prod)
+    zero = not any(v for b in centered.blocks for row in b for v in row)
+    return s, None if zero else Letter(j, centered)
 
 
 # ---------------------------------------------------------------------------

@@ -17,8 +17,6 @@ import reprlib
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
 from .algebra import (
     AlgebraElement, AlgebraError, MatrixBlockAlgebra, center, l2_inner, negligible_element, op_norm, state,
 )
@@ -137,7 +135,7 @@ def _scalar_part(x: AlgebraElement):
     return c
 
 
-def _merge_word(ambient: FreeProductAmbient, letters):
+def _merge_word(letters):
     """Multiply out adjacent same-factor letters and absorb scalar letters.
 
     Returns (coefficient, merged word) where the word has no adjacent
@@ -168,11 +166,11 @@ def _merge_word(ambient: FreeProductAmbient, letters):
     return coeff, tuple(stack)
 
 
-def _merged_terms(ambient: FreeProductAmbient, pairs):
+def _merged_terms(pairs):
     """(merged word, c * merge coefficient) for each (letters, c), skipping
     a zero before it reaches a sum."""
     for letters, c in pairs:
-        c2, word = _merge_word(ambient, letters)
+        c2, word = _merge_word(letters)
         c = c * c2
         if c:
             yield word, c
@@ -193,7 +191,7 @@ class FreeElement:
                     if letter.payload.owner != ambient.factors[letter.factor]:
                         raise AlgebraError(f"letter in factor {letter.factor} has a foreign payload")
                 owned.append((word, coeff))
-        object.__setattr__(self, "terms", accumulate({}, _merged_terms(ambient, owned)))
+        object.__setattr__(self, "terms", accumulate({}, _merged_terms(owned)))
 
     @classmethod
     def _of(cls, ambient: FreeProductAmbient, terms: dict) -> "FreeElement":
@@ -268,7 +266,7 @@ class FreeElement:
         products = (
             (w1 + w2, c1 * c2) for w1, c1 in self.terms.items() for w2, c2 in other.terms.items()
         )
-        return FreeElement._of(self.ambient, accumulate({}, _merged_terms(self.ambient, products)))
+        return FreeElement._of(self.ambient, accumulate({}, _merged_terms(products)))
 
     def __rmul__(self, other):
         s = as_scalar(other)
@@ -370,7 +368,7 @@ def _word_sort_key(item):
 # ---------------------------------------------------------------------------
 
 
-def _decompose_word(ambient, word, memo):
+def _decompose_word(word, memo):
     """Decompose a merged word into alternating *centered* words.
 
     Returns dict {word: coeff}; the empty word carries the scalar part.
@@ -394,13 +392,13 @@ def _decompose_word(ambient, word, memo):
     # branch 1: replace the letter by its centered part (may vanish)
     if _scalar_part(centered_letter.payload) is None:
         branch = word[:i] + (centered_letter,) + word[i + 1 :]
-        accumulate(result, _decompose_word(ambient, branch, memo).items())
+        accumulate(result, _decompose_word(branch, memo).items())
     # branch 2: scalar part times the word with the letter removed; it adds
     # each word once, so a word it cancels is never added again
-    c2, reduced = _merge_word(ambient, word[:i] + word[i + 1 :])
+    c2, reduced = _merge_word(word[:i] + word[i + 1 :])
     factor = s * c2
     if factor:
-        rest = _decompose_word(ambient, reduced, memo)
+        rest = _decompose_word(reduced, memo)
         accumulate(result, ((w, factor * c) for w, c in rest.items()))
     memo[word] = result
     return result
@@ -412,7 +410,7 @@ def normalize(x: FreeElement) -> FreeElement:
     pairs = (
         (w, coeff * c)
         for word, coeff in x.terms.items()
-        for w, c in _decompose_word(x.ambient, word, memo).items()
+        for w, c in _decompose_word(word, memo).items()
     )
     return FreeElement._of(x.ambient, accumulate({}, pairs))
 
@@ -434,7 +432,7 @@ def free_state(x: FreeElement):
     acc = QC_ZERO
     for word, coeff in x.terms.items():
         if word:
-            coeff = coeff * _decompose_word(x.ambient, word, memo).get((), QC_ZERO)
+            coeff = coeff * _decompose_word(word, memo).get((), QC_ZERO)
         acc = acc + coeff
     return acc
 
@@ -445,65 +443,36 @@ def free_state(x: FreeElement):
 
 
 def _pair_normalized_words(w1, w2):
-    """<w1, w2> for alternating centered words: factorwise slot pairing."""
-    if len(w1) != len(w2):
-        return QC(0)
+    """<w1, w2> for alternating centered words of one factor pattern: the
+    product of the slotwise pairings."""
     acc = QC(1)
     for l1, l2 in zip(w1, w2):
-        if l1.factor != l2.factor:
-            return QC(0)
         acc = acc * l2_inner(l1.payload, l2.payload)
         if not acc:
-            return QC(0)
+            break
     return acc
 
 
 def l2_inner_free(x: FreeElement, y: FreeElement):
     """<x, y> = free_state(y* x), via normal forms and slotwise pairing.
 
-    Exact when both sides are rational; float inputs go through a
-    vectorized Gram computation per factor pattern.
+    Centred alternating words of different factor patterns are orthogonal,
+    so only the words of a shared pattern are paired, slot by slot.  One
+    path for exact, float and mixed elements: exact inputs give a ``QC``,
+    and when no pattern is shared the result is an exact 0.
     """
     if x.ambient != y.ambient:
         raise AlgebraError("free elements live in different ambients")
-    nx, ny = normalize(x), normalize(y)
-    exact = nx.is_exact() and ny.is_exact()
-    bx = _bucket_by_pattern(nx)
-    by = _bucket_by_pattern(ny)
-    if exact:
-        acc = QC(0)
-        for key, terms_x in bx.items():
-            terms_y = by.get(key)
-            if not terms_y:
-                continue
-            for w1, c1 in terms_x:
-                for w2, c2 in terms_y:
-                    p = _pair_normalized_words(w1, w2)
-                    if p:
-                        acc = acc + c1 * conj(c2) * p
-        return acc
-    total = 0.0 + 0.0j
+    bx, by = _bucket_by_pattern(normalize(x)), _bucket_by_pattern(normalize(y))
+    acc = QC(0)
     for key, terms_x in bx.items():
-        terms_y = by.get(key)
-        if not terms_y:
-            continue
-        pattern = key
-        if not pattern:
-            total += sum(to_complex(c) for _, c in terms_x) * sum(
-                to_complex(c) for _, c in terms_y
-            ).conjugate()
-            continue
-        cx = np.array([to_complex(c) for _, c in terms_x])
-        cy = np.array([to_complex(c) for _, c in terms_y])
-        gram = np.ones((len(terms_x), len(terms_y)), dtype=complex)
-        factors = x.ambient.factors
-        for slot, j in enumerate(pattern):
-            alg = factors[j]
-            phi_x = np.array([alg.gns_embedding(w[slot].payload) for w, _ in terms_x])
-            phi_y = np.array([alg.gns_embedding(w[slot].payload) for w, _ in terms_y])
-            gram *= phi_x @ phi_y.conj().T
-        total += cx @ gram @ cy.conj()
-    return total
+        terms_y = by.get(key, ())
+        for w1, c1 in terms_x:
+            for w2, c2 in terms_y:
+                p = _pair_normalized_words(w1, w2)
+                if p:
+                    acc = acc + c1 * conj(c2) * p
+    return acc
 
 
 def _bucket_by_pattern(x: FreeElement):
@@ -571,7 +540,7 @@ def _conjugate_third_factor(x: FreeElement, left, right) -> FreeElement:
         return letters
 
     pairs = ((image(word), coeff) for word, coeff in x.terms.items())
-    return FreeElement._of(target, accumulate({}, _merged_terms(target, pairs)))
+    return FreeElement._of(target, accumulate({}, _merged_terms(pairs)))
 
 
 def phi_conjugation(v: AlgebraElement, x: FreeElement) -> FreeElement:

@@ -289,7 +289,7 @@ def rx_check(x: HomogeneousWordElement, moment_rmax: int = 2) -> RxReport:
     """
     ell = x.length
     elem = x.to_free_element()
-    fock = shared_fock(x.ambient.factors, default_depth(elem))
+    fock = shared_fock(x.ambient.factors, default_depth(ell))
     lb_fock = norm_lower_bound(fock, elem)
     lb_moment = moment_norm_estimate(elem, moment_rmax).max
     norm_lb = max(lb_fock, lb_moment)

@@ -676,13 +676,11 @@ def _abelian_pair_search(diag, weights, rng, trials):
         return None
     # strategy 1: phases with sum(w z) = sum(w z^2) = 0, then w = v^2
     z = _newton_phases(
-        fw,
         rng,
         trials=min(trials, 60),
         constraints=lambda z: (np.dot(fw, z), np.dot(fw, z * z)),
         jacobian=lambda z: np.vstack([1j * fw * z, 2j * fw * z * z]),
         unknowns=m,
-        to_phases=lambda ang: np.exp(1j * ang),
     )
     if z is not None:
         v = diag([complex(x) for x in z])
@@ -704,13 +702,11 @@ def _abelian_pair_search(diag, weights, rng, trials):
         )
 
     zz = _newton_phases(
-        fw,
         rng,
         trials=min(trials, 200),
         constraints=joint_constraints,
         jacobian=joint_jacobian,
         unknowns=2 * m,
-        to_phases=lambda ang: np.exp(1j * ang),
     )
     if zz is not None:
         v = diag([complex(x) for x in zz[:m]])
@@ -719,11 +715,11 @@ def _abelian_pair_search(diag, weights, rng, trials):
     return None
 
 
-def _newton_phases(fw, rng, trials, constraints, jacobian, unknowns, to_phases):
+def _newton_phases(rng, trials, constraints, jacobian, unknowns):
     for _ in range(trials):
         ang = rng.uniform(0, 2 * np.pi, size=unknowns)
         for _ in range(_NEWTON_STEPS):
-            z = to_phases(ang)
+            z = np.exp(1j * ang)
             f = np.array(constraints(z))
             if np.all(np.abs(f) < _NEWTON_STOP):
                 return z
@@ -735,7 +731,7 @@ def _newton_phases(fw, rng, trials, constraints, jacobian, unknowns, to_phases):
             if norm > np.pi:
                 step *= np.pi / norm
             ang = ang + step
-        z = to_phases(ang)
+        z = np.exp(1j * ang)
         if all(negligible(f) for f in constraints(z)):
             return z
     return None

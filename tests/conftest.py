@@ -30,6 +30,11 @@ def c3_weighted():
     )
 
 
+def m3_non_diagonal():
+    a, b = Fraction(1, 3), Fraction(1, 6)
+    return MatrixBlockAlgebra([[[a, b, 0], [b, a, 0], [0, 0, a]]])
+
+
 def random_word_element(ambient, max_length, rng, n_terms=1, centered=False):
     out = FreeElement(ambient)
     for _ in range(n_terms):

@@ -376,6 +376,27 @@ def test_int_pair_coefficient_is_exact(tmp_path, coeff):
     assert "# method=free-cumulant" in lines
 
 
+def test_float_free_moments_pair_no_elements(tmp_path, monkeypatch):
+    # the vacuum check's scale ||x||_2 is q_1^(1/2), read from the moment rows
+    import freedecay.cli as cli
+    import freedecay.fock as fock
+    import freedecay.freeword as freeword
+
+    def refuse(x, y):
+        raise AssertionError("paired two elements")
+
+    for module in (freeword, fock, cli):
+        monkeypatch.setattr(module, "l2_inner_free", refuse)
+    unit = [[["0", "1"], ["0", "0"]]]
+    elem = {"terms": [{"coeff": [0.5, 0.25], "word": [{"factor": 0, "elem": _FLIP},
+                                                      {"factor": 1, "elem": unit}]},
+                      {"coeff": [1.0, 0.0], "word": []}]}
+    out = tmp_path / "moments.csv"
+    assert run(["free-moments", "--factors", _m2_factors(tmp_path), "--element",
+                _write(tmp_path, "elem.json", elem), "--rmax", "2", "--out", str(out)]) == 0
+    assert "# method=fock-vector" in out.read_text().splitlines()
+
+
 def test_norm_estimate_moment_depth_above_cap_exit_2(tmp_path, capsys):
     factors = _m2_factors(tmp_path)
     unit = [[["0", "1"], ["0", "0"]]]  # a non-self-adjoint matrix unit
@@ -396,6 +417,20 @@ def test_kh_norm_csv_schema_and_determinism(tmp_path):
     lines = out1.read_text().splitlines()
     assert lines[0] == "trial,l2,kh_lower,kh_upper,norm_lb,rx_margin"
     assert sum(1 for l in lines if not l.startswith("#")) == 4
+
+
+def test_kh_norm_refuses_the_fock_space_before_the_first_draw(monkeypatch, capsys):
+    # a length-12 draw enumerates 2 * 3^12 coefficients; the depth-24 space
+    # over (M2, tr) * (M2, tr) is refused first
+    from freedecay.khintchine import HomogeneousWordElement
+
+    def refuse(*args):
+        raise AssertionError("drew an element")
+
+    monkeypatch.setattr(HomogeneousWordElement, "random", refuse)
+    assert run(["kh-norm", "--length", "12", "--trials", "1"]) == 2
+    dim = 1 + sum(2 * 3**k for k in range(1, 25))
+    assert capsys.readouterr().err == f"error: truncated Fock dimension {dim} exceeds the cap 200000\n"
 
 
 def test_counts_below_one_are_usage_errors_naming_the_flag(capsys):

@@ -430,6 +430,21 @@ def test_vacuum_pairing_matches_free_state_exactly():
         assert vacuum_expectation(x) == free_state(x)
 
 
+def test_vacuum_oracle_centres_each_letter_alone_once(monkeypatch):
+    # 20 uncentred length-6 words: the letter standing before a tensor it does
+    # not merge with is centred once per letter, not once per tensor (993 calls)
+    amb = two_factor(m2_tr(), MatrixBlockAlgebra.from_weights([Fraction(1, 2), Fraction(1, 3), Fraction(1, 6)]))
+    rng = np.random.default_rng(0)
+    words = [random_alternating_word(amb, 6, rng, centered=False) for _ in range(20)]
+    calls = []
+    monkeypatch.setattr(fock, "center", lambda a: calls.append(a) or center(a))
+    values = [vacuum_expectation(w) for w in words]
+    assert len(calls) == 453
+    monkeypatch.undo()
+    assert values == [free_state(w) for w in words]
+    assert vacuum_expectation(FreeElement.combination(amb, [(w, 1) for w in words])) == sum(values)
+
+
 def test_represent_vacuum_pairing_matches_free_state_numerically():
     f = TruncatedFock([m2_tr(), c3_weighted()], 4)
     amb = f.ambient()
@@ -597,7 +612,7 @@ def test_moment_estimates_nondecreasing_and_bounded():
     bests = [row[4] for row in est.rows]
     for a, b in zip(bests, bests[1:]):
         assert b >= a - 1e-12
-    f = TruncatedFock(amb.factors, default_depth(x))
+    f = TruncatedFock(amb.factors, default_depth(x.max_word_length()))
     lb = norm_lower_bound(f, x)
     # both are lower bounds of the same norm; the Fock bound at depth >= 2*len
     # dominates the moment bound at small r only up to truncation, so just

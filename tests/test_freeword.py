@@ -1,6 +1,7 @@
 """Tests for the symbolic free-product engine."""
 
 import copy
+import math
 import pickle
 from fractions import Fraction
 
@@ -12,6 +13,7 @@ from hypothesis import strategies as st
 from conftest import (
     c3_weighted,
     m2_tr,
+    m3_non_diagonal,
     pauli_unitaries,
     random_alternating_word,
     random_centered_rational,
@@ -19,6 +21,7 @@ from conftest import (
     random_word_element,
     two_factor,
 )
+from freedecay import freeword
 from freedecay.algebra import AlgebraElement, AlgebraError, MatrixBlockAlgebra, center, state
 from freedecay.freeword import (
     AvitzourConditionError,
@@ -37,7 +40,7 @@ from freedecay.freeword import (
     three_factor_ambient,
 )
 from freedecay.rdcert import find_avitzour_triple
-from freedecay.scalars import QC
+from freedecay.scalars import QC, agree
 
 
 def _ambient_m2_c3():
@@ -197,28 +200,39 @@ def _as_float(x):
     return FreeElement(x.ambient, terms)
 
 
-def test_l2_inner_free_path_is_chosen_by_exactness_alone(monkeypatch):
-    class FloatPath(Exception):
-        pass
-
-    def gram(self, x):
-        raise FloatPath
-
-    monkeypatch.setattr(MatrixBlockAlgebra, "gns_embedding", gram)
+def test_l2_inner_free_pairs_only_the_words_of_a_shared_pattern(monkeypatch):
     amb = _ambient_m2_c3()
 
     def letters(j, payloads):
         return FreeElement(amb, {(Letter(j, amb.factors[j].element(b)),): QC(1) for b in payloads})
 
-    # 501 * 500 term pairs, above the old size limit of 250,000; only the
-    # 501 pairs of the factor-0 bucket are formed
+    # 501 * 500 term pairs; only the 501 pairs of the factor-0 bucket are formed
     x = letters(0, [[[[0, k], [0, 0]]] for k in range(1, 502)])
     y0 = letters(0, [[[[0, 1], [0, 0]]]])
     y = y0 + letters(1, [[[[k]], [[-3 * k]], [[0]]] for k in range(1, 500)])
+    pairs = []
+    pair = freeword._pair_normalized_words
+    monkeypatch.setattr(freeword, "_pair_normalized_words", lambda w1, w2: pairs.append(w1) or pair(w1, w2))
     inner = l2_inner_free(x, y)
+    assert len(pairs) == 501
     assert isinstance(inner, QC) and inner == l2_inner_free(x, y0)
-    with pytest.raises(FloatPath):
-        l2_inner_free(_as_float(y0), _as_float(y0))
+    assert l2_inner_free(x, letters(1, [[[[1]], [[-3]], [[0]]]])) == QC(0)
+
+
+@pytest.mark.parametrize("second", [c3_weighted, m3_non_diagonal], ids=["diagonal", "non-diagonal-m3"])
+def test_float_twins_pair_like_their_exact_elements(second):
+    # one slotwise pairing for every input: float and mixed pairs agree with
+    # the exact value within the Cauchy-Schwarz scale ||x||_2 ||y||_2
+    amb = two_factor(m2_tr(), second())
+    rng = np.random.default_rng(31)
+    for _ in range(6):
+        x = random_word_element(amb, 3, rng, n_terms=3)
+        y = random_word_element(amb, 3, rng, n_terms=3)
+        exact = l2_inner_free(x, y)
+        assert isinstance(exact, QC)
+        scale = math.sqrt(float(l2_inner_free(x, x).re * l2_inner_free(y, y).re))
+        for a, b in ((_as_float(x), _as_float(y)), (_as_float(x), y), (x, _as_float(y))):
+            assert agree(l2_inner_free(a, b), exact, scale)
 
 
 # ---------------------------------------------------------------------------

@@ -191,6 +191,33 @@ def test_no_imports_inside_functions():
     assert not stray, "imports inside function bodies:\n" + "\n".join(stray)
 
 
+def _only_raises_not_implemented(node):
+    body = [s for s in node.body if not (isinstance(s, ast.Expr) and isinstance(s.value, ast.Constant))]
+    return len(body) == 1 and isinstance(body[0], ast.Raise) and "NotImplementedError" in ast.unparse(body[0])
+
+
+def test_every_parameter_is_read():
+    # exempt: a method's receiver, dunder methods and abstract bodies (their
+    # signatures are fixed by the protocol), and names marked unused with "_"
+    stray = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Lambda):
+                name, body = "<lambda>", [node.body]
+            elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                name, body = node.name, node.body
+                if name.startswith("__") and name.endswith("__") or _only_raises_not_implemented(node):
+                    continue
+            else:
+                continue
+            a = node.args
+            params = [p.arg for p in a.posonlyargs + a.args + a.kwonlyargs + [a.vararg, a.kwarg] if p]
+            read = {n.id for stmt in body for n in ast.walk(stmt) if isinstance(n, ast.Name)}
+            stray += [f"{path.name}:{node.lineno}: {name}({p})" for p in params
+                      if p not in read and p not in ("self", "cls") and not p.startswith("_")]
+    assert not stray, "parameters no body reads:\n" + "\n".join(stray)
+
+
 CONCURRENCY_MODULES = {"threading", "concurrent", "multiprocessing"}
 
 
