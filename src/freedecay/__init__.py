@@ -58,7 +58,6 @@ from .rdcert import (  # noqa: F401
     MeasureDegreeFiltration,
     RDReport,
     classify_abelian,
-    derived_filtration,
     find_avitzour_triple,
     fit_exponent,
     orthogonality_hypotheses,

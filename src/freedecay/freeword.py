@@ -12,7 +12,6 @@ is exact whenever payloads and coefficients are rational.
 from __future__ import annotations
 
 import functools
-import math
 import reprlib
 from dataclasses import dataclass
 from fractions import Fraction
@@ -30,7 +29,6 @@ __all__ = [
     "normalize",
     "free_state",
     "l2_inner_free",
-    "l2_norm_free",
     "phi_conjugation",
     "avitzour_phi",
     "avitzour_shape_check",
@@ -480,10 +478,6 @@ def _bucket_by_pattern(x: FreeElement):
     for w, c in x.terms.items():
         buckets.setdefault(tuple(l.factor for l in w), []).append((w, c))
     return buckets
-
-
-def l2_norm_free(x: FreeElement) -> float:
-    return math.sqrt(max(complex(l2_inner_free(x, x)).real, 0.0))
 
 
 # ---------------------------------------------------------------------------

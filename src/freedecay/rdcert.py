@@ -55,8 +55,6 @@ __all__ = [
     "RDReport",
     "rd_report",
     "fit_exponent",
-    "derived_filtration",
-    "DerivedFiltrationReport",
     "find_avitzour_triple",
     "verify_avitzour_triple",
     "AvitzourTriple",
@@ -102,10 +100,11 @@ class FiniteDimFiltration(Filtration):
     beyond the last one given.
     """
 
-    def __init__(self, algebra: MatrixBlockAlgebra, levels, recipe: str = "finite-dim"):
+    recipe = "finite-dim"
+
+    def __init__(self, algebra: MatrixBlockAlgebra, levels):
         self.algebra = algebra
         self.levels = [list(level) for level in levels]
-        self.recipe = recipe
 
     @classmethod
     def from_spans(cls, algebra: MatrixBlockAlgebra, spans) -> "FiniteDimFiltration":
@@ -153,9 +152,11 @@ class ConstantFiltration(FiniteDimFiltration):
     """V_0 = C1 and V_n = A for n >= 1: every finite-dimensional faithful
     C*-probability space has rapid decay along it."""
 
+    recipe = "constant"
+
     def __init__(self, algebra: MatrixBlockAlgebra):
         one = algebra.identity()
-        super().__init__(algebra, [[one], [one] + onb_complement(algebra)], "constant")
+        super().__init__(algebra, [[one], [one] + onb_complement(algebra)])
 
 
 class MeasureDegreeFiltration(Filtration):
@@ -321,205 +322,6 @@ def rd_report(filtration: Filtration, max_n: int) -> RDReport:
     # clamp the certificate column monotone, then fit
     alpha, intercept = fit_exponent([(n, up) for (n, _lo, up, _d) in rows])
     return RDReport(rows=rows, alpha_hat=alpha, intercept=intercept, recipe=filtration.recipe)
-
-
-# ---------------------------------------------------------------------------
-# derived filtrations
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class DerivedFiltrationReport:
-    mode: str
-    filtration: Filtration
-    predicted_bound: list  # per level n: certified bound from the inputs
-    realized: list  # per level n: recomputed certificate
-    ok: bool
-
-
-def tensor_embed(a1: MatrixBlockAlgebra, a2: MatrixBlockAlgebra):
-    """(tensor algebra, embed) with embed(x, y) the Kronecker element."""
-    densities = []
-    for d1 in a1.densities:
-        for d2 in a2.densities:
-            densities.append(np.kron(_mat_to_numpy(d1), _mat_to_numpy(d2)))
-    tensor = MatrixBlockAlgebra(densities)
-
-    def embed(x: AlgebraElement, y: AlgebraElement) -> AlgebraElement:
-        blocks = []
-        for b1 in x.to_numpy():
-            for b2 in y.to_numpy():
-                blocks.append(np.kron(b1, b2))
-        return tensor.element(blocks)
-
-    return tensor, embed
-
-
-def derived_filtration(mode: str, *, first: Filtration = None, second: Filtration = None,
-                       weight=None, projection: AlgebraElement = None,
-                       max_n: int = 4) -> DerivedFiltrationReport:
-    """Direct-sum, corner, and tensor constructions with bound checks.
-
-    direct_sum: levels V_{n,1} (+) V_{n,2}; certificate below
-        max(C_1 w^{-1/2}, C_2 (1-w)^{-1/2}).
-    corner:     levels p A p intersect V_n under the normalized corner state;
-        certificate below C_n state(p)^{1/2} (hence also below
-        C_n state(p)^{-1/2}).  p must lie in V_1, so that every level
-        contains the corner's unit p.
-    tensor:     levels V_{n,1} (x) V_{n,2}; certificate below
-        C_1 C_2 dim(V_{n,1})^{1/2}.
-    """
-    if mode == "direct_sum":
-        return _derived_direct_sum(first, second, weight, max_n)
-    if mode == "corner":
-        return _derived_corner(first, projection, max_n)
-    if mode == "tensor":
-        return _derived_tensor(first, second, max_n)
-    raise ValueError(f"unknown derived filtration mode {mode!r}")
-
-
-def _derived_report(mode: str, filt: FiniteDimFiltration, bound, max_n: int):
-    """Levels 0..max_n of ``filt`` against the predicted ``bound(n)``, n >= 1."""
-    predicted = [1.0] + [bound(n) for n in range(1, max_n + 1)]
-    realized = [filt.rd_constant(n).upper for n in range(max_n + 1)]
-    ok = all(r <= p or agree(r, p, p) for r, p in zip(realized, predicted))
-    return DerivedFiltrationReport(mode, filt, predicted, realized, ok)
-
-
-def _derived_direct_sum(f1: Filtration, f2: Filtration, weight, max_n: int):
-    w = weight if weight is not None else Fraction(1, 2)
-    wf = float(w)
-    if not 0 < wf < 1:
-        raise AlgebraError("direct-sum weight must lie strictly between 0 and 1")
-    a1, a2 = f1.algebra, f2.algebra
-    densities = [
-        [[_scale_scalar(v, w) for v in row] for row in d] for d in a1.densities
-    ] + [
-        [[_scale_scalar(v, 1 - w if isinstance(w, Fraction) else 1.0 - wf) for v in row] for row in d]
-        for d in a2.densities
-    ]
-    algebra = MatrixBlockAlgebra(densities)
-    nb1 = len(a1.block_dims)
-
-    def embed(x: AlgebraElement | None, y: AlgebraElement | None) -> AlgebraElement:
-        blocks = []
-        for i, n in enumerate(algebra.block_dims):
-            if i < nb1 and x is not None:
-                blocks.append(x.blocks[i])
-            elif i >= nb1 and y is not None:
-                blocks.append(y.blocks[i - nb1])
-            else:
-                blocks.append(tuple((QC(0),) * n for _ in range(n)))
-        return AlgebraElement(algebra, blocks)
-
-    s1, s2 = 1.0 / math.sqrt(wf), 1.0 / math.sqrt(1.0 - wf)
-    onbs = [[algebra.identity()]]
-    for n in range(1, max_n + 1):
-        level = [algebra.identity()]
-        level += [embed(x, None) * s1 for x in f1.level_onb(n)]
-        level += [embed(None, y) * s2 for y in f2.level_onb(n)]
-        onbs.append(gram_schmidt(level))
-    filt = FiniteDimFiltration(algebra, onbs, "direct-sum")
-    return _derived_report(
-        "direct_sum", filt,
-        lambda n: max(f1.rd_constant(n).upper * s1, f2.rd_constant(n).upper * s2), max_n,
-    )
-
-
-def _scale_scalar(v, s):
-    if isinstance(v, QC) and isinstance(s, Fraction):
-        return v * QC(s)
-    return to_complex(v) * float(s)
-
-
-def _derived_corner(f: Filtration, p: AlgebraElement, max_n: int):
-    algebra = f.algebra
-    if p.owner != algebra:
-        raise AlgebraError("projection lives in the wrong algebra")
-    if not (negligible_element(p * p - p) and negligible_element(p.adjoint() - p)):
-        raise AlgebraError("corner needs a self-adjoint idempotent")
-    if negligible(state(p)):
-        raise AlgebraError("corner projection has zero weight")
-    if _outside(p, f.level_onb(1)):
-        raise AlgebraError("corner projection must lie in level 1 of the filtration")
-    wp = to_complex(state(p)).real
-    # per-block isometries onto the range of p
-    isometries = []
-    new_densities = []
-    keep = []
-    for b, (pb, db) in enumerate(zip(p.to_numpy(), (_mat_to_numpy(d) for d in algebra.densities))):
-        evals, evecs = np.linalg.eigh(0.5 * (pb + pb.conj().T))
-        cols = evecs[:, evals > 0.5]
-        if cols.shape[1] == 0:
-            isometries.append(None)
-            continue
-        keep.append(b)
-        isometries.append(cols)
-        new_densities.append(cols.conj().T @ db @ cols / wp)
-    corner_algebra = MatrixBlockAlgebra(new_densities)
-
-    def compress(x: AlgebraElement) -> AlgebraElement:
-        blocks = []
-        for b in keep:
-            u = isometries[b]
-            xb = x.to_numpy()[b]
-            blocks.append(u.conj().T @ xb @ u)
-        return corner_algebra.element(blocks)
-
-    onbs = [[corner_algebra.identity()]]
-    for n in range(1, max_n + 1):
-        corner_span = _intersect_with_corner(algebra, f.level_onb(n), p)
-        compressed = [compress(x) for x in corner_span]
-        onbs.append(gram_schmidt([corner_algebra.identity()] + compressed))
-    filt = FiniteDimFiltration(corner_algebra, onbs, "corner")
-    return _derived_report("corner", filt, lambda n: f.rd_constant(n).upper * math.sqrt(wp), max_n)
-
-
-def _intersect_with_corner(algebra, level_basis, p):
-    """Basis of span(level) intersect pAp, as elements of the big algebra."""
-    units = algebra.basis()
-    corner_span = [p * e * p for e in units]
-
-    def vec(x):
-        return np.concatenate([b.ravel() for b in x.to_numpy()])
-
-    def proj(vectors):
-        stack = np.array([vec(v) for v in vectors]).T
-        q, _ = np.linalg.qr(stack)
-        return q @ q.conj().T, q
-
-    pv, _ = proj(level_basis)
-    pc, _ = proj(corner_span)
-    prod = pv @ pc @ pv
-    evals, evecs = np.linalg.eigh(0.5 * (prod + prod.conj().T))
-    out = []
-    dims = algebra.block_dims
-    for i in range(len(evals)):
-        # eigenvalue 1 of the product of the two projections (norm 1)
-        if agree(evals[i], 1.0, 1.0):
-            flat = evecs[:, i]
-            blocks, at = [], 0
-            for n in dims:
-                blocks.append(flat[at : at + n * n].reshape(n, n))
-                at += n * n
-            out.append(algebra.element(blocks))
-    return out
-
-
-def _derived_tensor(f1: Filtration, f2: Filtration, max_n: int):
-    algebra, embed = tensor_embed(f1.algebra, f2.algebra)
-    onbs = [[algebra.identity()]]
-    for n in range(1, max_n + 1):
-        level = [
-            embed(x, y) for x in f1.level_onb(n) for y in f2.level_onb(n)
-        ]
-        onbs.append(gram_schmidt(level))
-    filt = FiniteDimFiltration(algebra, onbs, "tensor")
-
-    def bound(n):
-        return f1.rd_constant(n).upper * f2.rd_constant(n).upper * math.sqrt(f1.level_dim(n))
-
-    return _derived_report("tensor", filt, bound, max_n)
 
 
 # ---------------------------------------------------------------------------

@@ -36,7 +36,14 @@ from freedecay.fock import (
     shared_fock,
     vacuum_expectation,
 )
-from freedecay.freeword import FreeElement, Letter, free_state, is_normalized_word, normalize
+from freedecay.freeword import (
+    FreeElement,
+    Letter,
+    free_state,
+    is_normalized_word,
+    l2_inner_free,
+    normalize,
+)
 from freedecay.khintchine import HomogeneousWordElement, rx_check
 from freedecay.rdcert import ConstantFiltration, FreeProductFiltration
 from freedecay.scalars import QC, to_complex
@@ -617,9 +624,7 @@ def test_moment_estimates_nondecreasing_and_bounded():
     # both are lower bounds of the same norm; the Fock bound at depth >= 2*len
     # dominates the moment bound at small r only up to truncation, so just
     # check they are consistent as lower bounds of an upper estimate
-    from freedecay.freeword import l2_norm_free
-
-    assert est.max >= l2_norm_free(x) - 1e-9
+    assert est.max >= math.sqrt(max(complex(l2_inner_free(x, x)).real, 0.0)) - 1e-9
 
 
 @pytest.mark.parametrize("length, r_max", [(1, 3), (2, 2)])

@@ -13,7 +13,6 @@ from conftest import c3_weighted, m2_tr
 from freedecay.algebra import (
     AlgebraError,
     MatrixBlockAlgebra,
-    l2_norm,
     op_norm,
 )
 from freedecay.freeword import (
@@ -34,7 +33,6 @@ from freedecay.rdcert import (
     FreeProductFiltration,
     MeasureDegreeFiltration,
     classify_abelian,
-    derived_filtration,
     find_avitzour_triple,
     fit_exponent,
     orthogonality_hypotheses,
@@ -106,6 +104,9 @@ def test_constant_filtration_is_the_finite_dim_filtration_of_all_of_a():
         spans = FiniteDimFiltration.from_spans(alg, [[], alg.basis()])
         for n in range(4):
             assert const.rd_constant(n).upper == spans.rd_constant(n).upper
+            # FreeProductFiltration takes complement_onb(n) = level_onb(n)[1:]
+            for filt in (const, spans):
+                assert op_norm(filt.level_onb(n)[0] - alg.identity()) <= 1e-12
         assert const.recipe == "constant" and spans.recipe == "finite-dim"
 
 
@@ -176,98 +177,6 @@ def test_free_filtration_exponent_finite():
     )
     report = rd_report(filt, 4)
     assert np.isfinite(report.alpha_hat)
-
-
-# ---------------------------------------------------------------------------
-# derived filtrations
-# ---------------------------------------------------------------------------
-
-
-def test_direct_sum_bound():
-    f1 = ConstantFiltration(_c2())
-    f2 = ConstantFiltration(c3_weighted())
-    report = derived_filtration(
-        "direct_sum", first=f1, second=f2, weight=Fraction(1, 2), max_n=3
-    )
-    assert report.ok
-    # equal-weight direct sum of constant filtrations saturates the bound
-    assert report.realized[1] == pytest.approx(report.predicted_bound[1], rel=1e-9)
-
-
-def test_corner_by_identity_keeps_constants():
-    f = ConstantFiltration(c3_weighted())
-    p = f.algebra.identity()
-    report = derived_filtration("corner", first=f, projection=p, max_n=2)
-    assert report.ok
-    assert report.realized[1] == pytest.approx(math.sqrt(5.0), abs=1e-8)
-
-
-def test_corner_by_atom_pair():
-    f = ConstantFiltration(c3_weighted())
-    alg = f.algebra
-    p = alg.element([[[1]], [[1]], [[0]]])
-    report = derived_filtration("corner", first=f, projection=p, max_n=2)
-    assert report.ok
-    # corner of the (3/5, 1/5) atoms renormalized: lightest atom 1/4
-    assert report.realized[1] == pytest.approx(2.0, abs=1e-8)
-
-
-def test_corner_rejects_non_projection():
-    f = ConstantFiltration(c3_weighted())
-    q = f.algebra.element([[[Fraction(1, 2)]], [[1]], [[0]]])
-    with pytest.raises(AlgebraError):
-        derived_filtration("corner", first=f, projection=q, max_n=1)
-
-
-def test_corner_rejects_a_projection_outside_level_one():
-    # V_n intersect pAp holds the corner's unit p only when p is in V_n; here
-    # adjoining p would make level 1 the whole corner, whose constant 2.0
-    # exceeds the predicted C_1 state(p)^(1/2) = 1.803
-    alg = c3_weighted()
-    two_level = FiniteDimFiltration.from_spans(alg, [[], [alg.element([[[1]], [[-1]], [[0]]])]])
-    p = alg.element([[[1]], [[1]], [[0]]])
-    with pytest.raises(AlgebraError, match="level 1"):
-        derived_filtration("corner", first=two_level, projection=p, max_n=1)
-
-
-def test_derived_filtrations_report_every_level():
-    alg = c3_weighted()
-    two_level = FiniteDimFiltration.from_spans(alg, [[], [alg.element([[[1]], [[-1]], [[0]]])]])
-    p = alg.element([[[1]], [[1]], [[0]]])
-    with_p = FiniteDimFiltration.from_spans(alg, [[], [p], [alg.element([[[1]], [[-1]], [[0]]])]])
-    reports = [
-        derived_filtration("direct_sum", first=ConstantFiltration(_c2()), second=two_level,
-                           max_n=3),
-        derived_filtration("corner", first=with_p, projection=p, max_n=3),
-        derived_filtration("tensor", first=two_level, second=ConstantFiltration(_c2()),
-                           max_n=3),
-    ]
-    for report in reports:
-        assert report.ok
-        assert len(report.predicted_bound) == len(report.realized) == 4
-        filt = report.filtration
-        for n in range(4):
-            first = filt.level_onb(n)[0]
-            assert op_norm(first - filt.algebra.identity()) <= 1e-12
-
-
-def test_tensor_bound_on_random_elements():
-    f1 = ConstantFiltration(_c2())
-    f2 = ConstantFiltration(m2_tr())
-    report = derived_filtration("tensor", first=f1, second=f2, max_n=2)
-    assert report.ok
-    filt = report.filtration
-    rng = np.random.default_rng(3)
-    basis = filt.level_onb(1)
-    c1 = f1.rd_constant(1).upper
-    c2 = f2.rd_constant(1).upper
-    bound = c1 * c2 * math.sqrt(len(f1.level_onb(1)))
-    for _ in range(10):
-        coeffs = rng.standard_normal(len(basis))
-        x = filt.algebra.zero()
-        for c, b in zip(coeffs, basis):
-            x = x + b * complex(c)
-        assert op_norm(x) <= bound * l2_norm(x) + 1e-9
 
 
 # ---------------------------------------------------------------------------

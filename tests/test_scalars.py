@@ -3,7 +3,8 @@ rule that tolerance literals live only there; the equality, hashing and
 powers of ``QC`` and the rule that its layout stays in ``scalars``; plus the
 rules that modules import only at their top and never a thread or process
 pool, that every cache is bounded, that every ``__all__``
-entry exists and that the Python examples of README.md run."""
+entry exists, that every public def has a src reference or a stated reason,
+and that the Python examples of README.md run."""
 
 import ast
 import importlib
@@ -273,6 +274,47 @@ def test_every_all_entry_exists():
     assert not stray, "__all__ entries that do not exist:\n" + "\n".join(stray)
     for m in modules:
         exec(f"from {m.__name__} import *", {})
+
+
+# public defs that no src code references, each kept for a stated reason
+UNREFERENCED_IN_SRC = {
+    "algebra.MatrixBlockAlgebra.matrix_with_state": "a one-block algebra with a diagonal state",
+    "fock.MomentEstimates.best_at": "reads the moment lower bound at one r",
+    "khintchine.HomogeneousWordElement.scaled": "scaling, for the homogeneity test of sr_norm and kh",
+    "khintchine.kh_bracket": "the public kh(x) bracket shown in the README",
+    "khintchine.weak_cs_bound": "the Cauchy-Schwarz oracle that dominates an assembled block norm",
+    "measure.sup_norm_poly": "grid sup norm of one orthonormal polynomial, the oracle for closed forms",
+    "measure.gauss_discretize": "a measure as a finite-dimensional abelian C*-probability space",
+    "measure.polynomial_element": "a polynomial as an element of the gauss_discretize algebra",
+    "rdcert.FiniteDimFiltration.from_spans": "the public way to build a filtration from spans",
+}
+
+
+def test_every_public_def_is_referenced_in_src():
+    # a name counts as referenced when it is read as a name or an attribute
+    # anywhere in src; imports and __all__ strings do not count
+    trees = {p.stem: ast.parse(p.read_text()) for p in sorted(SRC.glob("*.py"))}
+    used = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+    unused = set()
+    for stem, tree in trees.items():
+        for node in tree.body:
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                continue
+            members = [(node.name, node)]
+            if isinstance(node, ast.ClassDef):
+                members += [(f"{node.name}.{sub.name}", sub) for sub in node.body
+                            if isinstance(sub, (ast.FunctionDef, ast.ClassDef))]
+            unused |= {f"{stem}.{qual}" for qual, d in members
+                       if not d.name.startswith("_") and d.name not in used}
+    allowed = UNREFERENCED_IN_SRC.keys()
+    assert not unused - allowed, "public defs with no src reference:\n" + "\n".join(sorted(unused - allowed))
+    assert not allowed - unused, "allowlisted but referenced or gone:\n" + "\n".join(sorted(allowed - unused))
 
 
 def test_readme_python_blocks_run(capsys):
