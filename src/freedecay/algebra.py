@@ -133,6 +133,26 @@ def _mat_to_numpy(a):
     return np.array([[to_complex(v) for v in row] for row in a], dtype=complex)
 
 
+def _positive_definite(d) -> bool:
+    """Whether the Hermitian d is positive definite: by float Cholesky, or, on
+    an exact d, exactly, by elimination in QC with every pivot real and > 0.
+    (Cholesky accepts [[1/2, 1/2], [1/2, 1/2]]: its last pivot rounds above 0.)"""
+    if not all(is_exact(v) for row in d for v in row):
+        try:
+            np.linalg.cholesky(_mat_to_numpy(d))
+        except np.linalg.LinAlgError:
+            return False
+        return True
+    a = [list(row) for row in d]
+    for k, row in enumerate(a):
+        if row[k].im or row[k].re <= 0:
+            return False
+        for lower in a[k + 1:]:
+            f = lower[k] / row[k]
+            lower[k + 1:] = [x - f * y for x, y in zip(lower[k + 1:], row[k + 1:])]
+    return True
+
+
 # ---------------------------------------------------------------------------
 # algebras
 # ---------------------------------------------------------------------------
@@ -163,20 +183,12 @@ class MatrixBlockAlgebra:
         self._validate()
 
     def _validate(self):
-        total = QC(0)
         for b, d in enumerate(self.densities):
-            n = len(d)
-            for i in range(n):
-                for j in range(n):
-                    if not negligible(d[i][j] - conj(d[j][i])):
-                        raise AlgebraError(f"density of block {b} is not Hermitian")
-                total = total + d[i][i]
-            try:
-                np.linalg.cholesky(_mat_to_numpy(d))
-            except np.linalg.LinAlgError:
-                raise AlgebraError(
-                    f"density of block {b} is not positive definite (state not faithful)"
-                ) from None
+            if not all(negligible(x - conj(y)) for row, col in zip(d, zip(*d)) for x, y in zip(row, col)):
+                raise AlgebraError(f"density of block {b} is not Hermitian")
+            if not _positive_definite(d):
+                raise AlgebraError(f"density of block {b} is not positive definite (state not faithful)")
+        total = sum(self.weights(), QC_ZERO)
         if not negligible(total - 1):
             raise AlgebraError(f"density traces sum to {total}, expected 1")
 
@@ -207,13 +219,7 @@ class MatrixBlockAlgebra:
 
     def weights(self):
         """Trace weight of each block."""
-        out = []
-        for d in self.densities:
-            w = QC(0)
-            for i in range(len(d)):
-                w = w + d[i][i]
-            out.append(w)
-        return out
+        return [sum((d[i][i] for i in range(len(d))), QC_ZERO) for d in self.densities]
 
     def identity(self) -> "AlgebraElement":
         return AlgebraElement(self, [_eye_matrix(n) for n in self.block_dims])

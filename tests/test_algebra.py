@@ -73,6 +73,26 @@ def test_state_must_be_faithful():
         MatrixBlockAlgebra([[[QC(1), QC(1)], [QC(1), QC(0)]]])
 
 
+def test_singular_exact_densities_are_rejected_exactly():
+    # a float Cholesky accepts 48 of the rank-one densities: its last pivot
+    # rounds to a tiny positive number instead of 0
+    rank_one = [[[Fraction(p * p, p * p + q * q), Fraction(p * q, p * p + q * q)],
+                 [Fraction(p * q, p * p + q * q), Fraction(q * q, p * p + q * q)]]
+                for p in range(1, 12) for q in range(1, 12)]
+    half, i_half = QC(Fraction(1, 2)), QC(0, Fraction(1, 2))
+    complex_rank_one = [[half, i_half], [i_half.conjugate(), half]]
+    kernel_at_the_last_pivot = [[Fraction(k, 6) for k in row] for row in ([2, 1, -1], [1, 2, 1], [-1, 1, 2])]
+    for density in rank_one + [complex_rank_one, kernel_at_the_last_pivot]:
+        with pytest.raises(AlgebraError, match="not positive definite"):
+            MatrixBlockAlgebra([density])
+
+
+def test_exact_complex_positive_definite_density_is_accepted():
+    half, i_eighth = QC(Fraction(1, 2)), QC(0, Fraction(1, 8))
+    alg = MatrixBlockAlgebra([[[half, i_eighth], [i_eighth.conjugate(), half]]])
+    assert state(alg.identity()) == 1
+
+
 def test_density_must_be_hermitian():
     with pytest.raises(AlgebraError):
         MatrixBlockAlgebra([[[QC(Fraction(1, 2)), QC(1)], [QC(0), QC(Fraction(1, 2))]]])

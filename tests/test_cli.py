@@ -119,6 +119,14 @@ def test_rd_certify_malformed_json(tmp_path, capsys):
     assert "line" in err and "column" in err
 
 
+def test_rd_certify_refuses_a_singular_exact_density(tmp_path, capsys):
+    space = _write(tmp_path, "space.json",
+                   {"algebra": {"blocks": [{"density": [["1/2", "1/2"], ["1/2", "1/2"]]}]}})
+    assert run(["rd-certify", "--space", space]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and "not positive definite" in err[0], err
+
+
 _M2 = {"blocks": [{"dim": 2, "density": [["1/2", "0"], ["0", "1/2"]]}]}
 _FLIP = [[["0", "1"], ["1", "0"]]]
 

@@ -2,14 +2,17 @@
 rule that tolerance literals live only there; the equality, hashing and
 powers of ``QC`` and the rule that its layout stays in ``scalars``; plus the
 rules that modules import only at their top and never a thread or process
-pool, that every cache is bounded, that every ``__all__``
-entry exists, that every public def has a src reference or a stated reason,
-and that the Python examples of README.md run."""
+pool, that the package imports no layer and the exact layers no scipy, that
+every cache is bounded, that every ``__all__`` entry exists, that every
+public def has a src reference or a stated reason, and that the Python
+examples of README.md run."""
 
 import ast
 import importlib
+import os
 import pathlib
 import re
+import subprocess
 import sys
 from fractions import Fraction
 
@@ -190,6 +193,23 @@ def test_no_imports_inside_functions():
                     if isinstance(inner, (ast.Import, ast.ImportFrom))
                 ]
     assert not stray, "imports inside function bodies:\n" + "\n".join(stray)
+
+
+def _modules_after(statement):
+    # sys.modules of a fresh interpreter after one import statement
+    code = f"import sys; {statement}; print(' '.join(sys.modules))"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(SRC.parent), os.environ.get("PYTHONPATH")])))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env)
+    return out.stdout.split()
+
+
+def test_the_package_loads_no_layer_and_the_exact_layers_load_no_scipy():
+    bare = _modules_after("import freedecay")
+    assert "freedecay" in bare
+    assert not [m for m in bare if m.startswith("freedecay.") or m.split(".")[0] == "numpy"]
+    exact = _modules_after("import freedecay.scalars, freedecay.algebra, freedecay.freeword")
+    assert "freedecay.freeword" in exact
+    assert not [m for m in exact if m.split(".")[0] == "scipy"]
 
 
 def _only_raises_not_implemented(node):
