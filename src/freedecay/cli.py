@@ -22,6 +22,13 @@ import numpy as np
 
 from . import __version__
 from .algebra import AlgebraElement, AlgebraError, MatrixBlockAlgebra, json_shape
+from .compressed import (
+    TruncatedFock,
+    default_depth,
+    moment_norm_estimate,
+    norm_lower_bound,
+    shared_fock,
+)
 from .freeword import (
     AvitzourConditionError,
     FreeElement,
@@ -34,16 +41,7 @@ from .freeword import (
     random_alternating_word,
     three_factor_ambient,
 )
-from .fock import (
-    FockError,
-    TruncatedFock,
-    default_depth,
-    fock_dimension,
-    moment_norm_estimate,
-    norm_lower_bound,
-    shared_fock,
-    vacuum_expectation,
-)
+from .fock import FockError, fock_dimension, vacuum_expectation
 from .khintchine import HomogeneousWordElement, rx_check
 from .measure import CompactMeasure, MeasureError
 from .rdcert import (

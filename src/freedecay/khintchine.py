@@ -18,7 +18,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .algebra import AlgebraError, onb_complement
-from .fock import (
+from .compressed import (
     _spectral_norm,
     default_depth,
     moment_norm_estimate,

@@ -30,7 +30,7 @@ from .algebra import (
     op_norm,
     state,
 )
-from . import fock
+from . import compressed, fock
 from .freeword import (
     AvitzourConditionError,
     FreeElement,
@@ -262,10 +262,11 @@ class FreeProductFiltration(Filtration):
 
     def _probe_lower(self, n: int) -> float:
         depth = max(4, n + 1)
-        while depth > 1 and fock.fock_dimension(self.ambient.factors, depth) > fock._DIMENSION_CAP:
+        while depth > 1 and fock.fock_dimension(self.ambient.factors, depth) > compressed._DIMENSION_CAP:
             depth -= 1
-        space = fock.shared_fock(self.ambient.factors, depth)
-        return max(fock._spectral_norm(m) for m in fock._represent_sparse(space, self._probes(n)))
+        space = compressed.shared_fock(self.ambient.factors, depth)
+        probes = compressed._represent_sparse(space, self._probes(n))
+        return max(compressed._spectral_norm(m) for m in probes)
 
 
 # ---------------------------------------------------------------------------

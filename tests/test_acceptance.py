@@ -19,7 +19,8 @@ from conftest import (
 )
 from freedecay.algebra import MatrixBlockAlgebra, dn_norm, onb_complement
 from freedecay.cli import run
-from freedecay.fock import moment_norm_estimate, vacuum_expectation
+from freedecay.compressed import moment_norm_estimate
+from freedecay.fock import vacuum_expectation
 from freedecay.freeword import (
     FreeElement,
     FreeProductAmbient,

@@ -317,6 +317,7 @@ def _random_uncentred_sum(seed):
 
 @pytest.mark.parametrize("seed, code", [(3, 2), (1, 0)])
 def test_exact_free_moments_stop_at_the_term_cap(tmp_path, monkeypatch, capsys, seed, code):
+    import freedecay.compressed as compressed
     import freedecay.fock as fock
 
     calls = []
@@ -326,7 +327,8 @@ def test_exact_free_moments_stop_at_the_term_cap(tmp_path, monkeypatch, capsys, 
         return normalize(x)
 
     normalize = fock.normalize
-    monkeypatch.setattr(fock, "normalize", counting)
+    for module in (compressed, fock):
+        monkeypatch.setattr(module, "normalize", counting)
     epath = _write(tmp_path, "elem.json", _random_uncentred_sum(seed).to_json())
     argv = ["free-moments", "--factors", _m2_factors(tmp_path), "--element", epath,
             "--rmax", "3", "--out", str(tmp_path / "m.csv")]

@@ -17,23 +17,25 @@ from conftest import (
     random_word_element,
     two_factor,
 )
-from freedecay import fock
+from freedecay import compressed, fock
 from freedecay.algebra import MatrixBlockAlgebra, center, l2_inner, state
 from freedecay.cli import run
-from freedecay.fock import (
-    FockError,
-    ResourceCapError,
+from freedecay.compressed import (
     TruncatedFock,
     _spectral_norm,
     _vector_moments,
-    _word_moments,
     default_depth,
-    fock_dimension,
-    free_cumulants_to_moments,
     moment_norm_estimate,
-    moments_to_free_cumulants,
     norm_lower_bound,
     shared_fock,
+)
+from freedecay.fock import (
+    FockError,
+    ResourceCapError,
+    _word_moments,
+    fock_dimension,
+    free_cumulants_to_moments,
+    moments_to_free_cumulants,
     vacuum_expectation,
 )
 from freedecay.freeword import (
@@ -55,7 +57,7 @@ def c2_half():
 
 def _represent_dense(f, x):
     """Dense matrix of the compressed left action of x on f."""
-    return fock._represent_sparse(f, [x])[0].toarray()
+    return compressed._represent_sparse(f, [x])[0].toarray()
 
 
 # ---------------------------------------------------------------------------
@@ -187,7 +189,7 @@ def test_centred_words_are_represented_without_normalize(monkeypatch):
     def refuse(x):
         raise AssertionError("normalize called on a centred element")
 
-    monkeypatch.setattr(fock, "normalize", refuse)
+    monkeypatch.setattr(compressed, "normalize", refuse)
     f = TruncatedFock([m2_tr(), c3_weighted()], 2)
     amb = f.ambient()
     rng = np.random.default_rng(23)
@@ -299,7 +301,7 @@ def _float_centred(algebra, rng):
 
 
 def _assert_same_bits(f, x):
-    (got,) = fock._represent_sparse(f, [x])
+    (got,) = compressed._represent_sparse(f, [x])
     assert np.array_equal(got.toarray(), _represent_word_by_word(f, x).toarray())
 
 
@@ -362,7 +364,7 @@ def test_shared_blocks_keep_the_bits_of_several_elements():
     xs = [first, second, uncentred, zero, third]
     assert set(first.terms) & set(second.terms) and set(second.terms) - set(first.terms)
     assert list(third.terms)[:2] == [tuple(words[28]), tuple(words[25])]
-    got = fock._represent_sparse(f, xs)
+    got = compressed._represent_sparse(f, xs)
     assert len(got) == len(xs)
     for x, matrix in zip(xs, got):
         assert np.array_equal(matrix.toarray(), _represent_word_by_word(f, x).toarray())
@@ -381,7 +383,7 @@ def test_shared_suffix_compression_keeps_the_certify_csv(tmp_path, monkeypatch):
         calls.append(len(xs))
         return [_represent_word_by_word(f, x) for x in xs]
 
-    monkeypatch.setattr(fock, "_represent_sparse", word_by_word)
+    monkeypatch.setattr(compressed, "_represent_sparse", word_by_word)
     assert run(argv + [str(tmp_path / "word-by-word.csv")]) == 0
     # the reference built every probe: levels 1-6, three probes each
     assert calls == [3] * 6
@@ -513,12 +515,12 @@ def test_spectral_norm_falls_back_to_dense_without_arpack_convergence(monkeypatc
     def no_convergence(*args, **kwargs):
         raise sp.linalg.ArpackNoConvergence("no convergence", np.array([]), np.array([]))
 
-    monkeypatch.setattr(fock.spla, "svds", no_convergence)
+    monkeypatch.setattr(compressed.spla, "svds", no_convergence)
     rng = np.random.default_rng(9)
     dense = rng.standard_normal((500, 500)) + 1j * rng.standard_normal((500, 500))
     assert _spectral_norm(sp.csr_matrix(dense)) == pytest.approx(np.linalg.norm(dense, 2))
     with pytest.raises(FockError):
-        _spectral_norm(sp.identity(fock._DENSE_CAP + 1, dtype=complex, format="csr"))
+        _spectral_norm(sp.identity(compressed._DENSE_CAP + 1, dtype=complex, format="csr"))
 
 
 def test_length_one_rx_check_takes_one_dense_svd(monkeypatch):
@@ -532,19 +534,19 @@ def test_length_one_rx_check_takes_one_dense_svd(monkeypatch):
 
     amb = two_factor(m2_tr(), m2_tr())
     x = HomogeneousWordElement.random(amb, 1, np.random.default_rng(3))
-    fock._dense_norm.cache_clear()
+    compressed._dense_norm.cache_clear()
     monkeypatch.setattr(np.linalg, "norm", counting_norm)
     rx_check(x, moment_rmax=2)
     assert shapes.count((241, 241)) == 1
-    assert fock._dense_norm.cache_info().hits == 1
+    assert compressed._dense_norm.cache_info().hits == 1
 
 
 def test_dense_memo_leaves_kh_norm_csv_unchanged(tmp_path, monkeypatch):
     argv = ["kh-norm", "--length", "1", "--trials", "4", "--seed", "5", "--out"]
-    fock._dense_norm.cache_clear()
+    compressed._dense_norm.cache_clear()
     assert run(argv + [str(tmp_path / "memo.csv")]) == 0
-    assert fock._dense_norm.cache_info().hits == 4
-    monkeypatch.setattr(fock, "_dense_norm", fock._dense_norm.__wrapped__)
+    assert compressed._dense_norm.cache_info().hits == 4
+    monkeypatch.setattr(compressed, "_dense_norm", compressed._dense_norm.__wrapped__)
     assert run(argv + [str(tmp_path / "direct.csv")]) == 0
     assert (tmp_path / "memo.csv").read_bytes() == (tmp_path / "direct.csv").read_bytes()
 
@@ -557,11 +559,11 @@ def test_dense_memo_keys_on_the_stored_layout():
     split = sp.csr_matrix((np.hstack([dense / 2, dense / 2]).ravel(), np.tile(np.arange(6), 12),
                            np.arange(0, 73, 12)), shape=(6, 6))
     assert np.array_equal(split.toarray(), summed.toarray())
-    fock._dense_norm.cache_clear()
+    compressed._dense_norm.cache_clear()
     for m in (summed, summed, split, split):
         assert _spectral_norm(m) == np.linalg.norm(m.toarray(), 2)
-    assert fock._dense_norm.cache_info()[:2] == (2, 2)  # hits, misses
-    assert fock._dense_norm.cache_info().maxsize == fock._DENSE_MEMO
+    assert compressed._dense_norm.cache_info()[:2] == (2, 2)  # hits, misses
+    assert compressed._dense_norm.cache_info().maxsize == compressed._DENSE_MEMO
 
 
 # ---------------------------------------------------------------------------
@@ -660,7 +662,7 @@ def test_exact_x_star_x_above_the_term_cap_is_not_formed(tmp_path, monkeypatch, 
     for _ in range(150):
         x = x + random_alternating_word(amb, 3, rng, centered=False)
     assert len(x.terms) == 150 and len(x.terms) ** 2 > fock._TERM_CAP
-    monkeypatch.setattr(fock, "normalize", refuse)
+    monkeypatch.setattr(compressed, "normalize", refuse)
     message = f"exceed {fock._TERM_CAP} word products"
     with pytest.raises(ResourceCapError, match=message):
         moment_norm_estimate(x, 2)

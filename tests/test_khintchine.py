@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from conftest import m2_tr, two_factor
-from freedecay.fock import shared_fock
+from freedecay.compressed import shared_fock
 from freedecay.khintchine import (
     HomogeneousWordElement,
     assemble_rank_one_blocks,
@@ -186,7 +186,7 @@ def test_rx_check_builds_each_bracket_once(monkeypatch):
 @pytest.fixture
 def built_spaces(monkeypatch):
     """The spaces that shared_fock builds during a test, from an empty cache."""
-    import freedecay.fock as fk
+    import freedecay.compressed as fk
 
     built = []
 

@@ -299,7 +299,7 @@ def test_every_all_entry_exists():
 # public defs that no src code references, each kept for a stated reason
 UNREFERENCED_IN_SRC = {
     "algebra.MatrixBlockAlgebra.matrix_with_state": "a one-block algebra with a diagonal state",
-    "fock.MomentEstimates.best_at": "reads the moment lower bound at one r",
+    "compressed.MomentEstimates.best_at": "reads the moment lower bound at one r",
     "khintchine.HomogeneousWordElement.scaled": "scaling, for the homogeneity test of sr_norm and kh",
     "khintchine.kh_bracket": "the public kh(x) bracket shown in the README",
     "khintchine.weak_cs_bound": "the Cauchy-Schwarz oracle that dominates an assembled block norm",
