@@ -1,5 +1,34 @@
 """Truncated free-product Hilbert space, compressed left representation and
-moment-power norm estimates."""
+moment-power norm estimates: the numeric half of the Fock-space oracle, and
+the layer that loads scipy.
+
+The truncated space (:class:`TruncatedFock`) has an orthonormal tensor
+basis, and the compressed left representation on it
+(:func:`norm_lower_bound`) gives lower bounds for the reduced norm from its
+spectral data.  Words act on the depth-L space itself
+(:func:`_represent_sparse`), and the elements of one call share each word's
+block.  A space caches one sparse letter operator per vector of each
+factor's complement basis (:meth:`TruncatedFock.onb_operators`); the
+operator of any other letter is built when asked for and not kept.  The
+complement bases are the algebras' own (:func:`onb_complement`), and
+:func:`shared_fock` keeps the 16 most recently used spaces per process.
+
+Moment-power estimates sit on top: s_r = state((x*x)^r)^(1/2r) together
+with the consecutive-moment ratio (state((x*x)^r)/state((x*x)^{r-1}))^(1/2);
+both are lower bounds of the norm and nondecreasing in r.  The moments
+q_r = state((x*x)^r) come from one of three methods:
+
+* "free-cumulant": self-adjoint sums of single letters, by additivity of
+  free cumulants (exact in rational mode, in :mod:`freedecay.fock`);
+* "fock-vector": every other float element, as q_r = ||v_r||^2 with
+  v_r = x v_{r-1} (odd r) or x* v_{r-1} (even r) and v_0 = Omega, by
+  sparse letter operators on the truncated space of depth r_max * l for
+  words of length <= l.  v_r has length <= r l, so no letter ever meets
+  the cut and the truncation costs nothing beyond rounding;
+* "word-expansion": every other exact element, by multiplying words out
+  and pairing them exactly (in :mod:`freedecay.fock`); it is also the
+  oracle of the vector path.
+"""
 
 from __future__ import annotations
 
@@ -28,7 +57,7 @@ from .fock import (
     fock_dimension,
 )
 from .freeword import FreeElement, FreeProductAmbient, is_normalized_word, normalize
-from .scalars import to_complex
+from .scalars import root_down, to_complex
 
 __all__ = [
     "TruncatedFock",
@@ -329,9 +358,10 @@ def moment_norm_estimate(x: FreeElement, r_max: int) -> MomentEstimates:
 
     For each r <= r_max the report carries q_r = state((x*x)^r), the power
     root q_r^(1/2r) and the consecutive ratio (q_r/q_{r-1})^(1/2); both are
-    certified lower bounds of the reduced norm and nondecreasing in r, and
-    the best column is their max.  ``method`` names how the moments were
-    found:
+    lower bounds of the reduced norm and nondecreasing in r, and the best
+    column is their max.  Exact q_r give each root rounded down
+    (``scalars.root_down``), a certified bound; float q_r give the roots
+    rounded to nearest.  ``method`` names how the moments were found:
 
     * "free-cumulant": self-adjoint sums of single letters (and exact x
       whose x*x is one), by exact free-cumulant arithmetic;
@@ -349,13 +379,15 @@ def moment_norm_estimate(x: FreeElement, r_max: int) -> MomentEstimates:
         raise ValueError("r_max must be >= 1")
     q, method = _even_moments(x, r_max)
     rows = []
-    prev = 1.0
     for r in range(1, r_max + 1):
-        qr = complex(q[r]).real
-        root = qr ** (1.0 / (2 * r)) if qr > 0 else 0.0
-        ratio = math.sqrt(qr / prev) if prev > 0 else 0.0
-        rows.append((r, q[r], root, ratio, max(root, ratio)))
-        prev = qr
+        qr, prev = q[r], q[r - 1]
+        if isinstance(qr, float):
+            root = qr ** (1.0 / (2 * r)) if qr > 0 else 0.0
+            ratio = math.sqrt(qr / prev) if prev > 0 else 0.0
+        else:
+            root = root_down(qr, 2 * r)
+            ratio = root_down(qr / prev, 2) if prev else 0.0
+        rows.append((r, qr, root, ratio, max(root, ratio)))
     return MomentEstimates(rows, method)
 
 

@@ -1,35 +1,21 @@
-"""Truncated free-product Hilbert space and norm/moment estimators.
+"""The exact half of the Fock-space oracle: vacuum pairing, free cumulants
+and exact moments.  It imports no scipy.
 
-Two independent oracles live here:
+:func:`vacuum_expectation` applies the free-product left action to tensor
+words symbolically and reads off the vacuum coefficient.  It is exact in
+rational mode and independent of ``freeword.free_state``: it prepends and
+splits on tensors where ``free_state`` merges and centres words.
 
-* an exact vacuum-pairing engine (:func:`vacuum_expectation`) that applies
-  the free-product left action to tensor words symbolically and reads off
-  the vacuum coefficient -- exact in rational mode;
-* a numeric compressed left representation (:func:`norm_lower_bound`) on
-  an orthonormal tensor basis, whose spectral data give certified lower
-  bounds for the reduced norm.  Words act on the depth-L space itself
-  (:func:`_represent_sparse`), and the elements of one call share each
-  word's block.  A space caches one sparse letter
-  operator per vector of each factor's complement basis
-  (:meth:`TruncatedFock.onb_operators`); the operator of any other letter
-  is built when asked for and not kept.  The complement bases are the
-  algebras' own (:func:`onb_complement`), and :func:`shared_fock` keeps the
-  16 most recently used spaces per process.
-
-Moment-power estimates sit on top: s_r = state((x*x)^r)^(1/2r) together
-with the consecutive-moment ratio (state((x*x)^r)/state((x*x)^{r-1}))^(1/2);
-both are lower bounds of the norm and nondecreasing in r.  The moments
-q_r = state((x*x)^r) come from one of three methods:
-
-* "free-cumulant": self-adjoint sums of single letters, by additivity of
-  free cumulants (exact in rational mode);
-* "fock-vector": every other float element, as q_r = ||v_r||^2 with
-  v_r = x v_{r-1} (odd r) or x* v_{r-1} (even r) and v_0 = Omega, by
-  sparse letter operators on the truncated space of depth r_max * l for
-  words of length <= l.  v_r has length <= r l, so no letter ever meets
-  the cut and the truncation costs nothing beyond rounding;
-* "word-expansion": every other exact element, by multiplying words out
-  and pairing them exactly; it is also the oracle of the vector path.
+The exact moments q_r = state((x*x)^r) behind
+``compressed.moment_norm_estimate`` come from here: self-adjoint sums of
+single letters by additivity of free cumulants
+(:func:`moments_to_free_cumulants`, :func:`free_cumulants_to_moments`),
+every other exact element by multiplying words out and pairing them
+exactly, up to ``_TERM_CAP`` word products per power and ``_PAIR_CAP`` term
+pairs per pairing.  :func:`fock_dimension` counts the tensors of a
+truncated space, and the errors of both halves are defined here.  The
+truncated space, its letter operators and the norms are in
+:mod:`freedecay.compressed`.
 """
 
 from __future__ import annotations

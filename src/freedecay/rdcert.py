@@ -4,7 +4,8 @@ A filtration assigns to every level n an orthonormal basis of the subspace
 V_n (V_0 = C1, nested, *-stable, submultiplicative degrees).  The certified
 constant C_n = ||(sum x_i x_i*)^(1/2)|| over a level basis bounds
 sup{||a|| : a in V_n, ||a||_2 = 1}, exactly so on abelian and commutative
-ambients; free-product levels get honest brackets instead of single numbers.
+ambients; non-abelian finite-dimensional levels and free-product levels get
+honest brackets instead of single numbers.
 """
 
 from __future__ import annotations
@@ -127,10 +128,16 @@ class FiniteDimFiltration(Filtration):
         return self.level_onb(n)[1:]
 
     def rd_constant(self, n: int) -> RdConstant:
+        """C_upper is ``dn_norm`` of the level basis, exact on abelian
+        algebras.  Elsewhere it is only an upper bound, and C_lower is the
+        largest operator norm of a basis vector, each of L2 norm 1."""
         if n == 0:
             return RdConstant(1.0, 1.0, "exact")
-        c = dn_norm(self.level_onb(n))
-        return RdConstant(c, c, "dn-certificate")
+        basis = self.level_onb(n)
+        c = dn_norm(basis)
+        if self.algebra.is_abelian():
+            return RdConstant(c, c, "dn-certificate")
+        return RdConstant(max(op_norm(b) for b in basis), c, "bracket")
 
 
 def _outside(x: AlgebraElement, basis) -> bool:

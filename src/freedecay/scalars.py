@@ -294,6 +294,24 @@ def agree(a, b, scale) -> bool:
     return abs(complex(a) - complex(b)) <= FLOAT_RTOL * scale
 
 
+def root_down(value, k: int) -> float:
+    """Largest float t with t**k <= value in exact arithmetic, for an exact
+    real value >= 0 (a real ``QC``, int or ``Fraction``): a k-th root that is
+    never above the true one, decided with no float step."""
+    q = value.re if isinstance(value, QC) else Fraction(value)
+    if q <= 0:
+        return 0.0
+    # the guess, within a few units in the last place, from q scaled by an
+    # exact power of two, so that no q under- or overflows the conversion
+    shift = (q.numerator.bit_length() - q.denominator.bit_length()) // k
+    t = math.ldexp(float(q / Fraction(2) ** (shift * k)) ** (1.0 / k), shift)
+    while Fraction(t) ** k > q:
+        t = math.nextafter(t, 0.0)
+    while Fraction(math.nextafter(t, math.inf)) ** k <= q:
+        t = math.nextafter(t, math.inf)
+    return t
+
+
 def exact_sqrt(fr: Fraction):
     """Square root of a nonnegative Fraction if it is again rational, else None."""
     if fr < 0:

@@ -8,6 +8,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import (
     c3_weighted,
@@ -649,6 +651,30 @@ def test_exact_moments_stay_word_expansion():
     est = moment_norm_estimate(x, 2)
     assert est.method == "word-expansion"
     assert all(isinstance(row[1], QC) for row in est.rows)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.sampled_from(["words", "letters"]))
+def test_exact_moment_roots_are_the_largest_floats_not_above(seed, shape):
+    # word expansion, or free cumulants of a self-adjoint sum of letters
+    amb = two_factor(m2_tr(), c3_weighted())
+    rng = np.random.default_rng(seed)
+    if shape == "words":
+        x = random_word_element(amb, 2, rng, n_terms=2)
+    else:
+        y = random_word_element(amb, 1, rng, n_terms=3)
+        x = y + y.adjoint()
+    est = moment_norm_estimate(x, 3)
+    assert est.method in ("word-expansion", "free-cumulant")
+    q = [Fraction(1)] + [row[1].re if isinstance(row[1], QC) else row[1] for row in est.rows]
+    for r, _, root, ratio, best in est.rows:
+        assert Fraction(root) ** (2 * r) <= q[r] < Fraction(math.nextafter(root, math.inf)) ** (2 * r)
+        if q[r - 1]:
+            next_ratio = Fraction(math.nextafter(ratio, math.inf))
+            assert Fraction(ratio) ** 2 * q[r - 1] <= q[r] < next_ratio ** 2 * q[r - 1]
+        else:
+            assert ratio == 0.0
+        assert best == max(root, ratio)
 
 
 def test_exact_x_star_x_above_the_term_cap_is_not_formed(tmp_path, monkeypatch, capsys):

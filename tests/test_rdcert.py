@@ -40,7 +40,7 @@ from freedecay.rdcert import (
     _zero_mean_phases,
     verify_avitzour_triple,
 )
-from freedecay.scalars import QC, agree, negligible
+from freedecay.scalars import FLOAT_RTOL, QC, agree, negligible
 
 
 # ---------------------------------------------------------------------------
@@ -52,6 +52,41 @@ def test_constant_filtration_rd_constant():
     filt = ConstantFiltration(c3_weighted())
     assert filt.rd_constant(3).upper == pytest.approx(math.sqrt(5.0), abs=1e-10)
     assert filt.rd_constant(0).upper == 1.0
+
+
+def _brackets(c, truth):
+    # C_lower <= truth <= C_upper, each within FLOAT_RTOL of the truth
+    return c.lower <= truth * (1 + FLOAT_RTOL) and truth <= c.upper * (1 + FLOAT_RTOL)
+
+
+@pytest.mark.parametrize("algebra, truth", [
+    (m2_tr(), math.sqrt(2)),
+    (MatrixBlockAlgebra.matrix_with_state([Fraction(1, 2), Fraction(1, 3), Fraction(1, 6)]), math.sqrt(6)),
+], ids=["m2-tr", "m3-weighted"])
+def test_non_abelian_constant_levels_bracket_the_truth(algebra, truth):
+    # sup ||a|| / ||a||_2 over all of A is 1 / sqrt(lambda_min), attained at a
+    # matrix unit; dn_norm reads 2 and sqrt(11) here, so it is no lower bound
+    for n in (1, 2, 5):
+        c = ConstantFiltration(algebra).rd_constant(n)
+        assert c.method == "bracket" and c.lower < c.upper
+        assert _brackets(c, truth)
+        assert c.lower == pytest.approx(truth, rel=FLOAT_RTOL)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.lists(st.lists(st.integers(1, 9), min_size=1, max_size=3), min_size=1, max_size=3))
+def test_exact_diagonal_densities_bracket_one_over_sqrt_lambda_min(blocks):
+    total = sum(sum(b) for b in blocks)
+    diagonals = [[Fraction(w, total) for w in b] for b in blocks]
+    algebra = MatrixBlockAlgebra([[[d[i] if i == j else 0 for j in range(len(d))] for i in range(len(d))]
+                                  for d in diagonals])
+    truth = math.sqrt(1 / min(min(d) for d in diagonals))
+    c = ConstantFiltration(algebra).rd_constant(1)
+    assert _brackets(c, truth)
+    if algebra.is_abelian():
+        assert c.method == "dn-certificate" and c.lower == c.upper
+    else:
+        assert c.method == "bracket"
 
 
 def test_measure_filtration_semicircle_constant():

@@ -9,6 +9,7 @@ examples of README.md run."""
 
 import ast
 import importlib
+import math
 import os
 import pathlib
 import re
@@ -23,7 +24,7 @@ from hypothesis import strategies as st
 from freedecay.algebra import AlgebraError, AlgebraElement, MatrixBlockAlgebra
 from freedecay.measure import CompactMeasure, MeasureError
 from freedecay.rdcert import classify_abelian
-from freedecay.scalars import FLOAT_RTOL, FLOAT_ZERO, QC, accumulate, agree, negligible
+from freedecay.scalars import FLOAT_RTOL, FLOAT_ZERO, QC, accumulate, agree, negligible, root_down
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "freedecay"
 
@@ -43,6 +44,15 @@ def test_exact_values_compare_exactly(x, k, scale):
     assert not agree(x, x + tiny, scale)
     assert not negligible(tiny)
     assert negligible(x - x)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.fractions(min_value=0), st.integers(-400, 300), st.integers(1, 24))
+def test_root_down_is_the_largest_float_not_above_the_root(fraction, exponent, k):
+    q = fraction * Fraction(10) ** exponent
+    t = root_down(q, k)
+    assert Fraction(t) ** k <= q < Fraction(math.nextafter(t, math.inf)) ** k
+    assert root_down(QC(q), k) == t
 
 
 @settings(max_examples=200, deadline=None)
@@ -207,9 +217,20 @@ def test_the_package_loads_no_layer_and_the_exact_layers_load_no_scipy():
     bare = _modules_after("import freedecay")
     assert "freedecay" in bare
     assert not [m for m in bare if m.startswith("freedecay.") or m.split(".")[0] == "numpy"]
-    exact = _modules_after("import freedecay.scalars, freedecay.algebra, freedecay.freeword")
-    assert "freedecay.freeword" in exact
+    exact = _modules_after("import freedecay.scalars, freedecay.algebra, freedecay.freeword, freedecay.fock")
+    assert "freedecay.freeword" in exact and "freedecay.fock" in exact
     assert not [m for m in exact if m.split(".")[0] == "scipy"]
+    # the vacuum oracle on an exact length-3 word runs without scipy
+    vacuum = _modules_after(
+        "import numpy as np; from freedecay.algebra import MatrixBlockAlgebra; "
+        "from freedecay.fock import vacuum_expectation; "
+        "from freedecay.freeword import FreeProductAmbient, free_state, random_alternating_word; "
+        "m2 = MatrixBlockAlgebra.matrix_with_trace(2); "
+        "x = random_alternating_word(FreeProductAmbient((m2, m2)), 3, np.random.default_rng(0), centered=False); "
+        "assert x.is_exact() and x.max_word_length() == 3 and vacuum_expectation(x) == free_state(x)"
+    )
+    assert "freedecay.fock" in vacuum and "freedecay.compressed" not in vacuum
+    assert not [m for m in vacuum if m.split(".")[0] == "scipy"]
 
 
 def _only_raises_not_implemented(node):
