@@ -55,7 +55,7 @@ def test_constant_filtration_rd_constant():
 
 
 def _brackets(c, truth):
-    # C_lower <= truth <= C_upper, each within FLOAT_RTOL of the truth
+    # C_lower <= truth <= C_upper, each up to a relative FLOAT_RTOL
     return c.lower <= truth * (1 + FLOAT_RTOL) and truth <= c.upper * (1 + FLOAT_RTOL)
 
 
