@@ -23,7 +23,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .algebra import AlgebraElement, center, state
-from .freeword import FreeElement, Letter, l2_inner_free, normalize
+from .freeword import FreeElement, Letter, _letter_keys, l2_inner_free, normalize
 from .scalars import QC, QC_ONE, QC_ZERO, accumulate, is_exact
 
 __all__ = [
@@ -83,39 +83,56 @@ def vacuum_expectation(x: FreeElement):
 
     Exact in rational mode; equals free_state(x) for every x (independent
     recursion: prepend/split on tensors instead of merge/center on words).
+    Computed afresh on every call.  One dict serves every term of x: it
+    holds the split of each (letter, first slot) product and of each letter
+    standing alone, so each is made once per call; nothing is kept between
+    calls.
     """
+    splits: dict = {}
+    key = _letter_keys(x)
     acc = QC_ZERO
     for word, coeff in x.terms.items():
-        acc = acc + coeff * _vacuum_of_word(word)
+        acc = acc + coeff * _vacuum_of_word(word, splits, key)
     return acc
 
 
-def _vacuum_of_word(word):
+def _vacuum_of_word(word, splits, key):
     # states: dict mapping tensor (tuple of Letters with centered payloads)
     # to coefficient; apply letters right to left.
     states = {(): QC_ONE}
     for letter in reversed(word):
-        states = accumulate({}, _letter_on_tensors(letter, states))
+        states = accumulate({}, _letter_on_tensors(letter, states, splits, key))
         if not states:
             return QC_ZERO
     return states.get((), QC_ZERO)
 
 
-def _letter_on_tensors(letter, states):
+def _letter_on_tensors(letter, states, splits, key):
     """(tensor, coeff) terms of the letter applied to each tensor of ``states``.
 
     The letter multiplies the tensor's first slot when that slot is in its
     factor, else it stands before the tensor; the product splits into its
-    state, which drops the slot, and its centred part, a new first slot.  The
-    letter alone is split once, at the first tensor it stands before.
-    Coefficients in ``states`` are never 0, so only a state term can be."""
-    j, payload = letter.factor, letter.payload
+    state, which drops the slot, and its centred part, a new first slot.
+    ``splits`` is the call's memo of these splits, under ``key`` of the
+    (letter, first slot) pair or of the letter alone (``_letter_keys``), so
+    an exact letter and its float twin never share an entry; a hit returns
+    the pair that the same split made, with its bits.  Coefficients in
+    ``states`` are never 0, so only a state term can be."""
+    j = letter.factor
     alone = None
     for tensor, coeff in states.items():
         if tensor and tensor[0].factor == j:
-            (s, slot), rest = _split(j, payload * tensor[0].payload), tensor[1:]
+            pair = key((letter, tensor[0]))
+            split = splits.get(pair)
+            if split is None:
+                split = splits[pair] = _split(j, letter.payload * tensor[0].payload)
+            (s, slot), rest = split, tensor[1:]
         else:
-            alone = alone or _split(j, payload)
+            if alone is None:
+                lone = key((letter,))
+                alone = splits.get(lone)
+                if alone is None:
+                    alone = splits[lone] = _split(j, letter.payload)
             (s, slot), rest = alone, tensor
         c = coeff * s
         if c:

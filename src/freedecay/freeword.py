@@ -3,10 +3,12 @@
 Elements are finite linear combinations of words whose letters carry a
 factor index and a concrete matrix payload.  Words are kept *merged*
 (no two adjacent letters from the same factor, no scalar letters).  One
-memoized centering recursion, ``_decompose_word``, writes a word as a scalar
-plus alternating centered words: ``normalize`` collects every coefficient,
-and the free-product state is the empty-word coefficient alone.  Everything
-is exact whenever payloads and coefficients are rational.
+centering recursion, ``_decompose_word``, writes a word as a scalar plus
+alternating centered words: ``normalize`` collects every coefficient, and
+the free-product state is the empty-word coefficient alone.  Its memos live
+for one call: each word is decomposed, each letter centred and each
+adjacent pair multiplied once per call.  Everything is exact whenever
+payloads and coefficients are rational.
 """
 
 from __future__ import annotations
@@ -133,12 +135,14 @@ def _scalar_part(x: AlgebraElement):
     return c
 
 
-def _merge_word(letters):
+def _merge_word(letters, memo=None):
     """Multiply out adjacent same-factor letters and absorb scalar letters.
 
     Returns (coefficient, merged word) where the word has no adjacent
     same-factor letters and no scalar-multiple-of-1 letters; coefficient 0
-    means the whole word vanished.
+    means the whole word vanished.  With the centring recursion's per-call
+    ``memo``, the product letter of each merged (prev, current) pair is
+    made once; without it every product is made afresh.
     """
     coeff = QC_ONE
     stack: list[Letter] = []
@@ -154,7 +158,10 @@ def _merge_word(letters):
                 break
             if stack and stack[-1].factor == current.factor:
                 prev = stack.pop()
-                current = Letter(current.factor, prev.payload * current.payload)
+                if memo is None:
+                    current = Letter(current.factor, prev.payload * current.payload)
+                else:
+                    current = _memo_product(prev, current, memo)
                 continue
             break
         if current is not None:
@@ -162,6 +169,16 @@ def _merge_word(letters):
     # a letter is pushed only onto a top of another factor, so the stack
     # alternates and one scan leaves no same-factor neighbours
     return coeff, tuple(stack)
+
+
+def _memo_product(prev, current, memo):
+    """The letter of prev.payload * current.payload, made once per call and
+    returned as that same object on every later merge of the pair."""
+    key = memo.key((prev, current))
+    letter = memo.products.get(key)
+    if letter is None:
+        letter = memo.products[key] = Letter(current.factor, prev.payload * current.payload)
+    return letter
 
 
 def _merged_terms(pairs):
@@ -366,13 +383,52 @@ def _word_sort_key(item):
 # ---------------------------------------------------------------------------
 
 
-def _decompose_word(word, memo):
+def _letter_keys(x: FreeElement):
+    """The key function of a per-call memo on x: a tuple of letters to the
+    key of its entry.
+
+    An exact letter equals, and hashes as, its float twin, so letters alone
+    would hand one the other's entry.  When every letter of x has a QC state
+    (cached on the payload), every entry of the payloads and densities that
+    a recursion reads is exact, and so is every letter it makes from them:
+    letters are their own key.  Otherwise each letter is keyed with its
+    kind, True for a QC state and else the repr of its entries, which tells
+    QC from complex and spells every float bit, signed zeros included."""
+    if all(type(state(l.payload)) is QC for word in x.terms for l in word):
+        return lambda letters: letters
+    return lambda letters: letters + tuple(
+        True if type(state(l.payload)) is QC else repr(l.payload.blocks) for l in letters
+    )
+
+
+class _Memo:
+    """What one call of the centring recursion on x has worked out: the
+    decomposition of each word, the centred letter of each letter it splits
+    (None when that centred part is a scalar) and the product letter of each
+    merged pair, keyed by ``_letter_keys(x)``.  A hit returns the object
+    that the same operation on the same operands made, so the bits are those
+    of the recursion without memo.  Made per call and dropped with it."""
+
+    __slots__ = ("key", "words", "centred", "products")
+
+    def __init__(self, x: FreeElement):
+        self.key = _letter_keys(x)
+        self.words, self.centred, self.products = {}, {}, {}
+
+
+def _decompose_word(word, memo: _Memo):
     """Decompose a merged word into alternating *centered* words.
 
-    Returns dict {word: coeff}; the empty word carries the scalar part.
+    Returns dict {word: coeff}; the empty word carries the scalar part.  The
+    word is split at its first letter of non-negligible state s into the
+    word with that letter centred and s times the merged word without it.
+    ``memo`` serves the words, centred letters and merged products that the
+    branches meet again.
     """
-    if word in memo:
-        return memo[word]
+    key = memo.key(word)
+    result = memo.words.get(key)
+    if result is not None:
+        return result
     split_at = None
     for i, letter in enumerate(word):
         s = state(letter.payload)
@@ -380,31 +436,37 @@ def _decompose_word(word, memo):
             split_at = (i, s)
             break
     if split_at is None:
-        result = {word: QC_ONE}
-        memo[word] = result
+        result = memo.words[key] = {word: QC_ONE}
         return result
     i, s = split_at
     letter = word[i]
-    centered_letter = Letter(letter.factor, center(letter.payload))
+    letter_key = memo.key((letter,))
+    if letter_key in memo.centred:
+        centered_letter = memo.centred[letter_key]
+    else:
+        centered_letter = Letter(letter.factor, center(letter.payload))
+        if _scalar_part(centered_letter.payload) is not None:
+            centered_letter = None
+        memo.centred[letter_key] = centered_letter
     result: dict = {}
     # branch 1: replace the letter by its centered part (may vanish)
-    if _scalar_part(centered_letter.payload) is None:
+    if centered_letter is not None:
         branch = word[:i] + (centered_letter,) + word[i + 1 :]
         accumulate(result, _decompose_word(branch, memo).items())
     # branch 2: scalar part times the word with the letter removed; it adds
     # each word once, so a word it cancels is never added again
-    c2, reduced = _merge_word(word[:i] + word[i + 1 :])
+    c2, reduced = _merge_word(word[:i] + word[i + 1 :], memo)
     factor = s * c2
     if factor:
         rest = _decompose_word(reduced, memo)
         accumulate(result, ((w, factor * c) for w, c in rest.items()))
-    memo[word] = result
+    memo.words[key] = result
     return result
 
 
 def normalize(x: FreeElement) -> FreeElement:
     """Equal element written as c*1 + sum of alternating centered words."""
-    memo: dict = {}
+    memo = _Memo(x)
     pairs = (
         (w, coeff * c)
         for word, coeff in x.terms.items()
@@ -423,10 +485,12 @@ def free_state(x: FreeElement):
     alternating normal form, so 1 on the empty word and 0 on every nonempty
     alternating centered word.
 
-    Computed afresh on every call; one memo serves every term of x, and
-    nothing is kept between calls.
+    Computed afresh on every call.  One ``_Memo`` serves every term of x: it
+    holds the decomposition of each word, the centred letter of each letter
+    split and the product of each merged pair, so each is made once per call
+    however many branches and terms meet it; nothing is kept between calls.
     """
-    memo: dict = {}
+    memo = _Memo(x)
     acc = QC_ZERO
     for word, coeff in x.terms.items():
         if word:

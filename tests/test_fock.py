@@ -442,15 +442,20 @@ def test_vacuum_pairing_matches_free_state_exactly():
 
 
 def test_vacuum_oracle_centres_each_letter_alone_once(monkeypatch):
-    # 20 uncentred length-6 words: the letter standing before a tensor it does
-    # not merge with is centred once per letter, not once per tensor (993 calls)
+    # 20 uncentred length-6 words: each call splits every distinct product,
+    # and every letter standing alone, once (993 calls when each tensor split
+    # its own letter, 453 when each letter was split once per word position)
     amb = two_factor(m2_tr(), MatrixBlockAlgebra.from_weights([Fraction(1, 2), Fraction(1, 3), Fraction(1, 6)]))
     rng = np.random.default_rng(0)
     words = [random_alternating_word(amb, 6, rng, centered=False) for _ in range(20)]
     calls = []
     monkeypatch.setattr(fock, "center", lambda a: calls.append(a) or center(a))
-    values = [vacuum_expectation(w) for w in words]
-    assert len(calls) == 453
+    values, distinct = [], 0
+    for w in words:
+        start = len(calls)
+        values.append(vacuum_expectation(w))
+        distinct += len(set(calls[start:]))
+    assert len(calls) == distinct == 278
     monkeypatch.undo()
     assert values == [free_state(w) for w in words]
     assert vacuum_expectation(FreeElement.combination(amb, [(w, 1) for w in words])) == sum(values)
