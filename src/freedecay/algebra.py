@@ -224,9 +224,6 @@ class MatrixBlockAlgebra:
     def identity(self) -> "AlgebraElement":
         return AlgebraElement(self, [_eye_matrix(n) for n in self.block_dims])
 
-    def zero(self) -> "AlgebraElement":
-        return AlgebraElement(self, [_zero_matrix(n) for n in self.block_dims])
-
     def element(self, blocks) -> "AlgebraElement":
         return AlgebraElement(self, blocks)
 

@@ -120,10 +120,7 @@ def _parse_weights(text: str):
         try:
             out.append(Fraction(piece))
         except (ValueError, ZeroDivisionError):
-            try:
-                out.append(float(piece))
-            except ValueError:
-                raise CliError(f"bad weight {piece!r}")
+            raise CliError(f"bad weight {piece!r}") from None
     if not out:
         raise CliError("empty weight list")
     return out
@@ -205,6 +202,16 @@ def _cmd_fock_dim(args) -> int:
     return 0
 
 
+def _moment_csv(est, meta: dict) -> str:
+    """The moment table of ``free-moments`` and ``norm-estimate``: one row
+    (r, q_r, power root, ratio, best) per r, each value as its repr."""
+    rows = [
+        (r, repr(to_complex(q).real), repr(root), repr(ratio), repr(best))
+        for (r, q, root, ratio, best) in est.rows
+    ]
+    return _csv_text(["r", "moment_2r", "power_root", "ratio", "best"], rows, meta)
+
+
 def _cmd_free_moments(args) -> int:
     ambient = _load_factors(args.factors)
     x = FreeElement.from_json(ambient, _load_json_file(args.element))
@@ -212,10 +219,6 @@ def _cmd_free_moments(args) -> int:
     sym = free_state(x)
     vac = vacuum_expectation(x)
     drift = abs(to_complex(sym) - to_complex(vac))
-    rows = [
-        (r, repr(to_complex(q).real), repr(root), repr(ratio), repr(best))
-        for (r, q, root, ratio, best) in est.rows
-    ]
     meta = {
         "seed": args.seed,
         "version": __version__,
@@ -223,9 +226,7 @@ def _cmd_free_moments(args) -> int:
         "state": repr(to_complex(sym)),
         "state_vs_vacuum_drift": repr(drift),
     }
-    _atomic_write(
-        args.out, _csv_text(["r", "moment_2r", "power_root", "ratio", "best"], rows, meta)
-    )
+    _atomic_write(args.out, _moment_csv(est, meta))
     # |free_state(x)| <= ||x||_2 bounds both sides, and ||x||_2^2 = state(x*x) = q_1
     norm = math.sqrt(max(to_complex(est.rows[0][1]).real, 0.0))
     return 0 if agree(sym, vac, norm) else CHECK_FAILED
@@ -238,10 +239,6 @@ def _cmd_norm_estimate(args) -> int:
     fock = TruncatedFock(ambient.factors, depth)
     lb_fock = norm_lower_bound(fock, x)
     est = moment_norm_estimate(x, args.moment_rmax)
-    rows = [
-        (r, repr(to_complex(q).real), repr(root), repr(ratio), repr(best))
-        for (r, q, root, ratio, best) in est.rows
-    ]
     meta = {
         "seed": args.seed,
         "version": __version__,
@@ -251,9 +248,7 @@ def _cmd_norm_estimate(args) -> int:
         "best_lower_bound": repr(max(lb_fock, est.max)),
         "method": est.method,
     }
-    _atomic_write(
-        args.out, _csv_text(["r", "moment_2r", "power_root", "ratio", "best"], rows, meta)
-    )
+    _atomic_write(args.out, _moment_csv(est, meta))
     return 0
 
 

@@ -19,7 +19,7 @@ both are lower bounds of the norm and nondecreasing in r.  The moments
 q_r = state((x*x)^r) come from one of three methods:
 
 * "free-cumulant": self-adjoint sums of single letters, by additivity of
-  free cumulants (exact in rational mode, in :mod:`freedecay.fock`);
+  free cumulants (exact when the element is, in :mod:`freedecay.fock`);
 * "fock-vector": every other float element, as q_r = ||v_r||^2 with
   v_r = x v_{r-1} (odd r) or x* v_{r-1} (even r) and v_0 = Omega, by
   sparse letter operators on the truncated space of depth r_max * l for
@@ -49,9 +49,9 @@ from .algebra import (
     state,
 )
 from .fock import (
-    _TERM_CAP,
     FockError,
     ResourceCapError,
+    _capped_product,
     _single_letter_moments,
     _word_moments,
     fock_dimension,
@@ -361,10 +361,13 @@ def moment_norm_estimate(x: FreeElement, r_max: int) -> MomentEstimates:
     lower bounds of the reduced norm and nondecreasing in r, and the best
     column is their max.  Exact q_r give each root rounded down
     (``scalars.root_down``), a certified bound; float q_r give the roots
-    rounded to nearest.  ``method`` names how the moments were found:
+    rounded to nearest.  The methods are routed by exactness: x is exact
+    when every coefficient and the state of every letter is a QC
+    (``FreeElement.is_exact``), so exact entries over a factor with a float
+    state count as float.  ``method`` names how the moments were found:
 
     * "free-cumulant": self-adjoint sums of single letters (and exact x
-      whose x*x is one), by exact free-cumulant arithmetic;
+      whose x*x is one), by free-cumulant arithmetic, exact when x is;
     * "fock-vector": other float elements, as squared norms of x and x*
       applied alternately to the vacuum in the truncated space of depth
       r_max * l (l the longest word); no intermediate tensor reaches the
@@ -372,8 +375,8 @@ def moment_norm_estimate(x: FreeElement, r_max: int) -> MomentEstimates:
       above the dimension cap raises ResourceCapError;
     * "word-expansion": other exact elements, by multiplying words out
       (exact); x*x or a power of it that would take more than ``_TERM_CAP``
-      word products, or a pairing of more than ``_PAIR_CAP`` term pairs,
-      raises ResourceCapError.
+      word products (``fock._capped_product``), or a pairing of more than
+      ``_PAIR_CAP`` term pairs, raises ResourceCapError.
     """
     if r_max < 1:
         raise ValueError("r_max must be >= 1")
@@ -399,15 +402,9 @@ def _even_moments(x: FreeElement, r_max: int):
         return [m[2 * r] for r in range(r_max + 1)], "free-cumulant"
     if not x.is_exact():
         return _vector_moments(x, r_max), "fock-vector"
-    if len(x.terms) ** 2 > _TERM_CAP:
-        raise ResourceCapError(
-            f"x*x would exceed {_TERM_CAP} word products ({len(x.terms)} terms squared); "
-            "give fewer terms"
-        )
-    h = normalize(x.adjoint() * x)
+    h = _capped_product(x.adjoint(), x)
     if h.max_word_length() <= 1:
-        m = _single_letter_moments(h, r_max)
-        return m, "free-cumulant"
+        return _single_letter_moments(h, r_max), "free-cumulant"
     return _word_moments(h, r_max), "word-expansion"
 
 

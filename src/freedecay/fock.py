@@ -7,15 +7,18 @@ rational mode and independent of ``freeword.free_state``: it prepends and
 splits on tensors where ``free_state`` merges and centres words.
 
 The exact moments q_r = state((x*x)^r) behind
-``compressed.moment_norm_estimate`` come from here: self-adjoint sums of
-single letters by additivity of free cumulants
-(:func:`moments_to_free_cumulants`, :func:`free_cumulants_to_moments`),
-every other exact element by multiplying words out and pairing them
-exactly, up to ``_TERM_CAP`` word products per power and ``_PAIR_CAP`` term
-pairs per pairing.  :func:`fock_dimension` counts the tensors of a
-truncated space, and the errors of both halves are defined here.  The
-truncated space, its letter operators and the norms are in
-:mod:`freedecay.compressed`.
+``compressed.moment_norm_estimate`` come from here.  Self-adjoint sums of
+single letters go by additivity of free cumulants: one walk
+(:func:`_moment_cumulant_walk`) runs the moment-cumulant relation
+m_k = sum_{s<=k} kappa_s [z^{k-s}] M(z)^s for k = 1..n, and at each k the
+given side, moments or cumulants, fixes the other
+(:func:`moments_to_free_cumulants`, :func:`free_cumulants_to_moments`).
+Every other exact element goes by multiplying words out and pairing them
+exactly, up to ``_TERM_CAP`` word products per product
+(:func:`_capped_product`) and ``_PAIR_CAP`` term pairs per pairing.
+:func:`fock_dimension` counts the tensors of a truncated space, and the
+errors of both halves are defined here.  The truncated space, its letter
+operators and the norms are in :mod:`freedecay.compressed`.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ from fractions import Fraction
 
 from .algebra import AlgebraElement, center, state
 from .freeword import FreeElement, Letter, _letter_keys, l2_inner_free, normalize
-from .scalars import QC, QC_ONE, QC_ZERO, accumulate, is_exact
+from .scalars import QC, QC_ONE, QC_ZERO, accumulate
 
 __all__ = [
     "FockError",
@@ -157,64 +160,55 @@ def _split(j, prod):
 def moments_to_free_cumulants(moments):
     """Free cumulants kappa_1..kappa_n from raw moments [m_0=1, m_1, ..., m_n].
 
-    Uses m_n = sum_{s=1}^{n} kappa_s [z^{n-s}] M(z)^s with M(z) = sum m_k z^k.
-    Exact over Fractions.
-    """
-    n = len(moments) - 1
-    m = list(moments)
-    if m[0] != 1:
+    Exact over ints and Fractions, floats over floats
+    (:func:`_moment_cumulant_walk`)."""
+    if moments[0] != 1:
         raise ValueError("m_0 must be 1")
-    powers = {1: m[:]}
-
-    def mpow(s):
-        if s not in powers:
-            prev = mpow(s - 1)
-            out = [_zero_like(m[0])] * (n + 1)
-            for a in range(n + 1):
-                acc = _zero_like(m[0])
-                for b in range(a + 1):
-                    acc = acc + prev[b] * m[a - b]
-                out[a] = acc
-            powers[s] = out
-        return powers[s]
-
-    kappa = [_zero_like(m[0])] * (n + 1)
-    for nn in range(1, n + 1):
-        acc = m[nn]
-        for s in range(1, nn):
-            acc = acc - kappa[s] * mpow(s)[nn - s]
-        kappa[nn] = acc
-    return kappa[1:]
+    return _moment_cumulant_walk(moments, [], len(moments) - 1)[1]
 
 
 def free_cumulants_to_moments(kappa, n: int):
-    """Raw moments m_0..m_n from free cumulants kappa_1..kappa_n."""
-    one = _one_like(kappa[0]) if kappa else Fraction(1)
-    m = [one] + [_zero_like(one)] * n
-    for nn in range(1, n + 1):
-        acc = _zero_like(one)
-        for s in range(1, nn + 1):
-            # [z^{nn-s}] M(z)^s using the moments found so far
-            coef = [one] + [_zero_like(one)] * (nn - s)
-            for _ in range(s):
-                nxt = [_zero_like(one)] * (nn - s + 1)
-                for a in range(nn - s + 1):
-                    t = _zero_like(one)
-                    for b in range(a + 1):
-                        t = t + coef[b] * m[a - b]
-                    nxt[a] = t
-                coef = nxt
-            acc = acc + kappa[s - 1] * coef[nn - s]
-        m[nn] = acc
-    return m
+    """Raw moments m_0..m_n from free cumulants kappa_1..kappa_n: Fractions
+    when kappa_1 is an int or a Fraction (or kappa is empty), else floats."""
+    one = Fraction(1) if not kappa or isinstance(kappa[0], (int, Fraction)) else 1.0
+    return _moment_cumulant_walk([one], kappa, n)[0]
 
 
-def _zero_like(v):
-    return Fraction(0) if isinstance(v, (int, Fraction)) else 0.0
+def _moment_cumulant_walk(m, kappa, n: int):
+    """([m_0..m_n], [kappa_1..kappa_n]) of one distribution from m_0 and
+    either side: m given up to m_n with kappa = [], or kappa given up to
+    kappa_n with m = [m_0].
 
-
-def _one_like(v):
-    return Fraction(1) if isinstance(v, (int, Fraction)) else 1.0
+    Walks k = 1..n through the moment-cumulant relation
+    m_k = sum_{s<=k} kappa_s P_s[k-s], where P_s[j] = [z^j] M(z)^s and
+    M(z) = sum_j m_j z^j (Speicher 1994; Nica-Speicher 2006).  At each k
+    the given side fixes the other: kappa_k = m_k - sum_{s<k} kappa_s
+    P_s[k-s], or m_k = sum_{s<=k} kappa_s P_s[k-s] with P_k[0] = 1.  Once
+    m_k is known, column k of the table is added: P_1 = m and
+    P_s[k] = sum_{b<=k} P_{s-1}[b] m_{k-b} for 2 <= s <= n - k, the last
+    power a later step reads.  Every sum runs left to right from a zero of
+    m_0's kind, an exact Fraction(0) for an int or Fraction m_0 and 0.0 for
+    a float, so a float sum never ends at -0.0."""
+    m, kappa = list(m), list(kappa)
+    zero = Fraction(0) * m[0]
+    powers = [None, m] + [[] for _ in range(n - 1)]  # powers[s][j] = P_s[j]
+    for k in range(n + 1):
+        if k == len(m):
+            acc = zero
+            for s in range(1, k + 1):
+                acc = acc + kappa[s - 1] * powers[s][k - s]
+            m.append(acc)
+        elif k:
+            acc = m[k]
+            for s in range(1, k):
+                acc = acc - kappa[s - 1] * powers[s][k - s]
+            kappa.append(acc)
+        for s in range(2, n - k + 1):
+            acc = zero
+            for b in range(k + 1):
+                acc = acc + powers[s - 1][b] * m[k - b]
+            powers[s].append(acc)
+    return m, kappa
 
 
 # ---------------------------------------------------------------------------
@@ -222,73 +216,50 @@ def _one_like(v):
 # ---------------------------------------------------------------------------
 
 
+def _capped_product(a: FreeElement, b: FreeElement) -> FreeElement:
+    """normalize(a * b), refused above ``_TERM_CAP`` word products."""
+    if len(a.terms) * len(b.terms) > _TERM_CAP:
+        raise ResourceCapError(
+            f"moment expansion would exceed {_TERM_CAP} word products "
+            f"({len(a.terms)} x {len(b.terms)} terms)"
+        )
+    return normalize(a * b)
+
+
 def _word_moments(h: FreeElement, r_max: int):
     """[q_0..q_{r_max}] from the normalized h = x*x by multiplying words out;
     exact in rational mode."""
     # q_{2s} = <h^s, h^s> and q_{2s+1} = <h^{s+1}, h^s> (h self-adjoint), so
     # only powers up to ceil(r_max/2) are ever multiplied out.
-    powers = {0: FreeElement.one(h.ambient), 1: h}
-
-    def power(s):
-        if s not in powers:
-            prev = power(s - 1)
-            if len(prev.terms) * len(h.terms) > _TERM_CAP:
-                raise ResourceCapError(
-                    f"moment expansion would exceed {_TERM_CAP} word products; "
-                    "lower r_max"
-                )
-            powers[s] = normalize(prev * h)
-        return powers[s]
-
-    def pair(a, b):
+    powers = [FreeElement.one(h.ambient), h]
+    q = [QC(1)]
+    for r in range(1, r_max + 1):
+        s, t = r // 2, (r + 1) // 2
+        if t == len(powers):
+            powers.append(_capped_product(powers[-1], h))
+        a, b = powers[t], powers[s]
         if len(a.terms) * len(b.terms) > _PAIR_CAP:
             raise ResourceCapError(
                 f"moment pairing would exceed {_PAIR_CAP} term pairs; lower r_max"
             )
-        return l2_inner_free(a, b)
-
-    q = [QC(1)]
-    for r in range(1, r_max + 1):
-        s = r // 2
-        if r % 2 == 0:
-            q.append(pair(power(s), power(s)))
-        else:
-            q.append(pair(power(s + 1), power(s)))
+        q.append(l2_inner_free(a, b))
     return q
 
 
-
 def _single_letter_moments(x: FreeElement, n: int):
-    """Moments of a self-adjoint x = c 1 + sum_j iota_j(y_j) via cumulant
-    additivity of free summands."""
-    c = x.terms.get((), QC(0))
+    """[m_0..m_n] of a self-adjoint x = c 1 + sum_j iota_j(y_j) by additivity
+    of free cumulants: Fractions when ``x.is_exact()``, else floats."""
+    real = (lambda v: v.re) if x.is_exact() else (lambda v: complex(v).real)
     # every word has at most one letter
     by_factor: dict[int, AlgebraElement] = accumulate({}, (
         (letter.factor, letter.payload * coeff) for word, coeff in x.terms.items() for letter in word
     ))
-    exact = is_exact(c) and all(y.is_exact() for y in by_factor.values())
-    c_real = Fraction(c.re) if isinstance(c, QC) else complex(c).real
-    if not exact:
-        c_real = float(c_real)
-    total_kappa = [c_real] + [_zero_like(c_real)] * (n - 1)
+    # the scalar is kappa_1 of its own (free cumulants of a scalar vanish beyond 1)
+    kappa = [real(x.terms.get((), QC_ZERO))] + [real(QC_ZERO)] * (n - 1)
     for y in by_factor.values():
-        m = _element_moments(y, n, exact)
-        kap = moments_to_free_cumulants(m)
-        total_kappa = [a + b for a, b in zip(total_kappa, kap)]
-    # fold the scalar into kappa_1 (free cumulants of a scalar vanish beyond 1)
-    m = free_cumulants_to_moments(total_kappa, n)
-    return m
-
-
-def _element_moments(y: AlgebraElement, n: int, exact: bool):
-    """[rho(y^0), ..., rho(y^n)] with real outputs."""
-    out = [Fraction(1) if exact else 1.0]
-    p = y.owner.identity()
-    for _ in range(n):
-        p = p * y
-        s = state(p)
-        if exact:
-            out.append(Fraction(s.re))
-        else:
-            out.append(complex(s).real)
-    return out
+        m, p = [real(QC_ONE)], y.owner.identity()
+        for _ in range(n):
+            p = p * y
+            m.append(real(state(p)))
+        kappa = [a + b for a, b in zip(kappa, moments_to_free_cumulants(m))]
+    return free_cumulants_to_moments(kappa, n)

@@ -300,9 +300,9 @@ class FreeElement:
         return max((len(w) for w in self.terms), default=0)
 
     def is_exact(self) -> bool:
-        return all(is_exact(c) for c in self.terms.values()) and all(
-            l.payload.is_exact() for w in self.terms for l in w
-        )
+        """Every coefficient and every letter's state is a QC: the payloads
+        and the states of their factors are exact."""
+        return all(is_exact(c) for c in self.terms.values()) and _exact_letters(self)
 
     def __eq__(self, other):
         return (
@@ -383,18 +383,25 @@ def _word_sort_key(item):
 # ---------------------------------------------------------------------------
 
 
+def _exact_letters(x: FreeElement) -> bool:
+    """Every letter of x has a QC state (cached on the payload): every entry
+    of its payload and of its factor's density is exact, since one float
+    entry makes the state a complex."""
+    return all(type(state(l.payload)) is QC for word in x.terms for l in word)
+
+
 def _letter_keys(x: FreeElement):
     """The key function of a per-call memo on x: a tuple of letters to the
     key of its entry.
 
     An exact letter equals, and hashes as, its float twin, so letters alone
-    would hand one the other's entry.  When every letter of x has a QC state
-    (cached on the payload), every entry of the payloads and densities that
-    a recursion reads is exact, and so is every letter it makes from them:
+    would hand one the other's entry.  When every letter of x is exact
+    (``_exact_letters``), every entry of the payloads and densities that a
+    recursion reads is exact, and so is every letter it makes from them:
     letters are their own key.  Otherwise each letter is keyed with its
     kind, True for a QC state and else the repr of its entries, which tells
     QC from complex and spells every float bit, signed zeros included."""
-    if all(type(state(l.payload)) is QC for word in x.terms for l in word):
+    if _exact_letters(x):
         return lambda letters: letters
     return lambda letters: letters + tuple(
         True if type(state(l.payload)) is QC else repr(l.payload.blocks) for l in letters

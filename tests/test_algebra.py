@@ -220,7 +220,7 @@ def test_c_star_identity_and_norm_comparison():
 def test_center_of_identity_is_zero():
     alg = c3_weighted()
     z = center(alg.identity())
-    assert z == alg.zero()
+    assert z == alg.scalar(0)
 
 
 def test_center_has_state_zero():
@@ -295,7 +295,7 @@ def _sampled_sup_ratio(vectors, n_samples=600, seed=0, n_restarts=4):
         nc = np.linalg.norm(c)
         if nc < 1e-12:
             return 0.0
-        x = owner.zero()
+        x = owner.scalar(0)
         for ci, v in zip(c / nc, vectors):
             x = x + v * complex(ci)
         n2 = l2_norm(x)

@@ -61,6 +61,12 @@ def test_classify_abelian_weight_with_a_zero_denominator_exits_2(capsys):
     assert capsys.readouterr().err == "error: bad weight '1/0'\n"
 
 
+@pytest.mark.parametrize("weight", ["inf", "nan"])
+def test_classify_abelian_non_finite_weight_exits_2(capsys, weight):
+    assert run(["classify-abelian", "--a", f"{weight},0.5", "--b", "1/2,1/2"]) == 2
+    assert capsys.readouterr().err == f"error: bad weight {weight!r}\n"
+
+
 def test_rd_certify_semicircle_csv(tmp_path):
     out = tmp_path / "report.csv"
     code = run(
@@ -405,6 +411,55 @@ def test_float_free_moments_pair_no_elements(tmp_path, monkeypatch):
     assert run(["free-moments", "--factors", _m2_factors(tmp_path), "--element",
                 _write(tmp_path, "elem.json", elem), "--rmax", "2", "--out", str(out)]) == 0
     assert "# method=fock-vector" in out.read_text().splitlines()
+
+
+def _diag_letter(factor, a, b):
+    return {"factor": factor, "elem": [[[a]], [[b]]]}
+
+
+MOMENT_META_NUMBERS = ("state", "state_vs_vacuum_drift", "depth", "fock_dimension",
+                       "fock_lower_bound", "best_lower_bound")
+
+
+def _moment_csv_numbers(path):
+    """The numbers of a moment CSV: every row cell and every numeric meta value."""
+    numbers = []
+    for line in path.read_text().splitlines()[1:]:
+        if line.startswith("# "):
+            key, value = line[2:].split("=", 1)
+            if key in MOMENT_META_NUMBERS:
+                numbers.append(complex(value))
+        else:
+            numbers += [float(v) for v in line.split(",")]
+    return numbers
+
+
+@pytest.mark.parametrize("command", ["free-moments", "norm-estimate"])
+@pytest.mark.parametrize("shape", ["letters", "word"])
+def test_exact_entries_over_a_float_state_give_the_float_result(tmp_path, command, shape):
+    # factor 1 has float weights, so its letters have float states and the
+    # element is not exact however its entries are written
+    from freedecay.scalars import agree
+
+    factors = _write(tmp_path, "factors.json",
+                     {"factors": [{"atoms": ["1/2", "1/2"]}, {"atoms": [0.25, 0.75]}]})
+    outs = []
+    for one in (1, 1.0):
+        a, b = _diag_letter(0, one, -one), _diag_letter(1, 2 * one, -one)
+        first = [a] if shape == "letters" else [a, b]
+        elem = {"terms": [{"coeff": [1, 0], "word": first}, {"coeff": [1, 0], "word": [b]}]}
+        epath = _write(tmp_path, f"elem-{one!r}.json", elem)
+        out = tmp_path / f"{command}-{one!r}.csv"
+        rmax = ["--rmax", "2"] if command == "free-moments" else []
+        assert run([command, "--factors", factors, "--element", epath, *rmax,
+                    "--out", str(out)]) == 0
+        outs.append(out)
+    exact, floats = (_moment_csv_numbers(out) for out in outs)
+    assert len(exact) == len(floats)
+    for u, v in zip(exact, floats):
+        assert agree(u, v, max(abs(v), 1.0)), (u, v)
+    method = "free-cumulant" if shape == "letters" else "fock-vector"
+    assert f"# method={method}" in outs[0].read_text().splitlines()
 
 
 def test_norm_estimate_moment_depth_above_cap_exit_2(tmp_path, capsys):

@@ -597,6 +597,149 @@ def test_cumulants_additive_free_convolution():
     assert [m_sum[2 * k] for k in range(4)] == [1, 2, 6, 20]
 
 
+def _moments_to_free_cumulants_by_powers(moments):
+    """Reference m -> kappa: each power M(z)^s built whole, once, by
+    convolution from M(z)^{s-1}."""
+    n = len(moments) - 1
+    m = list(moments)
+    zero = Fraction(0) if isinstance(m[0], (int, Fraction)) else 0.0
+    powers = {1: m[:]}
+
+    def mpow(s):
+        if s not in powers:
+            prev = mpow(s - 1)
+            out = [zero] * (n + 1)
+            for a in range(n + 1):
+                acc = zero
+                for b in range(a + 1):
+                    acc = acc + prev[b] * m[a - b]
+                out[a] = acc
+            powers[s] = out
+        return powers[s]
+
+    kappa = [zero] * (n + 1)
+    for nn in range(1, n + 1):
+        acc = m[nn]
+        for s in range(1, nn):
+            acc = acc - kappa[s] * mpow(s)[nn - s]
+        kappa[nn] = acc
+    return kappa[1:]
+
+
+def _free_cumulants_to_moments_by_rebuild(kappa, n):
+    """Reference kappa -> m: [z^{nn-s}] M(z)^s rebuilt from [1, 0, ...] by s
+    convolutions for every (nn, s)."""
+    exact = not kappa or isinstance(kappa[0], (int, Fraction))
+    one, zero = (Fraction(1), Fraction(0)) if exact else (1.0, 0.0)
+    m = [one] + [zero] * n
+    for nn in range(1, n + 1):
+        acc = zero
+        for s in range(1, nn + 1):
+            coef = [one] + [zero] * (nn - s)
+            for _ in range(s):
+                nxt = [zero] * (nn - s + 1)
+                for a in range(nn - s + 1):
+                    t = zero
+                    for b in range(a + 1):
+                        t = t + coef[b] * m[a - b]
+                    nxt[a] = t
+                coef = nxt
+            acc = acc + kappa[s - 1] * coef[nn - s]
+        m[nn] = acc
+    return m
+
+
+def _word_moments_by_closures(h, r_max):
+    """Reference word expansion: powers of h made on demand by a memoized
+    closure, each pairing checked by another."""
+    powers = {0: FreeElement.one(h.ambient), 1: h}
+
+    def power(s):
+        if s not in powers:
+            prev = power(s - 1)
+            if len(prev.terms) * len(h.terms) > fock._TERM_CAP:
+                raise ResourceCapError("term cap")
+            powers[s] = normalize(prev * h)
+        return powers[s]
+
+    def pair(a, b):
+        if len(a.terms) * len(b.terms) > fock._PAIR_CAP:
+            raise ResourceCapError("pair cap")
+        return l2_inner_free(a, b)
+
+    q = [QC(1)]
+    for r in range(1, r_max + 1):
+        s = r // 2
+        q.append(pair(power(s), power(s)) if r % 2 == 0 else pair(power(s + 1), power(s)))
+    return q
+
+
+def _random_sequences(rng):
+    """Moment or cumulant lists of every kind the transforms take: Fractions,
+    ints, floats with signed zeros, and floats after an int 1."""
+    for trial in range(60):
+        n = int(rng.integers(0, 10))
+        kind = trial % 4
+        if kind == 0:
+            tail = [Fraction(int(rng.integers(-9, 10)), int(rng.integers(1, 8))) for _ in range(n)]
+        elif kind == 1:
+            tail = [int(rng.integers(-5, 6)) for _ in range(n)]
+        else:
+            tail = [[0.0, -0.0, float(rng.uniform(-3, 3))][int(rng.integers(3))] for _ in range(n)]
+        yield [1.0 if kind == 2 else 1] + tail
+
+
+def test_cumulant_walk_keeps_the_reference_bits():
+    # both directions, by repr: the same values, types and float bits
+    for m in _random_sequences(np.random.default_rng(31)):
+        kappa = moments_to_free_cumulants(m)
+        assert repr(kappa) == repr(_moments_to_free_cumulants_by_powers(m))
+        n = len(m) - 1
+        for k in (kappa, m[1:]):
+            got = free_cumulants_to_moments(k, n)
+            assert repr(got) == repr(_free_cumulants_to_moments_by_rebuild(k, n))
+    assert free_cumulants_to_moments([], 0) == [Fraction(1)]
+
+
+def _single_letter_sums(rng):
+    """The Kesten element and 24 self-adjoint sums of single letters over
+    (M2, tr) * (C3; 3/5, 1/5, 1/5), half of them float."""
+    n_atoms = 24
+    alg = MatrixBlockAlgebra.from_weights([Fraction(1, n_atoms)] * n_atoms)
+    u = alg.element([[[complex(np.exp(2j * np.pi * k / n_atoms))]] for k in range(n_atoms)])
+    kesten = two_factor(alg, alg)
+    yield 12, sum((FreeElement.letter(kesten, j, v) for j in (0, 1) for v in (u, u.adjoint())),
+                  FreeElement(kesten))
+    amb = two_factor(m2_tr(), c3_weighted())
+    for trial in range(24):
+        y = random_word_element(amb, 1, rng, n_terms=3, centered=bool(trial % 2))
+        y = y + QC(Fraction(int(rng.integers(-2, 3)), 3))
+        if trial >= 12:
+            y = y * complex(1.0 + 1e-3 * trial, 0.0)
+        yield 4, y + y.adjoint()
+
+
+def test_free_cumulant_moments_keep_the_reference_bits(monkeypatch):
+    cases = list(_single_letter_sums(np.random.default_rng(5)))
+    got = [moment_norm_estimate(x, r_max) for r_max, x in cases]
+    monkeypatch.setattr(fock, "moments_to_free_cumulants", _moments_to_free_cumulants_by_powers)
+    monkeypatch.setattr(fock, "free_cumulants_to_moments", _free_cumulants_to_moments_by_rebuild)
+    want = [moment_norm_estimate(x, r_max) for r_max, x in cases]
+    assert {est.method for est in got} == {"free-cumulant"}
+    assert {type(est.rows[0][1]) for est in got} == {Fraction, float}
+    for a, b in zip(got, want):
+        assert repr(a.rows) == repr(b.rows)
+
+
+def test_word_moments_keep_the_reference_bits():
+    amb = two_factor(m2_tr(), c3_weighted())
+    rng = np.random.default_rng(8)
+    for _ in range(10):
+        x = random_word_element(amb, 2, rng, n_terms=2)
+        h = normalize(x.adjoint() * x)
+        assert repr(_word_moments(h, 3)) == repr(_word_moments_by_closures(h, 3))
+
+
 # ---------------------------------------------------------------------------
 # moment estimates
 # ---------------------------------------------------------------------------
@@ -647,6 +790,20 @@ def test_vector_moments_match_word_expansion(length, r_max):
         for a, b in zip(got, want):
             assert a == pytest.approx(complex(b).real, rel=1e-12, abs=0)
         assert moment_norm_estimate(x, r_max).method == "fock-vector"
+
+
+def test_exact_entries_over_a_float_state_take_the_vector_path():
+    # x*x normalizes to single letters, but the float state makes x float:
+    # the moments are those of the float twin of x, by the same method
+    c3 = MatrixBlockAlgebra.from_weights([0.25, 0.25, 0.5])
+    amb = two_factor(c3, c3)
+    entries = [QC(1, 1), QC(0, 2), QC(-1)]
+    x = FreeElement.letter(amb, 0, c3.element([[[v]] for v in entries]))
+    twin = FreeElement.letter(amb, 0, c3.element([[[complex(v)]] for v in entries]))
+    assert not x.is_exact() and normalize(x.adjoint() * x).max_word_length() == 1
+    est = moment_norm_estimate(x, 3)
+    assert est.method == "fock-vector"
+    assert est.rows == moment_norm_estimate(twin, 3).rows
 
 
 def test_exact_moments_stay_word_expansion():

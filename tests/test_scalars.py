@@ -321,10 +321,14 @@ def test_every_all_entry_exists():
 UNREFERENCED_IN_SRC = {
     "algebra.MatrixBlockAlgebra.matrix_with_state": "a one-block algebra with a diagonal state",
     "compressed.MomentEstimates.best_at": "reads the moment lower bound at one r",
+    "freeword.FreeElement.letter": "builds a one-letter element, the public way to write sums of letters",
     "khintchine.HomogeneousWordElement.scaled": "scaling, for the homogeneity test of sr_norm and kh",
     "khintchine.kh_bracket": "the public kh(x) bracket shown in the README",
     "khintchine.weak_cs_bound": "the Cauchy-Schwarz oracle that dominates an assembled block norm",
     "measure.sup_norm_poly": "grid sup norm of one orthonormal polynomial, the oracle for closed forms",
+    "measure.OrthoPolySequence.beta": "the recurrence coefficient beta_k, the oracle of closed-form Jacobi data",
+    "measure.OrthoPolySequence.degree": "how far the recurrence has been extended",
+    "measure.OrthoPolySequence.exact": "whether the recurrence stayed in Fractions",
     "measure.gauss_discretize": "a measure as a finite-dimensional abelian C*-probability space",
     "measure.polynomial_element": "a polynomial as an element of the gauss_discretize algebra",
     "rdcert.FiniteDimFiltration.from_spans": "the public way to build a filtration from spans",
@@ -332,27 +336,29 @@ UNREFERENCED_IN_SRC = {
 
 
 def test_every_public_def_is_referenced_in_src():
-    # a name counts as referenced when it is read as a name or an attribute
-    # anywhere in src; imports and __all__ strings do not count
+    # a module-level def counts as referenced when it is read as a name or an
+    # attribute anywhere in src, a class member only when it is read as an
+    # attribute (a local variable of the same name is no use of it); imports
+    # and __all__ strings do not count
     trees = {p.stem: ast.parse(p.read_text()) for p in sorted(SRC.glob("*.py"))}
-    used = set()
+    names, attributes = set(), set()
     for tree in trees.values():
         for node in ast.walk(tree):
             if isinstance(node, ast.Name):
-                used.add(node.id)
-            elif isinstance(node, ast.Attribute):
-                used.add(node.attr)
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                attributes.add(node.attr)
     unused = set()
     for stem, tree in trees.items():
         for node in tree.body:
             if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
                 continue
-            members = [(node.name, node)]
+            if not node.name.startswith("_") and node.name not in names | attributes:
+                unused.add(f"{stem}.{node.name}")
             if isinstance(node, ast.ClassDef):
-                members += [(f"{node.name}.{sub.name}", sub) for sub in node.body
-                            if isinstance(sub, (ast.FunctionDef, ast.ClassDef))]
-            unused |= {f"{stem}.{qual}" for qual, d in members
-                       if not d.name.startswith("_") and d.name not in used}
+                unused |= {f"{stem}.{node.name}.{sub.name}" for sub in node.body
+                           if isinstance(sub, (ast.FunctionDef, ast.ClassDef))
+                           and not sub.name.startswith("_") and sub.name not in attributes}
     allowed = UNREFERENCED_IN_SRC.keys()
     assert not unused - allowed, "public defs with no src reference:\n" + "\n".join(sorted(unused - allowed))
     assert not allowed - unused, "allowlisted but referenced or gone:\n" + "\n".join(sorted(allowed - unused))
