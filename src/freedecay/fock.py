@@ -4,7 +4,10 @@ and exact moments.  It imports no scipy.
 :func:`vacuum_expectation` applies the free-product left action to tensor
 words symbolically and reads off the vacuum coefficient.  It is exact in
 rational mode and independent of ``freeword.free_state``: it prepends and
-splits on tensors where ``free_state`` merges and centres words.
+splits on tensors where ``free_state`` merges and centres words.  A letter
+shortens a tensor by at most one slot, so a tensor longer than the letters
+still to act is dropped: it never returns to the vacuum, and the others
+get the same terms in the same order.
 
 The exact moments q_r = state((x*x)^r) behind
 ``compressed.moment_norm_estimate`` come from here.  Self-adjoint sums of
@@ -103,14 +106,14 @@ def _vacuum_of_word(word, splits, key):
     # states: dict mapping tensor (tuple of Letters with centered payloads)
     # to coefficient; apply letters right to left.
     states = {(): QC_ONE}
-    for letter in reversed(word):
-        states = accumulate({}, _letter_on_tensors(letter, states, splits, key))
+    for room in range(len(word) - 1, -1, -1):
+        states = accumulate({}, _letter_on_tensors(word[room], states, splits, key, room))
         if not states:
             return QC_ZERO
     return states.get((), QC_ZERO)
 
 
-def _letter_on_tensors(letter, states, splits, key):
+def _letter_on_tensors(letter, states, splits, key, room):
     """(tensor, coeff) terms of the letter applied to each tensor of ``states``.
 
     The letter multiplies the tensor's first slot when that slot is in its
@@ -120,7 +123,9 @@ def _letter_on_tensors(letter, states, splits, key):
     (letter, first slot) pair or of the letter alone (``_letter_keys``), so
     an exact letter and its float twin never share an entry; a hit returns
     the pair that the same split made, with its bits.  Coefficients in
-    ``states`` are never 0, so only a state term can be."""
+    ``states`` are never 0, so only a state term can be.  ``room`` letters
+    act after this one: no tensor of ``states`` is longer than room + 1, and
+    a term longer than room is dropped before it is made."""
     j = letter.factor
     alone = None
     for tensor, coeff in states.items():
@@ -130,6 +135,8 @@ def _letter_on_tensors(letter, states, splits, key):
             if split is None:
                 split = splits[pair] = _split(j, letter.payload * tensor[0].payload)
             (s, slot), rest = split, tensor[1:]
+        elif len(tensor) > room:
+            continue
         else:
             if alone is None:
                 lone = key((letter,))
@@ -140,7 +147,7 @@ def _letter_on_tensors(letter, states, splits, key):
         c = coeff * s
         if c:
             yield rest, c
-        if slot is not None:
+        if slot is not None and len(rest) < room:
             yield (slot,) + rest, coeff
 
 
@@ -160,10 +167,11 @@ def _split(j, prod):
 def moments_to_free_cumulants(moments):
     """Free cumulants kappa_1..kappa_n from raw moments [m_0=1, m_1, ..., m_n].
 
-    Exact over ints and Fractions, floats over floats
-    (:func:`_moment_cumulant_walk`)."""
+    Fractions over ints and Fractions (an int moment is taken as a
+    Fraction), floats over floats (:func:`_moment_cumulant_walk`)."""
     if moments[0] != 1:
         raise ValueError("m_0 must be 1")
+    moments = [Fraction(m) if isinstance(m, int) else m for m in moments]
     return _moment_cumulant_walk(moments, [], len(moments) - 1)[1]
 
 

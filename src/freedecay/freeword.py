@@ -5,10 +5,11 @@ factor index and a concrete matrix payload.  Words are kept *merged*
 (no two adjacent letters from the same factor, no scalar letters).  One
 centering recursion, ``_decompose_word``, writes a word as a scalar plus
 alternating centered words: ``normalize`` collects every coefficient, and
-the free-product state is the empty-word coefficient alone.  Its memos live
-for one call: each word is decomposed, each letter centred and each
-adjacent pair multiplied once per call.  Everything is exact whenever
-payloads and coefficients are rational.
+``free_state`` keeps the empty word alone and cuts the words that provably
+never reach it (the argument is in its docstring).  Its memos live for one
+call: each word is decomposed, each letter centred and each adjacent pair
+multiplied once per call.  Everything is exact whenever payloads and
+coefficients are rational.
 """
 
 from __future__ import annotations
@@ -416,11 +417,12 @@ class _Memo:
     that the same operation on the same operands made, so the bits are those
     of the recursion without memo.  Made per call and dropped with it."""
 
-    __slots__ = ("key", "words", "centred", "products")
+    __slots__ = ("key", "words", "centred", "products", "state_only")
 
-    def __init__(self, x: FreeElement):
+    def __init__(self, x: FreeElement, state_only=False):
         self.key = _letter_keys(x)
         self.words, self.centred, self.products = {}, {}, {}
+        self.state_only = state_only
 
 
 def _decompose_word(word, memo: _Memo):
@@ -430,23 +432,22 @@ def _decompose_word(word, memo: _Memo):
     word is split at its first letter of non-negligible state s into the
     word with that letter centred and s times the merged word without it.
     ``memo`` serves the words, centred letters and merged products that the
-    branches meet again.
+    branches meet again; under ``memo.state_only`` only the empty word is
+    kept and a word with 2 i > len(word) gives {} (see ``free_state``).
     """
     key = memo.key(word)
     result = memo.words.get(key)
     if result is not None:
         return result
-    split_at = None
     for i, letter in enumerate(word):
         s = state(letter.payload)
         if not negligible(s):
-            split_at = (i, s)
             break
-    if split_at is None:
-        result = memo.words[key] = {word: QC_ONE}
+    else:
+        i = len(word)
+    if i == len(word) or memo.state_only and 2 * i > len(word):
+        result = memo.words[key] = {} if memo.state_only and word else {word: QC_ONE}
         return result
-    i, s = split_at
-    letter = word[i]
     letter_key = memo.key((letter,))
     if letter_key in memo.centred:
         centered_letter = memo.centred[letter_key]
@@ -492,12 +493,18 @@ def free_state(x: FreeElement):
     alternating normal form, so 1 on the empty word and 0 on every nonempty
     alternating centered word.
 
-    Computed afresh on every call.  One ``_Memo`` serves every term of x: it
-    holds the decomposition of each word, the centred letter of each letter
-    split and the product of each merged pair, so each is made once per call
-    however many branches and terms meet it; nothing is kept between calls.
+    Computed afresh on every call by the recursion of ``normalize``, with
+    one state-only ``_Memo`` for every term of x: each result holds at most
+    the empty word, and a word split at index i with 2 i > len(word) gives
+    {}.  The cut is exact.  Let p count the leading letters of negligible
+    state, r = len(word) - p and D = p - r.  D never decreases: branch 1
+    keeps p >= i, and in branch 2 each prefix letter that a merge or a
+    scalar absorption takes goes with at least one letter of the rest.  The
+    empty word has D = 0, so a word with D > 0 never reaches it: the cut
+    subtrees add no term to the empty word, whose coefficient gets the
+    additions of the full recursion in the same order, bit for bit.
     """
-    memo = _Memo(x)
+    memo = _Memo(x, state_only=True)
     acc = QC_ZERO
     for word, coeff in x.terms.items():
         if word:
@@ -511,12 +518,17 @@ def free_state(x: FreeElement):
 # ---------------------------------------------------------------------------
 
 
-def _pair_normalized_words(w1, w2):
+def _pair_normalized_words(w1, w2, pairs, kx, ky):
     """<w1, w2> for alternating centered words of one factor pattern: the
-    product of the slotwise pairings."""
+    product of the slotwise pairings, each taken from or added to ``pairs``
+    under the keys ``kx`` of its x-letter and ``ky`` of its y-letter."""
     acc = QC(1)
     for l1, l2 in zip(w1, w2):
-        acc = acc * l2_inner(l1.payload, l2.payload)
+        key = kx((l1,)) + ky((l2,))
+        p = pairs.get(key)
+        if p is None:
+            p = pairs[key] = l2_inner(l1.payload, l2.payload)
+        acc = acc * p
         if not acc:
             break
     return acc
@@ -528,17 +540,21 @@ def l2_inner_free(x: FreeElement, y: FreeElement):
     Centred alternating words of different factor patterns are orthogonal,
     so only the words of a shared pattern are paired, slot by slot.  One
     path for exact, float and mixed elements: exact inputs give a ``QC``,
-    and when no pattern is shared the result is an exact 0.
+    and when no pattern is shared the result is an exact 0.  Each slot pair
+    is paired once per call, keyed by ``_letter_keys`` of x and of y, which
+    serve the letters of their normal forms too; x is y is normalized once.
     """
     if x.ambient != y.ambient:
         raise AlgebraError("free elements live in different ambients")
-    bx, by = _bucket_by_pattern(normalize(x)), _bucket_by_pattern(normalize(y))
+    bx, kx = _bucket_by_pattern(normalize(x)), _letter_keys(x)
+    by, ky = (bx, kx) if y is x else (_bucket_by_pattern(normalize(y)), _letter_keys(y))
+    pairs: dict = {}
     acc = QC(0)
     for key, terms_x in bx.items():
         terms_y = by.get(key, ())
         for w1, c1 in terms_x:
             for w2, c2 in terms_y:
-                p = _pair_normalized_words(w1, w2)
+                p = _pair_normalized_words(w1, w2, pairs, kx, ky)
                 if p:
                     acc = acc + c1 * conj(c2) * p
     return acc

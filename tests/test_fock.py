@@ -693,12 +693,21 @@ def test_cumulant_walk_keeps_the_reference_bits():
     # both directions, by repr: the same values, types and float bits
     for m in _random_sequences(np.random.default_rng(31)):
         kappa = moments_to_free_cumulants(m)
-        assert repr(kappa) == repr(_moments_to_free_cumulants_by_powers(m))
+        # the wrapper takes int moments as Fractions (see the test below)
+        exact = [Fraction(v) if isinstance(v, int) else v for v in m]
+        assert repr(kappa) == repr(_moments_to_free_cumulants_by_powers(exact))
         n = len(m) - 1
         for k in (kappa, m[1:]):
             got = free_cumulants_to_moments(k, n)
             assert repr(got) == repr(_free_cumulants_to_moments_by_rebuild(k, n))
     assert free_cumulants_to_moments([], 0) == [Fraction(1)]
+
+
+def test_int_moments_give_fraction_cumulants_throughout():
+    assert repr(moments_to_free_cumulants([1, 0, 1, 0, 2])) == repr([Fraction(0), Fraction(1), Fraction(0), Fraction(0)])
+    for m in _random_sequences(np.random.default_rng(31)):
+        kinds = {type(v) for v in moments_to_free_cumulants(m)}
+        assert kinds <= ({float} if isinstance(m[-1], float) else {Fraction})
 
 
 def _single_letter_sums(rng):

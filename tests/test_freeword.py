@@ -212,7 +212,7 @@ def test_l2_inner_free_pairs_only_the_words_of_a_shared_pattern(monkeypatch):
     y = y0 + letters(1, [[[[k]], [[-3 * k]], [[0]]] for k in range(1, 500)])
     pairs = []
     pair = freeword._pair_normalized_words
-    monkeypatch.setattr(freeword, "_pair_normalized_words", lambda w1, w2: pairs.append(w1) or pair(w1, w2))
+    monkeypatch.setattr(freeword, "_pair_normalized_words", lambda w1, w2, *memo: pairs.append(w1) or pair(w1, w2, *memo))
     inner = l2_inner_free(x, y)
     assert len(pairs) == 501
     assert isinstance(inner, QC) and inner == l2_inner_free(x, y0)

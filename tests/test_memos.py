@@ -8,6 +8,13 @@ values and bits are what the memos must reproduce.  Inputs mix exact
 letters, their float twins (equal and hash-equal), signed-zero twins of
 float letters, uncentred letters and unitaries whose products are scalars,
 in multi-term elements whose terms share letters.
+
+``l2_inner_free`` pairs each slot pair once per call; its memo-less
+reference pairs every slot pair afresh.  The cuts of ``free_state`` (a word
+whose centred prefix is longer than the rest never reaches the empty word)
+and of ``vacuum_expectation`` (a tensor longer than the letters still to act
+never returns to the vacuum) are run on inputs where they fire, and the work
+they leave is counted.
 """
 
 import sys
@@ -15,13 +22,19 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import m2_tr, random_alternating_word, random_rational_element, two_factor
+from conftest import (
+    m2_tr, random_alternating_word, random_centered_rational, random_rational_element, two_factor,
+)
 from freedecay import algebra, fock, freeword
-from freedecay.algebra import AlgebraElement, MatrixBlockAlgebra, center, state
+from freedecay.algebra import AlgebraElement, MatrixBlockAlgebra, center, l2_inner, state
 from freedecay.fock import vacuum_expectation
-from freedecay.freeword import FreeElement, Letter, _merge_word, _scalar_part, free_state, normalize
-from freedecay.scalars import QC, QC_ONE, QC_ZERO, accumulate, negligible
+from freedecay.freeword import (
+    FreeElement, Letter, _letter_keys, _merge_word, _scalar_part, free_state, l2_inner_free, normalize,
+)
+from freedecay.scalars import QC, QC_ONE, QC_ZERO, accumulate, conj, negligible
 
 
 # ---------------------------------------------------------------------------
@@ -86,6 +99,28 @@ def _reference_vacuum(x):
                     terms.append(((slot,) + rest, c))
             states = accumulate({}, terms)
         acc = acc + coeff * states.get((), QC_ZERO)
+    return acc
+
+
+def _reference_l2_inner_free(x, y):
+    """``freeword.l2_inner_free`` with every slot pair paired afresh, in the
+    same order: the words of x by pattern bucket, each against the words of
+    y of its pattern."""
+    buckets = [{}, {}]
+    for bucket, z in zip(buckets, (x, y)):
+        for w, c in _reference_normalize(z).terms.items():
+            bucket.setdefault(tuple(l.factor for l in w), []).append((w, c))
+    acc = QC(0)
+    for key, terms_x in buckets[0].items():
+        for w1, c1 in terms_x:
+            for w2, c2 in buckets[1].get(key, ()):
+                p = QC(1)
+                for l1, l2 in zip(w1, w2):
+                    p = p * l2_inner(l1.payload, l2.payload)
+                    if not p:
+                        break
+                if p:
+                    acc = acc + c1 * conj(c2) * p
     return acc
 
 
@@ -243,3 +278,174 @@ def test_vacuum_oracle_splits_each_product_once_per_call(monkeypatch):
     assert len(calls) == len(set(calls))
     monkeypatch.undo()
     assert repr(got) == repr(_reference_vacuum(x)) == repr(_reference_free_state(x))
+
+
+# ---------------------------------------------------------------------------
+# one pairing per slot pair, and the two cuts, with the same bits
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("name", sorted(AMBIENTS))
+def test_l2_inner_free_keeps_the_bits_of_the_memo_less_pairing(name):
+    ambient = AMBIENTS[name]()
+    rng = np.random.default_rng(7)
+    pool = _letter_pool(ambient, rng)
+    for _ in range(12):
+        x = _element(ambient, pool, rng, int(rng.integers(2, 5)))
+        y = _element(ambient, pool, rng, int(rng.integers(2, 5)))
+        for a, b in ((x, y), (y, x), (x, x)):
+            assert repr(l2_inner_free(a, b)) == repr(_reference_l2_inner_free(a, b))
+
+
+def test_l2_inner_free_keeps_the_bits_of_exact_letters_and_their_float_twins():
+    for x in _twin_orders():
+        y = FreeElement._of(x.ambient, dict(list(x.terms.items())[::-1]))
+        for a, b in ((x, x), (x, y), (y, x)):
+            assert repr(l2_inner_free(a, b)) == repr(_reference_l2_inner_free(a, b))
+    # an exact element, whose keys are its letters, against its words with
+    # every other word's letters made float twins, keyed with their kinds
+    x = _shared_letter_element()
+    y = FreeElement(x.ambient, {
+        tuple(Letter(l.factor, _twin(l.payload)) for l in w) if k % 2 else w: c
+        for k, (w, c) in enumerate(x.terms.items())
+    })
+    for a, b in ((x, y), (y, x)):
+        assert repr(l2_inner_free(a, b)) == repr(_reference_l2_inner_free(a, b))
+
+
+def _centred_prefix_word(ambient, pool, rng):
+    """An alternating word whose first k letters are centred and whose other
+    letters, fewer than k, are drawn from ``pool``."""
+    k = int(rng.integers(1, 5))
+    j, letters = int(rng.integers(0, 2)), []
+    for i in range(k + int(rng.integers(0, k))):
+        if i < k:
+            centred = [l for l in pool[j] if negligible(state(l.payload))]
+            letter = centred[int(rng.integers(0, len(centred)))]
+        else:
+            letter = pool[j][int(rng.integers(0, len(pool[j])))]
+        letters.append(letter)
+        j = 1 - j
+    return FreeElement.word(ambient, letters)
+
+
+def _with_centred_letters(pool):
+    return [ls + [Letter(l.factor, center(l.payload)) for l in ls] for ls in pool]
+
+
+@pytest.mark.parametrize("name", sorted(AMBIENTS))
+def test_the_cuts_keep_the_bits_where_they_fire(name, monkeypatch):
+    ambient = AMBIENTS[name]()
+    rng = np.random.default_rng(11)
+    pool = _with_centred_letters(_letter_pool(ambient, rng))
+    calls = []
+    decompose = freeword._decompose_word
+    monkeypatch.setattr(freeword, "_decompose_word", lambda w, memo: calls.append(w) or decompose(w, memo))
+    for _ in range(12):
+        # every term is cut at once: one decomposition per distinct word
+        words = [_centred_prefix_word(ambient, pool, rng) for _ in range(3)]
+        x = FreeElement.combination(ambient, [(w, 1 + k) for k, w in enumerate(words)])
+        calls.clear()
+        got = free_state(x)
+        assert len(calls) == len(x.terms)
+        assert repr(got) == repr(_reference_free_state(x))
+        assert repr(vacuum_expectation(x)) == repr(_reference_vacuum(x))
+        assert _term_bits(normalize(x)) == _term_bits(_reference_normalize(x))
+        y = _element(ambient, pool, rng, 2) + x
+        assert repr(l2_inner_free(x, y)) == repr(_reference_l2_inner_free(x, y))
+
+
+def _tensor_visits(word, key, room):
+    """(tensors handed to ``_letter_on_tensors``, vacuum coefficient) of one
+    word, with ``room(i)`` as the room of letter i."""
+    states, visits = {(): QC_ONE}, 0
+    for i in range(len(word) - 1, -1, -1):
+        visits += len(states)
+        states = accumulate({}, fock._letter_on_tensors(word[i], states, {}, key, room(i)))
+    return visits, states.get((), QC_ZERO)
+
+
+@pytest.mark.parametrize("name", sorted(AMBIENTS))
+def test_vacuum_cut_drops_tensors_and_keeps_the_bits(name):
+    ambient = AMBIENTS[name]()
+    rng = np.random.default_rng(12)
+    pool = _letter_pool(ambient, rng)
+    dropped = 0
+    for _ in range(24):
+        x = _element(ambient, pool, rng, 1)
+        (word,) = x.terms
+        if len(word) < 4:
+            continue
+        key = _letter_keys(x)
+        cut, value = _tensor_visits(word, key, lambda i: i)
+        whole, whole_value = _tensor_visits(word, key, lambda i: len(word))
+        assert repr(value) == repr(whole_value) == repr(_reference_vacuum(FreeElement.word(ambient, word)))
+        assert cut <= whole
+        dropped += whole - cut
+    assert dropped > 0
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 7))
+def test_a_centred_prefix_longer_than_the_rest_has_state_zero(seed, length):
+    ambient = two_factor(m2_tr(), _c3())
+    rng = np.random.default_rng(seed)
+    k = length // 2 + 1
+    j, letters = int(rng.integers(0, 2)), []
+    for i in range(length):
+        draw = random_centered_rational if i < k else random_rational_element
+        letters.append(Letter(j, draw(ambient.factors[j], rng)))
+        j = 1 - j
+    x = FreeElement.word(ambient, letters)
+    assert free_state(x) == vacuum_expectation(x) == QC(0)
+
+
+# ---------------------------------------------------------------------------
+# work counts
+# ---------------------------------------------------------------------------
+
+
+def test_free_state_of_a_fixed_word_makes_a_fixed_number_of_decompositions(monkeypatch):
+    ambient = two_factor(m2_tr(), _c3())
+    x = random_alternating_word(ambient, 6, np.random.default_rng(5), centered=False)
+    calls = []
+    decompose = freeword._decompose_word
+    monkeypatch.setattr(freeword, "_decompose_word", lambda w, memo: calls.append(w) or decompose(w, memo))
+    free_state(x)
+    assert len(calls) == 75
+    # the whole normal form, which free_state built before it kept () alone
+    calls.clear()
+    normalize(x)
+    assert len(calls) == 101
+
+
+def test_l2_inner_free_pairs_each_slot_pair_once(monkeypatch):
+    x = _shared_letter_element()
+    met, reference = [], []
+    for module, calls in ((freeword, met), (sys.modules[__name__], reference)):
+        monkeypatch.setattr(module, "l2_inner",
+                            lambda a, b, calls=calls: calls.append((a, b)) or algebra.l2_inner(a, b))
+    got = l2_inner_free(x, x)
+    want = _reference_l2_inner_free(x, x)
+    assert len(met) == len(set(met)) and set(met) == set(reference)
+    assert len(reference) > len(met)
+    assert repr(got) == repr(want)
+
+
+def test_no_tensor_is_longer_than_the_letters_left_to_act(monkeypatch):
+    ambient = two_factor(m2_tr(), _c3())
+    rng = np.random.default_rng(13)
+    pool = _letter_pool(ambient, rng)
+    lengths = []
+    act = fock._letter_on_tensors
+
+    def checked(letter, states, splits, key, room):
+        lengths.append((max(map(len, states)), room + 1))
+        return act(letter, states, splits, key, room)
+
+    monkeypatch.setattr(fock, "_letter_on_tensors", checked)
+    for _ in range(12):
+        vacuum_expectation(_element(ambient, pool, rng, 3))
+    vacuum_expectation(_shared_letter_element())
+    assert all(n <= left for n, left in lengths)
+    assert any(n == left for n, left in lengths if left > 1)
