@@ -129,6 +129,15 @@ def _block_trace(d, diag, b):
     return acc
 
 
+def _float_bits(blocks):
+    """None when every entry of ``blocks`` is a QC, else ``repr(blocks)``,
+    which spells a QC apart from a complex and every float bit, signed zeros
+    included.  Value-equal blocks that agree here give the same bits."""
+    if all(type(v) is QC for b in blocks for row in b for v in row):
+        return None
+    return repr(blocks)
+
+
 def _mat_to_numpy(a):
     return np.array([[to_complex(v) for v in row] for row in a], dtype=complex)
 
@@ -168,7 +177,7 @@ class MatrixBlockAlgebra:
         the block weights and must sum to 1.
     """
 
-    __slots__ = ("block_dims", "densities", "_diagonals", "_hash", "_onb")
+    __slots__ = ("block_dims", "densities", "_diagonals", "_bits", "_hash", "_onb")
 
     def __init__(self, densities):
         dens = tuple(_as_matrix(d) for d in densities)
@@ -178,6 +187,7 @@ class MatrixBlockAlgebra:
         self.densities = dens
         # per block: the density's diagonal when it is exactly diagonal, else None
         self._diagonals = tuple(_exact_diagonal(d) for d in dens)
+        self._bits = _float_bits(dens)
         self._hash = None
         self._onb = None
         self._validate()
@@ -261,7 +271,12 @@ class MatrixBlockAlgebra:
         return (self.block_dims, self.densities)
 
     def __eq__(self, other):
-        return isinstance(other, MatrixBlockAlgebra) and self._key() == other._key()
+        """Equal densities of one kind, exact or float, and float bits."""
+        return self is other or (
+            isinstance(other, MatrixBlockAlgebra)
+            and self._key() == other._key()
+            and self._bits == other._bits
+        )
 
     def __hash__(self):
         if self._hash is None:
@@ -368,10 +383,13 @@ def json_number(v, kind=Fraction, error=AlgebraError):
 # ---------------------------------------------------------------------------
 
 
+_UNREAD = object()  # an element's float bits before they are first read
+
+
 class AlgebraElement:
     """Element of a MatrixBlockAlgebra: one matrix per block, immutable."""
 
-    __slots__ = ("owner", "blocks", "_hash", "_state")
+    __slots__ = ("owner", "blocks", "_hash", "_state", "_bits")
 
     def __init__(self, owner: MatrixBlockAlgebra, blocks):
         object.__setattr__(self, "owner", owner)
@@ -386,6 +404,7 @@ class AlgebraElement:
         object.__setattr__(self, "blocks", blocks)
         object.__setattr__(self, "_hash", None)
         object.__setattr__(self, "_state", None)
+        object.__setattr__(self, "_bits", _UNREAD)
 
     @classmethod
     def _of(cls, owner: MatrixBlockAlgebra, blocks) -> "AlgebraElement":
@@ -397,6 +416,7 @@ class AlgebraElement:
         object.__setattr__(x, "blocks", blocks)
         object.__setattr__(x, "_hash", None)
         object.__setattr__(x, "_state", None)
+        object.__setattr__(x, "_bits", _UNREAD)
         return x
 
     def __setattr__(self, name, value):
@@ -451,11 +471,19 @@ class AlgebraElement:
     def _key(self):
         return (self.owner.block_dims, self.blocks)
 
+    def _cached_bits(self):
+        if self._bits is _UNREAD:
+            object.__setattr__(self, "_bits", _float_bits(self.blocks))
+        return self._bits
+
     def __eq__(self, other):
-        return (
+        """Equal owners, values and ``_float_bits``; the hash reads values
+        alone, so an exact element and its float twin collide but differ."""
+        return self is other or (
             isinstance(other, AlgebraElement)
             and self.owner == other.owner
             and self.blocks == other.blocks
+            and self._cached_bits() == other._cached_bits()
         )
 
     def __hash__(self):

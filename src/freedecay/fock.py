@@ -29,7 +29,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .algebra import AlgebraElement, center, state
-from .freeword import FreeElement, Letter, _letter_keys, l2_inner_free, normalize
+from .freeword import FreeElement, Letter, l2_inner_free, normalize
 from .scalars import QC, QC_ONE, QC_ZERO, accumulate
 
 __all__ = [
@@ -95,34 +95,33 @@ def vacuum_expectation(x: FreeElement):
     calls.
     """
     splits: dict = {}
-    key = _letter_keys(x)
     acc = QC_ZERO
     for word, coeff in x.terms.items():
-        acc = acc + coeff * _vacuum_of_word(word, splits, key)
+        acc = acc + coeff * _vacuum_of_word(word, splits)
     return acc
 
 
-def _vacuum_of_word(word, splits, key):
+def _vacuum_of_word(word, splits):
     # states: dict mapping tensor (tuple of Letters with centered payloads)
     # to coefficient; apply letters right to left.
     states = {(): QC_ONE}
     for room in range(len(word) - 1, -1, -1):
-        states = accumulate({}, _letter_on_tensors(word[room], states, splits, key, room))
+        states = accumulate({}, _letter_on_tensors(word[room], states, splits, room))
         if not states:
             return QC_ZERO
     return states.get((), QC_ZERO)
 
 
-def _letter_on_tensors(letter, states, splits, key, room):
+def _letter_on_tensors(letter, states, splits, room):
     """(tensor, coeff) terms of the letter applied to each tensor of ``states``.
 
     The letter multiplies the tensor's first slot when that slot is in its
     factor, else it stands before the tensor; the product splits into its
     state, which drops the slot, and its centred part, a new first slot.
-    ``splits`` is the call's memo of these splits, under ``key`` of the
-    (letter, first slot) pair or of the letter alone (``_letter_keys``), so
-    an exact letter and its float twin never share an entry; a hit returns
-    the pair that the same split made, with its bits.  Coefficients in
+    ``splits`` is the call's memo of these splits, keyed by the (letter,
+    first slot) pair or by the letter alone; equal letters have payloads of
+    one kind and the same float bits, so a hit returns the pair that the
+    same split made, with its bits.  Coefficients in
     ``states`` are never 0, so only a state term can be.  ``room`` letters
     act after this one: no tensor of ``states`` is longer than room + 1, and
     a term longer than room is dropped before it is made."""
@@ -130,7 +129,7 @@ def _letter_on_tensors(letter, states, splits, key, room):
     alone = None
     for tensor, coeff in states.items():
         if tensor and tensor[0].factor == j:
-            pair = key((letter, tensor[0]))
+            pair = (letter, tensor[0])
             split = splits.get(pair)
             if split is None:
                 split = splits[pair] = _split(j, letter.payload * tensor[0].payload)
@@ -139,10 +138,9 @@ def _letter_on_tensors(letter, states, splits, key, room):
             continue
         else:
             if alone is None:
-                lone = key((letter,))
-                alone = splits.get(lone)
+                alone = splits.get(letter)
                 if alone is None:
-                    alone = splits[lone] = _split(j, letter.payload)
+                    alone = splits[letter] = _split(j, letter.payload)
             (s, slot), rest = alone, tensor
         c = coeff * s
         if c:

@@ -175,10 +175,9 @@ def _merge_word(letters, memo=None):
 def _memo_product(prev, current, memo):
     """The letter of prev.payload * current.payload, made once per call and
     returned as that same object on every later merge of the pair."""
-    key = memo.key((prev, current))
-    letter = memo.products.get(key)
+    letter = memo.products.get((prev, current))
     if letter is None:
-        letter = memo.products[key] = Letter(current.factor, prev.payload * current.payload)
+        letter = memo.products[prev, current] = Letter(current.factor, prev.payload * current.payload)
     return letter
 
 
@@ -301,9 +300,11 @@ class FreeElement:
         return max((len(w) for w in self.terms), default=0)
 
     def is_exact(self) -> bool:
-        """Every coefficient and every letter's state is a QC: the payloads
-        and the states of their factors are exact."""
-        return all(is_exact(c) for c in self.terms.values()) and _exact_letters(self)
+        """Every coefficient and every letter's state (cached on the payload)
+        is a QC: one float entry of a payload or density makes it complex."""
+        return all(is_exact(c) for c in self.terms.values()) and all(
+            type(state(l.payload)) is QC for word in self.terms for l in word
+        )
 
     def __eq__(self, other):
         return (
@@ -384,43 +385,18 @@ def _word_sort_key(item):
 # ---------------------------------------------------------------------------
 
 
-def _exact_letters(x: FreeElement) -> bool:
-    """Every letter of x has a QC state (cached on the payload): every entry
-    of its payload and of its factor's density is exact, since one float
-    entry makes the state a complex."""
-    return all(type(state(l.payload)) is QC for word in x.terms for l in word)
-
-
-def _letter_keys(x: FreeElement):
-    """The key function of a per-call memo on x: a tuple of letters to the
-    key of its entry.
-
-    An exact letter equals, and hashes as, its float twin, so letters alone
-    would hand one the other's entry.  When every letter of x is exact
-    (``_exact_letters``), every entry of the payloads and densities that a
-    recursion reads is exact, and so is every letter it makes from them:
-    letters are their own key.  Otherwise each letter is keyed with its
-    kind, True for a QC state and else the repr of its entries, which tells
-    QC from complex and spells every float bit, signed zeros included."""
-    if _exact_letters(x):
-        return lambda letters: letters
-    return lambda letters: letters + tuple(
-        True if type(state(l.payload)) is QC else repr(l.payload.blocks) for l in letters
-    )
-
-
 class _Memo:
-    """What one call of the centring recursion on x has worked out: the
+    """What one call of the centring recursion has worked out: the
     decomposition of each word, the centred letter of each letter it splits
     (None when that centred part is a scalar) and the product letter of each
-    merged pair, keyed by ``_letter_keys(x)``.  A hit returns the object
-    that the same operation on the same operands made, so the bits are those
-    of the recursion without memo.  Made per call and dropped with it."""
+    merged pair, keyed by the words and letters themselves.  Equal letters
+    have the same kind and float bits, so a hit returns the object that the
+    same operation on the same operands made, with the bits of the recursion
+    without memo.  Made per call and dropped with it."""
 
-    __slots__ = ("key", "words", "centred", "products", "state_only")
+    __slots__ = ("words", "centred", "products", "state_only")
 
-    def __init__(self, x: FreeElement, state_only=False):
-        self.key = _letter_keys(x)
+    def __init__(self, state_only=False):
         self.words, self.centred, self.products = {}, {}, {}
         self.state_only = state_only
 
@@ -435,8 +411,7 @@ def _decompose_word(word, memo: _Memo):
     branches meet again; under ``memo.state_only`` only the empty word is
     kept and a word with 2 i > len(word) gives {} (see ``free_state``).
     """
-    key = memo.key(word)
-    result = memo.words.get(key)
+    result = memo.words.get(word)
     if result is not None:
         return result
     for i, letter in enumerate(word):
@@ -446,16 +421,15 @@ def _decompose_word(word, memo: _Memo):
     else:
         i = len(word)
     if i == len(word) or memo.state_only and 2 * i > len(word):
-        result = memo.words[key] = {} if memo.state_only and word else {word: QC_ONE}
+        result = memo.words[word] = {} if memo.state_only and word else {word: QC_ONE}
         return result
-    letter_key = memo.key((letter,))
-    if letter_key in memo.centred:
-        centered_letter = memo.centred[letter_key]
+    if letter in memo.centred:
+        centered_letter = memo.centred[letter]
     else:
         centered_letter = Letter(letter.factor, center(letter.payload))
         if _scalar_part(centered_letter.payload) is not None:
             centered_letter = None
-        memo.centred[letter_key] = centered_letter
+        memo.centred[letter] = centered_letter
     result: dict = {}
     # branch 1: replace the letter by its centered part (may vanish)
     if centered_letter is not None:
@@ -468,13 +442,13 @@ def _decompose_word(word, memo: _Memo):
     if factor:
         rest = _decompose_word(reduced, memo)
         accumulate(result, ((w, factor * c) for w, c in rest.items()))
-    memo.words[key] = result
+    memo.words[word] = result
     return result
 
 
 def normalize(x: FreeElement) -> FreeElement:
     """Equal element written as c*1 + sum of alternating centered words."""
-    memo = _Memo(x)
+    memo = _Memo()
     pairs = (
         (w, coeff * c)
         for word, coeff in x.terms.items()
@@ -504,7 +478,7 @@ def free_state(x: FreeElement):
     subtrees add no term to the empty word, whose coefficient gets the
     additions of the full recursion in the same order, bit for bit.
     """
-    memo = _Memo(x, state_only=True)
+    memo = _Memo(state_only=True)
     acc = QC_ZERO
     for word, coeff in x.terms.items():
         if word:
@@ -518,16 +492,15 @@ def free_state(x: FreeElement):
 # ---------------------------------------------------------------------------
 
 
-def _pair_normalized_words(w1, w2, pairs, kx, ky):
+def _pair_normalized_words(w1, w2, pairs):
     """<w1, w2> for alternating centered words of one factor pattern: the
     product of the slotwise pairings, each taken from or added to ``pairs``
-    under the keys ``kx`` of its x-letter and ``ky`` of its y-letter."""
+    under its pair of letters."""
     acc = QC(1)
     for l1, l2 in zip(w1, w2):
-        key = kx((l1,)) + ky((l2,))
-        p = pairs.get(key)
+        p = pairs.get((l1, l2))
         if p is None:
-            p = pairs[key] = l2_inner(l1.payload, l2.payload)
+            p = pairs[l1, l2] = l2_inner(l1.payload, l2.payload)
         acc = acc * p
         if not acc:
             break
@@ -541,20 +514,20 @@ def l2_inner_free(x: FreeElement, y: FreeElement):
     so only the words of a shared pattern are paired, slot by slot.  One
     path for exact, float and mixed elements: exact inputs give a ``QC``,
     and when no pattern is shared the result is an exact 0.  Each slot pair
-    is paired once per call, keyed by ``_letter_keys`` of x and of y, which
-    serve the letters of their normal forms too; x is y is normalized once.
+    is paired once per call, keyed by its two letters; x is y is normalized
+    once.
     """
     if x.ambient != y.ambient:
         raise AlgebraError("free elements live in different ambients")
-    bx, kx = _bucket_by_pattern(normalize(x)), _letter_keys(x)
-    by, ky = (bx, kx) if y is x else (_bucket_by_pattern(normalize(y)), _letter_keys(y))
+    bx = _bucket_by_pattern(normalize(x))
+    by = bx if y is x else _bucket_by_pattern(normalize(y))
     pairs: dict = {}
     acc = QC(0)
     for key, terms_x in bx.items():
         terms_y = by.get(key, ())
         for w1, c1 in terms_x:
             for w2, c2 in terms_y:
-                p = _pair_normalized_words(w1, w2, pairs, kx, ky)
+                p = _pair_normalized_words(w1, w2, pairs)
                 if p:
                     acc = acc + c1 * conj(c2) * p
     return acc
@@ -648,21 +621,16 @@ def conjugation_word_shape(v: AlgebraElement, x: FreeElement):
     return word, len(word)
 
 
+@functools.lru_cache(maxsize=32)
 def check_avitzour_conditions(u: AlgebraElement, v: AlgebraElement, w: AlgebraElement):
     """Unitarity and moment conditions for the conjugation construction:
     rho(u) = tau(v) = tau(w) = tau(v*w) = 0 with u and v in the centralizers.
 
     A triple that passes is remembered, so the maps and shape checks of one
-    trial verify it once; a triple that fails raises on every call.
-    Elements are immutable and hashable, but an exact element equals the
-    float one with the same values, so exactness is part of the key: a
-    float triple's residuals are negligible within ``FLOAT_ZERO`` where its
-    exact twin's are not 0."""
-    _check_avitzour_triple(u, v, w, (u.is_exact(), v.is_exact(), w.is_exact()))
-
-
-@functools.lru_cache(maxsize=32)
-def _check_avitzour_triple(u, v, w, _exactness):
+    trial verify it once; a triple that fails raises on every call.  An
+    exact element differs from its float twin, so a float triple that passes
+    within ``FLOAT_ZERO`` does not pass its exact twin, whose residuals must
+    be 0."""
     _require_unitary(u, "u")
     _require_unitary(v, "v")
     _require_unitary(w, "w")

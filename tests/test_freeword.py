@@ -431,14 +431,14 @@ def test_failing_avitzour_triple_raises_on_every_call():
 
 
 def test_exact_triple_is_not_passed_by_its_float_twin():
-    # an exact triple equals, and hashes like, the float triple with the
-    # same values; the float one passes within tolerance, the exact one
+    # an exact triple hashes like the float triple with the same values but
+    # differs from it; the float one passes within tolerance, the exact one
     # must still fail
     alg, u, _, w, _ = _m2_pair_setup()
     eps = 2.0 ** -45
     v_float = alg.element([[[complex(1 + eps), 0], [0, complex(-1)]]])
     v_exact = alg.element([[[Fraction(1 + eps), 0], [0, -1]]])
-    assert v_float == v_exact and hash(v_float) == hash(v_exact)
+    assert v_float != v_exact and hash(v_float) == hash(v_exact)
     check_avitzour_conditions(u, v_float, w)
     with pytest.raises(AvitzourConditionError):
         check_avitzour_conditions(u, v_exact, w)
@@ -581,7 +581,7 @@ def test_shape_check_all_modes_random():
 
 def _reference_scalar_part(x):
     c = x.blocks[0][0][0]
-    return c if x == x.owner.scalar(c) else None
+    return c if x.blocks == x.owner.scalar(c).blocks else None
 
 
 _SCALAR_ALGEBRAS = [
@@ -678,6 +678,19 @@ def test_public_constructor_rejects_a_foreign_payload():
         FreeElement(amb, {(c3_letter,): QC(1)})
     # a zero coefficient is dropped before its word is read
     assert FreeElement(amb, {(c3_letter,): 0}).terms == {}
+
+
+def test_public_constructor_rejects_a_payload_of_the_float_twin_factor():
+    # the float twin of an exact factor has equal densities but another
+    # kind, so it is another algebra, and its elements' states are floats
+    amb = _ambient_m2_c3()
+    twin = MatrixBlockAlgebra([[[0.5, 0.0], [0.0, 0.5]]])
+    assert twin != amb.factors[0] and hash(twin) == hash(amb.factors[0])
+    p = twin.element([[[1, 2], [0, 3]]])
+    for make in (lambda: FreeElement(amb, {(Letter(0, p),): QC(1)}),
+                 lambda: FreeElement.letter(amb, 0, p)):
+        with pytest.raises(AlgebraError, match="foreign payload"):
+            make()
 
 
 def test_public_constructor_merges_and_sums_its_words():

@@ -1,6 +1,7 @@
 """The tolerance policy of ``freedecay.scalars``: negligible, agree, and the
 rule that tolerance literals live only there; the equality, hashing and
-powers of ``QC`` and the rule that its layout stays in ``scalars``; plus the
+powers of ``QC`` and the rule that its layout stays in ``scalars``; the
+rule that only ``algebra`` spells a payload's float bits; plus the
 rules that modules import only at their top and never a thread or process
 pool, that the package imports no layer and the exact layers no scipy, that
 every cache is bounded, that every ``__all__`` entry exists, that every
@@ -129,7 +130,10 @@ def test_exact_against_float_equality_is_exact():
     exact = AlgebraElement(alg, [[[QC(Fraction(1, 2), Fraction(1, 4)), QC(0)],
                                   [QC(0), QC(-1)]]])
     floats = AlgebraElement(alg, [[[0.5 + 0.25j, 0j], [0j, -1 + 0j]]])
-    assert exact == floats and len({exact, floats}) == 1
+    # elements compare kind and float bits; hashes compare values
+    assert exact != floats and hash(exact) == hash(floats) and len({exact, floats}) == 2
+    signed = AlgebraElement(alg, [[[0.5 + 0.25j, complex(-0.0, 0.0)], [0j, -1 + 0j]]])
+    assert signed != floats and hash(signed) == hash(floats) and len({signed, floats}) == 2
 
 
 def test_integer_powers_stay_exact():
@@ -396,6 +400,22 @@ def test_qc_layout_lives_only_in_scalars():
             if bad:
                 stray.append(f"{path.name}:{node.lineno}: {ast.unparse(node)}")
     assert not stray, "QC layout read outside scalars:\n" + "\n".join(stray)
+
+
+def test_float_bits_of_payloads_are_spelled_only_in_algebra():
+    # letter identity (kind and float bits) is decided in one module: no
+    # other module keys anything on the repr of blocks or densities
+    stray = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "algebra.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                    and node.func.id == "repr"
+                    and any(isinstance(n, ast.Attribute) and n.attr in ("blocks", "densities")
+                            for arg in node.args for n in ast.walk(arg))):
+                stray.append(f"{path.name}:{node.lineno}: {ast.unparse(node)}")
+    assert not stray, "float bits spelled outside algebra:\n" + "\n".join(stray)
 
 
 # ---------------------------------------------------------------------------
