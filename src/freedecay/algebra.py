@@ -129,13 +129,15 @@ def _block_trace(d, diag, b):
     return acc
 
 
+def _exact_blocks(blocks) -> bool:
+    return all(is_exact(v) for b in blocks for row in b for v in row)
+
+
 def _float_bits(blocks):
     """None when every entry of ``blocks`` is a QC, else ``repr(blocks)``,
     which spells a QC apart from a complex and every float bit, signed zeros
     included.  Value-equal blocks that agree here give the same bits."""
-    if all(type(v) is QC for b in blocks for row in b for v in row):
-        return None
-    return repr(blocks)
+    return None if _exact_blocks(blocks) else repr(blocks)
 
 
 def _mat_to_numpy(a):
@@ -146,7 +148,7 @@ def _positive_definite(d) -> bool:
     """Whether the Hermitian d is positive definite: by float Cholesky, or, on
     an exact d, exactly, by elimination in QC with every pivot real and > 0.
     (Cholesky accepts [[1/2, 1/2], [1/2, 1/2]]: its last pivot rounds above 0.)"""
-    if not all(is_exact(v) for row in d for v in row):
+    if not _exact_blocks((d,)):
         try:
             np.linalg.cholesky(_mat_to_numpy(d))
         except np.linalg.LinAlgError:
@@ -383,9 +385,6 @@ def json_number(v, kind=Fraction, error=AlgebraError):
 # ---------------------------------------------------------------------------
 
 
-_UNREAD = object()  # an element's float bits before they are first read
-
-
 class AlgebraElement:
     """Element of a MatrixBlockAlgebra: one matrix per block, immutable."""
 
@@ -404,7 +403,6 @@ class AlgebraElement:
         object.__setattr__(self, "blocks", blocks)
         object.__setattr__(self, "_hash", None)
         object.__setattr__(self, "_state", None)
-        object.__setattr__(self, "_bits", _UNREAD)
 
     @classmethod
     def _of(cls, owner: MatrixBlockAlgebra, blocks) -> "AlgebraElement":
@@ -416,7 +414,6 @@ class AlgebraElement:
         object.__setattr__(x, "blocks", blocks)
         object.__setattr__(x, "_hash", None)
         object.__setattr__(x, "_state", None)
-        object.__setattr__(x, "_bits", _UNREAD)
         return x
 
     def __setattr__(self, name, value):
@@ -461,7 +458,7 @@ class AlgebraElement:
         return AlgebraElement._of(self.owner, tuple(_mat_adjoint(b) for b in self.blocks))
 
     def is_exact(self) -> bool:
-        return all(is_exact(v) for b in self.blocks for row in b for v in row)
+        return _exact_blocks(self.blocks)
 
     def to_numpy(self):
         """List of numpy blocks (complex128)."""
@@ -472,9 +469,11 @@ class AlgebraElement:
         return (self.owner.block_dims, self.blocks)
 
     def _cached_bits(self):
-        if self._bits is _UNREAD:
+        try:  # the slot is left unset until the first read
+            return self._bits
+        except AttributeError:
             object.__setattr__(self, "_bits", _float_bits(self.blocks))
-        return self._bits
+            return self._bits
 
     def __eq__(self, other):
         """Equal owners, values and ``_float_bits``; the hash reads values

@@ -57,7 +57,7 @@ from .fock import (
     fock_dimension,
 )
 from .freeword import FreeElement, FreeProductAmbient, is_normalized_word, normalize
-from .scalars import root_down, to_complex
+from .scalars import accumulate, root_down, to_complex
 
 __all__ = [
     "TruncatedFock",
@@ -396,8 +396,7 @@ def moment_norm_estimate(x: FreeElement, r_max: int) -> MomentEstimates:
 
 def _even_moments(x: FreeElement, r_max: int):
     """([q_0..q_{r_max}], method) with q_r = free_state((x*x)^r)."""
-    sa = x == x.adjoint()
-    if sa and x.max_word_length() <= 1:
+    if x.max_word_length() <= 1 and _by_value(x) == _by_value(x.adjoint()):
         m = _single_letter_moments(x, 2 * r_max)
         return [m[2 * r] for r in range(r_max + 1)], "free-cumulant"
     if not x.is_exact():
@@ -406,6 +405,13 @@ def _even_moments(x: FreeElement, r_max: int):
     if h.max_word_length() <= 1:
         return _single_letter_moments(h, r_max), "free-cumulant"
     return _word_moments(h, r_max), "word-expansion"
+
+
+def _by_value(x: FreeElement) -> dict:
+    """x's terms keyed on letter values, to decide x = x* by values: ``==`` also
+    reads float bits, and conj turns a real float entry's +0j into -0j."""
+    return accumulate({}, ((tuple((l.factor, l.payload.blocks) for l in w), c)
+                           for w, c in x.terms.items()))
 
 
 def _vector_moments(x: FreeElement, r_max: int):

@@ -223,9 +223,6 @@ def _lift(value):
     """Lift exact numbers into QC; None signals an inexact or foreign type."""
     if isinstance(value, QC):
         return value
-    # floats first: the Integral check below goes through the ABC machinery
-    if isinstance(value, (float, complex)):
-        return None
     if isinstance(value, Integral):
         return _make(int(value), 0, 1)
     if isinstance(value, Fraction):

@@ -740,6 +740,23 @@ def test_free_cumulant_moments_keep_the_reference_bits(monkeypatch):
         assert repr(a.rows) == repr(b.rows)
 
 
+def test_float_self_adjoint_letters_take_the_free_cumulant_path():
+    # conj turns the +0j of a real float entry into -0j, so x* is not == x
+    # here; self-adjointness is still read from the values
+    amb = two_factor(m2_tr(), c3_weighted())
+    for one in (1, 1.0):
+        a = FreeElement.letter(amb, 0, m2_tr().element([[[one, 0], [0, -one]]]))
+        half = one * Fraction(1, 2)
+        b = FreeElement.letter(amb, 1, c3_weighted().element([[[2 * one]], [[-one]], [[half]]]))
+        for x in (a, a + b):
+            est = moment_norm_estimate(x, 4)
+            assert est.method == "free-cumulant"
+            m = fock._single_letter_moments(x, 8)
+            assert repr([row[1] for row in est.rows]) == repr(m[2:9:2])
+    assert x != x.adjoint()
+    assert [row[1] for row in est.rows[:2]] == [3.6499999999999995, 23.83249999999999]
+
+
 def test_word_moments_keep_the_reference_bits():
     amb = two_factor(m2_tr(), c3_weighted())
     rng = np.random.default_rng(8)
