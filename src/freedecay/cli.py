@@ -82,13 +82,15 @@ def _atomic_write(path: str | None, text: str) -> None:
     os.replace(tmp, path)
 
 
-def _csv_text(header, rows, meta: dict) -> str:
+def _csv_text(header, rows, seed: int, **meta) -> str:
+    """The CSV text: header, rows, then the ``#`` block, which starts with
+    ``seed=`` and ``version=`` and goes on with ``meta`` in order."""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(header)
     for row in rows:
         writer.writerow(row)
-    for key, value in meta.items():
+    for key, value in {"seed": seed, "version": __version__, **meta}.items():
         buf.write(f"# {key}={value}\n")
     return buf.getvalue()
 
@@ -169,15 +171,14 @@ def _cmd_rd_certify(args) -> int:
             [ConstantFiltration(a) for a in space["free_product"]], probe_seed=args.seed
         )
     report = rd_report(filt, args.max_n)
-    meta = {"seed": args.seed, "version": __version__, "recipe": report.recipe,
-            "alpha_hat": repr(report.alpha_hat)}
     if args.as_json:
         _atomic_write(args.out, json.dumps(report.to_json(), indent=2) + "\n")
     else:
         rows = [
             (n, repr(lo), repr(up), d) for (n, lo, up, d) in report.rows
         ]
-        _atomic_write(args.out, _csv_text(["n", "C_lower", "C_upper", "dim"], rows, meta))
+        _atomic_write(args.out, _csv_text(["n", "C_lower", "C_upper", "dim"], rows, args.seed,
+                                          recipe=report.recipe, alpha_hat=repr(report.alpha_hat)))
     return 0
 
 
@@ -197,19 +198,18 @@ def _cmd_fock_dim(args) -> int:
     rows = []
     for depth in range(args.depth + 1):
         rows.append((depth, fock_dimension(ambient.factors, depth)))
-    meta = {"seed": args.seed, "version": __version__}
-    _atomic_write(args.out, _csv_text(["depth", "dimension"], rows, meta))
+    _atomic_write(args.out, _csv_text(["depth", "dimension"], rows, args.seed))
     return 0
 
 
-def _moment_csv(est, meta: dict) -> str:
+def _moment_csv(est, seed: int, **meta) -> str:
     """The moment table of ``free-moments`` and ``norm-estimate``: one row
     (r, q_r, power root, ratio, best) per r, each value as its repr."""
     rows = [
         (r, repr(to_complex(q).real), repr(root), repr(ratio), repr(best))
         for (r, q, root, ratio, best) in est.rows
     ]
-    return _csv_text(["r", "moment_2r", "power_root", "ratio", "best"], rows, meta)
+    return _csv_text(["r", "moment_2r", "power_root", "ratio", "best"], rows, seed, **meta)
 
 
 def _cmd_free_moments(args) -> int:
@@ -219,14 +219,8 @@ def _cmd_free_moments(args) -> int:
     sym = free_state(x)
     vac = vacuum_expectation(x)
     drift = abs(to_complex(sym) - to_complex(vac))
-    meta = {
-        "seed": args.seed,
-        "version": __version__,
-        "method": est.method,
-        "state": repr(to_complex(sym)),
-        "state_vs_vacuum_drift": repr(drift),
-    }
-    _atomic_write(args.out, _moment_csv(est, meta))
+    _atomic_write(args.out, _moment_csv(est, args.seed, method=est.method, state=repr(to_complex(sym)),
+                                        state_vs_vacuum_drift=repr(drift)))
     # |free_state(x)| <= ||x||_2 bounds both sides, and ||x||_2^2 = state(x*x) = q_1
     norm = math.sqrt(max(to_complex(est.rows[0][1]).real, 0.0))
     return 0 if agree(sym, vac, norm) else CHECK_FAILED
@@ -239,16 +233,10 @@ def _cmd_norm_estimate(args) -> int:
     fock = TruncatedFock(ambient.factors, depth)
     lb_fock = norm_lower_bound(fock, x)
     est = moment_norm_estimate(x, args.moment_rmax)
-    meta = {
-        "seed": args.seed,
-        "version": __version__,
-        "depth": depth,
-        "fock_dimension": fock.dimension,
-        "fock_lower_bound": repr(lb_fock),
-        "best_lower_bound": repr(max(lb_fock, est.max)),
-        "method": est.method,
-    }
-    _atomic_write(args.out, _moment_csv(est, meta))
+    _atomic_write(args.out, _moment_csv(
+        est, args.seed, depth=depth, fock_dimension=fock.dimension, fock_lower_bound=repr(lb_fock),
+        best_lower_bound=repr(max(lb_fock, est.max)), method=est.method,
+    ))
     return 0
 
 
@@ -262,7 +250,11 @@ def _cmd_kh_norm(args) -> int:
     ambient = (
         _load_factors(args.factors) if args.factors else _default_kh_factors()
     )
-    # the space rx_check represents every draw on, refused before the first draw
+    # refused before the first draw: a length with no alternating centred
+    # word (a factor C has no centred letter), and the space rx_check
+    # represents every draw on
+    if sum(f.dim > 1 for f in ambient.factors) < min(args.length, 2):
+        raise CliError(f"no alternating word of length {args.length} exists over these factors")
     shared_fock(ambient.factors, default_depth(args.length))
     rows = []
     failures = []
@@ -282,17 +274,11 @@ def _cmd_kh_norm(args) -> int:
         )
         if not report.ok:
             failures.append((trial, report))
-    meta = {
-        "seed": args.seed,
-        "version": __version__,
-        "length": args.length,
-        "trials": args.trials,
-        "failures": len(failures),
-    }
     _atomic_write(
         args.out,
         _csv_text(
-            ["trial", "l2", "kh_lower", "kh_upper", "norm_lb", "rx_margin"], rows, meta
+            ["trial", "l2", "kh_lower", "kh_upper", "norm_lb", "rx_margin"], rows, args.seed,
+            length=args.length, trials=args.trials, failures=len(failures),
         ),
     )
     if failures:
@@ -304,7 +290,7 @@ def _cmd_kh_norm(args) -> int:
 def _cmd_avitzour_find(args) -> int:
     a = MatrixBlockAlgebra.from_json(_load_json_file(args.a))
     b = MatrixBlockAlgebra.from_json(_load_json_file(args.b))
-    triple = find_avitzour_triple(a, b, seed=args.seed, trials=args.trials)
+    triple = find_avitzour_triple(a, b, seed=args.seed)
     if triple is None:
         payload = {"found": False, "seed": args.seed}
     else:
@@ -364,19 +350,15 @@ def _cmd_avitzour_check(args) -> int:
         rows.append((trial, ell, int(trace_ok), int(iso_ok), int(shape_ok), p, int(ok)))
         if not ok:
             failures.append(trial)
-    meta = {
-        "seed": args.seed,
-        "version": __version__,
-        "trials": args.trials,
-        "lmax": args.lmax,
-        "failures": len(failures),
-    }
     _atomic_write(
         args.out,
         _csv_text(
             ["trial", "ell", "trace_ok", "isometry_ok", "shape_ok", "conj_length", "ok"],
             rows,
-            meta,
+            args.seed,
+            trials=args.trials,
+            lmax=args.lmax,
+            failures=len(failures),
         ),
     )
     if failures:
@@ -421,14 +403,13 @@ def _cmd_orthogonality_check(args) -> int:
                 repr(rep.containment_op),
             )
         )
-    meta = {"seed": args.seed, "version": __version__}
     _atomic_write(
         args.out,
         _csv_text(
             ["case", "sup_conjugated", "sup_mixed", "inflated_constant",
              "containment_l2", "containment_op"],
             rows,
-            meta,
+            args.seed,
         ),
     )
     return 0
@@ -517,7 +498,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("avitzour-find", help="search for a unitary triple")
     p.add_argument("--a", required=True, help="JSON file with the first algebra")
     p.add_argument("--b", required=True, help="JSON file with the second algebra")
-    p.add_argument("--trials", type=_positive_int, default=10_000)
     common(p)
     p.set_defaults(func=_cmd_avitzour_find)
 

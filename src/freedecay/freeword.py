@@ -35,6 +35,7 @@ __all__ = [
     "phi_conjugation",
     "avitzour_phi",
     "avitzour_shape_check",
+    "avitzour_residuals",
     "AvitzourConditionError",
     "ShapeReport",
     "random_rational_element",
@@ -44,12 +45,13 @@ __all__ = [
 
 
 class AvitzourConditionError(ValueError):
-    """A required unitarity/moment condition fails; names the condition."""
+    """An Avitzour condition fails; names the condition and the size of its
+    residual."""
 
     def __init__(self, condition: str, value):
         self.condition = condition
         self.value = value
-        super().__init__(f"condition {condition} = 0 violated: got {value}")
+        super().__init__(f"Avitzour condition '{condition}' fails: residual {value}")
 
 
 class FreeProductAmbient:
@@ -74,9 +76,6 @@ class FreeProductAmbient:
 
     def __hash__(self):
         return self._hash
-
-    def __len__(self):
-        return len(self.factors)
 
     def __repr__(self):
         return f"FreeProductAmbient({len(self.factors)} factors)"
@@ -545,27 +544,44 @@ def _bucket_by_pattern(x: FreeElement):
 # ---------------------------------------------------------------------------
 
 
-def _require_unitary(p: AlgebraElement, name: str):
-    diff = p.adjoint() * p - p.owner.identity()
-    if not negligible_element(diff):
-        raise AvitzourConditionError(f"{name}*{name} - 1", "nonzero" if p.is_exact() else op_norm(diff))
+def _unitarity_residual(x: AlgebraElement) -> AlgebraElement:
+    return x.adjoint() * x - x.owner.identity()
 
 
-def _require_state_zero(p: AlgebraElement, name: str):
-    s = state(p)
-    if not negligible(s):
-        raise AvitzourConditionError(name, s)
+def avitzour_residuals(u: AlgebraElement, v: AlgebraElement, w: AlgebraElement):
+    """(condition, residual) for each Avitzour condition on the triple, in
+    check order; every residual is 0 on a triple that passes.
+
+    x*x - 1 for x = u, v, w; rho(u), tau(v), tau(w) and tau(v*w); and
+    rho(xy) - rho(yx) for x = u, v and every matrix unit y (x in the
+    centralizer).  A residual is an element or a scalar."""
+    for name, x in (("u", u), ("v", v), ("w", w)):
+        yield f"{name} unitary", _unitarity_residual(x)
+    yield "rho(u)", state(u)
+    yield "tau(v)", state(v)
+    yield "tau(w)", state(w)
+    yield "tau(v*w)", state(v.adjoint() * w)
+    for name, x in (("u", u), ("v", v)):
+        for y in x.owner.basis():
+            yield f"{name} centralizer", state(x * y) - state(y * x)
 
 
-def _require_centralizer(p: AlgebraElement, name: str):
-    """p must satisfy rho(py) = rho(yp) for all y; checked on matrix units."""
-    owner = p.owner
-    if owner.is_tracial():
-        return
-    for y in owner.basis():
-        diff = state(p * y) - state(y * p)
-        if not negligible(diff):
-            raise AvitzourConditionError(f"{name} in centralizer", diff)
+def residual_size(residual) -> float:
+    """The operator norm of an element residual, the modulus of a scalar."""
+    if isinstance(residual, AlgebraElement):
+        return op_norm(residual)
+    return abs(complex(residual))
+
+
+def _require_zero(condition: str, residual):
+    """Raise unless the residual counts as zero: exactly 0 on exact data,
+    within ``FLOAT_ZERO`` on float data."""
+    if isinstance(residual, AlgebraElement):
+        zero = negligible_element(residual)
+    else:
+        zero = negligible(residual)
+    if not zero:
+        raise AvitzourConditionError(condition, residual_size(residual))
 
 
 def three_factor_ambient(a1: MatrixBlockAlgebra, a2: MatrixBlockAlgebra) -> FreeProductAmbient:
@@ -605,7 +621,7 @@ def phi_conjugation(v: AlgebraElement, x: FreeElement) -> FreeElement:
         raise AlgebraError("phi_conjugation expects an A1*A2*A1 ambient")
     if v.owner != ambient.factors[1]:
         raise AlgebraError("conjugating unitary must live in the middle factor")
-    _require_unitary(v, "v")
+    _require_zero("v unitary", _unitarity_residual(v))
     return _conjugate_third_factor(x, (Letter(1, v.adjoint()),), (Letter(1, v),))
 
 
@@ -623,23 +639,16 @@ def conjugation_word_shape(v: AlgebraElement, x: FreeElement):
 
 @functools.lru_cache(maxsize=32)
 def check_avitzour_conditions(u: AlgebraElement, v: AlgebraElement, w: AlgebraElement):
-    """Unitarity and moment conditions for the conjugation construction:
-    rho(u) = tau(v) = tau(w) = tau(v*w) = 0 with u and v in the centralizers.
+    """Raise ``AvitzourConditionError`` on the first condition of
+    :func:`avitzour_residuals` whose residual is not zero.
 
     A triple that passes is remembered, so the maps and shape checks of one
     trial verify it once; a triple that fails raises on every call.  An
     exact element differs from its float twin, so a float triple that passes
     within ``FLOAT_ZERO`` does not pass its exact twin, whose residuals must
     be 0."""
-    _require_unitary(u, "u")
-    _require_unitary(v, "v")
-    _require_unitary(w, "w")
-    _require_state_zero(u, "rho(u)")
-    _require_state_zero(v, "tau(v)")
-    _require_state_zero(w, "tau(w)")
-    _require_state_zero(v.adjoint() * w, "tau(v*w)")
-    _require_centralizer(u, "u")
-    _require_centralizer(v, "v")
+    for condition, residual in avitzour_residuals(u, v, w):
+        _require_zero(condition, residual)
 
 
 def _conjugator_letters(n: int, u, v, w) -> tuple:

@@ -37,7 +37,9 @@ from .freeword import (
     FreeElement,
     FreeProductAmbient,
     Letter,
+    avitzour_residuals,
     check_avitzour_conditions,
+    residual_size,
 )
 from .measure import christoffel_sup, ortho_polys
 from .scalars import QC, agree, negligible, to_complex
@@ -348,19 +350,12 @@ class AvitzourTriple:
 
 
 def verify_avitzour_triple(u, v, w) -> dict:
-    """Residuals of the unitarity and moment conditions and of u and v in
-    the centralizers."""
+    """The largest residual size of each condition of
+    :func:`avitzour_residuals`, keyed by its name."""
     out = {}
-    for name, x in (("u", u), ("v", v), ("w", w)):
-        out[f"{name} unitary"] = op_norm(x.adjoint() * x - x.owner.identity())
-    out["rho(u)"] = abs(to_complex(state(u)))
-    out["tau(v)"] = abs(to_complex(state(v)))
-    out["tau(w)"] = abs(to_complex(state(w)))
-    out["tau(v*w)"] = abs(to_complex(state(v.adjoint() * w)))
-    for name, x in (("u", u), ("v", v)):
-        out[f"{name} centralizer"] = max(
-            abs(to_complex(state(x * y) - state(y * x))) for y in x.owner.basis()
-        )
+    for condition, residual in avitzour_residuals(u, v, w):
+        size = residual_size(residual)
+        out[condition] = max(out.get(condition, size), size)
     return out
 
 
@@ -448,7 +443,7 @@ def _subset_with_sum(fractions_list, target):
     return reachable.get(target)
 
 
-def _centralizer_pair(algebra: MatrixBlockAlgebra, rng, trials: int):
+def _centralizer_pair(algebra: MatrixBlockAlgebra, rng):
     """(v, w) with tau(v) = tau(w) = tau(v*w) = 0 and v in the centralizer."""
     dims = algebra.block_dims
     weights, frame = _spectral_frame(algebra)
@@ -473,10 +468,10 @@ def _centralizer_pair(algebra: MatrixBlockAlgebra, rng, trials: int):
         v = diag([complex(np.exp(2j * np.pi * k / m)) for k in range(m)])
         w = diag([complex(np.exp(4j * np.pi * k / m)) for k in range(m)])
         return v, w
-    return _abelian_pair_search(diag, real, rng, trials)
+    return _abelian_pair_search(diag, real, rng)
 
 
-def _abelian_pair_search(diag, weights, rng, trials):
+def _abelian_pair_search(diag, weights, rng):
     m = len(weights)
     fw = np.array(weights)
     # for diagonal v and w the rows (1, v, w) scaled by sqrt(weights) form a
@@ -487,7 +482,7 @@ def _abelian_pair_search(diag, weights, rng, trials):
     # strategy 1: phases with sum(w z) = sum(w z^2) = 0, then w = v^2
     z = _newton_phases(
         rng,
-        trials=min(trials, 60),
+        restarts=60,
         constraints=lambda z: (np.dot(fw, z), np.dot(fw, z * z)),
         jacobian=lambda z: np.vstack([1j * fw * z, 2j * fw * z * z]),
         unknowns=m,
@@ -513,7 +508,7 @@ def _abelian_pair_search(diag, weights, rng, trials):
 
     zz = _newton_phases(
         rng,
-        trials=min(trials, 200),
+        restarts=200,
         constraints=joint_constraints,
         jacobian=joint_jacobian,
         unknowns=2 * m,
@@ -525,8 +520,8 @@ def _abelian_pair_search(diag, weights, rng, trials):
     return None
 
 
-def _newton_phases(rng, trials, constraints, jacobian, unknowns):
-    for _ in range(trials):
+def _newton_phases(rng, restarts, constraints, jacobian, unknowns):
+    for _ in range(restarts):
         ang = rng.uniform(0, 2 * np.pi, size=unknowns)
         for _ in range(_NEWTON_STEPS):
             z = np.exp(1j * ang)
@@ -547,8 +542,7 @@ def _newton_phases(rng, trials, constraints, jacobian, unknowns):
     return None
 
 
-def find_avitzour_triple(a1: MatrixBlockAlgebra, a2: MatrixBlockAlgebra, seed: int = 0,
-                         trials: int = 10_000):
+def find_avitzour_triple(a1: MatrixBlockAlgebra, a2: MatrixBlockAlgebra, seed: int = 0):
     """(u, v, w): u in A1, v and w in A2, unitaries with rho(u) = tau(v) =
     tau(w) = tau(v*w) = 0 and u, v in the centralizers of the states,
     exactly the conditions of :func:`check_avitzour_conditions`; None when
@@ -574,7 +568,7 @@ def find_avitzour_triple(a1: MatrixBlockAlgebra, a2: MatrixBlockAlgebra, seed: i
         if phases is None:
             return None
         u = frame(_diagonal_blocks(dims, phases))
-    pair = _centralizer_pair(a2, rng, trials)
+    pair = _centralizer_pair(a2, rng)
     if pair is None:
         return None
     v, w = pair

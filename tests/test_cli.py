@@ -499,6 +499,25 @@ def test_kh_norm_refuses_the_fock_space_before_the_first_draw(monkeypatch, capsy
     assert capsys.readouterr().err == f"error: truncated Fock dimension {dim} exceeds the cap 200000\n"
 
 
+def test_kh_norm_refuses_a_length_with_no_alternating_word(tmp_path, monkeypatch, capsys):
+    # C has no centred letter, so over C * (M2, tr) only length 1 has words
+    from freedecay.khintchine import HomogeneousWordElement
+
+    def refuse(*args):
+        raise AssertionError("drew an element")
+
+    m2 = {"blocks": [{"dim": 2, "density": [["1/2", "0"], ["0", "1/2"]]}]}
+    factors = _write(tmp_path, "f.json", {"factors": [{"atoms": [1]}, m2]})
+    monkeypatch.setattr(HomogeneousWordElement, "random", refuse)
+    for length in (2, 3):
+        assert run(["kh-norm", "--factors", factors, "--length", str(length), "--trials", "1"]) == 2
+        assert capsys.readouterr().err == (
+            f"error: no alternating word of length {length} exists over these factors\n")
+    monkeypatch.undo()
+    assert run(["kh-norm", "--factors", factors, "--length", "1", "--trials", "1",
+                "--out", str(tmp_path / "kh.csv")]) == 0
+
+
 def test_counts_below_one_are_usage_errors_naming_the_flag(capsys):
     for argv, flag in ((["orthogonality-check", "--atoms", "0"], "--atoms"),
                        (["kh-norm", "--trials", "-1"], "--trials")):

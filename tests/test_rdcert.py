@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import c3_weighted, m2_tr
+from conftest import c3_weighted, m2_tr, m3_non_diagonal
 from freedecay.algebra import (
     AlgebraError,
     MatrixBlockAlgebra,
@@ -40,7 +40,7 @@ from freedecay.rdcert import (
     _zero_mean_phases,
     verify_avitzour_triple,
 )
-from freedecay.scalars import FLOAT_RTOL, QC, agree, negligible
+from freedecay.scalars import FLOAT_RTOL, FLOAT_ZERO, QC, agree, negligible
 
 
 # ---------------------------------------------------------------------------
@@ -237,7 +237,7 @@ def test_triple_for_m2_pair_is_exact_and_structured():
     assert find_avitzour_triple(skew, f2, seed=0) is None
     with pytest.raises(AvitzourConditionError) as exc:
         check_avitzour_conditions(skew.element([flip]), triple.v, triple.w)
-    assert "u in centralizer" in str(exc.value)
+    assert "u centralizer" in str(exc.value)
 
 
 def test_triple_for_trivial_second_factor_is_none():
@@ -278,7 +278,7 @@ def test_triple_none_when_heavy_atom_blocks_unitaries():
 def test_triple_general_weights_five_atoms():
     weights = [Fraction(6, 20), Fraction(5, 20), Fraction(4, 20), Fraction(3, 20), Fraction(2, 20)]
     f = MatrixBlockAlgebra.from_weights(weights)
-    triple = find_avitzour_triple(f, f, seed=1, trials=200)
+    triple = find_avitzour_triple(f, f, seed=1)
     assert triple is not None
     res = verify_avitzour_triple(triple.u, triple.v, triple.w)
     assert max(res.values()) < 1e-9
@@ -289,14 +289,66 @@ def test_triple_three_nonuniform_atoms_is_none():
     # matrix scaled by sqrt(weights) would have to be unitary
     weights = [Fraction(5, 12), Fraction(4, 12), Fraction(3, 12)]
     f = MatrixBlockAlgebra.from_weights(weights)
-    assert find_avitzour_triple(f, f, seed=1, trials=300) is None
+    assert find_avitzour_triple(f, f, seed=1) is None
 
 
 def test_triple_heavy_atom_above_third_is_none():
     # a single atom above 1/3 contradicts the rank-3 projection diagonal
     weights = [Fraction(2, 5), Fraction(3, 10), Fraction(3, 20), Fraction(3, 20)]
     f = MatrixBlockAlgebra.from_weights(weights)
-    assert find_avitzour_triple(f, f, seed=1, trials=50) is None
+    assert find_avitzour_triple(f, f, seed=1) is None
+
+
+def _entry_moves(x, moves):
+    """x with one entry e replaced by move(e), for every entry and move."""
+    for b, n in enumerate(x.owner.block_dims):
+        for i, j, move in itertools.product(range(n), range(n), moves):
+            blocks = [[list(row) for row in block] for block in x.blocks]
+            blocks[b][i][j] = move(blocks[b][i][j])
+            yield x.owner.element(blocks)
+
+
+def test_check_and_verify_read_one_condition_list():
+    # move one entry of u, v or w, or put another unitary in its place: the
+    # check raises exactly when the verifier reports a residual above the
+    # threshold of the data (0 exact, FLOAT_ZERO float), and the error names
+    # the first such condition
+    m2 = m2_tr()
+    c4 = MatrixBlockAlgebra.from_weights([Fraction(1, 4)] * 4)
+    m3_weighted = MatrixBlockAlgebra.matrix_with_state([Fraction(1, 2), Fraction(1, 3), Fraction(1, 6)])
+    exact_moves = (lambda e: e + Fraction(1, 3), lambda e: e + Fraction(1, 10 ** 20), lambda e: e * QC(0, 1))
+    float_moves = tuple(lambda e, d=d: complex(e) + d for d in (1e-3, 1e-11, 1e-20)) + tuple(
+        lambda e, t=t: complex(e) * complex(math.cos(t), math.sin(t)) for t in (1e-3, 1e-14))
+    cases = []
+    for a1, a2 in ((m2, m2), (c4, c4), (m2, c4), (m3_weighted, m3_weighted)):
+        triple = find_avitzour_triple(a1, a2, seed=0)
+        assert all(x.is_exact() for x in (triple.u, triple.v, triple.w))
+        cases.append((triple, exact_moves, 0.0))
+    c5 = MatrixBlockAlgebra.from_weights([Fraction(k, 20) for k in (6, 5, 4, 3, 2)])
+    f5 = MatrixBlockAlgebra.from_weights([0.2] * 5)
+    for a1, a2 in ((f5, f5), (MatrixBlockAlgebra.matrix_with_trace(3),) * 2, (c5, c5), (m3_non_diagonal(), m2)):
+        cases.append((find_avitzour_triple(a1, a2, seed=1), float_moves, FLOAT_ZERO))
+    failed = set()
+    for triple, moves, threshold in cases:
+        elements = {"u": triple.u, "v": triple.v, "w": triple.w}
+        # v in place of w gives tau(v*w) = 1; on a non-tracial state the
+        # shift w in place of u misses the centralizer, as does w * w for v
+        swaps = [{"w": triple.v}]
+        if triple.u.owner == triple.w.owner:
+            swaps += [{"u": triple.w}, {"v": triple.w * triple.w}]
+        swaps += [{name: y} for name, x in elements.items() for y in _entry_moves(x, moves)]
+        for swap in swaps:
+            moved = dict(elements, **swap)
+            res = verify_avitzour_triple(**moved)
+            failing = [k for k, size in res.items() if size > threshold]
+            try:
+                check_avitzour_conditions(**moved)
+            except AvitzourConditionError as exc:
+                assert failing and exc.condition == failing[0], (swap, res)
+                failed.add(exc.condition)
+            else:
+                assert not failing, (swap, res)
+    assert failed == set(res)
 
 
 @settings(max_examples=300, deadline=None)
@@ -348,10 +400,10 @@ def test_float_atoms_get_the_verdicts_of_their_fraction_twins():
     tally = {}
     for wa, wb in itertools.product(_small_abelian_vectors(), repeat=2):
         exact = find_avitzour_triple(MatrixBlockAlgebra.from_weights(list(wa)),
-                                     MatrixBlockAlgebra.from_weights(list(wb)), seed=0, trials=200)
+                                     MatrixBlockAlgebra.from_weights(list(wb)), seed=0)
         floats = find_avitzour_triple(MatrixBlockAlgebra.from_weights([float(x) for x in wa]),
                                       MatrixBlockAlgebra.from_weights([float(x) for x in wb]),
-                                      seed=0, trials=200)
+                                      seed=0)
         assert (exact is None) == (floats is None), (wa, wb)
         selfless = classify_abelian(list(wa), list(wb)).selfless
         tally[floats is not None, selfless] = tally.get((floats is not None, selfless), 0) + 1
@@ -514,7 +566,7 @@ def test_a_found_triple_means_the_classifier_says_selfless():
     tally = {}
     for wa, wb in itertools.product(vectors, repeat=2):
         a, b = MatrixBlockAlgebra.from_weights(list(wa)), MatrixBlockAlgebra.from_weights(list(wb))
-        found = find_avitzour_triple(a, b, seed=0, trials=200) is not None
+        found = find_avitzour_triple(a, b, seed=0) is not None
         selfless = classify_abelian(list(wa), list(wb)).selfless
         assert selfless or not found, (wa, wb)
         tally[found, selfless] = tally.get((found, selfless), 0) + 1
