@@ -6,6 +6,12 @@ density traces sum to 1.  Elements are block tuples of matrices.  Entries are
 kept as exact rational-complex scalars (:class:`freedecay.scalars.QC`)
 whenever the inputs were rational; operator norms always run in doubles.
 
+Two kernels (see :mod:`freedecay.scalars`).  A block whose entries are all
+exact is a ``QCMatrix``, densities included; any other block is a tuple of
+rows of ``QC`` and ``complex`` run by the per-entry code here.  Where an exact
+block meets a float scalar, a float or mixed block or a float density, it is
+read as its rows of ``QC``.  Block types decide; no option chooses a kernel.
+
 Elements are immutable, so each caches its state the first time it is asked
 for.  Most densities are diagonal (every builtin, every ``from_weights`` and
 ``matrix_with_trace`` algebra); the algebra records per block whether its
@@ -25,7 +31,7 @@ from fractions import Fraction
 import numpy as np
 
 from .scalars import (
-    QC, QC_ONE, QC_ZERO, as_scalar, conj, exact_sqrt, is_exact, negligible, to_complex,
+    QC, QC_ONE, QC_ZERO, QCMatrix, as_scalar, conj, exact_sqrt, negligible, to_complex, trace_sum,
 )
 
 __all__ = [
@@ -53,33 +59,37 @@ class AlgebraError(Exception):
 
 
 def _as_matrix(rows, dim=None):
-    mat = tuple(tuple(as_scalar(v) for v in row) for row in rows)
+    """A square block: a QCMatrix when every entry is exact, else rows of QC and complex."""
+    mat = rows if type(rows) is QCMatrix else tuple(tuple(map(as_scalar, row)) for row in rows)
     n = len(mat)
     if n == 0 or any(len(row) != n for row in mat):
         raise AlgebraError("matrix must be square and nonempty")
     if dim is not None and n != dim:
         raise AlgebraError(f"expected a {dim}x{dim} block, got {n}x{n}")
+    if type(mat) is not QCMatrix and all(type(v) is QC for row in mat for v in row):
+        mat = QCMatrix(mat)
     return mat
 
 
-def _zero_matrix(n):
-    return tuple((QC(0),) * n for _ in range(n))
-
-
 def _eye_matrix(n):
-    return tuple(tuple(QC(1 if i == j else 0) for j in range(n)) for i in range(n))
+    return QCMatrix(tuple(tuple(QC_ONE if i == j else QC_ZERO for j in range(n)) for i in range(n)))
 
 
 def _mat_add(a, b):
+    if type(a) is QCMatrix and type(b) is QCMatrix:
+        return a + b
     return tuple(tuple(x + y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
 
 
 def _mat_scale(s, a):
+    if type(a) is QCMatrix and type(s) is QC:
+        return a.scale(s)
     return tuple(tuple(s * x for x in row) for row in a)
 
 
 def _mat_mul(a, b):
-    n = len(a)
+    if type(a) is QCMatrix and type(b) is QCMatrix:
+        return a @ b
     bt = tuple(zip(*b))
     return tuple(
         tuple(sum((x * y for x, y in zip(row, col)), QC_ZERO) for col in bt) for row in a
@@ -87,11 +97,15 @@ def _mat_mul(a, b):
 
 
 def _mat_adjoint(a):
+    if type(a) is QCMatrix:
+        return a.adjoint()
     return tuple(tuple(conj(a[j][i]) for j in range(len(a))) for i in range(len(a)))
 
 
 def _mat_trace_product(a, b):
     """trace(a @ b) without forming the product."""
+    if type(a) is QCMatrix and type(b) is QCMatrix:
+        return trace_sum((a,), (b,), diagonal=False)
     acc = QC_ZERO
     n = len(a)
     for i in range(n):
@@ -102,6 +116,8 @@ def _mat_trace_product(a, b):
 
 def _kind(a):
     """The type shared by every entry of a matrix (QC or complex), else None."""
+    if type(a) is QCMatrix:
+        return QC
     kind = type(a[0][0])
     return kind if all(type(v) is kind for row in a for v in row) else None
 
@@ -123,6 +139,8 @@ def _block_trace(d, diag, b):
     diagonal), so only the diagonal terms are added, in the same order."""
     if diag is None or _kind(b) is None:
         return _mat_trace_product(d, b)
+    if type(b) is QCMatrix and type(d) is QCMatrix:
+        return trace_sum((d,), (b,))
     acc = QC_ZERO
     for i, di in enumerate(diag):
         acc = acc + di * b[i][i]
@@ -130,18 +148,19 @@ def _block_trace(d, diag, b):
 
 
 def _exact_blocks(blocks) -> bool:
-    return all(is_exact(v) for b in blocks for row in b for v in row)
+    return all([type(b) is QCMatrix for b in blocks])  # a list is faster than a generator here
 
 
 def _float_bits(blocks):
-    """None when every entry of ``blocks`` is a QC, else ``repr(blocks)``,
-    which spells a QC apart from a complex and every float bit, signed zeros
-    included.  Value-equal blocks that agree here give the same bits."""
+    """None when every block is exact, else ``repr(blocks)``, which spells a
+    QC apart from a complex and every float bit, signed zeros included.
+    Value-equal blocks that agree here give the same bits."""
     return None if _exact_blocks(blocks) else repr(blocks)
 
 
 def _mat_to_numpy(a):
-    return np.array([[to_complex(v) for v in row] for row in a], dtype=complex)
+    rows = a.complex_rows() if type(a) is QCMatrix else [[to_complex(v) for v in row] for row in a]
+    return np.array(rows, dtype=complex)
 
 
 def _positive_definite(d) -> bool:
@@ -179,7 +198,7 @@ class MatrixBlockAlgebra:
         the block weights and must sum to 1.
     """
 
-    __slots__ = ("block_dims", "densities", "_diagonals", "_bits", "_hash", "_onb")
+    __slots__ = ("block_dims", "densities", "_diagonals", "_kernel", "_bits", "_hash", "_onb")
 
     def __init__(self, densities):
         dens = tuple(_as_matrix(d) for d in densities)
@@ -189,6 +208,8 @@ class MatrixBlockAlgebra:
         self.densities = dens
         # per block: the density's diagonal when it is exactly diagonal, else None
         self._diagonals = tuple(_exact_diagonal(d) for d in dens)
+        # every density exact and diagonal: state and l2_inner of exact elements go to the kernel
+        self._kernel = all(type(d) is QCMatrix and diag is not None for d, diag in zip(dens, self._diagonals))
         self._bits = _float_bits(dens)
         self._hash = None
         self._onb = None
@@ -247,16 +268,10 @@ class MatrixBlockAlgebra:
 
     def basis(self):
         """Canonical matrix units across the blocks, block-major order."""
-        out = []
-        for b, n in enumerate(self.block_dims):
-            for i in range(n):
-                for j in range(n):
-                    blocks = [_zero_matrix(m) for m in self.block_dims]
-                    rows = [list(r) for r in blocks[b]]
-                    rows[i][j] = QC(1)
-                    blocks[b] = tuple(tuple(r) for r in rows)
-                    out.append(AlgebraElement(self, blocks))
-        return out
+        dims = self.block_dims
+        return [AlgebraElement(self, [[[int((c, r, k) == (b, i, j)) for k in range(m)] for r in range(m)]
+                                      for c, m in enumerate(dims)])
+                for b, n in enumerate(dims) for i in range(n) for j in range(n)]
 
     def is_abelian(self) -> bool:
         return all(n == 1 for n in self.block_dims)
@@ -460,6 +475,11 @@ class AlgebraElement:
     def is_exact(self) -> bool:
         return _exact_blocks(self.blocks)
 
+    def is_zero(self) -> bool:
+        """Whether every entry is exactly 0, a structural zero."""
+        return all(b.is_zero() if type(b) is QCMatrix else not any(v for row in b for v in row)
+                   for b in self.blocks)
+
     def to_numpy(self):
         """List of numpy blocks (complex128)."""
         return [_mat_to_numpy(b) for b in self.blocks]
@@ -517,9 +537,12 @@ def state(x: AlgebraElement):
     acc = x._state
     if acc is None:
         owner = x.owner
-        acc = QC_ZERO
-        for d, diag, b in zip(owner.densities, owner._diagonals, x.blocks):
-            acc = acc + _block_trace(d, diag, b)
+        if owner._kernel and x.is_exact():
+            acc = trace_sum(owner.densities, x.blocks)
+        else:
+            acc = QC_ZERO
+            for d, diag, b in zip(owner.densities, owner._diagonals, x.blocks):
+                acc = acc + _block_trace(d, diag, b)
         object.__setattr__(x, "_state", acc)
     return acc
 
@@ -533,12 +556,14 @@ def l2_inner(x: AlgebraElement, y: AlgebraElement):
     owner = x.owner
     if owner != y.owner:
         raise AlgebraError("elements belong to different algebras")
+    if owner._kernel and x.is_exact() and y.is_exact():
+        return trace_sum(owner.densities, [by.adjoint() @ bx for bx, by in zip(x.blocks, y.blocks)])
     acc = QC_ZERO
     for d, diag, bx, by in zip(owner.densities, owner._diagonals, x.blocks, y.blocks):
-        kx, ky = _kind(bx), _kind(by)
         # the diagonal alone decides the trace when every entry of y* x is
-        # exact (both blocks exact) or float (one block float throughout)
-        if diag is not None and (kx is complex or ky is complex or kx is ky is QC):
+        # float (one block float throughout); two exact blocks go through
+        # the kernel's product and then ``_block_trace``
+        if diag is not None and (_kind(bx) is complex or _kind(by) is complex):
             n = len(bx)
             t = QC_ZERO
             for i, di in enumerate(diag):
@@ -572,7 +597,7 @@ def negligible_element(x: AlgebraElement) -> bool:
     """Whether x counts as zero: every entry exactly 0 when x is exact (no
     exact residual is rounded away), else a negligible operator norm."""
     if x.is_exact():
-        return not any(v for b in x.blocks for row in b for v in row)
+        return x.is_zero()
     return negligible(op_norm(x))
 
 
@@ -580,17 +605,16 @@ def center(x: AlgebraElement) -> AlgebraElement:
     """x - rho(x) 1; has state zero.
 
     Subtracts s = rho(x) on the diagonal entries directly; no scalar element
-    is built.  Each entry gets the operation x - s 1 would apply to it:
-    x_ij + (-1 * (s * 1)) on the diagonal and x_ij + (-1 * (s * 0)) off it.
-    The state is exact only when every entry of x is; then these operands
-    are -s and an exact zero, and the entries off the diagonal stay as they
-    are.  A float s keeps both products, signed zeros included."""
+    is built.  The state is exact only when every block of x is; then the
+    kernel subtracts s on each block's diagonal.  A float s gives each entry
+    the operation x - s 1 would apply to it: x_ij + (-1 * (s * 1)) on the
+    diagonal and x_ij + (-1 * (s * 0)) off it, signed zeros included."""
     s = state(x)
-    exact = type(s) is QC
-    on, off = (-s, None) if exact else (QC(-1) * (s * QC_ONE), QC(-1) * (s * QC_ZERO))
+    if type(s) is QC:
+        return AlgebraElement._of(x.owner, tuple([b.shift(s) for b in x.blocks]))
+    on, off = QC(-1) * (s * QC_ONE), QC(-1) * (s * QC_ZERO)
     blocks = tuple(
-        tuple(tuple(v + on if i == j else v if exact else v + off for j, v in enumerate(row))
-              for i, row in enumerate(b))
+        tuple(tuple(v + (on if i == j else off) for j, v in enumerate(row)) for i, row in enumerate(b))
         for b in x.blocks
     )
     return AlgebraElement._of(x.owner, blocks)

@@ -153,8 +153,7 @@ def _split(j, prod):
     """(state, centred slot) of a factor-j product; the slot is None when the
     centred part is a structural zero, every entry exactly 0."""
     s, centered = state(prod), center(prod)
-    zero = not any(v for b in centered.blocks for row in b for v in row)
-    return s, None if zero else Letter(j, centered)
+    return s, None if centered.is_zero() else Letter(j, centered)
 
 
 # ---------------------------------------------------------------------------

@@ -23,7 +23,9 @@ from .algebra import (
     AlgebraElement, AlgebraError, MatrixBlockAlgebra, center, l2_inner, negligible_element, op_norm, state,
 )
 from .algebra import _scalar_from_json, json_shape
-from .scalars import QC, QC_ONE, QC_ZERO, accumulate, as_scalar, conj, is_exact, negligible, to_complex
+from .scalars import (
+    QC, QC_ONE, QC_ZERO, accumulate, as_scalar, common_scalar, conj, is_exact, negligible, to_complex,
+)
 
 __all__ = [
     "FreeProductAmbient",
@@ -121,11 +123,11 @@ class Letter:
 
 
 def _scalar_part(x: AlgebraElement):
-    """If x == c*1 return c, else None.
-
-    Read off the blocks: every diagonal entry must equal c = x[0][0][0] and
-    every off-diagonal entry must be zero; the first entry that is not
-    decides.  No scalar element is built."""
+    """If x == c*1 return c, else None.  An exact x asks the kernel; else
+    every diagonal entry must equal c = x[0][0][0] and every entry off it be
+    zero, the first entry that is not deciding.  No scalar element is built."""
+    if x.is_exact():
+        return common_scalar(x.blocks)
     c = x.blocks[0][0][0]
     for b in x.blocks:
         for i, row in enumerate(b):
@@ -774,7 +776,7 @@ def random_centered_rational(algebra: MatrixBlockAlgebra, rng) -> AlgebraElement
     """The centered part of a random rational element, redrawn while it is 0."""
     for _ in range(100):
         x = center(random_rational_element(algebra, rng))
-        if any(v != QC(0) for b in x.blocks for row in b for v in row):
+        if not x.is_zero():
             return x
     raise AlgebraError("could not draw a nonzero centered element")
 

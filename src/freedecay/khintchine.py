@@ -63,7 +63,7 @@ class HomogeneousWordElement:
     Keys are (pattern, indices): the factor pattern and the per-slot
     orthonormal-complement indices.  The words indexed this way form an
     orthonormal family, so the l2 norm of the element is the l2 norm of the
-    tensor.
+    tensor.  The support must not be empty: ``ValueError`` names the length.
     """
 
     def __init__(self, ambient: FreeProductAmbient, length: int, coeffs: dict):
@@ -85,6 +85,9 @@ class HomogeneousWordElement:
             c = complex(c)
             if c != 0:
                 clean[(pattern, idx)] = c
+        if not clean:
+            raise ValueError(f"homogeneous element of length {length} has empty support: "
+                             "no alternating centred word, or every coefficient 0")
         self.coeffs = clean
 
     @classmethod

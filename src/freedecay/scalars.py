@@ -17,6 +17,16 @@ division rounds correctly, so the bits are those of ``float(q.re)`` and
 ``Fraction``, and ``hash`` is CPython's numeric hash, so equal numbers hash
 equal across ``QC``, int, ``Fraction``, float and complex.
 
+Kernels.  There is one exact kernel and one float kernel.  The exact one is
+:class:`QCMatrix`, a square block of Gaussian-integer numerators over one
+denominator, canonical as a ``QC``: its sum, scale, product, adjoint, shift
+by a scalar, :func:`trace_sum` (state and GNS pairing) and
+:func:`common_scalar` read the ints and end in at most one gcd per block.
+The float kernel is rows of ``complex`` in ``algebra``.  They meet where an
+exact block meets a float scalar, a float block or a mixed one: there the
+exact block is read as its rows of ``QC`` and the float code runs as on
+rows of numbers, so every float bit is that of per-entry arithmetic.
+
 Tolerances.  Exact values (``QC``, int, ``Fraction``) are compared
 exactly; anything else is compared as a float.  Term dicts drop a
 coefficient only when ``not c``, a structural zero and never a tolerance:
@@ -38,8 +48,10 @@ from __future__ import annotations
 import math
 import sys
 from fractions import Fraction
+from itertools import repeat
 from math import gcd
 from numbers import Integral
+from operator import truediv
 
 FLOAT_ZERO = 1e-12
 FLOAT_RTOL = 1e-9
@@ -232,6 +244,165 @@ def _lift(value):
 
 QC_ZERO = QC(0)
 QC_ONE = QC(1)
+
+
+class QCMatrix:
+    """Square exact matrix: n x n Gaussian integers (re + im·i) over one
+    denominator d, canonical as a ``QC`` is, in one tuple (re, im, d, n)
+    with re and im flat in row-major order.  It reads as rows of ``QC``
+    (``m[i][j]``, iteration, ``len``), made on first read; arithmetic reads
+    the ints and ends in at most one gcd.  ``==`` compares values, with a
+    tuple of rows entry by entry; ``hash`` is that of the rows of ``complex``
+    of the entries, so a block hashes like its float twin."""
+
+    __slots__ = ("_v", "_rows")
+
+    def __init__(self, rows):
+        """From n rows of n QC values, canonical over their lcm d."""
+        rows = tuple(map(tuple, rows))
+        entries = [q for row in rows for q in row]
+        d = math.lcm(*[q._d for q in entries])
+        _set_v(self, (tuple([q._a * (d // q._d) for q in entries]),
+                      tuple([q._b * (d // q._d) for q in entries]), d, len(rows)))
+        _set_rows(self, rows)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("QCMatrix is immutable")
+
+    def __reduce__(self):
+        return _matrix, (*self._v, False)
+
+    @property
+    def rows(self):
+        try:
+            return self._rows
+        except AttributeError:
+            re, im, d, n = self._v
+            _set_rows(self, tuple(tuple(_reduced(re[p], im[p], d) for p in range(i, i + n))
+                                  for i in range(0, n * n, n)))
+            return self._rows
+
+    def __len__(self):
+        return self._v[3]
+
+    def __getitem__(self, i):
+        return self.rows[i]
+
+    def __iter__(self):
+        return iter(self.rows)
+
+    def __eq__(self, other):
+        if type(other) is QCMatrix:
+            return self._v == other._v
+        return self.rows == other if isinstance(other, tuple) else NotImplemented
+
+    def __hash__(self):
+        try:
+            return hash(tuple(self.complex_rows()))
+        except OverflowError:  # no float equals an entry beyond the float range
+            return hash(self._v)
+
+    def __repr__(self):
+        return f"QCMatrix({self.rows!r})"
+
+    def complex_rows(self):
+        """Rows of ``complex(a / d, b / d)``, the bits of ``complex`` of each entry."""
+        re, im, d, n = self._v
+        return list(zip(*[map(complex, map(truediv, re, repeat(d)), map(truediv, im, repeat(d)))] * n))
+
+    def is_zero(self) -> bool:
+        return not (any(self._v[0]) or any(self._v[1]))
+
+    def __add__(self, other):
+        (re, im, d, n), (ore, oim, f, _) = self._v, other._v
+        return _matrix(tuple([x * f + y * d for x, y in zip(re, ore)]),
+                       tuple([x * f + y * d for x, y in zip(im, oim)]), d * f, n)
+
+    def scale(self, q: QC) -> "QCMatrix":
+        re, im, d, n = self._v
+        return _matrix(tuple([x * q._a - y * q._b for x, y in zip(re, im)]),
+                       tuple([x * q._b + y * q._a for x, y in zip(re, im)]), d * q._d, n)
+
+    def __matmul__(self, other):
+        (ar, ai, d, n), (br, bi, f, _) = self._v, other._v
+        re, im = [], []
+        for i in range(0, n * n, n):
+            for j in range(n):
+                r = s = 0
+                for k in range(n):
+                    x, y, u, v = ar[i + k], ai[i + k], br[k * n + j], bi[k * n + j]
+                    r += x * u - y * v
+                    s += x * v + y * u
+                re.append(r)
+                im.append(s)
+        return _matrix(tuple(re), tuple(im), d * f, n)
+
+    def adjoint(self) -> "QCMatrix":
+        re, im, d, n = self._v
+        order = [p for i in range(n) for p in range(i, n * n, n)]  # the transpose
+        return _matrix(tuple([re[p] for p in order]), tuple([-im[p] for p in order]), d, n, False)
+
+    def shift(self, s: QC) -> "QCMatrix":
+        """The matrix minus s times the identity."""
+        re, im, d, n = self._v
+        c, e, f = s._a * d, s._b * d, s._d
+        re, im = [x * f for x in re], [x * f for x in im]  # over d f
+        for p in range(0, n * n, n + 1):
+            re[p] -= c
+            im[p] -= e
+        return _matrix(tuple(re), tuple(im), d * f, n)
+
+
+def trace_sum(densities, blocks, diagonal=True) -> QC:
+    """sum_b trace(density_b @ block_b) = sum_b sum_ik density_ik block_ki over
+    exact blocks, one gcd in all; only diagonals are read when ``diagonal``."""
+    re = im = 0
+    den = 1
+    for dm, b in zip(densities, blocks):
+        dr, di, dd, n = dm._v
+        br, bi, bd, _ = b._v
+        r = s = 0
+        for p in range(0, n * n, n + 1) if diagonal else range(n * n):
+            q = p % n * n + p // n  # density_ik meets block_ki
+            x, y, u, v = dr[p], di[p], br[q], bi[q]
+            r += x * u - y * v
+            s += x * v + y * u
+        f = dd * bd
+        if f == den:
+            re += r
+            im += s
+        else:
+            re, im, den = re * f + r * den, im * f + s * den, den * f
+    return _reduced(re, im, den)
+
+
+def common_scalar(blocks):
+    """c when every exact block is c times the identity, else None."""
+    c = None
+    for b in blocks:
+        re, im, d, n = b._v
+        a, e, step = re[0], im[0], n + 1
+        # c·1 has c all along the diagonal and n * n - n zeros, or n * n when c is 0
+        if n > 1 and (re[::step] != (a,) * n or re.count(0) != n * n - (n if a else 0)
+                      or im[::step] != (e,) * n or im.count(0) != n * n - (n if e else 0)):
+            return None
+        if c not in (None, (a, e, d)):
+            return None
+        c = (a, e, d)  # gcd(a, e, d) = 1: the block is canonical
+    return _make(*c)
+
+
+_set_v, _set_rows = QCMatrix._v.__set__, QCMatrix._rows.__set__
+
+
+def _matrix(re: tuple, im: tuple, d: int, n: int, reduce=True) -> QCMatrix:
+    """QCMatrix of numerators over d > 0, made canonical by one gcd unless ``reduce`` is false."""
+    g = gcd(d, *re, *im) if reduce else 1
+    if g != 1:
+        re, im, d = tuple([x // g for x in re]), tuple([x // g for x in im]), d // g
+    m = _new_object(QCMatrix)
+    _set_v(m, (re, im, d, n))
+    return m
 
 
 def as_scalar(value):

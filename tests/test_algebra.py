@@ -1,6 +1,7 @@
 """Tests for finite-dimensional C*-probability spaces."""
 
 import math
+import pickle
 from fractions import Fraction
 
 import numpy as np
@@ -22,7 +23,7 @@ from freedecay.algebra import (
     op_norm,
     state,
 )
-from freedecay.scalars import QC
+from freedecay.scalars import QC, QCMatrix
 
 
 def m2_tr():
@@ -543,3 +544,73 @@ def test_qc_sum_and_product_match_the_textbook_formulas(a, b, c, d, n):
         assert got == QC(re, im) and (got == x) == ((re, im) == (a, b))
         assert bool(got) == bool(re or im)
         assert _bits(complex(got)) == _bits(complex(float(re), float(im)))
+
+
+# ---------------------------------------------------------------------------
+# where the exact kernel meets floats: the tuple code, with the same bits
+# ---------------------------------------------------------------------------
+
+
+def _boundary_cases():
+    third = Fraction(1, 3)
+    alg = MatrixBlockAlgebra([[[third, 0], [0, third]], [[third]]])
+    x = AlgebraElement(alg, [[[QC(1, 2), QC(Fraction(-1, 2))], [QC(0), QC(3, Fraction(-1, 3))]],
+                             [[QC(0, 1)]]])
+    y = AlgebraElement(alg, [[[0.5 - 0.0j, -0.0 + 0.0j], [1e-300 + 0j, -2.0 + 0.25j]],
+                             [[complex(-0.0, 1.0)]]])
+    return x, {"one exact and one float block": AlgebraElement(alg, [x.blocks[0], y.blocks[1]]),
+               "exact times a float scalar": x * (-1.5 + 0.0j),
+               "exact times a float element": x * y}
+
+
+def _entry_reprs(z):
+    return [[[repr(v) for v in row] for row in b] for b in z.blocks]
+
+
+# the reprs of entries, state, centred entries, <z, x> and <x, z> that the
+# per-entry code gave before exact blocks had a kernel
+_BOUNDARY_REPRS = {
+    "one exact and one float block": (
+        [[['QC(1, 2)', 'QC(-1/2)'], ['QC(0)', 'QC(3, -1/3)']], [['(-0+1j)']]],
+        '(1.3333333333333333+0.8888888888888888j)',
+        [[['(-0.33333333333333326+1.1111111111111112j)', '(-0.5+0j)'],
+          ['0j', '(1.6666666666666667-1.222222222222222j)']],
+         [['(-1.3333333333333333+0.11111111111111116j)']]],
+        '(5.12037037037037+0j)', '(5.12037037037037+0j)'),
+    "exact times a float scalar": (
+        [[['(-1.5-3j)', '(0.75-0j)'], ['(-0+0j)', '(-4.5+0.5j)']], [['(-0-1.5j)']]],
+        '(-2-1.3333333333333335j)',
+        [[['(0.5-1.6666666666666665j)', '(0.75+0j)'], ['0j', '(-2.5+1.8333333333333335j)']],
+         [['(2-0.16666666666666652j)']]],
+        '(-7.680555555555555+0j)', '(-7.680555555555555+0j)'),
+    "exact times a float element": (
+        [[['(0.5+1j)', '(1-0.125j)'], ['(3e-300-3.3333333333333334e-301j)',
+                                        '(-5.916666666666667+1.4166666666666665j)']],
+         [['(-1+0j)']]],
+        '(-2.138888888888889+0.8055555555555555j)',
+        [[['(2.638888888888889+0.19444444444444453j)', '(1-0.125j)'],
+          ['(3e-300-3.3333333333333334e-301j)', '(-3.777777777777778+0.611111111111111j)']],
+         [['(1.1388888888888888-0.8055555555555555j)']]],
+        '(-5.407407407407407+1.1134259259259258j)', '(-5.407407407407407-1.1134259259259258j)'),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_BOUNDARY_REPRS))
+def test_exact_blocks_meet_floats_with_the_bits_of_the_entry_code(name):
+    x, cases = _boundary_cases()
+    z = cases[name]
+    got = (_entry_reprs(z), repr(state(z)), _entry_reprs(center(z)),
+           repr(l2_inner(z, x)), repr(l2_inner(x, z)))
+    assert got == _BOUNDARY_REPRS[name]
+    assert [type(b) is QCMatrix for b in z.blocks] == [name.startswith("one exact"), False]
+
+
+def test_an_exact_element_is_not_its_float_twin_and_pickles():
+    x, _ = _boundary_cases()
+    x = x * QC(3)  # dyadic entries, so a float twin of equal values exists
+    twin = AlgebraElement(x.owner, [[[complex(v) for v in row] for row in b] for b in x.blocks])
+    assert x != twin and x.blocks == twin.blocks and hash(x) == hash(twin)
+    again = pickle.loads(pickle.dumps(x))
+    assert again == x and hash(again) == hash(x)
+    assert all(type(b) is QCMatrix for b in again.blocks)
+    assert _entry_reprs(again) == _entry_reprs(x) and repr(state(again)) == repr(state(x))

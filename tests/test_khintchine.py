@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from conftest import m2_tr, two_factor
+from freedecay.algebra import MatrixBlockAlgebra
 from freedecay.compressed import shared_fock
 from freedecay.khintchine import (
     HomogeneousWordElement,
@@ -255,3 +256,15 @@ def test_weak_cs_inequality_random_blocks():
         assembled = assemble_rank_one_blocks(n_rows, n_cols, blocks)
         lhs = float(np.linalg.norm(assembled, 2))
         assert lhs <= weak_cs_bound(blocks) + 1e-9
+
+
+def test_an_empty_support_is_refused_with_its_length():
+    # C * (M2, tr) has no alternating centred word of length 2 (C has no
+    # centred letter), and a dict of zero coefficients leaves nothing either
+    c1 = MatrixBlockAlgebra.from_weights([1])
+    amb = two_factor(c1, m2_tr())
+    with pytest.raises(ValueError, match="length 2 has empty support"):
+        HomogeneousWordElement.random(amb, 2, np.random.default_rng(0))
+    with pytest.raises(ValueError, match="length 3 has empty support"):
+        HomogeneousWordElement(_ambient(), 3, {((0, 1, 0), (0, 0, 0)): 0.0})
+    assert HomogeneousWordElement.random(amb, 1, np.random.default_rng(0)).coeffs

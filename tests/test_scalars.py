@@ -22,10 +22,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from freedecay.algebra import AlgebraError, AlgebraElement, MatrixBlockAlgebra
+from freedecay.algebra import AlgebraError, AlgebraElement, MatrixBlockAlgebra, center, l2_inner, state
 from freedecay.measure import CompactMeasure, MeasureError
 from freedecay.rdcert import classify_abelian
-from freedecay.scalars import FLOAT_RTOL, FLOAT_ZERO, QC, accumulate, agree, negligible, root_down
+from freedecay.scalars import (
+    FLOAT_RTOL, FLOAT_ZERO, QC, QCMatrix, accumulate, agree, common_scalar, negligible, root_down, trace_sum,
+)
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "freedecay"
 
@@ -376,12 +378,140 @@ def test_readme_python_blocks_run(capsys):
         exec(compile(block, str(readme), "exec"), {})
 
 
+# ---------------------------------------------------------------------------
+# the exact block kernel against Fraction arithmetic
+# ---------------------------------------------------------------------------
+
+_THIRD, _SIXTH = Fraction(1, 3), Fraction(1, 6)
+# densities as rows of Fractions: 1x1 to 3x3, a two-block algebra, and the
+# rotated M3 density of the avitzour-find tests (not diagonal)
+_KERNEL_DENSITIES = [
+    [[[1]]],
+    [[[Fraction(1, 4), 0], [0, Fraction(3, 4)]]],
+    [[[_THIRD, 0, 0], [0, _SIXTH, 0], [0, 0, Fraction(1, 2)]]],
+    [[[_THIRD, 0], [0, _THIRD]], [[_THIRD]]],
+    [[[_THIRD, _SIXTH, 0], [_SIXTH, _THIRD, 0], [0, 0, _THIRD]]],
+]
+_kernel_parts = st.fractions(min_value=-4, max_value=4, max_denominator=12)
+
+
+def _ref(block):
+    """A block as rows of (re, im) Fraction pairs."""
+    return [[(v.re, v.im) for v in row] for row in block]
+
+
+def _cmul(x, y):
+    return (x[0] * y[0] - x[1] * y[1], x[0] * y[1] + x[1] * y[0])
+
+
+def _cadd(x, y):
+    return (x[0] + y[0], x[1] + y[1])
+
+
+def _ref_mul(a, b):
+    n = len(a)
+    return [[_sum_pairs(_cmul(a[i][k], b[k][j]) for k in range(n)) for j in range(n)] for i in range(n)]
+
+
+def _sum_pairs(pairs):
+    acc = (Fraction(0), Fraction(0))
+    for p in pairs:
+        acc = _cadd(acc, p)
+    return acc
+
+
+def _ref_adjoint(a):
+    return [[(a[j][i][0], -a[j][i][1]) for j in range(len(a))] for i in range(len(a))]
+
+
+def _ref_trace(d, b):
+    return _sum_pairs(_cmul(d[i][k], b[k][i]) for i in range(len(d)) for k in range(len(d)))
+
+
+def _canonical_block(m):
+    re, im, d, n = m._v
+    assert d > 0 and math.gcd(d, *re, *im) == 1 and len(re) == len(im) == n * n
+    assert m == QCMatrix(m.rows) and hash(m) == hash(QCMatrix(m.rows))
+    assert hash(m) == hash(tuple(tuple(complex(v) for v in row) for row in m))
+    assert [[repr(v) for v in row] for row in m.complex_rows()] == [[repr(complex(v)) for v in row] for row in m]
+    return _ref(m)
+
+
+def _canonical_scalar(q):
+    assert type(q) is QC and q._d > 0 and math.gcd(q._a, q._b, q._d) == 1
+    return (q.re, q.im)
+
+
+@st.composite
+def _kernel_case(draw):
+    """An algebra, two exact elements of it, an exact scalar."""
+    algebra = MatrixBlockAlgebra(draw(st.sampled_from(_KERNEL_DENSITIES)))
+
+    def element():
+        return AlgebraElement(algebra, [[[QC(draw(_kernel_parts), draw(_kernel_parts)) for _ in range(n)]
+                                         for _ in range(n)] for n in algebra.block_dims])
+
+    return algebra, element(), element(), QC(draw(_kernel_parts), draw(_kernel_parts))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_kernel_case())
+def test_the_exact_kernel_matches_fraction_arithmetic(case):
+    algebra, x, y, s = case
+    dens = [_ref(d) for d in algebra.densities]
+    xs, ys = [_ref(b) for b in x.blocks], [_ref(b) for b in y.blocks]
+    sr = (s.re, s.im)
+    assert all(type(b) is QCMatrix for b in x.blocks + y.blocks + algebra.densities)
+    for block, array in zip(x.blocks, x.to_numpy()):
+        assert [[repr(complex(v)) for v in row] for row in array] == \
+            [[repr(complex(q)) for q in row] for row in block]
+    for bx, by, rx, ry in zip(x.blocks, y.blocks, xs, ys):
+        n = len(rx)
+        assert _canonical_block(bx + by) == [[_cadd(p, q) for p, q in zip(r, t)] for r, t in zip(rx, ry)]
+        assert _canonical_block(bx.scale(s)) == [[_cmul(sr, p) for p in r] for r in rx]
+        assert _canonical_block(bx @ by) == _ref_mul(rx, ry)
+        assert _canonical_block(bx.adjoint()) == _ref_adjoint(rx)
+        assert _canonical_block(bx.shift(s)) == [[(p[0] - sr[0], p[1] - sr[1]) if i == j else p
+                                                  for j, p in enumerate(r)] for i, r in enumerate(rx)]
+        assert bx @ by == QCMatrix([[QC(*p) for p in r] for r in _ref_mul(rx, ry)])
+        assert (bx + bx.scale(QC(-1))).is_zero() and bx.is_zero() == all(p == (0, 0) for r in rx for p in r)
+        scalar = common_scalar((bx.shift(bx[0][0]) + QCMatrix([[s if i == j else QC(0) for j in range(n)]
+                                                                 for i in range(n)]),))
+        is_scalar = all(p == (0, 0) for i, r in enumerate(rx) for j, p in enumerate(r) if i != j) and \
+            len({r[i] for i, r in enumerate(rx)}) == 1
+        assert (scalar is not None) == is_scalar
+        if is_scalar:
+            assert _canonical_scalar(scalar) == sr
+        for d, rd in zip(algebra.densities, dens):
+            if len(rd) == n:
+                assert _canonical_scalar(trace_sum((d,), (bx,), diagonal=False)) == _ref_trace(rd, rx)
+    # the element-wide kernel calls and the algebra functions built on them
+    want_state = _sum_pairs(_ref_trace(d, b) for d, b in zip(dens, xs))
+    want_inner = _sum_pairs(_ref_trace(d, _ref_mul(_ref_adjoint(b), a)) for d, a, b in zip(dens, xs, ys))
+    assert _canonical_scalar(state(x)) == want_state
+    assert _canonical_scalar(l2_inner(x, y)) == want_inner
+    assert _canonical_scalar(trace_sum(algebra.densities, x.blocks, diagonal=False)) == want_state
+    if algebra._kernel:
+        assert _canonical_scalar(trace_sum(algebra.densities, x.blocks)) == want_state
+    centred = center(x)
+    assert state(centred) == 0
+    assert [_canonical_block(b) for b in centred.blocks] == [
+        [[_cadd(p, (-want_state[0], -want_state[1])) if i == j else p for j, p in enumerate(r)]
+         for i, r in enumerate(b)] for b in xs]
+    c = QC(*want_state)
+    assert common_scalar(algebra.scalar(c).blocks) == c and common_scalar(x.blocks) in (None, x.blocks[0][0][0])
+    # equal values, equal == and hash, whichever way they were made
+    assert x * y + x == x * (y + algebra.identity()) and hash(x * y + x) == hash(x * (y + algebra.identity()))
+
+
 QC_FIELDS = {"_a", "_b", "_d"}
+QCMATRIX_FIELDS = {"_v", "_rows"}
 
 
 def test_qc_layout_lives_only_in_scalars():
-    # no other module reads QC's fields, imports a private name of scalars,
-    # or builds a QC past its constructor
+    # no other module reads the fields of QC or of the exact block kernel
+    # QCMatrix, imports a private name of scalars, or builds either past its
+    # constructor
     stray = []
     for path in sorted(SRC.glob("*.py")):
         if path.name == "scalars.py":
@@ -392,11 +522,11 @@ def test_qc_layout_lives_only_in_scalars():
                 bad = any(alias.name.startswith("_") for alias in node.names)
             elif isinstance(node, ast.Attribute):
                 owner = node.value.id if isinstance(node.value, ast.Name) else None
-                bad = (node.attr in QC_FIELDS
-                       or owner in ("QC", "scalars") and node.attr.startswith("_"))
+                bad = (node.attr in QC_FIELDS | QCMATRIX_FIELDS
+                       or owner in ("QC", "QCMatrix", "scalars") and node.attr.startswith("_"))
             elif isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
                 bad = node.func.attr == "__new__" and any(
-                    isinstance(arg, ast.Name) and arg.id == "QC" for arg in node.args)
+                    isinstance(arg, ast.Name) and arg.id in ("QC", "QCMatrix") for arg in node.args)
             if bad:
                 stray.append(f"{path.name}:{node.lineno}: {ast.unparse(node)}")
     assert not stray, "QC layout read outside scalars:\n" + "\n".join(stray)
