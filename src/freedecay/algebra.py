@@ -2,15 +2,12 @@
 
 A :class:`MatrixBlockAlgebra` is a direct sum of matrix blocks carrying a
 faithful state given by one positive-definite density matrix per block; the
-density traces sum to 1.  Elements are block tuples of matrices.  Entries are
-kept as exact rational-complex scalars (:class:`freedecay.scalars.QC`)
-whenever the inputs were rational; operator norms always run in doubles.
-
-Two kernels (see :mod:`freedecay.scalars`).  A block whose entries are all
-exact is a ``QCMatrix``, densities included; any other block is a tuple of
-rows of ``QC`` and ``complex`` run by the per-entry code here.  Where an exact
-block meets a float scalar, a float or mixed block or a float density, it is
-read as its rows of ``QC``.  Block types decide; no option chooses a kernel.
+density traces sum to 1.  Elements are block tuples of matrices.  A block
+with every entry exact, a density included, is a ``scalars.QCMatrix``, the
+exact kernel; any other block is rows of ``QC`` and ``complex`` for the
+per-entry code here, the float kernel, which reads an exact block as rows of
+``QC`` where the two meet.  No option chooses a kernel.  Operator norms
+always run in doubles.
 
 Elements are immutable, so each caches its state the first time it is asked
 for.  Most densities are diagonal (every builtin, every ``from_weights`` and
@@ -31,7 +28,8 @@ from fractions import Fraction
 import numpy as np
 
 from .scalars import (
-    QC, QC_ONE, QC_ZERO, QCMatrix, as_scalar, conj, exact_sqrt, negligible, to_complex, trace_sum,
+    QC, QC_ONE, QC_ZERO, QCMatrix, as_scalar, conj, exact_block, exact_sqrt, negligible, to_complex,
+    trace_product,
 )
 
 __all__ = [
@@ -59,20 +57,18 @@ class AlgebraError(Exception):
 
 
 def _as_matrix(rows, dim=None):
-    """A square block: a QCMatrix when every entry is exact, else rows of QC and complex."""
-    mat = rows if type(rows) is QCMatrix else tuple(tuple(map(as_scalar, row)) for row in rows)
+    exact = type(rows) is QCMatrix
+    mat = rows if exact else tuple(map(tuple, rows))
     n = len(mat)
-    if n == 0 or any(len(row) != n for row in mat):
+    if n == 0 or not exact and any(len(row) != n for row in mat):
         raise AlgebraError("matrix must be square and nonempty")
     if dim is not None and n != dim:
         raise AlgebraError(f"expected a {dim}x{dim} block, got {n}x{n}")
-    if type(mat) is not QCMatrix and all(type(v) is QC for row in mat for v in row):
-        mat = QCMatrix(mat)
-    return mat
+    return mat if exact else exact_block(mat) or tuple(tuple(map(as_scalar, row)) for row in mat)
 
 
 def _eye_matrix(n):
-    return QCMatrix(tuple(tuple(QC_ONE if i == j else QC_ZERO for j in range(n)) for i in range(n)))
+    return exact_block([[int(i == j) for j in range(n)] for i in range(n)])
 
 
 def _mat_add(a, b):
@@ -103,14 +99,12 @@ def _mat_adjoint(a):
 
 
 def _mat_trace_product(a, b):
-    """trace(a @ b) without forming the product."""
+    """trace(a @ b) without forming the product; two exact blocks go to the kernel."""
     if type(a) is QCMatrix and type(b) is QCMatrix:
-        return trace_sum((a,), (b,), diagonal=False)
-    acc = QC_ZERO
-    n = len(a)
-    for i in range(n):
-        for k in range(n):
-            acc = acc + a[i][k] * b[k][i]
+        return trace_product(a, b, diagonal=False)
+    n, acc = len(a), QC_ZERO
+    for i, k in ((i, k) for i in range(n) for k in range(n)):
+        acc = acc + a[i][k] * b[k][i]
     return acc
 
 
@@ -140,7 +134,7 @@ def _block_trace(d, diag, b):
     if diag is None or _kind(b) is None:
         return _mat_trace_product(d, b)
     if type(b) is QCMatrix and type(d) is QCMatrix:
-        return trace_sum((d,), (b,))
+        return trace_product(d, b)
     acc = QC_ZERO
     for i, di in enumerate(diag):
         acc = acc + di * b[i][i]
@@ -198,7 +192,7 @@ class MatrixBlockAlgebra:
         the block weights and must sum to 1.
     """
 
-    __slots__ = ("block_dims", "densities", "_diagonals", "_kernel", "_bits", "_hash", "_onb")
+    __slots__ = ("block_dims", "densities", "_diagonals", "_bits", "_hash", "_onb")
 
     def __init__(self, densities):
         dens = tuple(_as_matrix(d) for d in densities)
@@ -208,8 +202,6 @@ class MatrixBlockAlgebra:
         self.densities = dens
         # per block: the density's diagonal when it is exactly diagonal, else None
         self._diagonals = tuple(_exact_diagonal(d) for d in dens)
-        # every density exact and diagonal: state and l2_inner of exact elements go to the kernel
-        self._kernel = all(type(d) is QCMatrix and diag is not None for d, diag in zip(dens, self._diagonals))
         self._bits = _float_bits(dens)
         self._hash = None
         self._onb = None
@@ -422,7 +414,7 @@ class AlgebraElement:
     @classmethod
     def _of(cls, owner: MatrixBlockAlgebra, blocks) -> "AlgebraElement":
         """Element from blocks that arithmetic on elements of ``owner`` built:
-        a tuple of square tuples of QC/complex entries of the right sizes.
+        a tuple of ``QCMatrix`` or square tuples of QC/complex entries.
         Skips the checks and coercions of the public constructor."""
         x = object.__new__(cls)
         object.__setattr__(x, "owner", owner)
@@ -475,8 +467,7 @@ class AlgebraElement:
     def is_exact(self) -> bool:
         return _exact_blocks(self.blocks)
 
-    def is_zero(self) -> bool:
-        """Whether every entry is exactly 0, a structural zero."""
+    def is_zero(self) -> bool:  # every entry exactly 0, a structural zero
         return all(b.is_zero() if type(b) is QCMatrix else not any(v for row in b for v in row)
                    for b in self.blocks)
 
@@ -485,9 +476,6 @@ class AlgebraElement:
         return [_mat_to_numpy(b) for b in self.blocks]
 
     # -- identity -----------------------------------------------------------
-    def _key(self):
-        return (self.owner.block_dims, self.blocks)
-
     def _cached_bits(self):
         try:  # the slot is left unset until the first read
             return self._bits
@@ -507,7 +495,11 @@ class AlgebraElement:
 
     def __hash__(self):
         if self._hash is None:
-            object.__setattr__(self, "_hash", hash(self._key()))
+            try:  # an exact block as its rows of complex, the cheap hash its float twin has
+                blocks = tuple([b.complex_rows() if type(b) is QCMatrix else b for b in self.blocks])
+            except OverflowError:  # an entry beyond the float range
+                blocks = self.blocks
+            object.__setattr__(self, "_hash", hash((self.owner.block_dims, blocks)))
         return self._hash
 
     def __repr__(self):
@@ -537,12 +529,9 @@ def state(x: AlgebraElement):
     acc = x._state
     if acc is None:
         owner = x.owner
-        if owner._kernel and x.is_exact():
-            acc = trace_sum(owner.densities, x.blocks)
-        else:
-            acc = QC_ZERO
-            for d, diag, b in zip(owner.densities, owner._diagonals, x.blocks):
-                acc = acc + _block_trace(d, diag, b)
+        acc = QC_ZERO
+        for d, diag, b in zip(owner.densities, owner._diagonals, x.blocks):
+            acc = acc + _block_trace(d, diag, b)
         object.__setattr__(x, "_state", acc)
     return acc
 
@@ -556,16 +545,12 @@ def l2_inner(x: AlgebraElement, y: AlgebraElement):
     owner = x.owner
     if owner != y.owner:
         raise AlgebraError("elements belong to different algebras")
-    if owner._kernel and x.is_exact() and y.is_exact():
-        return trace_sum(owner.densities, [by.adjoint() @ bx for bx, by in zip(x.blocks, y.blocks)])
     acc = QC_ZERO
     for d, diag, bx, by in zip(owner.densities, owner._diagonals, x.blocks, y.blocks):
         # the diagonal alone decides the trace when every entry of y* x is
-        # float (one block float throughout); two exact blocks go through
-        # the kernel's product and then ``_block_trace``
+        # float (one block float throughout); two exact blocks go to the kernel
         if diag is not None and (_kind(bx) is complex or _kind(by) is complex):
-            n = len(bx)
-            t = QC_ZERO
+            n, t = len(bx), QC_ZERO
             for i, di in enumerate(diag):
                 t = t + di * sum((conj(by[k][i]) * bx[k][i] for k in range(n)), QC_ZERO)
         else:
@@ -613,10 +598,8 @@ def center(x: AlgebraElement) -> AlgebraElement:
     if type(s) is QC:
         return AlgebraElement._of(x.owner, tuple([b.shift(s) for b in x.blocks]))
     on, off = QC(-1) * (s * QC_ONE), QC(-1) * (s * QC_ZERO)
-    blocks = tuple(
-        tuple(tuple(v + (on if i == j else off) for j, v in enumerate(row)) for i, row in enumerate(b))
-        for b in x.blocks
-    )
+    blocks = tuple(tuple(tuple(v + (on if i == j else off) for j, v in enumerate(row)) for i, row in enumerate(b))
+                   for b in x.blocks)
     return AlgebraElement._of(x.owner, blocks)
 
 

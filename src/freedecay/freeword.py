@@ -23,9 +23,7 @@ from .algebra import (
     AlgebraElement, AlgebraError, MatrixBlockAlgebra, center, l2_inner, negligible_element, op_norm, state,
 )
 from .algebra import _scalar_from_json, json_shape
-from .scalars import (
-    QC, QC_ONE, QC_ZERO, accumulate, as_scalar, common_scalar, conj, is_exact, negligible, to_complex,
-)
+from .scalars import QC, QC_ONE, QC_ZERO, accumulate, as_scalar, common_scalar, conj, negligible, to_complex
 
 __all__ = [
     "FreeProductAmbient",
@@ -123,9 +121,7 @@ class Letter:
 
 
 def _scalar_part(x: AlgebraElement):
-    """If x == c*1 return c, else None.  An exact x asks the kernel; else
-    every diagonal entry must equal c = x[0][0][0] and every entry off it be
-    zero, the first entry that is not deciding.  No scalar element is built."""
+    """If x == c*1 return c, else None, reading entries until one decides."""
     if x.is_exact():
         return common_scalar(x.blocks)
     c = x.blocks[0][0][0]
@@ -303,7 +299,7 @@ class FreeElement:
     def is_exact(self) -> bool:
         """Every coefficient and every letter's state (cached on the payload)
         is a QC: one float entry of a payload or density makes it complex."""
-        return all(is_exact(c) for c in self.terms.values()) and all(
+        return all(type(c) is QC for c in self.terms.values()) and all(
             type(state(l.payload)) is QC for word in self.terms for l in word
         )
 

@@ -86,8 +86,7 @@ class HomogeneousWordElement:
             if c != 0:
                 clean[(pattern, idx)] = c
         if not clean:
-            raise ValueError(f"homogeneous element of length {length} has empty support: "
-                             "no alternating centred word, or every coefficient 0")
+            raise ValueError(f"homogeneous element of length {length} has empty support: no nonzero word")
         self.coeffs = clean
 
     @classmethod
@@ -112,6 +111,7 @@ class HomogeneousWordElement:
         return math.sqrt(math.fsum(abs(c) ** 2 for c in self.coeffs.values()))
 
     def scaled(self, s) -> "HomogeneousWordElement":
+        """s times the element; s = 0 empties the support and raises ValueError."""
         return HomogeneousWordElement(
             self.ambient,
             self.length,

@@ -15,17 +15,11 @@ vol. 2, §4.5.1).  ``complex(q)`` is ``complex(a / d, b / d)``: int/int
 division rounds correctly, so the bits are those of ``float(q.re)`` and
 ``float(q.im)``.  ``==`` against float or complex is exact, as for
 ``Fraction``, and ``hash`` is CPython's numeric hash, so equal numbers hash
-equal across ``QC``, int, ``Fraction``, float and complex.
-
-Kernels.  There is one exact kernel and one float kernel.  The exact one is
-:class:`QCMatrix`, a square block of Gaussian-integer numerators over one
-denominator, canonical as a ``QC``: its sum, scale, product, adjoint, shift
-by a scalar, :func:`trace_sum` (state and GNS pairing) and
-:func:`common_scalar` read the ints and end in at most one gcd per block.
-The float kernel is rows of ``complex`` in ``algebra``.  They meet where an
-exact block meets a float scalar, a float block or a mixed one: there the
-exact block is read as its rows of ``QC`` and the float code runs as on
-rows of numbers, so every float bit is that of per-entry arithmetic.
+equal across ``QC``, int, ``Fraction``, float and complex.  The exact
+kernel :class:`QCMatrix` lays out a square block the same way, over one
+denominator, so its arithmetic ends in at most one gcd per block; the float
+kernel is the per-entry code of ``algebra``, which reads an exact block as
+rows of ``QC`` where it meets a float one.
 
 Tolerances.  Exact values (``QC``, int, ``Fraction``) are compared
 exactly; anything else is compared as a float.  Term dicts drop a
@@ -48,10 +42,8 @@ from __future__ import annotations
 import math
 import sys
 from fractions import Fraction
-from itertools import repeat
 from math import gcd
 from numbers import Integral
-from operator import truediv
 
 FLOAT_ZERO = 1e-12
 FLOAT_RTOL = 1e-9
@@ -247,30 +239,16 @@ QC_ONE = QC(1)
 
 
 class QCMatrix:
-    """Square exact matrix: n x n Gaussian integers (re + im·i) over one
-    denominator d, canonical as a ``QC`` is, in one tuple (re, im, d, n)
-    with re and im flat in row-major order.  It reads as rows of ``QC``
-    (``m[i][j]``, iteration, ``len``), made on first read; arithmetic reads
-    the ints and ends in at most one gcd.  ``==`` compares values, with a
-    tuple of rows entry by entry; ``hash`` is that of the rows of ``complex``
-    of the entries, so a block hashes like its float twin."""
+    """n x n Gaussian integers over one d, canonical, as (re, im, d, n) flat by rows; it
+    reads as rows of ``QC`` made on first read, and ``==`` and ``hash`` as those rows."""
 
     __slots__ = ("_v", "_rows")
-
-    def __init__(self, rows):
-        """From n rows of n QC values, canonical over their lcm d."""
-        rows = tuple(map(tuple, rows))
-        entries = [q for row in rows for q in row]
-        d = math.lcm(*[q._d for q in entries])
-        _set_v(self, (tuple([q._a * (d // q._d) for q in entries]),
-                      tuple([q._b * (d // q._d) for q in entries]), d, len(rows)))
-        _set_rows(self, rows)
 
     def __setattr__(self, name, value):
         raise AttributeError("QCMatrix is immutable")
 
     def __reduce__(self):
-        return _matrix, (*self._v, False)
+        return _matrix, self._v
 
     @property
     def rows(self):
@@ -278,8 +256,7 @@ class QCMatrix:
             return self._rows
         except AttributeError:
             re, im, d, n = self._v
-            _set_rows(self, tuple(tuple(_reduced(re[p], im[p], d) for p in range(i, i + n))
-                                  for i in range(0, n * n, n)))
+            _set_rows(self, tuple(zip(*[iter([_reduced(a, b, d) for a, b in zip(re, im)])] * n)))
             return self._rows
 
     def __len__(self):
@@ -297,10 +274,7 @@ class QCMatrix:
         return self.rows == other if isinstance(other, tuple) else NotImplemented
 
     def __hash__(self):
-        try:
-            return hash(tuple(self.complex_rows()))
-        except OverflowError:  # no float equals an entry beyond the float range
-            return hash(self._v)
+        return hash(self.rows)
 
     def __repr__(self):
         return f"QCMatrix({self.rows!r})"
@@ -308,7 +282,7 @@ class QCMatrix:
     def complex_rows(self):
         """Rows of ``complex(a / d, b / d)``, the bits of ``complex`` of each entry."""
         re, im, d, n = self._v
-        return list(zip(*[map(complex, map(truediv, re, repeat(d)), map(truediv, im, repeat(d)))] * n))
+        return tuple(zip(*[iter([complex(a / d, b / d) for a, b in zip(re, im)])] * n))
 
     def is_zero(self) -> bool:
         return not (any(self._v[0]) or any(self._v[1]))
@@ -340,7 +314,7 @@ class QCMatrix:
     def adjoint(self) -> "QCMatrix":
         re, im, d, n = self._v
         order = [p for i in range(n) for p in range(i, n * n, n)]  # the transpose
-        return _matrix(tuple([re[p] for p in order]), tuple([-im[p] for p in order]), d, n, False)
+        return _matrix(tuple([re[p] for p in order]), tuple([-im[p] for p in order]), d, n)
 
     def shift(self, s: QC) -> "QCMatrix":
         """The matrix minus s times the identity."""
@@ -353,27 +327,16 @@ class QCMatrix:
         return _matrix(tuple(re), tuple(im), d * f, n)
 
 
-def trace_sum(densities, blocks, diagonal=True) -> QC:
-    """sum_b trace(density_b @ block_b) = sum_b sum_ik density_ik block_ki over
-    exact blocks, one gcd in all; only diagonals are read when ``diagonal``."""
-    re = im = 0
-    den = 1
-    for dm, b in zip(densities, blocks):
-        dr, di, dd, n = dm._v
-        br, bi, bd, _ = b._v
-        r = s = 0
-        for p in range(0, n * n, n + 1) if diagonal else range(n * n):
-            q = p % n * n + p // n  # density_ik meets block_ki
-            x, y, u, v = dr[p], di[p], br[q], bi[q]
-            r += x * u - y * v
-            s += x * v + y * u
-        f = dd * bd
-        if f == den:
-            re += r
-            im += s
-        else:
-            re, im, den = re * f + r * den, im * f + s * den, den * f
-    return _reduced(re, im, den)
+def trace_product(density: QCMatrix, block: QCMatrix, diagonal=True) -> QC:
+    """trace(density @ block) with one gcd; the diagonals alone when ``diagonal``."""
+    (dr, di, dd, n), (br, bi, bd, _) = density._v, block._v
+    r = s = 0
+    for p in range(0, n * n, n + 1) if diagonal else range(n * n):
+        q = p % n * n + p // n  # density_ik meets block_ki
+        x, y, u, v = dr[p], di[p], br[q], bi[q]
+        r += x * u - y * v
+        s += x * v + y * u
+    return _reduced(r, s, dd * bd)
 
 
 def common_scalar(blocks):
@@ -383,10 +346,9 @@ def common_scalar(blocks):
         re, im, d, n = b._v
         a, e, step = re[0], im[0], n + 1
         # c·1 has c all along the diagonal and n * n - n zeros, or n * n when c is 0
-        if n > 1 and (re[::step] != (a,) * n or re.count(0) != n * n - (n if a else 0)
-                      or im[::step] != (e,) * n or im.count(0) != n * n - (n if e else 0)):
-            return None
-        if c not in (None, (a, e, d)):
+        if c not in (None, (a, e, d)) or n > 1 and (
+                re[::step] != (a,) * n or re.count(0) != n * n - (n if a else 0)
+                or im[::step] != (e,) * n or im.count(0) != n * n - (n if e else 0)):
             return None
         c = (a, e, d)  # gcd(a, e, d) = 1: the block is canonical
     return _make(*c)
@@ -395,14 +357,23 @@ def common_scalar(blocks):
 _set_v, _set_rows = QCMatrix._v.__set__, QCMatrix._rows.__set__
 
 
-def _matrix(re: tuple, im: tuple, d: int, n: int, reduce=True) -> QCMatrix:
-    """QCMatrix of numerators over d > 0, made canonical by one gcd unless ``reduce`` is false."""
-    g = gcd(d, *re, *im) if reduce else 1
+def _matrix(re: tuple, im: tuple, d: int, n: int) -> QCMatrix:
+    """QCMatrix of numerators over d > 0, made canonical by one gcd."""
+    g = gcd(d, *re, *im)
     if g != 1:
         re, im, d = tuple([x // g for x in re]), tuple([x // g for x in im]), d // g
     m = _new_object(QCMatrix)
     _set_v(m, (re, im, d, n))
     return m
+
+
+def exact_block(rows):
+    """QCMatrix of n rows of n exact numbers (QC, int, Fraction), else None."""
+    qs = [_lift(v) for row in rows for v in row]
+    if all([q is not None for q in qs]):
+        d = math.lcm(*[q._d for q in qs])
+        return _matrix(tuple([q._a * (d // q._d) for q in qs]), tuple([q._b * (d // q._d) for q in qs]),
+                       d, len(rows))
 
 
 def as_scalar(value):

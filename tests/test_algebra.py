@@ -23,6 +23,8 @@ from freedecay.algebra import (
     op_norm,
     state,
 )
+from freedecay.compressed import _by_value
+from freedecay.freeword import FreeElement, FreeProductAmbient
 from freedecay.scalars import QC, QCMatrix
 
 
@@ -614,3 +616,24 @@ def test_an_exact_element_is_not_its_float_twin_and_pickles():
     assert again == x and hash(again) == hash(x)
     assert all(type(b) is QCMatrix for b in again.blocks)
     assert _entry_reprs(again) == _entry_reprs(x) and repr(state(again)) == repr(state(x))
+
+
+def test_an_exact_block_equals_a_mixed_block_of_its_values_and_hashes_alike():
+    # 1/3 beside a float 0.5: a mixed block with the values of an exact one.
+    # Blocks compare values, so the two are equal and hash alike, and x = x*
+    # decided on values takes the exact letter and the mixed one as one key;
+    # the elements differ in kind, and the exact one hashes as its float twin
+    alg = m2_tr()
+    third, half = Fraction(1, 3), Fraction(1, 2)
+    exact = alg.element([[[third, half], [half, 1]]])
+    mixed = alg.element([[[third, 0.5], [0.5, 1]]])
+    a, b = exact.blocks[0], mixed.blocks[0]
+    assert type(a) is QCMatrix and type(b) is tuple
+    assert a == b and b == a and hash(a) == hash(b) and len({a, b}) == 1
+    assert exact != mixed and len({exact, mixed}) == 2
+    twin = alg.element([[[1 / 3, 0.5], [0.5, 1.0]]])
+    assert exact != twin and hash(exact) == hash(twin)
+    amb = FreeProductAmbient((alg, MatrixBlockAlgebra.from_weights([half, half])))
+    x = FreeElement.letter(amb, 0, exact) + FreeElement.letter(amb, 0, mixed)
+    assert len(x.terms) == 2 and list(_by_value(x).values()) == [QC(2)]
+    assert _by_value(x) == _by_value(x.adjoint())

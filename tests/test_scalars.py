@@ -26,7 +26,8 @@ from freedecay.algebra import AlgebraError, AlgebraElement, MatrixBlockAlgebra, 
 from freedecay.measure import CompactMeasure, MeasureError
 from freedecay.rdcert import classify_abelian
 from freedecay.scalars import (
-    FLOAT_RTOL, FLOAT_ZERO, QC, QCMatrix, accumulate, agree, common_scalar, negligible, root_down, trace_sum,
+    FLOAT_RTOL, FLOAT_ZERO, QC, QCMatrix, accumulate, agree, common_scalar, exact_block, negligible, root_down,
+    trace_product,
 )
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "freedecay"
@@ -431,8 +432,8 @@ def _ref_trace(d, b):
 def _canonical_block(m):
     re, im, d, n = m._v
     assert d > 0 and math.gcd(d, *re, *im) == 1 and len(re) == len(im) == n * n
-    assert m == QCMatrix(m.rows) and hash(m) == hash(QCMatrix(m.rows))
-    assert hash(m) == hash(tuple(tuple(complex(v) for v in row) for row in m))
+    assert m == exact_block(m.rows) == m.rows and hash(m) == hash(exact_block(m.rows)) == hash(m.rows)
+    assert m.complex_rows() == tuple(tuple(complex(v) for v in row) for row in m)
     assert [[repr(v) for v in row] for row in m.complex_rows()] == [[repr(complex(v)) for v in row] for row in m]
     return _ref(m)
 
@@ -473,26 +474,25 @@ def test_the_exact_kernel_matches_fraction_arithmetic(case):
         assert _canonical_block(bx.adjoint()) == _ref_adjoint(rx)
         assert _canonical_block(bx.shift(s)) == [[(p[0] - sr[0], p[1] - sr[1]) if i == j else p
                                                   for j, p in enumerate(r)] for i, r in enumerate(rx)]
-        assert bx @ by == QCMatrix([[QC(*p) for p in r] for r in _ref_mul(rx, ry)])
+        assert bx @ by == exact_block([[QC(*p) for p in r] for r in _ref_mul(rx, ry)])
         assert (bx + bx.scale(QC(-1))).is_zero() and bx.is_zero() == all(p == (0, 0) for r in rx for p in r)
-        scalar = common_scalar((bx.shift(bx[0][0]) + QCMatrix([[s if i == j else QC(0) for j in range(n)]
-                                                                 for i in range(n)]),))
+        scalar = common_scalar((bx.shift(bx[0][0]) + exact_block([[s if i == j else 0 for j in range(n)]
+                                                                   for i in range(n)]),))
         is_scalar = all(p == (0, 0) for i, r in enumerate(rx) for j, p in enumerate(r) if i != j) and \
             len({r[i] for i, r in enumerate(rx)}) == 1
         assert (scalar is not None) == is_scalar
         if is_scalar:
             assert _canonical_scalar(scalar) == sr
-        for d, rd in zip(algebra.densities, dens):
+        for d, diag, rd in zip(algebra.densities, algebra._diagonals, dens):
             if len(rd) == n:
-                assert _canonical_scalar(trace_sum((d,), (bx,), diagonal=False)) == _ref_trace(rd, rx)
-    # the element-wide kernel calls and the algebra functions built on them
+                assert _canonical_scalar(trace_product(d, bx, diagonal=False)) == _ref_trace(rd, rx)
+                if diag is not None:
+                    assert _canonical_scalar(trace_product(d, bx)) == _ref_trace(rd, rx)
+    # the algebra functions built on the kernel
     want_state = _sum_pairs(_ref_trace(d, b) for d, b in zip(dens, xs))
     want_inner = _sum_pairs(_ref_trace(d, _ref_mul(_ref_adjoint(b), a)) for d, a, b in zip(dens, xs, ys))
     assert _canonical_scalar(state(x)) == want_state
     assert _canonical_scalar(l2_inner(x, y)) == want_inner
-    assert _canonical_scalar(trace_sum(algebra.densities, x.blocks, diagonal=False)) == want_state
-    if algebra._kernel:
-        assert _canonical_scalar(trace_sum(algebra.densities, x.blocks)) == want_state
     centred = center(x)
     assert state(centred) == 0
     assert [_canonical_block(b) for b in centred.blocks] == [
