@@ -653,7 +653,9 @@ def dn_norm(vectors) -> float:
     For an orthonormal basis of a subspace V this is the rapid-decay
     certificate constant: it always dominates sup {||a|| : a in V, ||a||_2=1},
     with equality whenever the algebra is abelian (and in the commutative
-    function-algebra setting).  Empty input gives 0.
+    function-algebra setting).  Empty input gives 0.  The float comes from
+    ``eigvalsh`` and a square root, rounded to nearest and not up: over
+    (M2, tr) it is 1.9999999999999998, where the constant is exactly 2.
     """
     vectors = list(vectors)
     if not vectors:

@@ -57,7 +57,7 @@ from .fock import (
     fock_dimension,
 )
 from .freeword import FreeElement, FreeProductAmbient, is_normalized_word, normalize
-from .scalars import accumulate, root_down, to_complex
+from .scalars import accumulate, negligible, root_down, to_complex
 
 __all__ = [
     "TruncatedFock",
@@ -158,7 +158,8 @@ class TruncatedFock:
             act = np.zeros((d + 1, d + 1), dtype=complex)
             for c, vec in enumerate(inputs):
                 prod = a * vec
-                act[0, c] = to_complex(state(prod))
+                s = state(prod)  # a centred payload (``normalize``) has no scalar part
+                act[0, c] = 0 if c == 0 and negligible(s) else to_complex(s)
                 prod_c = center(prod)
                 for r, xi in enumerate(basis_j):
                     act[r + 1, c] = to_complex(l2_inner(prod_c, xi))
@@ -209,8 +210,9 @@ def default_depth(length: int) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _represent_sparse(fock: TruncatedFock, xs):
-    """[P_L lambda(x) P_L for x in xs] as sparse matrices, exact compression.
+def _represent_sparse(fock: TruncatedFock, xs, dims=None):
+    """[P_K lambda(x) P_K for x in xs] as sparse matrices, exact compression,
+    with P_K onto the first K tensors, K from ``dims`` (default: all).
 
     Each word acts on the depth-L space itself, as the product of its
     compressed letters P_L lambda(xi) P_L, right to left.  For centred
@@ -228,8 +230,9 @@ def _represent_sparse(fock: TruncatedFock, xs):
     depth 2 come out 2.9 to 4.5 off in some entry).  When a word of x has
     an uncentred letter, normalize(x) is represented instead: lambda is a
     homomorphism, and merged terms alternate.  Centred is the ``normalize``
-    rule: a negligible state (``scalars.negligible``).  Level-basis probes, ``HomogeneousWordElement`` words and
-    ``normalize`` output are centred, and their letters' states are cached.
+    rule: a negligible state (``scalars.negligible``).  Level-basis probes,
+    ``HomogeneousWordElement`` words and ``normalize`` output are centred,
+    and their letters' states are cached.
 
     The elements of one call share their word blocks: each distinct word,
     in first-seen order, gets its block once.  Words that share a suffix
@@ -242,9 +245,11 @@ def _represent_sparse(fock: TruncatedFock, xs):
     keeps its bits.  A suffix block is stored only while a word still to
     come ends in it.  Each element's blocks are summed in its own
     ``x.terms`` order, which fixes the summation order of duplicate
-    entries.  The level basis of ``rdcert`` holds every alternating word up
-    to its length, so there each word costs one product, and its probes
-    cost one block pass between them.
+    entries.  For L' <= L the depth-L' basis is the first K = dim(L')
+    tensors, and a centred letter's operator stores no scalar part, so a
+    word's block cut to its first K rows and columns keeps the bits of its
+    depth-L' block.  ``rdcert`` reads every level of a run from one call at
+    the top level's depth, so each word of its level bases costs one product.
     """
     ambient = fock.ambient()
     if any(x.ambient != ambient for x in xs):
@@ -271,28 +276,37 @@ def _represent_sparse(fock: TruncatedFock, xs):
             uses[word[i:]] -= 1
             if not uses[word[i:]]:
                 products.pop(word[i:], None)
-        blocks[word] = block.tocoo()
+        block = block.tocoo()
+        blocks[word] = (block.row, block.col, block.data)
     out = []
-    for x in xs:
+    for x, k in zip(xs, dims or [n] * len(xs)):
         if not x.terms:
-            out.append(sp.csr_matrix((n, n), dtype=complex))
+            out.append(sp.csr_matrix((k, k), dtype=complex))
             continue
-        terms = [(blocks[word], to_complex(coeff)) for word, coeff in x.terms.items()]
+        terms = [(_leading(blocks[word], k), to_complex(coeff)) for word, coeff in x.terms.items()]
         # unnamed arrays: one element's copies are freed before the next
         # element's are built, which keeps the peak memory of a level down
         out.append(sp.csr_matrix(
-            (np.concatenate([c * b.data for b, c in terms]),
-             (np.concatenate([b.row for b, _ in terms]),
-              np.concatenate([b.col for b, _ in terms]))),
-            shape=(n, n),
+            (np.concatenate([c * b[2] for b, c in terms]),
+             (np.concatenate([b[0] for b, _ in terms]),
+              np.concatenate([b[1] for b, _ in terms]))),
+            shape=(k, k),
             dtype=complex,
         ))
     return out
 
 
+def _leading(block, k):
+    """A COO block (rows, cols, data) cut to its first k rows and columns."""
+    row, col, data = block
+    keep = (row < k) & (col < k)
+    return block if keep.all() else (row[keep], col[keep], data[keep])
+
+
 def norm_lower_bound(fock: TruncatedFock, x: FreeElement) -> float:
-    """Largest singular value of the compressed action: a certified lower
-    bound of the reduced free-product norm of x."""
+    """Largest singular value of the compressed action, a lower bound of the
+    reduced free-product norm of x.  The float is the dense or ARPACK value,
+    not rounded down, so it may exceed the compressed norm by rounding."""
     (matrix,) = _represent_sparse(fock, [x])
     return _spectral_norm(matrix)
 

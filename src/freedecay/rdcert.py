@@ -1,11 +1,11 @@
 """Filtrations as first-class objects and rapid-decay certificates.
 
 A filtration assigns to every level n an orthonormal basis of the subspace
-V_n (V_0 = C1, nested, *-stable, submultiplicative degrees).  The certified
-constant C_n = ||(sum x_i x_i*)^(1/2)|| over a level basis bounds
-sup{||a|| : a in V_n, ||a||_2 = 1}, exactly so on abelian and commutative
-ambients; non-abelian finite-dimensional levels and free-product levels get
-honest brackets instead of single numbers.
+V_n (V_0 = C1, nested, *-stable, submultiplicative degrees).  The
+certificate constant C_n = ||(sum x_i x_i*)^(1/2)|| over a level basis
+bounds sup{||a|| : a in V_n, ||a||_2 = 1}, exactly so on abelian and
+commutative ambients (``dn_norm`` rounds it to nearest); other levels get
+brackets instead of single numbers.
 """
 
 from __future__ import annotations
@@ -93,6 +93,10 @@ class Filtration:
 
     def rd_constant(self, n: int) -> RdConstant:
         raise NotImplementedError
+
+    def rd_constants(self, levels) -> list:
+        """[rd_constant(n) for n in levels]; overridden where levels share work."""
+        return [self.rd_constant(n) for n in levels]
 
 
 class FiniteDimFiltration(Filtration):
@@ -207,14 +211,14 @@ class FreeProductFiltration(Filtration):
             self.factors.append(f)
         self.ambient = FreeProductAmbient([f.algebra for f in self.factors])
         self.probe_seed = probe_seed
+        self._letters: dict = {}
 
     def level_onb(self, n: int):
         out = [FreeElement.one(self.ambient)]
-        # one Letter per complement vector, shared by every word, so equal
-        # suffixes are tuples of the same objects
-        letters = [
-            [Letter(j, xi) for xi in f.complement_onb(n)] for j, f in enumerate(self.factors)
-        ]
+        # one Letter per complement vector for the filtration's lifetime, so
+        # equal words and suffixes of every level are tuples of the same objects
+        letters = [[self._letters.setdefault((j, xi), Letter(j, xi)) for xi in f.complement_onb(n)]
+                   for j, f in enumerate(self.factors)]
         frontier = [((), None)]
         for _ in range(n):
             new = []
@@ -233,24 +237,29 @@ class FreeProductFiltration(Filtration):
         return fock.alternating_dimension([len(f.complement_onb(n)) for f in self.factors], n)
 
     def rd_constant(self, n: int) -> RdConstant:
-        """Bracket: certified analytic upper endpoint vs realized lower bounds.
+        """The one-level case of :meth:`rd_constants`."""
+        return self.rd_constants([n])[0]
 
-        upper: layer estimate 2 sqrt(m) (l+1) max_j C_j summed in quadrature
-        over layers l <= n; lower: compressed-representation norms of probe
-        elements of unit l2 norm.
+    def rd_constants(self, levels) -> list:
+        """A bracket [lower, upper] for each level n of ``levels``; level 0 is 1.
+
+        upper: the layer estimate 2 sqrt(m) (l+1) max(1, max_j dn_norm_j)
+        summed in quadrature over layers l <= n, rounded to nearest, with no
+        derivation cited yet (ROADMAP items 7 and 9).  lower: the largest
+        norm of the level's probes (``_probe_lower``), not rounded down.
         """
-        if n == 0:
-            return RdConstant(1.0, 1.0, "exact")
-        m = len(self.factors)
-        cjs = [
-            dn_norm(f.complement_onb(n)) if f.complement_onb(n) else 0.0
-            for f in self.factors
-        ]
-        cmax = max(max(cjs), 1.0)
-        quad = math.sqrt(sum((ell + 1) ** 2 for ell in range(n + 1)))
-        upper = 2 * math.sqrt(m) * cmax * quad
-        lower = self._probe_lower(n)
-        return RdConstant(lower, upper, "bracket")
+        levels = list(levels)
+        lower = iter(self._probe_lower([n for n in levels if n > 0]))
+        out = []
+        for n in levels:
+            if n == 0:
+                out.append(RdConstant(1.0, 1.0, "exact"))
+                continue
+            cmax = max([dn_norm(f.complement_onb(n)) for f in self.factors] + [1.0])
+            quad = math.sqrt(sum((ell + 1) ** 2 for ell in range(n + 1)))
+            upper = 2 * math.sqrt(len(self.factors)) * cmax * quad
+            out.append(RdConstant(next(lower), upper, "bracket"))
+        return out
 
     def _probes(self, n: int):
         """The flat combination of the level basis and two seeded random
@@ -269,13 +278,23 @@ class FreeProductFiltration(Filtration):
             )
         return probes
 
-    def _probe_lower(self, n: int) -> float:
-        depth = max(4, n + 1)
-        while depth > 1 and fock.fock_dimension(self.ambient.factors, depth) > compressed._DIMENSION_CAP:
-            depth -= 1
-        space = compressed.shared_fock(self.ambient.factors, depth)
-        probes = compressed._represent_sparse(space, self._probes(n))
-        return max(compressed._spectral_norm(m) for m in probes)
+    def _probe_lower(self, levels) -> list:
+        """The largest probe norm of each level n, on the space of depth
+        max(4, n + 1) or the deepest below the dimension cap: one
+        ``_represent_sparse`` call at the top depth, each level cut to its own."""
+        if not levels:
+            return []
+        factors = self.ambient.factors
+        top = max(4, max(levels) + 1)
+        while top > 1 and fock.fock_dimension(factors, top) > compressed._DIMENSION_CAP:
+            top -= 1
+        probes = [self._probes(n) for n in levels]
+        dims = [fock.fock_dimension(factors, min(max(4, n + 1), top))
+                for n, ps in zip(levels, probes) for _ in ps]
+        space = compressed.shared_fock(factors, top)
+        matrices = compressed._represent_sparse(space, [x for ps in probes for x in ps], dims)
+        norms = map(compressed._spectral_norm, matrices)
+        return [max(itertools.islice(norms, len(ps))) for ps in probes]
 
 
 # ---------------------------------------------------------------------------
@@ -325,7 +344,7 @@ def fit_exponent(rows):
 
 def rd_report(filtration: Filtration, max_n: int) -> RDReport:
     levels = range(max_n + 1)
-    constants = [filtration.rd_constant(n) for n in levels]
+    constants = filtration.rd_constants(levels)
     rows = [
         (n, c.lower, c.upper, filtration.level_dim(n)) for n, c in zip(levels, constants)
     ]

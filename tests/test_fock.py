@@ -50,7 +50,7 @@ from freedecay.freeword import (
 )
 from freedecay.khintchine import HomogeneousWordElement, rx_check
 from freedecay.rdcert import ConstantFiltration, FreeProductFiltration
-from freedecay.scalars import QC, to_complex
+from freedecay.scalars import QC, negligible, to_complex
 
 
 def c2_half():
@@ -231,6 +231,8 @@ def _per_tensor_letter_operators(f, factor):
             act[0, c] = to_complex(state(prod))
             for r, xi in enumerate(onb):
                 act[r + 1, c] = to_complex(l2_inner(center(prod), xi))
+        if negligible(state(a)):  # a centred letter has no scalar part
+            act[0, 0] = 0
         vals = act[comps, srcs]
         keep = vals != 0
         ops.append(sp.csr_matrix((vals[keep], (rows[keep], cols[keep])),
@@ -271,6 +273,64 @@ def test_letter_operators_keep_the_bits_of_the_per_tensor_construction(factors, 
             for attr in ("data", "indices", "indptr"):
                 a, b = getattr(got, attr), getattr(ref, attr)
                 assert a.dtype == b.dtype and np.array_equal(a, b), (j, attr)
+
+
+def _not_led_by(f, factor):
+    lo = sum(len(b) for b in f.onb[:factor])
+    return (f.lead < lo) | (f.lead >= lo + len(f.onb[factor]))
+
+
+def test_a_centred_float_letter_has_no_scalar_part():
+    # C3 uniform's float complement basis has a vector whose state is not
+    # 0.0 but negligible: centred by the normalize rule, so its operator
+    # keeps no tensor of another factor's lead in place
+    f = TruncatedFock([c2_half(), c3_uniform()], 4)
+    assert any(state(xi) != 0 and negligible(state(xi)) for xi in f.onb[1])
+    not_led = _not_led_by(f, 1)
+    for op in f.onb_operators(1):
+        assert not op.diagonal()[not_led].any()
+
+
+def test_an_uncentred_letter_keeps_its_scalar_part():
+    f = TruncatedFock([c2_half(), c3_uniform()], 3)
+    for xi in f.onb[1]:
+        a = xi + f.factors[1].identity() * Fraction(1, 4)
+        assert not negligible(state(a))
+        diagonal = f.letter_operator(1, a).diagonal()[_not_led_by(f, 1)]
+        assert np.array_equal(diagonal, np.full(diagonal.shape, to_complex(state(a))))
+
+
+def _alternating_onb_words(f, length):
+    """Every alternating word of complement basis letters of length <= length,
+    as one element per word."""
+    letters = [[Letter(j, xi) for xi in onb] for j, onb in enumerate(f.onb)]
+    words, frontier = [()], [((), None)]
+    for _ in range(length):
+        frontier = [(word + (letter,), j) for word, last in frontier
+                    for j in range(len(letters)) if j != last for letter in letters[j]]
+        words += [word for word, _ in frontier]
+    return [FreeElement(f.ambient(), {word: 1.0}) for word in words]
+
+
+@pytest.mark.parametrize("factors, depth, top", [
+    ((c2_half, c3_uniform), 4, 8),
+    ((c2_half, c3_uniform), 6, 8),
+    ((c2_half, c3_uniform), 8, 10),
+    ((m2_tr, m2_tr), 3, 5),
+    ((m2_tr, c3_weighted), 4, 5),
+    ((c2_half, m2_tr, c3_uniform), 3, 4),
+])
+def test_a_deeper_block_cut_to_a_depth_keeps_the_bits_of_that_depth(factors, depth, top):
+    algebras = [make() for make in factors]
+    deep, shallow = TruncatedFock(algebras, top), TruncatedFock(algebras, depth)
+    words = _alternating_onb_words(shallow, depth - 1)
+    cut = compressed._represent_sparse(deep, words, [shallow.dimension] * len(words))
+    own = compressed._represent_sparse(shallow, words)
+    for x, got, want in zip(words, cut, own):
+        assert got.shape == want.shape == (shallow.dimension,) * 2
+        for attr in ("indptr", "indices", "data"):
+            a, b = getattr(got, attr), getattr(want, attr)
+            assert a.dtype == b.dtype and np.array_equal(a, b), (list(x.terms), attr)
 
 
 def _represent_word_by_word(f, x):
@@ -373,23 +433,51 @@ def test_shared_blocks_keep_the_bits_of_several_elements():
     assert got[3].nnz == 0
 
 
+def _rd_certify(tmp_path, name, factors, max_n):
+    space = tmp_path / f"{name}.json"
+    space.write_text(json.dumps({"free_product": [{"atoms": atoms} for atoms in factors]}))
+    out = tmp_path / f"{name}-{max_n}.csv"
+    argv = ["rd-certify", "--space", str(space), "--max-n", str(max_n), "--seed", "1"]
+    assert run(argv + ["--out", str(out)]) == 0
+    return out.read_text()
+
+
 def test_shared_suffix_compression_keeps_the_certify_csv(tmp_path, monkeypatch):
-    space = tmp_path / "c2c3.json"
-    space.write_text(json.dumps({"free_product": [{"atoms": ["1/2", "1/2"]},
-                                                  {"atoms": ["1/3", "1/3", "1/3"]}]}))
-    argv = ["rd-certify", "--space", str(space), "--max-n", "6", "--seed", "1", "--out"]
-    assert run(argv + [str(tmp_path / "shared.csv")]) == 0
+    c2c3 = [["1/2", "1/2"], ["1/3", "1/3", "1/3"]]
     calls = []
 
-    def word_by_word(f, xs):
-        calls.append(len(xs))
-        return [_represent_word_by_word(f, x) for x in xs]
+    def counted(f, xs, dims=None):
+        calls.append(f.depth)
+        return represent(f, xs, dims)
 
-    monkeypatch.setattr(compressed, "_represent_sparse", word_by_word)
-    assert run(argv + [str(tmp_path / "word-by-word.csv")]) == 0
-    # the reference built every probe: levels 1-6, three probes each
-    assert calls == [3] * 6
-    assert (tmp_path / "shared.csv").read_bytes() == (tmp_path / "word-by-word.csv").read_bytes()
+    represent = compressed._represent_sparse
+    monkeypatch.setattr(compressed, "_represent_sparse", counted)
+    one_pass = {max_n: _rd_certify(tmp_path, "c2c3", c2c3, max_n) for max_n in (6, 9)}
+    assert calls == [7, 10]
+
+    def per_level(self, levels):
+        # every level on its own depth-max(4, n + 1) space, word by word
+        spaces = [TruncatedFock(self.ambient.factors, max(4, n + 1)) for n in levels]
+        return [max(_spectral_norm(_represent_word_by_word(f, x)) for x in self._probes(n))
+                for f, n in zip(spaces, levels)]
+
+    monkeypatch.setattr(FreeProductFiltration, "_probe_lower", per_level)
+    assert _rd_certify(tmp_path, "c2c3", c2c3, 9) == one_pass[9]
+    rows = [line.split(",") for line in one_pass[9].splitlines()]
+    assert [line.split(",") for line in one_pass[6].splitlines()][:8] == rows[:8]
+
+
+def test_empty_complements_keep_their_certify_rows(tmp_path):
+    # C * C and C * C2: every level is spanned by the unit, or by C2's letter
+    head = "n,C_lower,C_upper,dim\n0,1.0,1.0,1\n"
+    upper = ["6.324555320336759", "10.583005244258363", "15.491933384829668"]
+    lower = ["1.0000000000000002", "1.0000000000000002", "1.0"]
+    got = _rd_certify(tmp_path, "cc", [[1], [1]], 3)
+    assert got.startswith(head + "".join(f"{n},{lo},{up},1\n" for n, lo, up in
+                                         zip((1, 2, 3), lower, upper)))
+    got = _rd_certify(tmp_path, "cc2", [[1], ["1/2", "1/2"]], 3)
+    assert got.startswith(head + "".join(f"{n},1.414213562373095,{up},2\n" for n, up in
+                                         zip((1, 2, 3), upper)))
 
 
 def test_only_basis_vector_operators_are_cached():
