@@ -285,11 +285,11 @@ def _represent_sparse(fock: TruncatedFock, xs, dims=None):
             continue
         terms = [(_leading(blocks[word], k), to_complex(coeff)) for word, coeff in x.terms.items()]
         # unnamed arrays: one element's copies are freed before the next
-        # element's are built, which keeps the peak memory of a level down
+        # element's are built, which keeps the peak memory of a call down
         out.append(sp.csr_matrix(
-            (np.concatenate([c * b[2] for b, c in terms]),
-             (np.concatenate([b[0] for b, _ in terms]),
-              np.concatenate([b[1] for b, _ in terms]))),
+            (np.concatenate([c * data for (_, _, data), c in terms]),
+             (np.concatenate([row for (row, _, _), _ in terms]),
+              np.concatenate([col for (_, col, _), _ in terms]))),
             shape=(k, k),
             dtype=complex,
         ))

@@ -444,13 +444,12 @@ def _rd_certify(tmp_path, name, factors, max_n):
 
 def test_shared_suffix_compression_keeps_the_certify_csv(tmp_path, monkeypatch):
     c2c3 = [["1/2", "1/2"], ["1/3", "1/3", "1/3"]]
-    calls = []
+    represent, calls = compressed._represent_sparse, []
 
     def counted(f, xs, dims=None):
         calls.append(f.depth)
         return represent(f, xs, dims)
 
-    represent = compressed._represent_sparse
     monkeypatch.setattr(compressed, "_represent_sparse", counted)
     one_pass = {max_n: _rd_certify(tmp_path, "c2c3", c2c3, max_n) for max_n in (6, 9)}
     assert calls == [7, 10]
@@ -463,21 +462,22 @@ def test_shared_suffix_compression_keeps_the_certify_csv(tmp_path, monkeypatch):
 
     monkeypatch.setattr(FreeProductFiltration, "_probe_lower", per_level)
     assert _rd_certify(tmp_path, "c2c3", c2c3, 9) == one_pass[9]
-    rows = [line.split(",") for line in one_pass[9].splitlines()]
-    assert [line.split(",") for line in one_pass[6].splitlines()][:8] == rows[:8]
+    # the header and levels 0-6
+    assert one_pass[6].splitlines()[:8] == one_pass[9].splitlines()[:8]
 
 
 def test_empty_complements_keep_their_certify_rows(tmp_path):
     # C * C and C * C2: every level is spanned by the unit, or by C2's letter
-    head = "n,C_lower,C_upper,dim\n0,1.0,1.0,1\n"
-    upper = ["6.324555320336759", "10.583005244258363", "15.491933384829668"]
-    lower = ["1.0000000000000002", "1.0000000000000002", "1.0"]
-    got = _rd_certify(tmp_path, "cc", [[1], [1]], 3)
-    assert got.startswith(head + "".join(f"{n},{lo},{up},1\n" for n, lo, up in
-                                         zip((1, 2, 3), lower, upper)))
-    got = _rd_certify(tmp_path, "cc2", [[1], ["1/2", "1/2"]], 3)
-    assert got.startswith(head + "".join(f"{n},1.414213562373095,{up},2\n" for n, up in
-                                         zip((1, 2, 3), upper)))
+    got = _rd_certify(tmp_path, "cc", [[1], [1]], 3).splitlines()
+    assert got[:5] == ["n,C_lower,C_upper,dim", "0,1.0,1.0,1",
+                       "1,1.0000000000000002,6.324555320336759,1",
+                       "2,1.0000000000000002,10.583005244258363,1",
+                       "3,1.0,15.491933384829668,1"]
+    got = _rd_certify(tmp_path, "cc2", [[1], ["1/2", "1/2"]], 3).splitlines()
+    assert got[:5] == ["n,C_lower,C_upper,dim", "0,1.0,1.0,1",
+                       "1,1.414213562373095,6.324555320336759,2",
+                       "2,1.414213562373095,10.583005244258363,2",
+                       "3,1.414213562373095,15.491933384829668,2"]
 
 
 def test_only_basis_vector_operators_are_cached():
