@@ -10,13 +10,13 @@ per-entry code here, the float kernel, which reads an exact block as rows of
 always run in doubles.
 
 Elements are immutable, so each caches its state the first time it is asked
-for.  Most densities are diagonal (every builtin, every ``from_weights`` and
-``matrix_with_trace`` algebra); the algebra records per block whether its
-density is, and on those blocks ``state``, ``l2_inner`` and ``center`` read and
-write only the diagonal of the block.  The values are those of the full
-trace products, bit for bit: the same products are added in the same order,
-and only terms that are exact zeros, or float zeros that cannot move a sum,
-are left out.
+for.  Most densities are exact and diagonal (every builtin, every exact
+``from_weights`` and ``matrix_with_trace`` algebra); the algebra records per
+block whether its density is, and on those blocks ``state`` and ``l2_inner``
+let the exact kernel read only the diagonal of an exact block.  Exact sums do
+not depend on the zero terms left out, so the values are those of the full
+trace products.  Every other block pairs with its density by the full trace
+product.
 """
 
 from __future__ import annotations
@@ -108,37 +108,18 @@ def _mat_trace_product(a, b):
     return acc
 
 
-def _kind(a):
-    """The type shared by every entry of a matrix (QC or complex), else None."""
-    if type(a) is QCMatrix:
-        return QC
-    kind = type(a[0][0])
-    return kind if all(type(v) is kind for row in a for v in row) else None
-
-
-def _exact_diagonal(d):
-    """The diagonal of d when every off-diagonal entry is an exact zero, else None."""
+def _exact_diagonal(d) -> bool:
+    """Whether d is exact with every off-diagonal entry zero."""
     n = len(d)
-    if any(type(d[i][j]) is not QC or d[i][j] for i in range(n) for j in range(n) if i != j):
-        return None
-    return tuple(d[i][i] for i in range(n))
+    return type(d) is QCMatrix and not any(d[i][j] for i in range(n) for j in range(n) if i != j)
 
 
-def _block_trace(d, diag, b):
-    """trace(d @ b), bit for bit as ``_mat_trace_product``.
-
-    With a diagonal density (``diag`` its diagonal) and a block whose entries
-    are all exact or all float, the terms off the diagonal are exact zeros,
-    or float zeros added to a sum that already is a float (the first term is
-    diagonal), so only the diagonal terms are added, in the same order."""
-    if diag is None or _kind(b) is None:
-        return _mat_trace_product(d, b)
-    if type(b) is QCMatrix and type(d) is QCMatrix:
+def _block_trace(d, diagonal: bool, b):
+    """trace(d @ b) as ``_mat_trace_product``; an exact block against an exact
+    diagonal density (``diagonal``) adds the diagonal terms alone."""
+    if diagonal and type(b) is QCMatrix:
         return trace_product(d, b)
-    acc = QC_ZERO
-    for i, di in enumerate(diag):
-        acc = acc + di * b[i][i]
-    return acc
+    return _mat_trace_product(d, b)
 
 
 def _exact_blocks(blocks) -> bool:
@@ -200,7 +181,7 @@ class MatrixBlockAlgebra:
             raise AlgebraError("algebra needs at least one block")
         self.block_dims = tuple(len(d) for d in dens)
         self.densities = dens
-        # per block: the density's diagonal when it is exactly diagonal, else None
+        # per block: whether the density is exact and diagonal
         self._diagonals = tuple(_exact_diagonal(d) for d in dens)
         self._bits = _float_bits(dens)
         self._hash = None
@@ -522,40 +503,28 @@ class AlgebraElement:
 def state(x: AlgebraElement):
     """rho(x) = sum_b trace(density_b . block_b).
 
-    Cached on the (immutable) element the first time it is computed.  On a
-    block with a diagonal density only the diagonal of the block is read,
-    sum_i d_ii x_ii, with the bits of the full trace product (see the module
-    docstring)."""
+    Cached on the (immutable) element the first time it is computed.  An
+    exact block against an exact diagonal density is read on its diagonal
+    alone, sum_i d_ii x_ii (see the module docstring)."""
     acc = x._state
     if acc is None:
         owner = x.owner
         acc = QC_ZERO
-        for d, diag, b in zip(owner.densities, owner._diagonals, x.blocks):
-            acc = acc + _block_trace(d, diag, b)
+        for d, diagonal, b in zip(owner.densities, owner._diagonals, x.blocks):
+            acc = acc + _block_trace(d, diagonal, b)
         object.__setattr__(x, "_state", acc)
     return acc
 
 
 def l2_inner(x: AlgebraElement, y: AlgebraElement):
-    """GNS inner product <x, y> = rho(y* x).
-
-    On a block with a diagonal density only the diagonal of y* x is formed,
-    sum_i d_ii sum_k conj(y_ki) x_ki, each entry by the operations of the
-    full product, so the bits are those of ``state(y.adjoint() * x)``."""
+    """GNS inner product <x, y> = rho(y* x), with the bits of
+    ``state(y.adjoint() * x)``."""
     owner = x.owner
     if owner != y.owner:
         raise AlgebraError("elements belong to different algebras")
     acc = QC_ZERO
-    for d, diag, bx, by in zip(owner.densities, owner._diagonals, x.blocks, y.blocks):
-        # the diagonal alone decides the trace when every entry of y* x is
-        # float (one block float throughout); two exact blocks go to the kernel
-        if diag is not None and (_kind(bx) is complex or _kind(by) is complex):
-            n, t = len(bx), QC_ZERO
-            for i, di in enumerate(diag):
-                t = t + di * sum((conj(by[k][i]) * bx[k][i] for k in range(n)), QC_ZERO)
-        else:
-            t = _block_trace(d, diag, _mat_mul(_mat_adjoint(by), bx))
-        acc = acc + t
+    for d, diagonal, bx, by in zip(owner.densities, owner._diagonals, x.blocks, y.blocks):
+        acc = acc + _block_trace(d, diagonal, _mat_mul(_mat_adjoint(by), bx))
     return acc
 
 

@@ -23,6 +23,7 @@ import numpy as np
 from . import __version__
 from .algebra import AlgebraElement, AlgebraError, MatrixBlockAlgebra, json_shape
 from .compressed import (
+    FreeProductFiltration,
     TruncatedFock,
     default_depth,
     moment_norm_estimate,
@@ -46,7 +47,6 @@ from .khintchine import HomogeneousWordElement, rx_check
 from .measure import CompactMeasure, MeasureError
 from .rdcert import (
     ConstantFiltration,
-    FreeProductFiltration,
     MeasureDegreeFiltration,
     classify_abelian,
     find_avitzour_triple,
@@ -95,16 +95,28 @@ def _csv_text(header, rows, seed: int, **meta) -> str:
     return buf.getvalue()
 
 
+def _finite_float(text: str) -> float:
+    """A JSON float literal, or the constants NaN and Infinity, read as a
+    float; a value that is not finite (1e400 overflows) is refused."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"non-finite number {text}")
+    return value
+
+
 def _load_json_file(path: str):
+    """The JSON document at ``path``; every JSON input of the CLI is read here."""
     try:
         with open(path) as fh:
-            return json.load(fh)
+            return json.load(fh, parse_float=_finite_float, parse_constant=_finite_float)
     except FileNotFoundError:
         raise CliError(f"no such file: {path}")
     except json.JSONDecodeError as exc:
         raise CliError(
             f"malformed JSON in {path}: line {exc.lineno} column {exc.colno}: {exc.msg}"
         )
+    except ValueError as exc:
+        raise CliError(f"{exc} in {path}")
 
 
 def _reject_unknown_keys(data: dict, allowed, where: str):

@@ -1,6 +1,6 @@
-"""Truncated free-product Hilbert space, compressed left representation and
-moment-power norm estimates: the numeric half of the Fock-space oracle, and
-the layer that loads scipy.
+"""Truncated free-product Hilbert space, compressed left representation,
+the free-product filtration and moment-power norm estimates: the numeric
+half of the Fock-space oracle, and the first layer that loads scipy.
 
 The truncated space (:class:`TruncatedFock`) has an orthonormal tensor
 basis, and the compressed left representation on it
@@ -12,6 +12,8 @@ factor's complement basis (:meth:`TruncatedFock.onb_operators`); the
 operator of any other letter is built when asked for and not kept.  The
 complement bases are the algebras' own (:func:`onb_complement`), and
 :func:`shared_fock` keeps the 16 most recently used spaces per process.
+:class:`FreeProductFiltration`, the one filtration that needs a Fock space,
+brackets its RD constants with probe norms read from this representation.
 
 Moment-power estimates sit on top: s_r = state((x*x)^r)^(1/2r) together
 with the consecutive-moment ratio (state((x*x)^r)/state((x*x)^{r-1}))^(1/2);
@@ -33,6 +35,7 @@ q_r = state((x*x)^r) come from one of three methods:
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -44,6 +47,7 @@ from .algebra import (
     AlgebraElement,
     AlgebraError,
     center,
+    dn_norm,
     l2_inner,
     onb_complement,
     state,
@@ -54,13 +58,16 @@ from .fock import (
     _capped_product,
     _single_letter_moments,
     _word_moments,
+    alternating_dimension,
     fock_dimension,
 )
-from .freeword import FreeElement, FreeProductAmbient, is_normalized_word, normalize
+from .freeword import FreeElement, FreeProductAmbient, Letter, is_normalized_word, normalize
+from .rdcert import Filtration, FiniteDimFiltration, RdConstant
 from .scalars import accumulate, negligible, root_down, to_complex
 
 __all__ = [
     "TruncatedFock",
+    "FreeProductFiltration",
     "norm_lower_bound",
     "moment_norm_estimate",
     "MomentEstimates",
@@ -69,7 +76,7 @@ __all__ = [
 
 _DIMENSION_CAP = 200_000
 _DENSE_CAP = 4_000
-_DENSE_MEMO = 1  # dense norms kept by _spectral_norm
+_DENSE_MEMO = 1  # dense norms kept by spectral_norm
 
 
 class TruncatedFock:
@@ -248,8 +255,9 @@ def _represent_sparse(fock: TruncatedFock, xs, dims=None):
     entries.  For L' <= L the depth-L' basis is the first K = dim(L')
     tensors, and a centred letter's operator stores no scalar part, so a
     word's block cut to its first K rows and columns keeps the bits of its
-    depth-L' block.  ``rdcert`` reads every level of a run from one call at
-    the top level's depth, so each word of its level bases costs one product.
+    depth-L' block.  :class:`FreeProductFiltration` reads every level of a
+    run from one call at the top level's depth, so each word of its level
+    bases costs one product.
     """
     ambient = fock.ambient()
     if any(x.ambient != ambient for x in xs):
@@ -308,10 +316,10 @@ def norm_lower_bound(fock: TruncatedFock, x: FreeElement) -> float:
     reduced free-product norm of x.  The float is the dense or ARPACK value,
     not rounded down, so it may exceed the compressed norm by rounding."""
     (matrix,) = _represent_sparse(fock, [x])
-    return _spectral_norm(matrix)
+    return spectral_norm(matrix)
 
 
-def _spectral_norm(matrix) -> float:
+def spectral_norm(matrix) -> float:
     """Largest singular value of a CSR matrix: dense up to 400 rows or
     columns, ARPACK above.  When ARPACK does not converge the dense norm is
     taken up to dimension _DENSE_CAP; beyond it FockError is raised.
@@ -345,6 +353,113 @@ def _dense_norm(shape, data_dtype, index_dtype, data, indices, indptr) -> float:
     matrix = sp.csr_matrix((np.frombuffer(data, data_dtype), np.frombuffer(indices, index_dtype),
                             np.frombuffer(indptr, index_dtype)), shape=shape)
     return float(np.linalg.norm(matrix.toarray(), 2))
+
+
+# ---------------------------------------------------------------------------
+# the free-product filtration
+# ---------------------------------------------------------------------------
+
+
+class FreeProductFiltration(Filtration):
+    """Alternating centered words of length <= n with letters from the
+    level-n factor complements."""
+
+    recipe = "free-product"
+
+    def __init__(self, factor_filtrations, probe_seed: int = 0):
+        self.factors = []
+        for f in factor_filtrations:
+            if not isinstance(f, FiniteDimFiltration):
+                raise AlgebraError(
+                    "free-product levels need finite-dimensional factor filtrations"
+                )
+            self.factors.append(f)
+        self.ambient = FreeProductAmbient([f.algebra for f in self.factors])
+        self.probe_seed = probe_seed
+        self._letters: dict = {}
+
+    def level_onb(self, n: int):
+        out = [FreeElement.one(self.ambient)]
+        # one Letter per complement vector for the filtration's lifetime, so
+        # equal words and suffixes of every level are tuples of the same objects
+        letters = [[self._letters.setdefault((j, xi), Letter(j, xi)) for xi in f.complement_onb(n)]
+                   for j, f in enumerate(self.factors)]
+        frontier = [((), None)]
+        for _ in range(n):
+            new = []
+            for word, last in frontier:
+                for j in range(len(self.factors)):
+                    if j == last:
+                        continue
+                    for letter in letters[j]:
+                        new.append((word + (letter,), j))
+            for word, _ in new:
+                out.append(FreeElement.word(self.ambient, word))
+            frontier = new
+        return out
+
+    def level_dim(self, n: int) -> int:
+        return alternating_dimension([len(f.complement_onb(n)) for f in self.factors], n)
+
+    def rd_constant(self, n: int) -> RdConstant:
+        """The one-level case of :meth:`rd_constants`."""
+        return self.rd_constants([n])[0]
+
+    def rd_constants(self, levels) -> list:
+        """A bracket [lower, upper] for each level n of ``levels``; level 0 is 1.
+
+        upper: the layer estimate 2 sqrt(m) (l+1) max(1, max_j dn_norm_j)
+        summed in quadrature over layers l <= n, rounded to nearest, with no
+        derivation cited yet (ROADMAP items 7 and 9).  lower: the largest
+        norm of the level's probes (``_probe_lower``), not rounded down.
+        """
+        levels = list(levels)
+        lower = iter(self._probe_lower([n for n in levels if n > 0]))
+        out = []
+        for n in levels:
+            if n == 0:
+                out.append(RdConstant(1.0, 1.0, "exact"))
+                continue
+            cmax = max([dn_norm(f.complement_onb(n)) for f in self.factors] + [1.0])
+            quad = math.sqrt(sum((ell + 1) ** 2 for ell in range(n + 1)))
+            upper = 2 * math.sqrt(len(self.factors)) * cmax * quad
+            out.append(RdConstant(next(lower), upper, "bracket"))
+        return out
+
+    def _probes(self, n: int):
+        """The flat combination of the level basis and two seeded random
+        unit combinations."""
+        basis = self.level_onb(n)
+        rng = np.random.default_rng(self.probe_seed + n)
+        flat = 1.0 / math.sqrt(len(basis))
+        probes = [FreeElement.combination(self.ambient, ((b, flat) for b in basis))]
+        for _ in range(2):
+            coeffs = rng.standard_normal(len(basis)) + 1j * rng.standard_normal(len(basis))
+            coeffs /= np.linalg.norm(coeffs)
+            probes.append(
+                FreeElement.combination(
+                    self.ambient, ((b, complex(c)) for b, c in zip(basis, coeffs))
+                )
+            )
+        return probes
+
+    def _probe_lower(self, levels) -> list:
+        """The largest probe norm of each level n, on the space of depth
+        max(4, n + 1) or the deepest below the dimension cap: one
+        ``_represent_sparse`` call at the top depth, each level cut to its own."""
+        if not levels:
+            return []
+        factors = self.ambient.factors
+        top = max(4, max(levels) + 1)
+        while top > 1 and fock_dimension(factors, top) > _DIMENSION_CAP:
+            top -= 1
+        probes = [self._probes(n) for n in levels]
+        dims = [fock_dimension(factors, min(max(4, n + 1), top))
+                for n, ps in zip(levels, probes) for _ in ps]
+        space = shared_fock(factors, top)
+        matrices = _represent_sparse(space, [x for ps in probes for x in ps], dims)
+        norms = map(spectral_norm, matrices)
+        return [max(itertools.islice(norms, len(ps))) for ps in probes]
 
 
 # ---------------------------------------------------------------------------

@@ -19,11 +19,11 @@ import scipy.sparse as sp
 
 from .algebra import AlgebraError, onb_complement
 from .compressed import (
-    _spectral_norm,
     default_depth,
     moment_norm_estimate,
     norm_lower_bound,
     shared_fock,
+    spectral_norm,
 )
 from .freeword import FreeElement, FreeProductAmbient, Letter
 from .scalars import accumulate, agree
@@ -234,7 +234,7 @@ def tr_bracket(x: HomogeneousWordElement, r: int) -> TrBounds:
     grid = [[None] * len(cols) for _ in range(len(rows))]
     for (pre, suf), cell_terms in terms.items():
         grid[rows[pre]][cols[suf]] = sum(c * fock.onb_operators(j)[i] for j, i, c in cell_terms)
-    lower = _spectral_norm(sp.bmat(grid, format="csr"))
+    lower = spectral_norm(sp.bmat(grid, format="csr"))
 
     single = len(factors_used) <= 1
     return TrBounds(lower=lower, upper=upper, weak_cs=weak_cs, single_factor=single)

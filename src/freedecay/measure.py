@@ -3,8 +3,8 @@
 A :class:`CompactMeasure` is presented by its moment sequence (exact
 Fractions whenever possible) plus an optional density sampler used only for
 oracle cross-checks.  Orthonormal polynomials come out of the Stieltjes /
-Chebyshev moment algorithm, Gauss rules out of Golub-Welsch, and sup norm
-estimates out of the maximum over a Chebyshev-Lobatto grid.
+Chebyshev moment algorithm, and sup norm estimates out of the maximum over
+a Chebyshev-Lobatto grid.
 """
 
 from __future__ import annotations
@@ -14,10 +14,9 @@ from fractions import Fraction
 from math import comb
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
 
-from .algebra import MatrixBlockAlgebra, json_number, json_shape
-from .scalars import agree, exact_sqrt, negligible
+from .algebra import json_number, json_shape
+from .scalars import exact_sqrt, negligible
 
 __all__ = [
     "MeasureError",
@@ -26,7 +25,6 @@ __all__ = [
     "OrthoPolySequence",
     "ortho_polys",
     "sup_norm",
-    "gauss_discretize",
 ]
 
 class MeasureError(Exception):
@@ -218,11 +216,6 @@ class OrthoPolySequence:
         self._floats: list = []
 
     @property
-    def degree(self) -> int:
-        """Highest polynomial degree currently supported (len(alpha))."""
-        return len(self._alpha)
-
-    @property
     def exact(self) -> bool:
         return all(isinstance(a, Fraction) for a in self._alpha) and all(
             isinstance(b, Fraction) for b in self._beta
@@ -234,14 +227,6 @@ class OrthoPolySequence:
             return
         self._alpha, self._beta = _chebyshev_algorithm(self.measure, n)
         self._floats = [(float(a), math.sqrt(float(b))) for a, b in zip(self._alpha, self._beta)]
-
-    def alpha(self, k: int):
-        self.extend(k + 1)
-        return self._alpha[k]
-
-    def beta(self, k: int):
-        self.extend(max(k + 1, 1))
-        return self._beta[k]
 
     # -- coefficient access ------------------------------------------------
     def monic_coefficients(self, n: int):
@@ -300,13 +285,6 @@ class OrthoPolySequence:
             p_next = ((ts - a) * p_cur - (sb * p_prev if k > 0 else 0.0)) / self._floats[k + 1][1]
             p_prev, p_cur = p_cur, p_next
             yield p_cur
-
-    def jacobi_matrix(self, n: int):
-        """Symmetric Jacobi matrix of order n (float)."""
-        self.extend(n)
-        diag = np.array([a for a, _ in self._floats[:n]])
-        off = np.array([sb for _, sb in self._floats[1:n]])
-        return diag, off
 
 
 def _chebyshev_algorithm(measure: CompactMeasure, n: int):
@@ -394,43 +372,4 @@ def christoffel_sup(seq: OrthoPolySequence, n: int) -> float:
     sqrt is monotone and the squares are summed in degree order."""
     squares = sum(p * p for p in seq._orthonormal_rows(n, _lobatto_grid(seq.measure.support, n)))
     return math.sqrt(float(np.max(squares)))
-
-
-# ---------------------------------------------------------------------------
-# Gauss discretization (Golub-Welsch)
-# ---------------------------------------------------------------------------
-
-
-def gauss_discretize(measure: CompactMeasure, n_nodes: int):
-    """N-point Gauss rule as an abelian C*-probability space.
-
-    Returns ``(algebra, nodes)``: the algebra is C^N with the Gauss weights
-    as atoms; a polynomial p corresponds to the element (p(node_i))_i and the
-    induced state integrates polynomials of degree <= 2N-1 exactly.
-    """
-    if n_nodes < 1:
-        raise MeasureError("need at least one node")
-    seq = ortho_polys(measure, n_nodes)
-    if n_nodes == 1:
-        nodes = np.array([float(seq.alpha(0))])
-        weights = np.array([1.0])
-    else:
-        diag, off = seq.jacobi_matrix(n_nodes)
-        evals, evecs = eigh_tridiagonal(diag, off)
-        nodes = evals
-        weights = evecs[0, :] ** 2
-        weights = weights / weights.sum()
-    a, b = (float(measure.support[0]), float(measure.support[1]))
-    scale = max(1.0, abs(a), abs(b))  # an end node agrees with its end point
-    lo, hi = float(nodes.min()), float(nodes.max())
-    if not (lo >= a or agree(lo, a, scale)) or not (hi <= b or agree(hi, b, scale)):
-        raise MeasureError("Gauss nodes escaped the declared support")
-    algebra = MatrixBlockAlgebra.from_weights([float(w) for w in weights])
-    return algebra, nodes
-
-
-def polynomial_element(algebra: MatrixBlockAlgebra, nodes, coeffs):
-    """Element of the discretized algebra representing the polynomial."""
-    vals = np.polyval(list(map(float, coeffs))[::-1], np.asarray(nodes, dtype=float))
-    return algebra.element([[[complex(v)]] for v in vals])
 

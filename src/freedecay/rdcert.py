@@ -6,6 +6,10 @@ certificate constant C_n = ||(sum x_i x_i*)^(1/2)|| over a level basis
 bounds sup{||a|| : a in V_n, ||a||_2 = 1}, exactly so on abelian and
 commutative ambients (``dn_norm`` rounds it to nearest); other levels get
 brackets instead of single numbers.
+
+The filtrations here need no Fock space, and the module loads no scipy.  The
+free-product filtration, which does, is
+:class:`freedecay.compressed.FreeProductFiltration`.
 """
 
 from __future__ import annotations
@@ -31,12 +35,8 @@ from .algebra import (
     op_norm,
     state,
 )
-from . import compressed, fock
 from .freeword import (
     AvitzourConditionError,
-    FreeElement,
-    FreeProductAmbient,
-    Letter,
     avitzour_residuals,
     check_avitzour_conditions,
     residual_size,
@@ -53,7 +53,6 @@ __all__ = [
     "ConstantFiltration",
     "FiniteDimFiltration",
     "MeasureDegreeFiltration",
-    "FreeProductFiltration",
     "RdConstant",
     "RDReport",
     "rd_report",
@@ -193,108 +192,6 @@ class MeasureDegreeFiltration(Filtration):
             return RdConstant(1.0, 1.0, "exact")
         c = christoffel_sup(self.seq, n)
         return RdConstant(c, c, "christoffel-grid")
-
-
-class FreeProductFiltration(Filtration):
-    """Alternating centered words of length <= n with letters from the
-    level-n factor complements."""
-
-    recipe = "free-product"
-
-    def __init__(self, factor_filtrations, probe_seed: int = 0):
-        self.factors = []
-        for f in factor_filtrations:
-            if not isinstance(f, FiniteDimFiltration):
-                raise AlgebraError(
-                    "free-product levels need finite-dimensional factor filtrations"
-                )
-            self.factors.append(f)
-        self.ambient = FreeProductAmbient([f.algebra for f in self.factors])
-        self.probe_seed = probe_seed
-        self._letters: dict = {}
-
-    def level_onb(self, n: int):
-        out = [FreeElement.one(self.ambient)]
-        # one Letter per complement vector for the filtration's lifetime, so
-        # equal words and suffixes of every level are tuples of the same objects
-        letters = [[self._letters.setdefault((j, xi), Letter(j, xi)) for xi in f.complement_onb(n)]
-                   for j, f in enumerate(self.factors)]
-        frontier = [((), None)]
-        for _ in range(n):
-            new = []
-            for word, last in frontier:
-                for j in range(len(self.factors)):
-                    if j == last:
-                        continue
-                    for letter in letters[j]:
-                        new.append((word + (letter,), j))
-            for word, _ in new:
-                out.append(FreeElement.word(self.ambient, word))
-            frontier = new
-        return out
-
-    def level_dim(self, n: int) -> int:
-        return fock.alternating_dimension([len(f.complement_onb(n)) for f in self.factors], n)
-
-    def rd_constant(self, n: int) -> RdConstant:
-        """The one-level case of :meth:`rd_constants`."""
-        return self.rd_constants([n])[0]
-
-    def rd_constants(self, levels) -> list:
-        """A bracket [lower, upper] for each level n of ``levels``; level 0 is 1.
-
-        upper: the layer estimate 2 sqrt(m) (l+1) max(1, max_j dn_norm_j)
-        summed in quadrature over layers l <= n, rounded to nearest, with no
-        derivation cited yet (ROADMAP items 7 and 9).  lower: the largest
-        norm of the level's probes (``_probe_lower``), not rounded down.
-        """
-        levels = list(levels)
-        lower = iter(self._probe_lower([n for n in levels if n > 0]))
-        out = []
-        for n in levels:
-            if n == 0:
-                out.append(RdConstant(1.0, 1.0, "exact"))
-                continue
-            cmax = max([dn_norm(f.complement_onb(n)) for f in self.factors] + [1.0])
-            quad = math.sqrt(sum((ell + 1) ** 2 for ell in range(n + 1)))
-            upper = 2 * math.sqrt(len(self.factors)) * cmax * quad
-            out.append(RdConstant(next(lower), upper, "bracket"))
-        return out
-
-    def _probes(self, n: int):
-        """The flat combination of the level basis and two seeded random
-        unit combinations."""
-        basis = self.level_onb(n)
-        rng = np.random.default_rng(self.probe_seed + n)
-        flat = 1.0 / math.sqrt(len(basis))
-        probes = [FreeElement.combination(self.ambient, ((b, flat) for b in basis))]
-        for _ in range(2):
-            coeffs = rng.standard_normal(len(basis)) + 1j * rng.standard_normal(len(basis))
-            coeffs /= np.linalg.norm(coeffs)
-            probes.append(
-                FreeElement.combination(
-                    self.ambient, ((b, complex(c)) for b, c in zip(basis, coeffs))
-                )
-            )
-        return probes
-
-    def _probe_lower(self, levels) -> list:
-        """The largest probe norm of each level n, on the space of depth
-        max(4, n + 1) or the deepest below the dimension cap: one
-        ``_represent_sparse`` call at the top depth, each level cut to its own."""
-        if not levels:
-            return []
-        factors = self.ambient.factors
-        top = max(4, max(levels) + 1)
-        while top > 1 and fock.fock_dimension(factors, top) > compressed._DIMENSION_CAP:
-            top -= 1
-        probes = [self._probes(n) for n in levels]
-        dims = [fock.fock_dimension(factors, min(max(4, n + 1), top))
-                for n, ps in zip(levels, probes) for _ in ps]
-        space = compressed.shared_fock(factors, top)
-        matrices = compressed._represent_sparse(space, [x for ps in probes for x in ps], dims)
-        norms = map(compressed._spectral_norm, matrices)
-        return [max(itertools.islice(norms, len(ps))) for ps in probes]
 
 
 # ---------------------------------------------------------------------------

@@ -459,13 +459,11 @@ def test_center_keeps_the_signed_zeros_off_the_diagonal():
 
 
 def test_diagonal_densities_are_recorded_per_block():
-    assert m2_tr()._diagonals == ((QC(Fraction(1, 2)), QC(Fraction(1, 2))),)
-    assert len(c3_weighted()._diagonals) == 3
-    assert all(d is not None for d in c3_weighted()._diagonals)
-    assert _m2_float_state()._diagonals == ((0.75 + 0j, 0.25 + 0j),)
-    first, second = _m2_plus_non_diagonal_m2()._diagonals
-    assert first is not None and second is None
-    assert _m3_non_diagonal()._diagonals == (None,)
+    assert m2_tr()._diagonals == (True,)
+    assert c3_weighted()._diagonals == (True, True, True)
+    assert _m2_float_state()._diagonals == (False,)
+    assert _m2_plus_non_diagonal_m2()._diagonals == (True, False)
+    assert _m3_non_diagonal()._diagonals == (False,)
 
 
 def test_non_diagonal_density_takes_the_full_trace_product(monkeypatch):

@@ -176,6 +176,27 @@ def test_malformed_json_structure_is_usage_error(tmp_path, capsys, command, opti
     assert len(err) == 1 and err[0].startswith("error: "), err
 
 
+_C2_C3 = {"factors": [{"atoms": ["1/2", "1/2"]}, {"atoms": ["1/3", "1/3", "1/3"]}]}
+
+
+@pytest.mark.parametrize("command", ["free-moments", "norm-estimate"])
+@pytest.mark.parametrize("text, literal", [
+    ('{"terms": [{"coeff": ["1", "0"], "word": [{"factor": 0, "elem": [[[NaN]], [[-1]]]}]}]}',
+     "NaN"),
+    ('{"terms": [{"coeff": [1e400, 0], "word": [{"factor": 0, "elem": [[[1]], [[-1]]]}]}]}',
+     "1e400"),
+], ids=["nan-payload", "overflowing-coefficient"])
+def test_non_finite_json_numbers_exit_2(tmp_path, capsys, command, text, literal):
+    # Python's JSON reader takes NaN, Infinity and 1e400 as floats that are
+    # not finite; a NaN payload's centred letter never reaches state 0
+    element = tmp_path / "elem.json"
+    element.write_text(text)
+    argv = [command, "--factors", _write(tmp_path, "factors.json", _C2_C3),
+            "--element", str(element), "--out", str(tmp_path / "out.csv")]
+    assert run(argv) == 2
+    assert capsys.readouterr().err == f"error: non-finite number {literal} in {element}\n"
+
+
 # valid inputs whose mutations the fuzz test below feeds to the CLI
 _FUZZ_DOCUMENTS = {
     "factors": {"factors": [{"atoms": ["1/2", "1/2"]}, _M2]},

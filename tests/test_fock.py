@@ -23,13 +23,14 @@ from freedecay import compressed, fock
 from freedecay.algebra import MatrixBlockAlgebra, center, l2_inner, state
 from freedecay.cli import run
 from freedecay.compressed import (
+    FreeProductFiltration,
     TruncatedFock,
-    _spectral_norm,
     _vector_moments,
     default_depth,
     moment_norm_estimate,
     norm_lower_bound,
     shared_fock,
+    spectral_norm,
 )
 from freedecay.fock import (
     FockError,
@@ -49,7 +50,7 @@ from freedecay.freeword import (
     normalize,
 )
 from freedecay.khintchine import HomogeneousWordElement, rx_check
-from freedecay.rdcert import ConstantFiltration, FreeProductFiltration
+from freedecay.rdcert import ConstantFiltration
 from freedecay.scalars import QC, negligible, to_complex
 
 
@@ -457,7 +458,7 @@ def test_shared_suffix_compression_keeps_the_certify_csv(tmp_path, monkeypatch):
     def per_level(self, levels):
         # every level on its own depth-max(4, n + 1) space, word by word
         spaces = [TruncatedFock(self.ambient.factors, max(4, n + 1)) for n in levels]
-        return [max(_spectral_norm(_represent_word_by_word(f, x)) for x in self._probes(n))
+        return [max(spectral_norm(_represent_word_by_word(f, x)) for x in self._probes(n))
                 for f, n in zip(spaces, levels)]
 
     monkeypatch.setattr(FreeProductFiltration, "_probe_lower", per_level)
@@ -613,9 +614,9 @@ def test_spectral_norm_falls_back_to_dense_without_arpack_convergence(monkeypatc
     monkeypatch.setattr(compressed.spla, "svds", no_convergence)
     rng = np.random.default_rng(9)
     dense = rng.standard_normal((500, 500)) + 1j * rng.standard_normal((500, 500))
-    assert _spectral_norm(sp.csr_matrix(dense)) == pytest.approx(np.linalg.norm(dense, 2))
+    assert spectral_norm(sp.csr_matrix(dense)) == pytest.approx(np.linalg.norm(dense, 2))
     with pytest.raises(FockError):
-        _spectral_norm(sp.identity(compressed._DENSE_CAP + 1, dtype=complex, format="csr"))
+        spectral_norm(sp.identity(compressed._DENSE_CAP + 1, dtype=complex, format="csr"))
 
 
 def test_length_one_rx_check_takes_one_dense_svd(monkeypatch):
@@ -656,7 +657,7 @@ def test_dense_memo_keys_on_the_stored_layout():
     assert np.array_equal(split.toarray(), summed.toarray())
     compressed._dense_norm.cache_clear()
     for m in (summed, summed, split, split):
-        assert _spectral_norm(m) == np.linalg.norm(m.toarray(), 2)
+        assert spectral_norm(m) == np.linalg.norm(m.toarray(), 2)
     assert compressed._dense_norm.cache_info()[:2] == (2, 2)  # hits, misses
     assert compressed._dense_norm.cache_info().maxsize == compressed._DENSE_MEMO
 

@@ -1,13 +1,10 @@
-"""Tests for measures, orthonormal polynomials, Gauss rules, sup norms."""
+"""Tests for measures, orthonormal polynomials, sup norms."""
 
 import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
-from scipy.integrate import quad
 
 from freedecay.measure import (
     AtomicMeasureError,
@@ -16,13 +13,10 @@ from freedecay.measure import (
     OrthoPolySequence,
     _chebyshev_algorithm,
     christoffel_sup,
-    gauss_discretize,
     ortho_polys,
-    polynomial_element,
     sup_norm,
     sup_norm_poly,
 )
-from freedecay.algebra import state
 
 
 # ---------------------------------------------------------------------------
@@ -84,10 +78,11 @@ def test_semicircle_recurrence_is_exact_chebyshev_u():
     # alpha_k = 0 and beta_k = 1 exactly: G_{n+1} = t G_n - G_{n-1}.
     seq = ortho_polys(CompactMeasure.semicircle(), 50)
     assert seq.exact
+    alpha, beta = _chebyshev_algorithm(CompactMeasure.semicircle(), 50)
     for k in range(50):
-        assert seq.alpha(k) == 0
+        assert alpha[k] == 0
     for k in range(1, 50):
-        assert seq.beta(k) == 1
+        assert beta[k] == 1
 
 
 def test_semicircle_recurrence_residual_exact_zero():
@@ -109,8 +104,9 @@ def test_semicircle_recurrence_residual_exact_zero():
 def test_lebesgue_recurrence_matches_legendre():
     seq = ortho_polys(CompactMeasure.lebesgue(), 20)
     assert seq.exact
+    _, beta = _chebyshev_algorithm(CompactMeasure.lebesgue(), 20)
     for k in range(1, 20):
-        assert seq.beta(k) == Fraction(k * k, 4 * k * k - 1)
+        assert beta[k] == Fraction(k * k, 4 * k * k - 1)
 
 
 def test_orthonormality_via_moment_functional():
@@ -180,69 +176,6 @@ def test_legendre_bound():
 
 
 # ---------------------------------------------------------------------------
-# Gauss discretization
-# ---------------------------------------------------------------------------
-
-
-def test_gauss_one_point_rule():
-    mu = CompactMeasure.lebesgue(0, 1)
-    alg, nodes = gauss_discretize(mu, 1)
-    assert nodes[0] == pytest.approx(0.5)
-    assert alg.block_dims == (1,)
-
-
-def test_gauss_legendre_two_points():
-    alg, nodes = gauss_discretize(CompactMeasure.lebesgue(), 2)
-    assert sorted(nodes) == pytest.approx([-1 / math.sqrt(3), 1 / math.sqrt(3)])
-    ws = [complex(w).real for w in alg.weights()]
-    assert ws == pytest.approx([0.5, 0.5])
-
-
-def test_gauss_semicircle_t4_against_density_quadrature():
-    mu = CompactMeasure.semicircle()
-    alg, nodes = gauss_discretize(mu, 8)
-    x = polynomial_element(alg, nodes, [0, 0, 0, 0, 1])  # t^4
-    got = complex(state(x)).real
-    oracle, _ = quad(lambda t: t ** 4 * mu.density(t), -2, 2)
-    assert got == pytest.approx(2.0, abs=1e-10)
-    assert got == pytest.approx(oracle, abs=1e-8)
-
-
-def test_quadrature_exact_for_low_degree_random_polys():
-    rng = np.random.default_rng(7)
-    mu = CompactMeasure.semicircle()
-    n = 5
-    alg, nodes = gauss_discretize(mu, n)
-    for _ in range(20):
-        deg = int(rng.integers(0, 2 * n - 1))
-        coeffs = rng.standard_normal(deg + 1)
-        x = polynomial_element(alg, nodes, coeffs)
-        want = sum(c * float(mu.moment(k)) for k, c in enumerate(coeffs))
-        assert complex(state(x)).real == pytest.approx(want, abs=1e-10)
-
-
-@settings(max_examples=30, deadline=None)
-@given(st.lists(st.integers(min_value=-9, max_value=9), min_size=1, max_size=9))
-def test_quadrature_exactness_property(coeff_ints):
-    # any polynomial of degree <= 2N-1 integrates exactly under the N-point rule
-    mu = CompactMeasure.lebesgue()
-    n = 5
-    alg, nodes = gauss_discretize(mu, n)
-    coeffs = [float(c) for c in coeff_ints[: 2 * n]]
-    x = polynomial_element(alg, nodes, coeffs)
-    want = sum(c * float(mu.moment(k)) for k, c in enumerate(coeffs))
-    assert complex(state(x)).real == pytest.approx(want, abs=1e-10)
-
-
-def test_cdf_strictly_increasing_at_gauss_nodes():
-    # atomless reparametrization sanity for the builtin semicircle
-    mu = CompactMeasure.semicircle()
-    _, nodes = gauss_discretize(mu, 12)
-    cdf_vals = [quad(mu.density, -2.0, t)[0] for t in sorted(nodes)]
-    assert all(b - a > 1e-12 for a, b in zip(cdf_vals, cdf_vals[1:]))
-
-
-# ---------------------------------------------------------------------------
 # filtration constants
 # ---------------------------------------------------------------------------
 
@@ -300,10 +233,8 @@ def test_extend_refreshes_the_float_coefficients():
     seq.extend(4)
     low = seq.orthonormal_values(3, [0.5])
     high = seq.orthonormal_values(20, [0.5])
-    assert seq.degree == 21
-    assert seq._floats == [
-        (float(seq.alpha(k)), math.sqrt(float(seq.beta(k)))) for k in range(seq.degree)
-    ]
+    alpha, beta = _chebyshev_algorithm(seq.measure, 21)
+    assert seq._floats == [(float(a), math.sqrt(float(b))) for a, b in zip(alpha, beta)]
     assert np.array_equal(high[:4], low)
     assert np.array_equal(high[:, 0], seq.orthonormal_values(20, np.array([0.5, 1.0]))[:, 0])
 
@@ -355,14 +286,12 @@ def test_chebyshev_algorithm_keeps_the_bits_of_every_product_formed(measure, n):
 
 
 def test_closed_form_recurrences_at_degree_61():
-    cosine = ortho_polys(CompactMeasure.cosine(), 61)
-    assert [cosine.alpha(k) for k in range(61)] == [0] * 61
-    assert [cosine.beta(k) for k in range(61)] == [1, Fraction(1, 2)] + [Fraction(1, 4)] * 59
-    unit = ortho_polys(CompactMeasure.builtin("lebesgue01"), 61)
-    assert [unit.alpha(k) for k in range(61)] == [Fraction(1, 2)] * 61
-    assert [unit.beta(k) for k in range(61)] == [1] + [
-        Fraction(k * k, 4 * (4 * k * k - 1)) for k in range(1, 61)
-    ]
+    alpha, beta = _chebyshev_algorithm(CompactMeasure.cosine(), 61)
+    assert alpha == [0] * 61
+    assert beta == [1, Fraction(1, 2)] + [Fraction(1, 4)] * 59
+    alpha, beta = _chebyshev_algorithm(CompactMeasure.builtin("lebesgue01"), 61)
+    assert alpha == [Fraction(1, 2)] * 61
+    assert beta == [1] + [Fraction(k * k, 4 * (4 * k * k - 1)) for k in range(1, 61)]
 
 
 @pytest.mark.parametrize("name", BUILTINS)

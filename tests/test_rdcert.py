@@ -15,6 +15,7 @@ from freedecay.algebra import (
     MatrixBlockAlgebra,
     op_norm,
 )
+from freedecay.compressed import FreeProductFiltration
 from freedecay.freeword import (
     AvitzourConditionError,
     FreeProductAmbient,
@@ -30,7 +31,6 @@ from freedecay.measure import CompactMeasure
 from freedecay.rdcert import (
     ConstantFiltration,
     FiniteDimFiltration,
-    FreeProductFiltration,
     MeasureDegreeFiltration,
     classify_abelian,
     find_avitzour_triple,

@@ -238,6 +238,19 @@ def test_the_package_loads_no_layer_and_the_exact_layers_load_no_scipy():
     )
     assert "freedecay.fock" in vacuum and "freedecay.compressed" not in vacuum
     assert not [m for m in vacuum if m.split(".")[0] == "scipy"]
+    # filtrations that need no Fock space load no scipy, nor do their reports
+    numeric = _modules_after("import freedecay.rdcert, freedecay.measure")
+    assert "freedecay.rdcert" in numeric and "freedecay.measure" in numeric
+    assert not [m for m in numeric if m.split(".")[0] == "scipy"]
+    reports = _modules_after(
+        "from freedecay.algebra import MatrixBlockAlgebra; "
+        "from freedecay.measure import CompactMeasure; "
+        "from freedecay.rdcert import ConstantFiltration, MeasureDegreeFiltration, rd_report; "
+        "rd_report(MeasureDegreeFiltration(CompactMeasure.semicircle(), 20), 20); "
+        "rd_report(ConstantFiltration(MatrixBlockAlgebra.matrix_with_trace(2)), 3)"
+    )
+    assert "freedecay.rdcert" in reports and "freedecay.compressed" not in reports
+    assert not [m for m in reports if m.split(".")[0] == "scipy"]
 
 
 def _only_raises_not_implemented(node):
@@ -287,6 +300,28 @@ def test_no_module_imports_concurrency():
     assert not stray, "concurrency imports:\n" + "\n".join(stray)
 
 
+SCIPY_MODULES = {"compressed", "khintchine", "cli"}
+
+
+def test_only_the_fock_space_layers_import_scipy():
+    # scipy comes in where a truncated Fock space is built: measures and the
+    # filtrations of rdcert are numpy-only
+    stray = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.stem in SCIPY_MODULES:
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            stray += [f"{path.name}:{node.lineno}: {ast.unparse(node)}"
+                      for name in names if name.split(".")[0] == "scipy"]
+    assert not stray, "scipy imports outside the Fock-space layers:\n" + "\n".join(stray)
+
+
 def test_every_cache_is_bounded():
     # peak_rss_mb is a gated benchmark metric: a memo keeps a fixed number of
     # entries however many distinct arguments a run brings.  Memos are
@@ -333,11 +368,7 @@ UNREFERENCED_IN_SRC = {
     "khintchine.kh_bracket": "the public kh(x) bracket shown in the README",
     "khintchine.weak_cs_bound": "the Cauchy-Schwarz oracle that dominates an assembled block norm",
     "measure.sup_norm_poly": "grid sup norm of one orthonormal polynomial, the oracle for closed forms",
-    "measure.OrthoPolySequence.beta": "the recurrence coefficient beta_k, the oracle of closed-form Jacobi data",
-    "measure.OrthoPolySequence.degree": "how far the recurrence has been extended",
     "measure.OrthoPolySequence.exact": "whether the recurrence stayed in Fractions",
-    "measure.gauss_discretize": "a measure as a finite-dimensional abelian C*-probability space",
-    "measure.polynomial_element": "a polynomial as an element of the gauss_discretize algebra",
     "rdcert.FiniteDimFiltration.from_spans": "the public way to build a filtration from spans",
 }
 
@@ -486,7 +517,7 @@ def test_the_exact_kernel_matches_fraction_arithmetic(case):
         for d, diag, rd in zip(algebra.densities, algebra._diagonals, dens):
             if len(rd) == n:
                 assert _canonical_scalar(trace_product(d, bx, diagonal=False)) == _ref_trace(rd, rx)
-                if diag is not None:
+                if diag:
                     assert _canonical_scalar(trace_product(d, bx)) == _ref_trace(rd, rx)
     # the algebra functions built on the kernel
     want_state = _sum_pairs(_ref_trace(d, b) for d, b in zip(dens, xs))
