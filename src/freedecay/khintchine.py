@@ -195,7 +195,7 @@ def tr_bracket(x: HomogeneousWordElement, r: int) -> TrBounds:
     lower: the same block operator realized through the compressed left
     representation, each cell sum c L_{j,i} over the cached basis-vector
     operators L_{j,i} = P_L lambda(xi_i) P_L of the shared depth-4 space,
-    the compressions ``_represent_sparse`` uses; weak_cs: the sqrt(m) *
+    the compressions ``norm_lower_bound`` uses; weak_cs: the sqrt(m) *
     Hilbert-Schmidt style bound that the upper must respect.
     """
     fock = shared_fock(x.ambient.factors, 4)
