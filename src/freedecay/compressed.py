@@ -15,6 +15,13 @@ complement bases are the algebras' own (:func:`onb_complement`), and
 :class:`FreeProductFiltration`, the one filtration that needs a Fock space,
 brackets its RD constants with probe norms read from this representation.
 
+Every such norm is one largest singular value (:func:`spectral_norm`), on
+one of two paths chosen by the smaller side of the matrix: up to
+``_DENSE_CROSSOVER`` (128, where the two cost about the same on Fock
+matrices) the dense values-only SVD, above it one Lanczos kernel on the
+Gram of the smaller side, which returns ||B y||/||y|| for its own top Ritz
+vector y: a Rayleigh witness, not rounded down.
+
 Moment-power estimates sit on top: s_r = state((x*x)^r)^(1/2r) together
 with the consecutive-moment ratio (state((x*x)^r)/state((x*x)^{r-1}))^(1/2);
 both are lower bounds of the norm and nondecreasing in r.  The moments
@@ -41,7 +48,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
+from scipy.linalg import eigh_tridiagonal
 
 from .algebra import (
     AlgebraElement,
@@ -63,7 +70,7 @@ from .fock import (
 )
 from .freeword import FreeElement, FreeProductAmbient, Letter, is_normalized_word, normalize
 from .rdcert import Filtration, FiniteDimFiltration, RdConstant
-from .scalars import accumulate, negligible, root_down, to_complex
+from .scalars import FLOAT_RTOL, accumulate, negligible, root_down, to_complex
 
 __all__ = [
     "TruncatedFock",
@@ -75,8 +82,10 @@ __all__ = [
 ]
 
 _DIMENSION_CAP = 200_000
-_DENSE_CAP = 4_000
-_DENSE_MEMO = 1  # dense norms kept by spectral_norm
+_DENSE_CROSSOVER = 128  # smaller sides up to which spectral_norm takes the dense SVD
+_KRYLOV_DIM = 64  # Lanczos basis vectors before a restart
+_KRYLOV_RESTARTS = 50  # restarts before the kernel gives up
+_NORM_MEMO = 1  # norms kept by spectral_norm
 
 
 class TruncatedFock:
@@ -313,46 +322,88 @@ def _leading(block, k):
 
 def norm_lower_bound(fock: TruncatedFock, x: FreeElement) -> float:
     """Largest singular value of the compressed action, a lower bound of the
-    reduced free-product norm of x.  The float is the dense or ARPACK value,
-    not rounded down, so it may exceed the compressed norm by rounding."""
+    reduced free-product norm of x.  The float is the dense SVD value up to
+    ``_DENSE_CROSSOVER`` and the Lanczos witness ||B y||/||y|| above it
+    (:func:`spectral_norm`), not rounded down, so it may exceed the
+    compressed norm by rounding."""
     (matrix,) = _represent_sparse(fock, [x])
     return spectral_norm(matrix)
 
 
 def spectral_norm(matrix) -> float:
-    """Largest singular value of a CSR matrix: dense up to 400 rows or
-    columns, ARPACK above.  When ARPACK does not converge the dense norm is
-    taken up to dimension _DENSE_CAP; beyond it FockError is raised.
+    """Largest singular value of a CSR matrix, on two paths chosen by its
+    smaller side: up to _DENSE_CROSSOVER the dense values-only SVD
+    (``np.linalg.norm(., 2)``), above it the Lanczos witness ||B y||/||y||
+    of ``_lanczos_norm``, with B the matrix or its adjoint and y a Ritz
+    vector.  The witness is a Rayleigh quotient, so up to the rounding of
+    its last product it is at most the true norm; it is not rounded down.
+    A kernel run that does not converge raises FockError.
 
-    The latest dense norm is kept, keyed by the full CSR bytes (not a
-    digest), so a hit is the float recomputing gives: ``rx_check`` of a
-    length-1 element, whose bracket cell is its Fock matrix, takes one SVD.
-    More kept keys found no more hits and raised rd-certify's peak memory.
-    The ARPACK path and its fallback (up to _DENSE_CAP rows) are not kept."""
-    n = min(matrix.shape)
-    if n == 0:
+    The latest norm is kept, keyed by the full CSR bytes (not a digest), so
+    a hit is the float recomputing gives: ``rx_check`` of a length-1
+    element, whose bracket cell is its Fock matrix, takes one norm.  More
+    kept keys found no more hits and raised rd-certify's peak memory."""
+    if min(matrix.shape) == 0:
         return 0.0
-    if n <= 2 or max(matrix.shape) <= 400:
-        return _dense_norm(matrix.shape, matrix.data.dtype.str, matrix.indices.dtype.str,
-                           matrix.data.tobytes(), matrix.indices.tobytes(), matrix.indptr.tobytes())
-    v0 = np.ones(n, dtype=complex) / math.sqrt(n)
-    try:
-        vals = spla.svds(matrix, k=1, v0=v0, return_singular_vectors=False, maxiter=5000)
-    except spla.ArpackNoConvergence as exc:
-        if max(matrix.shape) > _DENSE_CAP:
-            raise FockError(
-                f"ARPACK did not converge on a {matrix.shape[0]} x {matrix.shape[1]} "
-                f"matrix, too large for the dense fallback (cap {_DENSE_CAP})"
-            ) from exc
-        return float(np.linalg.norm(matrix.toarray(), 2))
-    return float(vals[0])
+    return _memo_norm(matrix.shape, matrix.data.dtype.str, matrix.indices.dtype.str,
+                      matrix.data.tobytes(), matrix.indices.tobytes(), matrix.indptr.tobytes())
 
 
-@functools.lru_cache(maxsize=_DENSE_MEMO)
-def _dense_norm(shape, data_dtype, index_dtype, data, indices, indptr) -> float:
+@functools.lru_cache(maxsize=_NORM_MEMO)
+def _memo_norm(shape, data_dtype, index_dtype, data, indices, indptr) -> float:
     matrix = sp.csr_matrix((np.frombuffer(data, data_dtype), np.frombuffer(indices, index_dtype),
                             np.frombuffer(indptr, index_dtype)), shape=shape)
-    return float(np.linalg.norm(matrix.toarray(), 2))
+    if min(shape) <= _DENSE_CROSSOVER:
+        return float(np.linalg.norm(matrix.toarray(), 2))
+    return _lanczos_norm(matrix)[0]
+
+
+def _lanczos_norm(matrix):
+    """(||B y|| / ||y||, y) for the top Ritz vector y of the Gram B* B of
+    the smaller side: B is the matrix when it has no more columns than rows,
+    else its adjoint.
+
+    Lanczos on B* B, applied as B* (B q) and never formed, from a fixed-seed
+    complex start vector, with every new vector orthogonalised twice against
+    the whole basis.  A basis of _KRYLOV_DIM vectors restarts from its top
+    Ritz vector.  The Ritz value theta and vector s of the tridiagonal come
+    from ``eigh_tridiagonal``; the run stops when |beta_k s_k| <=
+    FLOAT_RTOL * theta or when the basis spans the space.  A run that has
+    not stopped after _KRYLOV_RESTARTS restarts raises FockError."""
+    bh = matrix.conj().T.tocsr()
+    b, bh = (matrix, bh) if matrix.shape[0] >= matrix.shape[1] else (bh, matrix)
+    n = b.shape[1]
+    size = min(_KRYLOV_DIM, n)
+    rng = np.random.default_rng(0)
+    q = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    # the conjugates of the basis vectors, one per row: c @ w holds their
+    # inner products with w, and (h @ c).conj() is the combination with
+    # coefficients conj(h)
+    conj = np.empty((size, n), dtype=complex)
+    alpha, beta = np.empty(size), np.empty(size)
+    for _ in range(_KRYLOV_RESTARTS + 1):
+        q /= np.linalg.norm(q)
+        for k in range(size):
+            conj[k] = q.conj()
+            c = conj[: k + 1]
+            w = bh @ (b @ q)
+            h = c @ w
+            w -= (h.conj() @ c).conj()
+            w -= ((c @ w).conj() @ c).conj()
+            alpha[k] = h[k].real
+            beta[k] = np.linalg.norm(w)
+            theta, s = eigh_tridiagonal(alpha[: k + 1], beta[:k], select="i",
+                                        select_range=(k, k), check_finite=False)
+            s = s[:, 0]
+            if abs(beta[k] * s[k]) <= FLOAT_RTOL * theta[0] or k + 1 == n:
+                y = (s @ c).conj()
+                return float(np.linalg.norm(b @ y) / np.linalg.norm(y)), y
+            q = w / beta[k]
+        q = (s @ conj).conj()
+    raise FockError(
+        f"Lanczos did not converge on a {matrix.shape[0]} x {matrix.shape[1]} matrix "
+        f"after {_KRYLOV_RESTARTS} restarts of {size} vectors"
+    )
 
 
 # ---------------------------------------------------------------------------

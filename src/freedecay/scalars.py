@@ -13,13 +13,15 @@ properties ``re`` and ``im``.  Sums of equal denominators add numerators,
 and every operation ends in at most one ``gcd(d, a, b)`` (Knuth, TAOCP
 vol. 2, §4.5.1).  ``complex(q)`` is ``complex(a / d, b / d)``: int/int
 division rounds correctly, so the bits are those of ``float(q.re)`` and
-``float(q.im)``.  ``==`` against float or complex is exact, as for
-``Fraction``, and ``hash`` is CPython's numeric hash, so equal numbers hash
-equal across ``QC``, int, ``Fraction``, float and complex.  The exact
-kernel :class:`QCMatrix` lays out a square block the same way, over one
-denominator, so its arithmetic ends in at most one gcd per block; the float
-kernel is the per-entry code of ``algebra``, which reads an exact block as
-rows of ``QC`` where it meets a float one.
+``float(q.im)``; a part beyond the float range raises ``ValueError``, and
+so does a NaN or infinite float given to :func:`as_scalar`.  ``==``
+against float or complex is exact, as for ``Fraction``, and ``hash`` is
+CPython's numeric hash, so equal numbers hash equal across ``QC``, int,
+``Fraction``, float and complex.  The exact kernel :class:`QCMatrix` lays
+out a square block the same way, over one denominator, so its arithmetic
+ends in at most one gcd per block; the float kernel is the per-entry code
+of ``algebra``, which reads an exact block as rows of ``QC`` where it meets
+a float one.
 
 Tolerances.  Exact values (``QC``, int, ``Fraction``) are compared
 exactly; anything else is compared as a float.  Term dicts drop a
@@ -39,6 +41,7 @@ their algorithms.
 
 from __future__ import annotations
 
+import cmath
 import math
 import sys
 from fractions import Fraction
@@ -155,7 +158,10 @@ class QC:
         return abs(complex(self))
 
     def __complex__(self) -> complex:
-        return complex(self._a / self._d, self._b / self._d)
+        try:
+            return complex(self._a / self._d, self._b / self._d)
+        except OverflowError:
+            raise ValueError("exact value too large for a float") from None
 
     def __float__(self) -> float:
         if self._b:
@@ -377,13 +383,17 @@ def exact_block(rows):
 
 
 def as_scalar(value):
-    """Normalize a user-supplied number to QC (exact) or complex (float)."""
+    """Normalize a user-supplied number to QC (exact) or complex (float);
+    a NaN or infinite float or complex raises ValueError."""
     if isinstance(value, QC):
         return value
     if isinstance(value, (Integral, Fraction)):
         return QC(value)
     if isinstance(value, (float, complex)):
-        return complex(value)
+        value = complex(value)
+        if not cmath.isfinite(value):
+            raise ValueError(f"non-finite scalar {value!r}")
+        return value
     raise TypeError(f"not a scalar: {value!r}")
 
 
@@ -439,17 +449,21 @@ def agree(a, b, scale) -> bool:
 def root_down(value, k: int) -> float:
     """Largest float t with t**k <= value in exact arithmetic, for an exact
     real value >= 0 (a real ``QC``, int or ``Fraction``): a k-th root that is
-    never above the true one, decided with no float step."""
+    never above the true one, decided with no float step.  A root whose
+    guess passes the float range raises ValueError."""
     q = value.re if isinstance(value, QC) else Fraction(value)
     if q <= 0:
         return 0.0
     # the guess, within a few units in the last place, from q scaled by an
     # exact power of two, so that no q under- or overflows the conversion
     shift = (q.numerator.bit_length() - q.denominator.bit_length()) // k
-    t = math.ldexp(float(q / Fraction(2) ** (shift * k)) ** (1.0 / k), shift)
+    try:
+        t = math.ldexp(float(q / Fraction(2) ** (shift * k)) ** (1.0 / k), shift)
+    except OverflowError:
+        raise ValueError("exact root too large for a float") from None
     while Fraction(t) ** k > q:
         t = math.nextafter(t, 0.0)
-    while Fraction(math.nextafter(t, math.inf)) ** k <= q:
+    while t < sys.float_info.max and Fraction(math.nextafter(t, math.inf)) ** k <= q:
         t = math.nextafter(t, math.inf)
     return t
 

@@ -197,6 +197,22 @@ def test_non_finite_json_numbers_exit_2(tmp_path, capsys, command, text, literal
     assert capsys.readouterr().err == f"error: non-finite number {literal} in {element}\n"
 
 
+@pytest.mark.parametrize("command, message", [
+    ("free-moments", "error: exact root too large for a float\n"),
+    ("norm-estimate", "error: exact value too large for a float\n"),
+], ids=["free-moments", "norm-estimate"])
+def test_exact_numbers_too_large_for_a_float_exit_2(tmp_path, capsys, command, message):
+    # a 401-digit integer coefficient is exact, so the JSON reader keeps it;
+    # the float kernels meet it
+    element = tmp_path / "elem.json"
+    element.write_text('{"terms": [{"coeff": [1%s, 0], "word": [{"factor": 0, "elem": '
+                       '[[[1]], [[-1]]]}]}]}' % ("0" * 400))
+    argv = [command, "--factors", _write(tmp_path, "factors.json", _C2_C3),
+            "--element", str(element), "--out", str(tmp_path / "out.csv")]
+    assert run(argv) == 2
+    assert capsys.readouterr().err == message
+
+
 # valid inputs whose mutations the fuzz test below feeds to the CLI
 _FUZZ_DOCUMENTS = {
     "factors": {"factors": [{"atoms": ["1/2", "1/2"]}, _M2]},

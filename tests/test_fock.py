@@ -51,7 +51,7 @@ from freedecay.freeword import (
 )
 from freedecay.khintchine import HomogeneousWordElement, rx_check
 from freedecay.rdcert import ConstantFiltration
-from freedecay.scalars import QC, negligible, to_complex
+from freedecay.scalars import FLOAT_RTOL, QC, negligible, to_complex
 
 
 def c2_half():
@@ -607,42 +607,98 @@ def test_norm_lower_bound_monotone_in_depth():
         assert b >= a - 1e-9
 
 
-def test_spectral_norm_falls_back_to_dense_without_arpack_convergence(monkeypatch):
-    def no_convergence(*args, **kwargs):
-        raise sp.linalg.ArpackNoConvergence("no convergence", np.array([]), np.array([]))
-
-    monkeypatch.setattr(compressed.spla, "svds", no_convergence)
-    rng = np.random.default_rng(9)
-    dense = rng.standard_normal((500, 500)) + 1j * rng.standard_normal((500, 500))
-    assert spectral_norm(sp.csr_matrix(dense)) == pytest.approx(np.linalg.norm(dense, 2))
-    with pytest.raises(FockError):
-        spectral_norm(sp.identity(compressed._DENSE_CAP + 1, dtype=complex, format="csr"))
+def _random_sparse(rows, cols, seed):
+    rng = np.random.default_rng(seed)
+    real, imag = (sp.random(rows, cols, density=0.02, random_state=rng, format="csr")
+                  for _ in range(2))
+    return (real + 1j * imag).tocsr()
 
 
-def test_length_one_rx_check_takes_one_dense_svd(monkeypatch):
-    # the depth-4 Fock matrix of x and its 1 x 1 bracket cell are one matrix
-    shapes = []
-    norm = np.linalg.norm
+def _block_diagonal_tie():
+    # two blocks with one top singular value
+    block = _random_sparse(150, 150, 3).toarray()
+    return sp.csr_matrix(np.block([[block, np.zeros((150, 150))],
+                                   [np.zeros((150, 150)), block.T]]))
 
-    def counting_norm(a, *args, **kwargs):
-        shapes.append(np.shape(a))
-        return norm(a, *args, **kwargs)
+
+_CROSSOVER = compressed._DENSE_CROSSOVER
+_KERNEL_MATRICES = {
+    "zero": sp.csr_matrix((200, 300), dtype=complex),
+    "identity": sp.identity(200, dtype=complex, format="csr"),
+    "rank-one": sp.csr_matrix(np.outer(np.arange(1, 251), np.arange(200) - 99.5j)),
+    "block-diagonal-tie": _block_diagonal_tie(),
+    **{"random-%dx%d" % shape: _random_sparse(*shape, sum(shape))
+       for shape in [(_CROSSOVER + 72, _CROSSOVER + 72), (_CROSSOVER + 300, _CROSSOVER + 72),
+                     (_CROSSOVER + 72, _CROSSOVER + 300)]},
+}
+
+
+@pytest.mark.parametrize("rows, cols", [
+    (_CROSSOVER - 28, _CROSSOVER - 28), (_CROSSOVER + 200, _CROSSOVER - 28),
+    (_CROSSOVER - 28, _CROSSOVER + 200), (_CROSSOVER, _CROSSOVER + 1),
+    (_CROSSOVER + 1, _CROSSOVER + 1), (_CROSSOVER + 200, _CROSSOVER + 72),
+    (_CROSSOVER + 72, _CROSSOVER + 200),
+])
+def test_spectral_norm_matches_the_dense_norm(rows, cols):
+    matrix = _random_sparse(rows, cols, rows * cols)
+    want = np.linalg.norm(matrix.toarray(), 2)
+    assert abs(spectral_norm(matrix) - want) <= FLOAT_RTOL * want
+
+
+@pytest.mark.parametrize("name", sorted(_KERNEL_MATRICES))
+def test_the_kernel_returns_the_witness_of_its_ritz_vector(name):
+    matrix = _KERNEL_MATRICES[name]
+    assert min(matrix.shape) > _CROSSOVER
+    value, y = compressed._lanczos_norm(matrix)
+    # y lives on the smaller side, where the kernel runs on the Gram
+    side = matrix if matrix.shape[0] >= matrix.shape[1] else matrix.conj().T.tocsr()
+    assert value == np.linalg.norm(side @ y) / np.linalg.norm(y)
+    want = np.linalg.norm(matrix.toarray(), 2)
+    assert abs(value - want) <= FLOAT_RTOL * want
+    compressed._memo_norm.cache_clear()
+    assert spectral_norm(matrix) == value
+
+
+def test_the_kernel_restarts_from_its_top_ritz_vector(monkeypatch):
+    monkeypatch.setattr(compressed, "_KRYLOV_DIM", 8)
+    matrix = _KERNEL_MATRICES["random-%dx%d" % (_CROSSOVER + 300, _CROSSOVER + 72)]
+    want = np.linalg.norm(matrix.toarray(), 2)
+    assert abs(compressed._lanczos_norm(matrix)[0] - want) <= FLOAT_RTOL * want
+
+
+def test_the_kernel_raises_when_its_restart_budget_runs_out(monkeypatch):
+    monkeypatch.setattr(compressed, "_KRYLOV_DIM", 2)
+    monkeypatch.setattr(compressed, "_KRYLOV_RESTARTS", 1)
+    compressed._memo_norm.cache_clear()
+    with pytest.raises(FockError, match="did not converge"):
+        spectral_norm(_random_sparse(_CROSSOVER + 72, _CROSSOVER + 72, 5))
+
+
+def test_length_one_rx_check_runs_the_kernel_once(monkeypatch):
+    # the depth-4 Fock matrix of x (241 x 241) and its 1 x 1 bracket cell are
+    # one matrix
+    runs = []
+    kernel = compressed._lanczos_norm
+
+    def counting_kernel(matrix):
+        runs.append(matrix.shape)
+        return kernel(matrix)
 
     amb = two_factor(m2_tr(), m2_tr())
     x = HomogeneousWordElement.random(amb, 1, np.random.default_rng(3))
-    compressed._dense_norm.cache_clear()
-    monkeypatch.setattr(np.linalg, "norm", counting_norm)
+    compressed._memo_norm.cache_clear()
+    monkeypatch.setattr(compressed, "_lanczos_norm", counting_kernel)
     rx_check(x, moment_rmax=2)
-    assert shapes.count((241, 241)) == 1
-    assert compressed._dense_norm.cache_info().hits == 1
+    assert runs == [(241, 241)]
+    assert compressed._memo_norm.cache_info().hits == 1
 
 
 def test_dense_memo_leaves_kh_norm_csv_unchanged(tmp_path, monkeypatch):
     argv = ["kh-norm", "--length", "1", "--trials", "4", "--seed", "5", "--out"]
-    compressed._dense_norm.cache_clear()
+    compressed._memo_norm.cache_clear()
     assert run(argv + [str(tmp_path / "memo.csv")]) == 0
-    assert compressed._dense_norm.cache_info().hits == 4
-    monkeypatch.setattr(compressed, "_dense_norm", compressed._dense_norm.__wrapped__)
+    assert compressed._memo_norm.cache_info().hits == 4
+    monkeypatch.setattr(compressed, "_memo_norm", compressed._memo_norm.__wrapped__)
     assert run(argv + [str(tmp_path / "direct.csv")]) == 0
     assert (tmp_path / "memo.csv").read_bytes() == (tmp_path / "direct.csv").read_bytes()
 
@@ -655,11 +711,11 @@ def test_dense_memo_keys_on_the_stored_layout():
     split = sp.csr_matrix((np.hstack([dense / 2, dense / 2]).ravel(), np.tile(np.arange(6), 12),
                            np.arange(0, 73, 12)), shape=(6, 6))
     assert np.array_equal(split.toarray(), summed.toarray())
-    compressed._dense_norm.cache_clear()
+    compressed._memo_norm.cache_clear()
     for m in (summed, summed, split, split):
         assert spectral_norm(m) == np.linalg.norm(m.toarray(), 2)
-    assert compressed._dense_norm.cache_info()[:2] == (2, 2)  # hits, misses
-    assert compressed._dense_norm.cache_info().maxsize == compressed._DENSE_MEMO
+    assert compressed._memo_norm.cache_info()[:2] == (2, 2)  # hits, misses
+    assert compressed._memo_norm.cache_info().maxsize == compressed._NORM_MEMO
 
 
 # ---------------------------------------------------------------------------

@@ -47,6 +47,16 @@ def _ambient_m2_c3():
     return two_factor(m2_tr(), c3_weighted())
 
 
+def test_free_state_of_a_nan_letter_raises_value_error():
+    # a centred NaN letter has a NaN state again, so the centring recursion
+    # would never reach zero
+    c2 = MatrixBlockAlgebra.from_weights([Fraction(1, 2), Fraction(1, 2)])
+    c3 = MatrixBlockAlgebra.from_weights([Fraction(1, 3)] * 3)
+    amb = FreeProductAmbient((c2, c3))
+    with pytest.raises(ValueError, match="non-finite scalar"):
+        free_state(FreeElement.word(amb, (Letter(0, AlgebraElement(c2, [[[math.nan]], [[-1]]])),)))
+
+
 # ---------------------------------------------------------------------------
 # normal form
 # ---------------------------------------------------------------------------

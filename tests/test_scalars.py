@@ -25,9 +25,10 @@ from hypothesis import strategies as st
 from freedecay.algebra import AlgebraError, AlgebraElement, MatrixBlockAlgebra, center, l2_inner, state
 from freedecay.measure import CompactMeasure, MeasureError
 from freedecay.rdcert import classify_abelian
+from freedecay.freeword import FreeElement, FreeProductAmbient
 from freedecay.scalars import (
-    FLOAT_RTOL, FLOAT_ZERO, QC, QCMatrix, accumulate, agree, common_scalar, exact_block, negligible, root_down,
-    trace_product,
+    FLOAT_RTOL, FLOAT_ZERO, QC, QCMatrix, accumulate, agree, as_scalar, common_scalar, exact_block, negligible,
+    root_down, trace_product,
 )
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "freedecay"
@@ -171,6 +172,29 @@ def _loaders_accept(weights):
 def test_weight_loaders_share_the_sum_to_one_rule(offset, accepted):
     assert _loaders_accept([0.25, 0.75 + offset]) == [accepted] * 3
     assert _loaders_accept([0.2, 0.3, 0.5 + offset]) == [accepted] * 3
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, complex(1, math.nan),
+                                   complex(math.inf, 0)])
+def test_non_finite_floats_are_refused_as_scalars(value):
+    c2 = MatrixBlockAlgebra.from_weights([Fraction(1, 2), Fraction(1, 2)])
+    for make in (as_scalar,
+                 lambda v: AlgebraElement(c2, [[[v]], [[-1]]]),
+                 lambda v: MatrixBlockAlgebra.from_weights([v, 0.5]),
+                 lambda v: FreeElement.scalar(FreeProductAmbient((c2, c2)), v)):
+        with pytest.raises(ValueError, match="non-finite scalar"):
+            make(value)
+
+
+def test_exact_values_beyond_the_float_range_raise_value_error():
+    with pytest.raises(ValueError, match="too large for a float"):
+        complex(QC(10**400))
+    with pytest.raises(ValueError, match="too large for a float"):
+        root_down(QC(10**800), 2)
+    # the largest float is the root of its square, though its successor is no float
+    top = Fraction(sys.float_info.max)
+    assert root_down(top ** 2, 2) == sys.float_info.max
+    assert root_down(top ** 2 - 1, 2) == math.nextafter(sys.float_info.max, 0.0)
 
 
 # Literals that are not decisions on data: stopping rules of iterations and
