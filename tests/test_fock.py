@@ -615,7 +615,7 @@ def _random_sparse(rows, cols, seed):
 
 
 def _block_diagonal_tie():
-    # two blocks with one top singular value
+    # a block and its transpose: two blocks with equal top singular values
     block = _random_sparse(150, 150, 3).toarray()
     return sp.csr_matrix(np.block([[block, np.zeros((150, 150))],
                                    [np.zeros((150, 150)), block.T]]))

@@ -23,9 +23,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from freedecay.algebra import AlgebraError, AlgebraElement, MatrixBlockAlgebra, center, l2_inner, state
+from freedecay.freeword import FreeElement, FreeProductAmbient
 from freedecay.measure import CompactMeasure, MeasureError
 from freedecay.rdcert import classify_abelian
-from freedecay.freeword import FreeElement, FreeProductAmbient
 from freedecay.scalars import (
     FLOAT_RTOL, FLOAT_ZERO, QC, QCMatrix, accumulate, agree, as_scalar, common_scalar, exact_block, negligible,
     root_down, trace_product,
