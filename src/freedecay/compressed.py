@@ -16,11 +16,11 @@ complement bases are the algebras' own (:func:`onb_complement`), and
 brackets its RD constants with probe norms read from this representation.
 
 Every such norm is one largest singular value (:func:`spectral_norm`), on
-one of two paths chosen by the smaller side of the matrix: up to
-``_DENSE_CROSSOVER`` (128, where the two cost about the same on Fock
-matrices) the dense values-only SVD, above it one Lanczos kernel on the
-Gram of the smaller side, which returns ||B y||/||y|| for its own top Ritz
-vector y: a Rayleigh witness, not rounded down.
+one of two paths chosen by the number of matrix entries: up to those of
+the 128 x 128 square (``_DENSE_CROSSOVER``, where the two cost about the
+same on Fock matrices) the dense values-only SVD, above it one Lanczos
+kernel on the Gram of the smaller side, which returns ||B y||/||y|| for its
+own top Ritz vector y: a Rayleigh witness, not rounded down.
 
 Moment-power estimates sit on top: s_r = state((x*x)^r)^(1/2r) together
 with the consecutive-moment ratio (state((x*x)^r)/state((x*x)^{r-1}))^(1/2);
@@ -82,7 +82,7 @@ __all__ = [
 ]
 
 _DIMENSION_CAP = 200_000
-_DENSE_CROSSOVER = 128  # smaller sides up to which spectral_norm takes the dense SVD
+_DENSE_CROSSOVER = 128  # spectral_norm takes the dense SVD up to 128 * 128 matrix entries
 _KRYLOV_DIM = 64  # Lanczos basis vectors before a restart
 _KRYLOV_RESTARTS = 50  # restarts before the kernel gives up
 _NORM_MEMO = 1  # norms kept by spectral_norm
@@ -323,21 +323,23 @@ def _leading(block, k):
 def norm_lower_bound(fock: TruncatedFock, x: FreeElement) -> float:
     """Largest singular value of the compressed action, a lower bound of the
     reduced free-product norm of x.  The float is the dense SVD value up to
-    ``_DENSE_CROSSOVER`` and the Lanczos witness ||B y||/||y|| above it
-    (:func:`spectral_norm`), not rounded down, so it may exceed the
-    compressed norm by rounding."""
+    ``_DENSE_CROSSOVER`` squared matrix entries and the Lanczos witness
+    ||B y||/||y|| above (:func:`spectral_norm`), not rounded down, so it may
+    exceed the compressed norm by rounding."""
     (matrix,) = _represent_sparse(fock, [x])
     return spectral_norm(matrix)
 
 
 def spectral_norm(matrix) -> float:
     """Largest singular value of a CSR matrix, on two paths chosen by its
-    smaller side: up to _DENSE_CROSSOVER the dense values-only SVD
-    (``np.linalg.norm(., 2)``), above it the Lanczos witness ||B y||/||y||
-    of ``_lanczos_norm``, with B the matrix or its adjoint and y a Ritz
-    vector.  The witness is a Rayleigh quotient, so up to the rounding of
-    its last product it is at most the true norm; it is not rounded down.
-    A kernel run that does not converge raises FockError.
+    number of entries: up to _DENSE_CROSSOVER squared the dense values-only
+    SVD (``np.linalg.norm(., 2)``), above it the Lanczos witness
+    ||B y||/||y|| of ``_lanczos_norm``, with B the matrix or its adjoint and
+    y a Ritz vector.  The dense cost grows with both sides, so a wide grid
+    such as 120 x 1440 takes the kernel although its smaller side is below
+    128.  The witness is a Rayleigh quotient, so up to the rounding of its
+    last product it is at most the true norm; it is not rounded down.  A
+    kernel run that does not converge raises FockError.
 
     The latest norm is kept, keyed by the full CSR bytes (not a digest), so
     a hit is the float recomputing gives: ``rx_check`` of a length-1
@@ -353,7 +355,7 @@ def spectral_norm(matrix) -> float:
 def _memo_norm(shape, data_dtype, index_dtype, data, indices, indptr) -> float:
     matrix = sp.csr_matrix((np.frombuffer(data, data_dtype), np.frombuffer(indices, index_dtype),
                             np.frombuffer(indptr, index_dtype)), shape=shape)
-    if min(shape) <= _DENSE_CROSSOVER:
+    if shape[0] * shape[1] <= _DENSE_CROSSOVER**2:
         return float(np.linalg.norm(matrix.toarray(), 2))
     return _lanczos_norm(matrix)[0]
 

@@ -637,12 +637,33 @@ _KERNEL_MATRICES = {
     (_CROSSOVER - 28, _CROSSOVER - 28), (_CROSSOVER + 200, _CROSSOVER - 28),
     (_CROSSOVER - 28, _CROSSOVER + 200), (_CROSSOVER, _CROSSOVER + 1),
     (_CROSSOVER + 1, _CROSSOVER + 1), (_CROSSOVER + 200, _CROSSOVER + 72),
-    (_CROSSOVER + 72, _CROSSOVER + 200),
+    (_CROSSOVER + 72, _CROSSOVER + 200), (120, 1440), (1440, 120), (1, 20_000), (20_000, 2),
 ])
 def test_spectral_norm_matches_the_dense_norm(rows, cols):
     matrix = _random_sparse(rows, cols, rows * cols)
     want = np.linalg.norm(matrix.toarray(), 2)
     assert abs(spectral_norm(matrix) - want) <= FLOAT_RTOL * want
+
+
+@pytest.mark.parametrize("rows, cols, kernel_runs", [
+    (_CROSSOVER, _CROSSOVER, 0), (_CROSSOVER + 1, _CROSSOVER + 1, 1), (61, 244, 0), (244, 61, 0),
+    # a bracket grid of (M2, tr) * C3 at length 3: a smaller side below the
+    # crossover, but more entries than the crossover square
+    (120, 1440, 1), (1440, 120, 1), (2, _CROSSOVER**2 // 2, 0), (2, _CROSSOVER**2 // 2 + 1, 1),
+])
+def test_spectral_norm_takes_the_kernel_above_the_crossover_entries(rows, cols, kernel_runs,
+                                                                    monkeypatch):
+    runs = []
+    kernel = compressed._lanczos_norm
+
+    def counting_kernel(matrix):
+        runs.append(matrix.shape)
+        return kernel(matrix)
+
+    monkeypatch.setattr(compressed, "_lanczos_norm", counting_kernel)
+    compressed._memo_norm.cache_clear()
+    spectral_norm(_random_sparse(rows, cols, rows + cols))
+    assert len(runs) == kernel_runs
 
 
 @pytest.mark.parametrize("name", sorted(_KERNEL_MATRICES))
