@@ -20,7 +20,8 @@ one of two paths chosen by the number of matrix entries: up to those of
 the 128 x 128 square (``_DENSE_CROSSOVER``, where the two cost about the
 same on Fock matrices) the dense values-only SVD, above it one Lanczos
 kernel on the Gram of the smaller side, which returns ||B y||/||y|| for its
-own top Ritz vector y: a Rayleigh witness, not rounded down.
+own top Ritz vector y: a Rayleigh witness, not rounded down.  No norm is
+kept between calls.
 
 Moment-power estimates sit on top: s_r = state((x*x)^r)^(1/2r) together
 with the consecutive-moment ratio (state((x*x)^r)/state((x*x)^{r-1}))^(1/2);
@@ -85,7 +86,6 @@ _DIMENSION_CAP = 200_000
 _DENSE_CROSSOVER = 128  # spectral_norm takes the dense SVD up to 128 * 128 matrix entries
 _KRYLOV_DIM = 64  # Lanczos basis vectors before a restart
 _KRYLOV_RESTARTS = 50  # restarts before the kernel gives up
-_NORM_MEMO = 1  # norms kept by spectral_norm
 
 
 class TruncatedFock:
@@ -339,23 +339,11 @@ def spectral_norm(matrix) -> float:
     such as 120 x 1440 takes the kernel although its smaller side is below
     128.  The witness is a Rayleigh quotient, so up to the rounding of its
     last product it is at most the true norm; it is not rounded down.  A
-    kernel run that does not converge raises FockError.
-
-    The latest norm is kept, keyed by the full CSR bytes (not a digest), so
-    a hit is the float recomputing gives: ``rx_check`` of a length-1
-    element, whose bracket cell is its Fock matrix, takes one norm.  More
-    kept keys found no more hits and raised rd-certify's peak memory."""
+    kernel run that does not converge raises FockError.  Nothing is kept
+    between calls."""
     if min(matrix.shape) == 0:
         return 0.0
-    return _memo_norm(matrix.shape, matrix.data.dtype.str, matrix.indices.dtype.str,
-                      matrix.data.tobytes(), matrix.indices.tobytes(), matrix.indptr.tobytes())
-
-
-@functools.lru_cache(maxsize=_NORM_MEMO)
-def _memo_norm(shape, data_dtype, index_dtype, data, indices, indptr) -> float:
-    matrix = sp.csr_matrix((np.frombuffer(data, data_dtype), np.frombuffer(indices, index_dtype),
-                            np.frombuffer(indptr, index_dtype)), shape=shape)
-    if shape[0] * shape[1] <= _DENSE_CROSSOVER**2:
+    if matrix.shape[0] * matrix.shape[1] <= _DENSE_CROSSOVER**2:
         return float(np.linalg.norm(matrix.toarray(), 2))
     return _lanczos_norm(matrix)[0]
 

@@ -292,11 +292,15 @@ def rx_check(x: HomogeneousWordElement, moment_rmax: int = 2) -> RxReport:
     """
     ell = x.length
     elem = x.to_free_element()
-    fock = shared_fock(x.ambient.factors, default_depth(ell))
-    lb_fock = norm_lower_bound(fock, elem)
+    s_values, t_bounds = _unfoldings(x)
+    if ell == 1:
+        # t_1's 1 x 1 grid holds sum c L_{j,i} on shared_fock(factors, 4),
+        # and default_depth(1) is 4: its norm is the Fock-space lower bound
+        lb_fock = t_bounds[0].lower
+    else:
+        lb_fock = norm_lower_bound(shared_fock(x.ambient.factors, default_depth(ell)), elem)
     lb_moment = moment_norm_estimate(elem, moment_rmax).max
     norm_lb = max(lb_fock, lb_moment)
-    s_values, t_bounds = _unfoldings(x)
     kh_lo, kh_up = _kh_range(s_values, t_bounds)
     bound = 2 * (ell + 1) * kh_up
     l2 = x.l2_norm()

@@ -1,10 +1,9 @@
 """Compactly supported probability measures on an interval.
 
 A :class:`CompactMeasure` is presented by its moment sequence (exact
-Fractions whenever possible) plus an optional density sampler used only for
-oracle cross-checks.  Orthonormal polynomials come out of the Stieltjes /
-Chebyshev moment algorithm, and sup norm estimates out of the maximum over
-a Chebyshev-Lobatto grid.
+Fractions whenever possible).  Orthonormal polynomials come out of the
+Stieltjes / Chebyshev moment algorithm, and sup norm estimates out of the
+maximum over a Chebyshev-Lobatto grid.
 """
 
 from __future__ import annotations
@@ -50,17 +49,15 @@ class CompactMeasure:
     """Probability measure on [a, b] given by moments.
 
     ``moment_fn(k)`` must return the k-th raw moment, exact (int/Fraction)
-    when available.  ``density`` is an optional callable used by tests as an
-    independent quadrature oracle.
+    when available.
     """
 
-    def __init__(self, support, moment_fn, density=None, name="custom"):
+    def __init__(self, support, moment_fn, name="custom"):
         a, b = support
         if not float(a) < float(b):
             raise MeasureError("support must be an interval [a, b] with a < b")
         self.support = (a, b)
         self._moment_fn = moment_fn
-        self.density = density
         self.name = name
         self._moment_cache: dict[int, object] = {}
         m0 = self.moment(0)
@@ -82,10 +79,7 @@ class CompactMeasure:
         def m(k):
             return Fraction(_catalan(k // 2)) if k % 2 == 0 else Fraction(0)
 
-        def dens(t):
-            return np.sqrt(np.maximum(4.0 - t * t, 0.0)) / (2.0 * np.pi)
-
-        return cls((-2, 2), m, density=dens, name="semicircle")
+        return cls((-2, 2), m, name="semicircle")
 
     @classmethod
     def lebesgue(cls, a=-1, b=1) -> "CompactMeasure":
@@ -96,12 +90,7 @@ class CompactMeasure:
             # (b^{k+1} - a^{k+1}) / ((k+1)(b-a))
             return (b ** (k + 1) - a ** (k + 1)) / ((k + 1) * (b - a))
 
-        fa, fb = float(a), float(b)
-
-        def dens(t):
-            return np.full_like(np.asarray(t, dtype=float), 1.0 / (fb - fa))
-
-        return cls((a, b), m, density=dens, name=f"lebesgue[{a},{b}]")
+        return cls((a, b), m, name=f"lebesgue[{a},{b}]")
 
     @classmethod
     def cosine(cls) -> "CompactMeasure":
@@ -111,12 +100,7 @@ class CompactMeasure:
         def m(k):
             return Fraction(comb(k, k // 2), 2 ** k) if k % 2 == 0 else Fraction(0)
 
-        def dens(t):
-            t = np.asarray(t, dtype=float)
-            # the floor guards the division at the end points t = +-1
-            return 1.0 / (np.pi * np.sqrt(np.maximum(1.0 - t * t, 1e-300)))
-
-        return cls((-1, 1), m, density=dens, name="cosine")
+        return cls((-1, 1), m, name="cosine")
 
     @classmethod
     def uniform_atoms(cls, points, weights=None) -> "CompactMeasure":

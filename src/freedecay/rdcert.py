@@ -47,6 +47,7 @@ from .scalars import QC, agree, negligible, to_complex
 # _newton_phases: stop when every |constraint| < _NEWTON_STOP, or after _NEWTON_STEPS
 _NEWTON_STOP = 1e-14
 _NEWTON_STEPS = 250
+_SUBSET_ATOMS = 16  # exact subset-sum searches run on at most this many weights
 
 __all__ = [
     "Filtration",
@@ -316,10 +317,10 @@ def _zero_mean_phases(weights):
 
     The weights are read as real numbers.  Exact weights first try an
     exact +-1 split: alternating signs for an even number of equal weights,
-    else a subset with half the total (m <= 16).  Otherwise the weights are
-    cut at the first prefix sum above half the total.  Each of the three
-    pieces then weighs at most half, so their sums a, b, c close a triangle,
-    and the law of cosines gives one phase per piece."""
+    else a subset with half the total (m <= _SUBSET_ATOMS).  Otherwise the
+    weights are cut at the first prefix sum above half the total.  Each of
+    the three pieces then weighs at most half, so their sums a, b, c close a
+    triangle, and the law of cosines gives one phase per piece."""
     real = [to_complex(w).real for w in weights]
     exact = all(isinstance(w, QC) and not w.im for w in weights)
     fr = [w.re for w in weights] if exact else real
@@ -330,7 +331,7 @@ def _zero_mean_phases(weights):
     if exact:
         if len(set(fr)) == 1 and m % 2 == 0:
             return [QC(1) if k % 2 == 0 else QC(-1) for k in range(m)]
-        if m <= 16:
+        if m <= _SUBSET_ATOMS:
             found = _subset_with_sum(fr, sum(fr) / 2)
             if found is not None:
                 return [QC(-1) if k in found else QC(1) for k in range(m)]
@@ -384,17 +385,38 @@ def _centralizer_pair(algebra: MatrixBlockAlgebra, rng):
         v = diag([complex(np.exp(2j * np.pi * k / m)) for k in range(m)])
         w = diag([complex(np.exp(4j * np.pi * k / m)) for k in range(m)])
         return v, w
-    return _abelian_pair_search(diag, real, rng)
+    return _abelian_pair_search(diag, weights, rng)
 
 
 def _abelian_pair_search(diag, weights, rng):
+    """Diagonal unitaries v and w, as elements through ``diag``, with unit
+    phases v_k, w_k such that sum p_k v_k = sum p_k w_k =
+    sum p_k conj(v_k) w_k = 0 over the eigenvalue weights p_k; None when
+    none is found.
+
+    The rows (1, v, w) scaled by sqrt(p_k) form a row-orthonormal 3 x m
+    matrix R, so R* R is a rank-3 projection whose diagonal 3 p_k is at
+    most 1: a None for 3 max p > 1 is a proof.  On the boundary, exact
+    weights with max p = p_k = 1/3, column k of R has norm 1, so it is
+    orthogonal to every other column: 1 + conj(v_j) v_k + conj(w_j) w_k = 0
+    for j != k.  Scaling v and w by phases makes v_k = w_k = 1, and then
+    three unit numbers sum to 0, so each (v_j, w_j) is (omega, omega^2) or
+    (omega^2, omega), with omega = exp(2 pi i / 3).  sum p_j v_j = 0 then
+    forces the atoms of each kind to weigh 1/3; conversely such a split
+    gives a pair with w = v^2.  So a pair exists iff the other atoms split
+    into two sets of weight 1/3, and when none does (searched for
+    m <= _SUBSET_ATOMS) the None is a proof.  Otherwise Newton searches for
+    the phases, and a miss proves nothing."""
     m = len(weights)
-    fw = np.array(weights)
-    # for diagonal v and w the rows (1, v, w) scaled by sqrt(weights) form a
-    # row-orthonormal 3 x m matrix, so 3 w_k <= 1 for every eigenvalue: a
-    # proven obstruction to diagonal pairs, which are all an abelian A2 has
+    fw = np.array([to_complex(w).real for w in weights])
     if max(fw) > 1.0 / 3.0 and not negligible(max(fw) - 1.0 / 3.0):
         return None
+    if m <= _SUBSET_ATOMS and all(isinstance(w, QC) and not w.im for w in weights):
+        fr = [w.re for w in weights]
+        k = fr.index(max(fr))
+        third = Fraction(1, 3)
+        if fr[k] == third and _subset_with_sum(fr[:k] + fr[k + 1:], third) is None:
+            return None
     # strategy 1: phases with sum(w z) = sum(w z^2) = 0, then w = v^2
     z = _newton_phases(
         rng,
@@ -469,9 +491,12 @@ def find_avitzour_triple(a1: MatrixBlockAlgebra, a2: MatrixBlockAlgebra, seed: i
     phases exist iff max w <= 1/2, so a None for max w > 1/2 in A1, or in
     an A2 whose blocks are all at least 2 x 2, is a proof.  An A2 with a
     1 x 1 block gets v and w diagonal in the eigenbasis too.  For an abelian
-    A2 that is every candidate, so a None for 3 max w > 1 is a proof; for a
-    non-abelian A2 a None from this diagonal search proves nothing, and
-    neither does a miss of the Newton search."""
+    A2 that is every candidate, so a None for 3 max w > 1 is a proof, and
+    so is one for exact weights with max w = 1/3 whose other atoms do not
+    split into two sets of weight 1/3 (the argument is in
+    ``_abelian_pair_search``): below 1/3 the search can still miss a pair.
+    For a non-abelian A2 a None from this diagonal search proves nothing,
+    and neither does a miss of the Newton search."""
     rng = np.random.default_rng(seed)
     dims = a1.block_dims
     weights, frame = _spectral_frame(a1)

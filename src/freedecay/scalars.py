@@ -397,10 +397,6 @@ def as_scalar(value):
     raise TypeError(f"not a scalar: {value!r}")
 
 
-def is_exact(value) -> bool:
-    return isinstance(value, QC)
-
-
 def conj(value):
     if isinstance(value, QC):
         return value.conjugate()

@@ -285,6 +285,26 @@ def test_rd_certify_deterministic(tmp_path):
     assert out1.read_bytes() == out2.read_bytes()
 
 
+@pytest.mark.parametrize("space, argv", [
+    (None, ["--builtin", "semicircle", "--max-n", "12"]),
+    ({"free_product": [{"atoms": ["1/2", "1/2"]}, {"atoms": ["1/3", "1/3", "1/3"]}]},
+     ["--max-n", "6", "--seed", "1"]),
+], ids=["semicircle", "C2*C3"])
+def test_rd_certify_json_holds_the_csv_rows_and_alpha_hat(tmp_path, space, argv):
+    if space is not None:
+        argv = ["--space", _write(tmp_path, "space.json", space)] + argv
+    csv_out, json_out = tmp_path / "report.csv", tmp_path / "report.json"
+    assert run(["rd-certify"] + argv + ["--out", str(csv_out)]) == 0
+    assert run(["rd-certify"] + argv + ["--json", "--out", str(json_out)]) == 0
+    lines = csv_out.read_text().splitlines()
+    meta = dict(line[2:].split("=", 1) for line in lines if line.startswith("# "))
+    data = json.loads(json_out.read_text())
+    rows = [[str(r["n"]), repr(r["C_lower"]), repr(r["C_upper"]), str(r["dim"])] for r in data["rows"]]
+    assert rows == [line.split(",") for line in lines[1:] if not line.startswith("#")]
+    assert repr(data["alpha_hat"]) == meta["alpha_hat"]
+    assert data["recipe"] == meta["recipe"]
+
+
 def test_fock_dim(tmp_path):
     out = tmp_path / "dims.csv"
     code = run(

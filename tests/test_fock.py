@@ -49,7 +49,7 @@ from freedecay.freeword import (
     l2_inner_free,
     normalize,
 )
-from freedecay.khintchine import HomogeneousWordElement, rx_check
+from freedecay.khintchine import HomogeneousWordElement, rx_check, tr_bracket
 from freedecay.rdcert import ConstantFiltration
 from freedecay.scalars import FLOAT_RTOL, QC, negligible, to_complex
 
@@ -661,7 +661,6 @@ def test_spectral_norm_takes_the_kernel_above_the_crossover_entries(rows, cols, 
         return kernel(matrix)
 
     monkeypatch.setattr(compressed, "_lanczos_norm", counting_kernel)
-    compressed._memo_norm.cache_clear()
     spectral_norm(_random_sparse(rows, cols, rows + cols))
     assert len(runs) == kernel_runs
 
@@ -676,7 +675,6 @@ def test_the_kernel_returns_the_witness_of_its_ritz_vector(name):
     assert value == np.linalg.norm(side @ y) / np.linalg.norm(y)
     want = np.linalg.norm(matrix.toarray(), 2)
     assert abs(value - want) <= FLOAT_RTOL * want
-    compressed._memo_norm.cache_clear()
     assert spectral_norm(matrix) == value
 
 
@@ -690,14 +688,13 @@ def test_the_kernel_restarts_from_its_top_ritz_vector(monkeypatch):
 def test_the_kernel_raises_when_its_restart_budget_runs_out(monkeypatch):
     monkeypatch.setattr(compressed, "_KRYLOV_DIM", 2)
     monkeypatch.setattr(compressed, "_KRYLOV_RESTARTS", 1)
-    compressed._memo_norm.cache_clear()
     with pytest.raises(FockError, match="did not converge"):
         spectral_norm(_random_sparse(_CROSSOVER + 72, _CROSSOVER + 72, 5))
 
 
 def test_length_one_rx_check_runs_the_kernel_once(monkeypatch):
-    # the depth-4 Fock matrix of x (241 x 241) and its 1 x 1 bracket cell are
-    # one matrix
+    # the 1 x 1 t_1 cell of x is its 241 x 241 depth-4 Fock matrix, so
+    # rx_check takes the Fock lower bound from the cell's one norm
     runs = []
     kernel = compressed._lanczos_norm
 
@@ -707,36 +704,22 @@ def test_length_one_rx_check_runs_the_kernel_once(monkeypatch):
 
     amb = two_factor(m2_tr(), m2_tr())
     x = HomogeneousWordElement.random(amb, 1, np.random.default_rng(3))
-    compressed._memo_norm.cache_clear()
     monkeypatch.setattr(compressed, "_lanczos_norm", counting_kernel)
     rx_check(x, moment_rmax=2)
     assert runs == [(241, 241)]
-    assert compressed._memo_norm.cache_info().hits == 1
 
 
-def test_dense_memo_leaves_kh_norm_csv_unchanged(tmp_path, monkeypatch):
-    argv = ["kh-norm", "--length", "1", "--trials", "4", "--seed", "5", "--out"]
-    compressed._memo_norm.cache_clear()
-    assert run(argv + [str(tmp_path / "memo.csv")]) == 0
-    assert compressed._memo_norm.cache_info().hits == 4
-    monkeypatch.setattr(compressed, "_memo_norm", compressed._memo_norm.__wrapped__)
-    assert run(argv + [str(tmp_path / "direct.csv")]) == 0
-    assert (tmp_path / "memo.csv").read_bytes() == (tmp_path / "direct.csv").read_bytes()
-
-
-def test_dense_memo_keys_on_the_stored_layout():
-    # one dense value, stored once summed and once as duplicate entries
-    rng = np.random.default_rng(11)
-    dense = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
-    summed = sp.csr_matrix(dense)
-    split = sp.csr_matrix((np.hstack([dense / 2, dense / 2]).ravel(), np.tile(np.arange(6), 12),
-                           np.arange(0, 73, 12)), shape=(6, 6))
-    assert np.array_equal(split.toarray(), summed.toarray())
-    compressed._memo_norm.cache_clear()
-    for m in (summed, summed, split, split):
-        assert spectral_norm(m) == np.linalg.norm(m.toarray(), 2)
-    assert compressed._memo_norm.cache_info()[:2] == (2, 2)  # hits, misses
-    assert compressed._memo_norm.cache_info().maxsize == compressed._NORM_MEMO
+@pytest.mark.parametrize("factors", [
+    (m2_tr(), m2_tr()), (m2_tr(), c3_uniform()), (c2_half(), c3_uniform()),
+], ids=["M2*M2", "M2*C3", "C2*C3"])
+def test_a_length_one_fock_norm_is_its_t1_cell_norm(factors):
+    # rx_check takes a length-1 element's Fock lower bound from its t_1
+    # cell: the cell is the element's matrix on the depth-4 space
+    assert default_depth(1) == 4
+    for seed in range(10):
+        x = HomogeneousWordElement.random(two_factor(*factors), 1, np.random.default_rng(seed))
+        fock_norm = norm_lower_bound(shared_fock(factors, 4), x.to_free_element())
+        assert fock_norm == tr_bracket(x, 1).lower, seed
 
 
 # ---------------------------------------------------------------------------

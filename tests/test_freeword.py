@@ -1,6 +1,7 @@
 """Tests for the symbolic free-product engine."""
 
 import copy
+import json
 import math
 import pickle
 from fractions import Fraction
@@ -305,6 +306,21 @@ def test_json_round_trip():
     assert again == x
     amb2 = FreeProductAmbient.from_json(amb.to_json())
     assert amb2 == amb
+
+
+def test_float_coefficients_round_trip_through_json_text_bit_for_bit():
+    amb = _ambient_m2_c3()
+    rng = np.random.default_rng(21)
+    x = FreeElement(amb)
+    for scale in (1.0, 1 / 3, 1e-17, 1e17):
+        coeff = complex(rng.standard_normal(), rng.standard_normal()) * scale
+        x = x + random_alternating_word(amb, int(rng.integers(1, 4)), rng) * coeff
+    data = x.to_json()
+    assert all(type(v) is float for term in data["terms"] for v in term["coeff"])
+    again = FreeElement.from_json(amb, json.loads(json.dumps(data)))
+    assert again == x
+    # repr spells every bit of a complex, signed zeros included
+    assert {w: repr(c) for w, c in again.terms.items()} == {w: repr(c) for w, c in x.terms.items()}
 
 
 # ---------------------------------------------------------------------------

@@ -15,6 +15,7 @@ from freedecay.algebra import (
     MatrixBlockAlgebra,
     op_norm,
 )
+from freedecay import rdcert
 from freedecay.compressed import FreeProductFiltration
 from freedecay.freeword import (
     AvitzourConditionError,
@@ -92,6 +93,23 @@ def test_exact_diagonal_densities_bracket_one_over_sqrt_lambda_min(blocks):
 def test_measure_filtration_semicircle_constant():
     filt = MeasureDegreeFiltration(CompactMeasure.semicircle(), 12)
     assert filt.rd_constant(10).upper == pytest.approx(math.sqrt(506.0), abs=1e-8)
+
+
+def _moment_gram(measure, basis):
+    """[integral p q dmu] over coefficient lists, from the measure's moments."""
+    return [[sum(a * b * measure.moment(i + j) for i, a in enumerate(p) for j, b in enumerate(q))
+             for q in basis] for p in basis]
+
+
+def test_degree_level_bases_are_orthonormal_under_the_moments():
+    semicircle = CompactMeasure.semicircle()
+    onb = MeasureDegreeFiltration(semicircle, 6).level_onb(6)
+    assert len(onb) == 7 and all(isinstance(c, Fraction) for p in onb for c in p)
+    assert _moment_gram(semicircle, onb) == [[int(i == j) for j in range(7)] for i in range(7)]
+    # ||pi_k||^2 is mostly no rational square for Lebesgue: a mixed, mostly float basis
+    lebesgue = CompactMeasure.lebesgue()
+    gram = _moment_gram(lebesgue, MeasureDegreeFiltration(lebesgue, 6).level_onb(6))
+    assert all(abs(g - (i == j)) <= FLOAT_RTOL for i, row in enumerate(gram) for j, g in enumerate(row))
 
 
 def test_fit_exponent_flat_is_zero():
@@ -297,6 +315,27 @@ def test_triple_heavy_atom_above_third_is_none():
     weights = [Fraction(2, 5), Fraction(3, 10), Fraction(3, 20), Fraction(3, 20)]
     f = MatrixBlockAlgebra.from_weights(weights)
     assert find_avitzour_triple(f, f, seed=1) is None
+
+
+def test_a_third_atom_whose_rest_does_not_split_is_decided_without_newton(monkeypatch):
+    # max w = 1/3 exactly: a pair (v, w) exists iff the other atoms split
+    # into two sets of weight 1/3, and 1/9, 8/27, 13/54, 1/54 do not
+    def no_search(*args, **kwargs):
+        raise AssertionError("the Newton search ran")
+
+    monkeypatch.setattr(rdcert, "_newton_phases", no_search)
+    weights = [Fraction(1, 3), Fraction(1, 9), Fraction(8, 27), Fraction(13, 54), Fraction(1, 54)]
+    c2 = MatrixBlockAlgebra.from_weights([Fraction(1, 2)] * 2)
+    assert find_avitzour_triple(c2, MatrixBlockAlgebra.from_weights(weights), seed=0) is None
+
+
+def test_a_third_atom_whose_rest_splits_has_a_triple():
+    # 1/9 + 2/9 = 1/6 + 1/6 = 1/3
+    weights = [Fraction(1, 3), Fraction(1, 9), Fraction(2, 9), Fraction(1, 6), Fraction(1, 6)]
+    c2 = MatrixBlockAlgebra.from_weights([Fraction(1, 2)] * 2)
+    triple = find_avitzour_triple(c2, MatrixBlockAlgebra.from_weights(weights), seed=0)
+    assert triple is not None
+    assert max(verify_avitzour_triple(triple.u, triple.v, triple.w).values()) < 1e-9
 
 
 def _entry_moves(x, moves):

@@ -202,7 +202,6 @@ def test_exact_values_beyond_the_float_range_raise_value_error():
 ALLOWED_LITERALS = {
     ("scalars.py", "FLOAT_ZERO = 1e-12"): "the policy: a float data value counts as zero",
     ("scalars.py", "FLOAT_RTOL = 1e-9"): "the policy: relative agreement of two float routes",
-    ("measure.py", "np.maximum(1.0 - t * t, 1e-300)"): "cosine density: division guard at t = +-1",
     ("rdcert.py", "_NEWTON_STOP = 1e-14"): "Newton phase search stopping rule",
 }
 
@@ -369,7 +368,7 @@ def test_every_cache_is_bounded():
     stray += [f"{f.__module__}.{f.__name__}: maxsize {f.cache_info().maxsize!r}" for f in memos
               if type(f.cache_info().maxsize) is not int]
     assert not stray, "unbounded or unsized caches:\n" + "\n".join(stray)
-    assert len(memos) >= 3
+    assert len(memos) >= 2
 
 
 def test_every_all_entry_exists():
