@@ -28,7 +28,7 @@ from fractions import Fraction
 import numpy as np
 
 from .scalars import (
-    QC, QC_ONE, QC_ZERO, QCMatrix, as_scalar, conj, exact_block, exact_sqrt, negligible, to_complex,
+    QC, QC_ONE, QC_ZERO, QCMatrix, as_scalar, conj, exact_block, exact_sqrt, negligible,
     trace_product,
 )
 
@@ -134,7 +134,7 @@ def _float_bits(blocks):
 
 
 def _mat_to_numpy(a):
-    rows = a.complex_rows() if type(a) is QCMatrix else [[to_complex(v) for v in row] for row in a]
+    rows = a.complex_rows() if type(a) is QCMatrix else [[complex(v) for v in row] for row in a]
     return np.array(rows, dtype=complex)
 
 

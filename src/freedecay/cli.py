@@ -54,7 +54,7 @@ from .rdcert import (
     rd_report,
     verify_avitzour_triple,
 )
-from .scalars import agree, to_complex
+from .scalars import agree
 
 USAGE_ERROR = 2
 CHECK_FAILED = 1
@@ -218,7 +218,7 @@ def _moment_csv(est, seed: int, **meta) -> str:
     """The moment table of ``free-moments`` and ``norm-estimate``: one row
     (r, q_r, power root, ratio, best) per r, each value as its repr."""
     rows = [
-        (r, repr(to_complex(q).real), repr(root), repr(ratio), repr(best))
+        (r, repr(complex(q).real), repr(root), repr(ratio), repr(best))
         for (r, q, root, ratio, best) in est.rows
     ]
     return _csv_text(["r", "moment_2r", "power_root", "ratio", "best"], rows, seed, **meta)
@@ -230,11 +230,11 @@ def _cmd_free_moments(args) -> int:
     est = moment_norm_estimate(x, args.rmax)
     sym = free_state(x)
     vac = vacuum_expectation(x)
-    drift = abs(to_complex(sym) - to_complex(vac))
-    _atomic_write(args.out, _moment_csv(est, args.seed, method=est.method, state=repr(to_complex(sym)),
+    drift = abs(complex(sym) - complex(vac))
+    _atomic_write(args.out, _moment_csv(est, args.seed, method=est.method, state=repr(complex(sym)),
                                         state_vs_vacuum_drift=repr(drift)))
     # |free_state(x)| <= ||x||_2 bounds both sides, and ||x||_2^2 = state(x*x) = q_1
-    norm = math.sqrt(max(to_complex(est.rows[0][1]).real, 0.0))
+    norm = math.sqrt(max(complex(est.rows[0][1]).real, 0.0))
     return 0 if agree(sym, vac, norm) else CHECK_FAILED
 
 
@@ -345,7 +345,7 @@ def _cmd_avitzour_check(args) -> int:
         n_iso = ell + 1
         img = avitzour_phi(n_tr, u, v, w, word3)
         norm2 = l2_inner_free(word3, word3)
-        scale = abs(to_complex(norm2))
+        scale = abs(complex(norm2))
         # a float triple gives each side through other float operations; the
         # scales are ||x||_2, which bounds |free_state(x)|, and ||x||_2^2
         trace_ok = agree(free_state(img), free_state(word3), math.sqrt(scale))

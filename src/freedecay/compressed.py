@@ -6,14 +6,18 @@ The truncated space (:class:`TruncatedFock`) has an orthonormal tensor
 basis, and the compressed left representation on it
 (:func:`norm_lower_bound`) gives lower bounds for the reduced norm from its
 spectral data.  Words act on the depth-L space itself
-(:func:`_represent_sparse`), and the elements of one call share each word's
-block.  A space caches one sparse letter operator per vector of each
-factor's complement basis (:meth:`TruncatedFock.onb_operators`); the
-operator of any other letter is built when asked for and not kept.  The
-complement bases are the algebras' own (:func:`onb_complement`), and
-:func:`shared_fock` keeps the 16 most recently used spaces per process.
+(:func:`_represent_sparse`), which takes each element as a list of
+(word, complex coefficient) pairs, and the elements of one call share each
+word's block.  ``norm_lower_bound`` is the one door for a ``FreeElement``.
+A space caches one sparse letter operator per vector of each factor's
+complement basis (:meth:`TruncatedFock.onb_operators`); the operator of any
+other letter is built when asked for and not kept.  The complement bases
+are the algebras' own (:func:`onb_complement`), and :func:`shared_fock`
+keeps the 16 most recently used spaces per process.
 :class:`FreeProductFiltration`, the one filtration that needs a Fock space,
-brackets its RD constants with probe norms read from this representation.
+brackets its RD constants with probe norms read from this representation:
+its probes are (word, coefficient) lists over the level's basis words, and
+no ``FreeElement`` is built for them.
 
 Every such norm is one largest singular value (:func:`spectral_norm`), on
 one of two paths chosen by the number of matrix entries: up to those of
@@ -71,7 +75,7 @@ from .fock import (
 )
 from .freeword import FreeElement, FreeProductAmbient, Letter, is_normalized_word, normalize
 from .rdcert import Filtration, FiniteDimFiltration, RdConstant
-from .scalars import FLOAT_RTOL, accumulate, negligible, root_down, to_complex
+from .scalars import FLOAT_RTOL, accumulate, negligible, root_down
 
 __all__ = [
     "TruncatedFock",
@@ -175,10 +179,10 @@ class TruncatedFock:
             for c, vec in enumerate(inputs):
                 prod = a * vec
                 s = state(prod)  # a centred payload (``normalize``) has no scalar part
-                act[0, c] = 0 if c == 0 and negligible(s) else to_complex(s)
+                act[0, c] = 0 if c == 0 and negligible(s) else complex(s)
                 prod_c = center(prod)
                 for r, xi in enumerate(basis_j):
-                    act[r + 1, c] = to_complex(l2_inner(prod_c, xi))
+                    act[r + 1, c] = complex(l2_inner(prod_c, xi))
             acts.append(act)
         lo = sum(len(b) for b in self.onb[:factor])
         n = self.dimension
@@ -228,7 +232,11 @@ def default_depth(length: int) -> int:
 
 def _represent_sparse(fock: TruncatedFock, xs, dims=None):
     """[P_K lambda(x) P_K for x in xs] as sparse matrices, exact compression,
-    with P_K onto the first K tensors, K from ``dims`` (default: all).
+    with P_K onto the first K tensors, K from ``dims`` (default: all).  Each
+    x is one sequence of (word, coefficient) pairs: merged alternating words
+    of the space's factors with centred letters, and complex coefficients.
+    :func:`norm_lower_bound` is the door for a ``FreeElement``, and
+    :meth:`FreeProductFiltration._level_words` refuses uncentred letters.
 
     Each word acts on the depth-L space itself, as the product of its
     compressed letters P_L lambda(xi) P_L, right to left.  For centred
@@ -240,16 +248,6 @@ def _represent_sparse(fock: TruncatedFock, xs, dims=None):
     component longer than L never comes back, and
     P_L lambda(w) P_L = prod_i P_L lambda(xi_i) P_L.
 
-    A scalar part keeps a tensor and its leading factor, so uncentred
-    letters can grow, keep and shrink a component back into the block
-    (random uncentred length-3 words over (M2, tr) * (C3; 3/5, 1/5, 1/5) at
-    depth 2 come out 2.9 to 4.5 off in some entry).  When a word of x has
-    an uncentred letter, normalize(x) is represented instead: lambda is a
-    homomorphism, and merged terms alternate.  Centred is the ``normalize``
-    rule: a negligible state (``scalars.negligible``).  Level-basis probes,
-    ``HomogeneousWordElement`` words and ``normalize`` output are centred,
-    and their letters' states are cached.
-
     The elements of one call share their word blocks: each distinct word,
     in first-seen order, gets its block once.  Words that share a suffix
     share its product.  The block of a word is the right-nested product
@@ -259,20 +257,16 @@ def _represent_sparse(fock: TruncatedFock, xs, dims=None):
     stores I) and multiplies on the left from there: the same products in
     the same association as rebuilding it letter by letter, so every block
     keeps its bits.  A suffix block is stored only while a word still to
-    come ends in it.  Each element's blocks are summed in its own
-    ``x.terms`` order, which fixes the summation order of duplicate
-    entries.  For L' <= L the depth-L' basis is the first K = dim(L')
-    tensors, and a centred letter's operator stores no scalar part, so a
-    word's block cut to its first K rows and columns keeps the bits of its
-    depth-L' block.  :class:`FreeProductFiltration` reads every level of a
-    run from one call at the top level's depth, so each word of its level
-    bases costs one product.
+    come ends in it.  Each element's blocks are summed in its own pair
+    order, which fixes the summation order of duplicate entries.  For
+    L' <= L the depth-L' basis is the first K = dim(L') tensors, and a
+    centred letter's operator stores no scalar part, so a word's block cut
+    to its first K rows and columns keeps the bits of its depth-L' block.
+    :class:`FreeProductFiltration` reads every level of a run from one call
+    at the top level's depth, so each word of its level bases costs one
+    product.
     """
-    ambient = fock.ambient()
-    if any(x.ambient != ambient for x in xs):
-        raise AlgebraError("element ambient does not match the Fock factors")
-    xs = [x if all(is_normalized_word(word) for word in x.terms) else normalize(x) for x in xs]
-    words = list(dict.fromkeys(word for x in xs for word in x.terms))
+    words = list(dict.fromkeys(word for x in xs for word, _ in x))
     n = fock.dimension
     # uses[s]: words still to come that end in the proper suffix s
     uses: dict = {}
@@ -297,10 +291,10 @@ def _represent_sparse(fock: TruncatedFock, xs, dims=None):
         blocks[word] = (block.row, block.col, block.data)
     out = []
     for x, k in zip(xs, dims or [n] * len(xs)):
-        if not x.terms:
+        if not x:
             out.append(sp.csr_matrix((k, k), dtype=complex))
             continue
-        terms = [(_leading(blocks[word], k), to_complex(coeff)) for word, coeff in x.terms.items()]
+        terms = [(_leading(blocks[word], k), c) for word, c in x]
         # unnamed arrays: one element's copies are freed before the next
         # element's are built, which keeps the peak memory of a call down
         out.append(sp.csr_matrix(
@@ -325,8 +319,23 @@ def norm_lower_bound(fock: TruncatedFock, x: FreeElement) -> float:
     reduced free-product norm of x.  The float is the dense SVD value up to
     ``_DENSE_CROSSOVER`` squared matrix entries and the Lanczos witness
     ||B y||/||y|| above (:func:`spectral_norm`), not rounded down, so it may
-    exceed the compressed norm by rounding."""
-    (matrix,) = _represent_sparse(fock, [x])
+    exceed the compressed norm by rounding.
+
+    This is the one door of the Fock layer for a ``FreeElement``: it checks
+    that x lives over the space's factors and hands its terms to
+    :func:`_represent_sparse` as (word, complex) pairs.  A scalar part keeps
+    a tensor and its leading factor, so uncentred letters can grow, keep and
+    shrink a component back into the block (random uncentred length-3 words
+    over (M2, tr) * (C3; 3/5, 1/5, 1/5) at depth 2 come out 2.9 to 4.5 off
+    in some entry).  When a word of x has an uncentred letter, normalize(x)
+    is represented instead: lambda is a homomorphism, and merged terms
+    alternate.  Centred is the ``normalize`` rule: a negligible state
+    (``scalars.negligible``); the letters' states are cached."""
+    if x.ambient != fock.ambient():
+        raise AlgebraError("element ambient does not match the Fock factors")
+    if not all(is_normalized_word(word) for word in x.terms):
+        x = normalize(x)
+    (matrix,) = _represent_sparse(fock, [[(word, complex(c)) for word, c in x.terms.items()]])
     return spectral_norm(matrix)
 
 
@@ -419,25 +428,30 @@ class FreeProductFiltration(Filtration):
         self.probe_seed = probe_seed
         self._letters: dict = {}
 
-    def level_onb(self, n: int):
-        out = [FreeElement.one(self.ambient)]
+    def _level_words(self, n: int) -> list:
+        """The basis words of level n, the empty word first: every alternating
+        word of length <= n over the level-n complement bases, by length,
+        then factor and basis order slot by slot.  A complement vector whose
+        state is not negligible raises AlgebraError: the probes are
+        represented without ``normalize``."""
         # one Letter per complement vector for the filtration's lifetime, so
         # equal words and suffixes of every level are tuples of the same objects
-        letters = [[self._letters.setdefault((j, xi), Letter(j, xi)) for xi in f.complement_onb(n)]
-                   for j, f in enumerate(self.factors)]
+        letters = []
+        for j, f in enumerate(self.factors):
+            onb = f.complement_onb(n)
+            if not all(negligible(state(xi)) for xi in onb):
+                raise AlgebraError(f"the level-{n} complement of factor {j} is not centred")
+            letters.append([self._letters.setdefault((j, xi), Letter(j, xi)) for xi in onb])
+        out = [()]
         frontier = [((), None)]
         for _ in range(n):
-            new = []
-            for word, last in frontier:
-                for j in range(len(self.factors)):
-                    if j == last:
-                        continue
-                    for letter in letters[j]:
-                        new.append((word + (letter,), j))
-            for word, _ in new:
-                out.append(FreeElement.word(self.ambient, word))
-            frontier = new
+            frontier = [(word + (letter,), j) for word, last in frontier
+                        for j in range(len(self.factors)) if j != last for letter in letters[j]]
+            out += [word for word, _ in frontier]
         return out
+
+    def level_onb(self, n: int):
+        return [FreeElement.word(self.ambient, word) for word in self._level_words(n)]
 
     def level_dim(self, n: int) -> int:
         return alternating_dimension([len(f.complement_onb(n)) for f in self.factors], n)
@@ -468,20 +482,17 @@ class FreeProductFiltration(Filtration):
         return out
 
     def _probes(self, n: int):
-        """The flat combination of the level basis and two seeded random
+        """Three probes of level n as lists of (word, complex) pairs over
+        ``_level_words(n)``: the flat unit combination and two seeded random
         unit combinations."""
-        basis = self.level_onb(n)
+        words = self._level_words(n)
         rng = np.random.default_rng(self.probe_seed + n)
-        flat = 1.0 / math.sqrt(len(basis))
-        probes = [FreeElement.combination(self.ambient, ((b, flat) for b in basis))]
+        flat = complex(1.0 / math.sqrt(len(words)))
+        probes = [[(word, flat) for word in words]]
         for _ in range(2):
-            coeffs = rng.standard_normal(len(basis)) + 1j * rng.standard_normal(len(basis))
+            coeffs = rng.standard_normal(len(words)) + 1j * rng.standard_normal(len(words))
             coeffs /= np.linalg.norm(coeffs)
-            probes.append(
-                FreeElement.combination(
-                    self.ambient, ((b, complex(c)) for b, c in zip(basis, coeffs))
-                )
-            )
+            probes.append([(word, complex(c)) for word, c in zip(words, coeffs)])
         return probes
 
     def _probe_lower(self, levels) -> list:
@@ -595,8 +606,8 @@ def _vector_moments(x: FreeElement, r_max: int):
     backward = {l: op.conj().T for l, op in forward.items()}
     # words in the order their letters act: the last letter of x's words
     # acts first; x* acts with the adjoint letters, first letter first
-    x_terms = [(word[::-1], to_complex(c)) for word, c in x.terms.items()]
-    adj_terms = [(word, to_complex(c).conjugate()) for word, c in x.terms.items()]
+    x_terms = [(word[::-1], complex(c)) for word, c in x.terms.items()]
+    adj_terms = [(word, complex(c).conjugate()) for word, c in x.terms.items()]
     v = np.zeros(fock.dimension, dtype=complex)
     v[0] = 1.0
     q = [1.0]

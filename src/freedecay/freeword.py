@@ -1,15 +1,18 @@
 """Algebraic free products over finite-dimensional factors.
 
-Elements are finite linear combinations of words whose letters carry a
-factor index and a concrete matrix payload.  Words are kept *merged*
-(no two adjacent letters from the same factor, no scalar letters).  One
-centering recursion, ``_decompose_word``, writes a word as a scalar plus
-alternating centered words: ``normalize`` collects every coefficient, and
-``free_state`` keeps the empty word alone and cuts the words that provably
-never reach it (the argument is in its docstring).  Its memos live for one
-call: each word is decomposed, each letter centred and each adjacent pair
-multiplied once per call.  Everything is exact whenever payloads and
-coefficients are rational.
+Elements are finite linear combinations of words.  A word is a plain tuple
+of letters, and a :class:`Letter` is a plain (factor index, matrix payload)
+pair, so words and their coefficients can leave this module as tuples.
+Words are kept *merged* (no two adjacent letters from the same factor, no
+scalar letters) by one path, ``_merge_word``, which makes the product of
+each merged pair once per products dict that its caller passes: one per
+call of the arithmetic and the conjugation maps.  One centering recursion,
+``_decompose_word``, writes a word as a scalar plus alternating centered
+words: ``normalize`` collects every coefficient, and ``free_state`` keeps
+the empty word alone and cuts the words that provably never reach it (the
+argument is in its docstring).  Its memos live for one call: each word is
+decomposed, each letter centred and each adjacent pair multiplied once per
+call.  Everything is exact whenever payloads and coefficients are rational.
 """
 
 from __future__ import annotations
@@ -18,12 +21,13 @@ import functools
 import reprlib
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .algebra import (
     AlgebraElement, AlgebraError, MatrixBlockAlgebra, center, l2_inner, negligible_element, op_norm, state,
 )
 from .algebra import _scalar_from_json, json_shape
-from .scalars import QC, QC_ONE, QC_ZERO, accumulate, as_scalar, common_scalar, conj, negligible, to_complex
+from .scalars import QC, QC_ONE, QC_ZERO, accumulate, as_scalar, common_scalar, conj, negligible
 
 __all__ = [
     "FreeProductAmbient",
@@ -90,34 +94,13 @@ class FreeProductAmbient:
         return cls([MatrixBlockAlgebra.from_json(f) for f in factors])
 
 
-class Letter:
-    """A factor-tagged algebra element."""
+class Letter(NamedTuple):
+    """A factor-tagged algebra element: a plain (factor, payload) pair, so it
+    equals and hashes like that tuple and the payload's kind-aware ``==``
+    decides equality."""
 
-    __slots__ = ("factor", "payload", "_hash")
-
-    def __init__(self, factor: int, payload: AlgebraElement):
-        object.__setattr__(self, "factor", int(factor))
-        object.__setattr__(self, "payload", payload)
-        object.__setattr__(self, "_hash", hash((self.factor, payload)))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Letter is immutable")
-
-    def __reduce__(self):
-        return Letter, (self.factor, self.payload)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, Letter)
-            and self.factor == other.factor
-            and self.payload == other.payload
-        )
-
-    def __hash__(self):
-        return self._hash
-
-    def __repr__(self):
-        return f"Letter({self.factor})"
+    factor: int
+    payload: AlgebraElement
 
 
 def _scalar_part(x: AlgebraElement):
@@ -133,14 +116,16 @@ def _scalar_part(x: AlgebraElement):
     return c
 
 
-def _merge_word(letters, memo=None):
+def _merge_word(letters, products: dict):
     """Multiply out adjacent same-factor letters and absorb scalar letters.
 
     Returns (coefficient, merged word) where the word has no adjacent
     same-factor letters and no scalar-multiple-of-1 letters; coefficient 0
-    means the whole word vanished.  With the centring recursion's per-call
-    ``memo``, the product letter of each merged (prev, current) pair is
-    made once; without it every product is made afresh.
+    means the whole word vanished.  ``products`` maps each merged
+    (prev, current) pair to its product letter.  It is the caller's dict,
+    one per call of the centring recursion, of the arithmetic or of a
+    conjugation map, so each product is made once per call and is that same
+    object on every later merge of the pair.
     """
     coeff = QC_ONE
     stack: list[Letter] = []
@@ -156,10 +141,10 @@ def _merge_word(letters, memo=None):
                 break
             if stack and stack[-1].factor == current.factor:
                 prev = stack.pop()
-                if memo is None:
-                    current = Letter(current.factor, prev.payload * current.payload)
-                else:
-                    current = _memo_product(prev, current, memo)
+                product = products.get((prev, current))
+                if product is None:
+                    product = products[prev, current] = Letter(current.factor, prev.payload * current.payload)
+                current = product
                 continue
             break
         if current is not None:
@@ -169,20 +154,12 @@ def _merge_word(letters, memo=None):
     return coeff, tuple(stack)
 
 
-def _memo_product(prev, current, memo):
-    """The letter of prev.payload * current.payload, made once per call and
-    returned as that same object on every later merge of the pair."""
-    letter = memo.products.get((prev, current))
-    if letter is None:
-        letter = memo.products[prev, current] = Letter(current.factor, prev.payload * current.payload)
-    return letter
-
-
 def _merged_terms(pairs):
     """(merged word, c * merge coefficient) for each (letters, c), skipping
-    a zero before it reaches a sum."""
+    a zero before it reaches a sum; the pairs share one products dict."""
+    products: dict = {}
     for letters, c in pairs:
-        c2, word = _merge_word(letters)
+        c2, word = _merge_word(letters, products)
         c = c * c2
         if c:
             yield word, c
@@ -232,22 +209,11 @@ class FreeElement:
 
     @classmethod
     def letter(cls, ambient, factor: int, payload: AlgebraElement) -> "FreeElement":
-        return cls(ambient, {(Letter(factor, payload),): QC_ONE})
+        return cls(ambient, {(Letter(int(factor), payload),): QC_ONE})
 
     @classmethod
     def word(cls, ambient, letters) -> "FreeElement":
         return cls(ambient, {tuple(letters): QC_ONE})
-
-    @classmethod
-    def combination(cls, ambient, pairs) -> "FreeElement":
-        """sum of e * c over (e, c) pairs in one term dict: the same
-        coefficients, bit for bit, as the left-to-right sum of the products,
-        without copying the dict at every addition."""
-        out: dict = {}
-        for e, c in pairs:
-            s = as_scalar(c)
-            accumulate(out, ((w, v * s) for w, v in e.terms.items()))
-        return cls._of(ambient, out)
 
     # -- algebra ------------------------------------------------------------
     def _check(self, other):
@@ -368,7 +334,7 @@ def _word_sort_key(item):
         len(word),
         tuple(l.factor for l in word),
         tuple(
-            (to_complex(v).real, to_complex(v).imag)
+            (complex(v).real, complex(v).imag)
             for l in word
             for block in l.payload.blocks
             for row in block
@@ -434,7 +400,7 @@ def _decompose_word(word, memo: _Memo):
         accumulate(result, _decompose_word(branch, memo).items())
     # branch 2: scalar part times the word with the letter removed; it adds
     # each word once, so a word it cancels is never added again
-    c2, reduced = _merge_word(word[:i] + word[i + 1 :], memo)
+    c2, reduced = _merge_word(word[:i] + word[i + 1 :], memo.products)
     factor = s * c2
     if factor:
         rest = _decompose_word(reduced, memo)

@@ -12,6 +12,7 @@ the Ricard-Xu inequality.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -74,7 +75,8 @@ class HomogeneousWordElement:
         self.onb = [onb_complement(f) for f in ambient.factors]
         clean = {}
         for (pattern, idx), c in coeffs.items():
-            pattern, idx = tuple(pattern), tuple(idx)
+            # Python ints, so the letters of to_free_element() serialise to JSON
+            pattern, idx = tuple(map(operator.index, pattern)), tuple(map(operator.index, idx))
             if len(pattern) != length or len(idx) != length:
                 raise ValueError("key does not match the declared length")
             if any(a == b for a, b in zip(pattern, pattern[1:])):

@@ -42,7 +42,7 @@ from .freeword import (
     residual_size,
 )
 from .measure import christoffel_sup, ortho_polys
-from .scalars import QC, agree, negligible, to_complex
+from .scalars import QC, agree, negligible
 
 # _newton_phases: stop when every |constraint| < _NEWTON_STOP, or after _NEWTON_STEPS
 _NEWTON_STOP = 1e-14
@@ -321,7 +321,7 @@ def _zero_mean_phases(weights):
     weights are cut at the first prefix sum above half the total.  Each of
     the three pieces then weighs at most half, so their sums a, b, c close a
     triangle, and the law of cosines gives one phase per piece."""
-    real = [to_complex(w).real for w in weights]
+    real = [complex(w).real for w in weights]
     exact = all(isinstance(w, QC) and not w.im for w in weights)
     fr = [w.re for w in weights] if exact else real
     heavy = max(fr) - sum(fr) / 2
@@ -373,7 +373,7 @@ def _centralizer_pair(algebra: MatrixBlockAlgebra, rng):
         # w and v* w are zero on the diagonal there
         phases = _zero_mean_phases(weights)
         return (diag(phases), frame(_shift_blocks(dims))) if phases else None
-    real = [to_complex(w).real for w in weights]
+    real = [complex(w).real for w in weights]
     m = len(real)
     if len(set(real)) == 1 and m >= 3:
         if m % 4 == 0:
@@ -408,7 +408,7 @@ def _abelian_pair_search(diag, weights, rng):
     m <= _SUBSET_ATOMS) the None is a proof.  Otherwise Newton searches for
     the phases, and a miss proves nothing."""
     m = len(weights)
-    fw = np.array([to_complex(w).real for w in weights])
+    fw = np.array([complex(w).real for w in weights])
     if max(fw) > 1.0 / 3.0 and not negligible(max(fw) - 1.0 / 3.0):
         return None
     if m <= _SUBSET_ATOMS and all(isinstance(w, QC) and not w.im for w in weights):
@@ -554,9 +554,9 @@ def orthogonality_hypotheses(v_span, u: AlgebraElement, fhat_span) -> Orthogonal
     v_onb = gram_schmidt([algebra.identity()] + list(v_span))
     f_onb = gram_schmidt([algebra.identity()] + list(fhat_span))
     m1 = np.array(
-        [[to_complex(state(a * u * b * u)) for b in v_onb] for a in v_onb]
+        [[complex(state(a * u * b * u)) for b in v_onb] for a in v_onb]
     )
-    m2 = np.array([[to_complex(state(a * u * c)) for c in f_onb] for a in v_onb])
+    m2 = np.array([[complex(state(a * u * c)) for c in f_onb] for a in v_onb])
     sup1 = float(np.linalg.norm(m1, 2)) if m1.size else 0.0
     sup2 = float(np.linalg.norm(m2, 2)) if m2.size else 0.0
     inflated = dn_norm(f_onb)

@@ -403,10 +403,6 @@ def conj(value):
     return complex(value).conjugate()
 
 
-def to_complex(value) -> complex:
-    return complex(value)
-
-
 _EXACT = (QC, Integral, Fraction)
 
 

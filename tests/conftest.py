@@ -46,6 +46,15 @@ def random_word_element(ambient, max_length, rng, n_terms=1, centered=False):
     return out
 
 
+def linear_sum(pairs):
+    """e_1 c_1 + e_2 c_2 + ... over the (e, c) pairs, added left to right."""
+    (e, c), *rest = pairs
+    out = e * c
+    for e, c in rest:
+        out = out + e * c
+    return out
+
+
 def pauli_unitaries(algebra):
     """u = w = offdiagonal flip, v = diag(1, -1): rational unitaries in M2."""
     flip = AlgebraElement(algebra, [[[0, 1], [1, 0]]])

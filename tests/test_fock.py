@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 from conftest import (
     c3_weighted,
+    linear_sum,
     m2_tr,
     random_alternating_word,
     random_rational_element,
@@ -51,16 +52,24 @@ from freedecay.freeword import (
 )
 from freedecay.khintchine import HomogeneousWordElement, rx_check, tr_bracket
 from freedecay.rdcert import ConstantFiltration
-from freedecay.scalars import FLOAT_RTOL, QC, negligible, to_complex
+from freedecay.scalars import FLOAT_RTOL, QC, negligible
 
 
 def c2_half():
     return MatrixBlockAlgebra.from_weights([Fraction(1, 2), Fraction(1, 2)])
 
 
+def _pairs(x):
+    """The (word, complex) pairs of x, or of normalize(x) when a word of x
+    has an uncentred letter, as ``norm_lower_bound`` represents them."""
+    if not all(is_normalized_word(word) for word in x.terms):
+        x = normalize(x)
+    return [(word, complex(c)) for word, c in x.terms.items()]
+
+
 def _represent_dense(f, x):
     """Dense matrix of the compressed left action of x on f."""
-    return compressed._represent_sparse(f, [x])[0].toarray()
+    return compressed._represent_sparse(f, [_pairs(x)])[0].toarray()
 
 
 # ---------------------------------------------------------------------------
@@ -202,6 +211,7 @@ def test_centred_words_are_represented_without_normalize(monkeypatch):
         FreeElement.word(amb, [Letter(1, f.onb[1][1]), Letter(0, f.onb[0][2])]),
     ]
     for x in probes:
+        norm_lower_bound(f, x)
         assert np.abs(_represent_dense(f, x) - _oracle_matrix(f, x)).max() < 1e-12
 
 
@@ -229,9 +239,9 @@ def _per_tensor_letter_operators(f, factor):
         act = np.zeros((d + 1, d + 1), dtype=complex)
         for c, vec in enumerate([f.factors[factor].identity()] + onb):
             prod = a * vec
-            act[0, c] = to_complex(state(prod))
+            act[0, c] = complex(state(prod))
             for r, xi in enumerate(onb):
-                act[r + 1, c] = to_complex(l2_inner(center(prod), xi))
+                act[r + 1, c] = complex(l2_inner(center(prod), xi))
         if negligible(state(a)):  # a centred letter has no scalar part
             act[0, 0] = 0
         vals = act[comps, srcs]
@@ -298,7 +308,7 @@ def test_an_uncentred_letter_keeps_its_scalar_part():
         a = xi + f.factors[1].identity() * Fraction(1, 4)
         assert not negligible(state(a))
         diagonal = f.letter_operator(1, a).diagonal()[_not_led_by(f, 1)]
-        assert np.array_equal(diagonal, np.full(diagonal.shape, to_complex(state(a))))
+        assert np.array_equal(diagonal, np.full(diagonal.shape, complex(state(a))))
 
 
 def _alternating_onb_words(f, length):
@@ -325,8 +335,9 @@ def test_a_deeper_block_cut_to_a_depth_keeps_the_bits_of_that_depth(factors, dep
     algebras = [make() for make in factors]
     deep, shallow = TruncatedFock(algebras, top), TruncatedFock(algebras, depth)
     words = _alternating_onb_words(shallow, depth - 1)
-    cut = compressed._represent_sparse(deep, words, [shallow.dimension] * len(words))
-    own = compressed._represent_sparse(shallow, words)
+    terms = [list(x.terms.items()) for x in words]
+    cut = compressed._represent_sparse(deep, terms, [shallow.dimension] * len(words))
+    own = compressed._represent_sparse(shallow, terms)
     for x, got, want in zip(words, cut, own):
         assert got.shape == want.shape == (shallow.dimension,) * 2
         for attr in ("indptr", "indices", "data"):
@@ -334,21 +345,19 @@ def test_a_deeper_block_cut_to_a_depth_keeps_the_bits_of_that_depth(factors, dep
             assert a.dtype == b.dtype and np.array_equal(a, b), (list(x.terms), attr)
 
 
-def _represent_word_by_word(f, x):
-    """Reference compression: every word rebuilt letter by letter from a
-    fresh identity, with no shared suffix products."""
-    if not all(is_normalized_word(word) for word in x.terms):
-        x = normalize(x)
+def _represent_word_by_word(f, pairs):
+    """Reference compression of (word, complex) pairs: every word rebuilt
+    letter by letter from a fresh identity, with no shared suffix products."""
     n = f.dimension
     rows, cols, data = [], [], []
-    for word, coeff in x.terms.items():
+    for word, coeff in pairs:
         block = sp.identity(n, dtype=complex, format="csr")
         for letter in reversed(word):
             block = f.letter_operator(letter.factor, letter.payload) @ block
         block = block.tocoo()
         rows.append(block.row)
         cols.append(block.col)
-        data.append(to_complex(coeff) * block.data)
+        data.append(coeff * block.data)
     if not data:
         return sp.csr_matrix((n, n), dtype=complex)
     return sp.csr_matrix(
@@ -363,9 +372,9 @@ def _float_centred(algebra, rng):
     return algebra.element([[[a, b], [c, -a]]])
 
 
-def _assert_same_bits(f, x):
-    (got,) = compressed._represent_sparse(f, [x])
-    assert np.array_equal(got.toarray(), _represent_word_by_word(f, x).toarray())
+def _assert_same_bits(f, pairs):
+    (got,) = compressed._represent_sparse(f, [pairs])
+    assert np.array_equal(got.toarray(), _represent_word_by_word(f, pairs).toarray())
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
@@ -393,11 +402,13 @@ def test_shared_suffix_compression_keeps_the_bits_of_float_and_uncentred_element
     coeffs = rng.standard_normal(len(words)) + 1j * rng.standard_normal(len(words))
     x = FreeElement(amb, {tuple(words[i]): complex(c) for i, c in zip(order, coeffs)})
     assert len(x.terms) == 29
-    _assert_same_bits(f, x)
+    _assert_same_bits(f, _pairs(x))
     uncentred = random_alternating_word(amb, 3, rng, centered=False)
     uncentred = uncentred + random_alternating_word(amb, 2, rng, centered=False)
     assert not all(is_normalized_word(word) for word in uncentred.terms)
-    _assert_same_bits(f, uncentred)
+    _assert_same_bits(f, _pairs(uncentred))
+    # norm_lower_bound represents the normalized terms of an uncentred element
+    assert norm_lower_bound(f, uncentred) == spectral_norm(_represent_word_by_word(f, _pairs(uncentred)))
 
 
 def test_shared_blocks_keep_the_bits_of_several_elements():
@@ -427,10 +438,10 @@ def test_shared_blocks_keep_the_bits_of_several_elements():
     xs = [first, second, uncentred, zero, third]
     assert set(first.terms) & set(second.terms) and set(second.terms) - set(first.terms)
     assert list(third.terms)[:2] == [tuple(words[28]), tuple(words[25])]
-    got = compressed._represent_sparse(f, xs)
+    got = compressed._represent_sparse(f, [_pairs(x) for x in xs])
     assert len(got) == len(xs)
     for x, matrix in zip(xs, got):
-        assert np.array_equal(matrix.toarray(), _represent_word_by_word(f, x).toarray())
+        assert np.array_equal(matrix.toarray(), _represent_word_by_word(f, _pairs(x)).toarray())
     assert got[3].nnz == 0
 
 
@@ -465,6 +476,19 @@ def test_shared_suffix_compression_keeps_the_certify_csv(tmp_path, monkeypatch):
     assert _rd_certify(tmp_path, "c2c3", c2c3, 9) == one_pass[9]
     # the header and levels 0-6
     assert one_pass[6].splitlines()[:8] == one_pass[9].splitlines()[:8]
+
+
+def test_certify_builds_no_free_element(tmp_path, monkeypatch):
+    # the probes are (word, coefficient) lists over the level words
+    built = []
+    init, of = FreeElement.__init__, FreeElement.__dict__["_of"].__func__
+    monkeypatch.setattr(FreeElement, "__init__", lambda self, *a: built.append("init") or init(self, *a))
+    monkeypatch.setattr(FreeElement, "_of", classmethod(lambda cls, *a: built.append("_of") or of(cls, *a)))
+    _rd_certify(tmp_path, "c2c3", [["1/2", "1/2"], ["1/3", "1/3", "1/3"]], 9)
+    assert built == []
+    # the counters do see a construction
+    FreeElement.one(two_factor(c2_half(), c3_uniform()))
+    assert built == ["_of"]
 
 
 def test_empty_complements_keep_their_certify_rows(tmp_path):
@@ -547,7 +571,7 @@ def test_vacuum_oracle_centres_each_letter_alone_once(monkeypatch):
     assert len(calls) == distinct == 278
     monkeypatch.undo()
     assert values == [free_state(w) for w in words]
-    assert vacuum_expectation(FreeElement.combination(amb, [(w, 1) for w in words])) == sum(values)
+    assert vacuum_expectation(linear_sum([(w, 1) for w in words])) == sum(values)
 
 
 def test_represent_vacuum_pairing_matches_free_state_numerically():

@@ -680,6 +680,27 @@ def test_exact_values_survive_pickle_and_deepcopy(make):
         assert y == x and hash(y) == hash(x)
 
 
+def test_a_letter_equals_and_hashes_like_its_factor_payload_pair():
+    m2 = m2_tr()
+    p = m2.element([[[1, 2], [0, Fraction(1, 2)]]])
+    twin = m2.element([[[1.0, 2.0], [0.0, 0.5]]])
+    letter = Letter(0, p)
+    assert letter == (0, p) and hash(letter) == hash((0, p))
+    assert letter == Letter(0, p) and letter != Letter(1, p)
+    # the payload's kind-aware ==: an exact payload and its float twin
+    # collide in the hash but differ
+    assert hash(Letter(0, twin)) == hash(letter) and Letter(0, twin) != letter
+    y = pickle.loads(pickle.dumps(letter))
+    assert type(y) is Letter and y == letter and hash(y) == hash(letter)
+    with pytest.raises(AttributeError):
+        letter.factor = 1
+    with pytest.raises(AttributeError):
+        letter.extra = 1
+    amb = _ambient_m2_c3()
+    (word,) = FreeElement.letter(amb, np.int64(0), p).terms
+    assert type(word[0].factor) is int
+
+
 # ---------------------------------------------------------------------------
 # term dicts: structural zeros and the two constructors
 # ---------------------------------------------------------------------------

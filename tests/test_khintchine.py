@@ -1,5 +1,6 @@
 """Tests for unfolding norms, the kh bracket, and the norm inequality."""
 
+import json
 import math
 
 import numpy as np
@@ -31,6 +32,18 @@ def _single_word(ambient, pattern, idx, coeff=1.0):
 # ---------------------------------------------------------------------------
 # s_r
 # ---------------------------------------------------------------------------
+
+
+def test_numpy_integer_keys_give_a_json_serialisable_element():
+    amb = two_factor(m2_tr(), MatrixBlockAlgebra.from_weights([0.5, 0.5]))
+    keys = {((0, 1), (2, 0)): 1.5, ((1, 0), (0, 1)): -0.5j}
+    numpy_keys = {(tuple(np.array(p)), tuple(np.array(i))): c for (p, i), c in keys.items()}
+    assert all(type(j) is np.int64 for (pattern, _) in numpy_keys for j in pattern)
+    want = json.dumps(HomogeneousWordElement(amb, 2, keys).to_free_element().to_json())
+    got = json.dumps(HomogeneousWordElement(amb, 2, numpy_keys).to_free_element().to_json())
+    assert got == want
+    with pytest.raises(TypeError):
+        HomogeneousWordElement(amb, 2, {((0, 1), (1.0, 0)): 1.0})
 
 
 def test_sr_norm_single_word_is_coeff_modulus():

@@ -9,8 +9,10 @@ letters, their float twins (unequal but hash-equal), signed-zero twins of
 float letters, uncentred letters and unitaries whose products are scalars,
 in multi-term elements whose terms share letters.
 
-``l2_inner_free`` pairs each slot pair once per call; its memo-less
-reference pairs every slot pair afresh.  The cuts of ``free_state`` (a word
+``FreeElement.__mul__`` merges its words with one products dict per call;
+its reference merges each word with a fresh one.  ``l2_inner_free`` pairs
+each slot pair once per call; its memo-less reference pairs every slot pair
+afresh.  The cuts of ``free_state`` (a word
 whose centred prefix is longer than the rest never reaches the empty word)
 and of ``vacuum_expectation`` (a tensor longer than the letters still to act
 never returns to the vacuum) are run on inputs where they fire, and the work
@@ -26,7 +28,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (
-    m2_tr, random_alternating_word, random_centered_rational, random_rational_element, two_factor,
+    linear_sum, m2_tr, random_alternating_word, random_centered_rational, random_rational_element, two_factor,
 )
 from freedecay import algebra, fock, freeword
 from freedecay.algebra import AlgebraElement, MatrixBlockAlgebra, center, l2_inner, state
@@ -54,7 +56,7 @@ def _reference_decompose(word):
     result: dict = {}
     if _scalar_part(centred.payload) is None:
         accumulate(result, _reference_decompose(word[:i] + (centred,) + word[i + 1 :]).items())
-    c2, reduced = _merge_word(word[:i] + word[i + 1 :])
+    c2, reduced = _merge_word(word[:i] + word[i + 1 :], {})
     factor = s * c2
     if factor:
         accumulate(result, ((w, factor * c) for w, c in _reference_decompose(reduced).items()))
@@ -170,7 +172,7 @@ def _element(ambient, pool, rng, n_terms):
             j = 1 - j
         coeff = QC(int(rng.integers(-3, 4)) or 1) if rng.integers(0, 2) else complex(rng.standard_normal())
         pairs.append((FreeElement.word(ambient, letters), coeff))
-    return FreeElement.combination(ambient, pairs)
+    return linear_sum(pairs)
 
 
 def _term_bits(x):
@@ -202,7 +204,7 @@ def test_exact_elements_keep_their_values_and_bits():
     ambient = two_factor(m2_tr(), _c3())
     rng = np.random.default_rng(8)
     for _ in range(6):
-        x = FreeElement.combination(ambient, [
+        x = linear_sum([
             (random_alternating_word(ambient, int(rng.integers(1, 6)), rng, centered=False), 1)
             for _ in range(3)
         ])
@@ -245,7 +247,7 @@ def test_a_word_and_its_float_twin_stay_two_terms_in_either_order():
     x, y = B * FreeElement.letter(ambient, 0, a), B * FreeElement.letter(ambient, 0, _twin(a))
     values = set()
     for pairs in ([(x, 1), (y, 1)], [(y, 1), (x, 1)]):
-        z = FreeElement.combination(ambient, pairs)
+        z = linear_sum(pairs)
         assert len(z.terms) == 2
         assert repr(free_state(z)) == repr(vacuum_expectation(z)) == repr(_reference_free_state(z))
         values.add(repr(free_state(z)))
@@ -265,7 +267,7 @@ def _shared_letter_element():
     for k in range(8):
         letters = [pool[(k + i) % 2][int(rng.integers(0, 3))] for i in range(int(rng.integers(3, 7)))]
         pairs.append((FreeElement.word(ambient, letters), 1))
-    return FreeElement.combination(ambient, pairs)
+    return linear_sum(pairs)
 
 
 def test_free_state_centres_each_letter_and_multiplies_each_pair_once_per_call(monkeypatch):
@@ -283,6 +285,42 @@ def test_free_state_centres_each_letter_and_multiplies_each_pair_once_per_call(m
     assert len(centred) > 24 and len(products) > 18
     monkeypatch.undo()
     assert repr(got) == repr(want)
+
+
+def _reference_product(x, y):
+    """``FreeElement.__mul__`` with every merged pair multiplied afresh."""
+    pairs = []
+    for w1, c1 in x.terms.items():
+        for w2, c2 in y.terms.items():
+            cm, word = _merge_word(w1 + w2, {})
+            c = c1 * c2 * cm
+            if c:
+                pairs.append((word, c))
+    return FreeElement._of(x.ambient, accumulate({}, pairs))
+
+
+@pytest.mark.parametrize("name", sorted(AMBIENTS))
+def test_a_product_multiplies_each_repeated_pair_once_per_call(name, monkeypatch):
+    ambient = AMBIENTS[name]()
+    rng = np.random.default_rng(9)
+    pool = _letter_pool(ambient, rng)
+    # words of x end and words of y start with a few shared letters, so
+    # their pairs repeat across the term pairs of x * y
+    ends = [pool[0][k] for k in (0, 3, 8)]
+    x = linear_sum([(FreeElement.word(ambient, [pool[1][int(rng.integers(0, 4))], ends[k % 3]]), k + 1)
+                    for k in range(6)])
+    y = linear_sum([(FreeElement.word(ambient, [ends[k % 3], pool[1][int(rng.integers(0, 4))]]), 0.5 * k - 1)
+                    for k in range(6)])
+    products = []
+    mul = AlgebraElement.__mul__
+    monkeypatch.setattr(AlgebraElement, "__mul__", lambda a, b: products.append((a, b)) or mul(a, b))
+    got = x * y
+    once = list(products)
+    products.clear()
+    want = _reference_product(x, y)
+    monkeypatch.undo()
+    assert len(once) == len(set(once)) < len(products)
+    assert _term_bits(got) == _term_bits(want)
 
 
 def test_vacuum_oracle_splits_each_product_once_per_call(monkeypatch):
@@ -359,7 +397,7 @@ def test_the_cuts_keep_the_bits_where_they_fire(name, monkeypatch):
     for _ in range(12):
         # every term is cut at once: one decomposition per distinct word
         words = [_centred_prefix_word(ambient, pool, rng) for _ in range(3)]
-        x = FreeElement.combination(ambient, [(w, 1 + k) for k, w in enumerate(words)])
+        x = linear_sum([(w, 1 + k) for k, w in enumerate(words)])
         calls.clear()
         got = free_state(x)
         assert len(calls) == len(x.terms)

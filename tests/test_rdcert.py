@@ -14,6 +14,7 @@ from freedecay.algebra import (
     AlgebraError,
     MatrixBlockAlgebra,
     op_norm,
+    state,
 )
 from freedecay import rdcert
 from freedecay.compressed import FreeProductFiltration
@@ -214,7 +215,28 @@ def test_free_filtration_probes_match_summed_probes():
         want.append(sum((b * complex(c) for b, c in zip(basis[1:], coeffs[1:])),
                         basis[0] * complex(coeffs[0])))
     got = filt._probes(n)
-    assert [list(p.terms.items()) for p in got] == [list(p.terms.items()) for p in want]
+    want = [list(p.terms.items()) for p in want]
+    assert got == want
+    assert [[repr(c) for _, c in p] for p in got] == [[repr(c) for _, c in p] for p in want]
+
+
+def test_free_filtration_refuses_an_uncentred_complement():
+    # the probes are represented without normalize, so a level word must
+    # have centred letters
+    alg = _c2()
+    one, x = alg.identity(), alg.element([[[1]], [[0]]])
+    assert not negligible(state(x))
+    c3 = MatrixBlockAlgebra.from_weights([Fraction(1, 3)] * 3)
+    filt = FreeProductFiltration([FiniteDimFiltration(alg, [[one], [one, x]]), ConstantFiltration(c3)])
+    assert filt._level_words(0) == [()]
+    for call in (filt._level_words, filt.level_onb, filt.rd_constant):
+        with pytest.raises(AlgebraError, match="not centred"):
+            call(1)
+    for algebras in ((_c2(), c3), (m2_tr(), c3_weighted()),
+                     (m2_tr(), MatrixBlockAlgebra.from_weights([0.25, 0.75]))):
+        filt = FreeProductFiltration([ConstantFiltration(a) for a in algebras])
+        for n in range(4):
+            assert len(filt._level_words(n)) == filt.level_dim(n)
 
 
 def test_free_filtration_lower_endpoint_keeps_its_depth():

@@ -4,7 +4,8 @@ powers of ``QC`` and the rule that its layout stays in ``scalars``; the
 rule that only ``algebra`` spells a payload's float bits; plus the
 rules that modules import only at their top and never a thread or process
 pool, that the package imports no layer and the exact layers no scipy, that
-every cache is bounded, that every ``__all__`` entry exists, that every
+every cache is bounded, that every ``__all__`` entry exists, that no
+module-level def only forwards its parameters to another call, that every
 public def has a src reference or a stated reason, and that the Python
 examples of README.md run."""
 
@@ -369,6 +370,30 @@ def test_every_cache_is_bounded():
               if type(f.cache_info().maxsize) is not int]
     assert not stray, "unbounded or unsized caches:\n" + "\n".join(stray)
     assert len(memos) >= 2
+
+
+def _only_forwards(node):
+    """Whether an undecorated def's whole body, after its docstring, is
+    ``return g(<its own parameters, in order>)``; a decorator such as a
+    cache adds behaviour."""
+    if node.decorator_list:
+        return False
+    body = node.body[1:] if ast.get_docstring(node) is not None else node.body
+    if len(body) != 1 or not isinstance(body[0], ast.Return) or not isinstance(body[0].value, ast.Call):
+        return False
+    a, call = node.args, body[0].value
+    params = [p.arg for p in a.posonlyargs + a.args]
+    return (not (a.vararg or a.kwarg or a.kwonlyargs or call.keywords)
+            and [arg.id if isinstance(arg, ast.Name) else None for arg in call.args] == params)
+
+
+def test_no_module_function_only_forwards_its_parameters():
+    # a def whose body is return g(x, y) adds a name and no behaviour: call g
+    stray = [f"{path.name}:{node.lineno}: {node.name}"
+             for path in sorted(SRC.glob("*.py"))
+             for node in ast.parse(path.read_text()).body
+             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and _only_forwards(node)]
+    assert not stray, "module-level defs that only forward their parameters:\n" + "\n".join(stray)
 
 
 def test_every_all_entry_exists():
