@@ -1,6 +1,6 @@
 """Truncated free-product Hilbert space, compressed left representation,
 the free-product filtration and moment-power norm estimates: the numeric
-half of the Fock-space oracle, and the first layer that loads scipy.
+half of the Fock-space oracle, on numpy arrays alone.
 
 The truncated space (:class:`TruncatedFock`) has an orthonormal tensor
 basis, and the compressed left representation on it
@@ -9,10 +9,10 @@ spectral data.  Words act on the depth-L space itself
 (:func:`_represent_sparse`), which takes each element as a list of
 (word, complex coefficient) pairs, and the elements of one call share each
 word's block.  ``norm_lower_bound`` is the one door for a ``FreeElement``.
-A space caches one sparse letter operator per vector of each factor's
-complement basis (:meth:`TruncatedFock.onb_operators`); the operator of any
-other letter is built when asked for and not kept.  The complement bases
-are the algebras' own (:func:`onb_complement`), and :func:`shared_fock`
+A space caches one letter operator (a gather table; word blocks are
+:class:`CooMatrix` arrays) per vector of each factor's complement basis
+(:meth:`TruncatedFock.onb_operators`); the operator of any other letter is
+built when asked for and not kept.  The complement bases are the algebras' own (:func:`onb_complement`), and :func:`shared_fock`
 keeps the 16 most recently used spaces per process.
 :class:`FreeProductFiltration`, the one filtration that needs a Fock space,
 brackets its RD constants with probe norms read from this representation:
@@ -36,9 +36,9 @@ q_r = state((x*x)^r) come from one of three methods:
   free cumulants (exact when the element is, in :mod:`freedecay.fock`);
 * "fock-vector": every other float element, as q_r = ||v_r||^2 with
   v_r = x v_{r-1} (odd r) or x* v_{r-1} (even r) and v_0 = Omega, by
-  sparse letter operators on the truncated space of depth r_max * l for
-  words of length <= l.  v_r has length <= r l, so no letter ever meets
-  the cut and the truncation costs nothing beyond rounding;
+  letter tables (scatter, and gather for adjoints) on the truncated space
+  of depth r_max * l for words of length <= l.  v_r has length <= r l, so no letter
+  ever meets the cut and the truncation costs nothing beyond rounding;
 * "word-expansion": every other exact element, by multiplying words out
   and pairing them exactly (in :mod:`freedecay.fock`); it is also the
   oracle of the vector path.
@@ -50,10 +50,10 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.linalg import eigh_tridiagonal
+from numpy.random import default_rng
 
 from .algebra import (
     AlgebraElement,
@@ -142,7 +142,7 @@ class TruncatedFock:
         return f"TruncatedFock(m={len(self.factors)}, depth={self.depth}, dim={self.dimension})"
 
     def onb_operators(self, factor: int):
-        """Sparse matrices L_i = P lambda(iota_factor(xi_i)) P on this basis,
+        """Letter operators L_i = P lambda(iota_factor(xi_i)) P on this basis,
         one per vector xi_i of the factor's complement basis.
 
         All operators of a factor are built together and cached on the
@@ -153,7 +153,7 @@ class TruncatedFock:
         return ops
 
     def letter_operator(self, factor: int, payload: AlgebraElement):
-        """Sparse matrix of P lambda(iota_factor(payload)) P on this basis.
+        """Letter operator of P lambda(iota_factor(payload)) P on this basis.
 
         A vector xi_i of the factor's complement basis gets its cached
         operator L_i; any other payload gets a fresh operator by the same
@@ -166,8 +166,8 @@ class TruncatedFock:
         return self._build_letter_operators(factor, [payload])[0]
 
     def _build_letter_operators(self, factor: int, payloads):
-        """The operators of the letters iota_factor(a), a in payloads, from
-        array operations over all tensors at once."""
+        """The operators of the letters iota_factor(a), a in payloads, as gather
+        tables (rows, vals), from array operations over all tensors at once."""
         basis_j = self.onb[factor]
         d = len(basis_j)
         # act[r, c]: component r (0: the scalar part, k + 1: xi_k) of a times
@@ -193,8 +193,8 @@ class TruncatedFock:
         # other tensor: the scalar part keeps it and the centred part prepends
         kept = np.where(led, self.tail, positions)
         src = np.where(led, self.lead - lo + 1, 0)
-        # rows[comp, col]: the tensor that component comp of column col lands
-        # on, -1 where a prepend would pass the depth
+        # entry (rows[comp, col], col) of the operator is vals[comp, col]:
+        # rows -1 and vals 0 where a prepend of component comp passes the depth
         rows = np.empty((d + 1, n), dtype=np.intp)
         rows[0] = kept
         for k in range(d):
@@ -202,14 +202,7 @@ class TruncatedFock:
             starts = self.lead == lo + k
             prepend[self.tail[starts]] = positions[starts]
             rows[k + 1] = prepend[kept]
-        cols = np.broadcast_to(positions, rows.shape)
-        ops = []
-        for act in acts:
-            # entry (rows[comp, col], col) of the operator of a is act[comp, src[col]]
-            vals = act[:, src]
-            keep = (rows >= 0) & (vals != 0)
-            ops.append(sp.csr_matrix((vals[keep], (rows[keep], cols[keep])), shape=(n, n)))
-        return ops
+        return [(rows, np.where(rows >= 0, act[:, src], 0)) for act in acts]
 
 
 @functools.lru_cache(maxsize=16)
@@ -230,9 +223,58 @@ def default_depth(length: int) -> int:
 # ---------------------------------------------------------------------------
 
 
+class CooMatrix(NamedTuple):
+    """A complex matrix: entry vals[i] at (rows[i], cols[i]), no pair twice."""
+
+    rows: np.ndarray
+    cols: np.ndarray
+    vals: np.ndarray
+    shape: tuple
+
+    def adjoint(self) -> "CooMatrix":
+        return CooMatrix(self.cols, self.rows, self.vals.conj(), self.shape[::-1])
+
+    def toarray(self) -> np.ndarray:
+        return _bincount(self.rows * self.shape[1] + self.cols, self.vals, np.prod(self.shape)).reshape(self.shape)
+
+    def matvec(self):
+        """v -> self @ v, the entries sorted stably by row: ``np.add.reduceat``
+        when every row has one, else one ``np.bincount`` over interleaved parts."""
+        order = np.argsort(self.rows, kind="stable")
+        rows, cols, vals = self.rows[order], self.cols[order], self.vals[order]
+        filled, starts = np.unique(rows, return_index=True)
+        if len(filled) == self.shape[0]:
+            return lambda v: np.add.reduceat(vals * v[cols], starts)
+        index = (2 * rows[:, None] + np.arange(2)).ravel()
+        return lambda v: np.bincount(index, (vals * v[cols]).view(float), 2 * self.shape[0]).view(complex)
+
+
+def _bincount(index, vals, size):
+    """Complex sums of vals by index, each in input order."""
+    return np.bincount(index, vals.real, size) + 1j * np.bincount(index, vals.imag, size)
+
+
+def _merged(keys, vals, shape, pattern=None):
+    """(CooMatrix, pattern) of the entries keyed row * shape[1] + col, in
+    row-major order with repeated keys summed in input order.  The pattern
+    (rows, cols, inverse) of a call with the same keys skips the sort."""
+    if pattern is None:
+        keys, inverse = np.unique(keys, return_inverse=True)
+        pattern = (*np.divmod(keys, shape[1]), inverse)
+    return CooMatrix(*pattern[:2], _bincount(pattern[2], vals, len(pattern[0])), shape), pattern
+
+
+def _times(rows, vals, block: CooMatrix) -> CooMatrix:
+    """L @ B for a letter table L = (rows, vals): B's (r, c, v) goes to (rows[comp, r], c, vals[comp, r] v)."""
+    prod = np.take(vals, block.rows, axis=1) * block.vals
+    keep = prod != 0
+    keys = np.take(rows, block.rows, axis=1)[keep] * block.shape[1] + np.broadcast_to(block.cols, prod.shape)[keep]
+    return _merged(keys, prod[keep], block.shape)[0]
+
+
 def _represent_sparse(fock: TruncatedFock, xs, dims=None):
-    """[P_K lambda(x) P_K for x in xs] as sparse matrices, exact compression,
-    with P_K onto the first K tensors, K from ``dims`` (default: all).  Each
+    """[P_K lambda(x) P_K for x in xs] as :class:`CooMatrix`, exact, with
+    P_K onto the first K tensors, K from ``dims`` (default: all).  Each
     x is one sequence of (word, coefficient) pairs: merged alternating words
     of the space's factors with centred letters, and complex coefficients.
     :func:`norm_lower_bound` is the door for a ``FreeElement``, and
@@ -258,10 +300,11 @@ def _represent_sparse(fock: TruncatedFock, xs, dims=None):
     the same association as rebuilding it letter by letter, so every block
     keeps its bits.  A suffix block is stored only while a word still to
     come ends in it.  Each element's blocks are summed in its own pair
-    order, which fixes the summation order of duplicate entries.  For
-    L' <= L the depth-L' basis is the first K = dim(L') tensors, and a
-    centred letter's operator stores no scalar part, so a word's block cut
-    to its first K rows and columns keeps the bits of its depth-L' block.
+    order, which fixes the summation order of duplicate entries; elements
+    in a row with one word list and K share a merge pattern.  For L' <= L
+    the depth-L' basis is the first K = dim(L') tensors, and a centred
+    letter's operator stores no scalar part, so a word's block cut to its
+    first K rows and columns keeps the bits of its depth-L' block.
     :class:`FreeProductFiltration` reads every level of a run from one call
     at the top level's depth, so each word of its level bases costs one
     product.
@@ -273,45 +316,42 @@ def _represent_sparse(fock: TruncatedFock, xs, dims=None):
     for word in words:
         for i in range(1, len(word)):
             uses[word[i:]] = uses.get(word[i:], 0) + 1
-    products = {(): sp.identity(n, dtype=complex, format="csr")}
+    products = {(): CooMatrix(np.arange(n), np.arange(n), np.ones(n, dtype=complex), (n, n))}
     blocks = {}
     for word in words:
         start = next(i for i in range(len(word) + 1) if word[i:] in products)
         block = products[word[start:]]
         for i in range(start - 1, -1, -1):
             letter = word[i]
-            block = fock.letter_operator(letter.factor, letter.payload) @ block
+            block = _times(*fock.letter_operator(letter.factor, letter.payload), block)
             if uses.get(word[i:]):
                 products[word[i:]] = block
         for i in range(1, len(word)):
             uses[word[i:]] -= 1
             if not uses[word[i:]]:
                 products.pop(word[i:], None)
-        block = block.tocoo()
-        blocks[word] = (block.row, block.col, block.data)
-    out = []
+        blocks[word] = block
+    out, last, pattern = [], None, None
     for x, k in zip(xs, dims or [n] * len(xs)):
         if not x:
-            out.append(sp.csr_matrix((k, k), dtype=complex))
+            out.append(_merged(np.zeros(0, dtype=np.intp), np.zeros(0), (k, k))[0])
             continue
+        if (key := ([word for word, _ in x], k)) != last:
+            last, pattern = key, None
         terms = [(_leading(blocks[word], k), c) for word, c in x]
         # unnamed arrays: one element's copies are freed before the next
         # element's are built, which keeps the peak memory of a call down
-        out.append(sp.csr_matrix(
-            (np.concatenate([c * data for (_, _, data), c in terms]),
-             (np.concatenate([row for (row, _, _), _ in terms]),
-              np.concatenate([col for (_, col, _), _ in terms]))),
-            shape=(k, k),
-            dtype=complex,
-        ))
+        matrix, pattern = _merged(
+            None if pattern else np.concatenate([b.rows * k + b.cols for b, _ in terms]),
+            np.concatenate([c * b.vals for b, c in terms]), (k, k), pattern)
+        out.append(matrix)
     return out
 
 
-def _leading(block, k):
-    """A COO block (rows, cols, data) cut to its first k rows and columns."""
-    row, col, data = block
-    keep = (row < k) & (col < k)
-    return block if keep.all() else (row[keep], col[keep], data[keep])
+def _leading(block: CooMatrix, k) -> CooMatrix:
+    """A block cut to its first k rows and columns."""
+    keep = (block.rows < k) & (block.cols < k)
+    return block if keep.all() else CooMatrix(block.rows[keep], block.cols[keep], block.vals[keep], (k, k))
 
 
 def norm_lower_bound(fock: TruncatedFock, x: FreeElement) -> float:
@@ -339,10 +379,10 @@ def norm_lower_bound(fock: TruncatedFock, x: FreeElement) -> float:
     return spectral_norm(matrix)
 
 
-def spectral_norm(matrix) -> float:
-    """Largest singular value of a CSR matrix, on two paths chosen by its
-    number of entries: up to _DENSE_CROSSOVER squared the dense values-only
-    SVD (``np.linalg.norm(., 2)``), above it the Lanczos witness
+def spectral_norm(matrix: CooMatrix) -> float:
+    """Largest singular value of a :class:`CooMatrix`, on two paths chosen
+    by its number of entries: up to _DENSE_CROSSOVER squared the dense
+    values-only SVD (``np.linalg.norm(., 2)``), above it the Lanczos witness
     ||B y||/||y|| of ``_lanczos_norm``, with B the matrix or its adjoint and
     y a Ritz vector.  The dense cost grows with both sides, so a wide grid
     such as 120 x 1440 takes the kernel although its smaller side is below
@@ -357,7 +397,7 @@ def spectral_norm(matrix) -> float:
     return _lanczos_norm(matrix)[0]
 
 
-def _lanczos_norm(matrix):
+def _lanczos_norm(matrix: CooMatrix):
     """(||B y|| / ||y||, y) for the top Ritz vector y of the Gram B* B of
     the smaller side: B is the matrix when it has no more columns than rows,
     else its adjoint.
@@ -365,39 +405,49 @@ def _lanczos_norm(matrix):
     Lanczos on B* B, applied as B* (B q) and never formed, from a fixed-seed
     complex start vector, with every new vector orthogonalised twice against
     the whole basis.  A basis of _KRYLOV_DIM vectors restarts from its top
-    Ritz vector.  The Ritz value theta and vector s of the tridiagonal come
-    from ``eigh_tridiagonal``; the run stops when |beta_k s_k| <=
-    FLOAT_RTOL * theta or when the basis spans the space.  A run that has
+    Ritz vector.  The Ritz pair (theta, s) is the top pair of
+    ``np.linalg.eigh`` on a preallocated tridiagonal; the run stops when
+    |beta_k s_k| <= FLOAT_RTOL * theta or when the basis spans the space.  A
+    step skips the eigh when the stop provably fails: the top Ritz value rose
+    by at least rise = rho^2/(top - alpha_k) over the last one (rho the last
+    |beta s|, or its bound; top >= theta by Gershgorin), so |beta_k s_k| >=
+    beta_k rise/hypot(rise, beta_{k-1}) > FLOAT_RTOL * top.  A run that has
     not stopped after _KRYLOV_RESTARTS restarts raises FockError."""
-    bh = matrix.conj().T.tocsr()
-    b, bh = (matrix, bh) if matrix.shape[0] >= matrix.shape[1] else (bh, matrix)
+    b = matrix if matrix.shape[0] >= matrix.shape[1] else matrix.adjoint()
+    b_times, bh_times = b.matvec(), b.adjoint().matvec()
     n = b.shape[1]
     size = min(_KRYLOV_DIM, n)
-    rng = np.random.default_rng(0)
+    rng = default_rng(0)
     q = rng.standard_normal(n) + 1j * rng.standard_normal(n)
     # the conjugates of the basis vectors, one per row: c @ w holds their
     # inner products with w, and (h @ c).conj() is the combination with
     # coefficients conj(h)
     conj = np.empty((size, n), dtype=complex)
-    alpha, beta = np.empty(size), np.empty(size)
+    tri = np.zeros((size + 1, size))  # alpha on the diagonal, beta below it
     for _ in range(_KRYLOV_RESTARTS + 1):
         q /= np.linalg.norm(q)
+        top = rho = 0.0
         for k in range(size):
             conj[k] = q.conj()
             c = conj[: k + 1]
-            w = bh @ (b @ q)
+            w = bh_times(b_times(q))
             h = c @ w
             w -= (h.conj() @ c).conj()
             w -= ((c @ w).conj() @ c).conj()
-            alpha[k] = h[k].real
-            beta[k] = np.linalg.norm(w)
-            theta, s = eigh_tridiagonal(alpha[: k + 1], beta[:k], select="i",
-                                        select_range=(k, k), check_finite=False)
-            s = s[:, 0]
-            if abs(beta[k] * s[k]) <= FLOAT_RTOL * theta[0] or k + 1 == n:
-                y = (s @ c).conj()
-                return float(np.linalg.norm(b @ y) / np.linalg.norm(y)), y
-            q = w / beta[k]
+            tri[k, k] = h[k].real
+            tri[k + 1, k] = beta = np.linalg.norm(w)
+            top = max(top, tri[k, k] + tri[k, k - 1] + beta)  # >= theta, by Gershgorin
+            if rho and k + 1 < size:  # from the last step's rho, a lower bound of this one's
+                rise = rho * rho / (top - tri[k, k])
+                rho = beta * rise / math.hypot(rise, tri[k, k - 1])
+            if rho <= FLOAT_RTOL * top or k + 1 == size:  # else the stop provably fails
+                theta, s = np.linalg.eigh(tri[: k + 1, : k + 1])  # reads the lower triangle
+                theta, s = theta[-1], s[:, -1]
+                rho = abs(beta * s[k])
+                if rho <= FLOAT_RTOL * theta or k + 1 == n:
+                    y = (s @ c).conj()
+                    return float(np.linalg.norm(b_times(y)) / np.linalg.norm(y)), y
+            q = w / beta
         q = (s @ conj).conj()
     raise FockError(
         f"Lanczos did not converge on a {matrix.shape[0]} x {matrix.shape[1]} matrix "
@@ -486,7 +536,7 @@ class FreeProductFiltration(Filtration):
         ``_level_words(n)``: the flat unit combination and two seeded random
         unit combinations."""
         words = self._level_words(n)
-        rng = np.random.default_rng(self.probe_seed + n)
+        rng = default_rng(self.probe_seed + n)
         flat = complex(1.0 / math.sqrt(len(words)))
         probes = [[(word, flat) for word in words]]
         for _ in range(2):
@@ -601,14 +651,18 @@ def _vector_moments(x: FreeElement, r_max: int):
     of depth r_max * l: v_{r-1} has length <= (r-1) l and one more word adds
     at most l letters, so no letter ever meets the cut."""
     fock = shared_fock(x.ambient.factors, r_max * x.max_word_length())
-    letters = {letter for word in x.terms for letter in word}
-    forward = {l: fock.letter_operator(l.factor, l.payload) for l in letters}
-    backward = {l: op.conj().T for l, op in forward.items()}
+    n, forward, backward = fock.dimension, {}, {}
+    for l in {l for word in x.terms for l in word}:  # L v by scatter to rows, L* v by gather from them
+        rows, vals = fock.letter_operator(l.factor, l.payload)
+        comp, cols = np.nonzero(vals)
+        rows, vals = rows[comp, cols], vals[comp, cols]
+        forward[l] = lambda v, rows=rows, cols=cols, vals=vals: _bincount(rows, vals * v[cols], n)
+        backward[l] = lambda v, rows=rows, cols=cols, vals=vals.conj(): _bincount(cols, vals * v[rows], n)
     # words in the order their letters act: the last letter of x's words
     # acts first; x* acts with the adjoint letters, first letter first
     x_terms = [(word[::-1], complex(c)) for word, c in x.terms.items()]
     adj_terms = [(word, complex(c).conjugate()) for word, c in x.terms.items()]
-    v = np.zeros(fock.dimension, dtype=complex)
+    v = np.zeros(n, dtype=complex)
     v[0] = 1.0
     q = [1.0]
     for r in range(1, r_max + 1):
@@ -621,13 +675,13 @@ def _vector_moments(x: FreeElement, r_max: int):
 
 
 def _apply_words(terms, ops, v):
-    """sum_w c_w M_w v for words w listed in acting order; words sharing
-    their first acting letters share those products."""
+    """sum_w c_w M_w v for words w listed in acting order, ops[letter] acting
+    on vectors; words sharing their first acting letters share products."""
     done = {(): v}
     out = np.zeros_like(v)
     for seq, c in terms:
         for k in range(1, len(seq) + 1):
             if seq[:k] not in done:
-                done[seq[:k]] = ops[seq[k - 1]] @ done[seq[: k - 1]]
+                done[seq[:k]] = ops[seq[k - 1]](done[seq[: k - 1]])
         out += c * done[seq]
     return out

@@ -1,5 +1,5 @@
 """The exact half of the Fock-space oracle: vacuum pairing, free cumulants
-and exact moments.  It imports no scipy.
+and exact moments.
 
 :func:`vacuum_expectation` applies the free-product left action to tensor
 words symbolically and reads off the vacuum coefficient.  It is exact in

@@ -18,6 +18,7 @@ call.  Everything is exact whenever payloads and coefficients are rational.
 from __future__ import annotations
 
 import functools
+import operator
 import reprlib
 from dataclasses import dataclass
 from fractions import Fraction
@@ -209,7 +210,7 @@ class FreeElement:
 
     @classmethod
     def letter(cls, ambient, factor: int, payload: AlgebraElement) -> "FreeElement":
-        return cls(ambient, {(Letter(int(factor), payload),): QC_ONE})
+        return cls(ambient, {(Letter(operator.index(factor), payload),): QC_ONE})
 
     @classmethod
     def word(cls, ambient, letters) -> "FreeElement":

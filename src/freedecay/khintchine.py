@@ -16,10 +16,11 @@ import operator
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
 from .algebra import AlgebraError, onb_complement
 from .compressed import (
+    CooMatrix,
+    _represent_sparse,
     default_depth,
     moment_norm_estimate,
     norm_lower_bound,
@@ -233,10 +234,10 @@ def tr_bracket(x: HomogeneousWordElement, r: int) -> TrBounds:
         per_entry_sq.append(entry * entry)
     weak_cs = math.sqrt(m) * math.sqrt(math.fsum(per_entry_sq))
 
-    grid = [[None] * len(cols) for _ in range(len(rows))]
-    for (pre, suf), cell_terms in terms.items():
-        grid[rows[pre]][cols[suf]] = sum(c * fock.onb_operators(j)[i] for j, i, c in cell_terms)
-    lower = spectral_norm(sp.bmat(grid, format="csr"))
+    n = fock.dimension  # each cell is the compression of its sum c xi_{j,i}, at its offsets
+    cells = _represent_sparse(fock, [[((Letter(j, x.onb[j][i]),), c) for j, i, c in cell] for cell in terms.values()])
+    parts = [(b.rows + rows[pre] * n, b.cols + cols[suf] * n, b.vals) for (pre, suf), b in zip(terms, cells)]
+    lower = spectral_norm(CooMatrix(*map(np.concatenate, zip(*parts)), (len(rows) * n, len(cols) * n)))
 
     single = len(factors_used) <= 1
     return TrBounds(lower=lower, upper=upper, weak_cs=weak_cs, single_factor=single)

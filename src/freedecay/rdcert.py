@@ -7,9 +7,8 @@ bounds sup{||a|| : a in V_n, ||a||_2 = 1}, exactly so on abelian and
 commutative ambients (``dn_norm`` rounds it to nearest); other levels get
 brackets instead of single numbers.
 
-The filtrations here need no Fock space, and the module loads no scipy.  The
-free-product filtration, which does, is
-:class:`freedecay.compressed.FreeProductFiltration`.
+The filtrations here need no Fock space.  The free-product filtration, which
+does, is :class:`freedecay.compressed.FreeProductFiltration`.
 """
 
 from __future__ import annotations

@@ -72,6 +72,23 @@ def _represent_dense(f, x):
     return compressed._represent_sparse(f, [_pairs(x)])[0].toarray()
 
 
+def _letter_csr(op):
+    """A letter table (rows, vals) as a scipy CSR matrix: entry
+    (rows[comp, col], col) is vals[comp, col], and rows -1 holds vals 0."""
+    rows, vals = op
+    assert not vals[rows < 0].any()
+    cols = np.broadcast_to(np.arange(rows.shape[1]), rows.shape)
+    keep = vals != 0
+    return sp.csr_matrix((vals[keep], (rows[keep], cols[keep])), shape=(rows.shape[1],) * 2)
+
+
+def _coo(matrix):
+    """A scipy sparse matrix as the CooMatrix the kernels take."""
+    coo = matrix.tocoo()
+    return compressed.CooMatrix(coo.row.astype(np.intp), coo.col.astype(np.intp),
+                                coo.data.astype(complex), coo.shape)
+
+
 # ---------------------------------------------------------------------------
 # construction
 # ---------------------------------------------------------------------------
@@ -179,7 +196,7 @@ def test_letter_operators_match_the_free_state_oracle():
     )
     letters = [(j, xi) for j in (0, 1) for xi in f.onb[j]] + [(0, exact), (1, flt)]
     for j, a in letters:
-        got = f.letter_operator(j, a).toarray()
+        got = _letter_csr(f.letter_operator(j, a)).toarray()
         want = _oracle_matrix(f, FreeElement.letter(amb, j, a))
         assert np.abs(got - want).max() < 1e-12, (j, a)
 
@@ -280,7 +297,7 @@ def test_letter_operators_keep_the_bits_of_the_per_tensor_construction(factors, 
     for j in range(len(f.factors)):
         want = _per_tensor_letter_operators(f, j)
         assert len(f.onb_operators(j)) == len(want)
-        for got, ref in zip(f.onb_operators(j), want):
+        for got, ref in zip(map(_letter_csr, f.onb_operators(j)), want):
             for attr in ("data", "indices", "indptr"):
                 a, b = getattr(got, attr), getattr(ref, attr)
                 assert a.dtype == b.dtype and np.array_equal(a, b), (j, attr)
@@ -299,7 +316,7 @@ def test_a_centred_float_letter_has_no_scalar_part():
     assert any(state(xi) != 0 and negligible(state(xi)) for xi in f.onb[1])
     not_led = _not_led_by(f, 1)
     for op in f.onb_operators(1):
-        assert not op.diagonal()[not_led].any()
+        assert not _letter_csr(op).diagonal()[not_led].any()
 
 
 def test_an_uncentred_letter_keeps_its_scalar_part():
@@ -307,7 +324,7 @@ def test_an_uncentred_letter_keeps_its_scalar_part():
     for xi in f.onb[1]:
         a = xi + f.factors[1].identity() * Fraction(1, 4)
         assert not negligible(state(a))
-        diagonal = f.letter_operator(1, a).diagonal()[_not_led_by(f, 1)]
+        diagonal = _letter_csr(f.letter_operator(1, a)).diagonal()[_not_led_by(f, 1)]
         assert np.array_equal(diagonal, np.full(diagonal.shape, complex(state(a))))
 
 
@@ -340,31 +357,24 @@ def test_a_deeper_block_cut_to_a_depth_keeps_the_bits_of_that_depth(factors, dep
     own = compressed._represent_sparse(shallow, terms)
     for x, got, want in zip(words, cut, own):
         assert got.shape == want.shape == (shallow.dimension,) * 2
-        for attr in ("indptr", "indices", "data"):
+        for attr in ("rows", "cols", "vals"):
             a, b = getattr(got, attr), getattr(want, attr)
             assert a.dtype == b.dtype and np.array_equal(a, b), (list(x.terms), attr)
 
 
 def _represent_word_by_word(f, pairs):
     """Reference compression of (word, complex) pairs: every word rebuilt
-    letter by letter from a fresh identity, with no shared suffix products."""
+    letter by letter from a fresh identity, with no shared suffix products
+    and no shared merge pattern."""
     n = f.dimension
-    rows, cols, data = [], [], []
+    keys, vals = [np.zeros(0, dtype=np.intp)], [np.zeros(0, dtype=complex)]
     for word, coeff in pairs:
-        block = sp.identity(n, dtype=complex, format="csr")
+        block = compressed.CooMatrix(np.arange(n), np.arange(n), np.ones(n, dtype=complex), (n, n))
         for letter in reversed(word):
-            block = f.letter_operator(letter.factor, letter.payload) @ block
-        block = block.tocoo()
-        rows.append(block.row)
-        cols.append(block.col)
-        data.append(coeff * block.data)
-    if not data:
-        return sp.csr_matrix((n, n), dtype=complex)
-    return sp.csr_matrix(
-        (np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(n, n),
-        dtype=complex,
-    )
+            block = compressed._times(*f.letter_operator(letter.factor, letter.payload), block)
+        keys.append(block.rows * n + block.cols)
+        vals.append(coeff * block.vals)
+    return compressed._merged(np.concatenate(keys), np.concatenate(vals), (n, n))[0]
 
 
 def _float_centred(algebra, rng):
@@ -374,7 +384,10 @@ def _float_centred(algebra, rng):
 
 def _assert_same_bits(f, pairs):
     (got,) = compressed._represent_sparse(f, [pairs])
-    assert np.array_equal(got.toarray(), _represent_word_by_word(f, pairs).toarray())
+    want = _represent_word_by_word(f, pairs)
+    assert got.shape == want.shape
+    for a, b in zip(got[:3], want[:3]):
+        assert a.dtype == b.dtype and np.array_equal(a, b)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
@@ -441,8 +454,32 @@ def test_shared_blocks_keep_the_bits_of_several_elements():
     got = compressed._represent_sparse(f, [_pairs(x) for x in xs])
     assert len(got) == len(xs)
     for x, matrix in zip(xs, got):
-        assert np.array_equal(matrix.toarray(), _represent_word_by_word(f, _pairs(x)).toarray())
-    assert got[3].nnz == 0
+        want = _represent_word_by_word(f, _pairs(x))
+        assert all(np.array_equal(a, b) for a, b in zip(matrix[:3], want[:3]))
+    assert len(got[3].vals) == 0
+
+
+@pytest.mark.parametrize("factors", [(c2_half, c3_uniform), (m2_tr, c3_weighted)], ids=["C2*C3", "M2*C3"])
+def test_word_blocks_and_probe_sums_match_scipy_products(factors):
+    # scipy as an independent oracle: the letter operators of the per-tensor
+    # construction, multiplied and summed as CSR matrices
+    filt = FreeProductFiltration([ConstantFiltration(make()) for make in factors], probe_seed=3)
+    f = TruncatedFock(filt.ambient.factors, 5)
+    csr = [_per_tensor_letter_operators(f, j) for j in range(2)]
+    identity = sp.identity(f.dimension, dtype=complex, format="csr")
+    words = filt._level_words(4)
+    want = {}
+    for word in words:
+        block = identity
+        for letter in reversed(word):
+            block = csr[letter.factor][f._onb_position[letter.factor][letter.payload]] @ block
+        want[word] = block.toarray()
+    probes = filt._probes(4)
+    got = compressed._represent_sparse(f, [[(word, 1 + 0j)] for word in words] + probes)
+    wants = [want[word] for word in words] + [sum(c * want[word] for word, c in p) for p in probes]
+    assert len(words) == filt.level_dim(4) and max(len(word) for word in words) == 4
+    for matrix, ref in zip(got, wants):
+        assert np.abs(matrix.toarray() - ref).max() <= 1e-13 * np.abs(ref).max()
 
 
 def _rd_certify(tmp_path, name, factors, max_n):
@@ -666,7 +703,7 @@ _KERNEL_MATRICES = {
 def test_spectral_norm_matches_the_dense_norm(rows, cols):
     matrix = _random_sparse(rows, cols, rows * cols)
     want = np.linalg.norm(matrix.toarray(), 2)
-    assert abs(spectral_norm(matrix) - want) <= FLOAT_RTOL * want
+    assert abs(spectral_norm(_coo(matrix)) - want) <= FLOAT_RTOL * want
 
 
 @pytest.mark.parametrize("rows, cols, kernel_runs", [
@@ -685,35 +722,53 @@ def test_spectral_norm_takes_the_kernel_above_the_crossover_entries(rows, cols, 
         return kernel(matrix)
 
     monkeypatch.setattr(compressed, "_lanczos_norm", counting_kernel)
-    spectral_norm(_random_sparse(rows, cols, rows + cols))
+    spectral_norm(_coo(_random_sparse(rows, cols, rows + cols)))
     assert len(runs) == kernel_runs
 
 
 @pytest.mark.parametrize("name", sorted(_KERNEL_MATRICES))
 def test_the_kernel_returns_the_witness_of_its_ritz_vector(name):
-    matrix = _KERNEL_MATRICES[name]
+    matrix = _coo(_KERNEL_MATRICES[name])
     assert min(matrix.shape) > _CROSSOVER
     value, y = compressed._lanczos_norm(matrix)
-    # y lives on the smaller side, where the kernel runs on the Gram
-    side = matrix if matrix.shape[0] >= matrix.shape[1] else matrix.conj().T.tocsr()
-    assert value == np.linalg.norm(side @ y) / np.linalg.norm(y)
-    want = np.linalg.norm(matrix.toarray(), 2)
+    # y lives on the smaller side, where the kernel runs on the Gram; the
+    # witness is read with the kernel's own product
+    side = matrix if matrix.shape[0] >= matrix.shape[1] else matrix.adjoint()
+    assert value == np.linalg.norm(side.matvec()(y)) / np.linalg.norm(y)
+    want = np.linalg.norm(_KERNEL_MATRICES[name].toarray(), 2)
     assert abs(value - want) <= FLOAT_RTOL * want
     assert spectral_norm(matrix) == value
+
+
+@pytest.mark.parametrize("name", sorted(_KERNEL_MATRICES))
+def test_the_kernel_skips_eigh_only_where_the_stop_fails(name, monkeypatch):
+    # with the lower bound of |beta_k s_k| switched off (hypot -> inf gives
+    # rho = 0), every step runs eigh; the skipping run stops at the same step
+    # with the same bits
+    matrix, calls, eigh = _coo(_KERNEL_MATRICES[name]), [], np.linalg.eigh
+    monkeypatch.setattr(compressed.np.linalg, "eigh", lambda a: calls.append(len(a)) or eigh(a))
+    value, y = compressed._lanczos_norm(matrix)
+    skipping = list(calls)
+    monkeypatch.setattr(compressed.math, "hypot", lambda a, b: math.inf)
+    calls.clear()
+    every_step = compressed._lanczos_norm(matrix)
+    assert value == every_step[0] and np.array_equal(y, every_step[1])
+    assert calls == list(range(1, len(calls) + 1)) and set(skipping) <= set(calls)
+    assert skipping[-1] == calls[-1] and (len(skipping) < len(calls) or len(calls) <= 3)
 
 
 def test_the_kernel_restarts_from_its_top_ritz_vector(monkeypatch):
     monkeypatch.setattr(compressed, "_KRYLOV_DIM", 8)
     matrix = _KERNEL_MATRICES["random-%dx%d" % (_CROSSOVER + 300, _CROSSOVER + 72)]
     want = np.linalg.norm(matrix.toarray(), 2)
-    assert abs(compressed._lanczos_norm(matrix)[0] - want) <= FLOAT_RTOL * want
+    assert abs(compressed._lanczos_norm(_coo(matrix))[0] - want) <= FLOAT_RTOL * want
 
 
 def test_the_kernel_raises_when_its_restart_budget_runs_out(monkeypatch):
     monkeypatch.setattr(compressed, "_KRYLOV_DIM", 2)
     monkeypatch.setattr(compressed, "_KRYLOV_RESTARTS", 1)
     with pytest.raises(FockError, match="did not converge"):
-        spectral_norm(_random_sparse(_CROSSOVER + 72, _CROSSOVER + 72, 5))
+        spectral_norm(_coo(_random_sparse(_CROSSOVER + 72, _CROSSOVER + 72, 5)))
 
 
 def test_length_one_rx_check_runs_the_kernel_once(monkeypatch):
@@ -989,6 +1044,19 @@ def test_vector_moments_match_word_expansion(length, r_max):
         for a, b in zip(got, want):
             assert a == pytest.approx(complex(b).real, rel=1e-12, abs=0)
         assert moment_norm_estimate(x, r_max).method == "fock-vector"
+
+
+def test_vector_moments_of_complex_letters_match_word_expansion():
+    # complex, non-self-adjoint letters: x* acts with the conjugate tables
+    rng = np.random.default_rng(12)
+    amb = two_factor(m2_tr(), m2_tr())
+    pool = [[Letter(j, _float_centred(amb.factors[j], rng)) for _ in range(2)] for j in (0, 1)]
+    x = FreeElement(amb, {(pool[0][0], pool[1][1]): 0.5 - 1j,
+                          (pool[1][0], pool[0][1], pool[1][1]): 1.5 + 0.25j})
+    got = _vector_moments(x, 3)
+    want = _word_moments(normalize(x.adjoint() * x), 3)
+    for a, b in zip(got, want):
+        assert a == pytest.approx(complex(b).real, rel=1e-12, abs=0)
 
 
 def test_exact_entries_over_a_float_state_take_the_vector_path():

@@ -701,6 +701,16 @@ def test_a_letter_equals_and_hashes_like_its_factor_payload_pair():
     assert type(word[0].factor) is int
 
 
+def test_a_float_letter_factor_is_refused():
+    # operator.index, as for HomogeneousWordElement indices: 0.9 is no factor
+    # (int would truncate it to factor 0)
+    amb = _ambient_m2_c3()
+    p = amb.factors[0].element([[[0, 1], [1, 0]]])
+    for factor in (0.9, 0.0, np.float64(1.0)):
+        with pytest.raises(TypeError):
+            FreeElement.letter(amb, factor, p)
+
+
 # ---------------------------------------------------------------------------
 # term dicts: structural zeros and the two constructors
 # ---------------------------------------------------------------------------

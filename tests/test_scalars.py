@@ -3,7 +3,7 @@ rule that tolerance literals live only there; the equality, hashing and
 powers of ``QC`` and the rule that its layout stays in ``scalars``; the
 rule that only ``algebra`` spells a payload's float bits; plus the
 rules that modules import only at their top and never a thread or process
-pool, that the package imports no layer and the exact layers no scipy, that
+pool, that the package imports no layer and no layer scipy, that
 every cache is bounded, that every ``__all__`` entry exists, that no
 module-level def only forwards its parameters to another call, that every
 public def has a src reference or a stated reason, and that the Python
@@ -244,7 +244,7 @@ def _modules_after(statement):
     return out.stdout.split()
 
 
-def test_the_package_loads_no_layer_and_the_exact_layers_load_no_scipy():
+def test_the_package_loads_no_layer_and_no_layer_loads_scipy(tmp_path):
     bare = _modules_after("import freedecay")
     assert "freedecay" in bare
     assert not [m for m in bare if m.startswith("freedecay.") or m.split(".")[0] == "numpy"]
@@ -275,6 +275,21 @@ def test_the_package_loads_no_layer_and_the_exact_layers_load_no_scipy():
     )
     assert "freedecay.rdcert" in reports and "freedecay.compressed" not in reports
     assert not [m for m in reports if m.split(".")[0] == "scipy"]
+    # nor does the command line, or a Fock-space run through it: a C2 * C3
+    # free-product certificate and a length-1 Khintchine sweep, both on the
+    # Lanczos path
+    space = tmp_path / "c2c3.json"
+    space.write_text('{"free_product": [{"atoms": ["1/2", "1/2"]}, {"atoms": ["1/3", "1/3", "1/3"]}]}')
+    runs = [
+        ("import freedecay.cli", "freedecay.cli"),
+        ("from freedecay.cli import run; assert run(['rd-certify', '--space', %r, '--max-n', '9', "
+         "'--seed', '1', '--out', %r]) == 0" % (str(space), str(tmp_path / "c2c3.csv")), "freedecay.compressed"),
+        ("from freedecay.cli import run; assert run(['kh-norm', '--length', '1', '--trials', '2', "
+         "'--out', %r]) == 0" % str(tmp_path / "kh.csv"), "freedecay.khintchine"),
+    ]
+    for statement, layer in runs:
+        loaded = _modules_after(statement)
+        assert layer in loaded and not [m for m in loaded if m.split(".")[0] == "scipy"], statement
 
 
 def _only_raises_not_implemented(node):
@@ -324,16 +339,10 @@ def test_no_module_imports_concurrency():
     assert not stray, "concurrency imports:\n" + "\n".join(stray)
 
 
-SCIPY_MODULES = {"compressed", "khintchine", "cli"}
-
-
-def test_only_the_fock_space_layers_import_scipy():
-    # scipy comes in where a truncated Fock space is built: measures and the
-    # filtrations of rdcert are numpy-only
+def test_no_module_imports_scipy():
+    # the Fock-space layers run on numpy arrays alone; scipy is a test oracle
     stray = []
     for path in sorted(SRC.glob("*.py")):
-        if path.stem in SCIPY_MODULES:
-            continue
         for node in ast.walk(ast.parse(path.read_text())):
             if isinstance(node, ast.Import):
                 names = [alias.name for alias in node.names]
@@ -343,7 +352,7 @@ def test_only_the_fock_space_layers_import_scipy():
                 continue
             stray += [f"{path.name}:{node.lineno}: {ast.unparse(node)}"
                       for name in names if name.split(".")[0] == "scipy"]
-    assert not stray, "scipy imports outside the Fock-space layers:\n" + "\n".join(stray)
+    assert not stray, "scipy imports in src:\n" + "\n".join(stray)
 
 
 def test_every_cache_is_bounded():
