@@ -87,6 +87,7 @@ __all__ = [
 ]
 
 _DIMENSION_CAP = 200_000
+_PROBE_CAP = 15_000_000  # words of the top rd-certify level times the tensors they act on
 _DENSE_CROSSOVER = 128  # spectral_norm takes the dense SVD up to 128 * 128 matrix entries
 _KRYLOV_DIM = 64  # Lanczos basis vectors before a restart
 _KRYLOV_RESTARTS = 50  # restarts before the kernel gives up
@@ -515,7 +516,7 @@ class FreeProductFiltration(Filtration):
 
         upper: the layer estimate 2 sqrt(m) (l+1) max(1, max_j dn_norm_j)
         summed in quadrature over layers l <= n, rounded to nearest, with no
-        derivation cited yet (ROADMAP items 7 and 9).  lower: the largest
+        derivation cited yet (ROADMAP items 10 and 12).  lower: the largest
         norm of the level's probes (``_probe_lower``), not rounded down.
         """
         levels = list(levels)
@@ -548,13 +549,19 @@ class FreeProductFiltration(Filtration):
     def _probe_lower(self, levels) -> list:
         """The largest probe norm of each level n, on the space of depth
         max(4, n + 1) or the deepest below the dimension cap: one
-        ``_represent_sparse`` call at the top depth, each level cut to its own."""
+        ``_represent_sparse`` call at the top depth, each level cut to its own.
+        More than ``_PROBE_CAP`` words times tensors raises ResourceCapError
+        before a word is built."""
         if not levels:
             return []
         factors = self.ambient.factors
         top = max(4, max(levels) + 1)
         while top > 1 and fock_dimension(factors, top) > _DIMENSION_CAP:
             top -= 1
+        words, tensors = self.level_dim(max(levels)), fock_dimension(factors, top)
+        if words * tensors > _PROBE_CAP:
+            raise ResourceCapError(f"level {max(levels)} would probe {words} words on {tensors} tensors, "
+                                   f"above the cap of {_PROBE_CAP} words x tensors")
         probes = [self._probes(n) for n in levels]
         dims = [fock_dimension(factors, min(max(4, n + 1), top))
                 for n, ps in zip(levels, probes) for _ in ps]

@@ -11,6 +11,7 @@ the Ricard-Xu inequality.
 
 from __future__ import annotations
 
+import itertools
 import math
 import operator
 from dataclasses import dataclass
@@ -28,7 +29,7 @@ from .compressed import (
     spectral_norm,
 )
 from .freeword import FreeElement, FreeProductAmbient, Letter
-from .scalars import accumulate, agree
+from .scalars import agree
 
 __all__ = [
     "HomogeneousWordElement",
@@ -42,21 +43,6 @@ __all__ = [
     "assemble_rank_one_blocks",
     "weak_cs_bound",
 ]
-
-
-def _alternating_patterns(m: int, length: int):
-    if length == 0:
-        yield ()
-        return
-    stack = [(j,) for j in range(m)]
-    while stack:
-        pat = stack.pop()
-        if len(pat) == length:
-            yield pat
-            continue
-        for j in range(m):
-            if j != pat[-1]:
-                stack.append(pat + (j,))
 
 
 class HomogeneousWordElement:
@@ -96,10 +82,12 @@ class HomogeneousWordElement:
     def random(cls, ambient, length, rng) -> "HomogeneousWordElement":
         onb = [onb_complement(f) for f in ambient.factors]
         coeffs = {}
-        for pattern in _alternating_patterns(len(ambient.factors), length):
-            dims = [len(onb[j]) for j in pattern]
-            for idx in np.ndindex(*dims):
-                coeffs[(pattern, tuple(int(i) for i in idx))] = complex(
+        # alternating patterns in reverse lexicographic order, the draw order kh-norm CSVs pin
+        for pattern in itertools.product(reversed(range(len(onb))), repeat=length):
+            if any(a == b for a, b in zip(pattern, pattern[1:])):
+                continue
+            for idx in itertools.product(*(range(len(onb[j])) for j in pattern)):
+                coeffs[(pattern, idx)] = complex(
                     rng.standard_normal(), rng.standard_normal()
                 )
         return cls(ambient, length, coeffs)
@@ -112,14 +100,6 @@ class HomogeneousWordElement:
 
     def l2_norm(self) -> float:
         return math.sqrt(math.fsum(abs(c) ** 2 for c in self.coeffs.values()))
-
-    def scaled(self, s) -> "HomogeneousWordElement":
-        """s times the element; s = 0 empties the support and raises ValueError."""
-        return HomogeneousWordElement(
-            self.ambient,
-            self.length,
-            {k: s * c for k, c in self.coeffs.items()},
-        )
 
     def __repr__(self):
         return f"HomogeneousWordElement(length={self.length}, support={len(self.coeffs)})"
@@ -172,24 +152,6 @@ class TrBounds:
     single_factor: bool
 
 
-def _tr_blocks(x: HomogeneousWordElement, r: int):
-    """Group the tensor at middle position r: ({(I, J): {j: AlgebraElement}},
-    {(I, J): [(j, i, c)]}), each cell's middle letter per factor and its
-    terms c xi_{j,i}."""
-    if not 1 <= r <= x.length:
-        raise IndexError(f"middle position r={r} outside 1..{x.length}")
-    blocks: dict = {}
-    terms: dict = {}
-    for (pattern, idx), c in x.coeffs.items():
-        pre = (pattern[: r - 1], idx[: r - 1])
-        suf = (pattern[r:], idx[r:])
-        j, i = pattern[r - 1], idx[r - 1]
-        cell = blocks.setdefault((pre, suf), {})
-        accumulate(cell, [(j, x.onb[j][i] * c)])
-        terms.setdefault((pre, suf), []).append((j, i, c))
-    return blocks, terms
-
-
 def tr_bracket(x: HomogeneousWordElement, r: int) -> TrBounds:
     """Bracket for the middle-letter block operator at position r.
 
@@ -201,46 +163,54 @@ def tr_bracket(x: HomogeneousWordElement, r: int) -> TrBounds:
     the compressions ``norm_lower_bound`` uses; weak_cs: the sqrt(m) *
     Hilbert-Schmidt style bound that the upper must respect.
     """
+    if not 1 <= r <= x.length:
+        raise IndexError(f"middle position r={r} outside 1..{x.length}")
     fock = shared_fock(x.ambient.factors, 4)
-    blocks, terms = _tr_blocks(x, r)
-    m = len(x.ambient.factors)
+    # the tensor grouped at middle position r: each cell (I, J) holds its
+    # terms (j, i, c), the middle letters c xi_{j,i}
+    terms: dict = {}
     rows: dict = {}
     cols: dict = {}
-    for (pre, suf) in blocks:
+    for (pattern, idx), c in x.coeffs.items():
+        pre, suf = (pattern[: r - 1], idx[: r - 1]), (pattern[r:], idx[r:])
+        terms.setdefault((pre, suf), []).append((pattern[r - 1], idx[r - 1], c))
         rows.setdefault(pre, len(rows))
         cols.setdefault(suf, len(cols))
 
-    factors_used = sorted({j for cell in blocks.values() for j in cell})
+    # by_factor[j][(I, J)]: the factor-j part of cell (I, J) per matrix block,
+    # the sum in term order of c xi_{j,i}, as the float kernel of ``algebra`` sums
+    by_factor: dict = {}
+    for cell, cell_terms in terms.items():
+        for j, i, c in cell_terms:
+            part = by_factor.setdefault(j, {})
+            blocks = [c * blk for blk in x.onb[j][i].to_numpy()]
+            part[cell] = [a + b for a, b in zip(part[cell], blocks)] if cell in part else blocks
+
     upper = 0.0
-    for j in factors_used:
-        algebra = x.ambient.factors[j]
+    for j in sorted(by_factor):
         best = 0.0
-        for b in range(len(algebra.block_dims)):
+        for b in range(len(x.ambient.factors[j].block_dims)):
             big = assemble_rank_one_blocks(len(rows), len(cols), {
-                (rows[pre], cols[suf]): cell[j].to_numpy()[b]
-                for (pre, suf), cell in blocks.items() if j in cell
+                (rows[pre], cols[suf]): blocks[b] for (pre, suf), blocks in by_factor[j].items()
             })
             best = max(best, float(np.linalg.norm(big, 2)))
         upper += best
 
-    # weak Cauchy-Schwarz style bound on the assembled operator; the norm of
-    # a cell entry over the direct sum is the max across matrix blocks
-    per_entry_sq = []
-    for cell in blocks.values():
-        entry = math.fsum(
-            max(float(np.linalg.norm(blk, 2)) for blk in el.to_numpy())
-            for el in cell.values()
-        )
-        per_entry_sq.append(entry * entry)
-    weak_cs = math.sqrt(m) * math.sqrt(math.fsum(per_entry_sq))
+    # weak Cauchy-Schwarz style bound on the assembled operator; a cell entry's
+    # norm sums its factor parts' norms, each the max across matrix blocks
+    entries: dict = {}
+    for part in by_factor.values():
+        for cell, blocks in part.items():
+            entries.setdefault(cell, []).append(max(float(np.linalg.norm(blk, 2)) for blk in blocks))
+    per_entry = [math.fsum(norms) for norms in entries.values()]
+    weak_cs = math.sqrt(len(x.ambient.factors)) * math.sqrt(math.fsum(e * e for e in per_entry))
 
     n = fock.dimension  # each cell is the compression of its sum c xi_{j,i}, at its offsets
     cells = _represent_sparse(fock, [[((Letter(j, x.onb[j][i]),), c) for j, i, c in cell] for cell in terms.values()])
     parts = [(b.rows + rows[pre] * n, b.cols + cols[suf] * n, b.vals) for (pre, suf), b in zip(terms, cells)]
     lower = spectral_norm(CooMatrix(*map(np.concatenate, zip(*parts)), (len(rows) * n, len(cols) * n)))
 
-    single = len(factors_used) <= 1
-    return TrBounds(lower=lower, upper=upper, weak_cs=weak_cs, single_factor=single)
+    return TrBounds(lower=lower, upper=upper, weak_cs=weak_cs, single_factor=len(by_factor) <= 1)
 
 
 # ---------------------------------------------------------------------------

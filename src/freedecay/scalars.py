@@ -104,7 +104,12 @@ class QC:
         return NotImplemented
 
     def __rsub__(self, other):
-        return (-self).__add__(other)
+        q = _lift(other)
+        if q is not None:
+            return q.__sub__(self)
+        if isinstance(other, (float, complex)):
+            return other - complex(self)
+        return NotImplemented
 
     def __mul__(self, other):
         q = other if type(other) is QC else _lift(other)

@@ -3,6 +3,10 @@
 import copy
 import json
 import os
+import pathlib
+import resource
+import subprocess
+import sys
 import tempfile
 from fractions import Fraction
 
@@ -11,7 +15,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from freedecay.algebra import AlgebraElement, MatrixBlockAlgebra
 from freedecay.cli import run
+from freedecay.rdcert import ConstantFiltration, orthogonality_hypotheses, rd_report
 
 
 def _write(tmp_path, name, payload):
@@ -303,6 +309,70 @@ def test_rd_certify_json_holds_the_csv_rows_and_alpha_hat(tmp_path, space, argv)
     assert rows == [line.split(",") for line in lines[1:] if not line.startswith("#")]
     assert repr(data["alpha_hat"]) == meta["alpha_hat"]
     assert data["recipe"] == meta["recipe"]
+
+
+def _csv_rows(path):
+    return [line.split(",") for line in path.read_text().splitlines()[1:] if not line.startswith("#")]
+
+
+@pytest.mark.parametrize("algebra", [
+    {"blocks": [{"density": [["1/2", 0], [0, "1/2"]]}]},
+    {"atoms": ["1/2", "1/3", "1/6"]},
+], ids=["(M2, tr)", "C3(1/2, 1/3, 1/6)"])
+def test_rd_certify_algebra_space_gives_the_constant_filtration_rows(tmp_path, algebra):
+    out = tmp_path / "report.csv"
+    argv = ["rd-certify", "--space", _write(tmp_path, "space.json", {"algebra": algebra}), "--max-n", "5"]
+    assert run(argv + ["--out", str(out)]) == 0
+    report = rd_report(ConstantFiltration(MatrixBlockAlgebra.from_json(algebra)), 5)
+    assert _csv_rows(out) == [[str(n), repr(lo), repr(up), str(d)] for n, lo, up, d in report.rows]
+    if "atoms" in algebra:  # abelian: the bracket closes
+        assert all(lo == up for _, lo, up, _ in report.rows)
+
+
+@pytest.mark.parametrize("with_fhat", [True, False], ids=["fhat_span", "fhat_span=v_span"])
+def test_orthogonality_check_config_row_is_the_hypotheses_report(tmp_path, with_fhat):
+    c4 = {"atoms": ["1/4"] * 4}
+    config = {
+        "algebra": c4,
+        "u": [[["1"]], [[["0", "1"]]], [["-1"]], [[["0", "-1"]]]],
+        "v_span": [[[["1"]], [["0"]], [["0"]], [["0"]]], [[["0"]], [["1"]], [["-1"]], [["0"]]]],
+    }
+    if with_fhat:
+        config["fhat_span"] = [[[["1"]], [["1"]], [["0"]], [["0"]]]]
+    out = tmp_path / "orth.csv"
+    assert run(["orthogonality-check", "--config", _write(tmp_path, "config.json", config),
+                "--out", str(out)]) == 0
+    algebra = MatrixBlockAlgebra.from_json(c4)
+    v_span, fhat = ([AlgebraElement.from_json(algebra, e) for e in config[key]]
+                    for key in ("v_span", "fhat_span" if with_fhat else "v_span"))
+    rep = orthogonality_hypotheses(v_span, AlgebraElement.from_json(algebra, config["u"]), fhat)
+    fields = ["sup_conjugated", "sup_mixed", "inflated_constant", "containment_l2", "containment_op"]
+    assert _csv_rows(out) == [["config"] + [repr(getattr(rep, f)) for f in fields]]
+
+
+_AS_LIMIT = 1 << 30  # bytes of address space for the child
+
+
+def _limit_address_space():
+    resource.setrlimit(resource.RLIMIT_AS, (_AS_LIMIT, _AS_LIMIT))
+
+
+@pytest.mark.parametrize("max_n", [[], ["--max-n", "8"]], ids=["default", "8"])
+def test_rd_certify_refuses_a_free_product_too_large_to_probe(tmp_path, max_n):
+    # (M2, tr) * (M2, tr) at level 8 is 19,681 words on the 59,047 tensors
+    # of depth 9; a child under an address-space limit and a timeout, so
+    # that a missing guard fails the test instead of exhausting the machine
+    m2 = {"blocks": [{"density": [["1/2", 0], [0, "1/2"]]}]}
+    space = _write(tmp_path, "m2m2.json", {"free_product": [m2, m2]})
+    src = pathlib.Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
+               PYTHONPATH=os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-m", "freedecay.cli", "rd-certify", "--space", space] + max_n,
+                          capture_output=True, text=True, env=env, timeout=30,
+                          preexec_fn=_limit_address_space)
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr.startswith("error: level ") and proc.stderr.count("\n") == 1
+    assert "words x tensors" in proc.stderr
 
 
 def test_fock_dim(tmp_path):

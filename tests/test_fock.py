@@ -459,6 +459,44 @@ def test_shared_blocks_keep_the_bits_of_several_elements():
     assert len(got[3].vals) == 0
 
 
+def _c3_halves():
+    return MatrixBlockAlgebra.from_weights([Fraction(1, 2), Fraction(1, 3), Fraction(1, 6)])
+
+
+def _m3_diagonal():
+    return MatrixBlockAlgebra([[[Fraction(1, 2), 0, 0], [0, Fraction(1, 3), 0], [0, 0, Fraction(1, 6)]]])
+
+
+def _c4_uniform():
+    return MatrixBlockAlgebra.from_weights([Fraction(1, 4)] * 4)
+
+
+class _Probed(Exception):
+    pass
+
+
+@pytest.mark.parametrize("factors, n, refused", [
+    ((c2_half, c3_uniform), 9, False),  # 154 words x 218 tensors
+    ((m2_tr, _c3_halves), 6, False),  # 732 words x 1,812 tensors
+    ((_m3_diagonal, _c4_uniform), 4, False),  # 1,476 words x 7,812 tensors: 1.2e7
+    ((m2_tr, m2_tr), 6, False),  # 2,185 words x 6,559 tensors: 1.4e7
+    ((m2_tr, m2_tr), 7, True),  # 6,559 words x 19,681 tensors: 1.3e8
+    ((m2_tr, m2_tr), 8, True),
+    ((m2_tr, m2_tr), 20, True),
+    ((c2_half, c3_uniform), 18, True),  # 3,578 words x 5,114 tensors: 1.8e7
+    ((c2_half, c3_uniform), 20, True),
+])
+def test_free_product_probes_are_capped_before_a_word_is_built(monkeypatch, factors, n, refused):
+    filt = FreeProductFiltration([ConstantFiltration(make()) for make in factors])
+
+    def probes(level):
+        raise _Probed(level)
+
+    monkeypatch.setattr(filt, "_probes", probes)
+    with pytest.raises(ResourceCapError if refused else _Probed):
+        filt.rd_constant(n)
+
+
 @pytest.mark.parametrize("factors", [(c2_half, c3_uniform), (m2_tr, c3_weighted)], ids=["C2*C3", "M2*C3"])
 def test_word_blocks_and_probe_sums_match_scipy_products(factors):
     # scipy as an independent oracle: the letter operators of the per-tensor

@@ -103,7 +103,7 @@ def test_scaling_homogeneity():
     rng = np.random.default_rng(3)
     amb = _ambient()
     x = HomogeneousWordElement.random(amb, 2, rng)
-    y = x.scaled(-3.5j)
+    y = HomogeneousWordElement(amb, 2, {k: -3.5j * c for k, c in x.coeffs.items()})
     for r in range(3):
         assert sr_norm(y, r) == pytest.approx(3.5 * sr_norm(x, r))
     lo1, up1 = kh_bracket(x)
