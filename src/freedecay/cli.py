@@ -72,14 +72,24 @@ class CliError(Exception):
 
 
 def _atomic_write(path: str | None, text: str) -> None:
+    """Write ``text`` to ``path`` (stdout for None) through a temp file and a
+    rename; every output of the CLI is written here, and an OS error leaves
+    no temp file."""
     if path is None:
         sys.stdout.write(text)
         return
     directory = os.path.dirname(os.path.abspath(path)) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
-    with os.fdopen(fd, "w", newline="") as fh:
-        fh.write(text)
-    os.replace(tmp, path)
+    try:
+        fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
+        try:
+            with os.fdopen(fd, "w", newline="") as fh:
+                fh.write(text)
+            os.replace(tmp, path)
+        except BaseException:
+            os.remove(tmp)
+            raise
+    except OSError as exc:
+        raise CliError(f"cannot write {path}: {exc.strerror}") from None
 
 
 def _csv_text(header, rows, seed: int, **meta) -> str:
@@ -109,8 +119,8 @@ def _load_json_file(path: str):
     try:
         with open(path) as fh:
             return json.load(fh, parse_float=_finite_float, parse_constant=_finite_float)
-    except FileNotFoundError:
-        raise CliError(f"no such file: {path}")
+    except OSError as exc:
+        raise CliError(f"cannot read {path}: {exc.strerror}") from None
     except json.JSONDecodeError as exc:
         raise CliError(
             f"malformed JSON in {path}: line {exc.lineno} column {exc.colno}: {exc.msg}"

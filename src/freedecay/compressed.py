@@ -88,6 +88,7 @@ __all__ = [
 
 _DIMENSION_CAP = 200_000
 _PROBE_CAP = 15_000_000  # words of the top rd-certify level times the tensors they act on
+_BLOCK_CAP = 10_000_000  # entries of the word and suffix blocks one _represent_sparse call holds
 _DENSE_CROSSOVER = 128  # spectral_norm takes the dense SVD up to 128 * 128 matrix entries
 _KRYLOV_DIM = 64  # Lanczos basis vectors before a restart
 _KRYLOV_RESTARTS = 50  # restarts before the kernel gives up
@@ -299,39 +300,33 @@ def _represent_sparse(fock: TruncatedFock, xs, dims=None):
     starts from its longest suffix whose block is stored (the empty suffix
     stores I) and multiplies on the left from there: the same products in
     the same association as rebuilding it letter by letter, so every block
-    keeps its bits.  A suffix block is stored only while a word still to
-    come ends in it.  Each element's blocks are summed in its own pair
-    order, which fixes the summation order of duplicate entries; elements
-    in a row with one word list and K share a merge pattern.  For L' <= L
-    the depth-L' basis is the first K = dim(L') tensors, and a centred
-    letter's operator stores no scalar part, so a word's block cut to its
-    first K rows and columns keeps the bits of its depth-L' block.
+    keeps its bits.  One dict holds I and every word and suffix block of
+    the call; once the blocks it holds pass ``_BLOCK_CAP`` entries the call
+    raises ResourceCapError, before any element is summed.  Each element's
+    blocks are summed in its own pair order, which fixes the summation
+    order of duplicate entries; elements in a row with one word list and K
+    share a merge pattern.  For L' <= L the depth-L' basis is the first
+    K = dim(L') tensors, and a centred letter's operator stores no scalar
+    part, so a word's block cut to its first K rows and columns keeps the
+    bits of its depth-L' block.
     :class:`FreeProductFiltration` reads every level of a run from one call
     at the top level's depth, so each word of its level bases costs one
     product.
     """
     words = list(dict.fromkeys(word for x in xs for word, _ in x))
     n = fock.dimension
-    # uses[s]: words still to come that end in the proper suffix s
-    uses: dict = {}
+    blocks = {(): CooMatrix(np.arange(n), np.arange(n), np.ones(n, dtype=complex), (n, n))}
+    stored = n  # entries of the blocks held
     for word in words:
-        for i in range(1, len(word)):
-            uses[word[i:]] = uses.get(word[i:], 0) + 1
-    products = {(): CooMatrix(np.arange(n), np.arange(n), np.ones(n, dtype=complex), (n, n))}
-    blocks = {}
-    for word in words:
-        start = next(i for i in range(len(word) + 1) if word[i:] in products)
-        block = products[word[start:]]
+        start = next(i for i in range(len(word) + 1) if word[i:] in blocks)
+        block = blocks[word[start:]]
         for i in range(start - 1, -1, -1):
             letter = word[i]
-            block = _times(*fock.letter_operator(letter.factor, letter.payload), block)
-            if uses.get(word[i:]):
-                products[word[i:]] = block
-        for i in range(1, len(word)):
-            uses[word[i:]] -= 1
-            if not uses[word[i:]]:
-                products.pop(word[i:], None)
-        blocks[word] = block
+            block = blocks[word[i:]] = _times(*fock.letter_operator(letter.factor, letter.payload), block)
+            stored += len(block.vals)
+            if stored > _BLOCK_CAP:
+                raise ResourceCapError(f"the word blocks of {len(words)} words on {n} tensors "
+                                       f"pass the cap of {_BLOCK_CAP} stored entries")
     out, last, pattern = [], None, None
     for x, k in zip(xs, dims or [n] * len(xs)):
         if not x:

@@ -185,6 +185,32 @@ def test_malformed_json_structure_is_usage_error(tmp_path, capsys, command, opti
 _C2_C3 = {"factors": [{"atoms": ["1/2", "1/2"]}, {"atoms": ["1/3", "1/3", "1/3"]}]}
 
 
+# {dir}: an existing directory, {missing}: a directory that does not exist,
+# {factors}, {algebra}: readable inputs
+@pytest.mark.parametrize("argv", [
+    ["rd-certify", "--builtin", "semicircle", "--max-n", "3", "--out", "{missing}/x.csv"],
+    ["rd-certify", "--builtin", "semicircle", "--max-n", "3", "--out", "{dir}"],
+    ["fock-dim", "--factors", "{factors}", "--depth", "2", "--out", "{dir}"],
+    ["rd-certify", "--space", "{dir}", "--max-n", "3"],
+    ["fock-dim", "--factors", "{dir}", "--depth", "2"],
+    ["free-moments", "--factors", "{factors}", "--element", "{dir}"],
+    ["orthogonality-check", "--config", "{dir}"],
+    ["avitzour-find", "--a", "{dir}", "--b", "{algebra}"],
+    ["avitzour-find", "--a", "{algebra}", "--b", "{dir}"],
+], ids=["out-in-missing-dir", "out-is-dir", "fock-dim-out-is-dir", "space-is-dir",
+        "factors-is-dir", "element-is-dir", "config-is-dir", "a-is-dir", "b-is-dir"])
+def test_unreadable_or_unwritable_paths_exit_2_and_leave_no_temp_file(tmp_path, capsys, argv):
+    (tmp_path / "d").mkdir()
+    paths = {"dir": str(tmp_path / "d"), "missing": str(tmp_path / "missing"),
+             "factors": _write(tmp_path, "factors.json", _C2_C3),
+             "algebra": _write(tmp_path, "c2.json", {"atoms": ["1/2", "1/2"]})}
+    assert run([arg.format(**paths) for arg in argv]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: cannot "), err
+    assert str(tmp_path) in err[0]
+    assert not list(tmp_path.rglob("*.tmp"))
+
+
 @pytest.mark.parametrize("command", ["free-moments", "norm-estimate"])
 @pytest.mark.parametrize("text, literal", [
     ('{"terms": [{"coeff": ["1", "0"], "word": [{"factor": 0, "elem": [[[NaN]], [[-1]]]}]}]}',
@@ -350,29 +376,38 @@ def test_orthogonality_check_config_row_is_the_hypotheses_report(tmp_path, with_
     assert _csv_rows(out) == [["config"] + [repr(getattr(rep, f)) for f in fields]]
 
 
-_AS_LIMIT = 1 << 30  # bytes of address space for the child
-
-
-def _limit_address_space():
-    resource.setrlimit(resource.RLIMIT_AS, (_AS_LIMIT, _AS_LIMIT))
+def _cli_child(argv, address_space, timeout):
+    """A CLI run in a child process under an address-space limit and a
+    timeout, so that a missing guard fails the test instead of exhausting
+    the machine."""
+    src = pathlib.Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
+               PYTHONPATH=os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, "-m", "freedecay.cli", *argv],
+                          capture_output=True, text=True, env=env, timeout=timeout,
+                          preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (address_space,) * 2))
 
 
 @pytest.mark.parametrize("max_n", [[], ["--max-n", "8"]], ids=["default", "8"])
 def test_rd_certify_refuses_a_free_product_too_large_to_probe(tmp_path, max_n):
-    # (M2, tr) * (M2, tr) at level 8 is 19,681 words on the 59,047 tensors
-    # of depth 9; a child under an address-space limit and a timeout, so
-    # that a missing guard fails the test instead of exhausting the machine
+    # (M2, tr) * (M2, tr) at level 8 is 19,681 words on the 59,047 tensors of depth 9
     m2 = {"blocks": [{"density": [["1/2", 0], [0, "1/2"]]}]}
     space = _write(tmp_path, "m2m2.json", {"free_product": [m2, m2]})
-    src = pathlib.Path(__file__).resolve().parent.parent / "src"
-    env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
-               PYTHONPATH=os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run([sys.executable, "-m", "freedecay.cli", "rd-certify", "--space", space] + max_n,
-                          capture_output=True, text=True, env=env, timeout=30,
-                          preexec_fn=_limit_address_space)
+    proc = _cli_child(["rd-certify", "--space", space] + max_n, 1 << 30, 30)
     assert proc.returncode == 2 and proc.stdout == ""
     assert proc.stderr.startswith("error: level ") and proc.stderr.count("\n") == 1
     assert "words x tensors" in proc.stderr
+
+
+def test_rd_certify_refuses_word_blocks_above_the_entry_cap(tmp_path):
+    # C2 * C3 at level 16 passes the words x tensors cap, but its word blocks
+    # hold about 50 entries a column; unbounded, they exhaust 2 GiB of
+    # address space with a MemoryError traceback
+    space = _write(tmp_path, "c2c3.json", {"free_product": _C2_C3["factors"]})
+    proc = _cli_child(["rd-certify", "--space", space, "--max-n", "16"], 2 << 30, 60)
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr.startswith("error: the word blocks ") and proc.stderr.count("\n") == 1
+    assert "stored entries" in proc.stderr
 
 
 def test_fock_dim(tmp_path):

@@ -399,12 +399,9 @@ def test_shared_suffix_compression_keeps_the_bits_of_level_probes(n):
         _assert_same_bits(f, probe)
 
 
-def test_shared_suffix_compression_keeps_the_bits_of_float_and_uncentred_elements():
-    rng = np.random.default_rng(31)
-    amb = two_factor(m2_tr(), m2_tr())
-    f = TruncatedFock(amb.factors, 3)
-    # every alternating word of length <= 3 over two float letters per
-    # factor, in shuffled order: long words come before their suffixes too
+def _shuffled_float_element(amb, rng):
+    """Every alternating word of length <= 3 over two float letters per
+    factor, in shuffled order: long words come before their suffixes too."""
     pool = [[Letter(j, _float_centred(amb.factors[j], rng)) for _ in range(2)] for j in (0, 1)]
     words = [()]
     for length in (1, 2, 3):
@@ -413,7 +410,14 @@ def test_shared_suffix_compression_keeps_the_bits_of_float_and_uncentred_element
             words += itertools.product(*(pool[j] for j in pattern))
     order = rng.permutation(len(words))
     coeffs = rng.standard_normal(len(words)) + 1j * rng.standard_normal(len(words))
-    x = FreeElement(amb, {tuple(words[i]): complex(c) for i, c in zip(order, coeffs)})
+    return FreeElement(amb, {tuple(words[i]): complex(c) for i, c in zip(order, coeffs)})
+
+
+def test_shared_suffix_compression_keeps_the_bits_of_float_and_uncentred_elements():
+    rng = np.random.default_rng(31)
+    amb = two_factor(m2_tr(), m2_tr())
+    f = TruncatedFock(amb.factors, 3)
+    x = _shuffled_float_element(amb, rng)
     assert len(x.terms) == 29
     _assert_same_bits(f, _pairs(x))
     uncentred = random_alternating_word(amb, 3, rng, centered=False)
@@ -422,6 +426,52 @@ def test_shared_suffix_compression_keeps_the_bits_of_float_and_uncentred_element
     _assert_same_bits(f, _pairs(uncentred))
     # norm_lower_bound represents the normalized terms of an uncentred element
     assert norm_lower_bound(f, uncentred) == spectral_norm(_represent_word_by_word(f, _pairs(uncentred)))
+
+
+def _c2c3_levels():
+    filt = FreeProductFiltration([ConstantFiltration(c2_half()), ConstantFiltration(c3_uniform())],
+                                 probe_seed=5)
+    return TruncatedFock(filt.ambient.factors, 7), [probe for n in range(1, 7) for probe in filt._probes(n)]
+
+
+def _float_element():
+    amb = two_factor(m2_tr(), m2_tr())
+    return TruncatedFock(amb.factors, 3), [_pairs(_shuffled_float_element(amb, np.random.default_rng(31)))]
+
+
+def _m2m2_length_2():
+    amb = two_factor(m2_tr(), m2_tr())
+    x = HomogeneousWordElement.random(amb, 2, np.random.default_rng(3)).to_free_element()
+    return TruncatedFock(amb.factors, 4), [_pairs(x)]
+
+
+@pytest.mark.parametrize("make, words, products", [
+    (_c2c3_levels, 49, 49),  # the probes of levels 1-6: suffix-closed
+    (_float_element, 28, 28),  # and the empty word
+    (_m2m2_length_2, 18, 24),  # and 6 one-letter suffixes
+], ids=["C2*C3 levels 1-6", "float element", "(M2, tr)*(M2, tr) length 2"])
+def test_represent_sparse_multiplies_once_per_word_or_suffix(monkeypatch, make, words, products):
+    f, xs = make()
+    assert len({word for x in xs for word, _ in x} - {()}) == words
+    assert len({word[i:] for x in xs for word, _ in x for i in range(len(word))}) == products
+    times, calls = compressed._times, []
+    monkeypatch.setattr(compressed, "_times", lambda *a: calls.append(a) or times(*a))
+    compressed._represent_sparse(f, xs)
+    assert len(calls) == products
+
+
+@pytest.mark.parametrize("cap, refused", [(10**9, False), (5_000, True), (0, True)])
+def test_represent_sparse_refuses_blocks_above_the_entry_cap_before_any_sum(monkeypatch, cap, refused):
+    f, xs = _c2c3_levels()
+    leading, cut = compressed._leading, []
+    monkeypatch.setattr(compressed, "_leading", lambda *a: cut.append(a) or leading(*a))
+    monkeypatch.setattr(compressed, "_BLOCK_CAP", cap)
+    if not refused:
+        assert len(compressed._represent_sparse(f, xs)) == len(xs) and cut
+        return
+    with pytest.raises(ResourceCapError, match=f"cap of {cap} stored entries"):
+        compressed._represent_sparse(f, xs)
+    assert not cut
 
 
 def test_shared_blocks_keep_the_bits_of_several_elements():

@@ -3,7 +3,8 @@ rule that tolerance literals live only there; the equality, hashing,
 powers and float operators of ``QC`` and the rule that its layout stays in ``scalars``; the
 rule that only ``algebra`` spells a payload's float bits; plus the
 rules that modules import only at their top and never a thread or process
-pool, that the package imports no layer and no layer scipy, that
+pool, that the package imports no layer and no layer scipy, that files
+are opened only in the two file doors of ``cli``, that
 every cache is bounded, that every ``__all__`` entry exists, that no
 module-level def only forwards its parameters to another call, that every
 public def has a src reference or a stated reason, and that the Python
@@ -393,6 +394,41 @@ def test_no_module_imports_scipy():
             stray += [f"{path.name}:{node.lineno}: {ast.unparse(node)}"
                       for name in names if name.split(".")[0] == "scipy"]
     assert not stray, "scipy imports in src:\n" + "\n".join(stray)
+
+
+FILE_DOORS = {("cli.py", "_load_json_file"), ("cli.py", "_atomic_write")}
+
+
+def _file_openers(tree):
+    """(line, code) of each call in tree that opens a file: ``open``, any
+    ``.open`` or ``.fdopen`` method, anything in ``tempfile``; and of each
+    import that would rename one."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call):
+            func, root = node.func, node.func
+            while isinstance(root, ast.Attribute):
+                root = root.value
+            if (isinstance(func, ast.Name) and func.id == "open"
+                    or isinstance(func, ast.Attribute) and func.attr in ("open", "fdopen")
+                    or isinstance(root, ast.Name) and root.id == "tempfile"):
+                yield node.lineno, ast.unparse(func)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)) and (
+                getattr(node, "module", None) == "tempfile"
+                or any(alias.name in ("open", "fdopen") or alias.name == "tempfile" and alias.asname
+                       for alias in node.names)):
+            yield node.lineno, ast.unparse(node)
+
+
+def test_files_are_opened_only_in_the_cli_doors():
+    # cli._load_json_file and cli._atomic_write turn every OS error into one
+    # error line and exit 2, and leave no temp file; a command that opened a
+    # file elsewhere would end in a traceback instead
+    stray = []
+    for path in sorted(SRC.glob("*.py")):
+        for top in ast.parse(path.read_text()).body:
+            if (path.name, getattr(top, "name", None)) not in FILE_DOORS:
+                stray += [f"{path.name}:{line}: {code}" for line, code in _file_openers(top)]
+    assert not stray, "files opened outside the cli doors:\n" + "\n".join(stray)
 
 
 def test_every_cache_is_bounded():
