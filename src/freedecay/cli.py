@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import errno
 import io
 import json
 import math
@@ -90,6 +91,21 @@ def _atomic_write(path: str | None, text: str) -> None:
             raise
     except OSError as exc:
         raise CliError(f"cannot write {path}: {exc.strerror}") from None
+
+
+def _check_out(path: str) -> None:
+    """Refuse an ``--out`` that names a directory, or whose directory is
+    missing or a file, before anything is computed, with the error
+    ``_atomic_write`` would give at the end; that door stays, as a write can
+    still fail."""
+    directory = os.path.dirname(os.path.abspath(path))
+    if os.path.isdir(path):
+        code = errno.EISDIR
+    elif not os.path.isdir(directory):
+        code = errno.ENOTDIR if os.path.exists(directory) else errno.ENOENT
+    else:
+        return
+    raise CliError(f"cannot write {path}: {os.strerror(code)}")
 
 
 def _csv_text(header, rows, seed: int, **meta) -> str:
@@ -554,12 +570,18 @@ def run(argv) -> int:
     except SystemExit as exc:
         return USAGE_ERROR if exc.code not in (0,) else 0
     try:
+        if args.out is not None:
+            _check_out(args.out)
         return args.func(args)
     except CliError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return exc.code
     except (AlgebraError, MeasureError, FockError, AvitzourConditionError, ValueError) as exc:
         sys.stderr.write(f"error: {exc}\n")
+        return USAGE_ERROR
+    except MemoryError as exc:
+        # numpy's _ArrayMemoryError says what it could not allocate
+        sys.stderr.write(f"error: out of memory{': ' if str(exc) else ''}{exc}\n")
         return USAGE_ERROR
 
 

@@ -4,6 +4,12 @@ A :class:`CompactMeasure` is presented by its moment sequence (exact
 Fractions whenever possible).  Orthonormal polynomials come out of the
 Stieltjes / Chebyshev moment algorithm, and sup norm estimates out of the
 maximum over a Chebyshev-Lobatto grid.
+
+The four builtins are Jacobi measures and record their parameters: (1/2, 1/2)
+for the semicircle, (0, 0) for Lebesgue, (-1/2, -1/2) for the cosine law.
+They take closed-form recurrence coefficients and end-point Christoffel
+values (``christoffel_ends``) in place of the moments and the grid, which
+custom-moment and atom measures keep; no JSON field sets the parameters.
 """
 
 from __future__ import annotations
@@ -49,16 +55,21 @@ class CompactMeasure:
     """Probability measure on [a, b] given by moments.
 
     ``moment_fn(k)`` must return the k-th raw moment, exact (int/Fraction)
-    when available.
+    when available.  ``jacobi`` = (alpha, beta), Fractions with alpha,
+    beta > -1 and max(alpha, beta) >= -1/2, says that the measure is the
+    normalized (b - t)^alpha (t - a)^beta dt on [a, b]; the builtins set it.
     """
 
-    def __init__(self, support, moment_fn, name="custom"):
+    def __init__(self, support, moment_fn, name="custom", jacobi=None):
         a, b = support
         if not float(a) < float(b):
             raise MeasureError("support must be an interval [a, b] with a < b")
+        if jacobi is not None and not (min(jacobi) > -1 and max(jacobi) >= Fraction(-1, 2)):
+            raise MeasureError(f"Jacobi parameters {jacobi} need alpha, beta > -1 and max >= -1/2")
         self.support = (a, b)
         self._moment_fn = moment_fn
         self.name = name
+        self.jacobi = jacobi
         self._moment_cache: dict[int, object] = {}
         m0 = self.moment(0)
         if not negligible(m0 - 1):
@@ -79,7 +90,7 @@ class CompactMeasure:
         def m(k):
             return Fraction(_catalan(k // 2)) if k % 2 == 0 else Fraction(0)
 
-        return cls((-2, 2), m, name="semicircle")
+        return cls((-2, 2), m, name="semicircle", jacobi=(Fraction(1, 2), Fraction(1, 2)))
 
     @classmethod
     def lebesgue(cls, a=-1, b=1) -> "CompactMeasure":
@@ -90,7 +101,7 @@ class CompactMeasure:
             # (b^{k+1} - a^{k+1}) / ((k+1)(b-a))
             return (b ** (k + 1) - a ** (k + 1)) / ((k + 1) * (b - a))
 
-        return cls((a, b), m, name=f"lebesgue[{a},{b}]")
+        return cls((a, b), m, name=f"lebesgue[{a},{b}]", jacobi=(Fraction(0), Fraction(0)))
 
     @classmethod
     def cosine(cls) -> "CompactMeasure":
@@ -100,7 +111,7 @@ class CompactMeasure:
         def m(k):
             return Fraction(comb(k, k // 2), 2 ** k) if k % 2 == 0 else Fraction(0)
 
-        return cls((-1, 1), m, name="cosine")
+        return cls((-1, 1), m, name="cosine", jacobi=(Fraction(-1, 2), Fraction(-1, 2)))
 
     @classmethod
     def uniform_atoms(cls, points, weights=None) -> "CompactMeasure":
@@ -189,7 +200,7 @@ class OrthoPolySequence:
 
     ``beta[0]`` holds m_0 = 1 so that the orthonormal normalizers are
     ||pi_k||_2^2 = beta_0 ... beta_k.  Coefficients are exact Fractions when
-    the moments are; extension is lazy.
+    the moments are, or closed forms for a Jacobi measure; extension is lazy.
     """
 
     def __init__(self, measure: CompactMeasure):
@@ -209,7 +220,8 @@ class OrthoPolySequence:
         """Ensure recurrence coefficients alpha_0..alpha_{n-1} exist."""
         if len(self._alpha) >= n:
             return
-        self._alpha, self._beta = _chebyshev_algorithm(self.measure, n)
+        recurrence = _chebyshev_algorithm if self.measure.jacobi is None else _jacobi_recurrence
+        self._alpha, self._beta = recurrence(self.measure, n)
         self._floats = [(float(a), math.sqrt(float(b))) for a, b in zip(self._alpha, self._beta)]
 
     # -- coefficient access ------------------------------------------------
@@ -316,6 +328,34 @@ def _chebyshev_algorithm(measure: CompactMeasure, n: int):
     return alpha, beta
 
 
+def _jacobi_recurrence(measure: CompactMeasure, n: int):
+    """The monic recurrence coefficients (alpha_0..alpha_{n-1},
+    beta_0..beta_{n-1}) of a measure with Jacobi parameters (p, q) on its
+    support [a, b], as Fractions.
+
+    On [-1, 1], with weight (1 - x)^p (1 + x)^q and s = p + q, the classical
+    monic Jacobi recurrence (as tabulated in Gautschi, *Orthogonal
+    Polynomials: Computation and Approximation*, 2004) reads
+    a_0 = (q - p)/(s + 2), a_k = (q^2 - p^2)/((2k + s)(2k + s + 2)),
+    b_1 = 4(1 + p)(1 + q)/((s + 2)^2 (s + 3)) and, for k >= 2,
+    b_k = 4k(k + p)(k + q)(k + s)/((2k + s)^2 (2k + s + 1)(2k + s - 1)).
+    t = c + h x with c = (a + b)/2 and h = (b - a)/2 moves them to
+    alpha_k = c + h a_k and beta_k = h^2 b_k; beta_0 is m_0 = 1."""
+    p, q = (Fraction(e) for e in measure.jacobi)
+    a, b = (Fraction(e) for e in measure.support)
+    c, h, s = (a + b) / 2, (b - a) / 2, p + q
+    alpha = [c + h * (q - p) / (s + 2)]
+    beta = [Fraction(1)]
+    for k in range(1, n):
+        alpha.append(c + h * (q * q - p * p) / ((2 * k + s) * (2 * k + s + 2)))
+        if k == 1:
+            b_k = 4 * (1 + p) * (1 + q) / ((s + 2) ** 2 * (s + 3))
+        else:
+            b_k = 4 * k * (k + p) * (k + q) * (k + s) / ((2 * k + s) ** 2 * (2 * k + s + 1) * (2 * k + s - 1))
+        beta.append(h * h * b_k)
+    return alpha, beta
+
+
 def ortho_polys(measure: CompactMeasure, n: int) -> OrthoPolySequence:
     """Orthonormal polynomial sequence of mu, extended through degree n."""
     seq = OrthoPolySequence(measure)
@@ -328,13 +368,18 @@ def ortho_polys(measure: CompactMeasure, n: int) -> OrthoPolySequence:
 # ---------------------------------------------------------------------------
 
 
+def _on_interval(interval, x):
+    """The float points (a + b)/2 + (b - a)/2 x of [a, b] for x in [-1, 1]."""
+    a, b = float(interval[0]), float(interval[1])
+    return 0.5 * (a + b) + 0.5 * (b - a) * x
+
+
 def _lobatto_grid(interval, degree: int):
     # 64*(degree+1) Chebyshev extrema on [a, b] (at least 8), end points included
-    a, b = float(interval[0]), float(interval[1])
     n_points = max(64 * (degree + 1), 8)
     k = np.arange(n_points)
     x = np.cos(np.pi * k / (n_points - 1))
-    return 0.5 * (a + b) + 0.5 * (b - a) * x[::-1]
+    return _on_interval(interval, x[::-1])
 
 
 def sup_norm(fn, interval, degree: int) -> float:
@@ -351,9 +396,32 @@ def sup_norm_poly(seq: OrthoPolySequence, n: int) -> float:
 
 
 def christoffel_sup(seq: OrthoPolySequence, n: int) -> float:
-    """Sup over t of (sum_{k<=n} p_k(t)^2)^(1/2) over the support: the
-    degree-n filtration constant of the measure: ``sup_norm``'s float, as
-    sqrt is monotone and the squares are summed in degree order."""
+    """The degree-n filtration constant C_n = sup_t K_n(t)^(1/2) of the
+    measure, K_n = sum_{k<=n} p_k^2, estimated from below by the maximum over
+    the Chebyshev-Lobatto grid of ``sup_norm``: its float, as sqrt is
+    monotone and the squares are summed in degree order.  Measures with
+    Jacobi parameters peak at an end instead (``christoffel_ends``)."""
     squares = sum(p * p for p in seq._orthonormal_rows(n, _lobatto_grid(seq.measure.support, n)))
     return math.sqrt(float(np.max(squares)))
 
+
+def christoffel_ends(seq: OrthoPolySequence, n: int) -> list:
+    """[C_0, ..., C_n] for a measure with Jacobi parameters: sqrt of the
+    larger of K_k(a) and K_k(b), with K_k = K_{k-1} + p_k^2 summed in one
+    pass of the float recurrence at the two end points of the grid.
+
+    Szegő, *Orthogonal Polynomials*, Thm 7.32.1: for alpha, beta > -1 and
+    q = max(alpha, beta) >= -1/2, max over [-1, 1] of |P_k^(alpha, beta)|
+    is binom(k + q, k), the value at x = 1 if q = alpha and at x = -1 if
+    q = beta.  So every |p_k| peaks at the same end, where K_n then peaks
+    too: sup K_n = K_n(end).  The value is the float K_n(end), square-rooted
+    to nearest and not rounded either way; it has the bits of
+    ``christoffel_sup`` wherever the grid maximum sits at an end point, as
+    the grid holds both end points and every point runs the same float64
+    operations."""
+    ends = _on_interval(seq.measure.support, np.array([-1.0, 1.0]))
+    sums, out = 0, []
+    for p in seq._orthonormal_rows(n, ends):
+        sums = sums + p * p
+        out.append(math.sqrt(float(np.max(sums))))
+    return out

@@ -7,6 +7,11 @@ bounds sup{||a|| : a in V_n, ||a||_2 = 1}, exactly so on abelian and
 commutative ambients (``dn_norm`` rounds it to nearest); other levels get
 brackets instead of single numbers.
 
+The degree filtrations of the builtin measures, the paper's natural
+examples, take C_n from the end points of the support, where Szegő's
+Thm 7.32.1 puts the peak of every orthonormal polynomial of a Jacobi
+measure with max(alpha, beta) >= -1/2; other measures take a grid maximum.
+
 The filtrations here need no Fock space.  The free-product filtration, which
 does, is :class:`freedecay.compressed.FreeProductFiltration`.
 """
@@ -40,7 +45,7 @@ from .freeword import (
     check_avitzour_conditions,
     residual_size,
 )
-from .measure import christoffel_sup, ortho_polys
+from .measure import christoffel_ends, christoffel_sup, ortho_polys
 from .scalars import QC, agree, negligible
 
 # _newton_phases: stop when every |constraint| < _NEWTON_STOP, or after _NEWTON_STEPS
@@ -172,7 +177,11 @@ class ConstantFiltration(FiniteDimFiltration):
 
 
 class MeasureDegreeFiltration(Filtration):
-    """Polynomials of degree <= n inside (C[a,b], integral against mu)."""
+    """Polynomials of degree <= n inside (C[a,b], integral against mu).
+
+    C_n is one float, printed as both endpoints: "jacobi-endpoint" for the
+    builtins (``christoffel_ends``, every level in one pass), else
+    "christoffel-grid" (``christoffel_sup``, a lower estimate per level)."""
 
     recipe = "degree"
 
@@ -188,10 +197,16 @@ class MeasureDegreeFiltration(Filtration):
         return [self.seq.orthonormal_coefficients(k) for k in range(n + 1)]
 
     def rd_constant(self, n: int) -> RdConstant:
-        if n == 0:
-            return RdConstant(1.0, 1.0, "exact")
-        c = christoffel_sup(self.seq, n)
-        return RdConstant(c, c, "christoffel-grid")
+        return self.rd_constants([n])[0]
+
+    def rd_constants(self, levels) -> list:
+        levels = list(levels)
+        if self.measure.jacobi is None:
+            method, sups = "christoffel-grid", {n: christoffel_sup(self.seq, n) for n in levels if n}
+        else:
+            method, sups = "jacobi-endpoint", christoffel_ends(self.seq, max(levels))
+        return [RdConstant(sups[n], sups[n], method) if n else RdConstant(1.0, 1.0, "exact")
+                for n in levels]
 
 
 # ---------------------------------------------------------------------------

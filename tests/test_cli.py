@@ -16,6 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from freedecay.algebra import AlgebraElement, MatrixBlockAlgebra
+from freedecay import cli
 from freedecay.cli import run
 from freedecay.rdcert import ConstantFiltration, orthogonality_hypotheses, rd_report
 
@@ -186,9 +187,11 @@ _C2_C3 = {"factors": [{"atoms": ["1/2", "1/2"]}, {"atoms": ["1/3", "1/3", "1/3"]
 
 
 # {dir}: an existing directory, {missing}: a directory that does not exist,
-# {factors}, {algebra}: readable inputs
+# {factors}, {algebra}, {c2c3}: readable inputs
 @pytest.mark.parametrize("argv", [
     ["rd-certify", "--builtin", "semicircle", "--max-n", "3", "--out", "{missing}/x.csv"],
+    ["rd-certify", "--space", "{c2c3}", "--max-n", "13", "--out", "{missing}/x.csv"],
+    ["rd-certify", "--builtin", "semicircle", "--max-n", "3", "--out", "{factors}/x.csv"],
     ["rd-certify", "--builtin", "semicircle", "--max-n", "3", "--out", "{dir}"],
     ["fock-dim", "--factors", "{factors}", "--depth", "2", "--out", "{dir}"],
     ["rd-certify", "--space", "{dir}", "--max-n", "3"],
@@ -197,18 +200,26 @@ _C2_C3 = {"factors": [{"atoms": ["1/2", "1/2"]}, {"atoms": ["1/3", "1/3", "1/3"]
     ["orthogonality-check", "--config", "{dir}"],
     ["avitzour-find", "--a", "{dir}", "--b", "{algebra}"],
     ["avitzour-find", "--a", "{algebra}", "--b", "{dir}"],
-], ids=["out-in-missing-dir", "out-is-dir", "fock-dim-out-is-dir", "space-is-dir",
-        "factors-is-dir", "element-is-dir", "config-is-dir", "a-is-dir", "b-is-dir"])
-def test_unreadable_or_unwritable_paths_exit_2_and_leave_no_temp_file(tmp_path, capsys, argv):
+], ids=["out-in-missing-dir", "large-run-out-in-missing-dir", "out-under-a-file", "out-is-dir",
+        "fock-dim-out-is-dir", "space-is-dir", "factors-is-dir", "element-is-dir", "config-is-dir",
+        "a-is-dir", "b-is-dir"])
+def test_unreadable_or_unwritable_paths_exit_2_and_leave_no_temp_file(tmp_path, capsys, monkeypatch,
+                                                                       argv):
+    # an --out that cannot be written is refused before any work: C2 * C3 at
+    # level 13 would first run for seconds and peak near 800 MB
+    reports = []
+    monkeypatch.setattr(cli, "rd_report", lambda *args: reports.append(args))
     (tmp_path / "d").mkdir()
     paths = {"dir": str(tmp_path / "d"), "missing": str(tmp_path / "missing"),
              "factors": _write(tmp_path, "factors.json", _C2_C3),
-             "algebra": _write(tmp_path, "c2.json", {"atoms": ["1/2", "1/2"]})}
+             "algebra": _write(tmp_path, "c2.json", {"atoms": ["1/2", "1/2"]}),
+             "c2c3": _write(tmp_path, "c2c3.json", {"free_product": _C2_C3["factors"]})}
     assert run([arg.format(**paths) for arg in argv]) == 2
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: cannot "), err
     assert str(tmp_path) in err[0]
     assert not list(tmp_path.rglob("*.tmp"))
+    assert not reports
 
 
 @pytest.mark.parametrize("command", ["free-moments", "norm-estimate"])
@@ -408,6 +419,17 @@ def test_rd_certify_refuses_word_blocks_above_the_entry_cap(tmp_path):
     assert proc.returncode == 2 and proc.stdout == ""
     assert proc.stderr.startswith("error: the word blocks ") and proc.stderr.count("\n") == 1
     assert "stored entries" in proc.stderr
+
+
+def test_rd_certify_out_of_memory_exits_2_with_one_line(tmp_path):
+    # C2 * C3 at level 13 stores 7.6 M block entries, below both caps, and
+    # peaks near 820 MB: under 512 MiB of address space numpy runs out of
+    # memory, where level 9 (0.2 M entries) still runs
+    space = _write(tmp_path, "c2c3.json", {"free_product": _C2_C3["factors"]})
+    assert _cli_child(["rd-certify", "--space", space, "--max-n", "9"], 512 << 20, 30).returncode == 0
+    proc = _cli_child(["rd-certify", "--space", space, "--max-n", "13"], 512 << 20, 60)
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr.startswith("error: out of memory") and proc.stderr.count("\n") == 1
 
 
 def test_fock_dim(tmp_path):

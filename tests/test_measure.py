@@ -12,6 +12,8 @@ from freedecay.measure import (
     MeasureError,
     OrthoPolySequence,
     _chebyshev_algorithm,
+    _jacobi_recurrence,
+    christoffel_ends,
     christoffel_sup,
     ortho_polys,
     sup_norm,
@@ -304,3 +306,77 @@ def test_christoffel_sup_equals_the_stacked_formula(name):
             return np.sqrt(np.sum(vals * vals, axis=0))
 
         assert christoffel_sup(seq, n) == sup_norm(stacked, seq.measure.support, n), n
+
+
+# ---------------------------------------------------------------------------
+# Jacobi measures: closed-form recurrences and end-point constants
+# ---------------------------------------------------------------------------
+
+
+def _jacobi_moments(support, p, q):
+    """Moments of the normalized (b - t)^p (t - a)^q dt on [a, b], apart
+    from the program: (t - a)/(b - a) is Beta(q + 1, p + 1) distributed."""
+    a, b = (Fraction(e) for e in support)
+    beta_moments = [Fraction(1)]
+    for i in range(80):
+        beta_moments.append(beta_moments[-1] * (q + 1 + i) / (p + q + 2 + i))
+    return lambda k: sum(math.comb(k, j) * a ** (k - j) * (b - a) ** j * beta_moments[j]
+                         for j in range(k + 1))
+
+
+JACOBI_BUILTINS = [CompactMeasure.builtin(name) for name in BUILTINS] + [
+    CompactMeasure.lebesgue(Fraction(1, 10), Fraction(7, 10)),
+    CompactMeasure.lebesgue(-3, Fraction(5, 7)),
+    CompactMeasure.lebesgue(0, 3),
+]
+JACOBI_IDS = list(BUILTINS) + ["lebesgue[1/10,7/10]", "lebesgue[-3,5/7]", "lebesgue[0,3]"]
+
+
+def test_builtins_record_their_jacobi_parameters():
+    half = Fraction(1, 2)
+    assert [CompactMeasure.builtin(name).jacobi for name in BUILTINS] == [
+        (half, half), (0, 0), (0, 0), (-half, -half)]
+    for data in ({"support": [-2, 2], "moments": [1, 0, 1, 0, 2]}, {"atoms": [-1, 0, 2]}):
+        assert CompactMeasure.from_json(data).jacobi is None
+    # outside Szegő's hypotheses the end points prove nothing
+    for jacobi in ((Fraction(-3, 4), Fraction(-3, 4)), (Fraction(1, 2), Fraction(-1))):
+        with pytest.raises(MeasureError):
+            CompactMeasure((-1, 1), lambda k: Fraction(k == 0), jacobi=jacobi)
+
+
+@pytest.mark.parametrize("measure", JACOBI_BUILTINS[:5], ids=JACOBI_IDS[:5])
+def test_closed_form_recurrence_equals_the_moment_algorithm(measure):
+    # repr shows the Fraction type of every coefficient
+    want = _chebyshev_algorithm(measure, 100)
+    assert repr(_jacobi_recurrence(measure, 100)) == repr(want)
+    seq = OrthoPolySequence(measure)
+    seq.extend(100)
+    assert repr((seq._alpha, seq._beta)) == repr(want) and seq.exact
+
+
+@pytest.mark.parametrize("support, p, q", [
+    ((-1, 1), Fraction(1, 2), Fraction(-1, 2)),
+    ((0, 3), Fraction(2), Fraction(0)),
+    ((-2, Fraction(1, 3)), Fraction(-1, 2), Fraction(3, 4)),
+    ((-1, 1), Fraction(-1, 3), Fraction(-2, 3)),
+], ids=["chebyshev-3rd-kind", "p=2", "q=3/4", "s=-1"])
+def test_closed_form_recurrence_of_unequal_parameters(support, p, q):
+    # the formulas cover p != q, checked against the moment algorithm
+    measure = CompactMeasure(support, _jacobi_moments(support, p, q), jacobi=(p, q))
+    assert _jacobi_recurrence(measure, 40) == _chebyshev_algorithm(measure, 40)
+
+
+@pytest.mark.parametrize("measure", JACOBI_BUILTINS, ids=JACOBI_IDS)
+def test_end_point_constants_equal_the_grid_bit_for_bit(measure):
+    seq = ortho_polys(measure, 121)
+    ends = christoffel_ends(seq, 120)
+    assert ends[0] == 1.0
+    assert [christoffel_sup(seq, n) for n in range(1, 121)] == ends[1:]
+
+
+def test_end_point_constants_are_the_closed_forms():
+    # sqrt of sum (k + 1)^2, of sum (2k + 1) = (n + 1)^2 and of 1 + 2n
+    for name, closed in (("semicircle", lambda n: (n + 1) * (n + 2) * (2 * n + 3) / 6),
+                         ("lebesgue", lambda n: (n + 1) ** 2), ("cosine", lambda n: 2 * n + 1)):
+        ends = christoffel_ends(ortho_polys(CompactMeasure.builtin(name), 61), 60)
+        assert ends == pytest.approx([math.sqrt(closed(n)) for n in range(61)], rel=1e-13)

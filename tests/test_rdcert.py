@@ -29,6 +29,7 @@ from freedecay.freeword import (
     random_alternating_word,
     three_factor_ambient,
 )
+from freedecay import measure
 from freedecay.measure import CompactMeasure
 from freedecay.rdcert import (
     ConstantFiltration,
@@ -132,6 +133,44 @@ def test_semicircle_exponent_three_halves():
 def test_lebesgue_exponent_one():
     report = rd_report(MeasureDegreeFiltration(CompactMeasure.lebesgue(), 40), 40)
     assert 0.95 <= report.alpha_hat <= 1.05
+
+
+def _spy(monkeypatch, module, name):
+    """Count the calls of ``module.name`` and pass them on."""
+    calls, real = [], getattr(module, name)
+    monkeypatch.setattr(module, name, lambda *args: calls.append(args) or real(*args))
+    return calls
+
+
+def test_custom_measures_keep_the_moment_algorithm_and_the_grid(monkeypatch):
+    # the semicircle's own moments given as a custom measure get the grid,
+    # here with the bits of the builtin's end-point path
+    moments = [0 if k % 2 else math.comb(k, k // 2) // (k // 2 + 1) for k in range(30)]
+    custom = CompactMeasure.from_json({"support": [-2, 2], "moments": moments})
+    atoms = CompactMeasure.from_json({"atoms": [-1, "1/3", 2, 3], "weights": ["1/2", "1/4", "1/8", "1/8"]})
+    builtin = MeasureDegreeFiltration(CompactMeasure.semicircle(), 12).rd_constants(range(13))
+    chebyshev = _spy(monkeypatch, measure, "_chebyshev_algorithm")
+    grid = _spy(monkeypatch, measure, "_lobatto_grid")
+    got = MeasureDegreeFiltration(custom, 12).rd_constants(range(13))
+    assert [c.method for c in got] == ["exact"] + ["christoffel-grid"] * 12
+    assert [c.method for c in builtin] == ["exact"] + ["jacobi-endpoint"] * 12
+    assert [(c.lower, c.upper) for c in got] == [(c.lower, c.upper) for c in builtin]
+    assert [c.method for c in MeasureDegreeFiltration(atoms, 3).rd_constants(range(4))] == [
+        "exact"] + ["christoffel-grid"] * 3
+    assert chebyshev and len(grid) == 12 + 3
+
+
+@pytest.mark.parametrize("name", ["semicircle", "lebesgue", "lebesgue01", "cosine"])
+def test_builtin_degree_filtrations_need_neither_moments_nor_grid(monkeypatch, name):
+    def refuse(*args):
+        raise AssertionError("called on a builtin")
+
+    monkeypatch.setattr(measure, "_chebyshev_algorithm", refuse)
+    monkeypatch.setattr(measure, "_lobatto_grid", refuse)
+    filt = MeasureDegreeFiltration(CompactMeasure.builtin(name), 60)
+    report = rd_report(filt, 60)
+    assert filt.rd_constant(60) == filt.rd_constants(range(61))[60]
+    assert filt.rd_constant(60).upper == report.rows[60][2]
 
 
 def test_rd_constant_monotone():
