@@ -256,14 +256,27 @@ def _bincount(index, vals, size):
     return np.bincount(index, vals.real, size) + 1j * np.bincount(index, vals.imag, size)
 
 
+def _pattern(keys, shape):
+    """(rows, cols, inverse) of the keys row * shape[1] + col: the distinct
+    keys in increasing order, split, and the place of each key among them.
+    A grid of at most len(keys) cells takes no sort: the hit cells of
+    ``np.bincount(keys)`` are the distinct keys in order, and the running
+    count of hits up to a key is its place, so the pattern is np.unique's,
+    dtypes too, and the counter is no larger than the keys."""
+    if shape[0] * shape[1] <= len(keys):
+        hits = np.bincount(keys, minlength=shape[0] * shape[1]) > 0
+        keys, inverse = np.flatnonzero(hits), (np.cumsum(hits) - 1)[keys]
+    else:
+        keys, inverse = np.unique(keys, return_inverse=True)
+    return (*np.divmod(keys, shape[1]), inverse)
+
+
 def _merged(keys, vals, shape, pattern=None):
     """(CooMatrix, pattern) of the entries keyed row * shape[1] + col, in
-    row-major order with repeated keys summed in input order.  The pattern
-    (rows, cols, inverse) of a call with the same keys skips the sort."""
-    if pattern is None:
-        keys, inverse = np.unique(keys, return_inverse=True)
-        pattern = (*np.divmod(keys, shape[1]), inverse)
-    return CooMatrix(*pattern[:2], _bincount(pattern[2], vals, len(pattern[0])), shape), pattern
+    row-major order with repeated keys summed in input order.  A given
+    pattern (:func:`_pattern` of the same keys) skips the merge."""
+    rows, cols, inverse = pattern = pattern or _pattern(keys, shape)
+    return CooMatrix(rows, cols, _bincount(inverse, vals, len(rows)), shape), pattern
 
 
 def _times(rows, vals, block: CooMatrix) -> CooMatrix:
@@ -302,13 +315,19 @@ def _represent_sparse(fock: TruncatedFock, xs, dims=None):
     the same association as rebuilding it letter by letter, so every block
     keeps its bits.  One dict holds I and every word and suffix block of
     the call; once the blocks it holds pass ``_BLOCK_CAP`` entries the call
-    raises ResourceCapError, before any element is summed.  Each element's
-    blocks are summed in its own pair order, which fixes the summation
-    order of duplicate entries; elements in a row with one word list and K
-    share a merge pattern.  For L' <= L the depth-L' basis is the first
-    K = dim(L') tensors, and a centred letter's operator stores no scalar
-    part, so a word's block cut to its first K rows and columns keeps the
-    bits of its depth-L' block.
+    raises ResourceCapError, before any element is summed.  For L' <= L
+    the depth-L' basis is the first K = dim(L') tensors, and a centred
+    letter's operator stores no scalar part, so a word's block cut to its
+    first K rows and columns keeps the bits of its depth-L' block.
+
+    A group is a run of elements with one word list and one K.  It cuts
+    once: a block is row-major, so its rows below K are a prefix, and one
+    mask over the concatenated prefixes (none when K is the dimension) and
+    one :func:`_pattern` of the kept keys serve each element.  An element
+    sums its c * prefix values, concatenated in its own pair order (the
+    summation order of duplicate entries) and masked, through the pattern.
+    Only the group's block list, mask and pattern outlive an element; the
+    keys are freed before any values are built, which lowers peak memory.
     :class:`FreeProductFiltration` reads every level of a run from one call
     at the top level's depth, so each word of its level bases costs one
     product.
@@ -327,27 +346,18 @@ def _represent_sparse(fock: TruncatedFock, xs, dims=None):
             if stored > _BLOCK_CAP:
                 raise ResourceCapError(f"the word blocks of {len(words)} words on {n} tensors "
                                        f"pass the cap of {_BLOCK_CAP} stored entries")
-    out, last, pattern = [], None, None
+    out, group = [], None
     for x, k in zip(xs, dims or [n] * len(xs)):
         if not x:
             out.append(_merged(np.zeros(0, dtype=np.intp), np.zeros(0), (k, k))[0])
             continue
-        if (key := ([word for word, _ in x], k)) != last:
-            last, pattern = key, None
-        terms = [(_leading(blocks[word], k), c) for word, c in x]
-        # unnamed arrays: one element's copies are freed before the next
-        # element's are built, which keeps the peak memory of a call down
-        matrix, pattern = _merged(
-            None if pattern else np.concatenate([b.rows * k + b.cols for b, _ in terms]),
-            np.concatenate([c * b.vals for b, c in terms]), (k, k), pattern)
-        out.append(matrix)
+        if (key := ([word for word, _ in x], k)) != group:
+            group, members = key, [(b, b.rows.searchsorted(k)) for b in (blocks[word] for word, _ in x)]
+            cut = slice(None) if k == n else np.concatenate([b.cols[:p] < k for b, p in members])
+            pattern = _pattern(np.concatenate([b.rows[:p] * k + b.cols[:p] for b, p in members])[cut], (k, k))
+        out.append(_merged(None, np.concatenate([c * b.vals[:p] for (b, p), (_, c) in zip(members, x)])[cut],
+                           (k, k), pattern)[0])
     return out
-
-
-def _leading(block: CooMatrix, k) -> CooMatrix:
-    """A block cut to its first k rows and columns."""
-    keep = (block.rows < k) & (block.cols < k)
-    return block if keep.all() else CooMatrix(block.rows[keep], block.cols[keep], block.vals[keep], (k, k))
 
 
 def norm_lower_bound(fock: TruncatedFock, x: FreeElement) -> float:

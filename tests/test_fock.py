@@ -3,6 +3,7 @@
 import itertools
 import json
 import math
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -463,15 +464,101 @@ def test_represent_sparse_multiplies_once_per_word_or_suffix(monkeypatch, make, 
 @pytest.mark.parametrize("cap, refused", [(10**9, False), (5_000, True), (0, True)])
 def test_represent_sparse_refuses_blocks_above_the_entry_cap_before_any_sum(monkeypatch, cap, refused):
     f, xs = _c2c3_levels()
-    leading, cut = compressed._leading, []
-    monkeypatch.setattr(compressed, "_leading", lambda *a: cut.append(a) or leading(*a))
+    represent, merged, summed = compressed._represent_sparse, compressed._merged, []
+
+    def element_merges(*a):
+        # the block products merge through _times; an element's sum is
+        # merged by _represent_sparse itself
+        if sys._getframe(1).f_code is represent.__code__:
+            summed.append(a)
+        return merged(*a)
+
+    monkeypatch.setattr(compressed, "_merged", element_merges)
     monkeypatch.setattr(compressed, "_BLOCK_CAP", cap)
     if not refused:
-        assert len(compressed._represent_sparse(f, xs)) == len(xs) and cut
+        assert len(compressed._represent_sparse(f, xs)) == len(xs) == len(summed)
         return
     with pytest.raises(ResourceCapError, match=f"cap of {cap} stored entries"):
         compressed._represent_sparse(f, xs)
-    assert not cut
+    assert not summed
+
+
+def _sorted_merge(keys, vals, k):
+    """The sorting route of ``_merged``, spelled out: np.unique's keys and inverse."""
+    keys, inverse = np.unique(keys, return_inverse=True)
+    return compressed.CooMatrix(*np.divmod(keys, k), compressed._bincount(inverse, vals, len(keys)), (k, k)), inverse
+
+
+@pytest.mark.parametrize("k, keys", [
+    (5, "random 25"),  # k * k == len(keys): counts
+    (5, "random 24"),  # one key short: sorts
+    (5, "random 200"),
+    (12, "random 60"),
+    (3, []),
+    (0, []),  # an empty grid and no keys: counts
+    (1, [0]),
+    (4, [0]),
+    (4, [15]),  # the largest key alone
+    (4, [7] * 16),  # all keys equal
+    (4, [7] * 9),
+    (3, [8, 0, 8, 4, 8, 0, 8, 8, 8]),  # the largest key k * k - 1, repeated
+], ids=["k5-random25", "k5-random24", "k5-random200", "k12-random60", "k3-empty", "k0-empty", "k1-one",
+        "k4-one", "k4-largest", "k4-equal16", "k4-equal9", "k3-largest-repeated"])
+def test_merged_counting_and_sorting_routes_agree_bit_for_bit(monkeypatch, k, keys):
+    rng = np.random.default_rng(40 + k)
+    if isinstance(keys, str):
+        size = int(keys.split()[1])
+        keys = np.append(rng.integers(0, k * k - 1, size - 1), k * k - 1)
+    keys = np.asarray(keys, dtype=np.intp)
+    vals = rng.standard_normal(len(keys)) + 1j * rng.standard_normal(len(keys))
+    want, inverse = _sorted_merge(keys, vals, k)
+    unique, sorts = np.unique, []
+    monkeypatch.setattr(np, "unique", lambda *a, **kw: sorts.append(a) or unique(*a, **kw))
+    got, (rows, cols, got_inverse) = compressed._merged(keys, vals, (k, k))
+    assert len(sorts) == (k * k > len(keys))
+    assert got.shape == want.shape == (k, k)
+    for a, b in [*zip(got[:3], want[:3]), (rows, want.rows), (cols, want.cols), (got_inverse, inverse)]:
+        assert a.dtype == b.dtype and np.array_equal(a, b)
+    # the pattern sums other values of the same keys as a fresh merge does
+    again = rng.standard_normal(len(keys)) + 1j * rng.standard_normal(len(keys))
+    summed = compressed._merged(None, again, (k, k), (rows, cols, got_inverse))[0].vals
+    fresh = _sorted_merge(keys, again, k)[0].vals
+    assert summed.dtype == fresh.dtype and np.array_equal(summed, fresh)
+
+
+def test_represent_sparse_groups_keep_the_bits_of_each_element():
+    c3 = MatrixBlockAlgebra.from_weights([Fraction(1, 3)] * 3)
+    filt = FreeProductFiltration([ConstantFiltration(c2_half()), ConstantFiltration(c3)])
+    factors, rng = filt.ambient.factors, np.random.default_rng(43)
+    f = TruncatedFock(factors, 4)
+    spaces = {TruncatedFock(factors, depth).dimension: TruncatedFock(factors, depth) for depth in (1, 2, 4)}
+    d1, d2, d4 = spaces
+    assert d4 == f.dimension
+    words = filt._level_words(3)
+    first, second, long = words[:9], words[3:], words[8]
+    assert [len(word) for word in first] == [0, 1, 1, 1, 2, 2, 2, 2, 3] and len(second) == 11
+
+    def element(ws):
+        return [(word, complex(*rng.standard_normal(2))) for word in ws]
+
+    xs, dims = zip(*[
+        (element(first), d4),
+        (element(first), d2),  # the same word list, another K
+        (element(first), d2),  # the same group
+        (element(second), d2),  # the same K, another word list
+        (element(second[:4] + second[1:2] + second[4:]), d2),  # a word twice in one element
+        (element([long]), d1),  # cut to nothing
+        (element(first), d4),
+    ])
+    got = compressed._represent_sparse(f, list(xs), list(dims))
+    assert len(got) == len(xs)
+    for x, k, matrix in zip(xs, dims, got):
+        # each element word by word on the space of its own K
+        want = _represent_word_by_word(spaces[k], x)
+        assert matrix.shape == want.shape == (k, k)
+        for a, b in zip(matrix[:3], want[:3]):
+            assert a.dtype == b.dtype and np.array_equal(a, b)
+    assert len(got[5].vals) == 0 and len(got[0].vals) > len(got[1].vals) > 0
 
 
 def test_shared_blocks_keep_the_bits_of_several_elements():
