@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import csv
 import errno
+import functools
 import io
 import json
 import math
@@ -476,6 +477,7 @@ def _nonnegative_int(text: str) -> int:
     return _int_at_least(text, 0)
 
 
+@functools.lru_cache(maxsize=1)
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="freedecay",

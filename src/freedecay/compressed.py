@@ -5,19 +5,21 @@ half of the Fock-space oracle, on numpy arrays alone.
 The truncated space (:class:`TruncatedFock`) has an orthonormal tensor
 basis, and the compressed left representation on it
 (:func:`norm_lower_bound`) gives lower bounds for the reduced norm from its
-spectral data.  Words act on the depth-L space itself
-(:func:`_represent_sparse`), which takes each element as a list of
-(word, complex coefficient) pairs, and the elements of one call share each
-word's block.  ``norm_lower_bound`` is the one door for a ``FreeElement``.
-A space caches one letter operator (a gather table; word blocks are
-:class:`CooMatrix` arrays) per vector of each factor's complement basis
-(:meth:`TruncatedFock.onb_operators`); the operator of any other letter is
-built when asked for and not kept.  The complement bases are the algebras' own (:func:`onb_complement`), and :func:`shared_fock`
-keeps the 16 most recently used spaces per process.
+spectral data.  It takes two steps: words act on the depth-L space itself,
+and one store holds the block of each word and of each suffix
+(:func:`_word_blocks`); a combination is then a coefficient vector over a
+word list, summed from the stored blocks at a cut K (:func:`_combinations`),
+and many combinations share one store.  ``norm_lower_bound`` is the one
+door for a ``FreeElement``.  A space caches one letter operator (a gather
+table; word blocks are :class:`CooMatrix` arrays) per vector of each
+factor's complement basis (:meth:`TruncatedFock.onb_operators`); the
+operator of any other letter is built when asked for and not kept.  The
+complement bases are the algebras' own (:func:`onb_complement`), and
+:func:`shared_fock` keeps the 16 most recently used spaces per process.
 :class:`FreeProductFiltration`, the one filtration that needs a Fock space,
 brackets its RD constants with probe norms read from this representation:
-its probes are (word, coefficient) lists over the level's basis words, and
-no ``FreeElement`` is built for them.
+its probes are coefficient vectors over the level's basis words, all
+levels combined from one store, and no ``FreeElement`` is built for them.
 
 Every such norm is one largest singular value (:func:`spectral_norm`), on
 one of two paths chosen by the number of matrix entries: up to those of
@@ -47,7 +49,6 @@ q_r = state((x*x)^r) come from one of three methods:
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -88,7 +89,7 @@ __all__ = [
 
 _DIMENSION_CAP = 200_000
 _PROBE_CAP = 15_000_000  # words of the top rd-certify level times the tensors they act on
-_BLOCK_CAP = 10_000_000  # entries of the word and suffix blocks one _represent_sparse call holds
+_BLOCK_CAP = 10_000_000  # entries of the word and suffix blocks one _word_blocks store holds
 _DENSE_CROSSOVER = 128  # spectral_norm takes the dense SVD up to 128 * 128 matrix entries
 _KRYLOV_DIM = 64  # Lanczos basis vectors before a restart
 _KRYLOV_RESTARTS = 50  # restarts before the kernel gives up
@@ -271,27 +272,20 @@ def _pattern(keys, shape):
     return (*np.divmod(keys, shape[1]), inverse)
 
 
-def _merged(keys, vals, shape, pattern=None):
-    """(CooMatrix, pattern) of the entries keyed row * shape[1] + col, in
-    row-major order with repeated keys summed in input order.  A given
-    pattern (:func:`_pattern` of the same keys) skips the merge."""
-    rows, cols, inverse = pattern = pattern or _pattern(keys, shape)
-    return CooMatrix(rows, cols, _bincount(inverse, vals, len(rows)), shape), pattern
-
-
 def _times(rows, vals, block: CooMatrix) -> CooMatrix:
     """L @ B for a letter table L = (rows, vals): B's (r, c, v) goes to (rows[comp, r], c, vals[comp, r] v)."""
     prod = np.take(vals, block.rows, axis=1) * block.vals
     keep = prod != 0
     keys = np.take(rows, block.rows, axis=1)[keep] * block.shape[1] + np.broadcast_to(block.cols, prod.shape)[keep]
-    return _merged(keys, prod[keep], block.shape)[0]
+    rows, cols, inverse = _pattern(keys, block.shape)
+    return CooMatrix(rows, cols, _bincount(inverse, prod[keep], len(rows)), block.shape)
 
 
-def _represent_sparse(fock: TruncatedFock, xs, dims=None):
-    """[P_K lambda(x) P_K for x in xs] as :class:`CooMatrix`, exact, with
-    P_K onto the first K tensors, K from ``dims`` (default: all).  Each
-    x is one sequence of (word, coefficient) pairs: merged alternating words
-    of the space's factors with centred letters, and complex coefficients.
+def _word_blocks(fock: TruncatedFock, words) -> dict:
+    """The store of the blocks P_L lambda(w) P_L of ``words`` on the space
+    of depth L: a dict from each word, and each suffix of one, to its
+    :class:`CooMatrix`, with () mapped to I.  The words are merged
+    alternating words of the space's factors with centred letters:
     :func:`norm_lower_bound` is the door for a ``FreeElement``, and
     :meth:`FreeProductFiltration._level_words` refuses uncentred letters.
 
@@ -305,34 +299,15 @@ def _represent_sparse(fock: TruncatedFock, xs, dims=None):
     component longer than L never comes back, and
     P_L lambda(w) P_L = prod_i P_L lambda(xi_i) P_L.
 
-    The elements of one call share their word blocks: each distinct word,
-    in first-seen order, gets its block once.  Words that share a suffix
-    share its product.  The block of a word is the right-nested product
-    L(xi_1) @ (L(xi_2) @ (... @ (L(xi_k) @ I))), so the block of
-    ``word[i:]`` is an intermediate of every word ending in it.  Each word
-    starts from its longest suffix whose block is stored (the empty suffix
-    stores I) and multiplies on the left from there: the same products in
-    the same association as rebuilding it letter by letter, so every block
-    keeps its bits.  One dict holds I and every word and suffix block of
-    the call; once the blocks it holds pass ``_BLOCK_CAP`` entries the call
-    raises ResourceCapError, before any element is summed.  For L' <= L
-    the depth-L' basis is the first K = dim(L') tensors, and a centred
-    letter's operator stores no scalar part, so a word's block cut to its
-    first K rows and columns keeps the bits of its depth-L' block.
-
-    A group is a run of elements with one word list and one K.  It cuts
-    once: a block is row-major, so its rows below K are a prefix, and one
-    mask over the concatenated prefixes (none when K is the dimension) and
-    one :func:`_pattern` of the kept keys serve each element.  An element
-    sums its c * prefix values, concatenated in its own pair order (the
-    summation order of duplicate entries) and masked, through the pattern.
-    Only the group's block list, mask and pattern outlive an element; the
-    keys are freed before any values are built, which lowers peak memory.
-    :class:`FreeProductFiltration` reads every level of a run from one call
-    at the top level's depth, so each word of its level bases costs one
-    product.
-    """
-    words = list(dict.fromkeys(word for x in xs for word, _ in x))
+    Words that share a suffix share its product.  The block of a word is
+    the right-nested product L(xi_1) @ (L(xi_2) @ (... @ (L(xi_k) @ I))),
+    so the block of ``word[i:]`` is an intermediate of every word ending in
+    it.  Each word starts from its longest stored suffix and multiplies on
+    the left from there: the same products in the same association as
+    rebuilding it letter by letter, so every block keeps its bits.  Once the
+    blocks held pass ``_BLOCK_CAP`` entries the call raises
+    ResourceCapError, before any combination is summed."""
+    words = list(dict.fromkeys(words))
     n = fock.dimension
     blocks = {(): CooMatrix(np.arange(n), np.arange(n), np.ones(n, dtype=complex), (n, n))}
     stored = n  # entries of the blocks held
@@ -346,18 +321,33 @@ def _represent_sparse(fock: TruncatedFock, xs, dims=None):
             if stored > _BLOCK_CAP:
                 raise ResourceCapError(f"the word blocks of {len(words)} words on {n} tensors "
                                        f"pass the cap of {_BLOCK_CAP} stored entries")
-    out, group = [], None
-    for x, k in zip(xs, dims or [n] * len(xs)):
-        if not x:
-            out.append(_merged(np.zeros(0, dtype=np.intp), np.zeros(0), (k, k))[0])
-            continue
-        if (key := ([word for word, _ in x], k)) != group:
-            group, members = key, [(b, b.rows.searchsorted(k)) for b in (blocks[word] for word, _ in x)]
-            cut = slice(None) if k == n else np.concatenate([b.cols[:p] < k for b, p in members])
-            pattern = _pattern(np.concatenate([b.rows[:p] * k + b.cols[:p] for b, p in members])[cut], (k, k))
-        out.append(_merged(None, np.concatenate([c * b.vals[:p] for (b, p), (_, c) in zip(members, x)])[cut],
-                           (k, k), pattern)[0])
-    return out
+    return blocks
+
+
+def _combinations(blocks: dict, words, coeffs, k: int) -> list:
+    """[P_K (sum_i c_i A_i) P_K for c in coeffs] as :class:`CooMatrix`, with
+    A_i the block of ``words[i]`` in the store ``blocks`` (:func:`_word_blocks`)
+    and P_K onto the first K tensors.  ``words`` is not empty, and each row
+    of ``coeffs`` holds one coefficient per word.
+
+    For L' <= L the depth-L' basis is the first K = dim(L') tensors, and a
+    centred letter's operator stores no scalar part, so a block cut to its
+    first K rows and columns keeps the bits of its depth-L' block.  A block
+    is row-major, so its rows below K are a prefix; one mask over the
+    concatenated prefixes (none when K is the dimension) and one
+    :func:`_pattern` of the kept keys serve every row.  A row sums its
+    c_i * prefix values, concatenated in word order (the summation order of
+    duplicate entries) and masked, through the pattern.  The keys are freed
+    before any values are built, which lowers peak memory."""
+    members = [(b, b.rows.searchsorted(k)) for b in (blocks[word] for word in words)]
+    cut = slice(None) if k == blocks[()].shape[0] else np.concatenate([b.cols[:p] < k for b, p in members])
+    rows, cols, inverse = _pattern(np.concatenate([b.rows[:p] * k + b.cols[:p] for b, p in members])[cut], (k, k))
+
+    def summed(row):
+        vals = np.concatenate([c * b.vals[:p] for (b, p), c in zip(members, row, strict=True)])[cut]
+        return CooMatrix(rows, cols, _bincount(inverse, vals, len(rows)), (k, k))
+
+    return [summed(row) for row in coeffs]
 
 
 def norm_lower_bound(fock: TruncatedFock, x: FreeElement) -> float:
@@ -368,8 +358,9 @@ def norm_lower_bound(fock: TruncatedFock, x: FreeElement) -> float:
     exceed the compressed norm by rounding.
 
     This is the one door of the Fock layer for a ``FreeElement``: it checks
-    that x lives over the space's factors and hands its terms to
-    :func:`_represent_sparse` as (word, complex) pairs.  A scalar part keeps
+    that x lives over the space's factors, builds the blocks of its words
+    (:func:`_word_blocks`) and sums them with its complex coefficients
+    (:func:`_combinations`); the zero element has norm 0.  A scalar part keeps
     a tensor and its leading factor, so uncentred letters can grow, keep and
     shrink a component back into the block (random uncentred length-3 words
     over (M2, tr) * (C3; 3/5, 1/5, 1/5) at depth 2 come out 2.9 to 4.5 off
@@ -381,7 +372,11 @@ def norm_lower_bound(fock: TruncatedFock, x: FreeElement) -> float:
         raise AlgebraError("element ambient does not match the Fock factors")
     if not all(is_normalized_word(word) for word in x.terms):
         x = normalize(x)
-    (matrix,) = _represent_sparse(fock, [[(word, complex(c)) for word, c in x.terms.items()]])
+    if not x.terms:
+        return 0.0
+    words = list(x.terms)
+    (matrix,) = _combinations(_word_blocks(fock, words), words, [[complex(c) for c in x.terms.values()]],
+                              fock.dimension)
     return spectral_norm(matrix)
 
 
@@ -512,10 +507,6 @@ class FreeProductFiltration(Filtration):
     def level_dim(self, n: int) -> int:
         return alternating_dimension([len(f.complement_onb(n)) for f in self.factors], n)
 
-    def rd_constant(self, n: int) -> RdConstant:
-        """The one-level case of :meth:`rd_constants`."""
-        return self.rd_constants([n])[0]
-
     def rd_constants(self, levels) -> list:
         """A bracket [lower, upper] for each level n of ``levels``; level 0 is 1.
 
@@ -537,24 +528,23 @@ class FreeProductFiltration(Filtration):
             out.append(RdConstant(next(lower), upper, "bracket"))
         return out
 
-    def _probes(self, n: int):
-        """Three probes of level n as lists of (word, complex) pairs over
+    def _probes(self, n: int) -> list:
+        """Three probes of level n as coefficient vectors over
         ``_level_words(n)``: the flat unit combination and two seeded random
         unit combinations."""
-        words = self._level_words(n)
+        size = self.level_dim(n)
         rng = default_rng(self.probe_seed + n)
-        flat = complex(1.0 / math.sqrt(len(words)))
-        probes = [[(word, flat) for word in words]]
+        probes = [np.full(size, 1.0 / math.sqrt(size), dtype=complex)]
         for _ in range(2):
-            coeffs = rng.standard_normal(len(words)) + 1j * rng.standard_normal(len(words))
-            coeffs /= np.linalg.norm(coeffs)
-            probes.append([(word, complex(c)) for word, c in zip(words, coeffs)])
+            coeffs = rng.standard_normal(size) + 1j * rng.standard_normal(size)
+            probes.append(coeffs / np.linalg.norm(coeffs))
         return probes
 
     def _probe_lower(self, levels) -> list:
         """The largest probe norm of each level n, on the space of depth
-        max(4, n + 1) or the deepest below the dimension cap: one
-        ``_represent_sparse`` call at the top depth, each level cut to its own.
+        max(4, n + 1) or the deepest below the dimension cap: one block store
+        (``_word_blocks``) at the top depth for the words of every level, and
+        each level's probes combined at its own cut, one level at a time.
         More than ``_PROBE_CAP`` words times tensors raises ResourceCapError
         before a word is built."""
         if not levels:
@@ -568,12 +558,13 @@ class FreeProductFiltration(Filtration):
             raise ResourceCapError(f"level {max(levels)} would probe {words} words on {tensors} tensors, "
                                    f"above the cap of {_PROBE_CAP} words x tensors")
         probes = [self._probes(n) for n in levels]
-        dims = [fock_dimension(factors, min(max(4, n + 1), top))
-                for n, ps in zip(levels, probes) for _ in ps]
-        space = shared_fock(factors, top)
-        matrices = _represent_sparse(space, [x for ps in probes for x in ps], dims)
-        norms = map(spectral_norm, matrices)
-        return [max(itertools.islice(norms, len(ps))) for ps in probes]
+        level_words = [self._level_words(n) for n in levels]
+        blocks = _word_blocks(shared_fock(factors, top), [word for ws in level_words for word in ws])
+        out = []
+        for n, ws, ps in zip(levels, level_words, probes):
+            k = fock_dimension(factors, min(max(4, n + 1), top))
+            out.append(max(map(spectral_norm, _combinations(blocks, ws, ps, k))))
+        return out
 
 
 # ---------------------------------------------------------------------------

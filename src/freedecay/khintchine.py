@@ -21,7 +21,8 @@ import numpy as np
 from .algebra import AlgebraError, onb_complement
 from .compressed import (
     CooMatrix,
-    _represent_sparse,
+    _combinations,
+    _word_blocks,
     default_depth,
     moment_norm_estimate,
     norm_lower_bound,
@@ -206,8 +207,12 @@ def tr_bracket(x: HomogeneousWordElement, r: int) -> TrBounds:
     weak_cs = math.sqrt(len(x.ambient.factors)) * math.sqrt(math.fsum(e * e for e in per_entry))
 
     n = fock.dimension  # each cell is the compression of its sum c xi_{j,i}, at its offsets
-    cells = _represent_sparse(fock, [[((Letter(j, x.onb[j][i]),), c) for j, i, c in cell] for cell in terms.values()])
-    parts = [(b.rows + rows[pre] * n, b.cols + cols[suf] * n, b.vals) for (pre, suf), b in zip(terms, cells)]
+    letters = {(j, i): (Letter(j, x.onb[j][i]),) for cell in terms.values() for j, i, _ in cell}
+    blocks = _word_blocks(fock, letters.values())
+    parts = []
+    for (pre, suf), cell in terms.items():
+        (b,) = _combinations(blocks, [letters[j, i] for j, i, _ in cell], [[c for _, _, c in cell]], n)
+        parts.append((b.rows + rows[pre] * n, b.cols + cols[suf] * n, b.vals))
     lower = spectral_norm(CooMatrix(*map(np.concatenate, zip(*parts)), (len(rows) * n, len(cols) * n)))
 
     return TrBounds(lower=lower, upper=upper, weak_cs=weak_cs, single_factor=len(by_factor) <= 1)

@@ -95,12 +95,9 @@ class Filtration:
     def level_dim(self, n: int) -> int:
         return len(self.level_onb(n))
 
-    def rd_constant(self, n: int) -> RdConstant:
-        raise NotImplementedError
-
     def rd_constants(self, levels) -> list:
-        """[rd_constant(n) for n in levels]; overridden where levels share work."""
-        return [self.rd_constant(n) for n in levels]
+        """One :class:`RdConstant` per level n of ``levels``, in order."""
+        raise NotImplementedError
 
 
 class FiniteDimFiltration(Filtration):
@@ -137,17 +134,22 @@ class FiniteDimFiltration(Filtration):
     def complement_onb(self, n: int):
         return self.level_onb(n)[1:]
 
-    def rd_constant(self, n: int) -> RdConstant:
+    def rd_constants(self, levels) -> list:
         """C_upper is ``dn_norm`` of the level basis, exact on abelian
         algebras.  Elsewhere it is only an upper bound, and C_lower is the
         largest operator norm of a basis vector, each of L2 norm 1."""
-        if n == 0:
-            return RdConstant(1.0, 1.0, "exact")
-        basis = self.level_onb(n)
-        c = dn_norm(basis)
-        if self.algebra.is_abelian():
-            return RdConstant(c, c, "dn-certificate")
-        return RdConstant(max(op_norm(b) for b in basis), c, "bracket")
+        out = []
+        for n in levels:
+            if n == 0:
+                out.append(RdConstant(1.0, 1.0, "exact"))
+                continue
+            basis = self.level_onb(n)
+            c = dn_norm(basis)
+            if self.algebra.is_abelian():
+                out.append(RdConstant(c, c, "dn-certificate"))
+            else:
+                out.append(RdConstant(max(op_norm(b) for b in basis), c, "bracket"))
+        return out
 
 
 def _outside(x: AlgebraElement, basis) -> bool:
@@ -195,9 +197,6 @@ class MeasureDegreeFiltration(Filtration):
 
     def level_onb(self, n: int):
         return [self.seq.orthonormal_coefficients(k) for k in range(n + 1)]
-
-    def rd_constant(self, n: int) -> RdConstant:
-        return self.rd_constants([n])[0]
 
     def rd_constants(self, levels) -> list:
         levels = list(levels)

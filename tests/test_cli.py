@@ -90,6 +90,28 @@ def test_rd_certify_semicircle_csv(tmp_path):
     assert any("alpha_hat=" in l for l in meta)
 
 
+def test_runs_in_one_process_build_one_parser(monkeypatch, capsys):
+    cli._build_parser.cache_clear()
+    init, built = cli.argparse.ArgumentParser.__init__, []
+    monkeypatch.setattr(cli.argparse.ArgumentParser, "__init__",
+                        lambda self, *a, **kw: built.append(self) or init(self, *a, **kw))
+    argv = ["rd-certify", "--builtin", "semicircle", "--max-n", "6"]
+    assert run(argv) == 0
+    first = len(built)
+    assert first > 1  # the parser and its subparsers
+    assert run(argv) == 0 and run(["fock-dim", "--depth", "2"]) == 2
+    assert len(built) == first
+
+
+def test_a_usage_error_between_two_runs_leaves_the_output_unchanged(tmp_path, capsys):
+    argv = ["rd-certify", "--builtin", "semicircle", "--max-n", "12", "--seed", "3", "--out"]
+    assert run(argv + [str(tmp_path / "a.csv")]) == 0
+    assert run(["rd-certify", "--builtin", "semicircle", "--max-n", "2", "--json"]) == 2
+    assert run(["rd-certify", "--builtin", "semicircle", "--seed", "x"]) == 2
+    assert run(argv + [str(tmp_path / "b.csv")]) == 0
+    assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
+
+
 def test_rd_certify_requires_space():
     assert run(["rd-certify", "--max-n", "5"]) == 2
 

@@ -3,7 +3,6 @@
 import itertools
 import json
 import math
-import sys
 from fractions import Fraction
 
 import numpy as np
@@ -68,9 +67,16 @@ def _pairs(x):
     return [(word, complex(c)) for word, c in x.terms.items()]
 
 
+def _represent(f, pairs):
+    """The compressed matrix of (word, complex) pairs on f, from their own block store."""
+    words = [word for word, _ in pairs]
+    (matrix,) = compressed._combinations(compressed._word_blocks(f, words), words, [[c for _, c in pairs]], f.dimension)
+    return matrix
+
+
 def _represent_dense(f, x):
     """Dense matrix of the compressed left action of x on f."""
-    return compressed._represent_sparse(f, [_pairs(x)])[0].toarray()
+    return _represent(f, _pairs(x)).toarray()
 
 
 def _letter_csr(op):
@@ -354,8 +360,9 @@ def test_a_deeper_block_cut_to_a_depth_keeps_the_bits_of_that_depth(factors, dep
     deep, shallow = TruncatedFock(algebras, top), TruncatedFock(algebras, depth)
     words = _alternating_onb_words(shallow, depth - 1)
     terms = [list(x.terms.items()) for x in words]
-    cut = compressed._represent_sparse(deep, terms, [shallow.dimension] * len(words))
-    own = compressed._represent_sparse(shallow, terms)
+    blocks = compressed._word_blocks(deep, [word for x in terms for word, _ in x])
+    cut = [compressed._combinations(blocks, [word], [[c]], shallow.dimension)[0] for ((word, c),) in terms]
+    own = [_represent(shallow, x) for x in terms]
     for x, got, want in zip(words, cut, own):
         assert got.shape == want.shape == (shallow.dimension,) * 2
         for attr in ("rows", "cols", "vals"):
@@ -375,7 +382,8 @@ def _represent_word_by_word(f, pairs):
             block = compressed._times(*f.letter_operator(letter.factor, letter.payload), block)
         keys.append(block.rows * n + block.cols)
         vals.append(coeff * block.vals)
-    return compressed._merged(np.concatenate(keys), np.concatenate(vals), (n, n))[0]
+    rows, cols, inverse = compressed._pattern(np.concatenate(keys), (n, n))
+    return compressed.CooMatrix(rows, cols, compressed._bincount(inverse, np.concatenate(vals), len(rows)), (n, n))
 
 
 def _float_centred(algebra, rng):
@@ -384,7 +392,7 @@ def _float_centred(algebra, rng):
 
 
 def _assert_same_bits(f, pairs):
-    (got,) = compressed._represent_sparse(f, [pairs])
+    got = _represent(f, pairs)
     want = _represent_word_by_word(f, pairs)
     assert got.shape == want.shape
     for a, b in zip(got[:3], want[:3]):
@@ -397,7 +405,7 @@ def test_shared_suffix_compression_keeps_the_bits_of_level_probes(n):
     filt = FreeProductFiltration([ConstantFiltration(c2_half()), ConstantFiltration(c3)], probe_seed=5)
     f = TruncatedFock(filt.ambient.factors, max(4, n + 1))
     for probe in filt._probes(n):
-        _assert_same_bits(f, probe)
+        _assert_same_bits(f, list(zip(filt._level_words(n), probe)))
 
 
 def _shuffled_float_element(amb, rng):
@@ -429,21 +437,26 @@ def test_shared_suffix_compression_keeps_the_bits_of_float_and_uncentred_element
     assert norm_lower_bound(f, uncentred) == spectral_norm(_represent_word_by_word(f, _pairs(uncentred)))
 
 
-def _c2c3_levels():
-    filt = FreeProductFiltration([ConstantFiltration(c2_half()), ConstantFiltration(c3_uniform())],
+def _c2c3_filtration():
+    return FreeProductFiltration([ConstantFiltration(c2_half()), ConstantFiltration(c3_uniform())],
                                  probe_seed=5)
-    return TruncatedFock(filt.ambient.factors, 7), [probe for n in range(1, 7) for probe in filt._probes(n)]
+
+
+def _c2c3_levels():
+    filt = _c2c3_filtration()
+    return TruncatedFock(filt.ambient.factors, 7), [word for n in range(1, 7) for word in filt._level_words(n)]
 
 
 def _float_element():
     amb = two_factor(m2_tr(), m2_tr())
-    return TruncatedFock(amb.factors, 3), [_pairs(_shuffled_float_element(amb, np.random.default_rng(31)))]
+    x = _shuffled_float_element(amb, np.random.default_rng(31))
+    return TruncatedFock(amb.factors, 3), [word for word, _ in _pairs(x)]
 
 
 def _m2m2_length_2():
     amb = two_factor(m2_tr(), m2_tr())
     x = HomogeneousWordElement.random(amb, 2, np.random.default_rng(3)).to_free_element()
-    return TruncatedFock(amb.factors, 4), [_pairs(x)]
+    return TruncatedFock(amb.factors, 4), [word for word, _ in _pairs(x)]
 
 
 @pytest.mark.parametrize("make, words, products", [
@@ -452,39 +465,36 @@ def _m2m2_length_2():
     (_m2m2_length_2, 18, 24),  # and 6 one-letter suffixes
 ], ids=["C2*C3 levels 1-6", "float element", "(M2, tr)*(M2, tr) length 2"])
 def test_represent_sparse_multiplies_once_per_word_or_suffix(monkeypatch, make, words, products):
-    f, xs = make()
-    assert len({word for x in xs for word, _ in x} - {()}) == words
-    assert len({word[i:] for x in xs for word, _ in x for i in range(len(word))}) == products
+    f, ws = make()
+    assert len(set(ws) - {()}) == words
+    suffixes = {word[i:] for word in ws for i in range(len(word))}
+    assert len(suffixes) == products
     times, calls = compressed._times, []
     monkeypatch.setattr(compressed, "_times", lambda *a: calls.append(a) or times(*a))
-    compressed._represent_sparse(f, xs)
+    blocks = compressed._word_blocks(f, ws)
     assert len(calls) == products
+    # the store holds I and the block of every word and suffix, and no other
+    assert set(blocks) == suffixes | {()}
 
 
 @pytest.mark.parametrize("cap, refused", [(10**9, False), (5_000, True), (0, True)])
 def test_represent_sparse_refuses_blocks_above_the_entry_cap_before_any_sum(monkeypatch, cap, refused):
-    f, xs = _c2c3_levels()
-    represent, merged, summed = compressed._represent_sparse, compressed._merged, []
-
-    def element_merges(*a):
-        # the block products merge through _times; an element's sum is
-        # merged by _represent_sparse itself
-        if sys._getframe(1).f_code is represent.__code__:
-            summed.append(a)
-        return merged(*a)
-
-    monkeypatch.setattr(compressed, "_merged", element_merges)
+    # the probes of levels 1-6, from one store on the depth-7 space
+    filt, levels = _c2c3_filtration(), range(1, 7)
+    combinations, summed = compressed._combinations, []
+    monkeypatch.setattr(compressed, "_combinations", lambda *a: summed.append(a) or combinations(*a))
     monkeypatch.setattr(compressed, "_BLOCK_CAP", cap)
     if not refused:
-        assert len(compressed._represent_sparse(f, xs)) == len(xs) == len(summed)
+        assert len(filt._probe_lower(levels)) == len(levels) == len(summed)
+        assert sum(len(coeffs) for *_, coeffs, _ in summed) == 3 * len(levels)
         return
     with pytest.raises(ResourceCapError, match=f"cap of {cap} stored entries"):
-        compressed._represent_sparse(f, xs)
+        filt._probe_lower(levels)
     assert not summed
 
 
 def _sorted_merge(keys, vals, k):
-    """The sorting route of ``_merged``, spelled out: np.unique's keys and inverse."""
+    """The sorting route of ``_pattern``, spelled out and summed: np.unique's keys and inverse."""
     keys, inverse = np.unique(keys, return_inverse=True)
     return compressed.CooMatrix(*np.divmod(keys, k), compressed._bincount(inverse, vals, len(keys)), (k, k)), inverse
 
@@ -514,14 +524,15 @@ def test_merged_counting_and_sorting_routes_agree_bit_for_bit(monkeypatch, k, ke
     want, inverse = _sorted_merge(keys, vals, k)
     unique, sorts = np.unique, []
     monkeypatch.setattr(np, "unique", lambda *a, **kw: sorts.append(a) or unique(*a, **kw))
-    got, (rows, cols, got_inverse) = compressed._merged(keys, vals, (k, k))
+    rows, cols, got_inverse = compressed._pattern(keys, (k, k))
+    got = compressed.CooMatrix(rows, cols, compressed._bincount(got_inverse, vals, len(rows)), (k, k))
     assert len(sorts) == (k * k > len(keys))
     assert got.shape == want.shape == (k, k)
     for a, b in [*zip(got[:3], want[:3]), (rows, want.rows), (cols, want.cols), (got_inverse, inverse)]:
         assert a.dtype == b.dtype and np.array_equal(a, b)
     # the pattern sums other values of the same keys as a fresh merge does
     again = rng.standard_normal(len(keys)) + 1j * rng.standard_normal(len(keys))
-    summed = compressed._merged(None, again, (k, k), (rows, cols, got_inverse))[0].vals
+    summed = compressed._bincount(got_inverse, again, len(rows))
     fresh = _sorted_merge(keys, again, k)[0].vals
     assert summed.dtype == fresh.dtype and np.array_equal(summed, fresh)
 
@@ -537,28 +548,32 @@ def test_represent_sparse_groups_keep_the_bits_of_each_element():
     words = filt._level_words(3)
     first, second, long = words[:9], words[3:], words[8]
     assert [len(word) for word in first] == [0, 1, 1, 1, 2, 2, 2, 2, 3] and len(second) == 11
+    blocks = compressed._word_blocks(f, words)
 
-    def element(ws):
-        return [(word, complex(*rng.standard_normal(2))) for word in ws]
+    def rows(ws, count):
+        coeffs = rng.standard_normal((count, len(ws))) + 1j * rng.standard_normal((count, len(ws)))
+        return [*coeffs, np.zeros(len(ws), dtype=complex)]  # and the zero combination
 
-    xs, dims = zip(*[
-        (element(first), d4),
-        (element(first), d2),  # the same word list, another K
-        (element(first), d2),  # the same group
-        (element(second), d2),  # the same K, another word list
-        (element(second[:4] + second[1:2] + second[4:]), d2),  # a word twice in one element
-        (element([long]), d1),  # cut to nothing
-        (element(first), d4),
-    ])
-    got = compressed._represent_sparse(f, list(xs), list(dims))
-    assert len(got) == len(xs)
-    for x, k, matrix in zip(xs, dims, got):
-        # each element word by word on the space of its own K
-        want = _represent_word_by_word(spaces[k], x)
-        assert matrix.shape == want.shape == (k, k)
-        for a, b in zip(matrix[:3], want[:3]):
-            assert a.dtype == b.dtype and np.array_equal(a, b)
-    assert len(got[5].vals) == 0 and len(got[0].vals) > len(got[1].vals) > 0
+    calls = [
+        (first, rows(first, 2), d4),  # the whole space: no cut
+        (first, rows(first, 3), d2),  # the same word list, another K
+        (second, rows(second, 2), d2),  # the same K, another word list
+        (twice := second[:4] + second[1:2] + second[4:], rows(twice, 2), d2),  # a word twice
+        ([long], rows([long], 2), d1),  # cut to nothing
+    ]
+    for ws, coeffs, k in calls:
+        got = compressed._combinations(blocks, ws, coeffs, k)
+        assert len(got) == len(coeffs)
+        for row, matrix in zip(coeffs, got):
+            # each row word by word on the space of its own K
+            want = _represent_word_by_word(spaces[k], list(zip(ws, row)))
+            assert matrix.shape == want.shape == (k, k)
+            for a, b in zip(matrix[:3], want[:3]):
+                assert a.dtype == b.dtype and np.array_equal(a, b)
+        if k == d1:
+            assert all(len(matrix.vals) == 0 for matrix in got)
+    full, cut = (compressed._combinations(blocks, first, rows(first, 1)[:1], k)[0] for k in (d4, d2))
+    assert len(full.vals) > len(cut.vals) > 0
 
 
 def test_shared_blocks_keep_the_bits_of_several_elements():
@@ -576,24 +591,25 @@ def test_shared_blocks_keep_the_bits_of_several_elements():
         coeffs = rng.standard_normal(len(picks)) + 1j * rng.standard_normal(len(picks))
         return FreeElement(amb, {tuple(words[i]): complex(c) for i, c in zip(picks, coeffs)})
 
-    # term sets that overlap in part, listed in different orders, an
-    # uncentred element (represented through normalize) and the zero element
+    # term sets that overlap in part, listed in different orders, and an
+    # uncentred element (represented through normalize), from one store
     first = element(rng.permutation(20))
     second = element(rng.permutation(np.arange(10, 29)))
     third = element(list(range(28, 4, -3)))
     uncentred = random_alternating_word(amb, 3, rng, centered=False)
     uncentred = uncentred + random_alternating_word(amb, 2, rng, centered=False)
     assert not all(is_normalized_word(word) for word in uncentred.terms)
-    zero = FreeElement(amb)
-    xs = [first, second, uncentred, zero, third]
+    xs = [first, second, uncentred, third]
     assert set(first.terms) & set(second.terms) and set(second.terms) - set(first.terms)
     assert list(third.terms)[:2] == [tuple(words[28]), tuple(words[25])]
-    got = compressed._represent_sparse(f, [_pairs(x) for x in xs])
-    assert len(got) == len(xs)
-    for x, matrix in zip(xs, got):
-        want = _represent_word_by_word(f, _pairs(x))
+    blocks = compressed._word_blocks(f, [word for x in xs for word, _ in _pairs(x)])
+    for x in xs:
+        pairs = _pairs(x)
+        (matrix,) = compressed._combinations(blocks, [w for w, _ in pairs], [[c for _, c in pairs]], f.dimension)
+        want = _represent_word_by_word(f, pairs)
         assert all(np.array_equal(a, b) for a, b in zip(matrix[:3], want[:3]))
-    assert len(got[3].vals) == 0
+    # the zero element has no words; its norm is 0
+    assert norm_lower_bound(f, FreeElement(amb)) == 0.0
 
 
 def _c3_halves():
@@ -631,7 +647,7 @@ def test_free_product_probes_are_capped_before_a_word_is_built(monkeypatch, fact
 
     monkeypatch.setattr(filt, "_probes", probes)
     with pytest.raises(ResourceCapError if refused else _Probed):
-        filt.rd_constant(n)
+        filt.rd_constants([n])
 
 
 @pytest.mark.parametrize("factors", [(c2_half, c3_uniform), (m2_tr, c3_weighted)], ids=["C2*C3", "M2*C3"])
@@ -650,8 +666,9 @@ def test_word_blocks_and_probe_sums_match_scipy_products(factors):
             block = csr[letter.factor][f._onb_position[letter.factor][letter.payload]] @ block
         want[word] = block.toarray()
     probes = filt._probes(4)
-    got = compressed._represent_sparse(f, [[(word, 1 + 0j)] for word in words] + probes)
-    wants = [want[word] for word in words] + [sum(c * want[word] for word, c in p) for p in probes]
+    blocks = compressed._word_blocks(f, words)
+    got = [blocks[word] for word in words] + compressed._combinations(blocks, words, probes, f.dimension)
+    wants = [want[word] for word in words] + [sum(c * want[word] for word, c in zip(words, p)) for p in probes]
     assert len(words) == filt.level_dim(4) and max(len(word) for word in words) == 4
     for matrix, ref in zip(got, wants):
         assert np.abs(matrix.toarray() - ref).max() <= 1e-13 * np.abs(ref).max()
@@ -668,20 +685,21 @@ def _rd_certify(tmp_path, name, factors, max_n):
 
 def test_shared_suffix_compression_keeps_the_certify_csv(tmp_path, monkeypatch):
     c2c3 = [["1/2", "1/2"], ["1/3", "1/3", "1/3"]]
-    represent, calls = compressed._represent_sparse, []
+    word_blocks, calls = compressed._word_blocks, []
 
-    def counted(f, xs, dims=None):
+    def counted(f, words):
         calls.append(f.depth)
-        return represent(f, xs, dims)
+        return word_blocks(f, words)
 
-    monkeypatch.setattr(compressed, "_represent_sparse", counted)
+    monkeypatch.setattr(compressed, "_word_blocks", counted)
     one_pass = {max_n: _rd_certify(tmp_path, "c2c3", c2c3, max_n) for max_n in (6, 9)}
     assert calls == [7, 10]
 
     def per_level(self, levels):
         # every level on its own depth-max(4, n + 1) space, word by word
         spaces = [TruncatedFock(self.ambient.factors, max(4, n + 1)) for n in levels]
-        return [max(spectral_norm(_represent_word_by_word(f, x)) for x in self._probes(n))
+        return [max(spectral_norm(_represent_word_by_word(f, list(zip(self._level_words(n), p))))
+                    for p in self._probes(n))
                 for f, n in zip(spaces, levels)]
 
     monkeypatch.setattr(FreeProductFiltration, "_probe_lower", per_level)
@@ -691,7 +709,7 @@ def test_shared_suffix_compression_keeps_the_certify_csv(tmp_path, monkeypatch):
 
 
 def test_certify_builds_no_free_element(tmp_path, monkeypatch):
-    # the probes are (word, coefficient) lists over the level words
+    # the probes are coefficient vectors over the level words
     built = []
     init, of = FreeElement.__init__, FreeElement.__dict__["_of"].__func__
     monkeypatch.setattr(FreeElement, "__init__", lambda self, *a: built.append("init") or init(self, *a))

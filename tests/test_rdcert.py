@@ -53,8 +53,8 @@ from freedecay.scalars import FLOAT_RTOL, FLOAT_ZERO, QC, agree, negligible
 
 def test_constant_filtration_rd_constant():
     filt = ConstantFiltration(c3_weighted())
-    assert filt.rd_constant(3).upper == pytest.approx(math.sqrt(5.0), abs=1e-10)
-    assert filt.rd_constant(0).upper == 1.0
+    assert filt.rd_constants([3])[0].upper == pytest.approx(math.sqrt(5.0), abs=1e-10)
+    assert filt.rd_constants([0])[0].upper == 1.0
 
 
 def _brackets(c, truth):
@@ -70,7 +70,7 @@ def test_non_abelian_constant_levels_bracket_the_truth(algebra, truth):
     # sup ||a|| / ||a||_2 over all of A is 1 / sqrt(lambda_min), attained at a
     # matrix unit; dn_norm reads 2 and sqrt(11) here, so it is no lower bound
     for n in (1, 2, 5):
-        c = ConstantFiltration(algebra).rd_constant(n)
+        (c,) = ConstantFiltration(algebra).rd_constants([n])
         assert c.method == "bracket" and c.lower < c.upper
         assert _brackets(c, truth)
         assert c.lower == pytest.approx(truth, rel=FLOAT_RTOL)
@@ -84,7 +84,7 @@ def test_exact_diagonal_densities_bracket_one_over_sqrt_lambda_min(blocks):
     algebra = MatrixBlockAlgebra([[[d[i] if i == j else 0 for j in range(len(d))] for i in range(len(d))]
                                   for d in diagonals])
     truth = math.sqrt(1 / min(min(d) for d in diagonals))
-    c = ConstantFiltration(algebra).rd_constant(1)
+    (c,) = ConstantFiltration(algebra).rd_constants([1])
     assert _brackets(c, truth)
     if algebra.is_abelian():
         assert c.method == "dn-certificate" and c.lower == c.upper
@@ -94,7 +94,7 @@ def test_exact_diagonal_densities_bracket_one_over_sqrt_lambda_min(blocks):
 
 def test_measure_filtration_semicircle_constant():
     filt = MeasureDegreeFiltration(CompactMeasure.semicircle(), 12)
-    assert filt.rd_constant(10).upper == pytest.approx(math.sqrt(506.0), abs=1e-8)
+    assert filt.rd_constants([10])[0].upper == pytest.approx(math.sqrt(506.0), abs=1e-8)
 
 
 def _moment_gram(measure, basis):
@@ -169,8 +169,8 @@ def test_builtin_degree_filtrations_need_neither_moments_nor_grid(monkeypatch, n
     monkeypatch.setattr(measure, "_lobatto_grid", refuse)
     filt = MeasureDegreeFiltration(CompactMeasure.builtin(name), 60)
     report = rd_report(filt, 60)
-    assert filt.rd_constant(60) == filt.rd_constants(range(61))[60]
-    assert filt.rd_constant(60).upper == report.rows[60][2]
+    assert filt.rd_constants([60])[0] == filt.rd_constants(range(61))[60]
+    assert filt.rd_constants([60])[0].upper == report.rows[60][2]
 
 
 def test_rd_constant_monotone():
@@ -196,7 +196,7 @@ def test_constant_filtration_is_the_finite_dim_filtration_of_all_of_a():
         const = ConstantFiltration(alg)
         spans = FiniteDimFiltration.from_spans(alg, [[], alg.basis()])
         for n in range(4):
-            assert const.rd_constant(n).upper == spans.rd_constant(n).upper
+            assert const.rd_constants([n])[0].upper == spans.rd_constants([n])[0].upper
             # FreeProductFiltration takes complement_onb(n) = level_onb(n)[1:]
             for filt in (const, spans):
                 assert op_norm(filt.level_onb(n)[0] - alg.identity()) <= 1e-12
@@ -233,7 +233,7 @@ def test_free_filtration_bracket_orders():
         [ConstantFiltration(_c2()), ConstantFiltration(_c2())], probe_seed=1
     )
     for n in (1, 2, 3):
-        c = filt.rd_constant(n)
+        (c,) = filt.rd_constants([n])
         assert 0 < c.lower <= c.upper + 1e-9
         assert c.method == "bracket"
 
@@ -253,7 +253,8 @@ def test_free_filtration_probes_match_summed_probes():
         coeffs /= np.linalg.norm(coeffs)
         want.append(sum((b * complex(c) for b, c in zip(basis[1:], coeffs[1:])),
                         basis[0] * complex(coeffs[0])))
-    got = filt._probes(n)
+    words = filt._level_words(n)
+    got = [[(word, complex(c)) for word, c in zip(words, p)] for p in filt._probes(n)]
     want = [list(p.terms.items()) for p in want]
     assert got == want
     assert [[repr(c) for _, c in p] for p in got] == [[repr(c) for _, c in p] for p in want]
@@ -268,7 +269,7 @@ def test_free_filtration_refuses_an_uncentred_complement():
     c3 = MatrixBlockAlgebra.from_weights([Fraction(1, 3)] * 3)
     filt = FreeProductFiltration([FiniteDimFiltration(alg, [[one], [one, x]]), ConstantFiltration(c3)])
     assert filt._level_words(0) == [()]
-    for call in (filt._level_words, filt.level_onb, filt.rd_constant):
+    for call in (filt._level_words, filt.level_onb, lambda n: filt.rd_constants([n])):
         with pytest.raises(AlgebraError, match="not centred"):
             call(1)
     for algebras in ((_c2(), c3), (m2_tr(), c3_weighted()),
@@ -282,7 +283,7 @@ def test_free_filtration_lower_endpoint_keeps_its_depth():
     # level 5 of (M2, tr) * (M2, tr) must probe on the depth-6 space (dim
     # 2,185): on the depth-5 space its lower endpoint falls below level 4's
     filt = FreeProductFiltration([ConstantFiltration(m2_tr()), ConstantFiltration(m2_tr())])
-    assert filt.rd_constant(5).lower >= filt.rd_constant(4).lower
+    assert filt.rd_constants([5])[0].lower >= filt.rd_constants([4])[0].lower
 
 
 def test_free_filtration_exponent_finite():
