@@ -167,25 +167,26 @@ def _parse_weights(text: str):
     return out
 
 
-def _load_space(args) -> dict:
-    """Resolve --builtin/--space into {'measure': ...} or {'algebra': ...} or
-    {'free_product': [...]}."""
+def _load_filtration(args):
+    """The filtration of --builtin or --space: degree for a measure, constant for
+    an algebra, the free product of constant ones probed at --seed for factors."""
     if args.builtin and args.space:
         raise CliError("give one of --builtin and --space, not both")
     if args.builtin:
-        return {"measure": CompactMeasure.builtin(args.builtin)}
+        return MeasureDegreeFiltration(CompactMeasure.builtin(args.builtin))
     if args.space:
         data = json_shape(_load_json_file(args.space), dict, args.space)
         _reject_unknown_keys(data, {"measure", "algebra", "free_product"}, args.space)
         if len(data) > 1:
             raise CliError(f"{args.space} gives both {' and '.join(data)}: give one space")
         if "measure" in data:
-            return {"measure": CompactMeasure.from_json(data["measure"])}
+            return MeasureDegreeFiltration(CompactMeasure.from_json(data["measure"]))
         if "algebra" in data:
-            return {"algebra": MatrixBlockAlgebra.from_json(data["algebra"])}
+            return ConstantFiltration(MatrixBlockAlgebra.from_json(data["algebra"]))
         if "free_product" in data:
             factors = json_shape(data["free_product"], list, "'free_product'")
-            return {"free_product": [MatrixBlockAlgebra.from_json(f) for f in factors]}
+            return FreeProductFiltration([ConstantFiltration(MatrixBlockAlgebra.from_json(f)) for f in factors],
+                                         probe_seed=args.seed)
     raise CliError("provide --builtin NAME or --space FILE")
 
 
@@ -199,17 +200,7 @@ def _load_factors(path: str):
 
 
 def _cmd_rd_certify(args) -> int:
-    space = _load_space(args)
-    (kind,) = space.keys()
-    if kind == "measure":
-        filt = MeasureDegreeFiltration(space["measure"], args.max_n)
-    elif kind == "algebra":
-        filt = ConstantFiltration(space["algebra"])
-    else:
-        filt = FreeProductFiltration(
-            [ConstantFiltration(a) for a in space["free_product"]], probe_seed=args.seed
-        )
-    report = rd_report(filt, args.max_n)
+    report = rd_report(_load_filtration(args), args.max_n)
     if args.as_json:
         _atomic_write(args.out, json.dumps(report.to_json(), indent=2) + "\n")
     else:

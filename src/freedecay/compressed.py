@@ -468,13 +468,9 @@ class FreeProductFiltration(Filtration):
     recipe = "free-product"
 
     def __init__(self, factor_filtrations, probe_seed: int = 0):
-        self.factors = []
-        for f in factor_filtrations:
-            if not isinstance(f, FiniteDimFiltration):
-                raise AlgebraError(
-                    "free-product levels need finite-dimensional factor filtrations"
-                )
-            self.factors.append(f)
+        self.factors = list(factor_filtrations)
+        if not all(isinstance(f, FiniteDimFiltration) for f in self.factors):
+            raise AlgebraError("free-product levels need finite-dimensional factor filtrations")
         self.ambient = FreeProductAmbient([f.algebra for f in self.factors])
         self.probe_seed = probe_seed
         self._letters: dict = {}
@@ -507,25 +503,20 @@ class FreeProductFiltration(Filtration):
     def level_dim(self, n: int) -> int:
         return alternating_dimension([len(f.complement_onb(n)) for f in self.factors], n)
 
-    def rd_constants(self, levels) -> list:
-        """A bracket [lower, upper] for each level n of ``levels``; level 0 is 1.
+    def _level_constants(self, levels) -> list:
+        """A bracket [lower, upper] for each level n >= 1 of ``levels``.
 
         upper: the layer estimate 2 sqrt(m) (l+1) max(1, max_j dn_norm_j)
         summed in quadrature over layers l <= n, rounded to nearest, with no
         derivation cited yet (ROADMAP items 10 and 12).  lower: the largest
         norm of the level's probes (``_probe_lower``), not rounded down.
         """
-        levels = list(levels)
-        lower = iter(self._probe_lower([n for n in levels if n > 0]))
         out = []
-        for n in levels:
-            if n == 0:
-                out.append(RdConstant(1.0, 1.0, "exact"))
-                continue
+        for n, lower in zip(levels, self._probe_lower(levels)):
             cmax = max([dn_norm(f.complement_onb(n)) for f in self.factors] + [1.0])
             quad = math.sqrt(sum((ell + 1) ** 2 for ell in range(n + 1)))
             upper = 2 * math.sqrt(len(self.factors)) * cmax * quad
-            out.append(RdConstant(next(lower), upper, "bracket"))
+            out.append(RdConstant(lower, upper, "bracket"))
         return out
 
     def _probes(self, n: int) -> list:
@@ -547,8 +538,6 @@ class FreeProductFiltration(Filtration):
         each level's probes combined at its own cut, one level at a time.
         More than ``_PROBE_CAP`` words times tensors raises ResourceCapError
         before a word is built."""
-        if not levels:
-            return []
         factors = self.ambient.factors
         top = max(4, max(levels) + 1)
         while top > 1 and fock_dimension(factors, top) > _DIMENSION_CAP:

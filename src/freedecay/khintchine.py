@@ -160,13 +160,13 @@ def tr_bracket(x: HomogeneousWordElement, r: int) -> TrBounds:
     part (exact when all middle letters come from one factor);
     lower: the same block operator realized through the compressed left
     representation, each cell sum c L_{j,i} over the cached basis-vector
-    operators L_{j,i} = P_L lambda(xi_i) P_L of the shared depth-4 space,
-    the compressions ``norm_lower_bound`` uses; weak_cs: the sqrt(m) *
-    Hilbert-Schmidt style bound that the upper must respect.
+    operators L_{j,i} = P_L lambda(xi_i) P_L of the shared space of depth
+    ``default_depth(1)``, the compressions ``norm_lower_bound`` uses;
+    weak_cs: the sqrt(m) * Hilbert-Schmidt style bound that the upper must respect.
     """
     if not 1 <= r <= x.length:
         raise IndexError(f"middle position r={r} outside 1..{x.length}")
-    fock = shared_fock(x.ambient.factors, 4)
+    fock = shared_fock(x.ambient.factors, default_depth(1))
     # the tensor grouped at middle position r: each cell (I, J) holds its
     # terms (j, i, c), the middle letters c xi_{j,i}
     terms: dict = {}
@@ -272,8 +272,8 @@ def rx_check(x: HomogeneousWordElement, moment_rmax: int = 2) -> RxReport:
     elem = x.to_free_element()
     s_values, t_bounds = _unfoldings(x)
     if ell == 1:
-        # t_1's 1 x 1 grid holds sum c L_{j,i} on shared_fock(factors, 4),
-        # and default_depth(1) is 4: its norm is the Fock-space lower bound
+        # t_1's 1 x 1 grid holds sum c L_{j,i} on the space of depth
+        # default_depth(1) that tr_bracket builds: its norm is the Fock-space lower bound
         lb_fock = t_bounds[0].lower
     else:
         lb_fock = norm_lower_bound(shared_fock(x.ambient.factors, default_depth(ell)), elem)

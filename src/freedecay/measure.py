@@ -126,6 +126,8 @@ class CompactMeasure:
             ws = [Fraction(w) if not isinstance(w, float) else w for w in weights]
             if len(ws) != n:
                 raise MeasureError(f"{n} atoms but {len(ws)} weights")
+            if any(w <= 0 for w in ws):
+                raise MeasureError("atom weights must be positive")
         total = sum(ws)
         if not negligible(total - 1):
             raise MeasureError("atom weights must sum to 1")
@@ -286,8 +288,9 @@ class OrthoPolySequence:
 def _chebyshev_algorithm(measure: CompactMeasure, n: int):
     """Moments -> recurrence coefficients (alpha_0..alpha_{n-1}, beta_0..beta_{n-1}).
 
-    Exact when the moments are Fractions; then a Hankel form that stops
-    being positive at degree k proves at most k atoms (AtomicMeasureError).
+    Exact when the moments are Fractions; then a Hankel form that turns
+    singular at degree k proves at most k atoms (AtomicMeasureError), and
+    one that turns negative proves that no positive measure has the moments.
     Float moments lose about a digit per degree, so a degenerate weight
     there proves nothing about atoms and raises a plain MeasureError.
     """
@@ -315,7 +318,9 @@ def _chebyshev_algorithm(measure: CompactMeasure, n: int):
             sigma_next[l] = s
         denom = sigma_next[k]
         prev_denom = sigma_cur[k - 1]
-        if exact and denom <= 0:
+        if exact and denom < 0:
+            raise MeasureError(f"the Hankel form turns negative at degree {k}: no positive measure has these moments")
+        if exact and denom == 0:
             raise AtomicMeasureError(k)
         b_k = denom / prev_denom
         if not exact and (b_k <= 0 or negligible(b_k)):

@@ -85,7 +85,7 @@ class RdConstant:
 
 
 class Filtration:
-    """Base class; subclasses provide level bases and a recipe tag."""
+    """Base class; subclasses provide level bases, a recipe tag and ``_level_constants``."""
 
     recipe: str = "abstract"
 
@@ -96,7 +96,15 @@ class Filtration:
         return len(self.level_onb(n))
 
     def rd_constants(self, levels) -> list:
-        """One :class:`RdConstant` per level n of ``levels``, in order."""
+        """One :class:`RdConstant` per level n of ``levels``, in order: C_0 = 1 as
+        V_0 = C1, and one ``_level_constants`` call for the levels n >= 1, if any."""
+        levels = list(levels)
+        rest = [n for n in levels if n]
+        found = iter(self._level_constants(rest) if rest else ())
+        return [next(found) if n else RdConstant(1.0, 1.0, "exact") for n in levels]
+
+    def _level_constants(self, levels) -> list:
+        """One :class:`RdConstant` per level of ``levels``, each n >= 1."""
         raise NotImplementedError
 
 
@@ -134,15 +142,12 @@ class FiniteDimFiltration(Filtration):
     def complement_onb(self, n: int):
         return self.level_onb(n)[1:]
 
-    def rd_constants(self, levels) -> list:
+    def _level_constants(self, levels) -> list:
         """C_upper is ``dn_norm`` of the level basis, exact on abelian
         algebras.  Elsewhere it is only an upper bound, and C_lower is the
         largest operator norm of a basis vector, each of L2 norm 1."""
         out = []
         for n in levels:
-            if n == 0:
-                out.append(RdConstant(1.0, 1.0, "exact"))
-                continue
             basis = self.level_onb(n)
             c = dn_norm(basis)
             if self.algebra.is_abelian():
@@ -187,25 +192,24 @@ class MeasureDegreeFiltration(Filtration):
 
     recipe = "degree"
 
-    def __init__(self, measure, max_n: int):
+    def __init__(self, measure):
         self.measure = measure
-        self.max_n = max_n
-        self.seq = ortho_polys(measure, max_n + 1)
 
     def level_dim(self, n: int) -> int:
         return n + 1
 
     def level_onb(self, n: int):
-        return [self.seq.orthonormal_coefficients(k) for k in range(n + 1)]
+        seq = ortho_polys(self.measure, n + 1)
+        return [seq.orthonormal_coefficients(k) for k in range(n + 1)]
 
-    def rd_constants(self, levels) -> list:
-        levels = list(levels)
+    def _level_constants(self, levels) -> list:
+        """C_n of each level n >= 1, from one sequence through the top level."""
+        seq = ortho_polys(self.measure, max(levels) + 1)
         if self.measure.jacobi is None:
-            method, sups = "christoffel-grid", {n: christoffel_sup(self.seq, n) for n in levels if n}
+            method, sups = "christoffel-grid", {n: christoffel_sup(seq, n) for n in levels}
         else:
-            method, sups = "jacobi-endpoint", christoffel_ends(self.seq, max(levels))
-        return [RdConstant(sups[n], sups[n], method) if n else RdConstant(1.0, 1.0, "exact")
-                for n in levels]
+            method, sups = "jacobi-endpoint", christoffel_ends(seq, max(levels))
+        return [RdConstant(sups[n], sups[n], method) for n in levels]
 
 
 # ---------------------------------------------------------------------------

@@ -113,8 +113,8 @@ def test_criterion_02_legendre_bound():
 
 
 def test_criterion_03_rd_exponents():
-    semi = rd_report(MeasureDegreeFiltration(CompactMeasure.semicircle(), 40), 40)
-    leb = rd_report(MeasureDegreeFiltration(CompactMeasure.lebesgue(), 40), 40)
+    semi = rd_report(MeasureDegreeFiltration(CompactMeasure.semicircle()), 40)
+    leb = rd_report(MeasureDegreeFiltration(CompactMeasure.lebesgue()), 40)
     ok_semi = 1.4 <= semi.alpha_hat <= 1.6
     ok_leb = 0.95 <= leb.alpha_hat <= 1.05
     dims_ok = all(d == n + 1 for (n, _lo, _up, d) in semi.rows) and all(

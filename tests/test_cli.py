@@ -583,6 +583,16 @@ def test_float_moments_do_not_claim_atoms(tmp_path, capsys):
     assert "float" in err and "atoms" not in err
 
 
+def test_moments_of_no_positive_measure_do_not_claim_atoms(tmp_path, capsys):
+    # m_2 = -1: m_0 m_2 - m_1^2 < 0, so the Hankel form is negative at degree 1
+    space = _write(tmp_path, "space.json",
+                   {"measure": {"support": [-1, 1], "moments": [1, 0, -1, 0, 1, 0, 1, 0, 1]}})
+    assert run(["rd-certify", "--space", space, "--max-n", "3"]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["error: the Hankel form turns negative at degree 1: "
+                   "no positive measure has these moments"], err
+
+
 @pytest.mark.parametrize("coeff", [[1, 0], ["1", "0"]], ids=["int-pair", "string-pair"])
 def test_int_pair_coefficient_is_exact(tmp_path, coeff):
     # x = iota_0(e_12): q_2 = tau((x*x)^2) = 1/2, exact by free cumulants

@@ -93,7 +93,7 @@ def test_exact_diagonal_densities_bracket_one_over_sqrt_lambda_min(blocks):
 
 
 def test_measure_filtration_semicircle_constant():
-    filt = MeasureDegreeFiltration(CompactMeasure.semicircle(), 12)
+    filt = MeasureDegreeFiltration(CompactMeasure.semicircle())
     assert filt.rd_constants([10])[0].upper == pytest.approx(math.sqrt(506.0), abs=1e-8)
 
 
@@ -105,12 +105,12 @@ def _moment_gram(measure, basis):
 
 def test_degree_level_bases_are_orthonormal_under_the_moments():
     semicircle = CompactMeasure.semicircle()
-    onb = MeasureDegreeFiltration(semicircle, 6).level_onb(6)
+    onb = MeasureDegreeFiltration(semicircle).level_onb(6)
     assert len(onb) == 7 and all(isinstance(c, Fraction) for p in onb for c in p)
     assert _moment_gram(semicircle, onb) == [[int(i == j) for j in range(7)] for i in range(7)]
     # ||pi_k||^2 is mostly no rational square for Lebesgue: a mixed, mostly float basis
     lebesgue = CompactMeasure.lebesgue()
-    gram = _moment_gram(lebesgue, MeasureDegreeFiltration(lebesgue, 6).level_onb(6))
+    gram = _moment_gram(lebesgue, MeasureDegreeFiltration(lebesgue).level_onb(6))
     assert all(abs(g - (i == j)) <= FLOAT_RTOL for i, row in enumerate(gram) for j, g in enumerate(row))
 
 
@@ -126,12 +126,12 @@ def test_fit_exponent_requires_three_rows():
 
 
 def test_semicircle_exponent_three_halves():
-    report = rd_report(MeasureDegreeFiltration(CompactMeasure.semicircle(), 40), 40)
+    report = rd_report(MeasureDegreeFiltration(CompactMeasure.semicircle()), 40)
     assert 1.40 <= report.alpha_hat <= 1.60
 
 
 def test_lebesgue_exponent_one():
-    report = rd_report(MeasureDegreeFiltration(CompactMeasure.lebesgue(), 40), 40)
+    report = rd_report(MeasureDegreeFiltration(CompactMeasure.lebesgue()), 40)
     assert 0.95 <= report.alpha_hat <= 1.05
 
 
@@ -148,14 +148,14 @@ def test_custom_measures_keep_the_moment_algorithm_and_the_grid(monkeypatch):
     moments = [0 if k % 2 else math.comb(k, k // 2) // (k // 2 + 1) for k in range(30)]
     custom = CompactMeasure.from_json({"support": [-2, 2], "moments": moments})
     atoms = CompactMeasure.from_json({"atoms": [-1, "1/3", 2, 3], "weights": ["1/2", "1/4", "1/8", "1/8"]})
-    builtin = MeasureDegreeFiltration(CompactMeasure.semicircle(), 12).rd_constants(range(13))
+    builtin = MeasureDegreeFiltration(CompactMeasure.semicircle()).rd_constants(range(13))
     chebyshev = _spy(monkeypatch, measure, "_chebyshev_algorithm")
     grid = _spy(monkeypatch, measure, "_lobatto_grid")
-    got = MeasureDegreeFiltration(custom, 12).rd_constants(range(13))
+    got = MeasureDegreeFiltration(custom).rd_constants(range(13))
     assert [c.method for c in got] == ["exact"] + ["christoffel-grid"] * 12
     assert [c.method for c in builtin] == ["exact"] + ["jacobi-endpoint"] * 12
     assert [(c.lower, c.upper) for c in got] == [(c.lower, c.upper) for c in builtin]
-    assert [c.method for c in MeasureDegreeFiltration(atoms, 3).rd_constants(range(4))] == [
+    assert [c.method for c in MeasureDegreeFiltration(atoms).rd_constants(range(4))] == [
         "exact"] + ["christoffel-grid"] * 3
     assert chebyshev and len(grid) == 12 + 3
 
@@ -167,16 +167,63 @@ def test_builtin_degree_filtrations_need_neither_moments_nor_grid(monkeypatch, n
 
     monkeypatch.setattr(measure, "_chebyshev_algorithm", refuse)
     monkeypatch.setattr(measure, "_lobatto_grid", refuse)
-    filt = MeasureDegreeFiltration(CompactMeasure.builtin(name), 60)
+    filt = MeasureDegreeFiltration(CompactMeasure.builtin(name))
     report = rd_report(filt, 60)
     assert filt.rd_constants([60])[0] == filt.rd_constants(range(61))[60]
     assert filt.rd_constants([60])[0].upper == report.rows[60][2]
 
 
 def test_rd_constant_monotone():
-    report = rd_report(MeasureDegreeFiltration(CompactMeasure.semicircle(), 12), 12)
+    report = rd_report(MeasureDegreeFiltration(CompactMeasure.semicircle()), 12)
     uppers = [row[2] for row in report.rows]
     assert all(b >= a - 1e-12 for a, b in zip(uppers, uppers[1:]))
+
+
+# ---------------------------------------------------------------------------
+# one door for RD constants: Filtration.rd_constants
+# ---------------------------------------------------------------------------
+
+
+def _semicircle_moments(count):
+    return [0 if k % 2 else math.comb(k, k // 2) // (k // 2 + 1) for k in range(count)]
+
+
+def _spans_filtration():
+    alg = m2_tr()
+    return FiniteDimFiltration.from_spans(alg, [[], [alg.element([[[1, 0], [0, -1]]])], alg.basis()])
+
+
+_ONE_DOOR = {
+    "constant": (lambda: ConstantFiltration(c3_weighted()), 5),
+    "from_spans": (_spans_filtration, 5),
+    "builtin": (lambda: MeasureDegreeFiltration(CompactMeasure.semicircle()), 13),
+    "custom-moments": (lambda: MeasureDegreeFiltration(CompactMeasure.from_json(
+        {"support": [-2, 2], "moments": _semicircle_moments(30)})), 13),
+    "atoms": (lambda: MeasureDegreeFiltration(CompactMeasure.from_json(
+        {"atoms": [-1, "1/3", 2, 3], "weights": ["1/2", "1/4", "1/8", "1/8"]})), 4),
+    "free-product": (lambda: FreeProductFiltration([ConstantFiltration(_c2()), ConstantFiltration(c3_weighted())],
+                                                   probe_seed=7), 5),
+}
+
+
+@pytest.mark.parametrize("kind", list(_ONE_DOOR))
+def test_level_zero_is_exact_and_levels_keep_their_bits_alone(kind):
+    make, k = _ONE_DOOR[kind]
+    assert make().rd_constants([0]) == [rdcert.RdConstant(1.0, 1.0, "exact")]
+    together = make().rd_constants(range(k))
+    alone = [make().rd_constants([n])[0] for n in range(k)]
+    assert repr(together) == repr(alone)
+    assert make().rd_constants([]) == []
+
+
+@pytest.mark.parametrize("make", [
+    CompactMeasure.semicircle,
+    lambda: CompactMeasure.from_json({"support": [-2, 2], "moments": _semicircle_moments(122)}),
+], ids=["builtin", "custom-moments"])
+def test_degree_filtration_takes_its_levels_from_each_call(make):
+    filt = MeasureDegreeFiltration(make())
+    filt.rd_constants([3])
+    assert repr(filt.rd_constants([60])) == repr(MeasureDegreeFiltration(make()).rd_constants([60]))
 
 
 # ---------------------------------------------------------------------------

@@ -209,6 +209,9 @@ def _loaders_accept(weights):
 def test_weight_loaders_share_the_sum_to_one_rule(offset, accepted):
     assert _loaders_accept([0.25, 0.75 + offset]) == [accepted] * 3
     assert _loaders_accept([0.2, 0.3, 0.5 + offset]) == [accepted] * 3
+    # weights that sum to 1 are still refused with an atom of weight <= 0
+    assert _loaders_accept([0.5, 0.5, 0.0]) == [False] * 3
+    assert _loaders_accept([0.75, 0.5, -0.25]) == [False] * 3
 
 
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, complex(1, math.nan),
@@ -311,7 +314,7 @@ def test_the_package_loads_no_layer_and_no_layer_loads_scipy(tmp_path):
         "from freedecay.algebra import MatrixBlockAlgebra; "
         "from freedecay.measure import CompactMeasure; "
         "from freedecay.rdcert import ConstantFiltration, MeasureDegreeFiltration, rd_report; "
-        "rd_report(MeasureDegreeFiltration(CompactMeasure.semicircle(), 20), 20); "
+        "rd_report(MeasureDegreeFiltration(CompactMeasure.semicircle()), 20); "
         "rd_report(ConstantFiltration(MatrixBlockAlgebra.matrix_with_trace(2)), 3)"
     )
     assert "freedecay.rdcert" in reports and "freedecay.compressed" not in reports
