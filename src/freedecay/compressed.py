@@ -18,8 +18,9 @@ complement bases are the algebras' own (:func:`onb_complement`), and
 :func:`shared_fock` keeps the 16 most recently used spaces per process.
 :class:`FreeProductFiltration`, the one filtration that needs a Fock space,
 brackets its RD constants with probe norms read from this representation:
-its probes are coefficient vectors over the level's basis words, all
-levels combined from one store, and no ``FreeElement`` is built for them.
+its level n is the depth-n space, whose basis words (:meth:`TruncatedFock.words`)
+prefix those of every deeper space; its probes are coefficient vectors over
+them, all levels combined from one store, and no ``FreeElement`` is built.
 
 Every such norm is one largest singular value (:func:`spectral_norm`), on
 one of two paths chosen by the number of matrix entries: up to those of
@@ -71,11 +72,10 @@ from .fock import (
     _capped_product,
     _single_letter_moments,
     _word_moments,
-    alternating_dimension,
     fock_dimension,
 )
 from .freeword import FreeElement, FreeProductAmbient, Letter, is_normalized_word, normalize
-from .rdcert import Filtration, FiniteDimFiltration, RdConstant
+from .rdcert import ConstantFiltration, Filtration, RdConstant
 from .scalars import FLOAT_RTOL, accumulate, negligible, root_down
 
 __all__ = [
@@ -104,7 +104,9 @@ class TruncatedFock:
     of factors 0..j-1.  Tensor p is the slot vector ``lead[p]`` followed by
     the tensor at position ``tail[p]``; the vacuum is position 0, with -1 in
     both arrays.  Tensors are ordered by length, then lexicographically by
-    the (factor, index) of the first slot, then of the second, and so on.
+    the (factor, index) of the first slot, then of the second, and so on, so
+    a depth-L' basis is the first dim(L') tensors of any deeper one; this is
+    the one enumeration of alternating words, read off by :meth:`words`.
     The space caches the letter operators of the slot vectors, at most
     dim(A_j) - 1 per factor, and no others.  Words of any length act on this
     one space, of at most ``_DIMENSION_CAP`` tensors.
@@ -143,6 +145,16 @@ class TruncatedFock:
 
     def __repr__(self):
         return f"TruncatedFock(m={len(self.factors)}, depth={self.depth}, dim={self.dimension})"
+
+    def words(self, k: int) -> list:
+        """The first k basis tensors as tuples of :class:`Letter`, one Letter
+        object per slot vector in every word: tensor p is the letter of
+        ``lead[p]`` followed by the word of ``tail[p]``."""
+        letters = [Letter(j, xi) for j, basis in enumerate(self.onb) for xi in basis]
+        words = [()]
+        for lead, tail in zip(self.lead[1:k].tolist(), self.tail[1:k].tolist()):
+            words.append((letters[lead],) + words[tail])
+        return words[:k]
 
     def onb_operators(self, factor: int):
         """Letter operators L_i = P lambda(iota_factor(xi_i)) P on this basis,
@@ -286,8 +298,9 @@ def _word_blocks(fock: TruncatedFock, words) -> dict:
     of depth L: a dict from each word, and each suffix of one, to its
     :class:`CooMatrix`, with () mapped to I.  The words are merged
     alternating words of the space's factors with centred letters:
-    :func:`norm_lower_bound` is the door for a ``FreeElement``, and
-    :meth:`FreeProductFiltration._level_words` refuses uncentred letters.
+    :func:`norm_lower_bound` is the door for a ``FreeElement``, and the
+    free-product filtration's words are the space's own tensors
+    (:meth:`TruncatedFock.words`), whose slot vectors are centred.
 
     Each word acts on the depth-L space itself, as the product of its
     compressed letters P_L lambda(xi) P_L, right to left.  For centred
@@ -462,46 +475,31 @@ def _lanczos_norm(matrix: CooMatrix):
 
 
 class FreeProductFiltration(Filtration):
-    """Alternating centered words of length <= n with letters from the
-    level-n factor complements."""
+    """Level n is the depth-n space: the alternating centred words of length
+    <= n over the complement bases, each level a prefix of the next
+    (:meth:`TruncatedFock.words`).  Factors are :class:`ConstantFiltration`
+    only, else AlgebraError: ones with levels of their own need the
+    total-degree rule (ROADMAP item 4)."""
 
     recipe = "free-product"
 
     def __init__(self, factor_filtrations, probe_seed: int = 0):
-        self.factors = list(factor_filtrations)
-        if not all(isinstance(f, FiniteDimFiltration) for f in self.factors):
-            raise AlgebraError("free-product levels need finite-dimensional factor filtrations")
-        self.ambient = FreeProductAmbient([f.algebra for f in self.factors])
+        factors = list(factor_filtrations)
+        if not all(isinstance(f, ConstantFiltration) for f in factors):
+            raise AlgebraError("free-product levels need constant factor filtrations")
+        self.ambient = FreeProductAmbient([f.algebra for f in factors])
         self.probe_seed = probe_seed
-        self._letters: dict = {}
 
     def _level_words(self, n: int) -> list:
-        """The basis words of level n, the empty word first: every alternating
-        word of length <= n over the level-n complement bases, by length,
-        then factor and basis order slot by slot.  A complement vector whose
-        state is not negligible raises AlgebraError: the probes are
-        represented without ``normalize``."""
-        # one Letter per complement vector for the filtration's lifetime, so
-        # equal words and suffixes of every level are tuples of the same objects
-        letters = []
-        for j, f in enumerate(self.factors):
-            onb = f.complement_onb(n)
-            if not all(negligible(state(xi)) for xi in onb):
-                raise AlgebraError(f"the level-{n} complement of factor {j} is not centred")
-            letters.append([self._letters.setdefault((j, xi), Letter(j, xi)) for xi in onb])
-        out = [()]
-        frontier = [((), None)]
-        for _ in range(n):
-            frontier = [(word + (letter,), j) for word, last in frontier
-                        for j in range(len(self.factors)) if j != last for letter in letters[j]]
-            out += [word for word, _ in frontier]
-        return out
+        """The basis words of level n: the depth-n space's, the empty word first."""
+        fock = TruncatedFock(self.ambient.factors, n)
+        return fock.words(fock.dimension)
 
     def level_onb(self, n: int):
         return [FreeElement.word(self.ambient, word) for word in self._level_words(n)]
 
     def level_dim(self, n: int) -> int:
-        return alternating_dimension([len(f.complement_onb(n)) for f in self.factors], n)
+        return fock_dimension(self.ambient.factors, n)
 
     def _level_constants(self, levels) -> list:
         """A bracket [lower, upper] for each level n >= 1 of ``levels``.
@@ -511,11 +509,12 @@ class FreeProductFiltration(Filtration):
         derivation cited yet (ROADMAP items 10 and 12).  lower: the largest
         norm of the level's probes (``_probe_lower``), not rounded down.
         """
+        factors = self.ambient.factors
+        cmax = max([dn_norm(onb_complement(a)) for a in factors] + [1.0])
         out = []
         for n, lower in zip(levels, self._probe_lower(levels)):
-            cmax = max([dn_norm(f.complement_onb(n)) for f in self.factors] + [1.0])
             quad = math.sqrt(sum((ell + 1) ** 2 for ell in range(n + 1)))
-            upper = 2 * math.sqrt(len(self.factors)) * cmax * quad
+            upper = 2 * math.sqrt(len(factors)) * cmax * quad
             out.append(RdConstant(lower, upper, "bracket"))
         return out
 
@@ -534,25 +533,30 @@ class FreeProductFiltration(Filtration):
     def _probe_lower(self, levels) -> list:
         """The largest probe norm of each level n, on the space of depth
         max(4, n + 1) or the deepest below the dimension cap: one block store
-        (``_word_blocks``) at the top depth for the words of every level, and
-        each level's probes combined at its own cut, one level at a time.
-        More than ``_PROBE_CAP`` words times tensors raises ResourceCapError
-        before a word is built."""
+        (``_word_blocks``) of the words of level N = max(levels), read off the
+        top space, and level n combined from their first level_dim(n) at its
+        own cut.  More than ``_PROBE_CAP`` = 200,000 * 75 words times tensors
+        raises ResourceCapError before a word is built, so every word of
+        level N is a top tensor: if top < N, the loop stepped below depth
+        top + 1 <= N, so level_dim(N) >= fock_dimension(top + 1) > 200,000;
+        and fock_dimension(top) >= 75, as below that each factor has at most
+        73 slot vectors and depth top + 1 fewer than 1 + 73 * 75 tensors."""
         factors = self.ambient.factors
         top = max(4, max(levels) + 1)
         while top > 1 and fock_dimension(factors, top) > _DIMENSION_CAP:
             top -= 1
-        words, tensors = self.level_dim(max(levels)), fock_dimension(factors, top)
-        if words * tensors > _PROBE_CAP:
-            raise ResourceCapError(f"level {max(levels)} would probe {words} words on {tensors} tensors, "
+        size, tensors = self.level_dim(max(levels)), fock_dimension(factors, top)
+        if size * tensors > _PROBE_CAP:
+            raise ResourceCapError(f"level {max(levels)} would probe {size} words on {tensors} tensors, "
                                    f"above the cap of {_PROBE_CAP} words x tensors")
         probes = [self._probes(n) for n in levels]
-        level_words = [self._level_words(n) for n in levels]
-        blocks = _word_blocks(shared_fock(factors, top), [word for ws in level_words for word in ws])
+        fock = shared_fock(factors, top)
+        words = fock.words(size)
+        blocks = _word_blocks(fock, words)
         out = []
-        for n, ws, ps in zip(levels, level_words, probes):
+        for n, ps in zip(levels, probes):
             k = fock_dimension(factors, min(max(4, n + 1), top))
-            out.append(max(map(spectral_norm, _combinations(blocks, ws, ps, k))))
+            out.append(max(map(spectral_norm, _combinations(blocks, words[:self.level_dim(n)], ps, k))))
         return out
 
 

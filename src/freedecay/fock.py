@@ -62,21 +62,15 @@ class ResourceCapError(FockError):
 
 
 def fock_dimension(factors, depth: int) -> int:
-    """Number of basis tensors of length <= depth over the factors."""
-    return alternating_dimension([f.dim - 1 for f in factors], depth)
-
-
-def alternating_dimension(dims, depth: int) -> int:
-    """1 + sum over alternating patterns of length <= depth of products of
-    the slot dimensions ``dims`` (one per factor)."""
-    m = len(dims)
-    total = 1
-    level = {j: dims[j] for j in range(m)}
+    """Number of basis tensors of length <= depth over the factors: 1 plus,
+    for each length, the tensors led by each factor, dim(A_j) - 1 slot
+    vectors times the shorter tensors not led by factor j."""
+    dims = [f.dim - 1 for f in factors]
+    total, led = 1, dims
     for _ in range(depth):
-        total += sum(level.values())
-        level = {j: dims[j] * sum(v for k, v in level.items() if k != j) for j in range(m)}
+        total += sum(led)
+        led = [d * (sum(led) - v) for d, v in zip(dims, led)]
     return total
-
 
 
 # ---------------------------------------------------------------------------

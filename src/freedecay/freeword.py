@@ -689,7 +689,9 @@ def avitzour_shape_check(n: int, u, v, w, a: FreeElement, mode: str) -> ShapeRep
     else:
         prod = xn * a * xn.adjoint()
     nf = normalize(prod)
-    w_adj = w.adjoint()
+    # each end the mode names: (position, side, the payload it must overlap, its name)
+    leading, trailing = (0, "leading", w, "w"), (-1, "trailing", w.adjoint(), "w*")
+    ends = {"i": [leading], "ii": [trailing], "iii": [leading, trailing]}[mode]
     checked = 0
     for word, coeff in nf.terms.items():
         checked += 1
@@ -697,24 +699,11 @@ def avitzour_shape_check(n: int, u, v, w, a: FreeElement, mode: str) -> ShapeRep
             return ShapeReport(mode, n, ell, False, checked, word, "scalar part survived")
         if not is_normalized_word(word):
             return ShapeReport(mode, n, ell, False, checked, word, "word not centered")
-        if mode in ("i", "iii"):
-            first = word[0]
-            if first.factor != 1:
-                return ShapeReport(mode, n, ell, False, checked, word,
-                                   "leading letter not in the second factor")
-            overlap = l2_inner(first.payload, w)
-            if negligible(overlap):
-                return ShapeReport(mode, n, ell, False, checked, word,
-                                   "leading letter orthogonal to w")
-        if mode in ("ii", "iii"):
-            last = word[-1]
-            if last.factor != 1:
-                return ShapeReport(mode, n, ell, False, checked, word,
-                                   "trailing letter not in the second factor")
-            overlap = l2_inner(last.payload, w_adj)
-            if negligible(overlap):
-                return ShapeReport(mode, n, ell, False, checked, word,
-                                   "trailing letter orthogonal to w*")
+        for i, side, target, name in ends:
+            if word[i].factor != 1:
+                return ShapeReport(mode, n, ell, False, checked, word, f"{side} letter not in the second factor")
+            if negligible(l2_inner(word[i].payload, target)):
+                return ShapeReport(mode, n, ell, False, checked, word, f"{side} letter orthogonal to {name}")
     return ShapeReport(mode, n, ell, True, checked, None, None)
 
 

@@ -21,7 +21,7 @@ from math import comb
 import numpy as np
 
 from .algebra import json_number, json_shape
-from .scalars import exact_sqrt, negligible
+from .scalars import agree, exact_sqrt, negligible
 
 __all__ = [
     "MeasureError",
@@ -293,6 +293,8 @@ def _chebyshev_algorithm(measure: CompactMeasure, n: int):
     one that turns negative proves that no positive measure has the moments.
     Float moments lose about a digit per degree, so a degenerate weight
     there proves nothing about atoms and raises a plain MeasureError.
+    Moments whose Gauss nodes leave the support [a, b] raise MeasureError
+    too: exactly for Fractions, beyond FLOAT_RTOL * (b - a) for floats.
     """
     m = [measure.moment(k) for k in range(2 * n)]
     exact = all(isinstance(x, (int, Fraction)) for x in m)
@@ -330,6 +332,17 @@ def _chebyshev_algorithm(measure: CompactMeasure, n: int):
         alpha.append(a_k)
         beta.append(b_k)
         sigma_prev, sigma_cur = sigma_cur, sigma_next
+    # LDL pivots of J_n - a and b - J_n: a positive measure on [a, b] has its
+    # orthogonal polynomials' zeros there, so both are positive semidefinite
+    # and, irreducible, 0 only last (an end-point atom); conversely J_n's
+    # Gauss rule then puts the moments' mass in [a, b]
+    lo, hi = measure.support
+    for sign, end in ((1, lo), (-1, hi)):
+        for k in range(n):
+            pivot = sign * (alpha[k] - end) - (beta[k] / pivot if k else 0)
+            zero = agree(pivot, 0, hi - lo)
+            if pivot < 0 and not zero or zero and k < n - 1:
+                raise MeasureError(f"the moments put mass outside the support [{lo}, {hi}] (degree {k + 1})")
     return alpha, beta
 
 

@@ -139,9 +139,6 @@ class FiniteDimFiltration(Filtration):
     def level_onb(self, n: int):
         return list(self.levels[min(n, len(self.levels) - 1)])
 
-    def complement_onb(self, n: int):
-        return self.level_onb(n)[1:]
-
     def _level_constants(self, levels) -> list:
         """C_upper is ``dn_norm`` of the level basis, exact on abelian
         algebras.  Elsewhere it is only an upper bound, and C_lower is the

@@ -593,6 +593,28 @@ def test_moments_of_no_positive_measure_do_not_claim_atoms(tmp_path, capsys):
                    "no positive measure has these moments"], err
 
 
+@pytest.mark.parametrize("kind", [str, float], ids=["exact", "float"])
+def test_moments_are_checked_against_their_support(tmp_path, capsys, kind):
+    # the moments of the uniform measure on {3, 4, 5, 6}: refused on [-1, 1],
+    # where they put no mass, and on [3, 6] the CSV of the atoms themselves
+    moments = [kind(sum(Fraction(p) ** k for p in (3, 4, 5, 6)) / 4) for k in range(8)]
+    outside = _write(tmp_path, "outside.json", {"measure": {"support": [-1, 1], "moments": moments}})
+    assert run(["rd-certify", "--space", outside, "--max-n", "3"]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["error: the moments put mass outside the support [-1, 1] (degree 1)"], err
+    csv = {}
+    for name, measure in [("inside", {"support": [3, 6], "moments": moments}), ("atoms", {"atoms": [3, 4, 5, 6]})]:
+        out = tmp_path / f"{name}.csv"
+        assert run(["rd-certify", "--space", _write(tmp_path, f"{name}.json", {"measure": measure}),
+                    "--max-n", "3", "--out", str(out)]) == 0
+        csv[name] = out.read_text()
+    if kind is str:
+        assert csv["inside"] == csv["atoms"]
+    else:  # the atoms' constants, up to the rounding of float moments
+        rows = [[line.split(",") for line in csv[name].splitlines()[1:5]] for name in ("inside", "atoms")]
+        assert all(float(a) == pytest.approx(float(b), rel=1e-12) for r, s in zip(*rows) for a, b in zip(r, s))
+
+
 @pytest.mark.parametrize("coeff", [[1, 0], ["1", "0"]], ids=["int-pair", "string-pair"])
 def test_int_pair_coefficient_is_exact(tmp_path, coeff):
     # x = iota_0(e_12): q_2 = tau((x*x)^2) = 1/2, exact by free cumulants

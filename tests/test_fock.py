@@ -758,7 +758,7 @@ def test_complement_basis_is_built_once_per_algebra():
     space = TruncatedFock([a, c3_weighted()], 2)
     x = HomogeneousWordElement.random(space.ambient(), 2, np.random.default_rng(3))
     filt = ConstantFiltration(a)
-    for held in (space.onb[0], x.onb[0], filt.complement_onb(1)):
+    for held in (space.onb[0], x.onb[0], filt.level_onb(1)[1:]):
         assert len(held) == len(onb) and all(u is v for u, v in zip(held, onb))
 
 

@@ -13,14 +13,16 @@ from conftest import c3_weighted, m2_tr, m3_non_diagonal
 from freedecay.algebra import (
     AlgebraError,
     MatrixBlockAlgebra,
+    onb_complement,
     op_norm,
     state,
 )
 from freedecay import rdcert
-from freedecay.compressed import FreeProductFiltration
+from freedecay.compressed import FreeProductFiltration, TruncatedFock
 from freedecay.freeword import (
     AvitzourConditionError,
     FreeProductAmbient,
+    Letter,
     avitzour_phi,
     avitzour_shape_check,
     check_avitzour_conditions,
@@ -244,7 +246,7 @@ def test_constant_filtration_is_the_finite_dim_filtration_of_all_of_a():
         spans = FiniteDimFiltration.from_spans(alg, [[], alg.basis()])
         for n in range(4):
             assert const.rd_constants([n])[0].upper == spans.rd_constants([n])[0].upper
-            # FreeProductFiltration takes complement_onb(n) = level_onb(n)[1:]
+            # the identity first, so level_onb(n)[1:] spans the centred part
             for filt in (const, spans):
                 assert op_norm(filt.level_onb(n)[0] - alg.identity()) <= 1e-12
         assert const.recipe == "constant" and spans.recipe == "finite-dim"
@@ -307,23 +309,67 @@ def test_free_filtration_probes_match_summed_probes():
     assert [[repr(c) for _, c in p] for p in got] == [[repr(c) for _, c in p] for p in want]
 
 
-def test_free_filtration_refuses_an_uncentred_complement():
-    # the probes are represented without normalize, so a level word must
-    # have centred letters
+def test_free_filtration_refuses_non_constant_factors():
+    # levels are read off the truncated space, whose letters are the factors'
+    # own centred complement bases: an uncentred level and a centred
+    # from_spans factor are both refused when the filtration is built
     alg = _c2()
     one, x = alg.identity(), alg.element([[[1]], [[0]]])
     assert not negligible(state(x))
     c3 = MatrixBlockAlgebra.from_weights([Fraction(1, 3)] * 3)
-    filt = FreeProductFiltration([FiniteDimFiltration(alg, [[one], [one, x]]), ConstantFiltration(c3)])
-    assert filt._level_words(0) == [()]
-    for call in (filt._level_words, filt.level_onb, lambda n: filt.rd_constants([n])):
-        with pytest.raises(AlgebraError, match="not centred"):
-            call(1)
+    spans = _spans_filtration()
+    assert all(negligible(state(b)) for n in range(3) for b in spans.level_onb(n)[1:])
+    for factor in (FiniteDimFiltration(alg, [[one], [one, x]]), spans):
+        with pytest.raises(AlgebraError, match="constant factor filtrations"):
+            FreeProductFiltration([factor, ConstantFiltration(c3)])
     for algebras in ((_c2(), c3), (m2_tr(), c3_weighted()),
                      (m2_tr(), MatrixBlockAlgebra.from_weights([0.25, 0.75]))):
         filt = FreeProductFiltration([ConstantFiltration(a) for a in algebras])
         for n in range(4):
             assert len(filt._level_words(n)) == filt.level_dim(n)
+
+
+def _bfs_level_words(algebras, n):
+    """Every alternating word of length <= n over the complement bases, by
+    length, then factor and basis order slot by slot: the enumeration the
+    truncated space's tensors must reproduce."""
+    letters = [[Letter(j, xi) for xi in onb_complement(a)] for j, a in enumerate(algebras)]
+    out = [()]
+    frontier = [((), None)]
+    for _ in range(n):
+        frontier = [(word + (letter,), j) for word, last in frontier
+                    for j in range(len(algebras)) if j != last for letter in letters[j]]
+        out += [word for word, _ in frontier]
+    return out
+
+
+@pytest.mark.parametrize("algebras, counts", [
+    (lambda: (_c2(), _c2(), MatrixBlockAlgebra.from_weights([Fraction(1, 3)] * 3)), [1, 5, 15, 41, 107]),
+    (lambda: (m2_tr(), m3_non_diagonal()), [1, 12, 60, 324, 1476]),
+    (lambda: (MatrixBlockAlgebra.from_weights([0.25, 0.75]), m2_tr()), [1, 5, 11, 23, 41]),
+], ids=["C2*C2*C3", "M2*M3", "float C2*M2"])
+def test_free_filtration_levels_are_prefixes_of_the_fock_enumeration(algebras, counts):
+    algebras = algebras()
+    filt = FreeProductFiltration([ConstantFiltration(a) for a in algebras])
+    onbs = [onb_complement(a) for a in algebras]
+    for n, count in enumerate(counts):
+        words = filt._level_words(n)
+        want = _bfs_level_words(algebras, n)
+        assert len(words) == len(want) == filt.level_dim(n) == count
+        for word, ref in zip(words, want):
+            assert len(word) == len(ref)
+            for letter, other in zip(word, ref):
+                assert letter.factor == other.factor and letter.payload is other.payload
+                assert any(letter.payload is xi for xi in onbs[letter.factor])
+        if n < len(counts) - 1:
+            assert filt._level_words(n + 1)[:filt.level_dim(n)] == words
+    # one words(k) call: a single Letter object per slot vector in every word
+    fock = TruncatedFock(filt.ambient.factors, len(counts) - 1)
+    seen = {}
+    for word in fock.words(fock.dimension):
+        for letter in word:
+            assert seen.setdefault((letter.factor, id(letter.payload)), letter) is letter
+    assert len(seen) == sum(map(len, onbs))
 
 
 def test_free_filtration_lower_endpoint_keeps_its_depth():
