@@ -196,7 +196,7 @@ class MatrixBlockAlgebra:
                 raise AlgebraError(f"density of block {b} is not positive definite (state not faithful)")
         total = sum(self.weights(), QC_ZERO)
         if not negligible(total - 1):
-            raise AlgebraError(f"density traces sum to {total}, expected 1")
+            raise AlgebraError(f"density traces sum to {_scalar_to_json(total)}, expected 1")
 
     # -- constructors ---------------------------------------------------
     @classmethod
@@ -294,14 +294,12 @@ class MatrixBlockAlgebra:
 
     @classmethod
     def from_json(cls, data) -> "MatrixBlockAlgebra":
-        json_shape(data, dict, "algebra JSON")
+        json_form(data, "algebra JSON", ((("atoms",), ()), (("blocks",), ())))
         if "atoms" in data:
             return cls.from_weights([_scalar_from_json(w) for w in json_shape(data["atoms"], list, "'atoms'")])
-        if "blocks" not in data:
-            raise AlgebraError("algebra JSON needs 'blocks' or 'atoms'")
         dens = []
         for blk in json_shape(data["blocks"], list, "'blocks'"):
-            json_shape(blk, dict, "a block", ("density",))
+            json_shape(blk, dict, "a block", ("density",), allowed=("dim",))
             d = _matrix_from_json(blk["density"])
             if "dim" in blk and blk["dim"] != len(d):
                 raise AlgebraError("declared block dim does not match density shape")
@@ -346,15 +344,30 @@ def _matrix_from_json(rows):
     return _as_matrix([[_scalar_from_json(v) for v in row] for row in rows])
 
 
-def json_shape(value, kind, what: str, keys=(), error=AlgebraError):
-    """``value`` if it is a JSON ``kind`` (dict or list) holding ``keys``,
-    else ``error`` with a one-line message."""
+def json_shape(value, kind, what: str, keys=(), error=AlgebraError, allowed=()):
+    """``value`` if it is a JSON ``kind`` (dict or list), an object holding
+    ``keys`` and no key outside ``keys`` and ``allowed``; else ``error`` with
+    a one-line message, which names the keys refused."""
     if not isinstance(value, kind) or not all(k in value for k in keys):
         need = "a JSON object" if kind is dict else "a JSON list"
         if keys:
             need += " with " + ", ".join(keys)
         raise error(f"{what} must be {need}, got {reprlib.repr(value)}")
+    refused = [repr(k) for k in value if k not in keys and k not in allowed] if kind is dict else ()
+    if refused:
+        raise error(f"{what}{' with ' + ', '.join(keys) if keys else ''} takes no {', '.join(refused)}")
     return value
+
+
+def json_form(value, what: str, forms, error=AlgebraError):
+    """``value``, a JSON object in one of ``forms``: pairs (required keys,
+    optional keys), told apart by the first required key.  A key no form
+    has, a mix of two forms or a missing key raises ``error``."""
+    json_shape(value, dict, what, error=error, allowed=[k for keys, optional in forms for k in keys + optional])
+    for keys, optional in forms:
+        if keys[0] in value:
+            return json_shape(value, dict, what, keys, error, optional)
+    raise error(f"{what} needs {' or '.join(repr(keys[0]) for keys, _ in forms)}")
 
 
 def json_number(v, kind=Fraction, error=AlgebraError):
@@ -438,9 +451,7 @@ class AlgebraElement:
         s = as_scalar(other)
         return AlgebraElement._of(self.owner, tuple(_mat_scale(s, b) for b in self.blocks))
 
-    def __rmul__(self, other):
-        s = as_scalar(other)
-        return AlgebraElement._of(self.owner, tuple(_mat_scale(s, b) for b in self.blocks))
+    __rmul__ = __mul__  # reached only with a scalar on the left
 
     def adjoint(self) -> "AlgebraElement":
         return AlgebraElement._of(self.owner, tuple(_mat_adjoint(b) for b in self.blocks))
@@ -532,19 +543,19 @@ def l2_norm(x: AlgebraElement) -> float:
     return math.sqrt(max(complex(l2_inner(x, x)).real, 0.0))
 
 
+def _top_root(grams) -> float:
+    """The square root of the largest top eigenvalue, clamped at 0, of the
+    Hermitian parts (h + h*)/2 of the blocks ``grams``, each by ``eigvalsh``
+    at every block size.  The root is monotone, so it has the bits of the
+    largest per-block root."""
+    return math.sqrt(max(0.0, *(float(np.linalg.eigvalsh(0.5 * (h + h.conj().T))[-1]) for h in grams)))
+
+
 def op_norm(x: AlgebraElement) -> float:
-    """Max over blocks of the spectral norm: the square root of the top
-    eigenvalue of x*x by ``eigvalsh``, at every block size.  An iteration
-    stopped early would under-estimate the norm that ``negligible_element``
-    decides zero on."""
-    best = 0.0
-    for b in x.blocks:
-        a = _mat_to_numpy(b)
-        h = a.conj().T @ a
-        h = 0.5 * (h + h.conj().T)
-        lam = max(float(np.linalg.eigvalsh(h)[-1]), 0.0)
-        best = max(best, math.sqrt(lam))
-    return best
+    """Max over blocks of the spectral norm, the root of the top eigenvalue
+    of x*x.  An iteration stopped early would under-estimate the norm that
+    ``negligible_element`` decides zero on."""
+    return _top_root(a.conj().T @ a for a in x.to_numpy())
 
 
 def negligible_element(x: AlgebraElement) -> bool:
@@ -637,9 +648,4 @@ def dn_norm(vectors) -> float:
     for v in vectors:
         for i, b in enumerate(v.to_numpy()):
             acc[i] += b @ b.conj().T
-    best = 0.0
-    for h in acc:
-        h = 0.5 * (h + h.conj().T)
-        ev = np.linalg.eigvalsh(h)
-        best = max(best, max(float(ev[-1]), 0.0))
-    return math.sqrt(best)
+    return _top_root(acc)

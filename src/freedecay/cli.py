@@ -23,7 +23,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import __version__
-from .algebra import AlgebraElement, AlgebraError, MatrixBlockAlgebra, json_shape
+from .algebra import AlgebraElement, AlgebraError, MatrixBlockAlgebra, json_form, json_shape
 from .compressed import (
     FreeProductFiltration,
     TruncatedFock,
@@ -146,12 +146,6 @@ def _load_json_file(path: str):
         raise CliError(f"{exc} in {path}")
 
 
-def _reject_unknown_keys(data: dict, allowed, where: str):
-    unknown = sorted(set(data) - set(allowed))
-    if unknown:
-        raise CliError(f"unknown keys in {where}: {', '.join(unknown)}")
-
-
 def _parse_weights(text: str):
     out = []
     for piece in text.split(","):
@@ -175,18 +169,15 @@ def _load_filtration(args):
     if args.builtin:
         return MeasureDegreeFiltration(CompactMeasure.builtin(args.builtin))
     if args.space:
-        data = json_shape(_load_json_file(args.space), dict, args.space)
-        _reject_unknown_keys(data, {"measure", "algebra", "free_product"}, args.space)
-        if len(data) > 1:
-            raise CliError(f"{args.space} gives both {' and '.join(data)}: give one space")
+        data = json_form(_load_json_file(args.space), args.space,
+                         ((("measure",), ()), (("algebra",), ()), (("free_product",), ())))
         if "measure" in data:
             return MeasureDegreeFiltration(CompactMeasure.from_json(data["measure"]))
         if "algebra" in data:
             return ConstantFiltration(MatrixBlockAlgebra.from_json(data["algebra"]))
-        if "free_product" in data:
-            factors = json_shape(data["free_product"], list, "'free_product'")
-            return FreeProductFiltration([ConstantFiltration(MatrixBlockAlgebra.from_json(f)) for f in factors],
-                                         probe_seed=args.seed)
+        factors = json_shape(data["free_product"], list, "'free_product'")
+        return FreeProductFiltration([ConstantFiltration(MatrixBlockAlgebra.from_json(f)) for f in factors],
+                                     probe_seed=args.seed)
     raise CliError("provide --builtin NAME or --space FILE")
 
 
@@ -399,8 +390,8 @@ def _cmd_avitzour_check(args) -> int:
 
 def _cmd_orthogonality_check(args) -> int:
     if args.config:
-        cfg = json_shape(_load_json_file(args.config), dict, args.config, ("algebra", "u", "v_span"))
-        _reject_unknown_keys(cfg, {"algebra", "u", "v_span", "fhat_span"}, args.config)
+        cfg = json_shape(_load_json_file(args.config), dict, args.config, ("algebra", "u", "v_span"),
+                         allowed=("fhat_span",))
         algebra = MatrixBlockAlgebra.from_json(cfg["algebra"])
         u = AlgebraElement.from_json(algebra, cfg["u"])
         v_span = [AlgebraElement.from_json(algebra, e) for e in json_shape(cfg["v_span"], list, "'v_span'")]
@@ -571,6 +562,9 @@ def run(argv) -> int:
         return exc.code
     except (AlgebraError, MeasureError, FockError, AvitzourConditionError, ValueError) as exc:
         sys.stderr.write(f"error: {exc}\n")
+        return USAGE_ERROR
+    except OverflowError as exc:  # a number beyond the float range, where a float meets it
+        sys.stderr.write(f"error: number too large: {exc.args[-1] if exc.args else exc}\n")
         return USAGE_ERROR
     except MemoryError as exc:
         # numpy's _ArrayMemoryError says what it could not allocate

@@ -247,11 +247,7 @@ class FreeElement:
         )
         return FreeElement._of(self.ambient, accumulate({}, _merged_terms(products)))
 
-    def __rmul__(self, other):
-        s = as_scalar(other)
-        return FreeElement._of(
-            self.ambient, accumulate({}, ((w, s * c) for w, c in self.terms.items()))
-        )
+    __rmul__ = __mul__  # reached only with a scalar on the left; c * s has the bits of s * c
 
     def adjoint(self) -> "FreeElement":
         return FreeElement._of(self.ambient, {

@@ -20,7 +20,7 @@ from math import comb
 
 import numpy as np
 
-from .algebra import json_number, json_shape
+from .algebra import json_form, json_number, json_shape
 from .scalars import agree, exact_sqrt, negligible
 
 __all__ = [
@@ -157,7 +157,8 @@ class CompactMeasure:
     # -- JSON ---------------------------------------------------------------
     @classmethod
     def from_json(cls, data) -> "CompactMeasure":
-        json_shape(data, dict, "measure JSON", error=MeasureError)
+        json_form(data, "measure JSON",
+                  ((("builtin",), ()), (("atoms",), ("weights",)), (("support", "moments"), ())), MeasureError)
         if "builtin" in data:
             return cls.builtin(str(data["builtin"]))
         if "atoms" in data:
@@ -166,8 +167,6 @@ class CompactMeasure:
             if ws is not None:
                 ws = [_number_from_json(w) for w in json_shape(ws, list, "'weights'", error=MeasureError)]
             return cls.uniform_atoms(pts, ws)
-        if "moments" not in data or "support" not in data:
-            raise MeasureError("measure JSON needs 'builtin' or 'support'+'moments'")
         moments = [_number_from_json(v) for v in json_shape(data["moments"], list, "'moments'", error=MeasureError)]
         support = json_shape(data["support"], list, "'support'", error=MeasureError)
         if len(support) != 2:

@@ -644,22 +644,11 @@ def classify_abelian(weights_a, weights_b) -> Classification:
 
 
 def _validated_weights(weights, side):
-    out = []
-    for w in weights:
-        if isinstance(w, (int, Fraction)):
-            w = Fraction(w)
-        elif isinstance(w, QC):
-            if w.im != 0:
-                raise AlgebraError(f"weights of {side} must be real")
-            w = w.re
-        else:
-            w = float(w)
-        if w <= 0:
-            raise AlgebraError(f"weights of {side} must be positive")
-        out.append(w)
-    if not out:
-        raise AlgebraError(f"{side} needs at least one atom")
-    total = sum(out)
-    if not negligible(total - 1):
-        raise AlgebraError(f"weights of {side} sum to {total}, expected 1")
-    return out
+    """The weights of an abelian side as ``MatrixBlockAlgebra.from_weights``
+    reads them, Fractions when exact and floats otherwise; its refusals name
+    the side."""
+    try:
+        ws = MatrixBlockAlgebra.from_weights(weights).weights()
+    except AlgebraError as exc:
+        raise AlgebraError(f"weights of {side}: {exc}") from None
+    return [w.re if type(w) is QC else w.real for w in ws]

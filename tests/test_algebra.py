@@ -499,6 +499,54 @@ def test_state_is_cached_on_the_element():
         assert _bits(state(fresh)) == _bits(s) == _bits(_reference_state(x))
 
 
+def _reference_op_norm(x):
+    """The per-block loop: the largest of the per-block roots."""
+    best = 0.0
+    for b in x.blocks:
+        a = _algebra_module._mat_to_numpy(b)
+        h = a.conj().T @ a
+        h = 0.5 * (h + h.conj().T)
+        lam = max(float(np.linalg.eigvalsh(h)[-1]), 0.0)
+        best = max(best, math.sqrt(lam))
+    return best
+
+
+def _reference_dn_norm(vectors):
+    """The Gram sums, then one root of the largest clamped top eigenvalue."""
+    acc = [np.zeros((n, n), dtype=complex) for n in vectors[0].owner.block_dims]
+    for v in vectors:
+        for i, b in enumerate(v.to_numpy()):
+            acc[i] += b @ b.conj().T
+    best = 0.0
+    for h in acc:
+        h = 0.5 * (h + h.conj().T)
+        best = max(best, max(float(np.linalg.eigvalsh(h)[-1]), 0.0))
+    return math.sqrt(best)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(_ALGEBRAS).flatmap(lambda make: st.lists(_elements(make()), min_size=1, max_size=4)))
+def test_op_norm_and_dn_norm_keep_the_bits_of_their_own_loops(vectors):
+    # exact, float and mixed elements; two of the algebras have a non-diagonal density
+    assert [_bits(op_norm(v)) for v in vectors] == [_bits(_reference_op_norm(v)) for v in vectors]
+    assert _bits(dn_norm(vectors)) == _bits(_reference_dn_norm(vectors))
+
+
+def test_op_norm_and_dn_norm_of_zero_are_zero():
+    for make in _ALGEBRAS:
+        zero = make().scalar(0) * 0.0
+        assert _bits(op_norm(zero)) == _bits(_reference_op_norm(zero)) == (float, "0.0")
+        assert _bits(dn_norm([zero])) == _bits(_reference_dn_norm([zero])) == (float, "0.0")
+
+
+def test_scalar_products_of_an_element_agree_on_both_sides():
+    rng = np.random.default_rng(7)
+    for make in _ALGEBRAS:
+        for x in (random_rational_element(make(), rng), random_rational_element(make(), rng) * 0.3):
+            for s in (2, Fraction(1, 3), QC(1, -2), 0.5 - 0.25j):
+                assert _element_bits(s * x) == _element_bits(x * s)
+
+
 # parts whose numerator and denominator both exceed 2**1100
 _huge = st.builds(lambda n, d, neg: Fraction(-n if neg else n, d),
                   st.integers(2**1100, 2**1200), st.integers(2**1100, 2**1200), st.booleans())

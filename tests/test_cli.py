@@ -1,6 +1,7 @@
 """CLI behavior: grammar, outputs, determinism, exit codes."""
 
 import copy
+import importlib.util
 import json
 import os
 import pathlib
@@ -61,6 +62,16 @@ def test_classify_abelian_json(tmp_path):
 
 def test_classify_abelian_bad_weights_exit_2():
     assert run(["classify-abelian", "--a", "0.7,0.6", "--b", "0.5,0.5"]) == 2
+
+
+@pytest.mark.parametrize("a, b, message", [
+    ("0.7,0.6", "0.5,0.5", "weights of A: density traces sum to 13/10, expected 1"),
+    ("1/2,1/2,0", "0.5,0.5", "weights of A: density of block 2 is not positive definite (state not faithful)"),
+    ("1/2,1/2", "1/3,1/3", "weights of B: density traces sum to 2/3, expected 1"),
+], ids=["sum", "zero-atom", "side-B"])
+def test_classify_abelian_refusals_are_the_algebra_errors_of_the_side(capsys, a, b, message):
+    assert run(["classify-abelian", "--a", a, "--b", b]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 def test_classify_abelian_weight_with_a_zero_denominator_exits_2(capsys):
@@ -276,6 +287,93 @@ def test_exact_numbers_too_large_for_a_float_exit_2(tmp_path, capsys, command, m
             "--element", str(element), "--out", str(tmp_path / "out.csv")]
     assert run(argv) == 2
     assert capsys.readouterr().err == message
+
+
+_C2_LETTER = {"factor": 0, "elem": [[["1"]], [["-1"]]]}
+
+
+@pytest.mark.parametrize("command, document", [
+    ("rd-certify", {"measure": {"atoms": [0, 1, 1e308, 3]}}),
+    ("rd-certify", {"measure": {"support": ["1e999", 1], "moments": [1, 0, "1/3", 0, "1/5", 0, "1/7", 0]}}),
+    ("free-moments", {"terms": [{"coeff": ["1", 1e308], "word": [_C2_LETTER]}]}),
+    ("norm-estimate", {"terms": [{"coeff": ["1", 1e308], "word": [_C2_LETTER]}]}),
+], ids=["atom-power", "support-end", "free-moments", "norm-estimate"])
+def test_numbers_beyond_the_float_range_exit_2(tmp_path, capsys, command, document):
+    path = _write(tmp_path, "input.json", document)
+    if command == "rd-certify":
+        argv = [command, "--space", path]
+    else:
+        argv = [command, "--factors", _write(tmp_path, "factors.json", _C2_C3), "--element", path]
+    assert run(argv + ["--out", str(tmp_path / "out.csv")]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: number too large: "), err
+    assert not (tmp_path / "out.csv").exists()
+
+
+def test_a_misspelt_measure_key_exits_2_and_is_named(tmp_path, capsys):
+    # read as the uniform measure, the space printed C_1 = 1.6733200530681511 where the weights give 2.0
+    space = {"measure": {"atoms": [0, 1, 2, 3], "wieghts": ["1/2", "1/6", "1/6", "1/6"]}}
+    assert run(["rd-certify", "--space", _write(tmp_path, "space.json", space), "--max-n", "3"]) == 2
+    assert capsys.readouterr().err == "error: measure JSON takes no 'wieghts'\n"
+
+
+_CONFIG = {"algebra": {"atoms": ["1/2", "1/2"]}, "u": [[["1"]], [["-1"]]], "v_span": [[[["1"]], [["-1"]]]]}
+
+# (subcommand, file option, document, what the message names): one key no
+# loader defines in each object the CLI reads, then a mix of two forms
+_UNKNOWN_OR_MIXED = [
+    pytest.param("rd-certify", "--space", {"algebra": {"atoms": ["1/2", "1/2"], "note": 1}},
+                 "algebra JSON takes no 'note'", id="algebra"),
+    pytest.param("rd-certify", "--space", {"algebra": {"blocks": [dict(_M2["blocks"][0], dims=2)]}},
+                 "a block with density takes no 'dims'", id="block"),
+    pytest.param("rd-certify", "--space", {"measure": {"builtin": "semicircle", "name": "x"}},
+                 "measure JSON takes no 'name'", id="measure"),
+    pytest.param("rd-certify", "--space", {"free_product": _C2_C3["factors"], "seed": 3}, "takes no 'seed'",
+                 id="space"),
+    pytest.param("fock-dim", "--factors", dict(_C2_C3, depth=3),
+                 "free product JSON with factors takes no 'depth'", id="factors"),
+    pytest.param("free-moments", "--element", {"terms": [], "scale": 2},
+                 "element JSON with terms takes no 'scale'", id="element"),
+    pytest.param("free-moments", "--element", {"terms": [{"coeff": ["1", "0"], "word": [], "power": 2}]},
+                 "a term with coeff, word takes no 'power'", id="term"),
+    pytest.param("free-moments", "--element",
+                 {"terms": [{"coeff": ["1", "0"], "word": [dict(_C2_LETTER, adjoint=True)]}]},
+                 "a letter with factor, elem takes no 'adjoint'", id="letter"),
+    pytest.param("orthogonality-check", "--config", dict(_CONFIG, fhat=[]),
+                 "with algebra, u, v_span takes no 'fhat'", id="config"),
+    pytest.param("rd-certify", "--space", {"algebra": {"atoms": ["1/2", "1/2"], "blocks": [_M2["blocks"][0]]}},
+                 "algebra JSON with atoms takes no 'blocks'", id="atoms-and-blocks"),
+    pytest.param("rd-certify", "--space", {"measure": {"builtin": "semicircle", "support": [0, 1]}},
+                 "measure JSON with builtin takes no 'support'", id="builtin-and-support"),
+    pytest.param("rd-certify", "--space", {"measure": {"atoms": [0, 1], "support": [0, 1], "moments": [1]}},
+                 "measure JSON with atoms takes no 'support', 'moments'", id="atoms-and-moments"),
+    pytest.param("rd-certify", "--space", {"measure": {"support": [-1, 1], "moments": [1], "weights": [1]}},
+                 "measure JSON with support, moments takes no 'weights'", id="weights-without-atoms"),
+    pytest.param("rd-certify", "--space", {"measure": {"builtin": "cosine"}, "algebra": {"atoms": [1]}},
+                 "with measure takes no 'algebra'", id="two-spaces"),
+    pytest.param("rd-certify", "--space", {"measure": {}},
+                 "measure JSON needs 'builtin' or 'atoms' or 'support'", id="no-form"),
+]
+
+
+@pytest.mark.parametrize("command, option, document, message", _UNKNOWN_OR_MIXED)
+def test_json_objects_refuse_keys_they_do_not_define(tmp_path, capsys, command, option, document, message):
+    argv = [command, option, _write(tmp_path, "input.json", document)]
+    if command == "free-moments":
+        argv += ["--factors", _write(tmp_path, "factors.json", _C2_C3)]
+    assert run(argv) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and err[0].endswith(message), err
+
+
+def test_the_benchmark_space_document_loads(tmp_path):
+    # the document the certify workload of perfbench/workloads.py writes
+    path = pathlib.Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    space = _write(tmp_path, "c2c3.json", workloads.Certify.FREE_PRODUCT)
+    assert run(["rd-certify", "--space", space, "--max-n", "3"]) == 0
 
 
 # valid inputs whose mutations the fuzz test below feeds to the CLI

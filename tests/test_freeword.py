@@ -85,6 +85,15 @@ def test_alternating_centered_word_is_fixed_by_normalize():
     assert normalize(x) == x
 
 
+@pytest.mark.parametrize("s", [3, Fraction(-2, 5), QC(1, Fraction(1, 3)), 0.75 - 1.5j], ids=repr)
+def test_a_scalar_product_has_the_same_terms_on_either_side(s):
+    # complex products are symmetric bit for bit, and a QC meets a complex as complex(q)
+    amb = _ambient_m2_c3()
+    x = random_word_element(amb, 3, np.random.default_rng(4), n_terms=4)
+    for y in (x, x * (0.1 + 0.2j)):  # exact, then float coefficients
+        assert [(w, repr(c)) for w, c in (s * y).terms.items()] == [(w, repr(c)) for w, c in (y * s).terms.items()]
+
+
 def test_multilinear_centering_expansion_by_hand():
     amb = _ambient_m2_c3()
     rng = np.random.default_rng(2)

@@ -188,14 +188,14 @@ def test_integer_powers_stay_exact():
     assert type(root) is complex and root == 2
 
 
-def _loaders_accept(weights):
-    """Whether each loader of float atom weights accepts the list."""
+def _loaders_accept(weights, loaders=3):
+    """Whether each of the first ``loaders`` loaders of atom weights accepts the list."""
     out = []
     for load, error in (
         (lambda w: classify_abelian(w, [0.5, 0.5]), AlgebraError),
         (MatrixBlockAlgebra.from_weights, AlgebraError),
         (lambda w: CompactMeasure.uniform_atoms(list(range(len(w))), w), MeasureError),
-    ):
+    )[:loaders]:
         try:
             load(weights)
             out.append(True)
@@ -212,6 +212,31 @@ def test_weight_loaders_share_the_sum_to_one_rule(offset, accepted):
     # weights that sum to 1 are still refused with an atom of weight <= 0
     assert _loaders_accept([0.5, 0.5, 0.0]) == [False] * 3
     assert _loaders_accept([0.75, 0.5, -0.25]) == [False] * 3
+    assert _loaders_accept([]) == [False] * 3
+    # a measure on points takes no complex weight; the two algebra loaders refuse it
+    assert _loaders_accept([QC(Fraction(1, 2), 1), QC(Fraction(1, 2), -1)], loaders=2) == [False] * 2
+
+
+@pytest.mark.parametrize("weights", [
+    [Fraction(1, 2), Fraction(1, 2)], [0.25, 0.75], [QC(Fraction(1, 3)), Fraction(2, 3)], [1],
+    [], [Fraction(1, 2)], [Fraction(3, 2), Fraction(-1, 2)], [QC(Fraction(1, 2), 1), QC(Fraction(1, 2), -1)],
+    [0.5 + 0.5j, 0.5 - 0.5j], [0.5, 0.5, 0.0], [math.nan, 1.0], [0.7, 0.6],
+], ids=repr)
+def test_classify_abelian_refuses_what_the_algebra_refuses_and_names_the_side(weights):
+    def raised(load):
+        try:
+            load()
+        except (AlgebraError, ValueError) as exc:
+            return type(exc), str(exc)
+        return None
+
+    want = raised(lambda: MatrixBlockAlgebra.from_weights(weights))
+    half = [Fraction(1, 2), Fraction(1, 2)]
+    got = raised(lambda: classify_abelian(weights, half)), raised(lambda: classify_abelian(half, weights))
+    if want is None or want[0] is ValueError:  # accepted, or a non-finite scalar before any rule
+        assert got == (want, want)
+    else:
+        assert got == ((AlgebraError, f"weights of A: {want[1]}"), (AlgebraError, f"weights of B: {want[1]}"))
 
 
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, complex(1, math.nan),
