@@ -28,8 +28,8 @@ from fractions import Fraction
 import numpy as np
 
 from .scalars import (
-    QC, QC_ONE, QC_ZERO, QCMatrix, as_scalar, conj, exact_block, exact_sqrt, negligible,
-    trace_product,
+    QC, QC_ONE, QC_ZERO, QCMatrix, as_scalar, conj, exact_block, negligible, trace_product,
+    unit_scale,
 )
 
 __all__ = [
@@ -301,10 +301,21 @@ class MatrixBlockAlgebra:
         for blk in json_shape(data["blocks"], list, "'blocks'"):
             json_shape(blk, dict, "a block", ("density",), allowed=("dim",))
             d = _matrix_from_json(blk["density"])
-            if "dim" in blk and blk["dim"] != len(d):
+            if "dim" in blk and (type(blk["dim"]) is not int or blk["dim"] != len(d)):
                 raise AlgebraError("declared block dim does not match density shape")
             dens.append(d)
         return cls(dens)
+
+
+def atom_weights(weights, what: str, error=AlgebraError) -> list:
+    """The weights as ``MatrixBlockAlgebra.from_weights`` reads them,
+    Fractions when exact and floats otherwise; its refusals raise ``error``
+    with ``what`` before the algebra's message."""
+    try:
+        ws = MatrixBlockAlgebra.from_weights(weights).weights()
+    except AlgebraError as exc:
+        raise error(f"{what}: {exc}") from None
+    return [w.re if type(w) is QC else w.real for w in ws]
 
 
 def _scalar_to_json(s):
@@ -372,9 +383,10 @@ def json_form(value, what: str, forms, error=AlgebraError):
 
 def json_number(v, kind=Fraction, error=AlgebraError):
     """kind(v), kind Fraction or float, for an int, a float or a string such
-    as "3/5"; any other value, "1/0" and values out of range raise ``error``."""
+    as "3/5"; any other value (a bool too), "1/0" and values out of range
+    raise ``error``."""
     try:
-        if isinstance(v, (int, float, str)):
+        if isinstance(v, (int, float, str)) and not isinstance(v, bool):
             return kind(v)
     except (ValueError, ZeroDivisionError, OverflowError):
         pass
@@ -600,11 +612,7 @@ def gram_schmidt(vectors):
             n2 = max(nn.re, Fraction(0))
             if negligible(n2):
                 continue
-            root = exact_sqrt(n2)
-            if root is not None:
-                basis.append(w * QC(Fraction(1) / root))
-            else:
-                basis.append(w * (1.0 / math.sqrt(float(n2))))
+            basis.append(w * unit_scale(n2))
         else:
             norm = math.sqrt(max(nn.real, 0.0))
             if negligible(norm):

@@ -20,15 +20,14 @@ from math import comb
 
 import numpy as np
 
-from .algebra import json_form, json_number, json_shape
-from .scalars import agree, exact_sqrt, negligible
+from .algebra import atom_weights, json_form, json_number, json_shape
+from .scalars import agree, negligible, unit_scale
 
 __all__ = [
     "MeasureError",
     "AtomicMeasureError",
     "CompactMeasure",
     "OrthoPolySequence",
-    "ortho_polys",
     "sup_norm",
 ]
 
@@ -115,22 +114,15 @@ class CompactMeasure:
 
     @classmethod
     def uniform_atoms(cls, points, weights=None) -> "CompactMeasure":
-        """Finitely supported measure; weights default to uniform."""
+        """Finitely supported measure; weights default to uniform, and given
+        weights take the algebra's rule (``algebra.atom_weights``)."""
         pts = [Fraction(p) if not isinstance(p, float) else p for p in points]
         n = len(pts)
         if n == 0:
             raise MeasureError("need at least one atom")
-        if weights is None:
-            ws = [Fraction(1, n)] * n
-        else:
-            ws = [Fraction(w) if not isinstance(w, float) else w for w in weights]
-            if len(ws) != n:
-                raise MeasureError(f"{n} atoms but {len(ws)} weights")
-            if any(w <= 0 for w in ws):
-                raise MeasureError("atom weights must be positive")
-        total = sum(ws)
-        if not negligible(total - 1):
-            raise MeasureError("atom weights must sum to 1")
+        if weights is not None and len(weights) != n:
+            raise MeasureError(f"{n} atoms but {len(weights)} weights")
+        ws = [Fraction(1, n)] * n if weights is None else atom_weights(weights, "atom weights", MeasureError)
         lo, hi = min(pts, key=float), max(pts, key=float)
         if float(lo) == float(hi):
             lo, hi = lo - 1, hi + 1
@@ -197,19 +189,20 @@ def _number_from_json(v):
 
 
 class OrthoPolySequence:
-    """Monic three-term recurrence pi_{k+1} = (t - alpha_k) pi_k - beta_k pi_{k-1}.
+    """The table of p_0..p_n for a measure: the n + 1 pairs (alpha_k, beta_k)
+    of its monic recurrence pi_{k+1} = (t - alpha_k) pi_k - beta_k pi_{k-1},
+    computed once, with their floats, and not changed after.
 
     ``beta[0]`` holds m_0 = 1 so that the orthonormal normalizers are
     ||pi_k||_2^2 = beta_0 ... beta_k.  Coefficients are exact Fractions when
-    the moments are, or closed forms for a Jacobi measure; extension is lazy.
+    the moments are, or closed forms for a Jacobi measure.
     """
 
-    def __init__(self, measure: CompactMeasure):
+    def __init__(self, measure: CompactMeasure, n: int):
         self.measure = measure
-        self._alpha: list = []
-        self._beta: list = []
-        # (float(alpha_k), sqrt(float(beta_k))), converted once per extend
-        self._floats: list = []
+        recurrence = _chebyshev_algorithm if measure.jacobi is None else _jacobi_recurrence
+        self._alpha, self._beta = recurrence(measure, n + 1)
+        self._floats = [(float(a), math.sqrt(float(b))) for a, b in zip(self._alpha, self._beta)]
 
     @property
     def exact(self) -> bool:
@@ -217,18 +210,9 @@ class OrthoPolySequence:
             isinstance(b, Fraction) for b in self._beta
         )
 
-    def extend(self, n: int) -> None:
-        """Ensure recurrence coefficients alpha_0..alpha_{n-1} exist."""
-        if len(self._alpha) >= n:
-            return
-        recurrence = _chebyshev_algorithm if self.measure.jacobi is None else _jacobi_recurrence
-        self._alpha, self._beta = recurrence(self.measure, n)
-        self._floats = [(float(a), math.sqrt(float(b))) for a, b in zip(self._alpha, self._beta)]
-
     # -- coefficient access ------------------------------------------------
     def monic_coefficients(self, n: int):
         """Coefficient list (ascending powers) of the monic pi_n; exact."""
-        self.extend(max(n, 1))
         prev = [Fraction(1)]
         if n == 0:
             return prev
@@ -246,19 +230,12 @@ class OrthoPolySequence:
 
     def orthonormal_coefficients(self, n: int):
         """Coefficients of p_n = pi_n / ||pi_n||_2; exact if the norm is a
-        rational square, floats otherwise."""
-        mono = self.monic_coefficients(n)
-        n2 = self.norm_squared(n)
-        if isinstance(n2, Fraction):
-            root = exact_sqrt(n2)
-            if root is not None:
-                return [c / root for c in mono]
-        scale = 1.0 / math.sqrt(float(n2))
-        return [float(c) * scale for c in mono]
+        rational square, floats otherwise (``scalars.unit_scale``)."""
+        scale = unit_scale(self.norm_squared(n))
+        return [c * scale for c in self.monic_coefficients(n)]
 
     def norm_squared(self, n: int):
         """||pi_n||_2^2 = beta_0 beta_1 ... beta_n."""
-        self.extend(n + 1)
         acc = self._beta[0]
         for k in range(1, n + 1):
             acc = acc * self._beta[k]
@@ -274,7 +251,6 @@ class OrthoPolySequence:
 
     def _orthonormal_rows(self, n: int, ts):
         """Yield p_0(ts), ..., p_n(ts) for a float array ``ts``."""
-        self.extend(n + 1)
         p_prev, p_cur = None, np.ones_like(ts)  # p_0 = 1 (beta_0 = 1)
         yield p_cur
         for k in range(n):
@@ -373,13 +349,6 @@ def _jacobi_recurrence(measure: CompactMeasure, n: int):
     return alpha, beta
 
 
-def ortho_polys(measure: CompactMeasure, n: int) -> OrthoPolySequence:
-    """Orthonormal polynomial sequence of mu, extended through degree n."""
-    seq = OrthoPolySequence(measure)
-    seq.extend(max(n, 1))
-    return seq
-
-
 # ---------------------------------------------------------------------------
 # sup-norm estimation
 # ---------------------------------------------------------------------------
@@ -412,20 +381,30 @@ def sup_norm_poly(seq: OrthoPolySequence, n: int) -> float:
     return sup_norm(lambda ts: seq.orthonormal_values(n, ts)[n], seq.measure.support, n)
 
 
+def _christoffel_sums(seq: OrthoPolySequence, n: int, ts):
+    """Yield K_0(ts), ..., K_n(ts), K_k = K_{k-1} + p_k^2 summed from int 0
+    in degree order: the one running sum that both Christoffel reads take."""
+    sums = 0
+    for p in seq._orthonormal_rows(n, ts):
+        sums = sums + p * p
+        yield sums
+
+
 def christoffel_sup(seq: OrthoPolySequence, n: int) -> float:
     """The degree-n filtration constant C_n = sup_t K_n(t)^(1/2) of the
     measure, K_n = sum_{k<=n} p_k^2, estimated from below by the maximum over
     the Chebyshev-Lobatto grid of ``sup_norm``: its float, as sqrt is
     monotone and the squares are summed in degree order.  Measures with
     Jacobi parameters peak at an end instead (``christoffel_ends``)."""
-    squares = sum(p * p for p in seq._orthonormal_rows(n, _lobatto_grid(seq.measure.support, n)))
+    for squares in _christoffel_sums(seq, n, _lobatto_grid(seq.measure.support, n)):
+        pass
     return math.sqrt(float(np.max(squares)))
 
 
 def christoffel_ends(seq: OrthoPolySequence, n: int) -> list:
     """[C_0, ..., C_n] for a measure with Jacobi parameters: sqrt of the
-    larger of K_k(a) and K_k(b), with K_k = K_{k-1} + p_k^2 summed in one
-    pass of the float recurrence at the two end points of the grid.
+    larger of K_k(a) and K_k(b), every level from one pass of the running
+    sum of ``christoffel_sup`` at the two end points of the grid.
 
     Szegő, *Orthogonal Polynomials*, Thm 7.32.1: for alpha, beta > -1 and
     q = max(alpha, beta) >= -1/2, max over [-1, 1] of |P_k^(alpha, beta)|
@@ -437,8 +416,4 @@ def christoffel_ends(seq: OrthoPolySequence, n: int) -> list:
     the grid holds both end points and every point runs the same float64
     operations."""
     ends = _on_interval(seq.measure.support, np.array([-1.0, 1.0]))
-    sums, out = 0, []
-    for p in seq._orthonormal_rows(n, ends):
-        sums = sums + p * p
-        out.append(math.sqrt(float(np.max(sums))))
-    return out
+    return [math.sqrt(float(np.max(sums))) for sums in _christoffel_sums(seq, n, ends)]

@@ -30,6 +30,7 @@ from .algebra import (
     AlgebraError,
     MatrixBlockAlgebra,
     _mat_to_numpy,
+    atom_weights,
     dn_norm,
     gram_schmidt,
     l2_inner,
@@ -45,7 +46,7 @@ from .freeword import (
     check_avitzour_conditions,
     residual_size,
 )
-from .measure import christoffel_ends, christoffel_sup, ortho_polys
+from .measure import OrthoPolySequence, christoffel_ends, christoffel_sup
 from .scalars import QC, agree, negligible
 
 # _newton_phases: stop when every |constraint| < _NEWTON_STOP, or after _NEWTON_STEPS
@@ -196,12 +197,12 @@ class MeasureDegreeFiltration(Filtration):
         return n + 1
 
     def level_onb(self, n: int):
-        seq = ortho_polys(self.measure, n + 1)
+        seq = OrthoPolySequence(self.measure, n)
         return [seq.orthonormal_coefficients(k) for k in range(n + 1)]
 
     def _level_constants(self, levels) -> list:
-        """C_n of each level n >= 1, from one sequence through the top level."""
-        seq = ortho_polys(self.measure, max(levels) + 1)
+        """C_n of each level n >= 1, from one table through the top level."""
+        seq = OrthoPolySequence(self.measure, max(levels))
         if self.measure.jacobi is None:
             method, sups = "christoffel-grid", {n: christoffel_sup(seq, n) for n in levels}
         else:
@@ -624,8 +625,8 @@ def classify_abelian(weights_a, weights_b) -> Classification:
     together weigh strictly less than 1; otherwise the failing clauses are
     reported with witnesses.
     """
-    wa = _validated_weights(weights_a, "A")
-    wb = _validated_weights(weights_b, "B")
+    wa = atom_weights(weights_a, "weights of A")
+    wb = atom_weights(weights_b, "weights of B")
     m, n = len(wa), len(wb)
     max_a, max_b = max(wa), max(wb)
     reasons = []
@@ -641,14 +642,3 @@ def classify_abelian(weights_a, weights_b) -> Classification:
         witnesses["atoms"] = (wa.index(max_a), wb.index(max_b))
         witnesses["heavy_sum"] = heavy
     return Classification(selfless=not reasons, reasons=reasons, witnesses=witnesses)
-
-
-def _validated_weights(weights, side):
-    """The weights of an abelian side as ``MatrixBlockAlgebra.from_weights``
-    reads them, Fractions when exact and floats otherwise; its refusals name
-    the side."""
-    try:
-        ws = MatrixBlockAlgebra.from_weights(weights).weights()
-    except AlgebraError as exc:
-        raise AlgebraError(f"weights of {side}: {exc}") from None
-    return [w.re if type(w) is QC else w.real for w in ws]

@@ -465,18 +465,11 @@ def root_down(value, k: int) -> float:
     return t
 
 
-def exact_sqrt(fr: Fraction):
-    """Square root of a nonnegative Fraction if it is again rational, else None."""
-    if fr < 0:
-        raise ValueError("negative radicand")
-    num, den = fr.numerator, fr.denominator
-    rn = _isqrt_exact(num)
-    rd = _isqrt_exact(den)
-    if rn is None or rd is None:
-        return None
-    return Fraction(rn, rd)
-
-
-def _isqrt_exact(n: int):
-    r = math.isqrt(n)
-    return r if r * r == n else None
+def unit_scale(n2):
+    """1 / sqrt(n2) for a squared norm n2 > 0: a Fraction when n2 is a
+    rational square, else the float 1.0 / math.sqrt(float(n2))."""
+    if isinstance(n2, Fraction):
+        rn, rd = math.isqrt(n2.numerator), math.isqrt(n2.denominator)
+        if rn * rn == n2.numerator and rd * rd == n2.denominator:
+            return Fraction(rd, rn)
+    return 1.0 / math.sqrt(float(n2))

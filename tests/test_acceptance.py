@@ -38,7 +38,7 @@ from freedecay.khintchine import (
     sr_hs_norm,
     weak_cs_bound,
 )
-from freedecay.measure import CompactMeasure, ortho_polys, sup_norm_poly
+from freedecay.measure import CompactMeasure, OrthoPolySequence, sup_norm_poly
 from freedecay.rdcert import MeasureDegreeFiltration, classify_abelian, rd_report
 
 
@@ -53,7 +53,7 @@ def _report(criterion: str, ok: bool, detail: str):
 
 
 def test_criterion_01_chebyshev_bound():
-    seq = ortho_polys(CompactMeasure.semicircle(), 51)
+    seq = OrthoPolySequence(CompactMeasure.semicircle(), 51)
     worst_low, worst_high = 0.0, 0.0
     for n in range(1, 51):
         est = float(sup_norm_poly(seq, n))
@@ -88,7 +88,7 @@ def test_criterion_01_chebyshev_bound():
 
 
 def test_criterion_02_legendre_bound():
-    seq = ortho_polys(CompactMeasure.lebesgue(), 51)
+    seq = OrthoPolySequence(CompactMeasure.lebesgue(), 51)
     worst_q = 0.0
     worst_p = 0.0
     for n in range(1, 51):

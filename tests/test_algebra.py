@@ -25,7 +25,7 @@ from freedecay.algebra import (
 )
 from freedecay.compressed import _by_value
 from freedecay.freeword import FreeElement, FreeProductAmbient
-from freedecay.scalars import QC, QCMatrix
+from freedecay.scalars import QC, QCMatrix, negligible
 
 
 def m2_tr():
@@ -410,6 +410,43 @@ def _reference_state(x):
 
 def _element_bits(x):
     return [[[_bits(v) for v in row] for row in b] for b in x.blocks]
+
+
+def _reference_gram_schmidt(vectors):
+    """Gram-Schmidt with its own rational square root test and 1 / root as a
+    QC, as it was before ``scalars.unit_scale`` gave the scale."""
+    basis = []
+    for v in vectors:
+        w = v
+        for b in basis:
+            w = w - b * l2_inner(w, b)
+        nn = l2_inner(w, w)
+        if isinstance(nn, QC):
+            n2 = max(nn.re, Fraction(0))
+            if negligible(n2):
+                continue
+            rn, rd = math.isqrt(n2.numerator), math.isqrt(n2.denominator)
+            if rn * rn == n2.numerator and rd * rd == n2.denominator:
+                basis.append(w * QC(Fraction(1) / Fraction(rn, rd)))
+            else:
+                basis.append(w * (1.0 / math.sqrt(float(n2))))
+        else:
+            norm = math.sqrt(max(nn.real, 0.0))
+            if negligible(norm):
+                continue
+            basis.append(w * (1.0 / norm))
+    return basis
+
+
+@pytest.mark.parametrize("make", [
+    m2_tr, lambda: MatrixBlockAlgebra.from_weights([Fraction(1, 3)] * 3),
+    lambda: MatrixBlockAlgebra.from_weights([Fraction(1, 2), Fraction(1, 3), Fraction(1, 6)]),
+    lambda: MatrixBlockAlgebra.from_weights([Fraction(1, 4)] * 4), _m3_non_diagonal, c3_weighted, _m2_float_state,
+], ids=["m2-tr", "c3-uniform", "c3-weighted", "c4-uniform", "m3-rotated", "c3-3/5", "m2-float"])
+def test_onb_complement_keeps_the_bits_of_its_own_square_root_test(make):
+    algebra = make()
+    want = _reference_gram_schmidt([algebra.identity()] + algebra.basis())[1:]
+    assert [_element_bits(x) for x in onb_complement(algebra)] == [_element_bits(x) for x in want]
 
 
 @settings(max_examples=150, deadline=None)

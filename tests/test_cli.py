@@ -310,6 +310,38 @@ def test_numbers_beyond_the_float_range_exit_2(tmp_path, capsys, command, docume
     assert not (tmp_path / "out.csv").exists()
 
 
+_MOMENTS01 = [1, "1/2", "1/3", "1/4", "1/5", "1/6", "1/7", "1/8"]
+
+
+@pytest.mark.parametrize("command, document, message", [
+    ("rd-certify", {"algebra": {"atoms": [True]}}, "bad number in JSON: True"),
+    ("rd-certify", {"algebra": {"blocks": [{"density": [["1/2", 0], [False, "1/2"]]}]}},
+     "bad number in JSON: False"),
+    ("rd-certify", {"measure": {"atoms": [0, True, 2]}}, "bad number in JSON: True"),
+    ("rd-certify", {"measure": {"atoms": [0, 1], "weights": [True, 0]}}, "bad number in JSON: True"),
+    ("rd-certify", {"measure": {"support": [False, 1], "moments": _MOMENTS01}}, "bad number in JSON: False"),
+    ("rd-certify", {"measure": {"support": [0, 1], "moments": [True] + _MOMENTS01[1:]}},
+     "bad number in JSON: True"),
+    ("free-moments", {"terms": [{"coeff": [True, False], "word": [_C2_LETTER]}]}, "bad number in JSON: True"),
+    ("free-moments", {"terms": [{"coeff": ["1", "0"], "word": [{"factor": 0, "elem": [[[True]], [[-1]]]}]}]},
+     "bad number in JSON: True"),
+    ("rd-certify", {"algebra": {"blocks": [{"dim": True, "density": [[1]]}]}},
+     "declared block dim does not match density shape"),
+    ("rd-certify", {"algebra": {"blocks": [{"dim": 1.0, "density": [[1]]}]}},
+     "declared block dim does not match density shape"),
+], ids=["algebra-atom", "density-entry", "measure-atom", "weight", "support-end", "moment", "coefficient",
+        "payload-entry", "dim-true", "dim-float"])
+def test_json_booleans_are_not_numbers(tmp_path, capsys, command, document, message):
+    # a bool is an int to Python: true read as 1 and false as 0 before
+    path = _write(tmp_path, "input.json", document)
+    if command == "rd-certify":
+        argv = [command, "--space", path, "--max-n", "3"]
+    else:
+        argv = [command, "--factors", _write(tmp_path, "factors.json", _C2_C3), "--element", path]
+    assert run(argv) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 def test_a_misspelt_measure_key_exits_2_and_is_named(tmp_path, capsys):
     # read as the uniform measure, the space printed C_1 = 1.6733200530681511 where the weights give 2.0
     space = {"measure": {"atoms": [0, 1, 2, 3], "wieghts": ["1/2", "1/6", "1/6", "1/6"]}}

@@ -15,7 +15,6 @@ from freedecay.measure import (
     _jacobi_recurrence,
     christoffel_ends,
     christoffel_sup,
-    ortho_polys,
     sup_norm,
     sup_norm_poly,
 )
@@ -59,18 +58,18 @@ def test_from_json_builtin_and_moments():
 
 
 def test_semicircle_p1_is_t():
-    seq = ortho_polys(CompactMeasure.semicircle(), 4)
+    seq = OrthoPolySequence(CompactMeasure.semicircle(), 4)
     assert seq.orthonormal_coefficients(1) == [0, 1]
 
 
 def test_semicircle_p2_by_hand_gram_schmidt():
     # Gram-Schmidt on {1, t, t^2} with moments 1,0,1,0,2 gives t^2 - 1.
-    seq = ortho_polys(CompactMeasure.semicircle(), 4)
+    seq = OrthoPolySequence(CompactMeasure.semicircle(), 4)
     assert seq.orthonormal_coefficients(2) == [-1, 0, 1]
 
 
 def test_lebesgue_p1_is_sqrt3_t():
-    seq = ortho_polys(CompactMeasure.lebesgue(), 4)
+    seq = OrthoPolySequence(CompactMeasure.lebesgue(), 4)
     coeffs = seq.orthonormal_coefficients(1)
     assert coeffs[0] == 0
     assert float(coeffs[1]) == pytest.approx(math.sqrt(3.0), abs=1e-12)
@@ -78,7 +77,7 @@ def test_lebesgue_p1_is_sqrt3_t():
 
 def test_semicircle_recurrence_is_exact_chebyshev_u():
     # alpha_k = 0 and beta_k = 1 exactly: G_{n+1} = t G_n - G_{n-1}.
-    seq = ortho_polys(CompactMeasure.semicircle(), 50)
+    seq = OrthoPolySequence(CompactMeasure.semicircle(), 50)
     assert seq.exact
     alpha, beta = _chebyshev_algorithm(CompactMeasure.semicircle(), 50)
     for k in range(50):
@@ -88,7 +87,7 @@ def test_semicircle_recurrence_is_exact_chebyshev_u():
 
 
 def test_semicircle_recurrence_residual_exact_zero():
-    seq = ortho_polys(CompactMeasure.semicircle(), 12)
+    seq = OrthoPolySequence(CompactMeasure.semicircle(), 12)
     for n in range(1, 11):
         p_prev = seq.monic_coefficients(n - 1)
         p_cur = seq.monic_coefficients(n)
@@ -104,7 +103,7 @@ def test_semicircle_recurrence_residual_exact_zero():
 
 
 def test_lebesgue_recurrence_matches_legendre():
-    seq = ortho_polys(CompactMeasure.lebesgue(), 20)
+    seq = OrthoPolySequence(CompactMeasure.lebesgue(), 20)
     assert seq.exact
     _, beta = _chebyshev_algorithm(CompactMeasure.lebesgue(), 20)
     for k in range(1, 20):
@@ -113,7 +112,7 @@ def test_lebesgue_recurrence_matches_legendre():
 
 def test_orthonormality_via_moment_functional():
     for mu in (CompactMeasure.semicircle(), CompactMeasure.lebesgue(), CompactMeasure.cosine()):
-        seq = ortho_polys(mu, 6)
+        seq = OrthoPolySequence(mu, 6)
         coeffs = [seq.orthonormal_coefficients(k) for k in range(7)]
         for i in range(7):
             for j in range(7):
@@ -127,7 +126,7 @@ def test_orthonormality_via_moment_functional():
 def test_cosine_measure_gives_scaled_chebyshev_t():
     # The generic Stieltjes procedure recovers sqrt(2) T_n for the pushforward
     # measure; sup norm sqrt(2) for every n >= 1.
-    seq = ortho_polys(CompactMeasure.cosine(), 8)
+    seq = OrthoPolySequence(CompactMeasure.cosine(), 8)
     for n in range(1, 8):
         est = sup_norm_poly(seq, n)
         assert float(est) == pytest.approx(math.sqrt(2.0), abs=1e-9)
@@ -135,9 +134,10 @@ def test_cosine_measure_gives_scaled_chebyshev_t():
 
 def test_atom_measure_recurrence_stops_with_typed_error():
     mu = CompactMeasure.uniform_atoms([Fraction(-1), Fraction(0), Fraction(1)])
-    seq = ortho_polys(mu, 3)  # degree 3 needs alpha_0..2: fine for 3 atoms
+    seq = OrthoPolySequence(mu, 2)  # degree 2 needs beta_0..2: fine for 3 atoms
+    assert seq.orthonormal_coefficients(2)[2] > 0
     with pytest.raises(AtomicMeasureError) as exc:
-        ortho_polys(mu, 4)
+        OrthoPolySequence(mu, 3)
     assert exc.value.degree == 3
 
 
@@ -152,26 +152,26 @@ def test_sup_norm_constant():
 
 
 def test_sup_norm_semicircle_g4_is_5():
-    seq = ortho_polys(CompactMeasure.semicircle(), 6)
+    seq = OrthoPolySequence(CompactMeasure.semicircle(), 6)
     est = sup_norm_poly(seq, 4)
     assert float(est) == pytest.approx(5.0, abs=1e-9)
 
 
 def test_sup_norm_legendre_q3_is_sqrt7():
-    seq = ortho_polys(CompactMeasure.lebesgue(), 6)
+    seq = OrthoPolySequence(CompactMeasure.lebesgue(), 6)
     est = sup_norm_poly(seq, 3)
     assert float(est) == pytest.approx(math.sqrt(7.0), abs=1e-9)
 
 
 def test_chebyshev_bound_for_semicircle():
-    seq = ortho_polys(CompactMeasure.semicircle(), 50)
+    seq = OrthoPolySequence(CompactMeasure.semicircle(), 50)
     for n in (1, 7, 25, 50):
         est = sup_norm_poly(seq, n)
         assert n + 1 - 1e-6 <= float(est) <= n + 1
 
 
 def test_legendre_bound():
-    seq = ortho_polys(CompactMeasure.lebesgue(), 50)
+    seq = OrthoPolySequence(CompactMeasure.lebesgue(), 50)
     for n in (1, 10, 50):
         est = sup_norm_poly(seq, n)
         assert float(est) == pytest.approx(math.sqrt(2 * n + 1), abs=1e-6)
@@ -183,14 +183,14 @@ def test_legendre_bound():
 
 
 def test_christoffel_semicircle_sum_of_squares():
-    seq = ortho_polys(CompactMeasure.semicircle(), 12)
+    seq = OrthoPolySequence(CompactMeasure.semicircle(), 12)
     for n in (0, 3, 10):
         want = math.sqrt(sum((k + 1) ** 2 for k in range(n + 1)))
         assert float(christoffel_sup(seq, n)) == pytest.approx(want, abs=1e-9)
 
 
 def test_christoffel_lebesgue_is_nplus1():
-    seq = ortho_polys(CompactMeasure.lebesgue(), 12)
+    seq = OrthoPolySequence(CompactMeasure.lebesgue(), 12)
     for n in (0, 4, 9):
         assert float(christoffel_sup(seq, n)) == pytest.approx(n + 1, abs=1e-9)
 
@@ -222,7 +222,7 @@ def test_single_point_values_match_the_grid_column(measure, degrees):
     a, b = (float(e) for e in measure.support)
     rng = np.random.default_rng(7)
     ts = np.concatenate([np.linspace(a, b, 41), rng.uniform(a, b, 10)])
-    seq = OrthoPolySequence(measure)
+    seq = OrthoPolySequence(measure, max(degrees))
     for n in degrees:
         grid = seq.orthonormal_values(n, ts)
         for i, t in enumerate(ts):
@@ -230,15 +230,37 @@ def test_single_point_values_match_the_grid_column(measure, degrees):
     assert seq.exact == (measure.name != "custom")
 
 
-def test_extend_refreshes_the_float_coefficients():
-    seq = OrthoPolySequence(CompactMeasure.semicircle())
-    seq.extend(4)
-    low = seq.orthonormal_values(3, [0.5])
-    high = seq.orthonormal_values(20, [0.5])
-    alpha, beta = _chebyshev_algorithm(seq.measure, 21)
-    assert seq._floats == [(float(a), math.sqrt(float(b))) for a, b in zip(alpha, beta)]
+def test_tables_of_two_degrees_agree_on_their_shared_rows():
+    measure = CompactMeasure.semicircle()
+    low_seq, high_seq = OrthoPolySequence(measure, 3), OrthoPolySequence(measure, 20)
+    floats = [(seq, seq._floats) for seq in (low_seq, high_seq)]
+    low = low_seq.orthonormal_values(3, [0.5])
+    high = high_seq.orthonormal_values(20, [0.5])
     assert np.array_equal(high[:4], low)
-    assert np.array_equal(high[:, 0], seq.orthonormal_values(20, np.array([0.5, 1.0]))[:, 0])
+    assert np.array_equal(high[:, 0], high_seq.orthonormal_values(20, np.array([0.5, 1.0]))[:, 0])
+    # each table converts its float pairs once, in its constructor
+    for seq, before in floats:
+        alpha, beta = _chebyshev_algorithm(measure, len(before))
+        assert seq._floats is before
+        assert before == [(float(a), math.sqrt(float(b))) for a, b in zip(alpha, beta)]
+    assert high_seq._floats[:4] == low_seq._floats
+
+
+@pytest.mark.parametrize("measure, n", [
+    (CompactMeasure.semicircle(), 0), (CompactMeasure.semicircle(), 40), (CompactMeasure.lebesgue(), 40),
+    (CompactMeasure.builtin("lebesgue01"), 40), (CompactMeasure.cosine(), 40),
+    (CompactMeasure((-1, 1), CompactMeasure.lebesgue().moment), 20),
+    (_float_semicircle(), 29),
+    (CompactMeasure.uniform_atoms([-1, Fraction(1, 3), 2], [Fraction(1, 2), Fraction(1, 3), Fraction(1, 6)]), 2),
+], ids=["semicircle-0", "semicircle", "lebesgue", "lebesgue01", "cosine", "exact-moments", "float-moments",
+        "atoms"])
+def test_a_table_of_degree_n_holds_the_n_plus_1_pairs_of_its_recurrence(measure, n):
+    # repr tells 0.0 from -0.0 and shows the Fraction type of every coefficient
+    recurrence = _chebyshev_algorithm if measure.jacobi is None else _jacobi_recurrence
+    seq = OrthoPolySequence(measure, n)
+    assert len(seq._alpha) == len(seq._beta) == len(seq._floats) == n + 1
+    assert repr((seq._alpha, seq._beta)) == repr(recurrence(measure, n + 1))
+    assert seq.exact == all(isinstance(measure.moment(k), (int, Fraction)) for k in range(2 * n + 2))
 
 
 # ---------------------------------------------------------------------------
@@ -298,7 +320,7 @@ def test_closed_form_recurrences_at_degree_61():
 
 @pytest.mark.parametrize("name", BUILTINS)
 def test_christoffel_sup_equals_the_stacked_formula(name):
-    seq = ortho_polys(CompactMeasure.builtin(name), 61)
+    seq = OrthoPolySequence(CompactMeasure.builtin(name), 61)
     for n in range(1, 61):
 
         def stacked(ts):
@@ -349,8 +371,7 @@ def test_closed_form_recurrence_equals_the_moment_algorithm(measure):
     # repr shows the Fraction type of every coefficient
     want = _chebyshev_algorithm(measure, 100)
     assert repr(_jacobi_recurrence(measure, 100)) == repr(want)
-    seq = OrthoPolySequence(measure)
-    seq.extend(100)
+    seq = OrthoPolySequence(measure, 99)
     assert repr((seq._alpha, seq._beta)) == repr(want) and seq.exact
 
 
@@ -368,7 +389,7 @@ def test_closed_form_recurrence_of_unequal_parameters(support, p, q):
 
 @pytest.mark.parametrize("measure", JACOBI_BUILTINS, ids=JACOBI_IDS)
 def test_end_point_constants_equal_the_grid_bit_for_bit(measure):
-    seq = ortho_polys(measure, 121)
+    seq = OrthoPolySequence(measure, 121)
     ends = christoffel_ends(seq, 120)
     assert ends[0] == 1.0
     assert [christoffel_sup(seq, n) for n in range(1, 121)] == ends[1:]
@@ -378,5 +399,5 @@ def test_end_point_constants_are_the_closed_forms():
     # sqrt of sum (k + 1)^2, of sum (2k + 1) = (n + 1)^2 and of 1 + 2n
     for name, closed in (("semicircle", lambda n: (n + 1) * (n + 2) * (2 * n + 3) / 6),
                          ("lebesgue", lambda n: (n + 1) ** 2), ("cosine", lambda n: 2 * n + 1)):
-        ends = christoffel_ends(ortho_polys(CompactMeasure.builtin(name), 61), 60)
+        ends = christoffel_ends(OrthoPolySequence(CompactMeasure.builtin(name), 61), 60)
         assert ends == pytest.approx([math.sqrt(closed(n)) for n in range(61)], rel=1e-13)

@@ -175,6 +175,24 @@ def test_builtin_degree_filtrations_need_neither_moments_nor_grid(monkeypatch, n
     assert filt.rd_constants([60])[0].upper == report.rows[60][2]
 
 
+@pytest.mark.parametrize("space, recurrence", [
+    ({"builtin": "semicircle"}, "_jacobi_recurrence"),
+    ({"support": [-2, 2], "moments": [0 if k % 2 else math.comb(k, k // 2) // (k // 2 + 1) for k in range(30)]},
+     "_chebyshev_algorithm"),
+    ({"atoms": list(range(12))}, "_chebyshev_algorithm"),
+], ids=["builtin", "custom-moments", "atoms"])
+def test_degree_filtrations_build_one_table_through_the_top_degree(monkeypatch, space, recurrence):
+    # level_onb(n) reads p_0..p_n and rd_constants reads through max(levels):
+    # one recurrence call each, for n + 1 and max(levels) + 1 pairs
+    calls = {name: _spy(monkeypatch, measure, name) for name in ("_chebyshev_algorithm", "_jacobi_recurrence")}
+    filt = MeasureDegreeFiltration(CompactMeasure.from_json(space))
+    filt.level_onb(7)
+    assert [n for _, n in calls[recurrence]] == [8]
+    filt.rd_constants([0, 2, 9, 5])
+    assert [n for _, n in calls[recurrence]] == [8, 10]
+    assert sum(map(len, calls.values())) == 2
+
+
 def test_rd_constant_monotone():
     report = rd_report(MeasureDegreeFiltration(CompactMeasure.semicircle()), 12)
     uppers = [row[2] for row in report.rows]

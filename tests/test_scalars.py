@@ -30,7 +30,7 @@ from freedecay.measure import CompactMeasure, MeasureError
 from freedecay.rdcert import classify_abelian
 from freedecay.scalars import (
     FLOAT_RTOL, FLOAT_ZERO, QC, QCMatrix, accumulate, agree, as_scalar, common_scalar, exact_block, negligible,
-    root_down, trace_product,
+    root_down, trace_product, unit_scale,
 )
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "freedecay"
@@ -188,14 +188,14 @@ def test_integer_powers_stay_exact():
     assert type(root) is complex and root == 2
 
 
-def _loaders_accept(weights, loaders=3):
-    """Whether each of the first ``loaders`` loaders of atom weights accepts the list."""
+def _loaders_accept(weights):
+    """Whether each of the three loaders of atom weights accepts the list."""
     out = []
     for load, error in (
         (lambda w: classify_abelian(w, [0.5, 0.5]), AlgebraError),
         (MatrixBlockAlgebra.from_weights, AlgebraError),
         (lambda w: CompactMeasure.uniform_atoms(list(range(len(w))), w), MeasureError),
-    )[:loaders]:
+    ):
         try:
             load(weights)
             out.append(True)
@@ -213,8 +213,8 @@ def test_weight_loaders_share_the_sum_to_one_rule(offset, accepted):
     assert _loaders_accept([0.5, 0.5, 0.0]) == [False] * 3
     assert _loaders_accept([0.75, 0.5, -0.25]) == [False] * 3
     assert _loaders_accept([]) == [False] * 3
-    # a measure on points takes no complex weight; the two algebra loaders refuse it
-    assert _loaders_accept([QC(Fraction(1, 2), 1), QC(Fraction(1, 2), -1)], loaders=2) == [False] * 2
+    # no loader takes a complex weight
+    assert _loaders_accept([QC(Fraction(1, 2), 1), QC(Fraction(1, 2), -1)]) == [False] * 3
 
 
 @pytest.mark.parametrize("weights", [
@@ -262,6 +262,19 @@ def test_exact_values_beyond_the_float_range_raise_value_error():
     assert root_down(top ** 2 - 1, 2) == math.nextafter(sys.float_info.max, 0.0)
 
 
+@pytest.mark.parametrize("n2, scale", [(Fraction(1, 4), Fraction(2)), (Fraction(9, 49), Fraction(7, 3)),
+                                       (Fraction(1), Fraction(1)), (Fraction(4), Fraction(1, 2))])
+def test_unit_scale_is_exact_on_rational_squares(n2, scale):
+    got = unit_scale(n2)
+    assert type(got) is Fraction and got == scale and got * got * n2 == 1
+
+
+@pytest.mark.parametrize("n2", [Fraction(2, 9), Fraction(1, 3), Fraction(10**40 + 1, 7), 0.25, 2.0, 1e-300])
+def test_unit_scale_is_the_float_reciprocal_root_elsewhere(n2):
+    got = unit_scale(n2)
+    assert type(got) is float and got == 1.0 / math.sqrt(float(n2))
+
+
 # Literals that are not decisions on data: stopping rules of iterations and
 # guards against division by zero, each with its reason.
 ALLOWED_LITERALS = {
@@ -298,6 +311,24 @@ def test_no_imports_inside_functions():
                     if isinstance(inner, (ast.Import, ast.ImportFrom))
                 ]
     assert not stray, "imports inside function bodies:\n" + "\n".join(stray)
+
+
+def test_every_import_is_read_or_exported():
+    # an import that nothing in its module reads, nor its __all__ lists, is
+    # left over from a deletion
+    stray = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+        exported = {elt.value for node in tree.body if isinstance(node, ast.Assign)
+                    and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)
+                    for elt in node.value.elts}
+        for node in tree.body:
+            if isinstance(node, (ast.Import, ast.ImportFrom)) and getattr(node, "module", None) != "__future__":
+                stray += [f"{path.name}:{node.lineno}: {name}"
+                          for name in ((a.asname or a.name.split(".")[0]) for a in node.names)
+                          if name not in read | exported]
+    assert not stray, "imports that nothing reads:\n" + "\n".join(stray)
 
 
 def _modules_after(statement):
