@@ -12,10 +12,12 @@ word list, summed from the stored blocks at a cut K (:func:`_combinations`),
 and many combinations share one store.  ``norm_lower_bound`` is the one
 door for a ``FreeElement``.  A space caches one letter operator (a gather
 table; word blocks are :class:`CooMatrix` arrays) per vector of each
-factor's complement basis (:meth:`TruncatedFock.onb_operators`); the
-operator of any other letter is built when asked for and not kept.  The
-complement bases are the algebras' own (:func:`onb_complement`), and
-:func:`shared_fock` keeps the 16 most recently used spaces per process.
+factor's complement basis (:meth:`TruncatedFock.onb_operators`), and the
+one-letter block L @ I of each such vector, built on first use together
+with the identity block (:meth:`TruncatedFock.letter_block`); the
+operator and block of any other letter are built when asked for and not
+kept.  The complement bases are the algebras' own (:func:`onb_complement`),
+and :func:`shared_fock` keeps the 16 most recently used spaces per process.
 :class:`FreeProductFiltration`, the one filtration that needs a Fock space,
 brackets its RD constants with probe norms read from this representation:
 its level n is the depth-n space, whose basis words (:meth:`TruncatedFock.words`)
@@ -27,8 +29,10 @@ one of two paths chosen by the number of matrix entries: up to those of
 the 128 x 128 square (``_DENSE_CROSSOVER``, where the two cost about the
 same on Fock matrices) the dense values-only SVD, above it one Lanczos
 kernel on the Gram of the smaller side, which returns ||B y||/||y|| for its
-own top Ritz vector y: a Rayleigh witness, not rounded down.  No norm is
-kept between calls.
+own top Ritz vector y: a Rayleigh witness, not rounded down.  The kernel
+runs ``np.linalg.eigh`` on its tridiagonal only at steps where a lower
+bound of the residual (:func:`_residual_floor`) does not rule the stop
+out.  No norm is kept between calls.
 
 Moment-power estimates sit on top: s_r = state((x*x)^r)^(1/2r) together
 with the consecutive-moment ratio (state((x*x)^r)/state((x*x)^{r-1}))^(1/2);
@@ -108,8 +112,9 @@ class TruncatedFock:
     a depth-L' basis is the first dim(L') tensors of any deeper one; this is
     the one enumeration of alternating words, read off by :meth:`words`.
     The space caches the letter operators of the slot vectors, at most
-    dim(A_j) - 1 per factor, and no others.  Words of any length act on this
-    one space, of at most ``_DIMENSION_CAP`` tensors.
+    dim(A_j) - 1 per factor, their one-letter blocks and the identity
+    block, and no others.  Words of any length act on this one space, of at
+    most ``_DIMENSION_CAP`` tensors.
     """
 
     def __init__(self, factors, depth: int):
@@ -125,6 +130,7 @@ class TruncatedFock:
         self.onb = [onb_complement(f) for f in self.factors]
         self._onb_position = [{xi: i for i, xi in enumerate(b)} for b in self.onb]
         self._onb_ops: dict = {}
+        self._onb_blocks: dict = {}
         # each length from the one before: every slot vector, in order, leads
         # the shorter tensors not led by its factor, in their order
         offsets = np.cumsum([0] + [len(b) for b in self.onb])
@@ -173,12 +179,37 @@ class TruncatedFock:
         A vector xi_i of the factor's complement basis gets its cached
         operator L_i; any other payload gets a fresh operator by the same
         construction, which is not cached."""
-        if payload.owner != self.factors[factor]:
-            raise AlgebraError("payload does not belong to the requested factor")
-        i = self._onb_position[factor].get(payload)
+        i = self._basis_position(factor, payload)
         if i is not None:
             return self.onb_operators(factor)[i]
         return self._build_letter_operators(factor, [payload])[0]
+
+    @functools.cached_property
+    def identity(self) -> "CooMatrix":
+        """The identity block I on this basis, built on first use."""
+        n = self.dimension
+        return CooMatrix(np.arange(n), np.arange(n), np.ones(n, dtype=complex), (n, n))
+
+    def letter_block(self, factor: int, payload: AlgebraElement) -> "CooMatrix":
+        """The one-letter block ``_times(L, I)`` of the letter operator L of
+        P lambda(iota_factor(payload)) P: the block a word starts from.
+
+        A vector xi_i of the factor's complement basis gets its block built
+        on first use and cached on the space; any other payload's block is
+        built and dropped."""
+        i = self._basis_position(factor, payload)
+        if i is None:
+            return _times(*self._build_letter_operators(factor, [payload])[0], self.identity)
+        if (factor, i) not in self._onb_blocks:
+            self._onb_blocks[factor, i] = _times(*self.onb_operators(factor)[i], self.identity)
+        return self._onb_blocks[factor, i]
+
+    def _basis_position(self, factor: int, payload: AlgebraElement):
+        """The index i of payload = xi_i in the factor's complement basis, or
+        None; AlgebraError when the payload is not of that factor."""
+        if payload.owner != self.factors[factor]:
+            raise AlgebraError("payload does not belong to the requested factor")
+        return self._onb_position[factor].get(payload)
 
     def _build_letter_operators(self, factor: int, payloads):
         """The operators of the letters iota_factor(a), a in payloads, as gather
@@ -317,19 +348,26 @@ def _word_blocks(fock: TruncatedFock, words) -> dict:
     so the block of ``word[i:]`` is an intermediate of every word ending in
     it.  Each word starts from its longest stored suffix and multiplies on
     the left from there: the same products in the same association as
-    rebuilding it letter by letter, so every block keeps its bits.  Once the
+    rebuilding it letter by letter, so every block keeps its bits.  The
+    block of a last letter, L(xi_k) @ I, is the space's
+    (:meth:`TruncatedFock.letter_block`), which a basis vector's letter
+    keeps between calls; it counts towards the store's entries.  Once the
     blocks held pass ``_BLOCK_CAP`` entries the call raises
     ResourceCapError, before any combination is summed."""
     words = list(dict.fromkeys(words))
     n = fock.dimension
-    blocks = {(): CooMatrix(np.arange(n), np.arange(n), np.ones(n, dtype=complex), (n, n))}
+    blocks = {(): fock.identity}
     stored = n  # entries of the blocks held
     for word in words:
         start = next(i for i in range(len(word) + 1) if word[i:] in blocks)
         block = blocks[word[start:]]
         for i in range(start - 1, -1, -1):
             letter = word[i]
-            block = blocks[word[i:]] = _times(*fock.letter_operator(letter.factor, letter.payload), block)
+            if i == len(word) - 1:  # the last letter acts on I: its block is the space's
+                block = fock.letter_block(letter.factor, letter.payload)
+            else:
+                block = _times(*fock.letter_operator(letter.factor, letter.payload), block)
+            blocks[word[i:]] = block
             stored += len(block.vals)
             if stored > _BLOCK_CAP:
                 raise ResourceCapError(f"the word blocks of {len(words)} words on {n} tensors "
@@ -421,12 +459,13 @@ def _lanczos_norm(matrix: CooMatrix):
     the whole basis.  A basis of _KRYLOV_DIM vectors restarts from its top
     Ritz vector.  The Ritz pair (theta, s) is the top pair of
     ``np.linalg.eigh`` on a preallocated tridiagonal; the run stops when
-    |beta_k s_k| <= FLOAT_RTOL * theta or when the basis spans the space.  A
-    step skips the eigh when the stop provably fails: the top Ritz value rose
-    by at least rise = rho^2/(top - alpha_k) over the last one (rho the last
-    |beta s|, or its bound; top >= theta by Gershgorin), so |beta_k s_k| >=
-    beta_k rise/hypot(rise, beta_{k-1}) > FLOAT_RTOL * top.  A run that has
-    not stopped after _KRYLOV_RESTARTS restarts raises FockError."""
+    rho = |beta_k s_k| <= FLOAT_RTOL * theta or when the basis spans the
+    space.  A step skips the eigh when the stop provably fails: the lower
+    bound of rho from ``_residual_floor`` (the last step's rho, and the gap
+    between the top two Ritz values when the last step ran eigh) exceeds
+    FLOAT_RTOL * top, with top >= theta by Gershgorin.  Skipping changes no
+    bit of the result.  A run that has not stopped after _KRYLOV_RESTARTS
+    restarts raises FockError."""
     b = matrix if matrix.shape[0] >= matrix.shape[1] else matrix.adjoint()
     b_times, bh_times = b.matvec(), b.adjoint().matvec()
     n = b.shape[1]
@@ -448,14 +487,15 @@ def _lanczos_norm(matrix: CooMatrix):
             h = c @ w
             w -= (h.conj() @ c).conj()
             w -= ((c @ w).conj() @ c).conj()
-            tri[k, k] = h[k].real
+            tri[k, k] = alpha = h[k].real
             tri[k + 1, k] = beta = np.linalg.norm(w)
-            top = max(top, tri[k, k] + tri[k, k - 1] + beta)  # >= theta, by Gershgorin
-            if rho and k + 1 < size:  # from the last step's rho, a lower bound of this one's
-                rise = rho * rho / (top - tri[k, k])
-                rho = beta * rise / math.hypot(rise, tri[k, k - 1])
+            last_beta = tri[k, k - 1] if k else 0.0  # beta_{-1} = 0
+            top = max(top, alpha + last_beta + beta)  # >= theta, by Gershgorin
+            if rho and k + 1 < size:  # the gap of this step's Ritz values is not known yet
+                rho, gap = _residual_floor(rho, gap, alpha, beta, last_beta, top), 0.0
             if rho <= FLOAT_RTOL * top or k + 1 == size:  # else the stop provably fails
                 theta, s = np.linalg.eigh(tri[: k + 1, : k + 1])  # reads the lower triangle
+                gap = theta[-1] - theta[-2] if k else math.inf
                 theta, s = theta[-1], s[:, -1]
                 rho = abs(beta * s[k])
                 if rho <= FLOAT_RTOL * theta or k + 1 == n:
@@ -467,6 +507,44 @@ def _lanczos_norm(matrix: CooMatrix):
         f"Lanczos did not converge on a {matrix.shape[0]} x {matrix.shape[1]} matrix "
         f"after {_KRYLOV_RESTARTS} restarts of {size} vectors"
     )
+
+
+def _residual_floor(rho, gap, alpha, beta, last_beta, top):
+    """A lower bound of rho_k = |beta_k s_k| at Lanczos step k, from
+    rho <= rho_{k-1}, alpha = alpha_k, beta = beta_k, last_beta = beta_{k-1},
+    top >= theta (the top eigenvalue of T_k) and gap = theta_1 - theta_2,
+    the spread of the top two eigenvalues of T_{k-1} (inf when T_{k-1} is
+    1 x 1, 0 when unknown).
+
+    T_k borders T_{k-1}, whose eigenpairs are (theta_i, v_i) with theta_1
+    the top and z_i the last entry of v_i, so rho_{k-1} = beta_{k-1} |z_1|.
+    The last entry sigma of T_k's top eigenvector has
+
+        sigma^2 = 1 / (1 + beta_{k-1}^2 sum_i z_i^2 / (theta - theta_i)^2),
+
+    with theta > theta_1 >= theta_i by Cauchy interlacing (rho_{k-1} > 0).
+    Two facts bound the terms of the sum:
+
+    * every term of the secular equation theta - alpha_k =
+      beta_{k-1}^2 sum_i z_i^2 / (theta - theta_i) is positive, so
+      theta - theta_1 >= rho_{k-1}^2 / (theta - alpha_k), and the i = 1
+      term times beta_{k-1}^2 is at most ((theta - alpha_k) / rho_{k-1})^2
+      <= ((top - alpha_k) / rho)^2;
+    * interlacing gives theta - theta_i >= theta_1 - theta_i >= gap for
+      i >= 2, and the z_i^2 sum to 1, so the other terms times
+      beta_{k-1}^2 add up to at most (beta_{k-1} / gap)^2.
+
+    Hence rho_k = beta_k |sigma| >= beta_k / sqrt(1 + ((top - alpha_k) / rho)^2
+    + (beta_{k-1} / gap)^2).  Without a gap (gap <= 0: the last step skipped
+    eigh, or its top two Ritz values tie) every theta - theta_i >=
+    theta - theta_1 >= rise = rho^2 / (top - alpha_k), which gives
+    rho_k >= beta_k rise / hypot(rise, beta_{k-1}), a bound that falls
+    quadratically in rho from step to step (Parlett, The Symmetric
+    Eigenvalue Problem, SIAM 1998)."""
+    if gap > 0:
+        return beta / math.sqrt(1 + ((top - alpha) / rho) ** 2 + (last_beta / gap) ** 2)
+    rise = rho * rho / (top - alpha)
+    return beta * rise / math.hypot(rise, last_beta)
 
 
 # ---------------------------------------------------------------------------

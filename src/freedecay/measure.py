@@ -195,11 +195,13 @@ class OrthoPolySequence:
 
     ``beta[0]`` holds m_0 = 1 so that the orthonormal normalizers are
     ||pi_k||_2^2 = beta_0 ... beta_k.  Coefficients are exact Fractions when
-    the moments are, or closed forms for a Jacobi measure.
+    the moments are, or closed forms for a Jacobi measure.  Every reader
+    refuses a degree above ``degree`` = n with a ValueError that names it.
     """
 
     def __init__(self, measure: CompactMeasure, n: int):
         self.measure = measure
+        self.degree = n
         recurrence = _chebyshev_algorithm if measure.jacobi is None else _jacobi_recurrence
         self._alpha, self._beta = recurrence(measure, n + 1)
         self._floats = [(float(a), math.sqrt(float(b))) for a, b in zip(self._alpha, self._beta)]
@@ -210,9 +212,14 @@ class OrthoPolySequence:
             isinstance(b, Fraction) for b in self._beta
         )
 
+    def _within(self, n: int):
+        if n > self.degree:
+            raise ValueError(f"degree {n} is past the degree {self.degree} this table was built to")
+
     # -- coefficient access ------------------------------------------------
     def monic_coefficients(self, n: int):
         """Coefficient list (ascending powers) of the monic pi_n; exact."""
+        self._within(n)
         prev = [Fraction(1)]
         if n == 0:
             return prev
@@ -236,6 +243,7 @@ class OrthoPolySequence:
 
     def norm_squared(self, n: int):
         """||pi_n||_2^2 = beta_0 beta_1 ... beta_n."""
+        self._within(n)
         acc = self._beta[0]
         for k in range(1, n + 1):
             acc = acc * self._beta[k]
@@ -251,6 +259,7 @@ class OrthoPolySequence:
 
     def _orthonormal_rows(self, n: int, ts):
         """Yield p_0(ts), ..., p_n(ts) for a float array ``ts``."""
+        self._within(n)
         p_prev, p_cur = None, np.ones_like(ts)  # p_0 = 1 (beta_0 = 1)
         yield p_cur
         for k in range(n):

@@ -20,7 +20,7 @@ from conftest import (
     random_word_element,
     two_factor,
 )
-from freedecay import compressed, fock
+from freedecay import compressed, fock, khintchine
 from freedecay.algebra import MatrixBlockAlgebra, center, l2_inner, state
 from freedecay.cli import run
 from freedecay.compressed import (
@@ -875,12 +875,27 @@ def _block_diagonal_tie():
                                    [np.zeros((150, 150)), block.T]]))
 
 
+def _t1_grid():
+    """The 241 x 1446 t_1 grid of a seeded length-2 element over
+    (M2, tr) * (M2, tr), as ``tr_bracket`` hands it to ``spectral_norm``:
+    one row of six depth-4 Fock cells."""
+    x = HomogeneousWordElement.random(two_factor(m2_tr(), m2_tr()), 2, np.random.default_rng(0))
+    grids = []
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(khintchine, "spectral_norm", lambda matrix: grids.append(matrix) or 0.0)
+        tr_bracket(x, 1)
+    (grid,) = grids
+    assert grid.shape == (241, 1446)
+    return grid
+
+
 _CROSSOVER = compressed._DENSE_CROSSOVER
 _KERNEL_MATRICES = {
     "zero": sp.csr_matrix((200, 300), dtype=complex),
     "identity": sp.identity(200, dtype=complex, format="csr"),
     "rank-one": sp.csr_matrix(np.outer(np.arange(1, 251), np.arange(200) - 99.5j)),
     "block-diagonal-tie": _block_diagonal_tie(),
+    "t1-grid": sp.csr_matrix(_t1_grid().toarray()),
     **{"random-%dx%d" % shape: _random_sparse(*shape, sum(shape))
        for shape in [(_CROSSOVER + 72, _CROSSOVER + 72), (_CROSSOVER + 300, _CROSSOVER + 72),
                      (_CROSSOVER + 72, _CROSSOVER + 300)]},
@@ -935,19 +950,77 @@ def test_the_kernel_returns_the_witness_of_its_ritz_vector(name):
 
 @pytest.mark.parametrize("name", sorted(_KERNEL_MATRICES))
 def test_the_kernel_skips_eigh_only_where_the_stop_fails(name, monkeypatch):
-    # with the lower bound of |beta_k s_k| switched off (hypot -> inf gives
-    # rho = 0), every step runs eigh; the skipping run stops at the same step
-    # with the same bits
+    # with the lower bound of |beta_k s_k| switched off (a floor of 0), every
+    # step runs eigh; the skipping run stops at the same step with the same bits
     matrix, calls, eigh = _coo(_KERNEL_MATRICES[name]), [], np.linalg.eigh
     monkeypatch.setattr(compressed.np.linalg, "eigh", lambda a: calls.append(len(a)) or eigh(a))
     value, y = compressed._lanczos_norm(matrix)
     skipping = list(calls)
-    monkeypatch.setattr(compressed.math, "hypot", lambda a, b: math.inf)
+    monkeypatch.setattr(compressed, "_residual_floor", lambda *bounds: 0.0)
     calls.clear()
     every_step = compressed._lanczos_norm(matrix)
     assert value == every_step[0] and np.array_equal(y, every_step[1])
     assert calls == list(range(1, len(calls) + 1)) and set(skipping) <= set(calls)
     assert skipping[-1] == calls[-1] and (len(skipping) < len(calls) or len(calls) <= 3)
+
+
+def test_the_gap_bound_skips_more_eigh_calls_on_a_t1_grid(monkeypatch):
+    # on the t_1 grid as tr_bracket builds it: 48 eigh calls at every step,
+    # 22 with the residual bound alone (no gap: the kernel before the gap
+    # bound), 16 with the gap bound; every run keeps the same bits
+    grid, calls, eigh = _t1_grid(), [], np.linalg.eigh
+    monkeypatch.setattr(compressed.np.linalg, "eigh", lambda a: calls.append(len(a)) or eigh(a))
+    floor, counts, runs = compressed._residual_floor, [], []
+    for bound in [lambda *bounds: 0.0, lambda rho, gap, *rest: floor(rho, 0.0, *rest), floor]:
+        monkeypatch.setattr(compressed, "_residual_floor", bound)
+        calls.clear()
+        runs.append(compressed._lanczos_norm(grid))
+        counts.append(len(calls))
+    assert counts == [48, 22, 16]
+    assert all(value == runs[0][0] and np.array_equal(y, runs[0][1]) for value, y in runs)
+
+
+def test_forced_eigh_and_a_cold_block_cache_keep_the_csv_bytes(tmp_path, monkeypatch):
+    # eigh at every step and every one-letter block built afresh, then as
+    # shipped (twice, the second run on the blocks the first one kept)
+    c2c3 = [["1/2", "1/2"], ["1/3", "1/3", "1/3"]]
+
+    def outputs():
+        kh = tmp_path / "kh.csv"
+        assert run(["kh-norm", "--length", "2", "--trials", "3", "--seed", "9", "--out", str(kh)]) == 0
+        return kh.read_bytes(), _rd_certify(tmp_path, "c2c3", c2c3, 9)
+
+    shared_fock.cache_clear()
+    with monkeypatch.context() as patch:
+        patch.setattr(compressed, "_residual_floor", lambda *bounds: 0.0)
+        patch.setattr(TruncatedFock, "letter_block",
+                      lambda f, j, a: compressed._times(*f.letter_operator(j, a), f.identity))
+        forced = outputs()
+    shared_fock.cache_clear()
+    assert outputs() == forced and outputs() == forced
+
+
+def test_a_space_keeps_the_one_letter_blocks_of_its_basis_letters():
+    f = TruncatedFock([m2_tr(), c3_weighted()], 3)
+    letters = [Letter(j, xi) for j in range(2) for xi in f.onb[j]]
+    words = [(letter,) for letter in letters] + [(letters[0], letters[-1]), (letters[-1], letters[1])]
+    blocks = compressed._word_blocks(f, words)
+    for j in range(2):
+        for i, xi in enumerate(f.onb[j]):
+            got, want = blocks[(Letter(j, xi),)], compressed._times(*f.onb_operators(j)[i], f.identity)
+            assert np.array_equal(got.rows, want.rows) and np.array_equal(got.cols, want.cols)
+            assert got.vals.dtype == want.vals.dtype and got.vals.tobytes() == want.vals.tobytes()
+            assert f.letter_block(j, xi) is got
+    again = compressed._word_blocks(f, words)
+    assert all(again[word] is blocks[word] for word in words if len(word) == 1)
+    assert again[()] is blocks[()] is f.identity
+    assert len(f._onb_blocks) == len(letters)
+    # a payload outside the basis: built and dropped
+    a = random_rational_element(f.factors[0], np.random.default_rng(22))
+    outside = f.letter_block(0, a)
+    assert f.letter_block(0, a) is not outside and len(f._onb_blocks) == len(letters)
+    want = compressed._times(*f.letter_operator(0, a), f.identity)
+    assert outside.vals.tobytes() == want.vals.tobytes() and np.array_equal(outside.rows, want.rows)
 
 
 def test_the_kernel_restarts_from_its_top_ritz_vector(monkeypatch):

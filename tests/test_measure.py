@@ -141,6 +141,18 @@ def test_atom_measure_recurrence_stops_with_typed_error():
     assert exc.value.degree == 3
 
 
+def test_a_table_refuses_every_read_past_its_degree():
+    seq = OrthoPolySequence(CompactMeasure.semicircle(), 3)
+    assert seq.degree == 3
+    reads = [lambda n: seq.monic_coefficients(n), lambda n: seq.orthonormal_coefficients(n),
+             lambda n: seq.norm_squared(n), lambda n: seq.orthonormal_values(n, [0.5]),
+             lambda n: christoffel_sup(seq, n)]
+    for read in reads:
+        read(3)
+        with pytest.raises(ValueError, match="degree 4 is past the degree 3 this table was built to"):
+            read(4)
+
+
 # ---------------------------------------------------------------------------
 # sup norm
 # ---------------------------------------------------------------------------
