@@ -10,13 +10,12 @@ per-entry code here, the float kernel, which reads an exact block as rows of
 always run in doubles.
 
 Elements are immutable, so each caches its state the first time it is asked
-for.  Most densities are exact and diagonal (every builtin, every exact
-``from_weights`` and ``matrix_with_trace`` algebra); the algebra records per
-block whether its density is, and on those blocks ``state`` and ``l2_inner``
-let the exact kernel read only the diagonal of an exact block.  Exact sums do
-not depend on the zero terms left out, so the values are those of the full
-trace products.  Every other block pairs with its density by the full trace
-product.
+for.  ``state`` and ``l2_inner`` pair each block with its density by one
+trace product; on an exact block against an exact density the kernel skips
+the density's zero entries, so a diagonal density (every builtin, every
+exact ``from_weights`` and ``matrix_with_trace`` algebra) costs n products.
+Exact sums do not depend on the zero terms left out, so the values are those
+of the full trace products.
 """
 
 from __future__ import annotations
@@ -101,25 +100,11 @@ def _mat_adjoint(a):
 def _mat_trace_product(a, b):
     """trace(a @ b) without forming the product; two exact blocks go to the kernel."""
     if type(a) is QCMatrix and type(b) is QCMatrix:
-        return trace_product(a, b, diagonal=False)
+        return trace_product(a, b)
     n, acc = len(a), QC_ZERO
     for i, k in ((i, k) for i in range(n) for k in range(n)):
         acc = acc + a[i][k] * b[k][i]
     return acc
-
-
-def _exact_diagonal(d) -> bool:
-    """Whether d is exact with every off-diagonal entry zero."""
-    n = len(d)
-    return type(d) is QCMatrix and not any(d[i][j] for i in range(n) for j in range(n) if i != j)
-
-
-def _block_trace(d, diagonal: bool, b):
-    """trace(d @ b) as ``_mat_trace_product``; an exact block against an exact
-    diagonal density (``diagonal``) adds the diagonal terms alone."""
-    if diagonal and type(b) is QCMatrix:
-        return trace_product(d, b)
-    return _mat_trace_product(d, b)
 
 
 def _exact_blocks(blocks) -> bool:
@@ -173,7 +158,7 @@ class MatrixBlockAlgebra:
         the block weights and must sum to 1.
     """
 
-    __slots__ = ("block_dims", "densities", "_diagonals", "_bits", "_hash", "_onb")
+    __slots__ = ("block_dims", "densities", "_bits", "_hash", "_onb")
 
     def __init__(self, densities):
         dens = tuple(_as_matrix(d) for d in densities)
@@ -181,8 +166,6 @@ class MatrixBlockAlgebra:
             raise AlgebraError("algebra needs at least one block")
         self.block_dims = tuple(len(d) for d in dens)
         self.densities = dens
-        # per block: whether the density is exact and diagonal
-        self._diagonals = tuple(_exact_diagonal(d) for d in dens)
         self._bits = _float_bits(dens)
         self._hash = None
         self._onb = None
@@ -527,14 +510,13 @@ def state(x: AlgebraElement):
     """rho(x) = sum_b trace(density_b . block_b).
 
     Cached on the (immutable) element the first time it is computed.  An
-    exact block against an exact diagonal density is read on its diagonal
-    alone, sum_i d_ii x_ii (see the module docstring)."""
+    exact block against an exact density adds d_ik x_ki over the density's
+    nonzero entries alone (see the module docstring)."""
     acc = x._state
     if acc is None:
-        owner = x.owner
         acc = QC_ZERO
-        for d, diagonal, b in zip(owner.densities, owner._diagonals, x.blocks):
-            acc = acc + _block_trace(d, diagonal, b)
+        for d, b in zip(x.owner.densities, x.blocks):
+            acc = acc + _mat_trace_product(d, b)
         object.__setattr__(x, "_state", acc)
     return acc
 
@@ -546,8 +528,8 @@ def l2_inner(x: AlgebraElement, y: AlgebraElement):
     if owner != y.owner:
         raise AlgebraError("elements belong to different algebras")
     acc = QC_ZERO
-    for d, diagonal, bx, by in zip(owner.densities, owner._diagonals, x.blocks, y.blocks):
-        acc = acc + _block_trace(d, diagonal, _mat_mul(_mat_adjoint(by), bx))
+    for d, bx, by in zip(owner.densities, x.blocks, y.blocks):
+        acc = acc + _mat_trace_product(d, _mat_mul(_mat_adjoint(by), bx))
     return acc
 
 

@@ -97,12 +97,14 @@ class Filtration:
         return len(self.level_onb(n))
 
     def rd_constants(self, levels) -> list:
-        """One :class:`RdConstant` per level n of ``levels``, in order: C_0 = 1 as
-        V_0 = C1, and one ``_level_constants`` call for the levels n >= 1, if any."""
+        """One :class:`RdConstant` per level n of ``levels``, in order: the exact
+        C_n = 1 where V_n = C1 (n = 0, or ``level_dim(n)`` = 1, as V_n holds
+        C1), and one ``_level_constants`` call for the other levels, if any."""
         levels = list(levels)
-        rest = [n for n in levels if n]
+        ones = [not n or self.level_dim(n) == 1 for n in levels]
+        rest = [n for n, one in zip(levels, ones) if not one]
         found = iter(self._level_constants(rest) if rest else ())
-        return [next(found) if n else RdConstant(1.0, 1.0, "exact") for n in levels]
+        return [RdConstant(1.0, 1.0, "exact") if one else next(found) for one in ones]
 
     def _level_constants(self, levels) -> list:
         """One :class:`RdConstant` per level of ``levels``, each n >= 1."""

@@ -338,15 +338,18 @@ class QCMatrix:
         return _matrix(tuple(re), tuple(im), d * f, n)
 
 
-def trace_product(density: QCMatrix, block: QCMatrix, diagonal=True) -> QC:
-    """trace(density @ block) with one gcd; the diagonals alone when ``diagonal``."""
+def trace_product(density: QCMatrix, block: QCMatrix) -> QC:
+    """trace(density @ block) with one gcd, over the density's nonzero entries
+    alone: a diagonal density costs n products, not n * n."""
     (dr, di, dd, n), (br, bi, bd, _) = density._v, block._v
     r = s = 0
-    for p in range(0, n * n, n + 1) if diagonal else range(n * n):
-        q = p % n * n + p // n  # density_ik meets block_ki
-        x, y, u, v = dr[p], di[p], br[q], bi[q]
-        r += x * u - y * v
-        s += x * v + y * u
+    for p in range(n * n):
+        x, y = dr[p], di[p]
+        if x or y:
+            q = p % n * n + p // n  # density_ik meets block_ki
+            u, v = br[q], bi[q]
+            r += x * u - y * v
+            s += x * v + y * u
     return _reduced(r, s, dd * bd)
 
 

@@ -495,15 +495,7 @@ def test_center_keeps_the_signed_zeros_off_the_diagonal():
         assert [repr(got.blocks[0][0][1]), repr(got.blocks[0][1][0])] == ["(-0+0j)", "0j"]
 
 
-def test_diagonal_densities_are_recorded_per_block():
-    assert m2_tr()._diagonals == (True,)
-    assert c3_weighted()._diagonals == (True, True, True)
-    assert _m2_float_state()._diagonals == (False,)
-    assert _m2_plus_non_diagonal_m2()._diagonals == (True, False)
-    assert _m3_non_diagonal()._diagonals == (False,)
-
-
-def test_non_diagonal_density_takes_the_full_trace_product(monkeypatch):
+def test_diagonal_and_rotated_densities_take_one_trace_product(monkeypatch):
     alg = _m3_non_diagonal()
     x = AlgebraElement(alg, [[[1, 2, 0], [3, 4, 0], [0, 0, 5]]])
     calls = []
@@ -521,6 +513,12 @@ def test_non_diagonal_density_takes_the_full_trace_product(monkeypatch):
     assert l2_inner(x, y) == _reference_state(y.adjoint() * x)
     assert len(calls) == 3
     assert state(center(x)) == QC(0)
+    # a diagonal and a rotated block: one call each, on the same path
+    mixed = _m2_plus_non_diagonal_m2()
+    calls.clear()
+    # (1/4 + 4/4) + (5/4 + 2/8 + 3/8 + 6/4)
+    assert state(AlgebraElement(mixed, [[[1, 2], [3, 4]], [[5, 2], [3, 6]]])) == QC(Fraction(37, 8))
+    assert calls == list(mixed.densities)
 
 
 def test_state_is_cached_on_the_element():

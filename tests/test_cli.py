@@ -1,6 +1,7 @@
 """CLI behavior: grammar, outputs, determinism, exit codes."""
 
 import copy
+import dataclasses
 import importlib.util
 import json
 import os
@@ -998,6 +999,50 @@ def test_avitzour_check_passes_with_a_non_tracial_first_factor(tmp_path):
                 "--lmax", "3", "--out", str(out)])
     assert code == 0
     assert "failures=0" in out.read_text()
+
+
+def _failing_at(calls, k, check, fail):
+    """``check`` recording its reports in ``calls``, with the report of its
+    k-th call (from 0) turned into a failure by ``fail``."""
+    def wrapped(*args, **kwargs):
+        calls.append(check(*args, **kwargs))
+        return fail(calls[-1]) if len(calls) == k + 1 else calls[-1]
+    return wrapped
+
+
+def test_kh_norm_exits_1_with_one_witness_when_a_trial_fails(tmp_path, monkeypatch, capsys):
+    calls = []
+    monkeypatch.setattr(cli, "rx_check", _failing_at(calls, 1, cli.rx_check,
+                                                     lambda r: dataclasses.replace(r, sr_ok=False)))
+    out = tmp_path / "kh.csv"
+    assert run(["kh-norm", "--length", "1", "--trials", "3", "--seed", "11", "--out", str(out)]) == 1
+    assert len(calls) == 3 and "# failures=1" in out.read_text().splitlines()
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("witness: trial 1: RxReport(length=1,")
+    assert "sr_ok=False" in err[0]
+
+
+def test_avitzour_check_exits_1_with_one_witness_when_a_trial_fails(tmp_path, monkeypatch, capsys):
+    # the first shape check of trial 0 fails; the trial's row reads shape_ok 0, ok 0
+    calls = []
+    monkeypatch.setattr(cli, "avitzour_shape_check", _failing_at(
+        calls, 0, cli.avitzour_shape_check, lambda r: dataclasses.replace(r, ok=False, reason="forced")))
+    out = tmp_path / "av.csv"
+    assert run(["avitzour-check", "--trials", "2", "--lmax", "2", "--seed", "5", "--out", str(out)]) == 1
+    lines = out.read_text().splitlines()
+    rows = [l.split(",") for l in lines[1:] if not l.startswith("#")]
+    assert [(r[0], r[4], r[6]) for r in rows] == [("0", "0", "0"), ("1", "1", "1")]
+    assert "# failures=1" in lines
+    assert capsys.readouterr().err == "witness: trial 0 failed\n"
+
+
+def test_classify_abelian_skips_empty_weight_pieces_and_refuses_an_empty_list(capsys):
+    assert run(["classify-abelian", "--a", ",,", "--b", "1/2,1/2"]) == 2
+    assert capsys.readouterr().err == "error: empty weight list\n"
+    assert run(["classify-abelian", "--a", "1/2,,1/2", "--b", "1/3,1/3,1/3"]) == 0
+    skipped = capsys.readouterr().out
+    assert run(["classify-abelian", "--a", "1/2,1/2", "--b", "1/3,1/3,1/3"]) == 0
+    assert skipped == capsys.readouterr().out and skipped.startswith("selfless")
 
 
 def test_avitzour_check_without_a_triple_says_none_was_found(tmp_path, capsys):

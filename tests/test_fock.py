@@ -722,12 +722,11 @@ def test_certify_builds_no_free_element(tmp_path, monkeypatch):
 
 
 def test_empty_complements_keep_their_certify_rows(tmp_path):
-    # C * C and C * C2: every level is spanned by the unit, or by C2's letter
+    # C * C and C * C2: every level is spanned by the unit, or by C2's letter;
+    # a level spanned by the unit alone is C1, with C_n = 1 exactly
     got = _rd_certify(tmp_path, "cc", [[1], [1]], 3).splitlines()
-    assert got[:5] == ["n,C_lower,C_upper,dim", "0,1.0,1.0,1",
-                       "1,1.0000000000000002,6.324555320336759,1",
-                       "2,1.0000000000000002,10.583005244258363,1",
-                       "3,1.0,15.491933384829668,1"]
+    assert got[:5] == ["n,C_lower,C_upper,dim"] + [f"{n},1.0,1.0,1" for n in range(4)]
+    assert "# alpha_hat=0.0" in got
     got = _rd_certify(tmp_path, "cc2", [[1], ["1/2", "1/2"]], 3).splitlines()
     assert got[:5] == ["n,C_lower,C_upper,dim", "0,1.0,1.0,1",
                        "1,1.414213562373095,6.324555320336759,2",

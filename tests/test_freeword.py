@@ -609,6 +609,38 @@ def test_shape_check_all_modes_random():
             assert report.ok, (mode, report.reason)
 
 
+def _shape_failures():
+    alg = m2_tr()
+    flip, sign, _ = pauli_unitaries(alg)
+    uncentred = flip + alg.identity()
+    return [  # (mode, letters of the crafted normal-form word as (factor, payload), reason)
+        ("i", [], "scalar part survived"),
+        ("i", [(1, uncentred)], "word not centered"),
+        ("i", [(0, flip)], "leading letter not in the second factor"),
+        ("i", [(1, sign)], "leading letter orthogonal to w"),
+        ("ii", [(0, flip), (1, flip), (0, flip)], "trailing letter not in the second factor"),
+        ("ii", [(0, flip), (1, sign)], "trailing letter orthogonal to w*"),
+        ("iii", [(1, flip), (0, flip)], "trailing letter not in the second factor"),
+        ("iii", [(1, sign), (0, flip), (1, flip)], "leading letter orthogonal to w"),
+    ]
+
+
+@pytest.mark.parametrize("case", range(len(_shape_failures())))
+def test_shape_check_reports_each_failing_normal_form(case, monkeypatch):
+    # u = w = flip, v = sign; flip is not orthogonal to w = w* = flip, sign is
+    mode, letters, reason = _shape_failures()[case]
+    alg, u, v, w, _ = _m2_pair_setup()
+    amb2 = FreeProductAmbient((alg, alg))
+    a = FreeElement.word(amb2, [Letter(1, w)])
+    assert avitzour_shape_check(1, u, v, w, a, mode).ok
+    good = (Letter(1, w),) if mode == "i" else (Letter(1, w.adjoint()),)
+    bad = tuple(Letter(j, p) for j, p in letters)
+    crafted = FreeElement._of(amb2, {good: QC(1), bad: QC(2)})  # a passing word, then the failing one
+    monkeypatch.setattr(freeword, "normalize", lambda x: crafted)
+    report = avitzour_shape_check(1, u, v, w, a, mode)
+    assert (report.ok, report.reason, report.offending_word, report.words_checked) == (False, reason, bad, 2)
+
+
 # ---------------------------------------------------------------------------
 # _scalar_part against comparing with the scalar element
 # ---------------------------------------------------------------------------

@@ -88,7 +88,9 @@ def test_exact_diagonal_densities_bracket_one_over_sqrt_lambda_min(blocks):
     truth = math.sqrt(1 / min(min(d) for d in diagonals))
     (c,) = ConstantFiltration(algebra).rd_constants([1])
     assert _brackets(c, truth)
-    if algebra.is_abelian():
+    if algebra.dim == 1:  # V_1 = C1
+        assert c.method == "exact" and c.lower == c.upper == 1.0
+    elif algebra.is_abelian():
         assert c.method == "dn-certificate" and c.lower == c.upper
     else:
         assert c.method == "bracket"

@@ -614,6 +614,7 @@ _KERNEL_DENSITIES = [
     [[[_THIRD, 0, 0], [0, _SIXTH, 0], [0, 0, Fraction(1, 2)]]],
     [[[_THIRD, 0], [0, _THIRD]], [[_THIRD]]],
     [[[_THIRD, _SIXTH, 0], [_SIXTH, _THIRD, 0], [0, 0, _THIRD]]],
+    [[[Fraction(1, 2), QC(0, Fraction(1, 4))], [QC(0, Fraction(-1, 4)), Fraction(1, 2)]]],
 ]
 _kernel_parts = st.fractions(min_value=-4, max_value=4, max_denominator=12)
 
@@ -705,11 +706,9 @@ def test_the_exact_kernel_matches_fraction_arithmetic(case):
         assert (scalar is not None) == is_scalar
         if is_scalar:
             assert _canonical_scalar(scalar) == sr
-        for d, diag, rd in zip(algebra.densities, algebra._diagonals, dens):
+        for d, rd in zip(algebra.densities, dens):
             if len(rd) == n:
-                assert _canonical_scalar(trace_product(d, bx, diagonal=False)) == _ref_trace(rd, rx)
-                if diag:
-                    assert _canonical_scalar(trace_product(d, bx)) == _ref_trace(rd, rx)
+                assert _canonical_scalar(trace_product(d, bx)) == _ref_trace(rd, rx)
     # the algebra functions built on the kernel
     want_state = _sum_pairs(_ref_trace(d, b) for d, b in zip(dens, xs))
     want_inner = _sum_pairs(_ref_trace(d, _ref_mul(_ref_adjoint(b), a)) for d, a, b in zip(dens, xs, ys))
@@ -724,6 +723,23 @@ def test_the_exact_kernel_matches_fraction_arithmetic(case):
     assert common_scalar(algebra.scalar(c).blocks) == c and common_scalar(x.blocks) in (None, x.blocks[0][0][0])
     # equal values, equal == and hash, whichever way they were made
     assert x * y + x == x * (y + algebra.identity()) and hash(x * y + x) == hash(x * (y + algebra.identity()))
+
+
+@pytest.mark.parametrize("density, products", list(zip(_KERNEL_DENSITIES, [1, 2, 3, 2, 5, 4])),
+                         ids=["c", "c2", "c3", "m2+c", "m3-rotated", "m2-complex"])
+def test_the_trace_kernel_reads_only_the_nonzero_entries_of_the_density(density, products):
+    # a block entry that meets a zero of the density is never read: None in
+    # its place would raise at its product
+    d = MatrixBlockAlgebra(density).densities[0]
+    re, im, _, n = d._v
+    block = exact_block([[QC(i + 2, j - 1) for j in range(n)] for i in range(n)])
+    met = {p % n * n + p // n for p in range(n * n) if re[p] or im[p]}  # block_ki meets density_ik
+    br, bi, bd, _ = block._v
+    poisoned = exact_block([[0] * n] * n)
+    QCMatrix._v.__set__(poisoned, (tuple([v if q in met else None for q, v in enumerate(br)]),
+                                   tuple([v if q in met else None for q, v in enumerate(bi)]), bd, n))
+    assert len(met) == products
+    assert trace_product(d, poisoned) == trace_product(d, block)
 
 
 QC_FIELDS = {"_a", "_b", "_d"}
