@@ -321,11 +321,9 @@ def _scalar_from_json(v):
         return complex(v)
     if isinstance(v, (list, tuple)) and len(v) == 2:
         re, im = v
-        if isinstance(re, str) or isinstance(im, str) or (
-            isinstance(re, int) and isinstance(im, int)
-        ):
-            return QC(json_number(re), json_number(im))
-        return complex(json_number(re, float), json_number(im, float))
+        if isinstance(re, float) or isinstance(im, float):
+            return complex(json_number(re, float), json_number(im, float))
+        return QC(json_number(re), json_number(im))
     raise AlgebraError(f"bad scalar in JSON: {reprlib.repr(v)}")
 
 
@@ -366,11 +364,12 @@ def json_form(value, what: str, forms, error=AlgebraError):
 
 def json_number(v, kind=Fraction, error=AlgebraError):
     """kind(v), kind Fraction or float, for an int, a float or a string such
-    as "3/5"; any other value (a bool too), "1/0" and values out of range
+    as "3/5", read through its Fraction (so float "3/5" is the nearest
+    float); any other value (a bool too), "1/0" and values out of range
     raise ``error``."""
     try:
         if isinstance(v, (int, float, str)) and not isinstance(v, bool):
-            return kind(v)
+            return kind(Fraction(v))
     except (ValueError, ZeroDivisionError, OverflowError):
         pass
     raise error(f"bad number in JSON: {reprlib.repr(v)}")

@@ -26,7 +26,6 @@ from . import __version__
 from .algebra import AlgebraElement, AlgebraError, MatrixBlockAlgebra, json_form, json_shape
 from .compressed import (
     FreeProductFiltration,
-    TruncatedFock,
     default_depth,
     moment_norm_estimate,
     norm_lower_bound,
@@ -251,7 +250,7 @@ def _cmd_norm_estimate(args) -> int:
     ambient = _load_factors(args.factors)
     x = FreeElement.from_json(ambient, _load_json_file(args.element))
     depth = args.depth if args.depth is not None else default_depth(x.max_word_length())
-    fock = TruncatedFock(ambient.factors, depth)
+    fock = shared_fock(ambient.factors, depth)
     lb_fock = norm_lower_bound(fock, x)
     est = moment_norm_estimate(x, args.moment_rmax)
     _atomic_write(args.out, _moment_csv(

@@ -10,14 +10,14 @@ and one store holds the block of each word and of each suffix
 (:func:`_word_blocks`); a combination is then a coefficient vector over a
 word list, summed from the stored blocks at a cut K (:func:`_combinations`),
 and many combinations share one store.  ``norm_lower_bound`` is the one
-door for a ``FreeElement``.  A space caches one letter operator (a gather
-table; word blocks are :class:`CooMatrix` arrays) per vector of each
-factor's complement basis (:meth:`TruncatedFock.onb_operators`), and the
-one-letter block L @ I of each such vector, built on first use together
-with the identity block (:meth:`TruncatedFock.letter_block`); the
-operator and block of any other letter are built when asked for and not
-kept.  The complement bases are the algebras' own (:func:`onb_complement`),
-and :func:`shared_fock` keeps the 16 most recently used spaces per process.
+door for a ``FreeElement``.  A letter operator is a gather table over its
+factor's one layout (word blocks are :class:`CooMatrix` arrays).  A space
+keeps the table and the one-letter block L @ I of each slot letter, a
+vector of a factor's complement basis, built on first use, and builds any
+other letter's when asked, without keeping them (:meth:`TruncatedFock.letter_block`).
+The complement bases are the algebras' own (:func:`onb_complement`), and
+:func:`shared_fock`, the one door to a space, keeps the 16 most recently
+used spaces per process.
 :class:`FreeProductFiltration`, the one filtration that needs a Fock space,
 brackets its RD constants with probe norms read from this representation:
 its level n is the depth-n space, whose basis words (:meth:`TruncatedFock.words`)
@@ -78,7 +78,7 @@ from .fock import (
     _word_moments,
     fock_dimension,
 )
-from .freeword import FreeElement, FreeProductAmbient, Letter, is_normalized_word, normalize
+from .freeword import FreeElement, FreeProductAmbient, Letter, factor_index, is_normalized_word, normalize
 from .rdcert import ConstantFiltration, Filtration, RdConstant
 from .scalars import FLOAT_RTOL, accumulate, negligible, root_down
 
@@ -111,10 +111,10 @@ class TruncatedFock:
     the (factor, index) of the first slot, then of the second, and so on, so
     a depth-L' basis is the first dim(L') tensors of any deeper one; this is
     the one enumeration of alternating words, read off by :meth:`words`.
-    The space caches the letter operators of the slot vectors, at most
-    dim(A_j) - 1 per factor, their one-letter blocks and the identity
-    block, and no others.  Words of any length act on this one space, of at
-    most ``_DIMENSION_CAP`` tensors.
+    The space keeps one record per slot letter, dim(A_j) - 1 per factor
+    (``_record``), one layout per factor that every table of the factor
+    shares (``_layout``) and the identity block, and no others.  Words of
+    any length act on this one space, of at most ``_DIMENSION_CAP`` tensors.
     """
 
     def __init__(self, factors, depth: int):
@@ -128,9 +128,9 @@ class TruncatedFock:
                 f"truncated Fock dimension {self.dimension} exceeds the cap {_DIMENSION_CAP}"
             )
         self.onb = [onb_complement(f) for f in self.factors]
-        self._onb_position = [{xi: i for i, xi in enumerate(b)} for b in self.onb]
-        self._onb_ops: dict = {}
-        self._onb_blocks: dict = {}
+        # slot letter -> [gather table, one-letter block], filled on first use
+        self._slots: dict = {Letter(j, xi): None for j, basis in enumerate(self.onb) for xi in basis}
+        self._layouts: dict = {}  # factor -> (rows, src), the tables' payload-independent part
         # each length from the one before: every slot vector, in order, leads
         # the shorter tensors not led by its factor, in their order
         offsets = np.cumsum([0] + [len(b) for b in self.onb])
@@ -156,33 +156,15 @@ class TruncatedFock:
         """The first k basis tensors as tuples of :class:`Letter`, one Letter
         object per slot vector in every word: tensor p is the letter of
         ``lead[p]`` followed by the word of ``tail[p]``."""
-        letters = [Letter(j, xi) for j, basis in enumerate(self.onb) for xi in basis]
+        letters = list(self._slots)
         words = [()]
         for lead, tail in zip(self.lead[1:k].tolist(), self.tail[1:k].tolist()):
             words.append((letters[lead],) + words[tail])
         return words[:k]
 
-    def onb_operators(self, factor: int):
-        """Letter operators L_i = P lambda(iota_factor(xi_i)) P on this basis,
-        one per vector xi_i of the factor's complement basis.
-
-        All operators of a factor are built together and cached on the
-        space."""
-        ops = self._onb_ops.get(factor)
-        if ops is None:
-            ops = self._onb_ops[factor] = self._build_letter_operators(factor, self.onb[factor])
-        return ops
-
     def letter_operator(self, factor: int, payload: AlgebraElement):
-        """Letter operator of P lambda(iota_factor(payload)) P on this basis.
-
-        A vector xi_i of the factor's complement basis gets its cached
-        operator L_i; any other payload gets a fresh operator by the same
-        construction, which is not cached."""
-        i = self._basis_position(factor, payload)
-        if i is not None:
-            return self.onb_operators(factor)[i]
-        return self._build_letter_operators(factor, [payload])[0]
+        """The gather table (rows, vals) of P lambda(iota_factor(payload)) P."""
+        return self._record(factor, payload)[0]
 
     @functools.cached_property
     def identity(self) -> "CooMatrix":
@@ -192,44 +174,47 @@ class TruncatedFock:
 
     def letter_block(self, factor: int, payload: AlgebraElement) -> "CooMatrix":
         """The one-letter block ``_times(L, I)`` of the letter operator L of
-        P lambda(iota_factor(payload)) P: the block a word starts from.
+        P lambda(iota_factor(payload)) P: the block a word starts from."""
+        record = self._record(factor, payload)
+        if record[1] is None:
+            record[1] = _times(*record[0], self.identity)
+        return record[1]
 
-        A vector xi_i of the factor's complement basis gets its block built
-        on first use and cached on the space; any other payload's block is
-        built and dropped."""
-        i = self._basis_position(factor, payload)
-        if i is None:
-            return _times(*self._build_letter_operators(factor, [payload])[0], self.identity)
-        if (factor, i) not in self._onb_blocks:
-            self._onb_blocks[factor, i] = _times(*self.onb_operators(factor)[i], self.identity)
-        return self._onb_blocks[factor, i]
-
-    def _basis_position(self, factor: int, payload: AlgebraElement):
-        """The index i of payload = xi_i in the factor's complement basis, or
-        None; AlgebraError when the payload is not of that factor."""
-        if payload.owner != self.factors[factor]:
-            raise AlgebraError("payload does not belong to the requested factor")
-        return self._onb_position[factor].get(payload)
-
-    def _build_letter_operators(self, factor: int, payloads):
-        """The operators of the letters iota_factor(a), a in payloads, as gather
-        tables (rows, vals), from array operations over all tensors at once."""
-        basis_j = self.onb[factor]
-        d = len(basis_j)
-        # act[r, c]: component r (0: the scalar part, k + 1: xi_k) of a times
-        # the vector c (0: the unit, k + 1: xi_k), one matrix per payload a
-        inputs = [self.factors[factor].identity()] + basis_j
-        acts = []
-        for a in payloads:
-            act = np.zeros((d + 1, d + 1), dtype=complex)
-            for c, vec in enumerate(inputs):
-                prod = a * vec
+    def _record(self, factor: int, payload: AlgebraElement) -> list:
+        """[gather table, one-letter block or None] of the letter a =
+        iota_factor(payload), the one door to a letter: a slot letter's is
+        kept, filled on first use, any other letter's built and not kept.
+        AlgebraError for a factor index out of range or a foreign payload."""
+        letter = Letter(factor, payload)
+        record = self._slots.get(letter)
+        if record is None:
+            factor_index(self.factors, factor)
+            if payload.owner != self.factors[factor]:
+                raise AlgebraError("payload does not belong to the requested factor")
+            basis_j = self.onb[factor]
+            # act[r, c]: component r (0: the scalar part, k + 1: xi_k) of a
+            # times the vector c (0: the unit, k + 1: xi_k)
+            act = np.zeros((len(basis_j) + 1, len(basis_j) + 1), dtype=complex)
+            for c, vec in enumerate([self.factors[factor].identity()] + basis_j):
+                prod = payload * vec
                 s = state(prod)  # a centred payload (``normalize``) has no scalar part
                 act[0, c] = 0 if c == 0 and negligible(s) else complex(s)
                 prod_c = center(prod)
                 for r, xi in enumerate(basis_j):
                     act[r + 1, c] = complex(l2_inner(prod_c, xi))
-            acts.append(act)
+            if factor not in self._layouts:
+                self._layouts[factor] = self._layout(factor)
+            rows, src = self._layouts[factor]
+            record = [(rows, np.where(rows >= 0, act[:, src], 0)), None]
+            if letter in self._slots:
+                self._slots[letter] = record
+        return record
+
+    def _layout(self, factor: int):
+        """(rows, src) of every table of the factor, by array operations on all
+        tensors: entry (rows[comp, col], col) of a table is act[comp, src[col]],
+        with rows -1 (and the value 0) where a prepend passes the depth."""
+        d = len(self.onb[factor])
         lo = sum(len(b) for b in self.onb[:factor])
         n = self.dimension
         positions = np.arange(n)
@@ -239,8 +224,6 @@ class TruncatedFock:
         # other tensor: the scalar part keeps it and the centred part prepends
         kept = np.where(led, self.tail, positions)
         src = np.where(led, self.lead - lo + 1, 0)
-        # entry (rows[comp, col], col) of the operator is vals[comp, col]:
-        # rows -1 and vals 0 where a prepend of component comp passes the depth
         rows = np.empty((d + 1, n), dtype=np.intp)
         rows[0] = kept
         for k in range(d):
@@ -248,14 +231,15 @@ class TruncatedFock:
             starts = self.lead == lo + k
             prepend[self.tail[starts]] = positions[starts]
             rows[k + 1] = prepend[kept]
-        return [(rows, np.where(rows >= 0, act[:, src], 0)) for act in acts]
+        return rows, src
 
 
 @functools.lru_cache(maxsize=16)
 def shared_fock(factors, depth: int) -> TruncatedFock:
-    """Process-wide cache of the 16 most recently used truncated spaces, so
-    that repeated norm queries share the basis and the cached basis-vector
-    operators of one space.  ``factors`` must be a tuple."""
+    """The one door to a truncated space: a process-wide cache of the 16
+    most recently used spaces, so that repeated queries share the basis
+    and the kept slot-letter records of one space.  ``factors`` must be a
+    tuple."""
     return TruncatedFock(factors, depth)
 
 
@@ -350,8 +334,8 @@ def _word_blocks(fock: TruncatedFock, words) -> dict:
     the left from there: the same products in the same association as
     rebuilding it letter by letter, so every block keeps its bits.  The
     block of a last letter, L(xi_k) @ I, is the space's
-    (:meth:`TruncatedFock.letter_block`), which a basis vector's letter
-    keeps between calls; it counts towards the store's entries.  Once the
+    (:meth:`TruncatedFock.letter_block`), which a slot letter keeps between
+    calls; it counts towards the store's entries.  Once the
     blocks held pass ``_BLOCK_CAP`` entries the call raises
     ResourceCapError, before any combination is summed."""
     words = list(dict.fromkeys(words))
@@ -570,7 +554,7 @@ class FreeProductFiltration(Filtration):
 
     def _level_words(self, n: int) -> list:
         """The basis words of level n: the depth-n space's, the empty word first."""
-        fock = TruncatedFock(self.ambient.factors, n)
+        fock = shared_fock(self.ambient.factors, n)
         return fock.words(fock.dimension)
 
     def level_onb(self, n: int):
@@ -723,7 +707,8 @@ def _vector_moments(x: FreeElement, r_max: int):
     """[q_0..q_{r_max}] as floats with q_r = ||v_r||^2, where v_0 = Omega and
     v_r = x v_{r-1} for odd r, x* v_{r-1} for even r, in the truncated space
     of depth r_max * l: v_{r-1} has length <= (r-1) l and one more word adds
-    at most l letters, so no letter ever meets the cut."""
+    at most l letters, so no letter ever meets the cut.  A q_r past the
+    float range raises OverflowError."""
     fock = shared_fock(x.ambient.factors, r_max * x.max_word_length())
     n, forward, backward = fock.dimension, {}, {}
     for l in {l for word in x.terms for l in word}:  # L v by scatter to rows, L* v by gather from them
@@ -739,12 +724,15 @@ def _vector_moments(x: FreeElement, r_max: int):
     v = np.zeros(n, dtype=complex)
     v[0] = 1.0
     q = [1.0]
-    for r in range(1, r_max + 1):
-        if r % 2:
-            v = _apply_words(x_terms, forward, v)
-        else:
-            v = _apply_words(adj_terms, backward, v)
-        q.append(float(np.vdot(v, v).real))
+    with np.errstate(over="ignore", invalid="ignore"):  # a vector past the float range ends in q_r
+        for r in range(1, r_max + 1):
+            if r % 2:
+                v = _apply_words(x_terms, forward, v)
+            else:
+                v = _apply_words(adj_terms, backward, v)
+            q.append(float(np.vdot(v, v).real))
+            if not math.isfinite(q[r]):
+                raise OverflowError(f"the float moment state((x*x)^{r}) is beyond the float range")
     return q
 
 

@@ -104,6 +104,14 @@ class Letter(NamedTuple):
     payload: AlgebraElement
 
 
+def factor_index(factors, j) -> int:
+    """j, the index of one of ``factors``: AlgebraError unless j is an int
+    in 0..m-1, so a negative index is not read as a factor from the end."""
+    if type(j) is not int or not 0 <= j < len(factors):
+        raise AlgebraError(f"factor index {reprlib.repr(j)} is not in 0..{len(factors) - 1}")
+    return j
+
+
 def _scalar_part(x: AlgebraElement):
     """If x == c*1 return c, else None, reading entries until one decides."""
     if x.is_exact():
@@ -178,7 +186,7 @@ class FreeElement:
             coeff = as_scalar(coeff)
             if coeff:
                 for letter in word:
-                    if letter.payload.owner != ambient.factors[letter.factor]:
+                    if letter.payload.owner != ambient.factors[factor_index(ambient.factors, letter.factor)]:
                         raise AlgebraError(f"letter in factor {letter.factor} has a foreign payload")
                 owned.append((word, coeff))
         object.__setattr__(self, "terms", accumulate({}, _merged_terms(owned)))
@@ -306,9 +314,7 @@ class FreeElement:
 
 
 def _letter_from_json(ambient: FreeProductAmbient, data) -> Letter:
-    j = json_shape(data, dict, "a letter", ("factor", "elem"))["factor"]
-    if type(j) is not int or not 0 <= j < len(ambient.factors):
-        raise AlgebraError(f"factor index {reprlib.repr(j)} is not in 0..{len(ambient.factors) - 1}")
+    j = factor_index(ambient.factors, json_shape(data, dict, "a letter", ("factor", "elem"))["factor"])
     return Letter(j, AlgebraElement.from_json(ambient.factors[j], data["elem"]))
 
 

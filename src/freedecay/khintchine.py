@@ -29,7 +29,7 @@ from .compressed import (
     shared_fock,
     spectral_norm,
 )
-from .freeword import FreeElement, FreeProductAmbient, Letter
+from .freeword import FreeElement, FreeProductAmbient, Letter, factor_index
 from .scalars import agree
 
 __all__ = [
@@ -70,7 +70,7 @@ class HomogeneousWordElement:
             if any(a == b for a, b in zip(pattern, pattern[1:])):
                 raise ValueError(f"pattern {pattern} is not alternating")
             for j, i in zip(pattern, idx):
-                if not 0 <= i < len(self.onb[j]):
+                if not 0 <= i < len(self.onb[factor_index(ambient.factors, j)]):
                     raise IndexError("letter index out of range")
             c = complex(c)
             if c != 0:
@@ -159,7 +159,7 @@ def tr_bracket(x: HomogeneousWordElement, r: int) -> TrBounds:
     upper: sum over factors of the exact block-matrix norm of the factor
     part (exact when all middle letters come from one factor);
     lower: the same block operator realized through the compressed left
-    representation, each cell sum c L_{j,i} over the cached basis-vector
+    representation, each cell sum c L_{j,i} over the kept slot-letter
     operators L_{j,i} = P_L lambda(xi_i) P_L of the shared space of depth
     ``default_depth(1)``, the compressions ``norm_lower_bound`` uses;
     weak_cs: the sqrt(m) * Hilbert-Schmidt style bound that the upper must respect.

@@ -114,6 +114,19 @@ def test_owner_mismatch_rejected():
         l2_inner(x, y)
 
 
+@pytest.mark.parametrize("pair, want", [
+    ([0.1, "0"], complex(0.1, 0)),
+    (["0", 0.1], complex(0, 0.1)),
+    (["1/3", 0.5], complex(1 / 3, 0.5)),
+    ([0.1, 0], complex(0.1, 0)),
+])
+def test_a_json_pair_with_a_float_entry_is_a_float(pair, want):
+    # exact only when both entries are strings or ints
+    got = _algebra_module._scalar_from_json(pair)
+    assert type(got) is complex and got == want
+    assert type(_algebra_module._scalar_from_json(["1/3", 0])) is QC
+
+
 def test_json_round_trip():
     for alg in (m2_tr(), c3_weighted()):
         again = MatrixBlockAlgebra.from_json(alg.to_json())

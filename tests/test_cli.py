@@ -20,6 +20,7 @@ from hypothesis import strategies as st
 from freedecay.algebra import AlgebraElement, MatrixBlockAlgebra
 from freedecay import cli
 from freedecay.cli import run
+from freedecay.compressed import TruncatedFock, shared_fock
 from freedecay.rdcert import ConstantFiltration, orthogonality_hypotheses, rd_report
 
 
@@ -759,6 +760,40 @@ def test_int_pair_coefficient_is_exact(tmp_path, coeff):
     lines = out.read_text().splitlines()
     assert lines[2].startswith("2,0.5,")
     assert "# method=free-cumulant" in lines
+
+
+@pytest.mark.parametrize("coeff", [[0.1, "0"], ["0", 0.1], ["1/3", 0.5]], ids=["float-string", "string-float", "fraction-float"])
+def test_a_pair_with_a_float_entry_is_float(tmp_path, coeff):
+    # exact only when both entries are strings or ints: one float entry makes
+    # x = c iota_0(e_12) a float element, on the vector path like [re, im] floats
+    factors, unit = _m2_factors(tmp_path), [[["0", "1"], ["0", "0"]]]
+    got = {}
+    for name, c in (("mixed", coeff), ("floats", [float(Fraction(v)) for v in coeff])):
+        epath = _write(tmp_path, f"{name}.json", {"terms": [{"coeff": c, "word": [{"factor": 0, "elem": unit}]}]})
+        out = tmp_path / f"{name}.csv"
+        assert run(["free-moments", "--factors", factors, "--element", epath, "--rmax", "2",
+                    "--out", str(out)]) == 0
+        got[name] = out.read_text()
+    assert "# method=fock-vector" in got["mixed"].splitlines()
+    assert got["mixed"] == got["floats"]
+
+
+def test_norm_estimate_on_a_length_1_float_element_builds_one_space(tmp_path, monkeypatch):
+    # the compressed bound (depth default_depth(1) = 4) and the vector moments
+    # (depth r_max * l = 4) share the one space of shared_fock
+    built, init = [], TruncatedFock.__init__
+    monkeypatch.setattr(TruncatedFock, "__init__", lambda self, *a: built.append(a[1]) or init(self, *a))
+    elem = {"terms": [{"coeff": [0.5, 0.5], "word": [{"factor": 0, "elem": [[[0.0, 1.0], [0.0, 0.0]]]}]},
+                      {"coeff": [0.25, -0.1], "word": [{"factor": 1, "elem": [[[1.0, 0.5], [0.0, -0.5]]]}]}]}
+    out = tmp_path / "estimate.csv"
+    shared_fock.cache_clear()
+    try:
+        assert run(["norm-estimate", "--factors", _m2_factors(tmp_path), "--element",
+                    _write(tmp_path, "elem.json", elem), "--out", str(out)]) == 0
+    finally:
+        shared_fock.cache_clear()
+    assert "# method=fock-vector" in out.read_text().splitlines()
+    assert built == [4]
 
 
 def test_float_free_moments_pair_no_elements(tmp_path, monkeypatch):

@@ -303,8 +303,9 @@ def test_letter_operators_keep_the_bits_of_the_per_tensor_construction(factors, 
     assert f.lead[0] == f.tail[0] == -1 and len(f.lead) == len(f.tail) == f.dimension
     for j in range(len(f.factors)):
         want = _per_tensor_letter_operators(f, j)
-        assert len(f.onb_operators(j)) == len(want)
-        for got, ref in zip(map(_letter_csr, f.onb_operators(j)), want):
+        ops = [f.letter_operator(j, xi) for xi in f.onb[j]]
+        assert len(ops) == len(want)
+        for got, ref in zip(map(_letter_csr, ops), want):
             for attr in ("data", "indices", "indptr"):
                 a, b = getattr(got, attr), getattr(ref, attr)
                 assert a.dtype == b.dtype and np.array_equal(a, b), (j, attr)
@@ -322,8 +323,8 @@ def test_a_centred_float_letter_has_no_scalar_part():
     f = TruncatedFock([c2_half(), c3_uniform()], 4)
     assert any(state(xi) != 0 and negligible(state(xi)) for xi in f.onb[1])
     not_led = _not_led_by(f, 1)
-    for op in f.onb_operators(1):
-        assert not _letter_csr(op).diagonal()[not_led].any()
+    for xi in f.onb[1]:
+        assert not _letter_csr(f.letter_operator(1, xi)).diagonal()[not_led].any()
 
 
 def test_an_uncentred_letter_keeps_its_scalar_part():
@@ -663,7 +664,7 @@ def test_word_blocks_and_probe_sums_match_scipy_products(factors):
     for word in words:
         block = identity
         for letter in reversed(word):
-            block = csr[letter.factor][f._onb_position[letter.factor][letter.payload]] @ block
+            block = csr[letter.factor][f.onb[letter.factor].index(letter.payload)] @ block
         want[word] = block.toarray()
     probes = filt._probes(4)
     blocks = compressed._word_blocks(f, words)
@@ -734,15 +735,38 @@ def test_empty_complements_keep_their_certify_rows(tmp_path):
                        "3,1.414213562373095,15.491933384829668,2"]
 
 
+def _kept(f):
+    """The slot-letter records a space has filled: letter -> [table, block]."""
+    return {letter: record for letter, record in f._slots.items() if record is not None}
+
+
 def test_only_basis_vector_operators_are_cached():
     f = TruncatedFock([m2_tr(), c3_weighted()], 2)
     amb = f.ambient()
     a = random_rational_element(amb.factors[0], np.random.default_rng(22))
     f.letter_operator(0, a)
-    assert f._onb_ops == {}
+    assert _kept(f) == {}
     xi = f.onb[1][1]
-    assert f.letter_operator(1, xi) is f.onb_operators(1)[1]
-    assert list(f._onb_ops) == [1] and len(f._onb_ops[1]) == 2
+    assert f.letter_operator(1, xi) is f._slots[Letter(1, xi)][0] is f.letter_operator(1, xi)
+    assert list(_kept(f)) == [Letter(1, xi)]
+
+
+def test_every_table_of_a_factor_shares_its_one_layout():
+    f = TruncatedFock([m2_tr(), c3_weighted()], 3)
+    rng = np.random.default_rng(23)
+    for j, factor in enumerate(f.factors):
+        tables = [f.letter_operator(j, xi) for xi in f.onb[j]]
+        slots = dict(f._slots)
+        a = random_rational_element(factor, rng)
+        tables.append(f.letter_operator(j, a))
+        tables.append(f.letter_operator(j, a + factor.identity()))  # uncentred
+        f.letter_block(j, a)
+        # a letter outside the complement basis leaves the kept records as they were
+        assert f._slots == slots and all(f._slots[l] is r for l, r in slots.items())
+        rows = f._layouts[j][0]
+        assert rows.shape == (len(f.onb[j]) + 1, f.dimension)
+        assert all(table[0] is rows for table in tables)
+    assert list(f._layouts) == [0, 1]
 
 
 def test_complement_basis_is_built_once_per_algebra():
@@ -1005,19 +1029,20 @@ def test_a_space_keeps_the_one_letter_blocks_of_its_basis_letters():
     words = [(letter,) for letter in letters] + [(letters[0], letters[-1]), (letters[-1], letters[1])]
     blocks = compressed._word_blocks(f, words)
     for j in range(2):
-        for i, xi in enumerate(f.onb[j]):
-            got, want = blocks[(Letter(j, xi),)], compressed._times(*f.onb_operators(j)[i], f.identity)
+        for xi in f.onb[j]:
+            got, want = blocks[(Letter(j, xi),)], compressed._times(*f.letter_operator(j, xi), f.identity)
             assert np.array_equal(got.rows, want.rows) and np.array_equal(got.cols, want.cols)
             assert got.vals.dtype == want.vals.dtype and got.vals.tobytes() == want.vals.tobytes()
             assert f.letter_block(j, xi) is got
     again = compressed._word_blocks(f, words)
     assert all(again[word] is blocks[word] for word in words if len(word) == 1)
     assert again[()] is blocks[()] is f.identity
-    assert len(f._onb_blocks) == len(letters)
+    assert sum(record[1] is not None for record in _kept(f).values()) == len(letters)
     # a payload outside the basis: built and dropped
     a = random_rational_element(f.factors[0], np.random.default_rng(22))
     outside = f.letter_block(0, a)
-    assert f.letter_block(0, a) is not outside and len(f._onb_blocks) == len(letters)
+    assert f.letter_block(0, a) is not outside
+    assert sum(record[1] is not None for record in _kept(f).values()) == len(letters)
     want = compressed._times(*f.letter_operator(0, a), f.identity)
     assert outside.vals.tobytes() == want.vals.tobytes() and np.array_equal(outside.rows, want.rows)
 

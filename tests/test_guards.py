@@ -46,6 +46,8 @@ GUARDS = [
      AlgebraError, "payload does not belong to the requested factor"),
     ("norm-foreign-ambient", lambda mp: norm_lower_bound(TruncatedFock([C2, C2], 1), LETTER),
      AlgebraError, "element ambient does not match the Fock factors"),
+    ("fock-factor-index", lambda mp: TruncatedFock([M2, C2], 1).letter_block(-1, C2_SIGN),
+     AlgebraError, "factor index -1 is not in 0..1"),
     ("moment-r-max", lambda mp: moment_norm_estimate(LETTER, 0), ValueError, "r_max must be >= 1"),
     # fock
     ("cumulants-m0", lambda mp: moments_to_free_cumulants([2, 1]), ValueError, "m_0 must be 1"),
@@ -58,6 +60,10 @@ GUARDS = [
      ValueError, "pattern (0, 0) is not alternating"),
     ("homogeneous-index", lambda mp: HomogeneousWordElement(AMB2, 1, {((0,), (3,)): 1.0}),
      IndexError, "letter index out of range"),
+    ("homogeneous-negative-factor", lambda mp: HomogeneousWordElement(AMB2, 2, {((1, -1), (0, 1)): 1.0}),
+     AlgebraError, "factor index -1 is not in 0..1"),
+    ("homogeneous-factor", lambda mp: HomogeneousWordElement(AMB2, 1, {((5,), (0,)): 1.0}),
+     AlgebraError, "factor index 5 is not in 0..1"),
     ("sr-cut", lambda mp: sr_norm(WORD1, 2), IndexError, "cut position r=2 outside 0..1"),
     ("tr-middle", lambda mp: tr_bracket(WORD1, 0), IndexError, "middle position r=0 outside 1..1"),
     # measure
@@ -73,6 +79,9 @@ GUARDS = [
      MeasureError, "moment m_2 requested but only 2 provided"),
     # freeword
     ("ambient-empty", lambda mp: FreeProductAmbient([]), AlgebraError, "free product needs at least one factor"),
+    ("word-negative-factor", lambda mp: FreeElement.word(AMB2, [Letter(1, FLIP), Letter(-1, FLIP)]),
+     AlgebraError, "factor index -1 is not in 0..1"),
+    ("letter-factor", lambda mp: FreeElement.letter(AMB2, 2, FLIP), AlgebraError, "factor index 2 is not in 0..1"),
     ("l2-ambients", lambda mp: l2_inner_free(LETTER, THIRD), AlgebraError, "free elements live in different ambients"),
     ("phi-ambient", lambda mp: phi_conjugation(SIGN, LETTER), AlgebraError, "phi_conjugation expects an A1*A2*A1 ambient"),
     ("phi-unitary-factor", lambda mp: phi_conjugation(C2_SIGN, THIRD),

@@ -224,10 +224,12 @@ def test_rx_check_caches_only_basis_vector_operators(built_spaces):
     # depth 4 serves both norm bounds and the brackets; depth 2 holds the
     # moment vectors of the length-1 sample (r_max * l = 2)
     assert sorted(spaces) == [2, 4]
-    assert len(spaces[4]._onb_ops) == 2
+    kept = {f.depth: [letter.factor for letter, record in f._slots.items() if record is not None]
+            for f in spaces.values()}
+    assert set(kept[4]) == {0, 1}
     for f in spaces.values():
-        for j, ops in f._onb_ops.items():
-            assert len(ops) == f.factors[j].dim - 1
+        for j in set(kept[f.depth]):
+            assert kept[f.depth].count(j) == f.factors[j].dim - 1
 
 
 def test_rx_check_builds_no_space_beyond_its_depth(built_spaces):

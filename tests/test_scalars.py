@@ -4,8 +4,8 @@ powers and float operators of ``QC`` and the rule that its layout stays in ``sca
 rule that only ``algebra`` spells a payload's float bits; plus the
 rules that modules import only at their top and never a thread or process
 pool, that the package imports no layer and no layer scipy, that files
-are opened only in the two file doors of ``cli``, that
-every cache is bounded, that every ``__all__`` entry exists, that no
+are opened only in the two file doors of ``cli``, that spaces are built
+only in ``compressed.shared_fock``, that every cache is bounded, that every ``__all__`` entry exists, that no
 module-level def only forwards its parameters to another call, that every
 public def has a src reference or a stated reason, and that the Python
 examples of README.md run."""
@@ -488,6 +488,18 @@ def test_files_are_opened_only_in_the_cli_doors():
             if (path.name, getattr(top, "name", None)) not in FILE_DOORS:
                 stray += [f"{path.name}:{line}: {code}" for line, code in _file_openers(top)]
     assert not stray, "files opened outside the cli doors:\n" + "\n".join(stray)
+
+
+def test_spaces_are_built_only_in_shared_fock():
+    # compressed.shared_fock is the one space door: a space built beside it
+    # keeps its own slot-letter records and is built again on the next call
+    stray = []
+    for path in sorted(SRC.glob("*.py")):
+        for top in ast.parse(path.read_text()).body:
+            if (path.name, getattr(top, "name", None)) != ("compressed.py", "shared_fock"):
+                stray += [f"{path.name}:{node.lineno}: {ast.unparse(node)}" for node in ast.walk(top)
+                          if isinstance(node, ast.Call) and ast.unparse(node.func).split(".")[-1] == "TruncatedFock"]
+    assert not stray, "spaces built outside compressed.shared_fock:\n" + "\n".join(stray)
 
 
 def test_every_cache_is_bounded():
