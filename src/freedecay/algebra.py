@@ -7,13 +7,13 @@ with every entry exact, a density included, is a ``scalars.QCMatrix``, the
 exact kernel; any other block is rows of ``QC`` and ``complex`` for the
 per-entry code here, the float kernel, which reads an exact block as rows of
 ``QC`` where the two meet.  No option chooses a kernel.  Operator norms
-always run in doubles.
+always run in doubles; ``gram_schmidt`` scales by ``scalars.unit_scale``.
 
 Elements are immutable, so each caches its state the first time it is asked
 for.  ``state`` and ``l2_inner`` pair each block with its density by one
 trace product; on an exact block against an exact density the kernel skips
 the density's zero entries, so a diagonal density (every builtin, every
-exact ``from_weights`` and ``matrix_with_trace`` algebra) costs n products.
+exact ``from_weights`` and ``matrix_with_state`` algebra) costs n products.
 Exact sums do not depend on the zero terms left out, so the values are those
 of the full trace products.
 """
@@ -190,8 +190,8 @@ class MatrixBlockAlgebra:
 
     @classmethod
     def matrix_with_trace(cls, n: int) -> "MatrixBlockAlgebra":
-        """(M_n, tr) with the normalized trace."""
-        return cls([[[QC(Fraction(1, n)) if i == j else QC(0) for j in range(n)] for i in range(n)]])
+        """(M_n, tr) with the normalized trace: the diagonal state 1/n."""
+        return cls.matrix_with_state([Fraction(1, n)] * n)
 
     @classmethod
     def matrix_with_state(cls, diagonal) -> "MatrixBlockAlgebra":
@@ -580,8 +580,9 @@ def gram_schmidt(vectors):
     """Orthonormalize under the GNS inner product ``l2_inner``; a vector
     whose residual norm is negligible drops.
 
-    Normalization constants stay exact when the squared norm is a perfect
-    rational square, otherwise the vector degrades to floats.
+    The normalization constant is ``scalars.unit_scale`` of the squared
+    norm: exact when that is a perfect rational square, else a float, and
+    the vector degrades to floats.
     """
     basis = []
     for v in vectors:
@@ -589,16 +590,10 @@ def gram_schmidt(vectors):
         for b in basis:
             w = w - b * l2_inner(w, b)
         nn = l2_inner(w, w)
-        if isinstance(nn, QC):
-            n2 = max(nn.re, Fraction(0))
-            if negligible(n2):
-                continue
-            basis.append(w * unit_scale(n2))
-        else:
-            norm = math.sqrt(max(nn.real, 0.0))
-            if negligible(norm):
-                continue
-            basis.append(w * (1.0 / norm))
+        n2 = max(nn.re, Fraction(0)) if isinstance(nn, QC) else max(nn.real, 0.0)
+        if negligible(n2 if isinstance(nn, QC) else math.sqrt(n2)):  # a float drops by its norm
+            continue
+        basis.append(w * unit_scale(n2))
     return basis
 
 

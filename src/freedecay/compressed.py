@@ -11,18 +11,20 @@ and one store holds the block of each word and of each suffix
 word list, summed from the stored blocks at a cut K (:func:`_combinations`),
 and many combinations share one store.  ``norm_lower_bound`` is the one
 door for a ``FreeElement``.  A letter operator is a gather table over its
-factor's one layout (word blocks are :class:`CooMatrix` arrays).  A space
-keeps the table and the one-letter block L @ I of each slot letter, a
-vector of a factor's complement basis, built on first use, and builds any
-other letter's when asked, without keeping them (:meth:`TruncatedFock.letter_block`).
+factor's one layout (word blocks are :class:`CooMatrix` arrays), read by
+:func:`_times` in ``_word_blocks`` alone; every other use of a letter reads
+its one-letter block L @ I (:meth:`TruncatedFock.letter_block`).  A space
+keeps both for each slot letter, a vector of a factor's complement basis,
+built on first use; any other letter's is built when asked and not kept.
 The complement bases are the algebras' own (:func:`onb_complement`), and
 :func:`shared_fock`, the one door to a space, keeps the 16 most recently
 used spaces per process.
 :class:`FreeProductFiltration`, the one filtration that needs a Fock space,
 brackets its RD constants with probe norms read from this representation:
 its level n is the depth-n space, whose basis words (:meth:`TruncatedFock.words`)
-prefix those of every deeper space; its probes are coefficient vectors over
-them, all levels combined from one store, and no ``FreeElement`` is built.
+prefix those of every deeper space; its probes (the flat one scaled by
+``scalars.unit_scale``) are coefficient vectors over them, all levels
+combined from one store, and no ``FreeElement`` is built.
 
 Every such norm is one largest singular value (:func:`spectral_norm`), on
 one of two paths chosen by the number of matrix entries: up to those of
@@ -37,13 +39,14 @@ out.  No norm is kept between calls.
 Moment-power estimates sit on top: s_r = state((x*x)^r)^(1/2r) together
 with the consecutive-moment ratio (state((x*x)^r)/state((x*x)^{r-1}))^(1/2);
 both are lower bounds of the norm and nondecreasing in r.  The moments
-q_r = state((x*x)^r) come from one of three methods:
+q_r = state((x*x)^r) come from one of three methods, and a float q_r past
+the float range raises OverflowError in :func:`moment_norm_estimate`:
 
 * "free-cumulant": self-adjoint sums of single letters, by additivity of
   free cumulants (exact when the element is, in :mod:`freedecay.fock`);
 * "fock-vector": every other float element, as q_r = ||v_r||^2 with
   v_r = x v_{r-1} (odd r) or x* v_{r-1} (even r) and v_0 = Omega, by
-  letter tables (scatter, and gather for adjoints) on the truncated space
+  scatter with the one-letter blocks (their adjoints for x*) on the space
   of depth r_max * l for words of length <= l.  v_r has length <= r l, so no letter
   ever meets the cut and the truncation costs nothing beyond rounding;
 * "word-expansion": every other exact element, by multiplying words out
@@ -80,7 +83,7 @@ from .fock import (
 )
 from .freeword import FreeElement, FreeProductAmbient, Letter, factor_index, is_normalized_word, normalize
 from .rdcert import ConstantFiltration, Filtration, RdConstant
-from .scalars import FLOAT_RTOL, accumulate, negligible, root_down
+from .scalars import FLOAT_RTOL, accumulate, negligible, root_down, unit_scale
 
 __all__ = [
     "TruncatedFock",
@@ -586,7 +589,7 @@ class FreeProductFiltration(Filtration):
         unit combinations."""
         size = self.level_dim(n)
         rng = default_rng(self.probe_seed + n)
-        probes = [np.full(size, 1.0 / math.sqrt(size), dtype=complex)]
+        probes = [np.full(size, unit_scale(size), dtype=complex)]
         for _ in range(2):
             coeffs = rng.standard_normal(size) + 1j * rng.standard_normal(size)
             probes.append(coeffs / np.linalg.norm(coeffs))
@@ -650,7 +653,9 @@ def moment_norm_estimate(x: FreeElement, r_max: int) -> MomentEstimates:
     lower bounds of the reduced norm and nondecreasing in r, and the best
     column is their max.  Exact q_r give each root rounded down
     (``scalars.root_down``), a certified bound; float q_r give the roots
-    rounded to nearest.  The methods are routed by exactness: x is exact
+    rounded to nearest, and the first float q_r that is not finite raises
+    OverflowError, whatever the method: the one range check of the float
+    moments.  The methods are routed by exactness: x is exact
     when every coefficient and the state of every letter is a QC
     (``FreeElement.is_exact``), so exact entries over a factor with a float
     state count as float.  ``method`` names how the moments were found:
@@ -674,6 +679,8 @@ def moment_norm_estimate(x: FreeElement, r_max: int) -> MomentEstimates:
     for r in range(1, r_max + 1):
         qr, prev = q[r], q[r - 1]
         if isinstance(qr, float):
+            if not math.isfinite(qr):
+                raise OverflowError(f"the float moment state((x*x)^{r}) is beyond the float range")
             root = qr ** (1.0 / (2 * r)) if qr > 0 else 0.0
             ratio = math.sqrt(qr / prev) if prev > 0 else 0.0
         else:
@@ -707,16 +714,14 @@ def _vector_moments(x: FreeElement, r_max: int):
     """[q_0..q_{r_max}] as floats with q_r = ||v_r||^2, where v_0 = Omega and
     v_r = x v_{r-1} for odd r, x* v_{r-1} for even r, in the truncated space
     of depth r_max * l: v_{r-1} has length <= (r-1) l and one more word adds
-    at most l letters, so no letter ever meets the cut.  A q_r past the
-    float range raises OverflowError."""
+    at most l letters, so no letter ever meets the cut.  Past the float range
+    q_r runs on to inf or nan, which :func:`moment_norm_estimate` refuses."""
     fock = shared_fock(x.ambient.factors, r_max * x.max_word_length())
     n, forward, backward = fock.dimension, {}, {}
-    for l in {l for word in x.terms for l in word}:  # L v by scatter to rows, L* v by gather from them
-        rows, vals = fock.letter_operator(l.factor, l.payload)
-        comp, cols = np.nonzero(vals)
-        rows, vals = rows[comp, cols], vals[comp, cols]
-        forward[l] = lambda v, rows=rows, cols=cols, vals=vals: _bincount(rows, vals * v[cols], n)
-        backward[l] = lambda v, rows=rows, cols=cols, vals=vals.conj(): _bincount(cols, vals * v[rows], n)
+    for l in {l for word in x.terms for l in word}:  # scatter with L's block, its adjoint for L*
+        block = fock.letter_block(l.factor, l.payload)
+        for ops, b in ((forward, block), (backward, block.adjoint())):
+            ops[l] = lambda v, b=b: _bincount(b.rows, b.vals * v[b.cols], n)
     # words in the order their letters act: the last letter of x's words
     # acts first; x* acts with the adjoint letters, first letter first
     x_terms = [(word[::-1], complex(c)) for word, c in x.terms.items()]
@@ -724,15 +729,13 @@ def _vector_moments(x: FreeElement, r_max: int):
     v = np.zeros(n, dtype=complex)
     v[0] = 1.0
     q = [1.0]
-    with np.errstate(over="ignore", invalid="ignore"):  # a vector past the float range ends in q_r
+    with np.errstate(over="ignore", invalid="ignore"):
         for r in range(1, r_max + 1):
             if r % 2:
                 v = _apply_words(x_terms, forward, v)
             else:
                 v = _apply_words(adj_terms, backward, v)
             q.append(float(np.vdot(v, v).real))
-            if not math.isfinite(q[r]):
-                raise OverflowError(f"the float moment state((x*x)^{r}) is beyond the float range")
     return q
 
 

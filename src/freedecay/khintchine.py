@@ -111,21 +111,26 @@ class HomogeneousWordElement:
 # ---------------------------------------------------------------------------
 
 
+def _cut(x: HomogeneousWordElement, lo: int, hi: int):
+    """The coefficient tensor cut at the slots lo:hi, as (cells, n_rows,
+    n_cols): prefixes (slots :lo) number the rows and suffixes (slots hi:)
+    the columns, each in first-seen order, and cells[(row, col)] lists the
+    cell's terms (pattern[lo:hi], idx[lo:hi], c) in the tensor's order."""
+    rows, cols, cells = {}, {}, {}
+    for (pattern, idx), c in x.coeffs.items():
+        cell = (rows.setdefault((pattern[:lo], idx[:lo]), len(rows)),
+                cols.setdefault((pattern[hi:], idx[hi:]), len(cols)))
+        cells.setdefault(cell, []).append((pattern[lo:hi], idx[lo:hi], c))
+    return cells, len(rows), len(cols)
+
+
 def _sr_matrix(x: HomogeneousWordElement, r: int):
     if not 0 <= r <= x.length:
         raise IndexError(f"cut position r={r} outside 0..{x.length}")
-    rows: dict = {}
-    cols: dict = {}
-    entries = []
-    for (pattern, idx), c in x.coeffs.items():
-        pre = (pattern[:r], idx[:r])
-        suf = (pattern[r:], idx[r:])
-        ri = rows.setdefault(pre, len(rows))
-        ci = cols.setdefault(suf, len(cols))
-        entries.append((ri, ci, c))
-    mat = np.zeros((max(len(rows), 1), max(len(cols), 1)), dtype=complex)
-    for ri, ci, c in entries:
-        mat[ri, ci] += c
+    cells, n_rows, n_cols = _cut(x, r, r)
+    mat = np.zeros((max(n_rows, 1), max(n_cols, 1)), dtype=complex)
+    for cell, ((_, _, c),) in cells.items():  # an empty middle: one term per cell
+        mat[cell] += c
     return mat
 
 
@@ -167,22 +172,14 @@ def tr_bracket(x: HomogeneousWordElement, r: int) -> TrBounds:
     if not 1 <= r <= x.length:
         raise IndexError(f"middle position r={r} outside 1..{x.length}")
     fock = shared_fock(x.ambient.factors, default_depth(1))
-    # the tensor grouped at middle position r: each cell (I, J) holds its
-    # terms (j, i, c), the middle letters c xi_{j,i}
-    terms: dict = {}
-    rows: dict = {}
-    cols: dict = {}
-    for (pattern, idx), c in x.coeffs.items():
-        pre, suf = (pattern[: r - 1], idx[: r - 1]), (pattern[r:], idx[r:])
-        terms.setdefault((pre, suf), []).append((pattern[r - 1], idx[r - 1], c))
-        rows.setdefault(pre, len(rows))
-        cols.setdefault(suf, len(cols))
+    # the tensor cut at middle position r: each cell's terms are its middle letters c xi_{j,i}
+    cells, n_rows, n_cols = _cut(x, r - 1, r)
 
-    # by_factor[j][(I, J)]: the factor-j part of cell (I, J) per matrix block,
+    # by_factor[j][cell]: the factor-j part of the cell per matrix block,
     # the sum in term order of c xi_{j,i}, as the float kernel of ``algebra`` sums
     by_factor: dict = {}
-    for cell, cell_terms in terms.items():
-        for j, i, c in cell_terms:
+    for cell, terms in cells.items():
+        for (j,), (i,), c in terms:
             part = by_factor.setdefault(j, {})
             blocks = [c * blk for blk in x.onb[j][i].to_numpy()]
             part[cell] = [a + b for a, b in zip(part[cell], blocks)] if cell in part else blocks
@@ -191,9 +188,7 @@ def tr_bracket(x: HomogeneousWordElement, r: int) -> TrBounds:
     for j in sorted(by_factor):
         best = 0.0
         for b in range(len(x.ambient.factors[j].block_dims)):
-            big = assemble_rank_one_blocks(len(rows), len(cols), {
-                (rows[pre], cols[suf]): blocks[b] for (pre, suf), blocks in by_factor[j].items()
-            })
+            big = assemble_rank_one_blocks(n_rows, n_cols, {cell: blocks[b] for cell, blocks in by_factor[j].items()})
             best = max(best, float(np.linalg.norm(big, 2)))
         upper += best
 
@@ -207,13 +202,13 @@ def tr_bracket(x: HomogeneousWordElement, r: int) -> TrBounds:
     weak_cs = math.sqrt(len(x.ambient.factors)) * math.sqrt(math.fsum(e * e for e in per_entry))
 
     n = fock.dimension  # each cell is the compression of its sum c xi_{j,i}, at its offsets
-    letters = {(j, i): (Letter(j, x.onb[j][i]),) for cell in terms.values() for j, i, _ in cell}
+    letters = {(j, i): (Letter(j, x.onb[j][i]),) for terms in cells.values() for (j,), (i,), _ in terms}
     blocks = _word_blocks(fock, letters.values())
     parts = []
-    for (pre, suf), cell in terms.items():
-        (b,) = _combinations(blocks, [letters[j, i] for j, i, _ in cell], [[c for _, _, c in cell]], n)
-        parts.append((b.rows + rows[pre] * n, b.cols + cols[suf] * n, b.vals))
-    lower = spectral_norm(CooMatrix(*map(np.concatenate, zip(*parts)), (len(rows) * n, len(cols) * n)))
+    for (row, col), terms in cells.items():
+        (b,) = _combinations(blocks, [letters[j, i] for (j,), (i,), _ in terms], [[c for *_, c in terms]], n)
+        parts.append((b.rows + row * n, b.cols + col * n, b.vals))
+    lower = spectral_norm(CooMatrix(*map(np.concatenate, zip(*parts)), (n_rows * n, n_cols * n)))
 
     return TrBounds(lower=lower, upper=upper, weak_cs=weak_cs, single_factor=len(by_factor) <= 1)
 

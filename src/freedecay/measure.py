@@ -69,7 +69,6 @@ class CompactMeasure:
         self._moment_fn = moment_fn
         self.name = name
         self.jacobi = jacobi
-        self._moment_cache: dict[int, object] = {}
         m0 = self.moment(0)
         if not negligible(m0 - 1):
             raise MeasureError(f"m_0 = {m0}, expected a probability measure")
@@ -77,9 +76,7 @@ class CompactMeasure:
     def moment(self, k: int):
         if k < 0:
             raise MeasureError("moment index must be nonnegative")
-        if k not in self._moment_cache:
-            self._moment_cache[k] = self._moment_fn(k)
-        return self._moment_cache[k]
+        return self._moment_fn(k)
 
     # -- builtins ---------------------------------------------------------
     @classmethod

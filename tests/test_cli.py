@@ -312,6 +312,40 @@ def test_numbers_beyond_the_float_range_exit_2(tmp_path, capsys, command, docume
     assert not (tmp_path / "out.csv").exists()
 
 
+@pytest.mark.parametrize("argv", [["free-moments", "--rmax", "2"], ["norm-estimate", "--moment-rmax", "2"]],
+                         ids=["free-moments", "norm-estimate"])
+def test_float_moments_beyond_the_float_range_exit_2_on_the_free_cumulant_path(tmp_path, capsys, argv):
+    # a self-adjoint single letter takes the free-cumulant method: q_1 = 1e400 is no float
+    element = {"terms": [{"coeff": [1e200, 0.0], "word": [_C2_LETTER]}]}
+    argv = argv + ["--factors", _write(tmp_path, "factors.json", _C2_C3),
+                   "--element", _write(tmp_path, "x.json", element), "--out", str(tmp_path / "out.csv")]
+    assert run(argv) == 2
+    assert capsys.readouterr().err == (
+        "error: number too large: the float moment state((x*x)^1) is beyond the float range\n")
+    assert not (tmp_path / "out.csv").exists()
+
+
+def test_avitzour_check_on_three_factors_exits_2(tmp_path, capsys):
+    factors = _write(tmp_path, "factors.json", {"factors": [{"atoms": ["1/2", "1/2"]}] * 3})
+    assert run(["avitzour-check", "--factors", factors]) == 2
+    assert capsys.readouterr().err == "error: avitzour-check needs exactly two factors\n"
+
+
+def test_a_count_that_is_no_int_exits_2(capsys):
+    assert run(["kh-norm", "--trials", "abc"]) == 2
+    assert "argument --trials: invalid int value: 'abc'" in capsys.readouterr().err
+
+
+def test_a_failed_rename_leaves_no_temp_file(tmp_path, monkeypatch):
+    def refuse(src, dst):
+        raise PermissionError(13, "Permission denied")
+
+    monkeypatch.setattr(cli.os, "replace", refuse)
+    with pytest.raises(cli.CliError, match="cannot write .*out.csv: Permission denied"):
+        cli._atomic_write(str(tmp_path / "out.csv"), "r\n1\n")
+    assert list(tmp_path.iterdir()) == []
+
+
 _MOMENTS01 = [1, "1/2", "1/3", "1/4", "1/5", "1/6", "1/7", "1/8"]
 
 

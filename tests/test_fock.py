@@ -971,6 +971,11 @@ def test_the_kernel_returns_the_witness_of_its_ritz_vector(name):
     assert spectral_norm(matrix) == value
 
 
+def test_an_empty_matrix_has_norm_0():
+    empty = np.array([], dtype=np.intp)
+    assert spectral_norm(compressed.CooMatrix(empty, empty, np.array([], dtype=complex), (0, 3))) == 0.0
+
+
 @pytest.mark.parametrize("name", sorted(_KERNEL_MATRICES))
 def test_the_kernel_skips_eigh_only_where_the_stop_fails(name, monkeypatch):
     # with the lower bound of |beta_k s_k| switched off (a floor of 0), every
@@ -1427,6 +1432,18 @@ def test_vector_moments_depth_above_cap_raises():
     # depth 11 over (M2, tr) * (M2, tr) has 1 + 6 (3^11 - 1) / 2 > 200 000 tensors
     with pytest.raises(ResourceCapError):
         moment_norm_estimate(x, 11)
+
+
+@pytest.mark.parametrize("coeff, method", [(1e200, "free-cumulant"), (1e200j, "fock-vector")])
+def test_float_moments_beyond_the_float_range_raise_overflow_error(coeff, method):
+    # 1e200 times the C2 sign: self-adjoint, so free-cumulant; times 1j it is not
+    c2 = MatrixBlockAlgebra.from_weights([Fraction(1, 2)] * 2)
+    amb = two_factor(c2, MatrixBlockAlgebra.from_weights([Fraction(1, 3)] * 3))
+    x = FreeElement.letter(amb, 0, c2.element([[[1]], [[-1]]])) * coeff
+    q, used = compressed._even_moments(x, 2)
+    assert used == method and not math.isfinite(q[1])
+    with pytest.raises(OverflowError, match=r"^the float moment state\(\(x\*x\)\^1\) is beyond the float range$"):
+        moment_norm_estimate(x, 2)
 
 
 def test_kesten_sum_of_haar_type_unitaries():

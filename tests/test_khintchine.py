@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from conftest import m2_tr, two_factor
-from freedecay.algebra import MatrixBlockAlgebra
+from freedecay.algebra import AlgebraError, MatrixBlockAlgebra
 from freedecay.compressed import shared_fock
 from freedecay.khintchine import (
     HomogeneousWordElement,
@@ -283,3 +283,9 @@ def test_an_empty_support_is_refused_with_its_length():
     with pytest.raises(ValueError, match="length 3 has empty support"):
         HomogeneousWordElement(_ambient(), 3, {((0, 1, 0), (0, 0, 0)): 0.0})
     assert HomogeneousWordElement.random(amb, 1, np.random.default_rng(0)).coeffs
+
+
+def test_assembled_blocks_share_one_shape():
+    assert assemble_rank_one_blocks(2, 2, {}).shape == (0, 0)
+    with pytest.raises(AlgebraError, match="^all blocks must share one shape$"):
+        assemble_rank_one_blocks(1, 2, {(0, 0): np.eye(2), (0, 1): np.eye(3)})

@@ -62,6 +62,19 @@ def test_root_down_is_the_largest_float_not_above_the_root(fraction, exponent, k
     assert root_down(QC(q), k) == t
 
 
+def test_root_down_steps_up_from_a_guess_below_the_root():
+    s = 1.997834823809371
+    q = Fraction(s) ** 3  # q < 2**3, so the guess is float(q) ** (1/3), unscaled
+    assert float(q) ** (1 / 3) < s
+    assert root_down(q, 3) == s
+
+
+def test_exact_operands_on_the_left_of_a_qc_stay_exact():
+    for got, want in [(1 - QC(1, 2), QC(0, -2)), (Fraction(1, 2) / QC(0, 1), QC(0, Fraction(-1, 2)))]:
+        assert type(got) is QC and got == want
+        assert type(got.re) is Fraction and type(got.im) is Fraction
+
+
 @settings(max_examples=200, deadline=None)
 @given(st.floats(-1, 1), st.floats(1e-6, 1e6), st.floats(0, 0.5), st.floats(2, 10))
 def test_floats_agree_within_the_relative_tolerance(fraction, scale, near, far):
@@ -502,6 +515,19 @@ def test_spaces_are_built_only_in_shared_fock():
     assert not stray, "spaces built outside compressed.shared_fock:\n" + "\n".join(stray)
 
 
+def test_only_word_blocks_reads_a_letter_table():
+    # a letter's gather table is read by compressed._times alone, through
+    # compressed._word_blocks; every other use of a letter goes through its
+    # one-letter block, TruncatedFock.letter_block
+    stray = []
+    for path in sorted(SRC.glob("*.py")):
+        for top in ast.parse(path.read_text()).body:
+            if (path.name, getattr(top, "name", None)) != ("compressed.py", "_word_blocks"):
+                stray += [f"{path.name}:{node.lineno}: {ast.unparse(node)}" for node in ast.walk(top)
+                          if isinstance(node, ast.Call) and ast.unparse(node.func).split(".")[-1] == "letter_operator"]
+    assert not stray, "letter tables read outside compressed._word_blocks:\n" + "\n".join(stray)
+
+
 def test_every_cache_is_bounded():
     # peak_rss_mb is a gated benchmark metric: a memo keeps a fixed number of
     # entries however many distinct arguments a run brings.  Memos are
@@ -565,7 +591,6 @@ def test_every_all_entry_exists():
 
 # public defs that no src code references, each kept for a stated reason
 UNREFERENCED_IN_SRC = {
-    "algebra.MatrixBlockAlgebra.matrix_with_state": "a one-block algebra with a diagonal state",
     "compressed.MomentEstimates.best_at": "reads the moment lower bound at one r",
     "freeword.FreeElement.letter": "builds a one-letter element, the public way to write sums of letters",
     "khintchine.kh_bracket": "the public kh(x) bracket shown in the README",
