@@ -9,13 +9,14 @@ per-entry code here, the float kernel, which reads an exact block as rows of
 ``QC`` where the two meet.  No option chooses a kernel.  Operator norms
 always run in doubles; ``gram_schmidt`` scales by ``scalars.unit_scale``.
 
-Elements are immutable, so each caches its state the first time it is asked
-for.  ``state`` and ``l2_inner`` pair each block with its density by one
-trace product; on an exact block against an exact density the kernel skips
-the density's zero entries, so a diagonal density (every builtin, every
-exact ``from_weights`` and ``matrix_with_state`` algebra) costs n products.
-Exact sums do not depend on the zero terms left out, so the values are those
-of the full trace products.
+Elements are immutable, so each keeps its state, its scalar part, its
+centred part and its adjoint the first time each is asked for; a pickle or
+a deep copy drops them.  ``state`` and ``l2_inner`` pair each block with
+its density by one trace product; on an exact block against an exact
+density the kernel skips the density's zero entries, so a diagonal density
+(every builtin, every exact ``from_weights`` and ``matrix_with_state``
+algebra) costs n products.  Exact sums do not depend on the zero terms left
+out, so the values are those of the full trace products.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from fractions import Fraction
 import numpy as np
 
 from .scalars import (
-    QC, QC_ONE, QC_ZERO, QCMatrix, as_scalar, conj, exact_block, negligible, trace_product,
+    QC, QC_ONE, QC_ZERO, QCMatrix, as_scalar, common_scalar, conj, exact_block, negligible, trace_product,
     unit_scale,
 )
 
@@ -381,9 +382,14 @@ def json_number(v, kind=Fraction, error=AlgebraError):
 
 
 class AlgebraElement:
-    """Element of a MatrixBlockAlgebra: one matrix per block, immutable."""
+    """Element of a MatrixBlockAlgebra: one matrix per block, immutable.
 
-    __slots__ = ("owner", "blocks", "_hash", "_state", "_bits")
+    Its hash, ``state``, ``_scalar_part``, ``center`` and ``adjoint`` are
+    each worked out once, on first use, and kept in a slot; products are
+    not kept (their number has no bound).  An exact element and its float
+    twin are two objects, so they never share what they keep."""
+
+    __slots__ = ("owner", "blocks", "_hash", "_state", "_bits", "_scalar", "_centred", "_adjoint")
 
     def __init__(self, owner: MatrixBlockAlgebra, blocks):
         object.__setattr__(self, "owner", owner)
@@ -398,6 +404,9 @@ class AlgebraElement:
         object.__setattr__(self, "blocks", blocks)
         object.__setattr__(self, "_hash", None)
         object.__setattr__(self, "_state", None)
+        object.__setattr__(self, "_scalar", None)
+        object.__setattr__(self, "_centred", None)
+        object.__setattr__(self, "_adjoint", None)
 
     @classmethod
     def _of(cls, owner: MatrixBlockAlgebra, blocks) -> "AlgebraElement":
@@ -409,6 +418,9 @@ class AlgebraElement:
         object.__setattr__(x, "blocks", blocks)
         object.__setattr__(x, "_hash", None)
         object.__setattr__(x, "_state", None)
+        object.__setattr__(x, "_scalar", None)
+        object.__setattr__(x, "_centred", None)
+        object.__setattr__(x, "_adjoint", None)
         return x
 
     def __setattr__(self, name, value):
@@ -448,7 +460,15 @@ class AlgebraElement:
     __rmul__ = __mul__  # reached only with a scalar on the left
 
     def adjoint(self) -> "AlgebraElement":
-        return AlgebraElement._of(self.owner, tuple(_mat_adjoint(b) for b in self.blocks))
+        """x*, kept on x the first time it is asked for; x* keeps x as its
+        own adjoint, which has the bits of x (conjugating twice restores
+        every float bit)."""
+        y = self._adjoint
+        if y is None:
+            y = AlgebraElement._of(self.owner, tuple(_mat_adjoint(b) for b in self.blocks))
+            object.__setattr__(y, "_adjoint", self)
+            object.__setattr__(self, "_adjoint", y)
+        return y
 
     def is_exact(self) -> bool:
         return _exact_blocks(self.blocks)
@@ -559,21 +579,45 @@ def negligible_element(x: AlgebraElement) -> bool:
     return negligible(op_norm(x))
 
 
+def _scalar_part(x: AlgebraElement):
+    """If x == c*1 return c, else None, reading entries until one decides.
+
+    Kept on the element the first time it is asked for, as (c,) or ()."""
+    part = x._scalar
+    if part is None:
+        if x.is_exact():
+            c = common_scalar(x.blocks)
+        else:
+            c = x.blocks[0][0][0]
+            if any(v != c if i == j else v for b in x.blocks for i, row in enumerate(b) for j, v in enumerate(row)):
+                c = None
+        part = () if c is None else (c,)
+        object.__setattr__(x, "_scalar", part)
+    return part[0] if part else None
+
+
 def center(x: AlgebraElement) -> AlgebraElement:
     """x - rho(x) 1; has state zero.
 
-    Subtracts s = rho(x) on the diagonal entries directly; no scalar element
-    is built.  The state is exact only when every block of x is; then the
-    kernel subtracts s on each block's diagonal.  A float s gives each entry
-    the operation x - s 1 would apply to it: x_ij + (-1 * (s * 1)) on the
-    diagonal and x_ij + (-1 * (s * 0)) off it, signed zeros included."""
-    s = state(x)
-    if type(s) is QC:
-        return AlgebraElement._of(x.owner, tuple([b.shift(s) for b in x.blocks]))
-    on, off = QC(-1) * (s * QC_ONE), QC(-1) * (s * QC_ZERO)
-    blocks = tuple(tuple(tuple(v + (on if i == j else off) for j, v in enumerate(row)) for i, row in enumerate(b))
-                   for b in x.blocks)
-    return AlgebraElement._of(x.owner, blocks)
+    Kept on the element the first time it is asked for, so every call on x
+    returns one object.  Subtracts s = rho(x) on the diagonal entries
+    directly; no scalar element is built.  The state is exact only when
+    every block of x is; then the kernel subtracts s on each block's
+    diagonal.  A float s gives each entry the operation x - s 1 would apply
+    to it: x_ij + (-1 * (s * 1)) on the diagonal and x_ij + (-1 * (s * 0))
+    off it, signed zeros included."""
+    c = x._centred
+    if c is None:
+        s = state(x)
+        if type(s) is QC:
+            blocks = tuple([b.shift(s) for b in x.blocks])
+        else:
+            on, off = QC(-1) * (s * QC_ONE), QC(-1) * (s * QC_ZERO)
+            blocks = tuple(tuple(tuple(v + (on if i == j else off) for j, v in enumerate(row))
+                                 for i, row in enumerate(b)) for b in x.blocks)
+        c = AlgebraElement._of(x.owner, blocks)
+        object.__setattr__(x, "_centred", c)
+    return c
 
 
 def gram_schmidt(vectors):

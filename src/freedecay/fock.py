@@ -83,10 +83,11 @@ def vacuum_expectation(x: FreeElement):
 
     Exact in rational mode; equals free_state(x) for every x (independent
     recursion: prepend/split on tensors instead of merge/center on words).
-    Computed afresh on every call.  One dict serves every term of x: it
-    holds the split of each (letter, first slot) product and of each letter
-    standing alone, so each is made once per call; nothing is kept between
-    calls.
+    Computed on every call.  One dict serves every term of x: it holds the
+    split of each (letter, first slot) product, so each product is made and
+    split once per call and dropped with it.  A letter standing alone splits
+    through the state and centred part kept on its payload, so it is
+    centred once per payload object, across calls.
     """
     splits: dict = {}
     acc = QC_ZERO
@@ -112,10 +113,11 @@ def _letter_on_tensors(letter, states, splits, room):
     The letter multiplies the tensor's first slot when that slot is in its
     factor, else it stands before the tensor; the product splits into its
     state, which drops the slot, and its centred part, a new first slot.
-    ``splits`` is the call's memo of these splits, keyed by the (letter,
-    first slot) pair or by the letter alone; equal letters have payloads of
-    one kind and the same float bits, so a hit returns the pair that the
-    same split made, with its bits.  Coefficients in
+    ``splits`` is the call's memo of the product splits, keyed by the
+    (letter, first slot) pair; equal letters have payloads of one kind and
+    the same float bits, so a hit returns the pair that the same split made,
+    with its bits.  The letter alone is split once here, from what its
+    payload keeps.  Coefficients in
     ``states`` are never 0, so only a state term can be.  ``room`` letters
     act after this one: no tensor of ``states`` is longer than room + 1, and
     a term longer than room is dropped before it is made."""
@@ -132,9 +134,7 @@ def _letter_on_tensors(letter, states, splits, room):
             continue
         else:
             if alone is None:
-                alone = splits.get(letter)
-                if alone is None:
-                    alone = splits[letter] = _split(j, letter.payload)
+                alone = _split(j, letter.payload)
             (s, slot), rest = alone, tensor
         c = coeff * s
         if c:

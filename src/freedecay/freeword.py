@@ -11,8 +11,11 @@ call of the arithmetic and the conjugation maps.  One centering recursion,
 words: ``normalize`` collects every coefficient, and ``free_state`` keeps
 the empty word alone and cuts the words that provably never reach it (the
 argument is in its docstring).  Its memos live for one call: each word is
-decomposed, each letter centred and each adjacent pair multiplied once per
-call.  Everything is exact whenever payloads and coefficients are rational.
+decomposed and each adjacent pair multiplied once per call.  A letter's
+state, scalar part and centred part are kept on its payload
+(``algebra.AlgebraElement``), so each is worked out once per payload
+object, across calls.  Everything is exact whenever payloads and
+coefficients are rational.
 """
 
 from __future__ import annotations
@@ -27,8 +30,8 @@ from typing import NamedTuple
 from .algebra import (
     AlgebraElement, AlgebraError, MatrixBlockAlgebra, center, l2_inner, negligible_element, op_norm, state,
 )
-from .algebra import _scalar_from_json, json_shape
-from .scalars import QC, QC_ONE, QC_ZERO, accumulate, as_scalar, common_scalar, conj, negligible
+from .algebra import _scalar_from_json, _scalar_part, json_shape
+from .scalars import QC, QC_ONE, QC_ZERO, accumulate, as_scalar, conj, negligible
 
 __all__ = [
     "FreeProductAmbient",
@@ -110,19 +113,6 @@ def factor_index(factors, j) -> int:
     if type(j) is not int or not 0 <= j < len(factors):
         raise AlgebraError(f"factor index {reprlib.repr(j)} is not in 0..{len(factors) - 1}")
     return j
-
-
-def _scalar_part(x: AlgebraElement):
-    """If x == c*1 return c, else None, reading entries until one decides."""
-    if x.is_exact():
-        return common_scalar(x.blocks)
-    c = x.blocks[0][0][0]
-    for b in x.blocks:
-        for i, row in enumerate(b):
-            for j, v in enumerate(row):
-                if v != c if i == j else v:
-                    return None
-    return c
 
 
 def _merge_word(letters, products: dict):
@@ -353,17 +343,17 @@ def _word_sort_key(item):
 
 class _Memo:
     """What one call of the centring recursion has worked out: the
-    decomposition of each word, the centred letter of each letter it splits
-    (None when that centred part is a scalar) and the product letter of each
-    merged pair, keyed by the words and letters themselves.  Equal letters
-    have the same kind and float bits, so a hit returns the object that the
-    same operation on the same operands made, with the bits of the recursion
-    without memo.  Made per call and dropped with it."""
+    decomposition of each word and the product letter of each merged pair,
+    keyed by the words and letters themselves.  Equal letters have the same
+    kind and float bits, so a hit returns the object that the same operation
+    on the same operands made, with the bits of the recursion without memo.
+    Made per call and dropped with it; the state, scalar part and centred
+    part of a letter are kept on its payload."""
 
-    __slots__ = ("words", "centred", "products", "state_only")
+    __slots__ = ("words", "products", "state_only")
 
     def __init__(self, state_only=False):
-        self.words, self.centred, self.products = {}, {}, {}
+        self.words, self.products = {}, {}
         self.state_only = state_only
 
 
@@ -373,9 +363,9 @@ def _decompose_word(word, memo: _Memo):
     Returns dict {word: coeff}; the empty word carries the scalar part.  The
     word is split at its first letter of non-negligible state s into the
     word with that letter centred and s times the merged word without it.
-    ``memo`` serves the words, centred letters and merged products that the
-    branches meet again; under ``memo.state_only`` only the empty word is
-    kept and a word with 2 i > len(word) gives {} (see ``free_state``).
+    ``memo`` serves the words and merged products that the branches meet
+    again; under ``memo.state_only`` only the empty word is kept and a word
+    with 2 i > len(word) gives {} (see ``free_state``).
     """
     result = memo.words.get(word)
     if result is not None:
@@ -389,17 +379,11 @@ def _decompose_word(word, memo: _Memo):
     if i == len(word) or memo.state_only and 2 * i > len(word):
         result = memo.words[word] = {} if memo.state_only and word else {word: QC_ONE}
         return result
-    if letter in memo.centred:
-        centered_letter = memo.centred[letter]
-    else:
-        centered_letter = Letter(letter.factor, center(letter.payload))
-        if _scalar_part(centered_letter.payload) is not None:
-            centered_letter = None
-        memo.centred[letter] = centered_letter
+    centred = center(letter.payload)
     result: dict = {}
     # branch 1: replace the letter by its centered part (may vanish)
-    if centered_letter is not None:
-        branch = word[:i] + (centered_letter,) + word[i + 1 :]
+    if _scalar_part(centred) is None:
+        branch = word[:i] + (Letter(letter.factor, centred),) + word[i + 1 :]
         accumulate(result, _decompose_word(branch, memo).items())
     # branch 2: scalar part times the word with the letter removed; it adds
     # each word once, so a word it cancels is never added again
@@ -413,7 +397,11 @@ def _decompose_word(word, memo: _Memo):
 
 
 def normalize(x: FreeElement) -> FreeElement:
-    """Equal element written as c*1 + sum of alternating centered words."""
+    """Equal element written as c*1 + sum of alternating centered words.
+
+    One ``_Memo`` serves every term of x and is dropped with the call; what
+    the recursion reads of each letter (state, scalar part, centred part) is
+    kept on its payload."""
     memo = _Memo()
     pairs = (
         (w, coeff * c)
@@ -433,8 +421,10 @@ def free_state(x: FreeElement):
     alternating normal form, so 1 on the empty word and 0 on every nonempty
     alternating centered word.
 
-    Computed afresh on every call by the recursion of ``normalize``, with
-    one state-only ``_Memo`` for every term of x: each result holds at most
+    Computed on every call by the recursion of ``normalize``, with one
+    state-only ``_Memo`` for every term of x, and with the state, scalar
+    part and centred part of each letter as kept on its payload: each
+    result holds at most
     the empty word, and a word split at index i with 2 i > len(word) gives
     {}.  The cut is exact.  Let p count the leading letters of negligible
     state, r = len(word) - p and D = p - r.  D never decreases: branch 1

@@ -134,6 +134,10 @@ def _sr_matrix(x: HomogeneousWordElement, r: int):
     return mat
 
 
+def _hs_norm(mat) -> float:
+    return math.sqrt(math.fsum(abs(c) ** 2 for c in mat.ravel() if c != 0))
+
+
 def sr_norm(x: HomogeneousWordElement, r: int) -> float:
     """Exact spectral norm of the prefix-by-suffix unfolding at cut r."""
     return float(np.linalg.norm(_sr_matrix(x, r), 2))
@@ -141,8 +145,7 @@ def sr_norm(x: HomogeneousWordElement, r: int) -> float:
 
 def sr_hs_norm(x: HomogeneousWordElement, r: int) -> float:
     """Hilbert-Schmidt norm of the unfolding; equals the l2 norm of x."""
-    mat = _sr_matrix(x, r)
-    return math.sqrt(math.fsum(abs(c) ** 2 for c in mat.ravel() if c != 0))
+    return _hs_norm(_sr_matrix(x, r))
 
 
 # ---------------------------------------------------------------------------
@@ -219,11 +222,12 @@ def tr_bracket(x: HomogeneousWordElement, r: int) -> TrBounds:
 
 
 def _unfoldings(x: HomogeneousWordElement):
-    """(s_values, t_bounds): sr_norm at every cut 0..l and tr_bracket at
-    every middle position 1..l."""
-    s_values = [sr_norm(x, r) for r in range(0, x.length + 1)]
+    """(matrices, s_values, t_bounds): the prefix unfolding at every cut
+    0..l, its sr_norm, and tr_bracket at every middle position 1..l."""
+    matrices = [_sr_matrix(x, r) for r in range(0, x.length + 1)]
+    s_values = [float(np.linalg.norm(mat, 2)) for mat in matrices]
     t_bounds = [tr_bracket(x, r) for r in range(1, x.length + 1)]
-    return s_values, t_bounds
+    return matrices, s_values, t_bounds
 
 
 def _kh_range(s_values, t_bounds):
@@ -234,7 +238,8 @@ def _kh_range(s_values, t_bounds):
 
 def kh_bracket(x: HomogeneousWordElement):
     """(lower, upper) for kh(x) = max over cuts of the unfolding norms."""
-    return _kh_range(*_unfoldings(x))
+    _, s_values, t_bounds = _unfoldings(x)
+    return _kh_range(s_values, t_bounds)
 
 
 @dataclass
@@ -265,7 +270,7 @@ def rx_check(x: HomogeneousWordElement, moment_rmax: int = 2) -> RxReport:
     """
     ell = x.length
     elem = x.to_free_element()
-    s_values, t_bounds = _unfoldings(x)
+    matrices, s_values, t_bounds = _unfoldings(x)
     if ell == 1:
         # t_1's 1 x 1 grid holds sum c L_{j,i} on the space of depth
         # default_depth(1) that tr_bracket builds: its norm is the Fock-space lower bound
@@ -278,7 +283,7 @@ def rx_check(x: HomogeneousWordElement, moment_rmax: int = 2) -> RxReport:
     bound = 2 * (ell + 1) * kh_up
     l2 = x.l2_norm()
     sr_ok = all(s <= l2 or agree(s, l2, l2) for s in s_values)
-    hs_ok = all(sr_hs_norm(x, r) == l2 for r in range(ell + 1))
+    hs_ok = all(_hs_norm(mat) == l2 for mat in matrices)
     weak_ok = all(t.upper <= t.weak_cs or agree(t.upper, t.weak_cs, t.weak_cs) for t in t_bounds)
     return RxReport(
         length=ell,

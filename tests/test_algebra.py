@@ -1,5 +1,6 @@
 """Tests for finite-dimensional C*-probability spaces."""
 
+import copy
 import math
 import pickle
 from fractions import Fraction
@@ -14,6 +15,7 @@ from freedecay.algebra import (
     AlgebraElement,
     AlgebraError,
     MatrixBlockAlgebra,
+    _scalar_part,
     center,
     dn_norm,
     gram_schmidt,
@@ -545,6 +547,76 @@ def test_state_is_cached_on_the_element():
         fresh = AlgebraElement(alg, x.blocks)
         assert fresh._state is None
         assert _bits(state(fresh)) == _bits(s) == _bits(_reference_state(x))
+
+
+def _kept(x):
+    return x._scalar, x._centred, x._adjoint
+
+
+def test_centred_part_and_adjoint_are_kept_on_the_element():
+    rng = np.random.default_rng(6)
+    for make in _ALGEBRAS:
+        for x in (random_rational_element(make(), rng), random_rational_element(make(), rng) * 0.5):
+            assert _kept(x) == (None, None, None)
+            c, y = center(x), x.adjoint()
+            assert center(x) is c and x.adjoint() is y and y.adjoint() is x
+            assert _element_bits(y.adjoint()) == _element_bits(x)
+            fresh = AlgebraElement._of(x.owner, x.blocks)
+            assert _element_bits(center(fresh)) == _element_bits(c)
+            assert _element_bits(fresh.adjoint()) == _element_bits(y)
+
+
+def test_the_scalar_part_is_worked_out_once(monkeypatch):
+    calls = []
+    common = _algebra_module.common_scalar
+    monkeypatch.setattr(_algebra_module, "common_scalar", lambda blocks: calls.append(blocks) or common(blocks))
+    alg = _m2_plus_c()
+    scalar, other = alg.scalar(QC(2, -1)), random_rational_element(alg, np.random.default_rng(2))
+    for x, want in ((scalar, QC(2, -1)), (other, None)):
+        calls.clear()
+        assert [_scalar_part(x) for _ in range(3)] == [want] * 3
+        assert calls == [x.blocks]
+    float_scalar = alg.scalar(0.5 + 0j)
+    assert [_scalar_part(float_scalar) for _ in range(2)] == [0.5 + 0j] * 2 and float_scalar._scalar == (0.5 + 0j,)
+
+
+def test_an_exact_element_and_its_float_twin_never_share_what_they_keep():
+    x, _ = _boundary_cases()
+    x = x * QC(3)  # dyadic entries, so a float twin of equal values exists
+    for first in ("exact", "float"):
+        exact = AlgebraElement._of(x.owner, x.blocks)
+        twin = AlgebraElement(x.owner, [[[complex(v) for v in row] for row in b] for b in x.blocks])
+        pair = [exact, twin] if first == "exact" else [twin, exact]
+        got = {id(z): (_entry_reprs(center(z)), _entry_reprs(z.adjoint()), repr(_scalar_part(z))) for z in pair}
+        assert center(exact) is not center(twin) and exact.adjoint() is not twin.adjoint()
+        assert got[id(exact)][:2] == (_entry_reprs(center(x)), _entry_reprs(x.adjoint()))
+        assert got[id(exact)] != got[id(twin)]
+        assert all(type(b) is QCMatrix for z in (center(exact), exact.adjoint()) for b in z.blocks)
+        assert not any(type(b) is QCMatrix for z in (center(twin), twin.adjoint()) for b in z.blocks)
+    one, one_float = x.owner.identity(), x.owner.scalar(1.0 + 0j)
+    assert one != one_float and hash(one) == hash(one_float)
+    assert (repr(_scalar_part(one)), repr(_scalar_part(one_float))) == ("QC(1)", "(1+0j)")
+
+
+def test_the_kept_slots_stay_immutable():
+    x = random_rational_element(m2_tr(), np.random.default_rng(3))
+    center(x), x.adjoint(), _scalar_part(x)
+    for name in ("_scalar", "_centred", "_adjoint"):
+        with pytest.raises(AttributeError, match="immutable"):
+            setattr(x, name, None)
+    assert center(x) is x._centred
+
+
+@pytest.mark.parametrize("clone", [lambda x: pickle.loads(pickle.dumps(x)), copy.deepcopy],
+                         ids=["pickle", "deepcopy"])
+def test_a_copy_drops_what_the_element_keeps(clone):
+    x = random_rational_element(_m2_plus_c(), np.random.default_rng(4)) * (0.5 + 0.25j)
+    state(x), center(x), x.adjoint(), _scalar_part(x)
+    again = clone(x)
+    assert again == x and hash(again) == hash(x) and again is not x
+    assert _kept(again) == (None, None, None) and again._state is None
+    assert _element_bits(center(again)) == _element_bits(center(x))
+    assert _element_bits(again.adjoint()) == _element_bits(x.adjoint()) and again.adjoint().adjoint() is again
 
 
 def _reference_op_norm(x):

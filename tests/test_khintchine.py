@@ -197,6 +197,20 @@ def test_rx_check_builds_each_bracket_once(monkeypatch):
     assert calls == [1, 2]
 
 
+def test_rx_check_builds_each_prefix_unfolding_once(monkeypatch):
+    import freedecay.khintchine as kh
+
+    cuts, build = [], kh._sr_matrix
+    monkeypatch.setattr(kh, "_sr_matrix", lambda x, r: cuts.append(r) or build(x, r))
+    for ell in (1, 2):
+        x = HomogeneousWordElement.random(_ambient(), ell, np.random.default_rng(15))
+        cuts.clear()
+        report = rx_check(x)
+        assert cuts == list(range(ell + 1))
+        assert report.hs_identity_ok and all(sr_hs_norm(x, r) == x.l2_norm() for r in range(ell + 1))
+        assert report.kh_lower >= max(sr_norm(x, r) for r in range(ell + 1))
+
+
 @pytest.fixture
 def built_spaces(monkeypatch):
     """The spaces that shared_fock builds during a test, from an empty cache."""

@@ -2,9 +2,11 @@
 
 ``free_state``/``normalize`` (``freeword._decompose_word``) and
 ``vacuum_expectation`` (``fock._vacuum_of_word``) each keep memos that live
-for one call.  The reference recursions below keep none: every letter is
-centred and every product is formed afresh wherever it is met, so their
-values and bits are what the memos must reproduce.  Inputs mix exact
+for one call, and read the state, scalar part and centred part that each
+payload keeps.  The reference recursions below keep none: every letter is
+centred, from a copy that keeps nothing, and every product is formed afresh
+wherever it is met, so their values and bits are what the memos and the
+kept parts must reproduce.  Inputs mix exact
 letters, their float twins (unequal but hash-equal), signed-zero twins of
 float letters, uncentred letters and unitaries whose products are scalars,
 in multi-term elements whose terms share letters.
@@ -19,6 +21,7 @@ never returns to the vacuum) are run on inputs where they fire, and the work
 they leave is counted.
 """
 
+import pickle
 import sys
 from fractions import Fraction
 
@@ -28,7 +31,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (
-    linear_sum, m2_tr, random_alternating_word, random_centered_rational, random_rational_element, two_factor,
+    linear_sum, m2_tr, random_alternating_word, random_centered_rational, random_rational_element,
+    random_word_element, two_factor,
 )
 from freedecay import algebra, fock, freeword
 from freedecay.algebra import AlgebraElement, MatrixBlockAlgebra, center, l2_inner, state
@@ -44,6 +48,11 @@ from freedecay.scalars import QC, QC_ONE, QC_ZERO, accumulate, conj, negligible
 # ---------------------------------------------------------------------------
 
 
+def _afresh(p):
+    """The payload p as a new object that keeps nothing yet."""
+    return AlgebraElement._of(p.owner, p.blocks)
+
+
 def _reference_decompose(word):
     """``freeword._decompose_word`` without memo."""
     for i, letter in enumerate(word):
@@ -52,9 +61,9 @@ def _reference_decompose(word):
             break
     else:
         return {word: QC_ONE}
-    centred = Letter(letter.factor, center(letter.payload))
+    centred = Letter(letter.factor, center(_afresh(letter.payload)))
     result: dict = {}
-    if _scalar_part(centred.payload) is None:
+    if _scalar_part(_afresh(centred.payload)) is None:
         accumulate(result, _reference_decompose(word[:i] + (centred,) + word[i + 1 :]).items())
     c2, reduced = _merge_word(word[:i] + word[i + 1 :], {})
     factor = s * c2
@@ -78,7 +87,7 @@ def _reference_normalize(x):
 
 
 def _reference_split(j, prod):
-    s, centred = state(prod), center(prod)
+    s, centred = state(prod), center(_afresh(prod))
     return s, None if not any(v for b in centred.blocks for row in b for v in row) else Letter(j, centred)
 
 
@@ -270,18 +279,39 @@ def _shared_letter_element():
     return linear_sum(pairs)
 
 
+def _fresh(x):
+    """A copy of the free element x whose payloads keep nothing yet: a
+    pickle round trip, which keeps a letter that words share one object."""
+    return pickle.loads(pickle.dumps(x))
+
+
+def _count_centrings(monkeypatch, modules):
+    """The list of payloads that ``center``, called through one of
+    ``modules``, centres from scratch; a call that returns a kept centred
+    part adds nothing."""
+    centred = []
+
+    def spy(a):
+        if a._centred is None:
+            centred.append(a)
+        return algebra.center(a)
+
+    for module in modules:
+        monkeypatch.setattr(module, "center", spy)
+    return centred
+
+
 def test_free_state_centres_each_letter_and_multiplies_each_pair_once_per_call(monkeypatch):
     x = _shared_letter_element()
-    want = _reference_free_state(x)
-    centred, products = [], []
+    want = _reference_free_state(_fresh(x))
+    products = []
     mul = AlgebraElement.__mul__
-    for module in (freeword, sys.modules[__name__]):
-        monkeypatch.setattr(module, "center", lambda a: centred.append(a) or algebra.center(a))
+    centred = _count_centrings(monkeypatch, (freeword, sys.modules[__name__]))
     monkeypatch.setattr(AlgebraElement, "__mul__", lambda a, b: products.append((a, b)) or mul(a, b))
-    got = free_state(x)
+    got = free_state(_fresh(x))
     assert (len(centred), len(products)) == (len(set(centred)), len(set(products))) == (24, 18)
     centred.clear(), products.clear()
-    _reference_free_state(x)
+    _reference_free_state(_fresh(x))
     assert len(centred) > 24 and len(products) > 18
     monkeypatch.undo()
     assert repr(got) == repr(want)
@@ -325,12 +355,49 @@ def test_a_product_multiplies_each_repeated_pair_once_per_call(name, monkeypatch
 
 def test_vacuum_oracle_splits_each_product_once_per_call(monkeypatch):
     x = _shared_letter_element()
-    calls = []
-    monkeypatch.setattr(fock, "center", lambda a: calls.append(a) or center(a))
-    got = vacuum_expectation(x)
+    calls = _count_centrings(monkeypatch, (fock,))
+    got = vacuum_expectation(_fresh(x))
     assert len(calls) == len(set(calls))
     monkeypatch.undo()
     assert repr(got) == repr(_reference_vacuum(x)) == repr(_reference_free_state(x))
+
+
+# ---------------------------------------------------------------------------
+# what a payload keeps changes no result
+# ---------------------------------------------------------------------------
+
+
+def _float_twin(x):
+    """x with float coefficients and every payload's entries as complex
+    floats; the entries are Gaussian integers, so the words stay merged."""
+    return FreeElement._of(x.ambient, {
+        tuple(Letter(l.factor, _twin(l.payload)) for l in w): complex(c) for w, c in x.terms.items()
+    })
+
+
+_ORACLES = {
+    "free_state": lambda x, y: repr(free_state(x)),
+    "normalize": lambda x, y: _term_bits(normalize(x)),
+    "l2_inner_free": lambda x, y: repr(l2_inner_free(x, y)),
+    "vacuum_expectation": lambda x, y: repr(vacuum_expectation(x)),
+}
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.sampled_from(sorted(AMBIENTS)), st.integers(0, 2**32 - 1), st.booleans(), st.booleans())
+def test_what_payloads_keep_changes_no_result(name, seed, floats, centered):
+    ambient = AMBIENTS[name]()
+    rng = np.random.default_rng(seed)
+    x, y = (random_word_element(ambient, 4, rng, n_terms=2, centered=centered) for _ in range(2))
+    if floats:
+        x, y = _float_twin(x), _float_twin(y)
+    # each oracle on copies that keep nothing, then every oracle in turn on
+    # one pair of copies, the fock oracle before or after the freeword ones
+    want = {oracle: run(*_fresh((x, y))) for oracle, run in _ORACLES.items()}
+    names = list(_ORACLES)
+    for order in (names, names[-1:] + names[:-1]):
+        pair = _fresh((x, y))
+        assert {oracle: _ORACLES[oracle](*pair) for oracle in order} == want
 
 
 # ---------------------------------------------------------------------------

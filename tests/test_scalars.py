@@ -8,7 +8,8 @@ are opened only in the two file doors of ``cli``, that spaces are built
 only in ``compressed.shared_fock``, that every cache is bounded, that every ``__all__`` entry exists, that no
 module-level def only forwards its parameters to another call, that every
 public def has a src reference or a stated reason, and that the Python
-examples of README.md run."""
+examples of README.md run.  Each source lint reads the files through
+``_sources``, which fails unless it finds every module of the package."""
 
 import ast
 import importlib
@@ -34,6 +35,18 @@ from freedecay.scalars import (
 )
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "freedecay"
+MODULES = {"__init__.py", "scalars.py", "algebra.py", "measure.py", "freeword.py", "fock.py",
+           "compressed.py", "khintchine.py", "rdcert.py", "cli.py"}
+
+
+def _sources(src=SRC):
+    """The package's module files in name order, for the source lints; fails
+    unless every module is there, so a lint run where it finds no source
+    cannot pass."""
+    paths = sorted(src.glob("*.py"))
+    missing = MODULES - {path.name for path in paths}
+    assert not missing, f"source lints found no {', '.join(sorted(missing))} in {src}"
+    return paths
 
 rationals = st.fractions(max_denominator=10**12).filter(lambda f: abs(f) < 10**6)
 exact_values = st.one_of(
@@ -297,10 +310,19 @@ ALLOWED_LITERALS = {
 }
 
 
+def test_source_lints_fail_where_they_find_no_module(tmp_path):
+    with pytest.raises(AssertionError, match="found no"):
+        _sources(tmp_path)
+    (tmp_path / "scalars.py").write_text("")
+    with pytest.raises(AssertionError, match="found no __init__.py, algebra.py"):
+        _sources(tmp_path)
+    assert {path.name for path in _sources()} >= MODULES
+
+
 def test_tolerance_literals_live_only_in_the_policy():
     pattern = re.compile(r"\d+(\.\d*)?e-\d+")
     found, stray = set(), []
-    for path in sorted(SRC.glob("*.py")):
+    for path in _sources():
         for number, line in enumerate(path.read_text().splitlines(), 1):
             if not pattern.search(line):
                 continue
@@ -315,7 +337,7 @@ def test_tolerance_literals_live_only_in_the_policy():
 
 def test_no_imports_inside_functions():
     stray = []
-    for path in sorted(SRC.glob("*.py")):
+    for path in _sources():
         for node in ast.walk(ast.parse(path.read_text())):
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
                 stray += [
@@ -330,7 +352,7 @@ def test_every_import_is_read_or_exported():
     # an import that nothing in its module reads, nor its __all__ lists, is
     # left over from a deletion
     stray = []
-    for path in sorted(SRC.glob("*.py")):
+    for path in _sources():
         tree = ast.parse(path.read_text())
         read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
         exported = {elt.value for node in tree.body if isinstance(node, ast.Assign)
@@ -414,7 +436,7 @@ def test_every_parameter_is_read():
     # exempt: a method's receiver, dunder methods and abstract bodies (their
     # signatures are fixed by the protocol), and names marked unused with "_"
     stray = []
-    for path in sorted(SRC.glob("*.py")):
+    for path in _sources():
         for node in ast.walk(ast.parse(path.read_text())):
             if isinstance(node, ast.Lambda):
                 name, body = "<lambda>", [node.body]
@@ -439,7 +461,7 @@ def test_no_module_imports_concurrency():
     # the library runs serially: the largest cost of kh-norm, dense SVDs,
     # is left to BLAS to thread
     stray = []
-    for path in sorted(SRC.glob("*.py")):
+    for path in _sources():
         for node in ast.walk(ast.parse(path.read_text())):
             if isinstance(node, ast.Import):
                 names = [alias.name for alias in node.names]
@@ -455,7 +477,7 @@ def test_no_module_imports_concurrency():
 def test_no_module_imports_scipy():
     # the Fock-space layers run on numpy arrays alone; scipy is a test oracle
     stray = []
-    for path in sorted(SRC.glob("*.py")):
+    for path in _sources():
         for node in ast.walk(ast.parse(path.read_text())):
             if isinstance(node, ast.Import):
                 names = [alias.name for alias in node.names]
@@ -496,7 +518,7 @@ def test_files_are_opened_only_in_the_cli_doors():
     # error line and exit 2, and leave no temp file; a command that opened a
     # file elsewhere would end in a traceback instead
     stray = []
-    for path in sorted(SRC.glob("*.py")):
+    for path in _sources():
         for top in ast.parse(path.read_text()).body:
             if (path.name, getattr(top, "name", None)) not in FILE_DOORS:
                 stray += [f"{path.name}:{line}: {code}" for line, code in _file_openers(top)]
@@ -507,7 +529,7 @@ def test_spaces_are_built_only_in_shared_fock():
     # compressed.shared_fock is the one space door: a space built beside it
     # keeps its own slot-letter records and is built again on the next call
     stray = []
-    for path in sorted(SRC.glob("*.py")):
+    for path in _sources():
         for top in ast.parse(path.read_text()).body:
             if (path.name, getattr(top, "name", None)) != ("compressed.py", "shared_fock"):
                 stray += [f"{path.name}:{node.lineno}: {ast.unparse(node)}" for node in ast.walk(top)
@@ -520,7 +542,7 @@ def test_only_word_blocks_reads_a_letter_table():
     # compressed._word_blocks; every other use of a letter goes through its
     # one-letter block, TruncatedFock.letter_block
     stray = []
-    for path in sorted(SRC.glob("*.py")):
+    for path in _sources():
         for top in ast.parse(path.read_text()).body:
             if (path.name, getattr(top, "name", None)) != ("compressed.py", "_word_blocks"):
                 stray += [f"{path.name}:{node.lineno}: {ast.unparse(node)}" for node in ast.walk(top)
@@ -533,7 +555,7 @@ def test_every_cache_is_bounded():
     # entries however many distinct arguments a run brings.  Memos are
     # spelled functools.lru_cache(maxsize=...) with an integer maxsize.
     stray, memos = [], []
-    for path in sorted(SRC.glob("*.py")):
+    for path in _sources():
         module = importlib.import_module("freedecay" if path.stem == "__init__" else f"freedecay.{path.stem}")
         tree = ast.parse(path.read_text())
         sized = {id(node.func) for node in ast.walk(tree)
@@ -572,7 +594,7 @@ def _only_forwards(node):
 def test_no_module_function_only_forwards_its_parameters():
     # a def whose body is return g(x, y) adds a name and no behaviour: call g
     stray = [f"{path.name}:{node.lineno}: {node.name}"
-             for path in sorted(SRC.glob("*.py"))
+             for path in _sources()
              for node in ast.parse(path.read_text()).body
              if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and _only_forwards(node)]
     assert not stray, "module-level defs that only forward their parameters:\n" + "\n".join(stray)
@@ -581,7 +603,7 @@ def test_no_module_function_only_forwards_its_parameters():
 def test_every_all_entry_exists():
     # a deletion that leaves a stale __all__ entry fails here at once
     modules = [importlib.import_module("freedecay" if p.stem == "__init__" else f"freedecay.{p.stem}")
-               for p in sorted(SRC.glob("*.py"))]
+               for p in _sources()]
     stray = [f"{m.__name__}: {entry}" for m in modules for entry in getattr(m, "__all__", ())
              if not hasattr(m, entry)]
     assert not stray, "__all__ entries that do not exist:\n" + "\n".join(stray)
@@ -594,6 +616,8 @@ UNREFERENCED_IN_SRC = {
     "compressed.MomentEstimates.best_at": "reads the moment lower bound at one r",
     "freeword.FreeElement.letter": "builds a one-letter element, the public way to write sums of letters",
     "khintchine.kh_bracket": "the public kh(x) bracket shown in the README",
+    "khintchine.sr_norm": "s_r at one cut; rx_check and kh_bracket read every cut from one unfolding each",
+    "khintchine.sr_hs_norm": "the Hilbert-Schmidt norm at one cut, the oracle of rx_check's hs_identity_ok",
     "khintchine.weak_cs_bound": "the Cauchy-Schwarz oracle that dominates an assembled block norm",
     "measure.sup_norm_poly": "grid sup norm of one orthonormal polynomial, the oracle for closed forms",
     "measure.OrthoPolySequence.exact": "whether the recurrence stayed in Fractions",
@@ -606,7 +630,7 @@ def test_every_public_def_is_referenced_in_src():
     # attribute anywhere in src, a class member only when it is read as an
     # attribute (a local variable of the same name is no use of it); imports
     # and __all__ strings do not count
-    trees = {p.stem: ast.parse(p.read_text()) for p in sorted(SRC.glob("*.py"))}
+    trees = {p.stem: ast.parse(p.read_text()) for p in _sources()}
     names, attributes = set(), set()
     for tree in trees.values():
         for node in ast.walk(tree):
@@ -788,7 +812,7 @@ def test_qc_layout_lives_only_in_scalars():
     # QCMatrix, imports a private name of scalars, or builds either past its
     # constructor
     stray = []
-    for path in sorted(SRC.glob("*.py")):
+    for path in _sources():
         if path.name == "scalars.py":
             continue
         for node in ast.walk(ast.parse(path.read_text())):
@@ -811,7 +835,7 @@ def test_float_bits_of_payloads_are_spelled_only_in_algebra():
     # letter identity (kind and float bits) is decided in one module: no
     # other module keys anything on the repr of blocks or densities
     stray = []
-    for path in sorted(SRC.glob("*.py")):
+    for path in _sources():
         if path.name == "algebra.py":
             continue
         for node in ast.walk(ast.parse(path.read_text())):
@@ -858,7 +882,7 @@ def test_accumulation_idiom_lives_only_in_scalars():
     # the structural-zero rule of term dicts is written once, in accumulate
     pattern = re.compile(r"is None else\b.*\+")
     stray = [f"{path.name}:{number}: {line.strip()}"
-             for path in sorted(SRC.glob("*.py")) if path.name != "scalars.py"
+             for path in _sources() if path.name != "scalars.py"
              for number, line in enumerate(path.read_text().splitlines(), 1)
              if pattern.search(line)]
     assert not stray, "hand-written term-dict accumulation:\n" + "\n".join(stray)
